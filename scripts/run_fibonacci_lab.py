@@ -2,9 +2,10 @@
 """End-to-end experiment on the golden-ratio substitution subshift.
 
 Writes the spec and generator files, samples the orbit walk to fit the
-displacement tail, derives the cylinder-depth scale from the fit, and runs
-the exact entropy chain with that scale.  Everything lands in --out as the
-same CSV/JSON files the CLI produces.
+displacement tail, derives the cylinder-depth scale from the fit the walk
+wrote to walk/tail_fit.json, and runs the exact entropy chain with that
+scale.  Everything lands in --out as the same CSV/JSON files the CLI
+produces.
 """
 
 import argparse
@@ -12,18 +13,10 @@ import json
 import sys
 from pathlib import Path
 
-from fullgroup_lab import (
-    SubstitutionFixedPoint,
-    default_depth_scale,
-    fibonacci_generators,
-    fibonacci_spec,
-    max_displacement_tail,
-    sample_orbit_walks,
-    supported_a_grid,
-    uniform_measure,
-)
+from fullgroup_lab import default_depth_scale
 from fullgroup_lab.cli import main as cli_main
 from fullgroup_lab.fileio import write_json
+from fullgroup_lab.walks import TailFit
 
 
 def run(out: Path, trials: int, walk_length: int, entropy_steps: int, seed: int) -> int:
@@ -53,12 +46,14 @@ def run(out: Path, trials: int, walk_length: int, entropy_steps: int, seed: int)
     if rc:
         return rc
 
-    # derive the depth scale from the fitted tail, then run the exact chain
-    spec = fibonacci_spec()
-    measure = uniform_measure(fibonacci_generators(spec))
-    point = SubstitutionFixedPoint(spec)
-    sample = sample_orbit_walks(measure, point, walk_length, trials, seed)
-    fit = max_displacement_tail(sample, supported_a_grid(sample)).fit
+    # derive the depth scale from the walk's fitted tail, then run the exact chain
+    tail = json.loads((out / "walk" / "tail_fit.json").read_text())
+    if "insufficient_data" in tail:
+        print(f"error: no tail fit to derive the depth scale from: "
+              f"{tail['insufficient_data']}", file=sys.stderr)
+        return 2
+    doc = tail["fit"]
+    fit = TailFit(c=doc["C"], d=doc["D"], a0=doc["a0"], b0=doc["b0"])
     scale = default_depth_scale(fit)
     print(f"tail fit: C={fit.c:.3f} D={fit.d:.3f} a0={fit.a0:.3f} b0={fit.b0:.2f}"
           f" -> depth scale {scale:.2f}")

@@ -135,14 +135,15 @@ def from_table(spec: SubshiftSpec, depth: int, table: dict[str, int]) -> Cocycle
     """Validate a user table (totality and invertibility) and canonicalize."""
     table = {str(w): int(k) for w, k in table.items()}
     g = CocycleElement(spec, depth, table)
-    g_inv = _build_inverse(g)
+    g_inv = inverse(g)
     ident = identity(spec)
     if compose(g, g_inv) != ident or compose(g_inv, g) != ident:
         raise NotInvertible("preimage table is not a two-sided inverse")
     return g
 
 
-def _build_inverse(g: CocycleElement) -> CocycleElement:
+def inverse(g: CocycleElement) -> CocycleElement:
+    """Group inverse; shifts satisfy k_inv(y) = -k_g(g^{-1} y)."""
     if g._inverse is not None:
         return g._inverse
     if g.max_shift == 0:
@@ -154,11 +155,6 @@ def _build_inverse(g: CocycleElement) -> CocycleElement:
     g._inverse = inv
     inv._inverse = g
     return inv
-
-
-def inverse(g: CocycleElement) -> CocycleElement:
-    """Group inverse; shifts satisfy k_inv(y) = -k_g(g^{-1} y)."""
-    return _build_inverse(g)
 
 
 @lru_cache(maxsize=1 << 20)
@@ -187,15 +183,6 @@ def compose(g: CocycleElement, h: CocycleElement) -> CocycleElement:
 def evaluate(g: CocycleElement, point: Point, position: int = 0) -> int:
     """The shift g applies at the point shifted to `position`."""
     return g.shift_at(point.window(position, g.depth))
-
-
-def canonicalize(g: CocycleElement) -> CocycleElement:
-    """Return the minimal-depth form of g.
-
-    Construction already canonicalizes every element, so this is the
-    identity function; it exists to make the invariant callable.
-    """
-    return g
 
 
 def equals(g: CocycleElement, h: CocycleElement) -> bool:

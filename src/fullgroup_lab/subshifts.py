@@ -9,8 +9,10 @@ letters.
 Factor sets are enumerated by scanning an expanding generated word and are
 declared complete only once the set survives two consecutive doublings of
 the generated length (plus family-specific early exits where the exact
-complexity is known).  Results are memoized per spec in a `LanguageTable`
-that is safe to share across threads.
+complexity is known).  The complexity of a scan-based family is the size of
+that exact factor set; full shifts use the closed form and shifts of finite
+type count paths.  Results are memoized per spec in a `LanguageTable` that
+is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-import numpy as np
-
 from .errors import (
     ConditionViolated,
     EmptyAlphabet,
@@ -34,9 +34,6 @@ from .errors import (
 
 # Generated-text budget for factor enumeration (letters).
 DEFAULT_MAX_TEXT = 1 << 23
-# Above this factor length, complexity() counts windows by rolling hash
-# instead of materializing the factor set.
-COUNT_FAST_PATH_MIN_LENGTH = 65
 # Element budget for explicit factor-set enumeration.
 DEFAULT_MAX_FACTORS = 2_000_000
 
@@ -450,50 +447,14 @@ def _uses_tail_filter(spec: SubshiftSpec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Window scanning: exact sets and rolling-hash counting
-
-_HASH_BASE_1 = np.uint64(0x9E3779B97F4A7C15)
-_HASH_BASE_2 = np.uint64(0xC2B2AE3D27D4EB4F)
+# Window scanning
 
 
 def _window_set(region: str, n: int) -> frozenset[str]:
     return frozenset(region[i : i + n] for i in range(len(region) - n + 1))
 
 
-_PAIR_DTYPE = np.dtype([("h1", np.uint64), ("h2", np.uint64)])
-
-
-def _window_hashes(region: str, n: int) -> np.ndarray:
-    """Sorted, deduplicated 128-bit pair hashes of all length-n windows.
-
-    Polynomial rolling hashes with two independent odd bases under uint64
-    wraparound; a pair collision over a few-million-window scan has
-    negligible probability (~N^2 / 2^128).
-    """
-    arr = np.frombuffer(region.encode("ascii"), dtype=np.uint8).astype(np.uint64)
-    m = len(arr) - n + 1
-    if m <= 0:
-        return np.empty((0,), dtype=_PAIR_DTYPE)
-    pair = np.empty(m, dtype=_PAIR_DTYPE)
-    with np.errstate(over="ignore"):
-        for name, base in (("h1", _HASH_BASE_1), ("h2", _HASH_BASE_2)):
-            base_int = int(base)
-            inv = pow(base_int, -1, 1 << 64)
-            pw = np.concatenate(
-                ([np.uint64(1)], np.cumprod(np.full(len(arr), base_int, dtype=np.uint64)))
-            )
-            inv_pow = np.concatenate(
-                ([np.uint64(1)], np.cumprod(np.full(len(arr) - 1, inv, dtype=np.uint64)))
-            )
-            s = np.cumsum(arr * inv_pow, dtype=np.uint64)
-            win = s[n - 1 :].copy()
-            win[1:] -= s[: m - 1]
-            win *= pw[n - 1 : n - 1 + m]
-            pair[name] = win
-    return np.unique(pair)
-
-
-def _scan_region(text: str, n: int, tail: bool) -> str:
+def _scan_region(text: str, tail: bool) -> str:
     return text[len(text) // 2 :] if tail else text
 
 
@@ -505,25 +466,19 @@ class _Saturator:
         self.prev = None
 
     def feed(self, value, length: int) -> bool:
-        if self.prev is None or not self._same(value, self.prev):
+        if value != self.prev:
             self.prev = value
             self.last_change_len = length
             return False
         return length >= 4 * self.last_change_len
 
-    @staticmethod
-    def _same(a, b) -> bool:
-        if isinstance(a, np.ndarray):
-            return a.shape == b.shape and bool(np.all(a == b))
-        return a == b
 
-
-def _scan_factors(spec, n: int, max_text: int, snapshots: Iterable[str]) -> frozenset[str]:
+def _scan_factors(spec, n: int, max_text: int, snapshots: Iterable[str],
+                  tail: bool) -> frozenset[str]:
     expected = n + 1 if isinstance(spec, SturmianSpec) and n >= 1 else None
-    tail = _uses_tail_filter(spec)
     sat = _Saturator()
     for text in snapshots:
-        region = _scan_region(text, n, tail)
+        region = _scan_region(text, tail)
         if len(region) < max(n, 1):
             continue
         cur = _window_set(region, n)
@@ -534,25 +489,6 @@ def _scan_factors(spec, n: int, max_text: int, snapshots: Iterable[str]) -> froz
         if len(text) > max_text:
             raise SaturationFailure(
                 f"factor set of length {n} did not stabilize within {max_text} letters"
-            )
-    raise InternalInvariantError("snapshot stream ended")  # pragma: no cover
-
-
-def _scan_count(spec, n: int, max_text: int, snapshots: Iterable[str]) -> int:
-    tail = _uses_tail_filter(spec)
-    sat = _Saturator()
-    for text in snapshots:
-        region = _scan_region(text, n, tail)
-        if len(region) < max(n, 1):
-            continue
-        cur = _window_hashes(region, n)
-        if isinstance(spec, SturmianSpec) and n >= 1 and len(cur) == n + 1:
-            return n + 1
-        if sat.feed(cur, len(text)):
-            return int(len(cur))
-        if len(text) > max_text:
-            raise SaturationFailure(
-                f"factor count of length {n} did not stabilize within {max_text} letters"
             )
     raise InternalInvariantError("snapshot stream ended")  # pragma: no cover
 
@@ -637,10 +573,11 @@ def _sft_count(spec: ExplicitSpec, n: int, cap: int) -> int:
 class LanguageTable:
     """Memoizing language oracle of one subshift.
 
-    `factors(n)` returns the exact set of admissible length-n words;
-    `complexity(n)` returns its cardinality, switching to a rolling-hash
-    window count for long factors of scan-based families.  Inserts are
-    synchronized; all queries are pure functions of the spec.
+    `factors(n)` returns the exact set of admissible length-n words and
+    `complexity(n)` its cardinality: the size of the cached factor set for
+    scan-based families, a closed form for full shifts and a path count
+    for shifts of finite type.  Inserts are synchronized; all queries are
+    pure functions of the spec.
     """
 
     def __init__(self, spec: SubshiftSpec, max_text: int = DEFAULT_MAX_TEXT,
@@ -676,8 +613,6 @@ class LanguageTable:
                 count = len(self.spec.letters) ** n
             elif isinstance(self.spec, ExplicitSpec):
                 count = _sft_count(self.spec, n, self.max_factors)
-            elif self._use_count_path(n):
-                count = _scan_count(self.spec, n, self.max_text, self._snapshots())
             else:
                 count = len(self.factors(n))
             self._counts[n] = count
@@ -697,12 +632,6 @@ class LanguageTable:
         c_lo, c_hi = self.complexity(lo), self.complexity(hi)
         return c_lo + (c_hi - c_lo) * (x - lo)
 
-    def _use_count_path(self, n: int) -> bool:
-        return (
-            n >= COUNT_FAST_PATH_MIN_LENGTH
-            and isinstance(self.spec, (SturmianSpec, SubstitutionSpec, ToeplitzSpec))
-        )
-
     def _compute_factors(self, n: int) -> frozenset[str]:
         spec = self.spec
         if n == 0:
@@ -714,7 +643,8 @@ class LanguageTable:
             return frozenset("".join(t) for t in itertools.product(spec.letters, repeat=n))
         if isinstance(spec, ExplicitSpec):
             return _sft_factors(spec, n, self.max_factors)
-        return _scan_factors(spec, n, self.max_text, self._snapshots())
+        return _scan_factors(spec, n, self.max_text, self._snapshots(),
+                             _uses_tail_filter(spec))
 
     def _snapshots(self) -> Iterable[str]:
         if self._snapshot_cache is None:
@@ -759,18 +689,7 @@ def substitution_enumeration_diagnostics(spec: SubstitutionSpec, n: int,
     correctly excluded by the tail filter).
     """
     tail_set = factors(spec, n)
-    sat = _Saturator()
-    plain: frozenset[str] | None = None
-    for text in _substitution_snapshots(spec):
-        if len(text) < max(n, 1):
-            continue
-        cur = _window_set(text, n)
-        if sat.feed(cur, len(text)):
-            plain = cur
-            break
-        if len(text) > max_text:
-            raise SaturationFailure("prefix scan did not stabilize")
-    assert plain is not None
+    plain = _scan_factors(spec, n, max_text, _substitution_snapshots(spec), tail=False)
     return {"tail": tail_set, "prefix": plain, "agree": tail_set == plain}
 
 

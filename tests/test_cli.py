@@ -146,6 +146,19 @@ def test_manifest_replay_reproduces_outputs(workdir):
             assert (out1 / name).read_bytes() == (workdir / "r2" / name).read_bytes()
 
 
+def test_walk_with_large_shift_generators(workdir):
+    write_json(workdir / "big.json", {"spec": "fib.json", "generators": {
+        "down": {"depth": 0, "entries": [{"word": "a", "k": -128}, {"word": "b", "k": -128}]},
+        "up": {"depth": 0, "entries": [{"word": "a", "k": 128}, {"word": "b", "k": 128}]},
+    }})
+    out = workdir / "big"
+    assert run(["walk", "--spec", workdir / "fib.json", "--gens", workdir / "big.json",
+                "--n", 12, "--trials", 50, "--seed", 1, "--out", out]) == 0
+    rows = read_rows(out / "walk_summary.csv")
+    assert all(int(r["max_abs"]) % 128 == 0 for r in rows)
+    assert int(rows[-1]["max_abs"]) >= 128
+
+
 # --- entropy ----------------------------------------------------------------------
 
 
@@ -194,6 +207,16 @@ def test_bad_substitution_spec_is_validation_error(tmp_path):
                {"variant": "substitution", "rules": {"a": "a"}, "seed": "a"})
     assert run(["complexity", "--spec", tmp_path / "bad.json", "--n", 5,
                 "--out", tmp_path / "x"]) == 2
+
+
+def test_weights_off_by_1e13_are_rejected(workdir):
+    write_json(workdir / "skewed.json", {
+        "spec": "fib.json", "builtin": "fibonacci",
+        "weights": {"alpha": str(Fraction(1, 3) + Fraction(1, 10**13)),
+                    "beta": "1/3", "gamma": "1/3"},
+    })
+    assert run(["entropy", "--spec", workdir / "fib.json", "--gens", workdir / "skewed.json",
+                "--n", 2, "--out", workdir / "x"]) == 2
 
 
 def test_gens_spec_cross_check(workdir, tmp_path):

@@ -183,11 +183,13 @@ def test_empty_sft_language():
     assert factors(spec, 0) == frozenset()
 
 
-def test_count_fast_path_agrees_with_sets():
+def test_complexity_counts_windows_of_a_long_prefix():
     spec = ToeplitzSpec("a*ab*a")
     table = LanguageTable(spec)
-    n = 70  # above the fast-path threshold
-    assert table.complexity(n) == len(table.factors(n))
+    prefix = toeplitz_word(spec.pattern, 1 << 16)
+    for n in (64, 65, 70):
+        windows = {prefix[i : i + n] for i in range(len(prefix) - n + 1)}
+        assert table.complexity(n) == len(windows)
 
 
 def test_complexity_interp_piecewise_affine(fib_spec):

@@ -14,6 +14,7 @@ from fullgroup_lab import (
     ResourceLimit,
     StepMeasure,
     ValidationError,
+    canonical_point,
     compose,
     cylinder_depth,
     entropy,
@@ -63,9 +64,11 @@ def test_measure_fields(fib_measure):
 
 
 def test_measure_must_sum_to_one(fib_spec, fib_gens):
-    atoms = tuple((n, g, Fraction(1, 4)) for n, g in fib_gens)
-    with pytest.raises(ValidationError):
-        StepMeasure(fib_spec, atoms)
+    third = Fraction(1, 3)
+    for weights in ([Fraction(1, 4)] * 3, [third + Fraction(1, 10**13), third, third]):
+        atoms = tuple((n, g, p) for (n, g), p in zip(fib_gens, weights))
+        with pytest.raises(ValidationError):
+            StepMeasure(fib_spec, atoms)
 
 
 def test_measure_must_be_symmetric():
@@ -215,6 +218,28 @@ def test_sampling_deterministic_and_prefix_stable(fib_measure, fib_point):
     assert np.array_equal(a.offsets, b.offsets)
     assert np.array_equal(a.offsets, c.offsets[:400])
     assert not np.array_equal(a.offsets, d.offsets)
+
+
+def test_large_shift_increments_are_not_truncated(fib_spec, fib_point):
+    up = from_table(fib_spec, 0, {"a": 128, "b": 128})
+    measure = StepMeasure(fib_spec, (("up", up, Fraction(1, 2)),
+                                     ("down", inverse(up), Fraction(1, 2))))
+    sample = sample_orbit_walks(measure, fib_point, 30, 200, seed=1)
+    assert np.all(sample.offsets % 128 == 0)
+    assert np.all(np.abs(np.diff(sample.offsets, axis=1)) == 128)
+
+
+def test_more_than_256_atoms_are_all_drawn():
+    # on the one-letter shift sigma^k moves the point by k everywhere,
+    # so the final offset of a one-step walk names the atom drawn
+    spec = FullShiftSpec(("a",))
+    atoms = []
+    for k in range(1, 151):
+        g = from_table(spec, 0, {"a": k})
+        atoms += [(f"+{k}", g, Fraction(1, 300)), (f"-{k}", inverse(g), Fraction(1, 300))]
+    measure = StepMeasure(spec, tuple(atoms))
+    sample = sample_orbit_walks(measure, canonical_point(spec), 1, 3000, seed=3)
+    assert set(sample.final.tolist()) == {s * k for k in range(1, 151) for s in (1, -1)}
 
 
 def test_sampling_thread_count_invariant(fib_measure, fib_point):

@@ -113,6 +113,8 @@ def cmd_complexity(args, argv) -> int:
     spec = fileio.load_spec(args.spec)
     if args.n < 1:
         raise ValidationError("--n must be >= 1")
+    if args.dump_factors is not None and args.dump_factors < 0:
+        raise ValidationError("--dump-factors must be >= 0")
     oracle = language_table(spec)
     rows = [(n, oracle.complexity(n)) for n in range(1, args.n + 1)]
     args.out.mkdir(parents=True, exist_ok=True)

@@ -6,13 +6,18 @@ by hole filling, full shifts, and explicit shifts of finite type given by
 forbidden words.  Words are plain Python strings over single-character
 letters.
 
-Factor sets are enumerated by scanning an expanding generated word and are
-declared complete only once the set survives two consecutive doublings of
-the generated length (plus family-specific early exits where the exact
-complexity is known).  The complexity of a scan-based family is the size of
-that exact factor set; full shifts use the closed form and shifts of finite
-type count paths.  Results are memoized per spec in a `LanguageTable` that
-is safe to share across threads.
+Sturmian, substitution and Toeplitz languages are read off an expanding
+generated word.  Each snapshot of it is indexed once: a prefix-doubling
+suffix array and Kasai's linear LCP give, for every start position, the
+longest common prefix with the suffix sorted just before it.  One histogram
+of those values yields the snapshot's count of distinct length-n windows for
+every n at once, and the windows starting where that LCP is below n are its
+length-n factors, one each.  A factor set is declared complete once it
+survives two consecutive doublings of the generated length (plus the
+Sturmian early exit where the complexity n + 1 is known).  That stop is a
+heuristic, not a certificate.  Full shifts use the closed form and shifts of
+finite type count paths.  Results are memoized per spec in a
+`LanguageTable` that is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ import math
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
+
+import numpy as np
 
 from .errors import (
     ConditionViolated,
@@ -356,9 +363,11 @@ def is_primitive(rules: Mapping[str, str]) -> bool:
 def toeplitz_word(pattern: str, length: int, hole: str = "*") -> str:
     """First `length` letters of the one-sided Toeplitz word of `pattern`.
 
-    Each round rewrites the periodic pattern word and fills its holes, in
-    order, with the letters of the previous round.  A pattern without holes
-    is simply repeated.
+    The holes of the periodic pattern word are filled, in order, with the
+    letters of the word itself.  One left-to-right pass suffices: the k-th
+    hole sits at a position beyond k, because the pattern starts with a
+    letter, so its filler is already written.  A pattern without holes is
+    simply repeated.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -366,15 +375,14 @@ def toeplitz_word(pattern: str, length: int, hole: str = "*") -> str:
         raise EmptyAlphabet("empty Toeplitz pattern")
     if pattern[0] == hole:
         raise ConditionViolated(1, hole, "pattern must start with a letter, not a hole")
-    reps = -(-length // len(pattern))
-    base = (pattern * reps)[:length]
-    cur = base
-    for _ in range(length + 1):
-        if hole not in cur:
-            return cur
-        filler = iter(cur)
-        cur = "".join(next(filler) if c == hole else c for c in base)
-    raise InternalInvariantError("hole filling failed to stabilize")
+    word: list[str] = []
+    filled = 0
+    for c in itertools.islice(itertools.cycle(pattern), length):
+        if c == hole:
+            c = word[filled]
+            filled += 1
+        word.append(c)
+    return "".join(word)
 
 
 # ---------------------------------------------------------------------------
@@ -417,26 +425,6 @@ def _snapshots(spec: SubshiftSpec) -> Iterator[str]:
     raise TypeError(f"spec family {spec.variant!r} is not scan-based")
 
 
-class _SnapshotCache:
-    """Replayable view of a spec's expanding-word stream.
-
-    Factor queries at different lengths share the generated text instead of
-    regenerating it; the underlying stream is only advanced on demand.
-    """
-
-    def __init__(self, spec: SubshiftSpec):
-        self._gen = _snapshots(spec)
-        self._cache: list[str] = []
-
-    def __iter__(self) -> Iterator[str]:
-        i = 0
-        while True:
-            if i >= len(self._cache):
-                self._cache.append(next(self._gen))
-            yield self._cache[i]
-            i += 1
-
-
 def _uses_tail_filter(spec: SubshiftSpec) -> bool:
     # Substitution factors must occur arbitrarily late in the generated
     # word (prefix-only factors are not part of the subshift); restricting
@@ -447,15 +435,138 @@ def _uses_tail_filter(spec: SubshiftSpec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Window scanning
+# Suffix-array factor index
+
+# Bits of the packed sort key of one prefix-doubling round.
+_KEY_BITS = 62
 
 
-def _window_set(region: str, n: int) -> frozenset[str]:
-    return frozenset(region[i : i + n] for i in range(len(region) - n + 1))
+def _suffix_array(dense: str, letter_count: int) -> np.ndarray:
+    """Start positions of the suffixes of `dense` in sorted order (int32).
+
+    `dense` spells its text with the characters 0 .. letter_count - 1.
+    Prefix doubling, generalized: while the suffixes are ranked by their
+    first k letters, one round packs the ranks at i, i + k, i + 2k, ... into
+    one 62-bit key, as many as fit, and sorts by it.  A block past the end
+    packs as 0, below every rank, so a proper prefix sorts first.  The first
+    round packs letters (k = 1); rounds stop once every rank is distinct.
+    Only the current int32 ranks are kept between rounds.
+    """
+    size = len(dense)
+    rank = np.frombuffer(dense.encode("utf-32-le"), dtype=np.int32).copy()
+    groups = letter_count
+    k = 1
+    while True:
+        bits = groups.bit_length()
+        shifted = rank + 1
+        key = np.zeros(size, np.int64)
+        for offset in range(0, (_KEY_BITS // bits) * k, k):
+            key *= 1 << bits
+            if offset < size:
+                key[: size - offset] += shifted[offset:]
+        k *= _KEY_BITS // bits
+        del shifted
+        sa = np.argsort(key)
+        # sorting again is cheaper than gathering key[sa]
+        sorted_key = np.sort(key)
+        del key
+        rank_sorted = np.zeros(size, np.int32)
+        np.not_equal(sorted_key[1:], sorted_key[:-1], out=rank_sorted[1:])
+        del sorted_key
+        np.cumsum(rank_sorted, out=rank_sorted)
+        groups = int(rank_sorted[-1]) + 1
+        if groups == size:
+            return sa.astype(np.int32)
+        rank[sa] = rank_sorted
 
 
-def _scan_region(text: str, tail: bool) -> str:
-    return text[len(text) // 2 :] if tail else text
+def _predecessor_lcp(text: str, sa: np.ndarray) -> np.ndarray:
+    """For each start position i, the length of the longest common prefix of
+    suffix i with the suffix sorted just before it; -1 for the first suffix.
+
+    `sa` sorts the suffixes of `text` without its last letter, which must
+    occur nowhere else: the comparisons stop there.  Kasai's linear scan in
+    text order (Kasai et al., CPM 2001): the value at i + 1 is at least the
+    value at i minus one, so the comparisons resume where the previous
+    position stopped.
+    """
+    size = len(sa)
+    before = np.empty(size, np.int32)
+    before[sa[1:]] = sa[:-1]
+    before[sa[0]] = -1
+    lcp = np.empty(size, np.int32)
+    out = memoryview(lcp)
+    h = 0
+    for i, j in enumerate(memoryview(before)):
+        if j < 0:
+            out[i] = -1
+            h = 0
+            continue
+        while text[i + h] == text[j + h]:
+            h += 1
+        out[i] = h
+        if h:
+            h -= 1
+    return lcp
+
+
+class _FactorIndex:
+    """All factors of one snapshot region, read once.
+
+    The length-n windows that start where the predecessor LCP is below n
+    are the distinct length-n factors of the region, one each.  Suffix i
+    therefore adds one factor to every n with lcp[i] < n <= len - i, and a
+    difference-array histogram of those ranges gives `counts[n]` for all n.
+    """
+
+    __slots__ = ("text", "snapshot_len", "lcp", "counts")
+
+    def __init__(self, text: str, snapshot_len: int):
+        self.text = text
+        self.snapshot_len = snapshot_len
+        size = len(text)
+        letters = sorted(set(text))
+        dense = text.translate({ord(c): i for i, c in enumerate(letters)})
+        sa = _suffix_array(dense, len(letters))
+        self.lcp = _predecessor_lcp(dense + chr(len(letters)), sa)
+        diff = np.bincount(self.lcp + 1, minlength=size + 2)
+        # suffix i stops counting at n = size - i + 1: once at each of 2 .. size + 1
+        diff[2:] -= 1
+        self.counts = np.cumsum(diff[: size + 1]).astype(np.int32)
+
+    def count(self, n: int) -> int:
+        return int(self.counts[n]) if n <= len(self.text) else 0
+
+    def factors(self, n: int) -> frozenset[str]:
+        text = self.text
+        if n > len(text):
+            return frozenset()
+        starts = np.flatnonzero(self.lcp[: len(text) - n + 1] < n)
+        return frozenset([text[i : i + n] for i in starts.tolist()])
+
+
+class _IndexStream:
+    """Replayable stream of factor indexes over a spec's expanding words.
+
+    Each snapshot region (the whole snapshot, or its tail half when `tail`)
+    is indexed when a query first reaches it; queries at every length then
+    read the same indexes.
+    """
+
+    def __init__(self, snapshots: Iterator[str], tail: bool):
+        self.tail = tail
+        self._gen = snapshots
+        self._cache: list[_FactorIndex] = []
+
+    def __iter__(self) -> Iterator[_FactorIndex]:
+        i = 0
+        while True:
+            if i >= len(self._cache):
+                text = next(self._gen)
+                region = text[len(text) // 2 :] if self.tail else text
+                self._cache.append(_FactorIndex(region, len(text)))
+            yield self._cache[i]
+            i += 1
 
 
 class _Saturator:
@@ -473,20 +584,25 @@ class _Saturator:
         return length >= 4 * self.last_change_len
 
 
-def _scan_factors(spec, n: int, max_text: int, snapshots: Iterable[str],
-                  tail: bool) -> frozenset[str]:
+def _saturate(spec, n: int, max_text: int, stream: _IndexStream) -> _FactorIndex:
+    """The index at which the length-n factor set stabilized.
+
+    Whole snapshots are prefixes of one another, so a region's factor set
+    contains the previous one's and equal counts mean equal sets: the
+    saturator is fed counts.  Tail halves are not nested, so there it is
+    fed the factor sets themselves.
+    """
     expected = n + 1 if isinstance(spec, SturmianSpec) and n >= 1 else None
     sat = _Saturator()
-    for text in snapshots:
-        region = _scan_region(text, tail)
-        if len(region) < max(n, 1):
+    for index in stream:
+        if len(index.text) < max(n, 1):
             continue
-        cur = _window_set(region, n)
-        if expected is not None and len(cur) == expected:
-            return cur
-        if sat.feed(cur, len(text)):
-            return cur
-        if len(text) > max_text:
+        count = index.count(n)
+        if expected is not None and count == expected:
+            return index
+        if sat.feed(index.factors(n) if stream.tail else count, index.snapshot_len):
+            return index
+        if index.snapshot_len > max_text:
             raise SaturationFailure(
                 f"factor set of length {n} did not stabilize within {max_text} letters"
             )
@@ -574,8 +690,9 @@ class LanguageTable:
     """Memoizing language oracle of one subshift.
 
     `factors(n)` returns the exact set of admissible length-n words and
-    `complexity(n)` its cardinality: the size of the cached factor set for
-    scan-based families, a closed form for full shifts and a path count
+    `complexity(n)` its cardinality: for scan-based families a count read
+    from the snapshot factor indexes (the set itself is built only when
+    `factors` asks for it), a closed form for full shifts and a path count
     for shifts of finite type.  Inserts are synchronized; all queries are
     pure functions of the spec.
     """
@@ -588,7 +705,7 @@ class LanguageTable:
         self._lock = threading.RLock()
         self._factors: dict[int, frozenset[str]] = {}
         self._counts: dict[int, int] = {}
-        self._snapshot_cache: _SnapshotCache | None = None
+        self._indexes: _IndexStream | None = None
 
     def factors(self, n: int) -> frozenset[str]:
         if n < 0:
@@ -614,7 +731,7 @@ class LanguageTable:
             elif isinstance(self.spec, ExplicitSpec):
                 count = _sft_count(self.spec, n, self.max_factors)
             else:
-                count = len(self.factors(n))
+                count = self._saturate(n).count(n)
             self._counts[n] = count
             return count
 
@@ -634,22 +751,18 @@ class LanguageTable:
 
     def _compute_factors(self, n: int) -> frozenset[str]:
         spec = self.spec
-        if n == 0:
-            # The empty word is admissible iff the subshift is nonempty.
-            return frozenset({""}) if self.factors(1) else frozenset()
         if isinstance(spec, FullShiftSpec):
             if len(spec.letters) ** n > self.max_factors:
                 raise ResourceLimit(f"full-shift factor set of length {n} exceeds cap")
             return frozenset("".join(t) for t in itertools.product(spec.letters, repeat=n))
         if isinstance(spec, ExplicitSpec):
             return _sft_factors(spec, n, self.max_factors)
-        return _scan_factors(spec, n, self.max_text, self._snapshots(),
-                             _uses_tail_filter(spec))
+        return self._saturate(n).factors(n)
 
-    def _snapshots(self) -> Iterable[str]:
-        if self._snapshot_cache is None:
-            self._snapshot_cache = _SnapshotCache(self.spec)
-        return self._snapshot_cache
+    def _saturate(self, n: int) -> _FactorIndex:
+        if self._indexes is None:
+            self._indexes = _IndexStream(_snapshots(self.spec), _uses_tail_filter(self.spec))
+        return _saturate(self.spec, n, self.max_text, self._indexes)
 
 
 _TABLES: dict[SubshiftSpec, LanguageTable] = {}
@@ -689,7 +802,8 @@ def substitution_enumeration_diagnostics(spec: SubstitutionSpec, n: int,
     correctly excluded by the tail filter).
     """
     tail_set = factors(spec, n)
-    plain = _scan_factors(spec, n, max_text, _substitution_snapshots(spec), tail=False)
+    plain = _saturate(spec, n, max_text,
+                      _IndexStream(_substitution_snapshots(spec), tail=False)).factors(n)
     return {"tail": tail_set, "prefix": plain, "agree": tail_set == plain}
 
 

@@ -66,6 +66,14 @@ def test_complexity_factor_dump(workdir):
     assert set(words) == {"aab", "aba", "baa", "bab"}
 
 
+def test_negative_factor_dump_length_is_validation_error(workdir, capsys):
+    out = workdir / "dump"
+    assert run(["complexity", "--spec", workdir / "fib.json", "--n", 6,
+                "--dump-factors", -1, "--out", out]) == 2
+    assert "--dump-factors must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_complexity_json_format(workdir):
     out = workdir / "json_out"
     assert run(["complexity", "--spec", workdir / "sturmian.json", "--n", 8,

@@ -2,7 +2,7 @@ import math
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fullgroup_lab import (
@@ -25,7 +25,7 @@ from fullgroup_lab import (
     substitution_iterate,
     toeplitz_word,
 )
-from fullgroup_lab.subshifts import substitution_enumeration_diagnostics
+from fullgroup_lab.subshifts import _FactorIndex, substitution_enumeration_diagnostics
 
 FIB = {"a": "ab", "b": "a"}
 NONPRIM = {"a": "aba", "b": "bb"}
@@ -200,6 +200,32 @@ def test_complexity_interp_piecewise_affine(fib_spec):
         complexity_interp(fib_spec, -0.5)
 
 
+# --- suffix-array factor index ------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda k: st.text(alphabet="abc"[:k], min_size=1, max_size=300)))
+@example("a" * 300)
+@example("ab" * 150)
+def test_factor_index_matches_brute_force_windows(text):
+    index = _FactorIndex(text, len(text))
+    for n in range(len(text) + 2):
+        windows = {text[i : i + n] for i in range(len(text) - n + 1)}
+        assert index.count(n) == len(windows)
+        assert index.factors(n) == windows
+
+
+def test_tail_filtered_factors_are_windows_of_a_late_tail():
+    # the sets stabilize on iterates of 6,144 and 13,312 letters; a much
+    # later iterate's tail half must hold exactly the same windows
+    spec = SubstitutionSpec.from_rules(NONPRIM, "a")
+    word = substitution_iterate(NONPRIM, "a", 16)
+    tail = word[len(word) // 2 :]
+    for n in (50, 100):
+        assert factors(spec, n) == {tail[i : i + n] for i in range(len(tail) - n + 1)}
+
+
 # --- substitution iteration and primitivity ----------------------------------
 
 
@@ -361,6 +387,15 @@ def test_tail_filter_flags_prefix_only_factors():
     assert diag["tail"] == frozenset({"bb"})
     assert "ab" in diag["prefix"]
     assert factors(spec, 3) == frozenset({"bbb"})
+
+
+def test_tail_saturation_compares_sets_not_counts():
+    # the tail halves "b", "cc", "aaaa" of the first iterates hold one letter
+    # each, a different one each time: equal counts over two doublings, but
+    # the sets differ, so the scan must go on
+    spec = SubstitutionSpec.from_rules({"a": "ab", "b": "cc", "c": "aa"}, "a")
+    assert factors(spec, 1) == frozenset("abc")
+    assert complexity(spec, 1) == 3
 
 
 def test_nonprimitive_language_facts():

@@ -34,7 +34,6 @@ from .errors import (
 from .points import canonical_point
 from .subshifts import ToeplitzSpec, language_table
 from .walks import (
-    BASE_TAIL_GRID,
     ConvolutionCache,
     cylinder_depth,
     entropy_envelope,
@@ -65,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fullgroup-lab",
         description="Subshift complexity tables and full-group random-walk reports.",
-        epilog="The FULLGROUP_LAB_THREADS environment variable caps sampling "
-               "parallelism (default 1); results do not depend on it.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -122,15 +119,18 @@ def cmd_complexity(args, argv) -> int:
     table = fileio.write_table(args.out / "complexity", ("n", "rho"), rows, args.format)
     outputs.append(table.name)
 
-    ns = np.array([r[0] for r in rows], dtype=float)
-    rhos = np.array([r[1] for r in rows], dtype=float)
-    mask = ns >= 2
-    slope, intercept = np.polyfit(np.log(ns[mask]), np.log(rhos[mask]), 1)
-    fit = {
-        "loglog_slope": float(slope),
-        "loglog_intercept": float(intercept),
-        "n_range": [2, args.n],
-    }
+    fit = {"n_range": [2, args.n]}
+    fit_rows = rows[1:]  # the log-log fit skips n = 1
+    if len(fit_rows) >= 2:
+        ns = np.array([r[0] for r in fit_rows], dtype=float)
+        rhos = np.array([r[1] for r in fit_rows], dtype=float)
+        slope, intercept = np.polyfit(np.log(ns), np.log(rhos), 1)
+        fit.update(loglog_slope=float(slope), loglog_intercept=float(intercept))
+    else:
+        fit["insufficient_data"] = (
+            f"the log-log fit needs at least two rows with n >= 2; --n {args.n} gives "
+            f"{len(fit_rows)}"
+        )
     if isinstance(spec, ToeplitzSpec):
         p, q = spec.period, spec.hole_count
         if math.gcd(p, q) == 1 and p > q:
@@ -236,7 +236,7 @@ def cmd_entropy(args, argv) -> int:
         ball_table = ball(measure.generator_set(), args.n, args.cap)
         for n in range(1, args.n + 1):
             rep = stable_set_report(
-                spec, measure, cache.power(n), n, args.depth_scale, args.cap, ball_table
+                measure, cache.power(n), args.depth_scale, args.cap, ball_table
             )
             rows.append(
                 (
@@ -267,8 +267,8 @@ def cmd_entropy(args, argv) -> int:
         "depths": [cylinder_depth(n, args.depth_scale) for n in range(1, args.n + 1)],
     }
     if limit_hit is None:
-        envelope = entropy_envelope(spec, measure, args.n, args.cap, cache)
-        returns = return_probability_suite(measure, args.n // 2, args.cap, cache)
+        envelope = entropy_envelope(cache, args.n)
+        returns = return_probability_suite(cache, args.n // 2)
         fit_doc.update(
             envelope_constant=envelope.fitted_constant,
             entropy_rates=list(envelope.entropy_rates),

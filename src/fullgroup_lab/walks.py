@@ -10,19 +10,16 @@ Two complementary routes are implemented and cross-checked:
   fitted against a Gaussian-shaped envelope.
 
 Sampling uses one counter-based stream per trial, derived from
-(seed, trial index), so results do not depend on trial batching or the
-number of worker threads.
+(seed, trial index), so results do not depend on trial batching.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,15 +47,7 @@ from .subshifts import SubshiftSpec, language_table
 DEFAULT_SUPPORT_CAP = 2_000_000
 BASE_TAIL_GRID = tuple(round(0.25 * i, 2) for i in range(1, 17))  # 0.25 .. 4.0
 MIN_TAIL_EXCEEDANCES = 10
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("FULLGROUP_LAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
+ENVELOPE_GRID = tuple(i / 20.0 for i in range(1, 401))  # 0.05 .. 20.0
 
 # ---------------------------------------------------------------------------
 # Step measures and exact convolution
@@ -140,7 +129,11 @@ class GroupDistribution:
 
 
 class ConvolutionCache:
-    """Memoized chain of convolution powers of one step measure."""
+    """Memoized chain of convolution powers of one step measure.
+
+    `power(n)` is the law of the left walk after n steps (new atoms
+    multiply on the left), deduplicated by canonical table identity.
+    """
 
     def __init__(self, measure: StepMeasure, cap: int = DEFAULT_SUPPORT_CAP):
         self.measure = measure
@@ -163,15 +156,6 @@ class ConvolutionCache:
         if len(out) > self.cap:
             raise ResourceLimit(f"convolution support exceeded {self.cap} elements")
         return GroupDistribution(dist.n + 1, dict(out))
-
-
-def exact_convolution(measure: StepMeasure, n: int, cap: int = DEFAULT_SUPPORT_CAP,
-                      cache: ConvolutionCache | None = None) -> GroupDistribution:
-    """Distribution of the left walk after n steps (new atoms multiply on
-    the left), deduplicated by canonical table identity."""
-    if cache is None:
-        cache = ConvolutionCache(measure, cap)
-    return cache.power(n)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +187,13 @@ class MixtureEntropyCheck:
 def mixture_entropy_check(components: Sequence[Mapping], weights: Sequence) -> MixtureEntropyCheck:
     """Verify that the entropy of a mixture is at most the weighted
     component entropies plus the entropy of the weights."""
-    weights = [Fraction(w) if not isinstance(w, float) else w for w in weights]
+    weights = [w if isinstance(w, float) else Fraction(w) for w in weights]
     total = sum(weights)
-    if abs(float(total) - 1.0) > 1e-9:
+    if any(isinstance(w, float) for w in weights):
+        ok = abs(float(total) - 1.0) <= 1e-9
+    else:
+        ok = total == 1
+    if not ok:
         raise ValidationError(f"mixture weights sum to {total}, not 1")
     mix: dict = defaultdict(float)
     for comp, w in zip(components, weights):
@@ -253,8 +241,19 @@ def _atom_increment_table(measure: StepMeasure, point: Point, span: int,
     return table
 
 
+def _atom_draws(measure: StepMeasure, n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
+    """Yield the n atom indices of each trial t in turn, drawn from the
+    trial's own counter-based stream Philox(key=[seed, t])."""
+    cum = np.cumsum([float(p) for _, _, p in measure.atoms])
+    cum[-1] = 1.0
+    seed_word = seed & 0xFFFFFFFFFFFFFFFF
+    for t in range(trials):
+        gen = np.random.Generator(np.random.Philox(key=[seed_word, t]))
+        yield np.searchsorted(cum, gen.random(n), side="right")
+
+
 def sample_orbit_walks(measure: StepMeasure, point: Point, n: int, trials: int,
-                       seed: int, threads: int | None = None) -> WalkSample:
+                       seed: int) -> WalkSample:
     """Simulate `trials` independent orbit walks of length `n`.
 
     The offset after each step is the cocycle of the running product at the
@@ -265,39 +264,25 @@ def sample_orbit_walks(measure: StepMeasure, point: Point, n: int, trials: int,
         raise ValidationError("need at least one trial")
     if n < 0:
         raise ValidationError("walk length must be nonnegative")
-    threads = threads or _threads_from_env()
     k = measure.max_shift
     span = k * n + 1
     # for n >= 1 every increment is at most k < span, so it fits the offsets dtype
     dtype = np.int16 if span < 30000 else np.int32
     inc = _atom_increment_table(measure, point, span, dtype)
-    cum = np.cumsum([float(p) for _, _, p in measure.atoms])
-    cum[-1] = 1.0
     draw_dtype = np.min_scalar_type(len(measure.atoms) - 1)
     offsets = np.zeros((trials, n + 1), dtype=dtype)
-    seed_word = seed & 0xFFFFFFFFFFFFFFFF
-
-    def run_chunk(lo: int, hi: int) -> None:
-        block = 2048
-        for start in range(lo, hi, block):
-            stop = min(start + block, hi)
-            rows = stop - start
-            draws = np.empty((rows, n), dtype=draw_dtype)
-            for t in range(start, stop):
-                gen = np.random.Generator(np.random.Philox(key=[seed_word, t]))
-                draws[t - start] = np.searchsorted(cum, gen.random(n), side="right")
-            pos = np.zeros(rows, dtype=np.int64)
-            out = offsets[start:stop]
-            for j in range(n):
-                pos += inc[draws[:, j], pos + span]
-                out[:, j + 1] = pos
-
-    if threads <= 1 or trials < 4096:
-        run_chunk(0, trials)
-    else:
-        bounds = np.linspace(0, trials, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda i: run_chunk(bounds[i], bounds[i + 1]), range(threads)))
+    stream = _atom_draws(measure, n, trials, seed)
+    block = 2048  # trials whose draws are held at once
+    for start in range(0, trials, block):
+        out = offsets[start:start + block]
+        rows = len(out)
+        draws = np.empty((rows, n), dtype=draw_dtype)
+        for row in range(rows):
+            draws[row] = next(stream)
+        pos = np.zeros(rows, dtype=np.int64)
+        for j in range(n):
+            pos += inc[draws[:, j], pos + span]
+            out[:, j + 1] = pos
     sample = WalkSample(n, trials, seed, k, offsets)
     if n and not sample.lipschitz_ok():
         raise InternalInvariantError("sampled increments exceed the generator shift bound")
@@ -309,12 +294,11 @@ def empirical_offset_distribution(sample: WalkSample) -> dict[int, float]:
     return {int(v): c / sample.trials for v, c in zip(values, counts)}
 
 
-def pushforward_offsets(dist: GroupDistribution, point: Point,
-                        position: int = 0) -> dict[int, Fraction]:
+def pushforward_offsets(dist: GroupDistribution, point: Point) -> dict[int, Fraction]:
     """Exact law of the orbit offset under the group-element distribution."""
     out: dict[int, Fraction] = defaultdict(Fraction)
     for g, p in dist.probs.items():
-        out[evaluate(g, point, position)] += p
+        out[evaluate(g, point, 0)] += p
     return dict(out)
 
 
@@ -361,25 +345,24 @@ class TailCurve:
         return bool(np.all(env + 1e-12 >= np.asarray(self.empirical)))
 
 
-def supported_a_grid(sample: WalkSample, base_grid: Iterable[float] = BASE_TAIL_GRID,
-                     min_exceedances: int = MIN_TAIL_EXCEEDANCES) -> tuple[float, ...]:
-    """Prefix of the grid on which the tail still has enough exceedances
-    to estimate probabilities."""
+def supported_a_grid(sample: WalkSample) -> tuple[float, ...]:
+    """Prefix of the base grid on which the tail still has enough
+    exceedances to estimate probabilities."""
     max_abs = sample.max_abs
     scale = math.sqrt(sample.n)
     out = []
-    for a in base_grid:
-        if int(np.sum(max_abs >= a * scale)) >= min_exceedances:
+    for a in BASE_TAIL_GRID:
+        if int(np.sum(max_abs >= a * scale)) >= MIN_TAIL_EXCEEDANCES:
             out.append(float(a))
         else:
             break
     return tuple(out)
 
 
-def _tail_b0(sample: WalkSample, base_grid: Iterable[float]) -> float:
+def _tail_b0(sample: WalkSample) -> float:
     final_abs = np.abs(sample.final)
     scale = math.sqrt(sample.n)
-    for a in base_grid:
+    for a in BASE_TAIL_GRID:
         if np.mean(final_abs >= a * scale) <= 0.5:
             return float(a)
     raise InsufficientData("final-offset tail never drops below 1/2 on the grid")
@@ -413,7 +396,7 @@ def max_displacement_tail(sample: WalkSample,
     log_c = c0 + a0 * a0 / d
     # raise C to the smallest dominating constant
     log_c = max(log_c, max(lp + (a - a0) ** 2 / d for a, lp in zip(a_grid, log_p)))
-    fit = TailFit(float(math.exp(log_c)), float(d), float(a0), _tail_b0(sample, BASE_TAIL_GRID))
+    fit = TailFit(float(math.exp(log_c)), float(d), float(a0), _tail_b0(sample))
     return TailCurve(sample.n, sample.trials, a_grid, tuple(probs), tuple(counts), fit)
 
 
@@ -481,18 +464,17 @@ class StableSetReport:
         return self.entropy_bound - self.walk_entropy
 
 
-def stable_set_report(spec: SubshiftSpec, measure: StepMeasure, dist: GroupDistribution,
-                      n: int, depth_scale: float, cap: int = DEFAULT_SUPPORT_CAP,
+def stable_set_report(measure: StepMeasure, dist: GroupDistribution, depth_scale: float,
+                      cap: int = DEFAULT_SUPPORT_CAP,
                       ball_table: Mapping[CocycleElement, int] | None = None) -> StableSetReport:
-    """Report on the depth-stable subset at step n.
+    """Report on the depth-stable subset at step n = `dist.n`.
 
-    `dist` must be the n-th convolution power of `measure`.  The stable
-    mass is computed exactly over the support; the stable count enumerates
-    the whole radius-n ball (pass a precomputed `ball_table` to share it
+    `dist` must be a convolution power of `measure`.  The stable mass is
+    computed exactly over the support; the stable count enumerates the
+    whole radius-n ball (pass a precomputed `ball_table` to share it
     across reports).
     """
-    if dist.n != n:
-        raise ValidationError(f"distribution is at step {dist.n}, report wants {n}")
+    n = dist.n
     if depth_scale <= 0:
         raise DomainError("depth scale must be positive")
     d = cylinder_depth(n, depth_scale)
@@ -506,7 +488,7 @@ def stable_set_report(spec: SubshiftSpec, measure: StepMeasure, dist: GroupDistr
     )
     h = entropy(dist)
     k = measure.max_shift
-    cylinder_count = language_table(spec).complexity(2 * d + 1)
+    cylinder_count = language_table(measure.spec).complexity(2 * d + 1)
     log_count_bound = cylinder_count * math.log(2 * k * n + 1) if n else 0.0
     support = len(measure.atoms)
     bound = (
@@ -552,26 +534,21 @@ class ReturnProbabilitySuite:
         return all(r.max_at_identity for r in self.rows)
 
 
-def return_probability_suite(measure: StepMeasure, n_max: int,
-                             cap: int = DEFAULT_SUPPORT_CAP,
-                             cache: ConvolutionCache | None = None,
-                             spec_for_bound: SubshiftSpec | None = None) -> ReturnProbabilitySuite:
+def return_probability_suite(chain: ConvolutionCache, n_max: int) -> ReturnProbabilitySuite:
     """Exact even-time return probabilities with the max-at-identity and
     monotonicity checks, plus the smallest constant C for which the
     complexity-driven lower bound holds on the computed range."""
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    if cache is None:
-        cache = ConvolutionCache(measure, cap)
-    spec = measure.spec
+    spec = chain.measure.spec
     rows = []
     for n in range(1, n_max + 1):
-        dist = cache.power(2 * n)
+        dist = chain.power(2 * n)
         rows.append(
             ReturnProbabilityRow(n, 2 * n, dist.identity_mass(spec), dist.max_prob())
         )
     monotone = all(rows[i].return_prob >= rows[i + 1].return_prob for i in range(len(rows) - 1))
-    oracle = language_table(spec_for_bound or spec)
+    oracle = language_table(spec)
     fitted = math.inf
     for c_times_4 in range(1, 257):
         c = c_times_4 / 4.0
@@ -604,26 +581,19 @@ class EntropyEnvelope:
         return tuple(h / n if n else 0.0 for n, h in enumerate(self.entropies))
 
 
-def entropy_envelope(spec: SubshiftSpec, measure: StepMeasure, n_max: int,
-                     cap: int = DEFAULT_SUPPORT_CAP,
-                     cache: ConvolutionCache | None = None,
-                     c_grid: Iterable[float] | None = None) -> EntropyEnvelope:
+def entropy_envelope(chain: ConvolutionCache, n_max: int) -> EntropyEnvelope:
     if n_max < 2:
         raise ValidationError("n_max must be >= 2")
-    if cache is None:
-        cache = ConvolutionCache(measure, cap)
-    entropies = [entropy(cache.power(n)) for n in range(n_max + 1)]
-    oracle = language_table(spec)
-    if c_grid is None:
-        c_grid = [i / 20.0 for i in range(1, 401)]
+    entropies = [entropy(chain.power(n)) for n in range(n_max + 1)]
+    oracle = language_table(chain.measure.spec)
 
     def bound_at(c: float, n: int) -> float:
         return c * oracle.complexity(math.ceil(c * math.sqrt(n * math.log(n)))) * math.log(n)
 
     fitted = None
-    for c in c_grid:
+    for c in ENVELOPE_GRID:
         if all(entropies[n] <= bound_at(c, n) + 1e-12 for n in range(2, n_max + 1)):
-            fitted = float(c)
+            fitted = c
             break
     if fitted is None:
         raise InsufficientData("no grid constant satisfies the entropy envelope")
@@ -657,15 +627,11 @@ def folner_growth_bound(alpha: float, epsilon: float, c2: float, n: int) -> floa
 def sample_group_elements(measure: StepMeasure, n: int, trials: int,
                           seed: int) -> dict[CocycleElement, int]:
     """Sample `trials` walk endpoints g_n and count them by element."""
-    cum = np.cumsum([float(p) for _, _, p in measure.atoms])
-    cum[-1] = 1.0
     atoms = [g for _, g, _ in measure.atoms]
     counts: dict[CocycleElement, int] = defaultdict(int)
-    seed_word = seed & 0xFFFFFFFFFFFFFFFF
-    for t in range(trials):
-        gen = np.random.Generator(np.random.Philox(key=[seed_word, t]))
+    for draws in _atom_draws(measure, n, trials, seed):
         g = identity(measure.spec)
-        for idx in np.searchsorted(cum, gen.random(n), side="right"):
+        for idx in draws:
             g = compose(atoms[idx], g)
         counts[g] += 1
     return dict(counts)
@@ -680,14 +646,11 @@ def cylinder_nonconstancy_rate(measure: StepMeasure, word: str, n: int,
     return bad / trials
 
 
-def shannon_path_diagnostic(measure: StepMeasure, n: int, trials: int, seed: int,
-                            cache: ConvolutionCache | None = None) -> dict:
+def shannon_path_diagnostic(chain: ConvolutionCache, n: int, trials: int, seed: int) -> dict:
     """Report -(1/n) log mu^{*n}(g_n) along sampled paths (diagnostic only:
     the almost-sure limit is asymptotic, no threshold is attached)."""
-    if cache is None:
-        cache = ConvolutionCache(measure)
-    dist = cache.power(n)
-    counts = sample_group_elements(measure, n, trials, seed)
+    dist = chain.power(n)
+    counts = sample_group_elements(chain.measure, n, trials, seed)
     vals = []
     for g, c in counts.items():
         p = dist.probs.get(g)

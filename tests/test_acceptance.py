@@ -144,18 +144,18 @@ def test_criterion_09_return_probabilities(fib_spec, fib_measure, fib_cache):
             if compose(a, b) == e
         )
         assert brute == Fraction(1, 3)
-        suite = return_probability_suite(fib_measure, 6, cache=fib_cache)
+        suite = return_probability_suite(fib_cache, 6)
         assert suite.rows[0].return_prob == Fraction(1, 3)
         assert suite.all_max_at_identity()
         assert suite.monotone
 
 
-def test_criterion_10_entropy_bound_chain(fib_spec, fib_measure):
+def test_criterion_10_entropy_bound_chain(fib_measure):
     with criterion(10, "entropy bound chain for n <= 12 (cap 2e6)", budget=600.0):
         cache = ConvolutionCache(fib_measure, cap=2_000_000)
         ball_table = ball(fib_measure.generator_set(), 12, cap=2_000_000)
         reports = [
-            stable_set_report(fib_spec, fib_measure, cache.power(n), n, 9.0,
+            stable_set_report(fib_measure, cache.power(n), 9.0,
                               cap=2_000_000, ball_table=ball_table)
             for n in range(1, 13)
         ]

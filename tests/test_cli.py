@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -80,6 +81,21 @@ def test_complexity_json_format(workdir):
                 "--out", out, "--format", "json"]) == 0
     doc = json.loads((out / "complexity.json").read_text())
     assert doc[0] == {"n": 1, "rho": 2}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_complexity_too_few_rows_to_fit(workdir, capsys, n):
+    out = workdir / "short"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["complexity", "--spec", workdir / "fib.json", "--n", n, "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    assert [int(r["n"]) for r in read_rows(out / "complexity.csv")] == list(range(1, n + 1))
+    fit = json.loads((out / "complexity_fit.json").read_text())
+    assert fit["n_range"] == [2, n]
+    assert "at least two rows" in fit["insufficient_data"]
+    assert "loglog_slope" not in fit and "loglog_intercept" not in fit
+    assert "complexity_fit.json" in json.loads((out / "manifest.json").read_text())["outputs"]
 
 
 def test_toeplitz_fit_sidecar(tmp_path):

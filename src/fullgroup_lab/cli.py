@@ -166,17 +166,14 @@ def cmd_walk(args, argv) -> int:
     # debugging aid: the window of the walked point around the start offset
     (args.out / "point_window.txt").write_text(point.window(0, 60) + "\n", encoding="utf-8")
     outputs.append("point_window.txt")
-    offs = sample.offsets.astype(np.float64)
-    rows = [
-        (
-            j,
-            float(offs[:, j].mean()),
-            float(offs[:, j].std()),
-            float(np.abs(offs[:, j]).mean()),
-            int(np.abs(sample.offsets[:, j]).max()),
+    rows = []
+    # one contiguous row of offsets per step; only that row is copied to float64
+    for j, step in enumerate(sample.offsets.T):
+        offs = step.astype(np.float64)
+        rows.append(
+            (j, float(offs.mean()), float(offs.std()), float(np.abs(offs).mean()),
+             int(np.abs(step).max()))
         )
-        for j in range(args.n + 1)
-    ]
     table = fileio.write_table(
         args.out / "walk_summary", ("j", "mean", "std", "mean_abs", "max_abs"),
         rows, args.format,

@@ -9,8 +9,13 @@ Two complementary routes are implemented and cross-checked:
   along the trajectory, from which displacement tails are estimated and
   fitted against a Gaussian-shaped envelope.
 
-Sampling uses one counter-based stream per trial, derived from
-(seed, trial index), so results do not depend on trial batching.
+Each trial t draws from its own counter-based stream, Philox keyed by
+(seed mod 2^64, t), so results do not depend on trial batching.  One
+generator per sampler call is rekeyed for each trial, and draws are mapped
+to atoms one block of trials at a time.  Offsets are stored step-major, so
+each step's offsets across the trials are contiguous.  A sample whose
+arrays would pass MAX_SAMPLE_BYTES is refused with ResourceLimit before
+anything is allocated.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -48,6 +54,8 @@ DEFAULT_SUPPORT_CAP = 2_000_000
 BASE_TAIL_GRID = tuple(round(0.25 * i, 2) for i in range(1, 17))  # 0.25 .. 4.0
 MIN_TAIL_EXCEEDANCES = 10
 ENVELOPE_GRID = tuple(i / 20.0 for i in range(1, 401))  # 0.05 .. 20.0
+DRAW_BLOCK = 2048  # trials whose draws are held at once
+MAX_SAMPLE_BYTES = 1 << 30  # cap on the arrays of one orbit-walk sample
 
 # ---------------------------------------------------------------------------
 # Step measures and exact convolution
@@ -217,19 +225,22 @@ class WalkSample:
     trials: int
     seed: int
     max_shift: int
-    offsets: np.ndarray  # shape (trials, n+1), offsets[:, 0] == 0
+    offsets: np.ndarray  # shape (trials, n+1), offsets[:, 0] == 0; may be a transposed view
 
-    @property
+    @cached_property
     def max_abs(self) -> np.ndarray:
-        return np.max(np.abs(self.offsets), axis=1)
+        """max_j |m_j| of each trial, computed once for the tail reports."""
+        # two reductions instead of a trials x (n+1) copy holding |offsets|
+        return np.maximum(self.offsets.max(axis=1), -self.offsets.min(axis=1))
 
     @property
     def final(self) -> np.ndarray:
         return self.offsets[:, -1]
 
     def lipschitz_ok(self) -> bool:
-        steps = np.diff(self.offsets, axis=1)
-        return bool(np.all(np.abs(steps) <= self.max_shift))
+        steps = np.diff(self.offsets.T, axis=0)
+        np.abs(steps, out=steps)
+        return bool(steps.max(initial=0) <= self.max_shift)
 
 
 def _atom_increment_table(measure: StepMeasure, point: Point, span: int,
@@ -242,14 +253,45 @@ def _atom_increment_table(measure: StepMeasure, point: Point, span: int,
 
 
 def _atom_draws(measure: StepMeasure, n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
-    """Yield the n atom indices of each trial t in turn, drawn from the
-    trial's own counter-based stream Philox(key=[seed, t])."""
+    """Yield the atom indices of the trials in blocks of up to DRAW_BLOCK
+    rows; row t holds the n draws of trial t's own counter-based stream
+    Philox(key=[seed mod 2^64, t]).
+
+    One generator serves the whole call: for each trial its state is reset
+    to that key, counter 0 and an empty buffer, which is the state a new
+    Philox(key=[seed, t]) starts in."""
     cum = np.cumsum([float(p) for _, _, p in measure.atoms])
     cum[-1] = 1.0
-    seed_word = seed & 0xFFFFFFFFFFFFFFFF
-    for t in range(trials):
-        gen = np.random.Generator(np.random.Philox(key=[seed_word, t]))
-        yield np.searchsorted(cum, gen.random(n), side="right")
+    draw_dtype = np.min_scalar_type(len(measure.atoms) - 1)
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    fresh["state"]["key"] = key
+    floats = np.empty((min(trials, DRAW_BLOCK), n))
+    for start in range(0, trials, DRAW_BLOCK):
+        rows = min(DRAW_BLOCK, trials - start)
+        for row in range(rows):
+            key[1] = start + row
+            bitgen.state = fresh
+            gen.random(out=floats[row])
+        yield np.searchsorted(cum, floats[:rows], side="right").astype(draw_dtype)
+
+
+def _check_sample_size(n: int, trials: int, atoms: int, span: int, dtype: np.dtype) -> None:
+    """Refuse a sample whose arrays would pass MAX_SAMPLE_BYTES, before any
+    of them is allocated: the offsets, the increment table and one block of
+    draws (floats, their indices and the narrowed copy)."""
+    itemsize = np.dtype(dtype).itemsize
+    draw_itemsize = np.min_scalar_type(atoms - 1).itemsize
+    need = (trials * (n + 1) * itemsize
+            + atoms * (2 * span + 1) * itemsize
+            + min(trials, DRAW_BLOCK) * n * (8 + 8 + draw_itemsize))
+    if need > MAX_SAMPLE_BYTES:
+        raise ResourceLimit(
+            f"{trials} walks of {n} steps need {need} bytes, over the cap of "
+            f"{MAX_SAMPLE_BYTES} bytes"
+        )
 
 
 def sample_orbit_walks(measure: StepMeasure, point: Point, n: int, trials: int,
@@ -259,6 +301,8 @@ def sample_orbit_walks(measure: StepMeasure, point: Point, n: int, trials: int,
     The offset after each step is the cocycle of the running product at the
     start point; increments are read from a precomputed per-atom table, so
     the point's windows are only evaluated once per reachable offset.
+    Offsets are stored step-major, one contiguous row per step;
+    `WalkSample.offsets` is the transposed (trials, n+1) view.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
@@ -268,22 +312,19 @@ def sample_orbit_walks(measure: StepMeasure, point: Point, n: int, trials: int,
     span = k * n + 1
     # for n >= 1 every increment is at most k < span, so it fits the offsets dtype
     dtype = np.int16 if span < 30000 else np.int32
+    _check_sample_size(n, trials, len(measure.atoms), span, dtype)
     inc = _atom_increment_table(measure, point, span, dtype)
-    draw_dtype = np.min_scalar_type(len(measure.atoms) - 1)
-    offsets = np.zeros((trials, n + 1), dtype=dtype)
-    stream = _atom_draws(measure, n, trials, seed)
-    block = 2048  # trials whose draws are held at once
-    for start in range(0, trials, block):
-        out = offsets[start:start + block]
-        rows = len(out)
-        draws = np.empty((rows, n), dtype=draw_dtype)
-        for row in range(rows):
-            draws[row] = next(stream)
+    steps = np.zeros((n + 1, trials), dtype=dtype)
+    start = 0
+    for draws in _atom_draws(measure, n, trials, seed):
+        rows = len(draws)
+        out = steps[:, start:start + rows]
         pos = np.zeros(rows, dtype=np.int64)
         for j in range(n):
             pos += inc[draws[:, j], pos + span]
-            out[:, j + 1] = pos
-    sample = WalkSample(n, trials, seed, k, offsets)
+            out[j + 1] = pos
+        start += rows
+    sample = WalkSample(n, trials, seed, k, steps.T)
     if n and not sample.lipschitz_ok():
         raise InternalInvariantError("sampled increments exceed the generator shift bound")
     return sample
@@ -629,11 +670,12 @@ def sample_group_elements(measure: StepMeasure, n: int, trials: int,
     """Sample `trials` walk endpoints g_n and count them by element."""
     atoms = [g for _, g, _ in measure.atoms]
     counts: dict[CocycleElement, int] = defaultdict(int)
-    for draws in _atom_draws(measure, n, trials, seed):
-        g = identity(measure.spec)
-        for idx in draws:
-            g = compose(atoms[idx], g)
-        counts[g] += 1
+    for block in _atom_draws(measure, n, trials, seed):
+        for draws in block:
+            g = identity(measure.spec)
+            for idx in draws:
+                g = compose(atoms[idx], g)
+            counts[g] += 1
     return dict(counts)
 
 

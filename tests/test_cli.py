@@ -1,11 +1,19 @@
 import json
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fullgroup_lab import fibonacci_generators, fibonacci_spec
+from fullgroup_lab import (
+    canonical_point,
+    fibonacci_generators,
+    fibonacci_spec,
+    sample_orbit_walks,
+    uniform_measure,
+)
 from fullgroup_lab.cli import main
 from fullgroup_lab.fileio import (
     dumps_json,
@@ -181,6 +189,42 @@ def test_walk_with_large_shift_generators(workdir):
     rows = read_rows(out / "walk_summary.csv")
     assert all(int(r["max_abs"]) % 128 == 0 for r in rows)
     assert int(rows[-1]["max_abs"]) >= 128
+
+
+@pytest.mark.parametrize("seed", [2, 11])
+def test_walk_summary_equals_whole_matrix_columns(workdir, seed):
+    n, trials = 30, 2100
+    out = workdir / f"sum{seed}"
+    assert run(["walk", "--spec", workdir / "fib.json", "--gens", workdir / "gens.json",
+                "--n", n, "--trials", trials, "--seed", seed, "--format", "json",
+                "--out", out]) == 0
+    spec = load_spec(workdir / "fib.json")
+    gens, _ = load_generator_set(workdir / "gens.json", spec)
+    sample = sample_orbit_walks(uniform_measure(gens), canonical_point(spec), n, trials, seed)
+    # the summary as it was computed from one float64 copy of the whole matrix
+    offs = sample.offsets.astype(np.float64)
+    expected = [
+        {"j": j, "mean": float(offs[:, j].mean()), "std": float(offs[:, j].std()),
+         "mean_abs": float(np.abs(offs[:, j]).mean()),
+         "max_abs": int(np.abs(sample.offsets[:, j]).max())}
+        for j in range(n + 1)
+    ]
+    assert json.loads((out / "walk_summary.json").read_text()) == expected
+
+
+def test_walk_too_large_is_resource_limit_before_allocating(workdir, capsys):
+    out = workdir / "huge"
+    tracemalloc.start()
+    try:
+        code = run(["walk", "--spec", workdir / "fib.json", "--gens", workdir / "gens.json",
+                    "--n", 400, "--trials", 10**12, "--out", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "resource limit" in capsys.readouterr().err
+    assert peak < 10 * 2**20
+    assert not out.exists()
 
 
 # --- entropy ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from fullgroup_lab import (
     ResourceLimit,
     StepMeasure,
     ValidationError,
+    WalkSample,
     canonical_point,
     compose,
     cylinder_depth,
@@ -35,6 +37,8 @@ from fullgroup_lab import (
     uniform_measure,
 )
 from fullgroup_lab.walks import (
+    DRAW_BLOCK,
+    _atom_draws,
     cylinder_nonconstancy_rate,
     empirical_offset_distribution,
     shannon_path_diagnostic,
@@ -210,6 +214,9 @@ def test_sampled_law_matches_exact_convolution(fib_measure, fib_point, fib_cache
 def test_lipschitz_increments(fib_measure, fib_point):
     sample = sample_orbit_walks(fib_measure, fib_point, 64, 500, seed=2)
     assert sample.lipschitz_ok()
+    for path in ([0, 1, 3], [0, -1, -3]):
+        jump = WalkSample(2, 2, 0, 1, np.array([[0, 1, 0], path], dtype=np.int16))
+        assert not jump.lipschitz_ok()
 
 
 def test_sampling_deterministic_and_prefix_stable(fib_measure, fib_point):
@@ -247,6 +254,68 @@ def test_more_than_256_atoms_are_all_drawn():
     measure = StepMeasure(spec, tuple(atoms))
     sample = sample_orbit_walks(measure, canonical_point(spec), 1, 3000, seed=3)
     assert set(sample.final.tolist()) == {s * k for k in range(1, 151) for s in (1, -1)}
+
+
+def _halves_measure(spec):
+    """Stay put with weight 1/2, shift by +1 or -1 with weight 1/4 each."""
+    up = from_table(spec, 0, {a: 1 for a in spec.alphabet})
+    return StepMeasure(spec, (("e", identity(spec), Fraction(1, 2)),
+                              ("up", up, Fraction(1, 4)),
+                              ("down", inverse(up), Fraction(1, 4)))), np.array([0, 1, -1])
+
+
+def _many_atoms_measure():
+    """300 atoms sigma^{+-k}, k = 1..150, on the one-letter shift."""
+    spec = FullShiftSpec(("a",))
+    atoms = []
+    for k in range(1, 151):
+        g = from_table(spec, 0, {"a": k})
+        atoms += [(f"+{k}", g, Fraction(1, 300)), (f"-{k}", inverse(g), Fraction(1, 300))]
+    moves = np.array([s * k for k in range(1, 151) for s in (1, -1)])
+    return StepMeasure(spec, tuple(atoms)), moves
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**62 + 5])
+@pytest.mark.parametrize("which", ["halves", "many_atoms"])
+def test_atom_draws_equal_a_new_philox_per_trial(fib_spec, seed, which):
+    measure, moves = _halves_measure(fib_spec) if which == "halves" else _many_atoms_measure()
+    cum = np.cumsum([float(p) for _, _, p in measure.atoms])
+    # the increment table of 300 atoms grows with k*n, so keep their walks short
+    n, trials = (9 if which == "halves" else 2), DRAW_BLOCK + 1
+    expected = np.array([
+        np.searchsorted(cum, np.random.Generator(np.random.Philox(key=[seed, t])).random(n),
+                        side="right")
+        for t in range(trials)
+    ])
+    for rows in (DRAW_BLOCK - 1, DRAW_BLOCK + 1):
+        blocks = list(_atom_draws(measure, n, rows, seed))
+        assert [len(b) for b in blocks] == ([rows] if rows < DRAW_BLOCK else [DRAW_BLOCK, 1])
+        assert np.array_equal(np.concatenate(blocks), expected[:rows])
+        # every atom moves each point by the same amount, so the sampled
+        # offsets are the running sums of the drawn moves
+        sample = sample_orbit_walks(measure, canonical_point(measure.spec), n, rows, seed)
+        assert np.array_equal(sample.offsets[:, 1:], np.cumsum(moves[expected[:rows]], axis=1))
+
+
+def test_negative_and_large_seeds_give_distinct_samples(fib_measure, fib_point):
+    seeds = [0, -1, -3, 2**63, 2**63 + 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples = [sample_orbit_walks(fib_measure, fib_point, 20, 50, seed=s).offsets
+                   for s in seeds]
+    for i in range(len(seeds)):
+        for j in range(i):
+            assert not np.array_equal(samples[i], samples[j]), (seeds[i], seeds[j])
+
+
+def test_offsets_are_step_major_and_max_abs_is_cached(fib_measure, fib_point):
+    sample = sample_orbit_walks(fib_measure, fib_point, 30, 100, seed=8)
+    assert sample.offsets.shape == (100, 31)
+    assert sample.offsets.T.flags.c_contiguous
+    # the sampler returns no derived array; max_abs is made on first use, once
+    assert [k for k, v in vars(sample).items() if isinstance(v, np.ndarray)] == ["offsets"]
+    assert sample.max_abs is sample.max_abs
+    assert np.array_equal(sample.max_abs, np.abs(sample.offsets).max(axis=1))
 
 
 # --- displacement tails -----------------------------------------------------------------

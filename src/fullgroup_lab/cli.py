@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fileio, walks
-from .cocycles import ball
+from . import fileio
+from .cocycles import DEFAULT_BALL_CAP, ball
 from .errors import (
     FullgroupLabError,
     InsufficientData,
@@ -86,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10, help="largest convolution power (default 10)")
     p.add_argument("--L", type=float, default=9.0, dest="depth_scale",
                    help="cylinder-depth scale (default 9.0)")
-    p.add_argument("--cap", type=int, default=walks.DEFAULT_SUPPORT_CAP,
-                   help="support / ball element cap (default 2e6)")
+    p.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP,
+                   help="ball element cap (default 2e6)")
     p.add_argument("--seed", type=int, default=0, help="seed recorded in the manifest")
     return parser
 
@@ -225,16 +225,13 @@ def cmd_entropy(args, argv) -> int:
     measure, measure_desc = _load_measure(args, spec)
     if args.n < 2:
         raise ValidationError("--n must be >= 2")
-    cache = ConvolutionCache(measure, args.cap)
 
     rows = []
     limit_hit = None
     try:
-        ball_table = ball(measure.generator_set(), args.n, args.cap)
+        chain = ConvolutionCache(measure, ball(measure.generator_set(), args.n, args.cap))
         for n in range(1, args.n + 1):
-            rep = stable_set_report(
-                measure, cache.power(n), args.depth_scale, args.cap, ball_table
-            )
+            rep = stable_set_report(chain, n, args.depth_scale)
             rows.append(
                 (
                     n,
@@ -264,8 +261,8 @@ def cmd_entropy(args, argv) -> int:
         "depths": [cylinder_depth(n, args.depth_scale) for n in range(1, args.n + 1)],
     }
     if limit_hit is None:
-        envelope = entropy_envelope(cache, args.n)
-        returns = return_probability_suite(cache, args.n // 2)
+        envelope = entropy_envelope(chain, args.n)
+        returns = return_probability_suite(chain, args.n // 2)
         fit_doc.update(
             envelope_constant=envelope.fitted_constant,
             entropy_rates=list(envelope.entropy_rates),

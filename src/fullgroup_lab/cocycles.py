@@ -10,12 +10,18 @@ Composition follows the cocycle rule k_{gh}(x) = k_g(hx) + k_h(x);
 inversion and the invertibility check both run the same preimage search:
 at depth l+K every admissible word must select exactly one shift j with
 the table sending the j-shifted subwindow to j.
+
+Word-metric balls are CayleyBall graphs: the elements in breadth-first
+order with their word lengths and depths, plus the index of every left
+product by a generator, which is all the exact chain in `walks` needs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+
+import numpy as np
 
 from .errors import (
     IncompleteTable,
@@ -26,6 +32,8 @@ from .errors import (
 )
 from .points import Point
 from .subshifts import SubshiftSpec, SubstitutionSpec, language_table
+
+DEFAULT_BALL_CAP = 2_000_000  # elements of a word-metric ball, and so of the exact chain
 
 
 class CocycleElement:
@@ -157,8 +165,10 @@ def inverse(g: CocycleElement) -> CocycleElement:
     return inv
 
 
-@lru_cache(maxsize=1 << 20)
-def _compose_cached(g: CocycleElement, h: CocycleElement) -> CocycleElement:
+def compose(g: CocycleElement, h: CocycleElement) -> CocycleElement:
+    """The element g.h (h acts first)."""
+    if g.spec != h.spec:
+        raise SpecMismatch("cannot compose elements over different subshifts")
     d = max(h.depth, g.depth + h.max_shift)
     out: dict[str, int] = {}
     width_h = 2 * h.depth + 1
@@ -171,13 +181,6 @@ def _compose_cached(g: CocycleElement, h: CocycleElement) -> CocycleElement:
         lo = d + kh - g.depth
         out[w] = g_table[w[lo : lo + width_g]] + kh
     return CocycleElement(g.spec, d, out)
-
-
-def compose(g: CocycleElement, h: CocycleElement) -> CocycleElement:
-    """The element g.h (h acts first)."""
-    if g.spec != h.spec:
-        raise SpecMismatch("cannot compose elements over different subshifts")
-    return _compose_cached(g, h)
 
 
 def evaluate(g: CocycleElement, point: Point, position: int = 0) -> int:
@@ -319,7 +322,68 @@ def fibonacci_generators(spec: SubstitutionSpec) -> GeneratorSet:
     return GeneratorSet(spec, (("alpha", alpha), ("beta", beta), ("gamma", gamma)))
 
 
-def ball(gens: GeneratorSet, radius: int, cap: int = 2_000_000) -> dict[CocycleElement, int]:
+class CayleyBall(Mapping):
+    """The word-metric ball of a generator set, read as a mapping from
+    element to word length in breadth-first order.
+
+    Element i is `elements[i]` (the identity is 0), with word length
+    `lengths[i]` and table depth `depths[i]`.  For every element shorter
+    than `radius`, row i of the int32 array `neighbors` holds the index of
+    compose(s, elements[i]) for each generator s in order: the edges of the
+    left walk.  Those elements are a prefix of `elements`.
+    """
+
+    def __init__(self, gens: GeneratorSet, cap: int):
+        self.gens = gens
+        self.cap = cap
+        self.radius = 0
+        self.elements = [identity(gens.spec)]
+        self._index = {self.elements[0]: 0}
+        self.lengths = np.zeros(1, dtype=np.int64)
+        self.depths = np.zeros(1, dtype=np.int64)
+        self.neighbors = np.empty((0, len(gens)), dtype=np.int32)
+
+    def grow(self, radius: int) -> None:
+        """Continue the breadth-first search out to `radius`.  A layer that
+        would take the ball past `cap` elements raises ResourceLimit and
+        leaves the ball as it was."""
+        atoms = [s for _, s in self.gens.elements]
+        while self.radius < radius:
+            first, size = len(self.neighbors), len(self.elements)
+            new: dict[CocycleElement, int] = {}
+            rows = np.empty((size - first, len(atoms)), dtype=np.int32)
+            for i in range(first, size):
+                g = self.elements[i]
+                for a, s in enumerate(atoms):
+                    prod = compose(s, g)
+                    j = self._index.get(prod)
+                    if j is None:
+                        j = new.setdefault(prod, size + len(new))
+                        if j >= self.cap:
+                            raise ResourceLimit(
+                                f"ball enumeration exceeded {self.cap} elements"
+                            )
+                    rows[i - first, a] = j
+            self.radius += 1
+            self.elements.extend(new)
+            self._index.update(new)
+            self.lengths = np.concatenate([self.lengths, np.full(len(new), self.radius)])
+            self.depths = np.concatenate(
+                [self.depths, np.array([g.depth for g in new], dtype=np.int64)]
+            )
+            self.neighbors = np.concatenate([self.neighbors, rows])
+
+    def __getitem__(self, g: CocycleElement) -> int:
+        return int(self.lengths[self._index[g]])
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+
+def ball(gens: GeneratorSet, radius: int, cap: int = DEFAULT_BALL_CAP) -> CayleyBall:
     """All elements of word length <= radius, mapped to their word length.
 
     Breadth-first left products with canonical-table deduplication; raises
@@ -327,20 +391,9 @@ def ball(gens: GeneratorSet, radius: int, cap: int = 2_000_000) -> dict[CocycleE
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    lengths: dict[CocycleElement, int] = {identity(gens.spec): 0}
-    frontier = list(lengths)
-    for layer in range(1, radius + 1):
-        new: list[CocycleElement] = []
-        for g in frontier:
-            for _, s in gens.elements:
-                prod = compose(s, g)
-                if prod not in lengths:
-                    lengths[prod] = layer
-                    new.append(prod)
-                    if len(lengths) > cap:
-                        raise ResourceLimit(f"ball enumeration exceeded {cap} elements")
-        frontier = new
-    return lengths
+    out = CayleyBall(gens, cap)
+    out.grow(radius)
+    return out
 
 
 def element_from_dict(spec: SubshiftSpec, data: dict) -> CocycleElement:

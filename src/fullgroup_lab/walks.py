@@ -2,9 +2,11 @@
 
 Two complementary routes are implemented and cross-checked:
 
-* exact convolution powers of the step measure over canonical group
-  elements, with rational weights, from which entropy, return
+* exact convolution powers of the step measure on the word-metric ball
+  of its atoms, held as integer path counts over D^n (D the common
+  denominator of the atom weights), from which entropy, return
   probabilities, and the depth-stability reports are computed exactly;
+  Fractions are built only where a report asks for one;
 * Monte-Carlo orbit walks that track the integer offset of a fixed point
   along the trajectory, from which displacement tails are estimated and
   fitted against a Gaussian-shaped envelope.
@@ -30,15 +32,14 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .cocycles import (
+    CayleyBall,
     CocycleElement,
     GeneratorSet,
-    ball,
     compose,
     evaluate,
     identity,
     inverse,
     is_constant_on_cylinder,
-    is_constant_on_depth,
 )
 from .errors import (
     DomainError,
@@ -50,7 +51,6 @@ from .errors import (
 from .points import Point
 from .subshifts import SubshiftSpec, language_table
 
-DEFAULT_SUPPORT_CAP = 2_000_000
 BASE_TAIL_GRID = tuple(round(0.25 * i, 2) for i in range(1, 17))  # 0.25 .. 4.0
 MIN_TAIL_EXCEEDANCES = 10
 ENVELOPE_GRID = tuple(i / 20.0 for i in range(1, 401))  # 0.05 .. 20.0
@@ -113,57 +113,88 @@ def measure_from_weights(gens: GeneratorSet, weights: Mapping[str, Fraction]) ->
     return StepMeasure(gens.spec, atoms)
 
 
-@dataclass(frozen=True)
 class GroupDistribution:
-    """Exact distribution of the walk position after `n` steps."""
+    """Exact distribution of the walk position after `n` steps.
 
-    n: int
-    probs: dict[CocycleElement, Fraction]
+    Support element i is `ball.elements[index[i]]` and has probability
+    `counts[i] / denominator`: integer path counts over D^n.  The support
+    is in first-insertion order (the previous support's order, then atom
+    order); `probs` builds the Fractions on first use.
+    """
 
-    def __post_init__(self):
-        total = sum(self.probs.values(), Fraction(0))
-        if total != 1:
-            raise InternalInvariantError(f"distribution mass {total} != 1 at step {self.n}")
+    def __init__(self, n: int, ball: CayleyBall, index: np.ndarray, counts: np.ndarray,
+                 denominator: int):
+        if int(counts.sum()) != denominator:
+            raise InternalInvariantError(
+                f"distribution mass {counts.sum()}/{denominator} != 1 at step {n}"
+            )
+        self.n = n
+        self.support_size = len(index)
+        self.ball = ball
+        self.index = index
+        self.counts = counts
+        self.denominator = denominator
 
-    @property
-    def support_size(self) -> int:
-        return len(self.probs)
+    @cached_property
+    def probs(self) -> dict[CocycleElement, Fraction]:
+        elements = self.ball.elements
+        return {
+            elements[i]: Fraction(c, self.denominator)
+            for i, c in zip(self.index.tolist(), self.counts.tolist())
+        }
 
-    def identity_mass(self, spec: SubshiftSpec) -> Fraction:
-        return self.probs.get(identity(spec), Fraction(0))
+    def identity_mass(self) -> Fraction:
+        # the identity is element 0 of the ball
+        return Fraction(int(self.counts[self.index == 0].sum()), self.denominator)
 
     def max_prob(self) -> Fraction:
-        return max(self.probs.values())
+        return Fraction(int(self.counts.max()), self.denominator)
 
 
 class ConvolutionCache:
     """Memoized chain of convolution powers of one step measure.
 
     `power(n)` is the law of the left walk after n steps (new atoms
-    multiply on the left), deduplicated by canonical table identity.
+    multiply on the left), over the word-metric ball of the measure's
+    atoms; the ball grows to radius n when needed, and its cap bounds the
+    support.  Weights are integer path counts over D^n, D the least common
+    denominator of the atom weights.  One step is one scatter-add per atom
+    along the ball's neighbor rows.
     """
 
-    def __init__(self, measure: StepMeasure, cap: int = DEFAULT_SUPPORT_CAP):
+    def __init__(self, measure: StepMeasure, ball: CayleyBall):
+        if ball.gens != measure.generator_set():
+            raise ValidationError("the ball must be built on the measure's atoms, in order")
         self.measure = measure
-        self.cap = cap
-        start = GroupDistribution(0, {identity(measure.spec): Fraction(1)})
+        self.ball = ball
+        self.denominator = math.lcm(*(p.denominator for _, _, p in measure.atoms))
+        self._weights = [int(p * self.denominator) for _, _, p in measure.atoms]
+        start = GroupDistribution(0, ball, np.zeros(1, dtype=np.intp),
+                                  np.ones(1, dtype=np.int64), 1)
         self._powers: list[GroupDistribution] = [start]
 
     def power(self, n: int) -> GroupDistribution:
         if n < 0:
             raise ValueError("convolution power must be nonnegative")
+        self.ball.grow(n)
         while len(self._powers) <= n:
             self._powers.append(self._step(self._powers[-1]))
         return self._powers[n]
 
     def _step(self, dist: GroupDistribution) -> GroupDistribution:
-        out: dict[CocycleElement, Fraction] = defaultdict(Fraction)
-        for g, pg in dist.probs.items():
-            for _, s, ps in self.measure.atoms:
-                out[compose(s, g)] += ps * pg
-        if len(out) > self.cap:
-            raise ResourceLimit(f"convolution support exceeded {self.cap} elements")
-        return GroupDistribution(dist.n + 1, dict(out))
+        n = dist.n + 1
+        denominator = self.denominator ** n
+        # every partial sum is at most D^n; past int64 the counts are Python ints
+        dtype = np.int64 if denominator < 1 << 62 else object
+        counts = dist.counts.astype(dtype, copy=False)
+        targets = self.ball.neighbors[dist.index]
+        acc = np.zeros(len(self.ball), dtype=dtype)
+        for a, w in enumerate(self._weights):
+            # left multiplication by one atom is injective: no target repeats
+            acc[targets[:, a]] += w * counts
+        index, first = np.unique(targets, return_index=True)
+        index = index[np.argsort(first)]  # first insertion: support order, then atom order
+        return GroupDistribution(n, self.ball, index, acc[index], denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +202,15 @@ class ConvolutionCache:
 
 
 def entropy(dist: GroupDistribution | Mapping) -> float:
-    """Shannon entropy in nats; the 0 log 0 terms are dropped."""
-    probs = dist.probs.values() if isinstance(dist, GroupDistribution) else dist.values()
+    """Shannon entropy in nats, summed in the support's order; the 0 log 0
+    terms are dropped."""
+    if isinstance(dist, GroupDistribution):
+        # int / int is correctly rounded, as float(Fraction) is
+        values = [c / dist.denominator for c in dist.counts.tolist()]
+    else:
+        values = [float(p) for p in dist.values()]
     total = 0.0
-    for p in probs:
-        x = float(p)
+    for x in values:
         if x > 0.0:
             total -= x * math.log(x)
     return total
@@ -505,29 +540,24 @@ class StableSetReport:
         return self.entropy_bound - self.walk_entropy
 
 
-def stable_set_report(measure: StepMeasure, dist: GroupDistribution, depth_scale: float,
-                      cap: int = DEFAULT_SUPPORT_CAP,
-                      ball_table: Mapping[CocycleElement, int] | None = None) -> StableSetReport:
-    """Report on the depth-stable subset at step n = `dist.n`.
+def stable_set_report(chain: ConvolutionCache, n: int, depth_scale: float) -> StableSetReport:
+    """Report on the depth-stable subset at step n of the chain.
 
-    `dist` must be a convolution power of `measure`.  The stable mass is
-    computed exactly over the support; the stable count enumerates the
-    whole radius-n ball (pass a precomputed `ball_table` to share it
-    across reports).
+    The stable mass sums the path counts of the support elements whose
+    table depth is at most d(n); the stable count masks the chain's ball
+    to word length <= n and the same depths.
     """
-    n = dist.n
     if depth_scale <= 0:
         raise DomainError("depth scale must be positive")
+    dist = chain.power(n)
+    ball = chain.ball
     d = cylinder_depth(n, depth_scale)
-    stable_support = [g for g in dist.probs if is_constant_on_depth(g, d)]
-    mass = sum((dist.probs[g] for g in stable_support), Fraction(0))
-    if ball_table is None:
-        ball_table = ball(measure.generator_set(), n, cap)
-    ball_size = sum(1 for _, length in ball_table.items() if length <= n)
-    stable_count = sum(
-        1 for g, length in ball_table.items() if length <= n and is_constant_on_depth(g, d)
-    )
+    stable_support = ball.depths[dist.index] <= d
+    mass = Fraction(int(dist.counts[stable_support].sum()), dist.denominator)
+    in_ball = ball.lengths <= n
+    stable_count = int(np.count_nonzero(in_ball & (ball.depths <= d)))
     h = entropy(dist)
+    measure = chain.measure
     k = measure.max_shift
     cylinder_count = language_table(measure.spec).complexity(2 * d + 1)
     log_count_bound = cylinder_count * math.log(2 * k * n + 1) if n else 0.0
@@ -543,8 +573,8 @@ def stable_set_report(measure: StepMeasure, dist: GroupDistribution, depth_scale
         depth=d,
         stable_mass=mass,
         stable_count=stable_count,
-        stable_support_count=len(stable_support),
-        ball_size=ball_size,
+        stable_support_count=int(np.count_nonzero(stable_support)),
+        ball_size=int(np.count_nonzero(in_ball)),
         walk_entropy=h,
         cylinder_count=cylinder_count,
         log_count_bound=log_count_bound,
@@ -585,9 +615,7 @@ def return_probability_suite(chain: ConvolutionCache, n_max: int) -> ReturnProba
     rows = []
     for n in range(1, n_max + 1):
         dist = chain.power(2 * n)
-        rows.append(
-            ReturnProbabilityRow(n, 2 * n, dist.identity_mass(spec), dist.max_prob())
-        )
+        rows.append(ReturnProbabilityRow(n, 2 * n, dist.identity_mass(), dist.max_prob()))
     monotone = all(rows[i].return_prob >= rows[i + 1].return_prob for i in range(len(rows) - 1))
     oracle = language_table(spec)
     fitted = math.inf

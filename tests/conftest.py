@@ -3,6 +3,7 @@ import pytest
 from fullgroup_lab import (
     ConvolutionCache,
     SubstitutionFixedPoint,
+    ball,
     fibonacci_generators,
     fibonacci_spec,
     uniform_measure,
@@ -25,8 +26,8 @@ def fib_measure(fib_gens):
 
 
 @pytest.fixture(scope="session")
-def fib_cache(fib_measure):
-    return ConvolutionCache(fib_measure)
+def fib_cache(fib_measure, fib_gens):
+    return ConvolutionCache(fib_measure, ball(fib_gens, 0))
 
 
 @pytest.fixture(scope="session")

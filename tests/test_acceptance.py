@@ -152,13 +152,9 @@ def test_criterion_09_return_probabilities(fib_spec, fib_measure, fib_cache):
 
 def test_criterion_10_entropy_bound_chain(fib_measure):
     with criterion(10, "entropy bound chain for n <= 12 (cap 2e6)", budget=600.0):
-        cache = ConvolutionCache(fib_measure, cap=2_000_000)
-        ball_table = ball(fib_measure.generator_set(), 12, cap=2_000_000)
-        reports = [
-            stable_set_report(fib_measure, cache.power(n), 9.0,
-                              cap=2_000_000, ball_table=ball_table)
-            for n in range(1, 13)
-        ]
+        table = ball(fib_measure.generator_set(), 12, cap=2_000_000)
+        cache = ConvolutionCache(fib_measure, table)
+        reports = [stable_set_report(cache, n, 9.0) for n in range(1, 13)]
         assert all(rep.entropy_slack >= 0 for rep in reports)
         rates = [rep.walk_entropy / rep.n for rep in reports]
         assert rates[11] < rates[3]
@@ -187,12 +183,20 @@ def test_criterion_12_coupling_exhaustive(fib_spec, fib_gens, fib_point):
         atoms = [g for _, g in fib_gens.elements]
         l0 = fib_gens.max_depth
         constant_memo: dict[tuple, bool] = {}
+        product_memo: dict[tuple, object] = {}
 
         def constant(g, word):
             key = (g, word)
             got = constant_memo.get(key)
             if got is None:
                 got = constant_memo[key] = is_constant_on_cylinder(g, word)
+            return got
+
+        def product(s, g):
+            key = (s, g)
+            got = product_memo.get(key)
+            if got is None:
+                got = product_memo[key] = compose(s, g)
             return got
 
         counterexamples = 0
@@ -208,7 +212,7 @@ def test_criterion_12_coupling_exhaustive(fib_spec, fib_gens, fib_point):
                         counterexamples += 1
                     if length < 8:
                         for s in atoms:
-                            prod = compose(s, g)
+                            prod = product(s, g)
                             m = abs(evaluate(prod, fib_point, witness))
                             stack.append((prod, length + 1, max(running_max, m)))
         assert counterexamples == 0

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from fullgroup_lab import (
@@ -244,6 +245,44 @@ def test_ball_shift_bound(fib_gens):
 def test_ball_resource_limit(fib_gens):
     with pytest.raises(ResourceLimit):
         ball(fib_gens, 6, cap=20)
+
+
+def test_ball_neighbors_lengths_and_depths(fib_spec, fib_gens):
+    b = ball(fib_gens, 3)
+    atoms = [s for _, s in fib_gens.elements]
+    assert b.elements[0] == identity(fib_spec)
+    assert list(b) == b.elements and len(b) == 22
+    assert b.lengths.tolist() == [b[g] for g in b.elements] == sorted(b.lengths.tolist())
+    assert b.depths.tolist() == [g.depth for g in b.elements]
+    # one row per element shorter than the radius: its left products
+    assert b.neighbors.dtype == np.int32
+    assert b.neighbors.shape == (np.count_nonzero(b.lengths < 3), len(atoms))
+    for i, row in enumerate(b.neighbors):
+        assert [b.elements[j] for j in row] == [compose(s, b.elements[i]) for s in atoms]
+
+
+def test_ball_grows_in_place(fib_gens):
+    b = ball(fib_gens, 2)
+    b.grow(5)
+    fresh = ball(fib_gens, 5)
+    assert b.radius == 5
+    assert list(b.items()) == list(fresh.items())
+    assert np.array_equal(b.neighbors, fresh.neighbors)
+    b.grow(4)  # never shrinks
+    assert b.radius == 5 and len(b) == len(fresh)
+
+
+def test_ball_cap_leaves_the_ball_as_it_was(fib_gens):
+    b = ball(fib_gens, 2, cap=21)  # radius 2 has 10 elements, radius 3 has 22
+    items, rows = list(b.items()), b.neighbors.copy()
+    for _ in range(2):
+        with pytest.raises(ResourceLimit, match="ball enumeration exceeded 21 elements"):
+            b.grow(3)
+        assert b.radius == 2 and list(b.items()) == items
+        assert np.array_equal(b.neighbors, rows) and len(b.lengths) == len(b.depths) == 10
+    b.cap = 22
+    b.grow(3)
+    assert list(b.items()) == list(ball(fib_gens, 3).items())
 
 
 def test_ball_word_lengths_are_geodesic(fib_gens, abg):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +12,15 @@ from fullgroup_lab import (
     ConvolutionCache,
     DomainError,
     FullShiftSpec,
+    GeneratorSet,
+    GroupDistribution,
     InsufficientData,
+    InternalInvariantError,
     ResourceLimit,
     StepMeasure,
     ValidationError,
     WalkSample,
+    ball,
     canonical_point,
     compose,
     cylinder_depth,
@@ -36,6 +41,7 @@ from fullgroup_lab import (
     total_variation,
     uniform_measure,
 )
+from fullgroup_lab.cocycles import DEFAULT_BALL_CAP
 from fullgroup_lab.walks import (
     DRAW_BLOCK,
     _atom_draws,
@@ -43,6 +49,40 @@ from fullgroup_lab.walks import (
     empirical_offset_distribution,
     shannon_path_diagnostic,
 )
+
+
+def chain_of(measure, cap=DEFAULT_BALL_CAP):
+    """The exact chain of `measure` over a ball that it grows on demand."""
+    return ConvolutionCache(measure, ball(measure.generator_set(), 0, cap))
+
+
+def fraction_chain(measure, n_max):
+    """Reference chain: the laws of steps 0..n_max as dicts of Fractions,
+    each built from the last by composing every atom on the left; the dicts
+    keep first-insertion order."""
+    law = {identity(measure.spec): Fraction(1)}
+    laws = [law]
+    products = {}  # each (s, g) is composed once over all steps
+    for _ in range(n_max):
+        out = defaultdict(Fraction)
+        for g, pg in law.items():
+            for _, s, ps in measure.atoms:
+                if (s, g) not in products:
+                    products[s, g] = compose(s, g)
+                out[products[s, g]] += ps * pg
+        law = dict(out)
+        laws.append(law)
+    return laws
+
+
+def fraction_entropy(law):
+    """Entropy summed over float(Fraction) in the law's order."""
+    total = 0.0
+    for p in law.values():
+        x = float(p)
+        if x > 0.0:
+            total -= x * math.log(x)
+    return total
 
 
 def lazy_walk_distribution(n):
@@ -87,7 +127,7 @@ def test_measure_must_be_symmetric():
 
 
 def test_convolution_power_zero_is_point_mass(fib_spec, fib_measure):
-    dist = ConvolutionCache(fib_measure).power(0)
+    dist = chain_of(fib_measure).power(0)
     assert dist.probs == {identity(fib_spec): Fraction(1)}
 
 
@@ -101,7 +141,7 @@ def test_return_probability_after_two_steps(fib_spec, fib_measure, fib_cache):
         if compose(a, b) == e
     )
     assert hits == Fraction(1, 3)
-    assert fib_cache.power(2).identity_mass(fib_spec) == Fraction(1, 3)
+    assert fib_cache.power(2).identity_mass() == Fraction(1, 3)
 
 
 def test_convolution_mass_conserved(fib_cache):
@@ -115,8 +155,80 @@ def test_convolution_symmetric(fib_cache):
 
 
 def test_convolution_resource_limit(fib_measure):
-    with pytest.raises(ResourceLimit):
-        ConvolutionCache(fib_measure, cap=50).power(8)
+    with pytest.raises(ResourceLimit, match="ball enumeration exceeded 50 elements"):
+        chain_of(fib_measure, cap=50).power(8)
+
+
+def _squares_measure():
+    """sigma^{+-1} with weight 1/3 and sigma^{+-2} with weight 1/6 on the
+    one-letter shift.  The relation sigma.sigma = sigma^2 has odd length,
+    so first insertion into the support is not ball order."""
+    spec = FullShiftSpec(("a",))
+    one, two = from_table(spec, 0, {"a": 1}), from_table(spec, 0, {"a": 2})
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    return StepMeasure(spec, (("+1", one, third), ("-1", inverse(one), third),
+                              ("+2", two, sixth), ("-2", inverse(two), sixth)))
+
+
+@pytest.mark.parametrize("which", ["fibonacci", "halves", "squares"])
+def test_integer_chain_equals_fraction_chain(fib_measure, which):
+    measure = {
+        "fibonacci": lambda: fib_measure,
+        "halves": lambda: _halves_measure(FullShiftSpec(("a",)))[0],
+        "squares": _squares_measure,
+    }[which]()
+    gens = measure.generator_set()
+    laws = fraction_chain(measure, 8)
+    chain = chain_of(measure)
+    lengths = dict(ball(gens, 8).items())
+    first = {}
+    for n, law in enumerate(laws):
+        dist = chain.power(n)
+        # same elements, same Fractions, same order, so the same float sum
+        assert list(dist.probs.items()) == list(law.items())
+        assert dist.support_size == len(law)
+        assert entropy(dist) == fraction_entropy(law)
+        # an element's word length is the first step whose support holds it
+        for g in law:
+            first.setdefault(g, n)
+        assert first == {g: length for g, length in lengths.items() if length <= n}
+
+
+def test_counts_past_int64_are_python_ints():
+    fs = FullShiftSpec(("a",))
+    tau = from_table(fs, 0, {"a": 1})
+    measure = StepMeasure(fs, (("e", identity(fs), Fraction(1, 1000)),
+                               ("s", tau, Fraction(999, 2000)),
+                               ("i", inverse(tau), Fraction(999, 2000))))
+    chain = chain_of(measure)
+    laws = fraction_chain(measure, 11)
+    assert chain.denominator == 2000 and 2000**5 < 2**62 < 2**63 < 2000**6
+    # past 2^53 a float of the count would round twice; by n = 11 that moves H
+    for n in range(5, 12):
+        dist = chain.power(n)
+        assert (dist.counts.dtype == object) == (n >= 6)
+        assert list(dist.probs.items()) == list(laws[n].items())
+        assert sum(int(c) for c in dist.counts) == 2000**n
+        assert entropy(dist) == fraction_entropy(laws[n])
+    assert all(type(c) is int for c in chain.power(6).counts)
+
+
+def test_chain_mass_is_checked_exactly(fib_cache):
+    dist = fib_cache.power(1)
+    counts = dist.counts.copy()
+    GroupDistribution(1, fib_cache.ball, dist.index, counts, 3)
+    counts[0] += 1
+    with pytest.raises(InternalInvariantError):
+        GroupDistribution(1, fib_cache.ball, dist.index, counts, 3)
+
+
+def test_chain_ball_must_match_the_atoms(fib_measure, fib_gens):
+    fs = FullShiftSpec(("a", "b"))
+    with pytest.raises(ValidationError):
+        ConvolutionCache(_halves_measure(fs)[0], ball(fib_gens, 0))
+    reordered = GeneratorSet(fib_gens.spec, fib_gens.elements[::-1])
+    with pytest.raises(ValidationError):
+        ConvolutionCache(fib_measure, ball(reordered, 0))
 
 
 def test_entropy_values(fib_cache):
@@ -360,17 +472,17 @@ def test_cylinder_depth_formula():
     assert cylinder_depth(6, 9.0) == math.ceil(math.sqrt(9.0 * 6 * math.log(6)))
 
 
-def test_stable_report_trivial_when_depth_dominates(fib_measure, fib_cache):
-    rep = stable_set_report(fib_measure, fib_cache.power(6), 9.0)
+def test_stable_report_trivial_when_depth_dominates(fib_cache):
+    rep = stable_set_report(fib_cache, 6, 9.0)
     assert rep.stable_mass == 1
     assert rep.stable_count == rep.ball_size
     assert rep.entropy_slack >= 0
     assert math.log(max(rep.stable_count, 1)) <= rep.log_count_bound
 
 
-def test_stable_mass_monotone_in_depth_scale(fib_measure, fib_cache):
-    big = stable_set_report(fib_measure, fib_cache.power(8), 9.0)
-    small = stable_set_report(fib_measure, fib_cache.power(8), 0.05)
+def test_stable_mass_monotone_in_depth_scale(fib_cache):
+    big = stable_set_report(fib_cache, 8, 9.0)
+    small = stable_set_report(fib_cache, 8, 0.05)
     assert small.depth < big.depth
     assert small.stable_mass <= big.stable_mass
     assert small.stable_mass < 1  # the tiny depth scale actually bites
@@ -396,8 +508,8 @@ def test_return_probability_identity_atom_bound():
         fs,
         (("e", e, p0), ("s", tau, Fraction(1, 4)), ("i", inverse(tau), Fraction(1, 4))),
     )
-    dist = ConvolutionCache(measure).power(2)
-    assert dist.identity_mass(fs) >= p0 * p0
+    dist = chain_of(measure).power(2)
+    assert dist.identity_mass() >= p0 * p0
 
 
 # --- entropy envelope and growth bounds ------------------------------------------------------
@@ -406,7 +518,7 @@ def test_return_probability_identity_atom_bound():
 def test_envelope_point_mass_measure(fib_spec):
     e = identity(fib_spec)
     measure = StepMeasure(fib_spec, (("e", e, Fraction(1)),))
-    env = entropy_envelope(ConvolutionCache(measure), 6)
+    env = entropy_envelope(chain_of(measure), 6)
     assert env.entropies == (0.0,) * 7
     assert env.fitted_constant == 0.05  # the smallest grid constant
 

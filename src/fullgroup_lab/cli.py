@@ -225,6 +225,9 @@ def cmd_entropy(args, argv) -> int:
     measure, measure_desc = _load_measure(args, spec)
     if args.n < 2:
         raise ValidationError("--n must be >= 2")
+    if args.cap < 1:
+        raise ValidationError("--cap must be >= 1")
+    depths = [cylinder_depth(n, args.depth_scale) for n in range(1, args.n + 1)]
 
     rows = []
     limit_hit = None
@@ -258,7 +261,7 @@ def cmd_entropy(args, argv) -> int:
     fit_doc = {
         "partial": limit_hit is not None,
         "depth_scale": args.depth_scale,
-        "depths": [cylinder_depth(n, args.depth_scale) for n in range(1, args.n + 1)],
+        "depths": depths,
     }
     if limit_hit is None:
         envelope = entropy_envelope(chain, args.n)

@@ -2,9 +2,11 @@
 
 An element g acts on a point x by shifting it k(x) places, where the
 integer k(x) only depends on the letters of x within some finite depth l.
-We store g as the total map from admissible (2l+1)-words to shifts, always
-reduced to the unique minimal depth, so table identity is element identity
-and tables can key dictionaries directly.
+We store g as l and one vector of shifts over the sorted admissible
+(2l+1)-words, always reduced to the unique minimal depth, so (depth,
+shifts) identity is element identity and elements can key dictionaries
+directly.  Operations read a vector on longer words through the index maps
+of `LanguageTable.subwords`, never by slicing words.
 
 Composition follows the cocycle rule k_{gh}(x) = k_g(hx) + k_h(x);
 inversion and the invertibility check both run the same preimage search:
@@ -18,6 +20,7 @@ product by a generator, which is all the exact chain in `walks` needs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -37,42 +40,42 @@ DEFAULT_BALL_CAP = 2_000_000  # elements of a word-metric ball, and so of the ex
 
 
 class CocycleElement:
-    """Immutable full-group element in canonical (minimal-depth) form."""
+    """Immutable full-group element in canonical (minimal-depth) form:
+    `shifts[i]` is the shift on the cylinder of the i-th word of
+    `language_table(spec).words(2 * depth + 1)`."""
 
-    __slots__ = ("spec", "depth", "_table", "_items", "max_shift", "_hash", "_inverse")
+    __slots__ = ("spec", "depth", "shifts", "max_shift", "_hash", "_inverse")
 
-    def __init__(self, spec: SubshiftSpec, depth: int, table: dict[str, int],
-                 _canonical: bool = False):
-        if not _canonical:
-            depth, table = _reduce_depth(spec, depth, dict(table))
+    def __init__(self, spec: SubshiftSpec, depth: int, shifts: tuple[int, ...]):
         self.spec = spec
-        self.depth = depth
-        self._table = table
-        self._items = tuple(sorted(table.items()))
-        self.max_shift = max((abs(k) for k in table.values()), default=0)
-        self._hash = hash((self.depth, self._items))
+        self.depth, self.shifts = _reduce_depth(spec, depth, shifts)
+        self.max_shift = max(map(abs, self.shifts), default=0)
+        self._hash = hash((self.depth, self.shifts))
         self._inverse = None
+
+    def _words(self) -> tuple[str, ...]:
+        return language_table(self.spec).words(2 * self.depth + 1)
 
     @property
     def table(self) -> dict[str, int]:
-        """Shift table over admissible (2*depth+1)-words (do not mutate)."""
-        return self._table
+        """Shift table over admissible (2*depth+1)-words, as a fresh dict."""
+        return dict(zip(self._words(), self.shifts))
 
     def shift_at(self, word: str) -> int:
         """Shift on the cylinder of `word` (len(word) == 2*depth+1)."""
-        try:
-            return self._table[word]
-        except KeyError:
+        i = _position(self._words(), word)
+        if i is None:
             raise SpecMismatch(
                 f"word {word!r} is not admissible for this element's subshift"
-            ) from None
+            )
+        return self.shifts[i]
 
     def __eq__(self, other):
         return (
             isinstance(other, CocycleElement)
             and self._hash == other._hash
             and self.depth == other.depth
-            and self._items == other._items
+            and self.shifts == other.shifts
             and self.spec == other.spec
         )
 
@@ -85,64 +88,75 @@ class CocycleElement:
     def to_dict(self) -> dict:
         return {
             "depth": self.depth,
-            "entries": [{"word": w, "k": k} for w, k in self._items],
+            "entries": [{"word": w, "k": k} for w, k in zip(self._words(), self.shifts)],
         }
 
 
-def _reduce_depth(spec: SubshiftSpec, depth: int, table: dict[str, int]):
+def _position(words: tuple[str, ...], word: str) -> int | None:
+    """Index of `word` in the sorted `words`, or None if it is not there."""
+    i = bisect_left(words, word)
+    return i if i < len(words) and words[i] == word else None
+
+
+def _incomplete(count: int, length: int) -> IncompleteTable:
+    return IncompleteTable(f"table must cover exactly the {count} admissible words "
+                           f"of length {length}")
+
+
+def _reduce_depth(spec: SubshiftSpec, depth: int, shifts: tuple[int, ...]):
     """Merge sibling cylinders outermost-first until the table stops
     factoring through the shorter central word."""
     oracle = language_table(spec)
-    expected = oracle.factors(2 * depth + 1)
-    if set(table) != expected:
-        raise IncompleteTable(
-            f"table must cover exactly the {len(expected)} admissible words "
-            f"of length {2 * depth + 1}"
-        )
+    count = len(oracle.words(2 * depth + 1))
+    if len(shifts) != count:
+        raise _incomplete(count, 2 * depth + 1)
     while depth > 0:
-        grouped: dict[str, int] = {}
-        consistent = True
-        for w, k in table.items():
-            v = w[1:-1]
-            if grouped.setdefault(v, k) != k:
-                consistent = False
-                break
-        if not consistent or set(grouped) != set(oracle.factors(2 * depth - 1)):
+        centre = oracle.subwords(2 * depth + 1, 1, 2 * depth - 1)
+        # reduce only if every shorter word is a centre and all the words
+        # around one centre share its shift
+        grouped = dict(zip(centre, shifts))
+        if (len(grouped) != len(oracle.words(2 * depth - 1))
+                or tuple(map(grouped.__getitem__, centre)) != shifts):
             break
-        table = grouped
+        shifts = tuple(map(grouped.__getitem__, range(len(grouped))))
         depth -= 1
-    return depth, table
+    return depth, shifts
 
 
 def identity(spec: SubshiftSpec) -> CocycleElement:
     """The identity element: shift 0 on every letter cylinder."""
-    table = {w: 0 for w in language_table(spec).factors(1)}
-    return CocycleElement(spec, 0, table, _canonical=True)
+    return CocycleElement(spec, 0, (0,) * len(language_table(spec).words(1)))
 
 
-def _preimage_table(spec: SubshiftSpec, depth: int, table: dict[str, int],
-                    max_shift: int) -> dict[str, int]:
-    """Inverse table at depth depth+max_shift, or raise NotInvertible."""
-    big_depth = depth + max_shift
-    width = 2 * depth + 1
-    inv: dict[str, int] = {}
-    for v in language_table(spec).factors(2 * big_depth + 1):
-        hits = [
-            j
-            for j in range(-max_shift, max_shift + 1)
-            if table[v[max_shift - j : max_shift - j + width]] == j
-        ]
+def _preimage_table(spec: SubshiftSpec, depth: int, shifts: tuple[int, ...],
+                    max_shift: int) -> tuple[int, ...]:
+    """Inverse shift vector at depth depth+max_shift, or raise NotInvertible."""
+    oracle = language_table(spec)
+    n = 2 * (depth + max_shift) + 1
+    js = range(-max_shift, max_shift + 1)
+    # row i: the shift the table reads on word i's subwindow moved by each j
+    reads = zip(*(
+        map(shifts.__getitem__, oracle.subwords(n, max_shift - j, 2 * depth + 1))
+        for j in js
+    ))
+    inv = []
+    for v, read in zip(oracle.words(n), reads):
+        hits = [j for j, k in zip(js, read) if k == j]
         if len(hits) != 1:
             kind = "no preimage" if not hits else f"{len(hits)} preimages"
             raise NotInvertible(f"configuration {v!r} has {kind}")
-        inv[v] = -hits[0]
-    return inv
+        inv.append(-hits[0])
+    return tuple(inv)
 
 
 def from_table(spec: SubshiftSpec, depth: int, table: dict[str, int]) -> CocycleElement:
     """Validate a user table (totality and invertibility) and canonicalize."""
     table = {str(w): int(k) for w, k in table.items()}
-    g = CocycleElement(spec, depth, table)
+    oracle = language_table(spec)
+    expected = oracle.factors(2 * depth + 1)
+    if table.keys() != expected:
+        raise _incomplete(len(expected), 2 * depth + 1)
+    g = CocycleElement(spec, depth, tuple(table[w] for w in oracle.words(2 * depth + 1)))
     g_inv = inverse(g)
     ident = identity(spec)
     if compose(g, g_inv) != ident or compose(g_inv, g) != ident:
@@ -158,8 +172,8 @@ def inverse(g: CocycleElement) -> CocycleElement:
         # only the identity has an all-zero table
         inv = g
     else:
-        inv_table = _preimage_table(g.spec, g.depth, g._table, g.max_shift)
-        inv = CocycleElement(g.spec, g.depth + g.max_shift, inv_table)
+        inv_shifts = _preimage_table(g.spec, g.depth, g.shifts, g.max_shift)
+        inv = CocycleElement(g.spec, g.depth + g.max_shift, inv_shifts)
     g._inverse = inv
     inv._inverse = g
     return inv
@@ -170,16 +184,13 @@ def compose(g: CocycleElement, h: CocycleElement) -> CocycleElement:
     if g.spec != h.spec:
         raise SpecMismatch("cannot compose elements over different subshifts")
     d = max(h.depth, g.depth + h.max_shift)
-    out: dict[str, int] = {}
-    width_h = 2 * h.depth + 1
-    width_g = 2 * g.depth + 1
-    h_table = h._table
-    g_table = g._table
-    h_lo = d - h.depth
-    for w in language_table(g.spec).factors(2 * d + 1):
-        kh = h_table[w[h_lo : h_lo + width_h]]
-        lo = d + kh - g.depth
-        out[w] = g_table[w[lo : lo + width_g]] + kh
+    n = 2 * d + 1
+    oracle = language_table(g.spec)
+    kh = tuple(map(h.shifts.__getitem__, oracle.subwords(n, d - h.depth, 2 * h.depth + 1)))
+    # after h moves x by k, g reads the window that starts k places further right
+    g_reads = {k: oracle.subwords(n, d - g.depth + k, 2 * g.depth + 1) for k in set(kh)}
+    g_shifts = g.shifts
+    out = tuple(g_shifts[g_reads[k][i]] + k for i, k in enumerate(kh))
     return CocycleElement(g.spec, d, out)
 
 
@@ -201,14 +212,11 @@ def equals(g: CocycleElement, h: CocycleElement) -> bool:
 
 
 def _refined(g: CocycleElement, depth: int) -> dict[str, int]:
-    if depth == g.depth:
-        return dict(g._table)
-    pad = depth - g.depth
-    width = 2 * g.depth + 1
-    return {
-        w: g._table[w[pad : pad + width]]
-        for w in language_table(g.spec).factors(2 * depth + 1)
-    }
+    """g's table read on the admissible (2*depth+1)-words, depth >= g.depth."""
+    oracle = language_table(g.spec)
+    n = 2 * depth + 1
+    reads = oracle.subwords(n, depth - g.depth, 2 * g.depth + 1)
+    return dict(zip(oracle.words(n), map(g.shifts.__getitem__, reads)))
 
 
 def is_constant_on_depth(g: CocycleElement, d: int) -> bool:
@@ -226,14 +234,10 @@ def is_constant_on_cylinder(g: CocycleElement, word: str) -> bool:
     l = (len(word) - 1) // 2
     if g.depth <= l:
         return True
-    pad = g.depth - l
-    seen: set[int] = set()
-    for w, k in g._table.items():
-        if w[pad : pad + len(word)] == word:
-            seen.add(k)
-            if len(seen) > 1:
-                return False
-    return True
+    oracle = language_table(g.spec)
+    target = _position(oracle.words(len(word)), word)
+    centres = oracle.subwords(2 * g.depth + 1, g.depth - l, len(word))
+    return len({k for c, k in zip(centres, g.shifts) if c == target}) <= 1
 
 
 @dataclass(frozen=True)
@@ -397,10 +401,18 @@ def ball(gens: GeneratorSet, radius: int, cap: int = DEFAULT_BALL_CAP) -> Cayley
 
 
 def element_from_dict(spec: SubshiftSpec, data: dict) -> CocycleElement:
-    """Parse the {depth, entries: [{word, k}]} wire format."""
+    """Parse the {depth, entries: [{word, k}]} wire format; the depth and
+    every k must be JSON integers, and the depth nonnegative."""
     try:
-        depth = int(data["depth"])
-        table = {e["word"]: int(e["k"]) for e in data["entries"]}
+        depth = data["depth"]
+        table = {e["word"]: e["k"] for e in data["entries"]}
     except (KeyError, TypeError) as exc:
         raise IncompleteTable(f"malformed element document: {exc}") from exc
+    for name, value in (("depth", depth), *(("k", k) for k in table.values())):
+        if type(value) is not int:  # neither a bool nor a float is a JSON integer
+            raise IncompleteTable(
+                f"malformed element document: {name} {value!r} is not an integer"
+            )
+    if depth < 0:
+        raise IncompleteTable(f"malformed element document: depth {depth} is negative")
     return from_table(spec, depth, table)

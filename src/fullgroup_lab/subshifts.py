@@ -693,7 +693,13 @@ class LanguageTable:
     `complexity(n)` its cardinality: for scan-based families a count read
     from the snapshot factor indexes (the set itself is built only when
     `factors` asks for it), a closed form for full shifts and a path count
-    for shifts of finite type.  Inserts are synchronized; all queries are
+    for shifts of finite type.
+
+    The word geometry of cocycle tables lives here too.  `words(n)` puts
+    the length-n factors in sorted order, so a table over them is a vector
+    of shifts, and `subwords(n, lo, width)` gives, for each of those words,
+    the position in `words(width)` of its subword starting at `lo`.  Both
+    are memoized like `factors`.  Inserts are synchronized; all queries are
     pure functions of the spec.
     """
 
@@ -705,6 +711,8 @@ class LanguageTable:
         self._lock = threading.RLock()
         self._factors: dict[int, frozenset[str]] = {}
         self._counts: dict[int, int] = {}
+        self._words: dict[int, tuple[str, ...]] = {}
+        self._subwords: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._indexes: _IndexStream | None = None
 
     def factors(self, n: int) -> frozenset[str]:
@@ -718,6 +726,26 @@ class LanguageTable:
             self._factors[n] = result
             self._counts[n] = len(result)
             return result
+
+    # Every compose reads these several times, so a hit skips the lock;
+    # entries are only ever added, and whole.
+
+    def words(self, n: int) -> tuple[str, ...]:
+        got = self._words.get(n)
+        if got is None:
+            with self._lock:
+                got = self._words[n] = tuple(sorted(self.factors(n)))
+        return got
+
+    def subwords(self, n: int, lo: int, width: int) -> tuple[int, ...]:
+        key = (n, lo, width)
+        got = self._subwords.get(key)
+        if got is None:
+            with self._lock:
+                position = {w: i for i, w in enumerate(self.words(width))}
+                got = tuple(position[w[lo:lo + width]] for w in self.words(n))
+                self._subwords[key] = got
+        return got
 
     def complexity(self, n: int) -> int:
         if n < 0:

@@ -46,6 +46,7 @@ from .errors import (
     InsufficientData,
     InternalInvariantError,
     ResourceLimit,
+    SpecMismatch,
     ValidationError,
 )
 from .points import Point
@@ -280,10 +281,25 @@ class WalkSample:
 
 def _atom_increment_table(measure: StepMeasure, point: Point, span: int,
                           dtype: np.dtype) -> np.ndarray:
+    """Row i holds atom i's shift at each offset in [-span, span]: each
+    offset's window is read once per atom depth and looked up among the
+    sorted factors, and every atom of that depth gathers its row by those
+    positions.  A window outside the language raises SpecMismatch (a
+    validating point raises AdmissibilityViolation when it is read)."""
+    oracle = language_table(measure.spec)
     table = np.zeros((len(measure.atoms), 2 * span + 1), dtype=dtype)
-    for i, (_, g, _) in enumerate(measure.atoms):
-        for off in range(-span, span + 1):
-            table[i, off + span] = evaluate(g, point, off)
+    for depth in {g.depth for _, g, _ in measure.atoms}:
+        position = {w: i for i, w in enumerate(oracle.words(2 * depth + 1))}
+        try:
+            cols = np.array([position[point.window(off, depth)]
+                             for off in range(-span, span + 1)])
+        except KeyError as exc:
+            raise SpecMismatch(
+                f"window {exc.args[0]!r} is not admissible for the measure's subshift"
+            ) from None
+        for i, (_, g, _) in enumerate(measure.atoms):
+            if g.depth == depth:
+                table[i] = np.array(g.shifts)[cols]
     return table
 
 
@@ -503,8 +519,10 @@ def reflection_check(sample: WalkSample, a_grid: Iterable[float], b0: float) -> 
 
 
 def cylinder_depth(n: int, depth_scale: float) -> int:
-    """ceil(sqrt(scale * n * ln n)); n=1 shares the n=2 value so the log
-    never vanishes."""
+    """ceil(sqrt(scale * n * ln n)) for a positive finite scale; n=1 shares
+    the n=2 value so the log never vanishes."""
+    if not 0 < depth_scale < math.inf:
+        raise DomainError(f"depth scale must be positive and finite, not {depth_scale}")
     n_eff = max(n, 2)
     return math.ceil(math.sqrt(depth_scale * n_eff * math.log(n_eff)))
 
@@ -547,11 +565,9 @@ def stable_set_report(chain: ConvolutionCache, n: int, depth_scale: float) -> St
     table depth is at most d(n); the stable count masks the chain's ball
     to word length <= n and the same depths.
     """
-    if depth_scale <= 0:
-        raise DomainError("depth scale must be positive")
+    d = cylinder_depth(n, depth_scale)
     dist = chain.power(n)
     ball = chain.ball
-    d = cylinder_depth(n, depth_scale)
     stable_support = ball.depths[dist.index] <= d
     mass = Fraction(int(dist.counts[stable_support].sum()), dist.denominator)
     in_ball = ball.lengths <= n

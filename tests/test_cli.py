@@ -295,6 +295,32 @@ def test_gens_spec_cross_check(workdir, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--L", "nan"), ("--L", "inf"),
+                                         ("--cap", 0), ("--cap", -1)])
+def test_entropy_rejects_a_bad_depth_scale_or_cap(workdir, capsys, flag, value):
+    out = workdir / "x"
+    assert run(["entropy", "--spec", workdir / "fib.json", "--gens", workdir / "gens.json",
+                "--n", 4, flag, value, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("k", "x"), ("depth", -1), ("k", 1.5), ("k", True)])
+def test_malformed_element_documents_are_validation_errors(workdir, capsys, fib_gens,
+                                                           field, value):
+    doc = fib_gens["gamma"].to_dict()
+    if field == "depth":
+        doc["depth"] = value
+    else:
+        doc["entries"][0]["k"] = value
+    write_json(workdir / "bad.json", {"spec": "fib.json", "generators": {"gamma": doc}})
+    out = workdir / "x"
+    assert run(["entropy", "--spec", workdir / "fib.json", "--gens", workdir / "bad.json",
+                "--n", 2, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed element document")
+    assert not out.exists()
+
+
 # --- file formats ---------------------------------------------------------------------
 
 

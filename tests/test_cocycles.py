@@ -11,6 +11,7 @@ from fullgroup_lab import (
     PeriodicPoint,
     ResourceLimit,
     SpecMismatch,
+    ToeplitzSpec,
     ball,
     compose,
     element_from_dict,
@@ -368,3 +369,86 @@ def test_coupling_small(fib_spec, fib_gens, fib_point):
                         prod = compose(s, g)
                         offset = abs(evaluate(prod, fib_point, witness))
                         stack.append((prod, length + 1, max(running_max, offset)))
+
+
+# --- the string-keyed tables as an oracle --------------------------------------------
+#
+# A reference implementation on word-keyed tables: each table is a dict from
+# admissible words to shifts, and every read slices a word.  It starts from
+# the dicts that `table` rebuilds and checks the shift vectors independently.
+
+
+def _dict_reduce(spec, depth, table):
+    assert set(table) == factors(spec, 2 * depth + 1)
+    while depth > 0:
+        grouped = {}
+        for w, k in table.items():
+            if grouped.setdefault(w[1:-1], k) != k:
+                return depth, table
+        if set(grouped) != factors(spec, 2 * depth - 1):
+            break
+        table, depth = grouped, depth - 1
+    return depth, table
+
+
+def _dict_doc(spec, depth, table):
+    depth, table = _dict_reduce(spec, depth, table)
+    return {"depth": depth, "entries": [{"word": w, "k": k} for w, k in sorted(table.items())]}
+
+
+def _dict_compose(g, h):
+    d = max(h.depth, g.depth + h.max_shift)
+    g_table, h_table = g.table, h.table
+    out = {}
+    for w in factors(g.spec, 2 * d + 1):
+        kh = h_table[w[d - h.depth : d + h.depth + 1]]
+        lo = d + kh - g.depth
+        out[w] = g_table[w[lo : lo + 2 * g.depth + 1]] + kh
+    return _dict_doc(g.spec, d, out)
+
+
+def _dict_inverse(g):
+    k, width, table = g.max_shift, 2 * g.depth + 1, g.table
+    inv = {}
+    for v in factors(g.spec, 2 * (g.depth + k) + 1):
+        hits = [j for j in range(-k, k + 1) if table[v[k - j : k - j + width]] == j]
+        assert len(hits) == 1
+        inv[v] = -hits[0]
+    return _dict_doc(g.spec, g.depth + k, inv)
+
+
+def _assert_matches_dict_oracle(elements):
+    for g in elements:
+        assert inverse(g).to_dict() == _dict_inverse(g)
+        for h in elements:
+            assert compose(g, h).to_dict() == _dict_compose(g, h)
+
+
+def test_shift_vectors_match_the_dict_oracle_on_a_ball(fib_gens):
+    elements = list(ball(fib_gens, 4))
+    assert len(elements) == 46
+    _assert_matches_dict_oracle(elements)
+
+
+def test_shift_powers_match_the_dict_oracle_on_the_full_shift():
+    fs = FullShiftSpec(("a", "b"))
+    # compose(tau^j, tau^k) is built at depth k over 2^(2k+1) words
+    _assert_matches_dict_oracle([from_table(fs, 0, {"a": j, "b": j}) for j in range(1, 7)])
+
+
+def test_toeplitz_swaps_match_the_dict_oracle():
+    spec = ToeplitzSpec("ab*b*")
+
+    def swap(two):
+        return from_table(spec, 1, {
+            w: 1 if w[1:] == two else -1 if w[:2] == two else 0 for w in factors(spec, 3)
+        })
+
+    g, h = swap("ab"), swap("ba")
+    assert g.max_shift == h.max_shift == 1
+    _assert_matches_dict_oracle([g, h, compose(g, h), compose(h, compose(g, h))])
+
+
+def test_element_documents_round_trip_over_a_ball(fib_spec, fib_gens):
+    for g in ball(fib_gens, 4):
+        assert element_from_dict(fib_spec, g.to_dict()) == g

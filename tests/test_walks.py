@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fullgroup_lab import (
+    AdmissibilityViolation,
     ConvolutionCache,
     DomainError,
     FullShiftSpec,
@@ -16,7 +17,9 @@ from fullgroup_lab import (
     GroupDistribution,
     InsufficientData,
     InternalInvariantError,
+    PeriodicPoint,
     ResourceLimit,
+    SpecMismatch,
     StepMeasure,
     ValidationError,
     WalkSample,
@@ -26,6 +29,7 @@ from fullgroup_lab import (
     cylinder_depth,
     entropy,
     entropy_envelope,
+    evaluate,
     folner_growth_bound,
     from_table,
     identity,
@@ -45,6 +49,7 @@ from fullgroup_lab.cocycles import DEFAULT_BALL_CAP
 from fullgroup_lab.walks import (
     DRAW_BLOCK,
     _atom_draws,
+    _atom_increment_table,
     cylinder_nonconstancy_rate,
     empirical_offset_distribution,
     shannon_path_diagnostic,
@@ -407,6 +412,32 @@ def test_atom_draws_equal_a_new_philox_per_trial(fib_spec, seed, which):
         # offsets are the running sums of the drawn moves
         sample = sample_orbit_walks(measure, canonical_point(measure.spec), n, rows, seed)
         assert np.array_equal(sample.offsets[:, 1:], np.cumsum(moves[expected[:rows]], axis=1))
+
+
+def _evaluated_increment_table(measure, point, span):
+    return np.array([[evaluate(g, point, off) for off in range(-span, span + 1)]
+                     for _, g, _ in measure.atoms])
+
+
+@pytest.mark.parametrize("which", ["fibonacci", "many_atoms"])
+def test_atom_increment_table_equals_evaluate(fib_measure, fib_point, which):
+    measure = fib_measure if which == "fibonacci" else _many_atoms_measure()[0]
+    point = fib_point if which == "fibonacci" else canonical_point(measure.spec)
+    span = measure.max_shift * 3 + 1
+    table = _atom_increment_table(measure, point, span, np.int16)
+    assert table.dtype == np.int16 and table.shape == (len(measure.atoms), 2 * span + 1)
+    assert np.array_equal(table, _evaluated_increment_table(measure, point, span))
+
+
+@pytest.mark.parametrize("validate, error", [(False, SpecMismatch),
+                                             (True, AdmissibilityViolation)])
+def test_atom_increment_table_rejects_inadmissible_windows(fib_spec, fib_gens, fib_measure,
+                                                           validate, error):
+    point = PeriodicPoint("bb", spec=fib_spec, validate=validate)
+    with pytest.raises(error):
+        evaluate(fib_gens["gamma"], point, 0)
+    with pytest.raises(error):
+        _atom_increment_table(fib_measure, point, 3, np.int16)
 
 
 def test_negative_and_large_seeds_give_distinct_samples(fib_measure, fib_point):

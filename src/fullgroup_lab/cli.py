@@ -121,7 +121,9 @@ def cmd_complexity(args, argv) -> int:
 
     fit = {"n_range": [2, args.n]}
     fit_rows = rows[1:]  # the log-log fit skips n = 1
-    if len(fit_rows) >= 2:
+    if any(rho == 0 for _, rho in fit_rows):
+        fit["insufficient_data"] = "the language is empty: rho(n) = 0 has no logarithm"
+    elif len(fit_rows) >= 2:
         ns = np.array([r[0] for r in fit_rows], dtype=float)
         rhos = np.array([r[1] for r in fit_rows], dtype=float)
         slope, intercept = np.polyfit(np.log(ns), np.log(rhos), 1)
@@ -139,9 +141,9 @@ def cmd_complexity(args, argv) -> int:
     outputs.append("complexity_fit.json")
 
     if args.dump_factors is not None:
-        words = sorted(oracle.factors(args.dump_factors))
         name = f"factors_{args.dump_factors}.txt"
-        (args.out / name).write_text("\n".join(words) + "\n", encoding="utf-8")
+        (args.out / name).write_text("\n".join(oracle.words(args.dump_factors)) + "\n",
+                                     encoding="utf-8")
         outputs.append(name)
 
     fileio.write_manifest(

@@ -20,7 +20,6 @@ product by a generator, which is all the exact chain in `walks` needs.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -53,7 +52,7 @@ class CocycleElement:
         self._hash = hash((self.depth, self.shifts))
         self._inverse = None
 
-    def _words(self) -> tuple[str, ...]:
+    def _words(self) -> dict[str, int]:
         return language_table(self.spec).words(2 * self.depth + 1)
 
     @property
@@ -63,7 +62,7 @@ class CocycleElement:
 
     def shift_at(self, word: str) -> int:
         """Shift on the cylinder of `word` (len(word) == 2*depth+1)."""
-        i = _position(self._words(), word)
+        i = self._words().get(word)
         if i is None:
             raise SpecMismatch(
                 f"word {word!r} is not admissible for this element's subshift"
@@ -90,12 +89,6 @@ class CocycleElement:
             "depth": self.depth,
             "entries": [{"word": w, "k": k} for w, k in zip(self._words(), self.shifts)],
         }
-
-
-def _position(words: tuple[str, ...], word: str) -> int | None:
-    """Index of `word` in the sorted `words`, or None if it is not there."""
-    i = bisect_left(words, word)
-    return i if i < len(words) and words[i] == word else None
 
 
 def _incomplete(count: int, length: int) -> IncompleteTable:
@@ -133,7 +126,8 @@ def _preimage_table(spec: SubshiftSpec, depth: int, shifts: tuple[int, ...],
     """Inverse shift vector at depth depth+max_shift, or raise NotInvertible."""
     oracle = language_table(spec)
     n = 2 * (depth + max_shift) + 1
-    js = range(-max_shift, max_shift + 1)
+    # a read-back equals j only if j is one of the table's shifts
+    js = sorted(set(shifts))
     # row i: the shift the table reads on word i's subwindow moved by each j
     reads = zip(*(
         map(shifts.__getitem__, oracle.subwords(n, max_shift - j, 2 * depth + 1))
@@ -152,11 +146,10 @@ def _preimage_table(spec: SubshiftSpec, depth: int, shifts: tuple[int, ...],
 def from_table(spec: SubshiftSpec, depth: int, table: dict[str, int]) -> CocycleElement:
     """Validate a user table (totality and invertibility) and canonicalize."""
     table = {str(w): int(k) for w, k in table.items()}
-    oracle = language_table(spec)
-    expected = oracle.factors(2 * depth + 1)
-    if table.keys() != expected:
-        raise _incomplete(len(expected), 2 * depth + 1)
-    g = CocycleElement(spec, depth, tuple(table[w] for w in oracle.words(2 * depth + 1)))
+    words = language_table(spec).words(2 * depth + 1)
+    if table.keys() != words.keys():
+        raise _incomplete(len(words), 2 * depth + 1)
+    g = CocycleElement(spec, depth, tuple(map(table.__getitem__, words)))
     g_inv = inverse(g)
     ident = identity(spec)
     if compose(g, g_inv) != ident or compose(g_inv, g) != ident:
@@ -235,7 +228,7 @@ def is_constant_on_cylinder(g: CocycleElement, word: str) -> bool:
     if g.depth <= l:
         return True
     oracle = language_table(g.spec)
-    target = _position(oracle.words(len(word)), word)
+    target = oracle.words(len(word)).get(word)
     centres = oracle.subwords(2 * g.depth + 1, g.depth - l, len(word))
     return len({k for c, k in zip(centres, g.shifts) if c == target}) <= 1
 

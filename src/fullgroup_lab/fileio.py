@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -29,6 +30,7 @@ from .subshifts import (
     SubstitutionSpec,
     ToeplitzSpec,
     build_spec,
+    json_field,
     spec_to_dict,
 )
 
@@ -63,43 +65,43 @@ def save_spec(path: Path, spec: SubshiftSpec, point: Mapping | None = None) -> N
 
 
 def point_from_dict(spec: SubshiftSpec, desc: Mapping, validate: bool = False) -> Point:
+    field = partial(json_field, desc, where="point description")
     kind = desc.get("kind")
     if kind == "substitution_fixed_point":
         if not isinstance(spec, SubstitutionSpec):
             raise ValidationError("substitution_fixed_point needs a substitution spec")
-        left, right, power = desc.get("left"), desc.get("right"), desc.get("power")
+        left, right = field("left", "a string", None), field("right", "a string", None)
+        power = field("power", "an integer", None)
         return SubstitutionFixedPoint(spec, left, right, power, validate=validate)
     if kind == "mechanical":
         if not isinstance(spec, SturmianSpec):
             raise ValidationError("mechanical points need a sturmian spec")
-        return MechanicalPoint(spec, int(desc.get("intercept", 0)), validate=validate)
+        return MechanicalPoint(spec, field("intercept", "an integer", 0), validate=validate)
     if kind == "toeplitz":
         if not isinstance(spec, ToeplitzSpec):
             raise ValidationError("toeplitz points need a toeplitz spec")
-        return ToeplitzPoint(spec, int(desc.get("anchor", 0)), validate=validate)
+        return ToeplitzPoint(spec, field("anchor", "an integer", 0), validate=validate)
     if kind == "periodic":
-        return PeriodicPoint(desc["word"], int(desc.get("phase", 0)), spec, validate=validate)
+        return PeriodicPoint(field("word", "a string"), field("phase", "an integer", 0),
+                             spec, validate=validate)
     if kind == "explicit":
         return ExplicitPoint(
-            desc["left_period"], desc.get("center", ""), desc["right_period"],
-            spec, validate=validate,
+            field("left_period", "a string"), field("center", "a string", ""),
+            field("right_period", "a string"), spec, validate=validate,
         )
     raise ValidationError(f"unknown point kind {kind!r}")
 
 
 def load_point_descriptor(spec_path: Path) -> Mapping | None:
-    doc = load_json(spec_path)
-    desc = doc.get("point")
-    if desc is not None and not isinstance(desc, Mapping):
-        raise ValidationError("'point' must be an object")
-    return desc
+    return json_field(load_json(spec_path), "point", "an object", None)
 
 
 def parse_fraction(value) -> Fraction:
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, (str, int)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ValidationError(f"weights must be exact rationals like '1/3', got {value!r}")
 
 
@@ -125,17 +127,16 @@ def load_generator_set(path: Path, spec: SubshiftSpec) -> tuple[GeneratorSet, di
     if doc.get("builtin") == "fibonacci":
         gens = fibonacci_generators(spec)
     elif "generators" in doc:
-        named = []
-        for name, data in doc["generators"].items():
-            named.append((str(name), element_from_dict(spec, data)))
-        named.sort(key=lambda item: item[0])
+        tables = json_field(doc, "generators", "an object", where="generator document")
+        # names are distinct, so the sort never compares two elements
+        named = sorted((str(name), element_from_dict(spec, data)) for name, data in tables.items())
         gens = GeneratorSet(spec, tuple(named))
     else:
         raise ValidationError("generator document needs 'builtin' or 'generators'")
 
-    weights = None
-    if "weights" in doc:
-        weights = {name: parse_fraction(w) for name, w in doc["weights"].items()}
+    weights = json_field(doc, "weights", "an object", None, where="generator document")
+    if weights is not None:
+        weights = {name: parse_fraction(w) for name, w in weights.items()}
         if set(weights) != set(gens.names):
             raise ValidationError("weights must cover exactly the generator names")
     return gens, weights

@@ -109,6 +109,8 @@ class SubstitutionFixedPoint(Point):
         if left is None or right is None or power is None:
             power, left, right = _fixed_point_seeds(self.rules, spec)
         else:
+            if power < 1:  # power 0 fixes every word, and the tails would never grow
+                raise ValidationError(f"fixed-point power must be >= 1, got {power}")
             it = subshifts.substitution_iterate
             if not it(self.rules, left, power).endswith(left):
                 raise SpecMismatch(f"psi^{power}({left!r}) does not end with {left!r}")

@@ -15,9 +15,11 @@ every n at once, and the windows starting where that LCP is below n are its
 length-n factors, one each.  A factor set is declared complete once it
 survives two consecutive doublings of the generated length (plus the
 Sturmian early exit where the complexity n + 1 is known).  That stop is a
-heuristic, not a certificate.  Full shifts use the closed form and shifts of
-finite type count paths.  Results are memoized per spec in a
-`LanguageTable` that is safe to share across threads.
+heuristic, not a certificate.  Full shifts use the closed form, and a shift
+of finite type spells or counts the paths of one graph on its allowed
+k-words.  Results are memoized per spec in a `LanguageTable`, the one place
+that enumerates, orders and locates factors; it is safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 import threading
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -37,6 +40,7 @@ from .errors import (
     InternalInvariantError,
     ResourceLimit,
     SaturationFailure,
+    ValidationError,
 )
 
 # Generated-text budget for factor enumeration (letters).
@@ -228,22 +232,50 @@ class ExplicitSpec:
 SubshiftSpec = SturmianSpec | SubstitutionSpec | ToeplitzSpec | FullShiftSpec | ExplicitSpec
 
 
+_JSON_KINDS = {  # a bool is not a JSON integer
+    "a boolean": lambda v: type(v) is bool,
+    "a string": lambda v: type(v) is str,
+    "an integer": lambda v: type(v) is int,
+    "an object": lambda v: isinstance(v, Mapping),
+    "a list of strings": lambda v: type(v) in (list, tuple) and all(type(x) is str for x in v),
+    "a list of integers": lambda v: type(v) in (list, tuple) and all(type(x) is int for x in v),
+}
+
+
+def json_field(doc: Mapping, name: str, kind: str, default=...,
+               where: str = "spec description"):
+    """Field `name` of a JSON document, of `kind` (a key of `_JSON_KINDS`).
+    An absent or null field takes `default`, or with none is an error, as is
+    a value of another kind: a ValidationError that names the field."""
+    value = doc.get(name)
+    if value is None:
+        if default is ...:
+            raise ValidationError(f"{where} lacks a {name!r} field")
+        return default
+    if not _JSON_KINDS[kind](value):
+        raise ValidationError(f"{where} field {name!r} must be {kind}, got {value!r}")
+    return value
+
+
 def build_spec(description: Mapping) -> SubshiftSpec:
     """Construct and validate a spec from a plain dict description."""
     try:
         variant = description["variant"]
     except KeyError:
         raise EmptyAlphabet("spec description lacks a 'variant' field") from None
+    field = partial(json_field, description)
     if variant == "sturmian":
-        return SturmianSpec(tuple(description["cf"]), bool(description.get("swap_letters", False)))
+        cf = field("cf", "a list of integers")
+        return SturmianSpec(tuple(cf), field("swap_letters", "a boolean", False))
     if variant == "substitution":
-        return SubstitutionSpec.from_rules(description["rules"], description["seed"])
+        return SubstitutionSpec.from_rules(field("rules", "an object"), field("seed", "a string"))
     if variant == "toeplitz":
-        return ToeplitzSpec(description["pattern"], description.get("hole", "*"))
+        return ToeplitzSpec(field("pattern", "a string"), field("hole", "a string", "*"))
     if variant == "full_shift":
-        return FullShiftSpec(tuple(description["alphabet"]))
+        return FullShiftSpec(tuple(field("alphabet", "a list of strings")))
     if variant == "explicit":
-        return ExplicitSpec(tuple(description["alphabet"]), tuple(description["forbidden"]))
+        return ExplicitSpec(tuple(field("alphabet", "a list of strings")),
+                            tuple(field("forbidden", "a list of strings")))
     raise EmptyAlphabet(f"unknown subshift variant {variant!r}")
 
 
@@ -425,15 +457,6 @@ def _snapshots(spec: SubshiftSpec) -> Iterator[str]:
     raise TypeError(f"spec family {spec.variant!r} is not scan-based")
 
 
-def _uses_tail_filter(spec: SubshiftSpec) -> bool:
-    # Substitution factors must occur arbitrarily late in the generated
-    # word (prefix-only factors are not part of the subshift); restricting
-    # the scan to the tail half and waiting for stabilization implements
-    # that filter.  For primitive substitutions it converges to the plain
-    # factor set.
-    return isinstance(spec, SubstitutionSpec)
-
-
 # ---------------------------------------------------------------------------
 # Suffix-array factor index
 
@@ -569,38 +592,25 @@ class _IndexStream:
             i += 1
 
 
-class _Saturator:
-    """Tracks snapshot agreement across two consecutive doublings."""
-
-    def __init__(self):
-        self.last_change_len = None
-        self.prev = None
-
-    def feed(self, value, length: int) -> bool:
-        if value != self.prev:
-            self.prev = value
-            self.last_change_len = length
-            return False
-        return length >= 4 * self.last_change_len
-
-
 def _saturate(spec, n: int, max_text: int, stream: _IndexStream) -> _FactorIndex:
     """The index at which the length-n factor set stabilized.
 
     Whole snapshots are prefixes of one another, so a region's factor set
-    contains the previous one's and equal counts mean equal sets: the
-    saturator is fed counts.  Tail halves are not nested, so there it is
-    fed the factor sets themselves.
+    contains the previous one's and equal counts mean equal sets: counts
+    are compared.  Tail halves are not nested, so there the sets are.
     """
     expected = n + 1 if isinstance(spec, SturmianSpec) and n >= 1 else None
-    sat = _Saturator()
+    prev = changed_at = None
     for index in stream:
         if len(index.text) < max(n, 1):
             continue
         count = index.count(n)
         if expected is not None and count == expected:
             return index
-        if sat.feed(index.factors(n) if stream.tail else count, index.snapshot_len):
+        value = index.factors(n) if stream.tail else count
+        if value != prev:
+            prev, changed_at = value, index.snapshot_len
+        elif index.snapshot_len >= 4 * changed_at:
             return index
         if index.snapshot_len > max_text:
             raise SaturationFailure(
@@ -610,76 +620,59 @@ def _saturate(spec, n: int, max_text: int, stream: _IndexStream) -> _FactorIndex
 
 
 # ---------------------------------------------------------------------------
-# Shift-of-finite-type enumeration
+# Shifts of finite type
 
 
-def _sft_factors(spec: ExplicitSpec, n: int, cap: int) -> frozenset[str]:
-    """De Bruijn-style enumeration: locally admissible words pruned to the
-    bi-extendable ones, then cut down to length n."""
-    alpha = spec.letters
-    m = max((len(f) for f in spec.forbidden), default=1)
-    k = max(n, m, 1)
-
-    def clean(w: str) -> bool:
-        return not any(w.endswith(f) for f in spec.forbidden if len(f) <= len(w))
-
-    words: set[str] = {""}
+def _overlap_graph(spec: ExplicitSpec, cap: int) -> dict[str, tuple[str, ...]]:
+    """The allowed words of length k = max(1, longest forbidden word) that lie
+    on a bi-infinite path, each mapped to its successors w[1:] + c.  The
+    shift is the set of bi-infinite paths of this graph (Lind & Marcus,
+    An Introduction to Symbolic Dynamics and Coding, ch. 2)."""
+    k = max((len(f) for f in spec.forbidden), default=1)
+    words = [""]
     for _ in range(k):
-        nxt = {w + c for w in words for c in alpha if clean(w + c)}
-        if len(nxt) > cap:
+        words = [w + c for w in words for c in spec.letters
+                 if not any((w + c).endswith(f) for f in spec.forbidden)]
+        if len(words) > cap:
             raise ResourceLimit(f"SFT enumeration exceeded {cap} words")
-        words = nxt
-        if not words:
-            return frozenset()
-
-    words = _prune_biextendable(words)
-    if not words:
-        return frozenset()
-    out: set[str] = set()
-    for w in words:
-        for i in range(k - n + 1):
-            out.add(w[i : i + n])
-    return frozenset(out)
-
-
-def _prune_biextendable(words: set[str]) -> set[str]:
-    """Keep words that lie on a bi-infinite path of the overlap graph."""
+    live = set(words)
     while True:
-        prefixes = {w[:-1] for w in words}
-        suffixes = {w[1:] for w in words}
-        kept = {w for w in words if w[1:] in prefixes and w[:-1] in suffixes}
-        if kept == words:
-            return words
-        words = kept
+        succ = {w: tuple(v for v in (w[1:] + c for c in spec.letters) if v in live)
+                for w in live}
+        entered = {v for targets in succ.values() for v in targets}
+        kept = {w for w in live if succ[w] and w in entered}
+        if kept == live:
+            return succ
+        live = kept
 
 
-def _sft_count(spec: ExplicitSpec, n: int, cap: int) -> int:
-    """Exact admissible-word count via path counting on the overlap graph."""
-    m = max((len(f) for f in spec.forbidden), default=1)
-    k0 = max(m, 1)
-    if n <= k0:
-        return len(_sft_factors(spec, n, cap))
-    vertices = sorted(_sft_factors(spec, k0, cap))
-    if not vertices:
-        return 0
-    index = {w: i for i, w in enumerate(vertices)}
-    succ: list[list[int]] = [[] for _ in vertices]
-    for w in vertices:
-        for c in spec.letters:
-            v = w[1:] + c
-            j = index.get(v)
-            if j is not None:
-                succ[index[w]].append(j)
-    counts = [1] * len(vertices)
-    for _ in range(n - k0):
-        nxt = [0] * len(vertices)
-        for i, targets in enumerate(succ):
-            ci = counts[i]
-            if ci:
-                for j in targets:
-                    nxt[j] += ci
+def _spell_paths(graph: dict[str, tuple[str, ...]], n: int, cap: int) -> frozenset[str]:
+    """The length-n words of the shift: prefixes of the vertices up to their
+    length k, and beyond it the words spelled by paths."""
+    k = len(next(iter(graph), ""))
+    if n <= k:
+        return frozenset(w[:n] for w in graph)
+    words = list(graph)
+    for _ in range(n - k):
+        words = [w + v[-1] for w in words for v in graph[w[-k:]]]
+        if len(words) > cap:
+            raise ResourceLimit(f"SFT enumeration exceeded {cap} words")
+    return frozenset(words)
+
+
+def _count_paths(graph: dict[str, tuple[str, ...]], n: int) -> int:
+    """len(_spell_paths(graph, n)), without spelling the paths."""
+    k = len(next(iter(graph), ""))
+    if n <= k:
+        return len({w[:n] for w in graph})
+    counts = dict.fromkeys(graph, 1)
+    for _ in range(n - k):
+        nxt = dict.fromkeys(graph, 0)
+        for w, paths in counts.items():
+            for v in graph[w]:
+                nxt[v] += paths
         counts = nxt
-    return sum(counts)
+    return sum(counts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -693,14 +686,15 @@ class LanguageTable:
     `complexity(n)` its cardinality: for scan-based families a count read
     from the snapshot factor indexes (the set itself is built only when
     `factors` asks for it), a closed form for full shifts and a path count
-    for shifts of finite type.
+    on one overlap graph for shifts of finite type.
 
-    The word geometry of cocycle tables lives here too.  `words(n)` puts
-    the length-n factors in sorted order, so a table over them is a vector
-    of shifts, and `subwords(n, lo, width)` gives, for each of those words,
-    the position in `words(width)` of its subword starting at `lo`.  Both
-    are memoized like `factors`.  Inserts are synchronized; all queries are
-    pure functions of the spec.
+    The word geometry of cocycle tables lives here too.  `words(n)` is the
+    ordered index of the length-n factors: each word maps to its position
+    in sorted order, the order of the dict, so a table over them is a
+    vector of shifts.  `subwords(n, lo, width)` gives, for each of those
+    words, the position in `words(width)` of its subword starting at `lo`.
+    Both are memoized like `factors`.  Inserts are synchronized; all
+    queries are pure functions of the spec.
     """
 
     def __init__(self, spec: SubshiftSpec, max_text: int = DEFAULT_MAX_TEXT,
@@ -711,9 +705,8 @@ class LanguageTable:
         self._lock = threading.RLock()
         self._factors: dict[int, frozenset[str]] = {}
         self._counts: dict[int, int] = {}
-        self._words: dict[int, tuple[str, ...]] = {}
+        self._words: dict[int, dict[str, int]] = {}
         self._subwords: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        self._indexes: _IndexStream | None = None
 
     def factors(self, n: int) -> frozenset[str]:
         if n < 0:
@@ -730,11 +723,11 @@ class LanguageTable:
     # Every compose reads these several times, so a hit skips the lock;
     # entries are only ever added, and whole.
 
-    def words(self, n: int) -> tuple[str, ...]:
+    def words(self, n: int) -> dict[str, int]:
         got = self._words.get(n)
         if got is None:
             with self._lock:
-                got = self._words[n] = tuple(sorted(self.factors(n)))
+                got = self._words[n] = {w: i for i, w in enumerate(sorted(self.factors(n)))}
         return got
 
     def subwords(self, n: int, lo: int, width: int) -> tuple[int, ...]:
@@ -742,7 +735,7 @@ class LanguageTable:
         got = self._subwords.get(key)
         if got is None:
             with self._lock:
-                position = {w: i for i, w in enumerate(self.words(width))}
+                position = self.words(width)
                 got = tuple(position[w[lo:lo + width]] for w in self.words(n))
                 self._subwords[key] = got
         return got
@@ -757,14 +750,14 @@ class LanguageTable:
             if isinstance(self.spec, FullShiftSpec):
                 count = len(self.spec.letters) ** n
             elif isinstance(self.spec, ExplicitSpec):
-                count = _sft_count(self.spec, n, self.max_factors)
+                count = _count_paths(self._graph, n)
             else:
-                count = self._saturate(n).count(n)
+                count = _saturate(self.spec, n, self.max_text, self._indexes).count(n)
             self._counts[n] = count
             return count
 
     def is_admissible(self, word: str) -> bool:
-        return word in self.factors(len(word))
+        return word in self.words(len(word))
 
     def complexity_interp(self, x: float) -> float:
         """Piecewise affine extension of the complexity to real arguments."""
@@ -784,13 +777,21 @@ class LanguageTable:
                 raise ResourceLimit(f"full-shift factor set of length {n} exceeds cap")
             return frozenset("".join(t) for t in itertools.product(spec.letters, repeat=n))
         if isinstance(spec, ExplicitSpec):
-            return _sft_factors(spec, n, self.max_factors)
-        return self._saturate(n).factors(n)
+            return _spell_paths(self._graph, n, self.max_factors)
+        return _saturate(self.spec, n, self.max_text, self._indexes).factors(n)
 
-    def _saturate(self, n: int) -> _FactorIndex:
-        if self._indexes is None:
-            self._indexes = _IndexStream(_snapshots(self.spec), _uses_tail_filter(self.spec))
-        return _saturate(self.spec, n, self.max_text, self._indexes)
+    @cached_property
+    def _graph(self) -> dict[str, tuple[str, ...]]:
+        return _overlap_graph(self.spec, self.max_factors)
+
+    @cached_property
+    def _indexes(self) -> _IndexStream:
+        # Substitution factors must occur arbitrarily late in the generated
+        # word (prefix-only factors are not part of the subshift); restricting
+        # the scan to the tail half and waiting for stabilization implements
+        # that filter.  For primitive substitutions it converges to the plain
+        # factor set.
+        return _IndexStream(_snapshots(self.spec), isinstance(self.spec, SubstitutionSpec))
 
 
 _TABLES: dict[SubshiftSpec, LanguageTable] = {}

@@ -282,14 +282,14 @@ class WalkSample:
 def _atom_increment_table(measure: StepMeasure, point: Point, span: int,
                           dtype: np.dtype) -> np.ndarray:
     """Row i holds atom i's shift at each offset in [-span, span]: each
-    offset's window is read once per atom depth and looked up among the
-    sorted factors, and every atom of that depth gathers its row by those
+    offset's window is read once per atom depth and looked up in the
+    factor index, and every atom of that depth gathers its row by those
     positions.  A window outside the language raises SpecMismatch (a
     validating point raises AdmissibilityViolation when it is read)."""
     oracle = language_table(measure.spec)
     table = np.zeros((len(measure.atoms), 2 * span + 1), dtype=dtype)
     for depth in {g.depth for _, g, _ in measure.atoms}:
-        position = {w: i for i, w in enumerate(oracle.words(2 * depth + 1))}
+        position = oracle.words(2 * depth + 1)
         try:
             cols = np.array([position[point.window(off, depth)]
                              for off in range(-span, span + 1)])

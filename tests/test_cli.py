@@ -106,6 +106,25 @@ def test_complexity_too_few_rows_to_fit(workdir, capsys, n):
     assert "complexity_fit.json" in json.loads((out / "manifest.json").read_text())["outputs"]
 
 
+def test_complexity_of_an_empty_language_writes_valid_json(tmp_path, capsys):
+    write_json(tmp_path / "empty.json", {"variant": "explicit", "alphabet": ["a"],
+                                         "forbidden": ["a"]})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["complexity", "--spec", tmp_path / "empty.json", "--n", 6,
+                    "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    assert {int(r["rho"]) for r in read_rows(out / "complexity.csv")} == {0}
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    fit = json.loads((out / "complexity_fit.json").read_text(), parse_constant=reject)
+    assert "empty" in fit["insufficient_data"]
+    assert "loglog_slope" not in fit and "loglog_intercept" not in fit
+
+
 def test_toeplitz_fit_sidecar(tmp_path):
     write_json(tmp_path / "toep.json", {"variant": "toeplitz", "pattern": "a*ab*a", "hole": "*"})
     out = tmp_path / "out"
@@ -318,6 +337,41 @@ def test_malformed_element_documents_are_validation_errors(workdir, capsys, fib_
     assert run(["entropy", "--spec", workdir / "fib.json", "--gens", workdir / "bad.json",
                 "--n", 2, "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: malformed element document")
+    assert not out.exists()
+
+
+FIB = {"variant": "substitution", "rules": {"a": "ab", "b": "a"}, "seed": "a"}
+GENS = {"spec": "fib.json", "builtin": "fibonacci"}
+
+
+@pytest.mark.parametrize("spec, gens, field", [
+    ({"variant": "sturmian"}, GENS, "'cf'"),
+    ({"variant": "sturmian", "cf": 5}, GENS, "'cf'"),
+    ({"variant": "sturmian", "cf": [1], "swap_letters": "false"}, GENS, "'swap_letters'"),
+    ({"variant": "toeplitz"}, GENS, "'pattern'"),
+    ({"variant": "substitution", "rules": ["ab"], "seed": "a"}, GENS, "'rules'"),
+    (FIB | {"point": {"kind": "periodic"}}, GENS, "'word'"),
+    (FIB | {"point": {"kind": "periodic", "word": "ab", "phase": "x"}}, GENS, "'phase'"),
+    (FIB | {"point": {"kind": "explicit", "left_period": "a"}}, GENS, "'right_period'"),
+    (FIB | {"point": {"kind": "substitution_fixed_point", "left": "a", "right": "a",
+                      "power": "2"}}, GENS, "'power'"),
+    (FIB | {"point": {"kind": "substitution_fixed_point", "left": "a", "right": "a",
+                      "power": 0}}, GENS, "power"),
+    (FIB, {"spec": "fib.json", "generators": []}, "'generators'"),
+    (FIB, GENS | {"weights": "abc"}, "'weights'"),
+    (FIB, GENS | {"weights": {"alpha": "1/0", "beta": "1/3", "gamma": "1/3"}}, "weights"),
+], ids=["sturmian-no-cf", "cf-not-a-list", "swap-letters-a-string", "toeplitz-no-pattern",
+        "rules-not-an-object", "periodic-no-word", "phase-not-an-integer", "explicit-no-right-period",
+        "power-a-string", "power-zero", "generators-a-list", "weights-a-string",
+        "weight-over-zero"])
+def test_malformed_documents_exit_2_without_a_traceback(tmp_path, capsys, spec, gens, field):
+    write_json(tmp_path / "fib.json", spec)
+    write_json(tmp_path / "gens.json", gens)
+    out = tmp_path / "x"
+    assert run(["walk", "--spec", tmp_path / "fib.json", "--gens", tmp_path / "gens.json",
+                "--n", 4, "--trials", 4, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ from fullgroup_lab import (
     FullShiftSpec,
     GeneratorSet,
     IncompleteTable,
+    LanguageTable,
     NotInvertible,
     PeriodicPoint,
     ResourceLimit,
@@ -27,6 +28,7 @@ from fullgroup_lab import (
     is_constant_on_depth,
     language_table,
 )
+from fullgroup_lab import subshifts
 from fullgroup_lab.cocycles import _refined
 
 
@@ -74,6 +76,17 @@ def test_from_table_collision_not_invertible():
     fs = FullShiftSpec(("a", "b"))
     with pytest.raises(NotInvertible):
         from_table(fs, 0, {"a": 1, "b": 0})
+
+
+def test_preimage_tries_only_the_shifts_the_table_takes(fib_spec, monkeypatch):
+    # sigma^k takes the one shift k, so inverting it reads one subword map
+    # per shift instead of 2k + 1; a fresh table counts only these maps
+    table = LanguageTable(fib_spec)
+    monkeypatch.setitem(subshifts._TABLES, fib_spec, table)
+    for k in range(1, 41):
+        sigma_k = from_table(fib_spec, 0, {"a": k, "b": k})
+        assert inverse(sigma_k).table == {"a": -k, "b": -k}
+    assert len(table._subwords) <= 4 * 40  # 1,719 when every shift in [-k, k] is tried
 
 
 def test_from_table_requires_total_table(fib_spec):

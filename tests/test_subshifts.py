@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import pytest
@@ -341,6 +342,76 @@ def test_sft_factor_closure_random(forbidden, n):
         assert w[:-1] in below and w[1:] in below
 
 
+# The set scan that enumerated SFT factors before the overlap graph, kept as
+# the reference: every clean word of length max(n, k), pruned to the
+# bi-extendable ones at that length, then cut down to length n.
+
+
+def _sft_factors(spec, n):
+    alpha = spec.letters
+    m = max((len(f) for f in spec.forbidden), default=1)
+    k = max(n, m, 1)
+
+    def clean(w):
+        return not any(w.endswith(f) for f in spec.forbidden if len(f) <= len(w))
+
+    words = {""}
+    for _ in range(k):
+        words = {w + c for w in words for c in alpha if clean(w + c)}
+        if not words:
+            return frozenset()
+    words = _prune_biextendable(words)
+    if not words:
+        return frozenset()
+    return frozenset(w[i : i + n] for w in words for i in range(k - n + 1))
+
+
+def _prune_biextendable(words):
+    while True:
+        prefixes = {w[:-1] for w in words}
+        suffixes = {w[1:] for w in words}
+        kept = {w for w in words if w[1:] in prefixes and w[:-1] in suffixes}
+        if kept == words:
+            return words
+        words = kept
+
+
+def _sft_count(spec, n):
+    # path counting on the graph of pruned k-words, k the longest forbidden length
+    k0 = max(max((len(f) for f in spec.forbidden), default=1), 1)
+    if n <= k0:
+        return len(_sft_factors(spec, n))
+    vertices = sorted(_sft_factors(spec, k0))
+    index = {w: i for i, w in enumerate(vertices)}
+    succ = [[index[w[1:] + c] for c in spec.letters if w[1:] + c in index] for w in vertices]
+    counts = [1] * len(vertices)
+    for _ in range(n - k0):
+        nxt = [0] * len(vertices)
+        for i, targets in enumerate(succ):
+            for j in targets:
+                nxt[j] += counts[i]
+        counts = nxt
+    return sum(counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["ab", "abc"]).flatmap(lambda letters: st.tuples(
+    st.just(tuple(letters)),
+    st.sets(st.text(alphabet=letters, min_size=1, max_size=4), max_size=5),
+)))
+@example((("a",), {"a"}))  # the empty language
+@example((("a", "b"), {"aa", "ab"}))  # 'a' is a dead end
+@example((("a", "b"), {"ab", "ba"}))  # two fixed points, no word joins them
+@example((("a", "b", "c"), {"ac", "cb", "bab", "ccc"}))
+def test_sft_overlap_graph_matches_the_set_scan(case):
+    letters, forbidden = case
+    spec = ExplicitSpec(letters, tuple(forbidden))
+    table = LanguageTable(spec)
+    for n in range(9):
+        assert table.factors(n) == _sft_factors(spec, n)
+        assert LanguageTable(spec).complexity(n) == _sft_count(spec, n)
+
+
 @st.composite
 def growing_substitutions(draw):
     image_a = draw(st.text(alphabet="ab", min_size=1, max_size=3))
@@ -418,16 +489,35 @@ def test_saturation_failure_with_tiny_budget():
 
 
 def test_language_table_concurrent_queries(fib_spec):
-    table = LanguageTable(fib_spec)
-    results = {}
+    specs = (fib_spec, ExplicitSpec(("a", "b", "c"), ("ac", "cb", "bab", "ccc")))
 
-    def worker(idx):
-        results[idx] = [table.complexity(n) for n in range(1, 30)]
+    def queries(table):
+        return ([table.complexity(n) for n in range(1, 30)],
+                [(list(table.words(n).items()), table.subwords(n + 2, 1, n))
+                 for n in range(1, 12)])
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    expected = [n + 1 for n in range(1, 30)]
-    assert all(v == expected for v in results.values())
+    expected = [queries(LanguageTable(spec)) for spec in specs]
+    assert expected[0][0] == [n + 1 for n in range(1, 30)]
+    for spec, serial in zip(specs, expected):
+        table = LanguageTable(spec)
+        results = {}
+
+        def worker(idx):
+            results[idx] = queries(table)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside the memo updates
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == len(threads)
+        assert all(v == serial for v in results.values())
+        for n, (words, _) in enumerate(serial[1], start=1):
+            assert [w for w, _ in words] == sorted(table.factors(n))
+            assert [i for _, i in words] == list(range(len(words)))

@@ -104,14 +104,12 @@ def _reduce_depth(spec: SubshiftSpec, depth: int, shifts: tuple[int, ...]):
     if len(shifts) != count:
         raise _incomplete(count, 2 * depth + 1)
     while depth > 0:
-        centre = oracle.subwords(2 * depth + 1, 1, 2 * depth - 1)
         # reduce only if every shorter word is a centre and all the words
         # around one centre share its shift
-        grouped = dict(zip(centre, shifts))
-        if (len(grouped) != len(oracle.words(2 * depth - 1))
-                or tuple(map(grouped.__getitem__, centre)) != shifts):
+        plan = oracle.siblings(2 * depth + 1)
+        if plan is None or plan.left(shifts) != plan.right(shifts):
             break
-        shifts = tuple(map(grouped.__getitem__, range(len(grouped))))
+        shifts = plan.pick(shifts)
         depth -= 1
     return depth, shifts
 
@@ -327,7 +325,10 @@ class CayleyBall(Mapping):
     `lengths[i]` and table depth `depths[i]`.  For every element shorter
     than `radius`, row i of the int32 array `neighbors` holds the index of
     compose(s, elements[i]) for each generator s in order: the edges of the
-    left walk.  Those elements are a prefix of `elements`.
+    left walk.  Those elements are a prefix of `elements`.  An edge back to
+    the layer before is read off the forward edge of the inverse
+    generator, when the set holds one, so only the other edges are
+    composed.
     """
 
     def __init__(self, gens: GeneratorSet, cap: int):
@@ -343,15 +344,28 @@ class CayleyBall(Mapping):
     def grow(self, radius: int) -> None:
         """Continue the breadth-first search out to `radius`.  A layer that
         would take the ball past `cap` elements raises ResourceLimit and
-        leaves the ball as it was."""
+        leaves the ball as it was.  Back edges are read, not composed; they
+        never reach a new element, so elements are found in the same order
+        as by composing every edge."""
         atoms = [s for _, s in self.gens.elements]
+        position = {s: a for a, s in enumerate(atoms)}
+        # back[a]: a generator that undoes atom a, or -1
+        back = np.array([position.get(inverse(s), -1) for s in atoms], dtype=np.int64)
         while self.radius < radius:
             first, size = len(self.neighbors), len(self.elements)
             new: dict[CocycleElement, int] = {}
-            rows = np.empty((size - first, len(atoms)), dtype=np.int32)
-            for i in range(first, size):
+            rows = np.full((size - first, len(atoms)), -1, dtype=np.int32)
+            # an edge p -> s.p from the layer before, with s.p in this layer,
+            # gives the edge s.p -> p by the inverse of s: read, not composed
+            start = int(np.searchsorted(self.lengths, self.radius - 1))
+            last = self.neighbors[start:]
+            p, a = np.nonzero((last >= first) & (back >= 0))
+            rows[last[p, a] - first, back[a]] = start + p
+            for i, row in enumerate(rows.tolist(), start=first):
                 g = self.elements[i]
                 for a, s in enumerate(atoms):
+                    if row[a] >= 0:
+                        continue
                     prod = compose(s, g)
                     j = self._index.get(prod)
                     if j is None:

@@ -30,7 +30,8 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Iterator, Mapping
+from operator import itemgetter
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -167,6 +168,9 @@ class ToeplitzSpec:
     variant = "toeplitz"
 
     def __post_init__(self):
+        if len(self.hole) != 1:
+            raise ValidationError(
+                f"Toeplitz field 'hole' must be one character, got {self.hole!r}")
         if not self.pattern:
             raise EmptyAlphabet("empty Toeplitz pattern")
         if self.pattern[0] == self.hole:
@@ -679,6 +683,23 @@ def _count_paths(graph: dict[str, tuple[str, ...]], n: int) -> int:
 # Language tables
 
 
+def _gather(positions: list[int]) -> Callable[[tuple], tuple]:
+    """Read `positions` of a tuple as a tuple, in one C call when it can."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda v: tuple(v[i] for i in positions)
+
+
+class _SiblingPlan(NamedTuple):
+    """How a vector over the n-words factors through their (n-2)-centres:
+    it does iff left(v) == right(v), and then its vector over the centres
+    is pick(v)."""
+
+    pick: Callable[[tuple], tuple]
+    left: Callable[[tuple], tuple]
+    right: Callable[[tuple], tuple]
+
+
 class LanguageTable:
     """Memoizing language oracle of one subshift.
 
@@ -693,8 +714,13 @@ class LanguageTable:
     in sorted order, the order of the dict, so a table over them is a
     vector of shifts.  `subwords(n, lo, width)` gives, for each of those
     words, the position in `words(width)` of its subword starting at `lo`.
-    Both are memoized like `factors`.  Inserts are synchronized; all
-    queries are pure functions of the spec.
+    `siblings(n)` is the plan that canonical reduction reads: for each
+    (n-2)-word, the position of the first n-word around it as centre, and
+    the pairs of positions that must carry equal shifts for a table to
+    factor through the centre; None when some (n-2)-word is no centre.
+    All three are memoized like `factors`, one entry per key.  Inserts
+    are synchronized, while a hit reads without the lock: entries are only
+    ever added, and whole.  All queries are pure functions of the spec.
     """
 
     def __init__(self, spec: SubshiftSpec, max_text: int = DEFAULT_MAX_TEXT,
@@ -707,6 +733,7 @@ class LanguageTable:
         self._counts: dict[int, int] = {}
         self._words: dict[int, dict[str, int]] = {}
         self._subwords: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._siblings: dict[int, _SiblingPlan | None] = {}
 
     def factors(self, n: int) -> frozenset[str]:
         if n < 0:
@@ -720,8 +747,7 @@ class LanguageTable:
             self._counts[n] = len(result)
             return result
 
-    # Every compose reads these several times, so a hit skips the lock;
-    # entries are only ever added, and whole.
+    # Every compose reads these several times, so a hit skips the lock.
 
     def words(self, n: int) -> dict[str, int]:
         got = self._words.get(n)
@@ -739,6 +765,25 @@ class LanguageTable:
                 got = tuple(position[w[lo:lo + width]] for w in self.words(n))
                 self._subwords[key] = got
         return got
+
+    def siblings(self, n: int) -> _SiblingPlan | None:
+        try:
+            return self._siblings[n]
+        except KeyError:
+            pass
+        with self._lock:
+            centre = self.subwords(n, 1, n - 2)
+            first: dict[int, int] = {}
+            for i, c in enumerate(centre):
+                first.setdefault(c, i)
+            plan = None
+            if len(first) == len(self.words(n - 2)):
+                pairs = [(i, first[c]) for i, c in enumerate(centre) if first[c] != i]
+                plan = _SiblingPlan(_gather([first[c] for c in range(len(first))]),
+                                    _gather([i for i, _ in pairs]),
+                                    _gather([j for _, j in pairs]))
+            self._siblings[n] = plan
+        return plan
 
     def complexity(self, n: int) -> int:
         if n < 0:
@@ -800,12 +845,15 @@ _TABLES_LOCK = threading.Lock()
 
 def language_table(spec: SubshiftSpec) -> LanguageTable:
     """Shared memoized table for `spec` (one per distinct spec value)."""
-    with _TABLES_LOCK:
-        table = _TABLES.get(spec)
-        if table is None:
-            table = LanguageTable(spec)
-            _TABLES[spec] = table
-        return table
+    # every compose asks twice, so a hit skips the lock; tables are only
+    # ever added
+    table = _TABLES.get(spec)
+    if table is None:
+        with _TABLES_LOCK:
+            table = _TABLES.get(spec)
+            if table is None:
+                table = _TABLES[spec] = LanguageTable(spec)
+    return table
 
 
 def factors(spec: SubshiftSpec, n: int) -> frozenset[str]:

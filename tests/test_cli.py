@@ -349,6 +349,8 @@ GENS = {"spec": "fib.json", "builtin": "fibonacci"}
     ({"variant": "sturmian", "cf": 5}, GENS, "'cf'"),
     ({"variant": "sturmian", "cf": [1], "swap_letters": "false"}, GENS, "'swap_letters'"),
     ({"variant": "toeplitz"}, GENS, "'pattern'"),
+    ({"variant": "toeplitz", "pattern": "a**b", "hole": "**"}, GENS, "'hole'"),
+    ({"variant": "toeplitz", "pattern": "a*b", "hole": ""}, GENS, "'hole'"),
     ({"variant": "substitution", "rules": ["ab"], "seed": "a"}, GENS, "'rules'"),
     (FIB | {"point": {"kind": "periodic"}}, GENS, "'word'"),
     (FIB | {"point": {"kind": "periodic", "word": "ab", "phase": "x"}}, GENS, "'phase'"),
@@ -361,6 +363,7 @@ GENS = {"spec": "fib.json", "builtin": "fibonacci"}
     (FIB, GENS | {"weights": "abc"}, "'weights'"),
     (FIB, GENS | {"weights": {"alpha": "1/0", "beta": "1/3", "gamma": "1/3"}}, "weights"),
 ], ids=["sturmian-no-cf", "cf-not-a-list", "swap-letters-a-string", "toeplitz-no-pattern",
+        "toeplitz-two-letter-hole", "toeplitz-empty-hole",
         "rules-not-an-object", "periodic-no-word", "phase-not-an-integer", "explicit-no-right-period",
         "power-a-string", "power-zero", "generators-a-list", "weights-a-string",
         "weight-over-zero"])

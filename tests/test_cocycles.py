@@ -2,8 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fullgroup_lab import (
+    ExplicitSpec,
     FullShiftSpec,
     GeneratorSet,
     IncompleteTable,
@@ -20,6 +23,7 @@ from fullgroup_lab import (
     evaluate,
     factors,
     fibonacci_generators,
+    fibonacci_spec,
     find_cylinder_position,
     from_table,
     identity,
@@ -28,8 +32,8 @@ from fullgroup_lab import (
     is_constant_on_depth,
     language_table,
 )
-from fullgroup_lab import subshifts
-from fullgroup_lab.cocycles import _refined
+from fullgroup_lab import cocycles, subshifts
+from fullgroup_lab.cocycles import _reduce_depth, _refined
 
 
 @pytest.fixture(scope="module")
@@ -261,18 +265,22 @@ def test_ball_resource_limit(fib_gens):
         ball(fib_gens, 6, cap=20)
 
 
+def _assert_rows_are_left_products(b, gens):
+    """One row per element shorter than the radius: its left products."""
+    atoms = [s for _, s in gens.elements]
+    assert b.neighbors.shape == (np.count_nonzero(b.lengths < b.radius), len(atoms))
+    for i, row in enumerate(b.neighbors.tolist()):
+        assert [b.elements[j] for j in row] == [compose(s, b.elements[i]) for s in atoms]
+
+
 def test_ball_neighbors_lengths_and_depths(fib_spec, fib_gens):
     b = ball(fib_gens, 3)
-    atoms = [s for _, s in fib_gens.elements]
     assert b.elements[0] == identity(fib_spec)
     assert list(b) == b.elements and len(b) == 22
     assert b.lengths.tolist() == [b[g] for g in b.elements] == sorted(b.lengths.tolist())
     assert b.depths.tolist() == [g.depth for g in b.elements]
-    # one row per element shorter than the radius: its left products
     assert b.neighbors.dtype == np.int32
-    assert b.neighbors.shape == (np.count_nonzero(b.lengths < 3), len(atoms))
-    for i, row in enumerate(b.neighbors):
-        assert [b.elements[j] for j in row] == [compose(s, b.elements[i]) for s in atoms]
+    _assert_rows_are_left_products(b, fib_gens)
 
 
 def test_ball_grows_in_place(fib_gens):
@@ -304,6 +312,35 @@ def test_ball_word_lengths_are_geodesic(fib_gens, abg):
     b = ball(fib_gens, 3)
     assert b[compose(alpha, beta)] == 2
     assert b[compose(alpha, alpha)] == 0
+
+
+def test_ball_back_edges_match_direct_composes(fib_spec, fib_gens, abg):
+    # three involutions: every back edge is read from the layer before
+    _assert_rows_are_left_products(ball(fib_gens, 6), fib_gens)
+    # sigma's inverse is no generator, so only alpha's back edges are read
+    sigma = from_table(fib_spec, 0, {"a": 1, "b": 1})
+    gens = GeneratorSet(fib_spec, (("alpha", abg[0]), ("sigma", sigma)))
+    _assert_rows_are_left_products(ball(gens, 5), gens)
+
+
+def test_ball_composes_only_the_forward_edges(fib_gens, monkeypatch):
+    calls = 0
+
+    def counting_compose(g, h):
+        nonlocal calls
+        calls += 1
+        return compose(g, h)
+
+    monkeypatch.setattr(cocycles, "compose", counting_compose)
+    ball(fib_gens, 12)
+    assert calls == 10_851  # 16,437 when the 5,586 back edges are composed too
+
+
+def test_sibling_plans_are_one_per_word_length(fib_gens, monkeypatch):
+    monkeypatch.setattr(subshifts, "_TABLES", {})  # a fresh table sees only this ball
+    ball(fib_gens, 12)
+    table = language_table(fib_gens.spec)
+    assert table._siblings and set(table._siblings) <= set(table._words)
 
 
 # --- constancy predicates ----------------------------------------------------------
@@ -465,3 +502,47 @@ def test_toeplitz_swaps_match_the_dict_oracle():
 def test_element_documents_round_trip_over_a_ball(fib_spec, fib_gens):
     for g in ball(fib_gens, 4):
         assert element_from_dict(fib_spec, g.to_dict()) == g
+
+
+# --- the dict-grouping reduction as an oracle ------------------------------------------
+#
+# Canonical reduction as it was written before the sibling plans: group the
+# shifts by centre word in a dict at every level.
+
+
+def _grouping_reduce_depth(spec, depth, shifts):
+    oracle = language_table(spec)
+    while depth > 0:
+        centre = oracle.subwords(2 * depth + 1, 1, 2 * depth - 1)
+        grouped = dict(zip(centre, shifts))
+        if (len(grouped) != len(oracle.words(2 * depth - 1))
+                or tuple(map(grouped.__getitem__, centre)) != shifts):
+            break
+        shifts = tuple(map(grouped.__getitem__, range(len(grouped))))
+        depth -= 1
+    return depth, shifts
+
+
+@st.composite
+def _shift_vectors(draw):
+    """A shift vector at depth <= 5, refined up from a random vector at a
+    lower depth, then (sometimes) changed in one place."""
+    spec = draw(st.sampled_from([fibonacci_spec(), ToeplitzSpec("ab*b*"),
+                                 FullShiftSpec(("a", "b")), ExplicitSpec(("a", "b"), ("bb",))]))
+    table = language_table(spec)
+    depth = draw(st.integers(0, 5))
+    low = draw(st.integers(0, depth))
+    rnd = draw(st.randoms(use_true_random=False))
+    base = [rnd.randint(-1, 1) for _ in table.words(2 * low + 1)]
+    shifts = tuple(base[i] for i in table.subwords(2 * depth + 1, depth - low, 2 * low + 1))
+    if shifts and draw(st.booleans()):
+        i = rnd.randrange(len(shifts))
+        shifts = shifts[:i] + (shifts[i] + 1,) + shifts[i + 1:]
+    return spec, depth, shifts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shift_vectors())
+def test_sibling_plans_reduce_like_the_grouping_oracle(vector):
+    spec, depth, shifts = vector
+    assert _reduce_depth(spec, depth, shifts) == _grouping_reduce_depth(spec, depth, shifts)

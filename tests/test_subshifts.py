@@ -22,10 +22,12 @@ from fullgroup_lab import (
     factors,
     fibonacci_spec,
     is_primitive,
+    language_table,
     spec_to_dict,
     substitution_iterate,
     toeplitz_word,
 )
+from fullgroup_lab import subshifts
 from fullgroup_lab.subshifts import _FactorIndex, substitution_enumeration_diagnostics
 
 FIB = {"a": "ab", "b": "a"}
@@ -488,22 +490,29 @@ def test_saturation_failure_with_tiny_budget():
         table.factors(40)
 
 
-def test_language_table_concurrent_queries(fib_spec):
+def _plan_reads(table, n):
+    """What the sibling plan of the n-words reads off the vector 0, 1, 2, ..."""
+    plan = table.siblings(n)
+    v = tuple(range(len(table.words(n))))
+    return None if plan is None else (plan.pick(v), plan.left(v), plan.right(v))
+
+
+def test_language_table_concurrent_queries(fib_spec, monkeypatch):
     specs = (fib_spec, ExplicitSpec(("a", "b", "c"), ("ac", "cb", "bab", "ccc")))
+    monkeypatch.setattr(subshifts, "_TABLES", {})  # each spec's table is made under contention
 
     def queries(table):
         return ([table.complexity(n) for n in range(1, 30)],
-                [(list(table.words(n).items()), table.subwords(n + 2, 1, n))
-                 for n in range(1, 12)])
+                [(list(table.words(n).items()), table.subwords(n + 2, 1, n),
+                  _plan_reads(table, n + 2)) for n in range(1, 12)])
 
     expected = [queries(LanguageTable(spec)) for spec in specs]
     assert expected[0][0] == [n + 1 for n in range(1, 30)]
     for spec, serial in zip(specs, expected):
-        table = LanguageTable(spec)
         results = {}
 
         def worker(idx):
-            results[idx] = queries(table)
+            results[idx] = (language_table(spec), queries(language_table(spec)))
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
         interval = sys.getswitchinterval()
@@ -517,7 +526,8 @@ def test_language_table_concurrent_queries(fib_spec):
         finally:
             sys.setswitchinterval(interval)
         assert len(results) == len(threads)
-        assert all(v == serial for v in results.values())
-        for n, (words, _) in enumerate(serial[1], start=1):
+        table = language_table(spec)
+        assert all(t is table and v == serial for t, v in results.values())
+        for n, (words, *_) in enumerate(serial[1], start=1):
             assert [w for w, _ in words] == sorted(table.factors(n))
             assert [i for _, i in words] == list(range(len(words)))

@@ -14,10 +14,15 @@ Two complementary routes are implemented and cross-checked:
 Each trial t draws from its own counter-based stream, Philox keyed by
 (seed mod 2^64, t), so results do not depend on trial batching.  One
 generator per sampler call is rekeyed for each trial, and draws are mapped
-to atoms one block of trials at a time.  Offsets are stored step-major, so
-each step's offsets across the trials are contiguous.  A sample whose
-arrays would pass MAX_SAMPLE_BYTES is refused with ResourceLimit before
-anything is allocated.
+to atoms one block of trials at a time, in reused buffers: up to
+ATOM_COUNT_MAX atoms by counting the cumulative bounds each float passes,
+past that by one binary search.  Each step of a block then reads the
+position-major increment table once, flat at (offset + span) * atoms +
+atom.  Offsets are stored step-major, so each step's offsets across the
+trials are contiguous, and the Lipschitz check differences them a chunk of
+step rows at a time.  A sample whose arrays, all counted, would pass
+MAX_SAMPLE_BYTES is refused with ResourceLimit before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -56,6 +61,11 @@ BASE_TAIL_GRID = tuple(round(0.25 * i, 2) for i in range(1, 17))  # 0.25 .. 4.0
 MIN_TAIL_EXCEEDANCES = 10
 ENVELOPE_GRID = tuple(i / 20.0 for i in range(1, 401))  # 0.05 .. 20.0
 DRAW_BLOCK = 2048  # trials whose draws are held at once
+# counting bounds costs one pass over a block per atom; at 64 atoms it still
+# beat one binary search (33 ms against 57 ms for a 2,048 x 400 block, 2-vCPU
+# Xeon VM, numpy 2.4)
+ATOM_COUNT_MAX = 64
+CHECK_CHUNK_BYTES = 1 << 20  # offsets differenced at once by the Lipschitz check
 MAX_SAMPLE_BYTES = 1 << 30  # cap on the arrays of one orbit-walk sample
 
 # ---------------------------------------------------------------------------
@@ -274,9 +284,27 @@ class WalkSample:
         return self.offsets[:, -1]
 
     def lipschitz_ok(self) -> bool:
-        steps = np.diff(self.offsets.T, axis=0)
-        np.abs(steps, out=steps)
-        return bool(steps.max(initial=0) <= self.max_shift)
+        """True when no step moves a trial by more than max_shift.  The step
+        rows are differenced one chunk at a time, each chunk overlapping the
+        last by one row, so the check holds one chunk beside the offsets."""
+        steps = self.offsets.T
+        trials = steps.shape[1]
+        rows = _check_rows(trials, steps.itemsize)
+        diff = np.empty((min(rows, len(steps) - 1), trials), dtype=steps.dtype)
+        for lo in range(0, len(steps) - 1, rows):
+            chunk = steps[lo:lo + rows + 1]
+            jumps = diff[:len(chunk) - 1]
+            np.subtract(chunk[1:], chunk[:-1], out=jumps)
+            np.abs(jumps, out=jumps)
+            if jumps.max() > self.max_shift:
+                return False
+        return True
+
+
+def _check_rows(trials: int, itemsize: int) -> int:
+    """Step rows in one chunk of the Lipschitz check: CHECK_CHUNK_BYTES of
+    offsets, or one row when a row is larger."""
+    return max(1, CHECK_CHUNK_BYTES // (trials * itemsize))
 
 
 def _atom_increment_table(measure: StepMeasure, point: Point, span: int,
@@ -284,10 +312,12 @@ def _atom_increment_table(measure: StepMeasure, point: Point, span: int,
     """Row i holds atom i's shift at each offset in [-span, span]: each
     offset's window is read once per atom depth and looked up in the
     factor index, and every atom of that depth gathers its row by those
-    positions.  A window outside the language raises SpecMismatch (a
-    validating point raises AdmissibilityViolation when it is read)."""
+    positions.  The table is the transposed view of a position-major
+    array, so `table.T.ravel()` is the sampler's flat table without a copy.
+    A window outside the language raises SpecMismatch (a validating point
+    raises AdmissibilityViolation when it is read)."""
     oracle = language_table(measure.spec)
-    table = np.zeros((len(measure.atoms), 2 * span + 1), dtype=dtype)
+    table = np.zeros((2 * span + 1, len(measure.atoms)), dtype=dtype).T
     for depth in {g.depth for _, g, _ in measure.atoms}:
         position = oracle.words(2 * depth + 1)
         try:
@@ -303,46 +333,77 @@ def _atom_increment_table(measure: StepMeasure, point: Point, span: int,
     return table
 
 
+def _atom_index(cum: np.ndarray, x: np.ndarray, out: np.ndarray, mask: np.ndarray) -> None:
+    """Write searchsorted(cum, x, side="right") into `out`, for x in [0, 1)
+    and cum[-1] == 1.
+
+    Up to ATOM_COUNT_MAX atoms the index is counted: it is the number of
+    bounds cum[k] <= x with k < len(cum) - 1, as x never reaches cum[-1].
+    Each bound is one compare into the bool `mask` and one add.  Past that
+    one binary search is cheaper, at the cost of its int64 result."""
+    if len(cum) > ATOM_COUNT_MAX:
+        out[...] = np.searchsorted(cum, x, side="right")
+        return
+    out.fill(0)
+    for bound in cum[:-1]:
+        np.greater_equal(x, bound, out=mask)
+        out += mask
+
+
 def _atom_draws(measure: StepMeasure, n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
     """Yield the atom indices of the trials in blocks of up to DRAW_BLOCK
     rows; row t holds the n draws of trial t's own counter-based stream
-    Philox(key=[seed mod 2^64, t]).
+    Philox(key=[seed mod 2^64, t]).  Each block is the (rows, n) transposed
+    view of a new step-major array, so one step's draws are contiguous.
 
     One generator serves the whole call: for each trial its state is reset
     to that key, counter 0 and an empty buffer, which is the state a new
-    Philox(key=[seed, t]) starts in."""
+    Philox(key=[seed, t]) starts in.  The floats, their atom indices and the
+    compare mask are buffers that every block reuses."""
     cum = np.cumsum([float(p) for _, _, p in measure.atoms])
     cum[-1] = 1.0
-    draw_dtype = np.min_scalar_type(len(measure.atoms) - 1)
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
     fresh["state"]["key"] = key
-    floats = np.empty((min(trials, DRAW_BLOCK), n))
+    width = min(trials, DRAW_BLOCK)
+    floats = np.empty((width, n))
+    index = np.empty((width, n), dtype=np.min_scalar_type(len(measure.atoms) - 1))
+    mask = np.empty((width, n), dtype=bool)
     for start in range(0, trials, DRAW_BLOCK):
         rows = min(DRAW_BLOCK, trials - start)
         for row in range(rows):
             key[1] = start + row
             bitgen.state = fresh
             gen.random(out=floats[row])
-        yield np.searchsorted(cum, floats[:rows], side="right").astype(draw_dtype)
+        _atom_index(cum, floats[:rows], index[:rows], mask[:rows])
+        yield np.ascontiguousarray(index[:rows].T).T
 
 
-def _check_sample_size(n: int, trials: int, atoms: int, span: int, dtype: np.dtype) -> None:
-    """Refuse a sample whose arrays would pass MAX_SAMPLE_BYTES, before any
-    of them is allocated: the offsets, the increment table and one block of
-    draws (floats, their indices and the narrowed copy)."""
+def _check_sample_size(n: int, trials: int, atoms: int, span: int, dtype: np.dtype) -> int:
+    """Return the bytes of the arrays a sample holds at most, and refuse it
+    with ResourceLimit when they pass MAX_SAMPLE_BYTES, before any of them
+    is allocated.  Counted: the offsets; the increment table; one block of
+    draws (the floats, their atom indices, the compare mask and the
+    step-major copy, plus the int64 search result past ATOM_COUNT_MAX
+    atoms); the step loop's per-trial buffers; and one chunk of the
+    Lipschitz check."""
     itemsize = np.dtype(dtype).itemsize
     draw_itemsize = np.min_scalar_type(atoms - 1).itemsize
+    width = min(trials, DRAW_BLOCK)
+    per_draw = 8 + 2 * draw_itemsize + 1 + (8 if atoms > ATOM_COUNT_MAX else 0)
     need = (trials * (n + 1) * itemsize
             + atoms * (2 * span + 1) * itemsize
-            + min(trials, DRAW_BLOCK) * n * (8 + 8 + draw_itemsize))
+            + width * n * per_draw
+            + width * (8 + 8 + itemsize)
+            + min(_check_rows(trials, itemsize), n) * trials * itemsize)
     if need > MAX_SAMPLE_BYTES:
         raise ResourceLimit(
             f"{trials} walks of {n} steps need {need} bytes, over the cap of "
             f"{MAX_SAMPLE_BYTES} bytes"
         )
+    return need
 
 
 def sample_orbit_walks(measure: StepMeasure, point: Point, n: int, trials: int,
@@ -363,20 +424,29 @@ def sample_orbit_walks(measure: StepMeasure, point: Point, n: int, trials: int,
     span = k * n + 1
     # for n >= 1 every increment is at most k < span, so it fits the offsets dtype
     dtype = np.int16 if span < 30000 else np.int32
-    _check_sample_size(n, trials, len(measure.atoms), span, dtype)
-    inc = _atom_increment_table(measure, point, span, dtype)
+    atoms = len(measure.atoms)
+    _check_sample_size(n, trials, atoms, span, dtype)
+    # atom a moves offset m by flat[(m + span) * atoms + a]
+    flat = _atom_increment_table(measure, point, span, dtype).T.ravel()
     steps = np.zeros((n + 1, trials), dtype=dtype)
     start = 0
     for draws in _atom_draws(measure, n, trials, seed):
         rows = len(draws)
         out = steps[:, start:start + rows]
-        pos = np.zeros(rows, dtype=np.int64)
+        cell = np.full(rows, span, dtype=np.intp)  # offset + span
+        where = np.empty(rows, dtype=np.intp)
+        moves = draws.T  # moves[j]: step j's atom in each trial
         for j in range(n):
-            pos += inc[draws[:, j], pos + span]
-            out[j + 1] = pos
+            np.multiply(cell, atoms, out=where)
+            where += moves[j]
+            # a bounds-checked gather; np.take(out=) was slower, as it buffers
+            cell += flat[where]
+            np.subtract(cell, span, out=out[j + 1])
         start += rows
+        # the next block is made while the loop variable still holds this one
+        del draws, moves
     sample = WalkSample(n, trials, seed, k, steps.T)
-    if n and not sample.lipschitz_ok():
+    if not sample.lipschitz_ok():
         raise InternalInvariantError("sampled increments exceed the generator shift bound")
     return sample
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from collections import defaultdict
 from fractions import Fraction
@@ -47,9 +48,14 @@ from fullgroup_lab import (
 )
 from fullgroup_lab.cocycles import DEFAULT_BALL_CAP
 from fullgroup_lab.walks import (
+    ATOM_COUNT_MAX,
+    CHECK_CHUNK_BYTES,
     DRAW_BLOCK,
     _atom_draws,
     _atom_increment_table,
+    _atom_index,
+    _check_rows,
+    _check_sample_size,
     cylinder_nonconstancy_rate,
     empirical_offset_distribution,
     shannon_path_diagnostic,
@@ -336,6 +342,30 @@ def test_lipschitz_increments(fib_measure, fib_point):
         assert not jump.lipschitz_ok()
 
 
+@pytest.mark.parametrize("layout", ["step_major", "trial_major"])
+def test_lipschitz_check_sees_a_jump_at_every_chunk_edge(layout):
+    trials = CHECK_CHUNK_BYTES // 16
+    rows = _check_rows(trials, 2)
+    assert rows == 8
+    rng = np.random.default_rng(11)
+    for n in (rows - 1, rows, rows + 1, 2 * rows + 1):
+        steps = np.zeros((n + 1, trials), dtype=np.int16)
+        np.cumsum(rng.integers(-1, 2, size=(n, trials)), axis=0, out=steps[1:])
+        offsets = steps.T if layout == "step_major" else np.ascontiguousarray(steps.T)
+        assert WalkSample(n, trials, 0, 1, offsets).lipschitz_ok()
+        # step j is offsets[:, j] - offsets[:, j-1]; a chunk holds `rows` steps
+        edges = {1, n} | {j for j in (rows, rows + 1, 2 * rows, 2 * rows + 1) if j <= n}
+        for j in sorted(edges):
+            for jump in (2, -2):
+                bad = offsets.copy(order="K")
+                assert bad.T.flags.c_contiguous == (layout == "step_major")
+                t = trials // 3
+                bad[t, j:] += jump - (bad[t, j] - bad[t, j - 1])  # step j becomes `jump`
+                assert np.abs(np.diff(bad, axis=1)).max() == 2
+                assert not WalkSample(n, trials, 0, 1, bad).lipschitz_ok(), (n, j, jump)
+                assert WalkSample(n, trials, 0, 2, bad).lipschitz_ok(), (n, j, jump)
+
+
 def test_sampling_deterministic_and_prefix_stable(fib_measure, fib_point):
     a = sample_orbit_walks(fib_measure, fib_point, 12, 400, seed=5)
     b = sample_orbit_walks(fib_measure, fib_point, 12, 400, seed=5)
@@ -414,6 +444,22 @@ def test_atom_draws_equal_a_new_philox_per_trial(fib_spec, seed, which):
         assert np.array_equal(sample.offsets[:, 1:], np.cumsum(moves[expected[:rows]], axis=1))
 
 
+@pytest.mark.parametrize("atoms", [3, ATOM_COUNT_MAX, ATOM_COUNT_MAX + 1, 300])
+def test_atom_index_equals_searchsorted_at_every_bound(atoms):
+    # weights 1/2, 1/4, 1/4 put the bounds on exact binary fractions
+    weights = ([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)] if atoms == 3
+               else [Fraction(1, atoms)] * atoms)
+    cum = np.cumsum([float(w) for w in weights])
+    cum[-1] = 1.0
+    x = np.concatenate([cum[:-1], np.nextafter(cum[:-1], 0), np.nextafter(cum[:-1], 1),
+                        [0.0, np.nextafter(1.0, 0)]])
+    out = np.empty(len(x), dtype=np.min_scalar_type(atoms - 1))
+    _atom_index(cum, x, out, np.empty(len(x), dtype=bool))
+    expected = np.searchsorted(cum, x, side="right")
+    assert np.array_equal(out, expected)
+    assert expected[0] == 1 and expected[-1] == atoms - 1
+
+
 def _evaluated_increment_table(measure, point, span):
     return np.array([[evaluate(g, point, off) for off in range(-span, span + 1)]
                      for _, g, _ in measure.atoms])
@@ -459,6 +505,31 @@ def test_offsets_are_step_major_and_max_abs_is_cached(fib_measure, fib_point):
     assert [k for k, v in vars(sample).items() if isinstance(v, np.ndarray)] == ["offsets"]
     assert sample.max_abs is sample.max_abs
     assert np.array_equal(sample.max_abs, np.abs(sample.offsets).max(axis=1))
+
+
+def test_walk_peak_memory_is_counted_by_the_cap(fib_measure, fib_point):
+    n, trials = 400, 5000
+    sample_orbit_walks(fib_measure, fib_point, n, 1, seed=0)  # language tables built
+    tracemalloc.start()
+    try:
+        sample = sample_orbit_walks(fib_measure, fib_point, n, trials, seed=0)
+        sample.max_abs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block of draws: the floats, their uint8 atom indices, the compare
+    # mask and the step-major copy of the indices
+    block = DRAW_BLOCK * n * (8 + 1 + 1 + 1)
+    assert peak < sample.offsets.nbytes + block + 10**6
+    assert peak <= _check_sample_size(n, trials, len(fib_measure.atoms), n + 1, np.int16)
+    # the Lipschitz check holds one chunk of step rows, not a second matrix
+    tracemalloc.start()
+    try:
+        assert sample.lipschitz_ok()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _check_rows(trials, 2) * trials * 2 + 10**5 < sample.offsets.nbytes / 2
 
 
 # --- displacement tails -----------------------------------------------------------------

@@ -60,7 +60,7 @@ def run(out: Path, trials: int, walk_length: int, entropy_steps: int, seed: int)
 
     rc = cli_main([
         "entropy", "--spec", str(spec_path), "--gens", str(gens_path),
-        "--n", str(entropy_steps), "--L", f"{scale:.6f}", "--seed", str(seed),
+        "--n", str(entropy_steps), "--L", f"{scale:.6f}",
         "--out", str(out / "entropy"),
     ])
     if rc:

@@ -88,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cylinder-depth scale (default 9.0)")
     p.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP,
                    help="ball element cap (default 2e6)")
-    p.add_argument("--seed", type=int, default=0, help="seed recorded in the manifest")
     return parser
 
 
@@ -114,6 +113,8 @@ def cmd_complexity(args, argv) -> int:
         raise ValidationError("--dump-factors must be >= 0")
     oracle = language_table(spec)
     rows = [(n, oracle.complexity(n)) for n in range(1, args.n + 1)]
+    # listed before the output directory is made, so a blown cap leaves none
+    dump = None if args.dump_factors is None else oracle.words(args.dump_factors)
     args.out.mkdir(parents=True, exist_ok=True)
     outputs = []
     table = fileio.write_table(args.out / "complexity", ("n", "rho"), rows, args.format)
@@ -125,8 +126,11 @@ def cmd_complexity(args, argv) -> int:
         fit["insufficient_data"] = "the language is empty: rho(n) = 0 has no logarithm"
     elif len(fit_rows) >= 2:
         ns = np.array([r[0] for r in fit_rows], dtype=float)
-        rhos = np.array([r[1] for r in fit_rows], dtype=float)
-        slope, intercept = np.polyfit(np.log(ns), np.log(rhos), 1)
+        try:
+            log_rhos = np.log(np.array([r[1] for r in fit_rows], dtype=float))
+        except OverflowError:  # past 2^1024, e.g. a full shift at n >= 1024
+            log_rhos = np.array([math.log(r[1]) for r in fit_rows])
+        slope, intercept = np.polyfit(np.log(ns), log_rhos, 1)
         fit.update(loglog_slope=float(slope), loglog_intercept=float(intercept))
     else:
         fit["insufficient_data"] = (
@@ -140,10 +144,9 @@ def cmd_complexity(args, argv) -> int:
     fileio.write_json(args.out / "complexity_fit.json", fit)
     outputs.append("complexity_fit.json")
 
-    if args.dump_factors is not None:
+    if dump is not None:
         name = f"factors_{args.dump_factors}.txt"
-        (args.out / name).write_text("\n".join(oracle.words(args.dump_factors)) + "\n",
-                                     encoding="utf-8")
+        (args.out / name).write_text("\n".join(dump) + "\n", encoding="utf-8")
         outputs.append(name)
 
     fileio.write_manifest(
@@ -286,8 +289,7 @@ def cmd_entropy(args, argv) -> int:
     fileio.write_manifest(
         args.out, "entropy", argv,
         {"spec": str(args.spec), "gens": str(args.gens), "measure": measure_desc,
-         "n": args.n, "L": args.depth_scale, "cap": args.cap, "seed": args.seed,
-         "format": args.format},
+         "n": args.n, "L": args.depth_scale, "cap": args.cap, "format": args.format},
         outputs,
     )
     if limit_hit is not None:

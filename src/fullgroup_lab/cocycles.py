@@ -16,6 +16,8 @@ the table sending the j-shifted subwindow to j.
 Word-metric balls are CayleyBall graphs: the elements in breadth-first
 order with their word lengths and depths, plus the index of every left
 product by a generator, which is all the exact chain in `walks` needs.
+`increment_table` holds every generator's shift along a point's orbit,
+the one orbit move that the walk sampler and the Schreier ball read.
 """
 
 from __future__ import annotations
@@ -188,6 +190,31 @@ def compose(g: CocycleElement, h: CocycleElement) -> CocycleElement:
 def evaluate(g: CocycleElement, point: Point, position: int = 0) -> int:
     """The shift g applies at the point shifted to `position`."""
     return g.shift_at(point.window(position, g.depth))
+
+
+def increment_table(gens: GeneratorSet, point: Point, span: int,
+                    dtype: np.dtype) -> np.ndarray:
+    """Row i holds generator i's `evaluate` at each offset in [-span, span]:
+    each offset's window is read once per generator depth and looked up in
+    the factor index, and every generator of that depth gathers its row by
+    those positions.  `table.T` is position-major and contiguous.  A window
+    outside the language raises SpecMismatch (a validating point raises
+    AdmissibilityViolation when it is read)."""
+    oracle = language_table(gens.spec)
+    table = np.zeros((2 * span + 1, len(gens)), dtype=dtype).T
+    for depth in {g.depth for _, g in gens}:
+        position = oracle.words(2 * depth + 1)
+        try:
+            cols = np.array([position[point.window(off, depth)]
+                             for off in range(-span, span + 1)])
+        except KeyError as exc:
+            raise SpecMismatch(
+                f"window {exc.args[0]!r} is not admissible for the generators' subshift"
+            ) from None
+        for i, (_, g) in enumerate(gens):
+            if g.depth == depth:
+                table[i] = np.array(g.shifts)[cols]
+    return table
 
 
 def equals(g: CocycleElement, h: CocycleElement) -> bool:

@@ -3,13 +3,15 @@
 Vertices are the integer orbit offsets of a fixed point (offset j stands
 for the point shifted j places), so aperiodic points are handled exactly.
 Edges carry generator names; loops record generators that fix a vertex.
+Every move is read from one `cocycles.increment_table` over the offsets
+the ball can reach, the same table the orbit-walk sampler steps through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cocycles import GeneratorSet, evaluate
+from .cocycles import GeneratorSet, increment_table
 from .errors import PeriodicCollision
 from .points import Point, is_periodic_window
 
@@ -67,13 +69,17 @@ def build_ball(point: Point, gens: GeneratorSet, radius: int) -> SchreierBall:
             f"within a radius-{radius} ball"
         )
 
+    # a vertex of layer r lies within k*r of 0; moves[v + span] holds each
+    # generator's shift at offset v
+    span = k * radius
+    moves = increment_table(gens, point, span, int).T.tolist()
     dist = {0: 0}
     frontier = [0]
     for layer in range(1, radius + 1):
         new = []
         for v in frontier:
-            for _, g in gens.elements:
-                w = v + evaluate(g, point, v)
+            for step in moves[v + span]:
+                w = v + step
                 if w not in dist:
                     dist[w] = layer
                     new.append(w)
@@ -83,8 +89,8 @@ def build_ball(point: Point, gens: GeneratorSet, radius: int) -> SchreierBall:
     vertices = tuple(sorted(dist))
     edges = []
     for v in vertices:
-        for name, g in gens.elements:
-            w = v + evaluate(g, point, v)
+        for name, step in zip(gens.names, moves[v + span]):
+            w = v + step
             if w in dist:
                 edges.append((v, name, w))
     return SchreierBall(point, radius, vertices, tuple(edges), k)

@@ -5,11 +5,12 @@ Two complementary routes are implemented and cross-checked:
 * exact convolution powers of the step measure on the word-metric ball
   of its atoms, held as integer path counts over D^n (D the common
   denominator of the atom weights), from which entropy, return
-  probabilities, and the depth-stability reports are computed exactly;
-  Fractions are built only where a report asks for one;
-* Monte-Carlo orbit walks that track the integer offset of a fixed point
-  along the trajectory, from which displacement tails are estimated and
-  fitted against a Gaussian-shaped envelope.
+  probabilities, the depth-stability reports and the group-element
+  diagnostics are computed exactly; Fractions are built only where a
+  report asks for one;
+* Monte-Carlo orbit walks, the only random draws, that track the integer
+  offset of a fixed point along the trajectory, from which displacement
+  tails are estimated and fitted against a Gaussian-shaped envelope.
 
 Each trial t draws from its own counter-based stream, Philox keyed by
 (seed mod 2^64, t), so results do not depend on trial batching.  One
@@ -17,10 +18,10 @@ generator per sampler call is rekeyed for each trial, and draws are mapped
 to atoms one block of trials at a time, in reused buffers: up to
 ATOM_COUNT_MAX atoms by counting the cumulative bounds each float passes,
 past that by one binary search.  Each step of a block then reads the
-position-major increment table once, flat at (offset + span) * atoms +
-atom.  Offsets are stored step-major, so each step's offsets across the
-trials are contiguous, and the Lipschitz check differences them a chunk of
-step rows at a time.  A sample whose arrays, all counted, would pass
+position-major `cocycles.increment_table` once, flat at (offset + span)
+* atoms + atom.  Offsets are stored step-major, so each step's offsets
+across the trials are contiguous, and the Lipschitz check differences them
+a chunk of step rows at a time.  A sample whose arrays, all counted, would pass
 MAX_SAMPLE_BYTES is refused with ResourceLimit before anything is
 allocated.
 """
@@ -40,9 +41,8 @@ from .cocycles import (
     CayleyBall,
     CocycleElement,
     GeneratorSet,
-    compose,
     evaluate,
-    identity,
+    increment_table,
     inverse,
     is_constant_on_cylinder,
 )
@@ -51,7 +51,6 @@ from .errors import (
     InsufficientData,
     InternalInvariantError,
     ResourceLimit,
-    SpecMismatch,
     ValidationError,
 )
 from .points import Point
@@ -307,32 +306,6 @@ def _check_rows(trials: int, itemsize: int) -> int:
     return max(1, CHECK_CHUNK_BYTES // (trials * itemsize))
 
 
-def _atom_increment_table(measure: StepMeasure, point: Point, span: int,
-                          dtype: np.dtype) -> np.ndarray:
-    """Row i holds atom i's shift at each offset in [-span, span]: each
-    offset's window is read once per atom depth and looked up in the
-    factor index, and every atom of that depth gathers its row by those
-    positions.  The table is the transposed view of a position-major
-    array, so `table.T.ravel()` is the sampler's flat table without a copy.
-    A window outside the language raises SpecMismatch (a validating point
-    raises AdmissibilityViolation when it is read)."""
-    oracle = language_table(measure.spec)
-    table = np.zeros((2 * span + 1, len(measure.atoms)), dtype=dtype).T
-    for depth in {g.depth for _, g, _ in measure.atoms}:
-        position = oracle.words(2 * depth + 1)
-        try:
-            cols = np.array([position[point.window(off, depth)]
-                             for off in range(-span, span + 1)])
-        except KeyError as exc:
-            raise SpecMismatch(
-                f"window {exc.args[0]!r} is not admissible for the measure's subshift"
-            ) from None
-        for i, (_, g, _) in enumerate(measure.atoms):
-            if g.depth == depth:
-                table[i] = np.array(g.shifts)[cols]
-    return table
-
-
 def _atom_index(cum: np.ndarray, x: np.ndarray, out: np.ndarray, mask: np.ndarray) -> None:
     """Write searchsorted(cum, x, side="right") into `out`, for x in [0, 1)
     and cum[-1] == 1.
@@ -427,7 +400,7 @@ def sample_orbit_walks(measure: StepMeasure, point: Point, n: int, trials: int,
     atoms = len(measure.atoms)
     _check_sample_size(n, trials, atoms, span, dtype)
     # atom a moves offset m by flat[(m + span) * atoms + a]
-    flat = _atom_increment_table(measure, point, span, dtype).T.ravel()
+    flat = increment_table(measure.generator_set(), point, span, dtype).T.ravel()
     steps = np.zeros((n + 1, trials), dtype=dtype)
     start = 0
     for draws in _atom_draws(measure, n, trials, seed):
@@ -776,51 +749,37 @@ def folner_growth_bound(alpha: float, epsilon: float, c2: float, n: int) -> floa
 
 
 # ---------------------------------------------------------------------------
-# Element sampling (used by the single-cylinder checks and diagnostics)
+# Exact group-element diagnostics
+
+SHANNON_QUANTILES = {"q10": Fraction(1, 10), "q50": Fraction(1, 2), "q90": Fraction(9, 10)}
 
 
-def sample_group_elements(measure: StepMeasure, n: int, trials: int,
-                          seed: int) -> dict[CocycleElement, int]:
-    """Sample `trials` walk endpoints g_n and count them by element."""
-    atoms = [g for _, g, _ in measure.atoms]
-    counts: dict[CocycleElement, int] = defaultdict(int)
-    for block in _atom_draws(measure, n, trials, seed):
-        for draws in block:
-            g = identity(measure.spec)
-            for idx in draws:
-                g = compose(atoms[idx], g)
-            counts[g] += 1
-    return dict(counts)
-
-
-def cylinder_nonconstancy_rate(measure: StepMeasure, word: str, n: int,
-                               trials: int, seed: int) -> float:
-    """Empirical probability that a sampled g_n is not constant on the
-    cylinder of `word`."""
-    counts = sample_group_elements(measure, n, trials, seed)
-    bad = sum(c for g, c in counts.items() if not is_constant_on_cylinder(g, word))
-    return bad / trials
-
-
-def shannon_path_diagnostic(chain: ConvolutionCache, n: int, trials: int, seed: int) -> dict:
-    """Report -(1/n) log mu^{*n}(g_n) along sampled paths (diagnostic only:
-    the almost-sure limit is asymptotic, no threshold is attached)."""
+def cylinder_nonconstancy_rate(chain: ConvolutionCache, word: str, n: int) -> Fraction:
+    """Exact probability that g_n is not constant on the cylinder of `word`,
+    as path counts over D^n; only elements deeper than the cylinder can be."""
+    if len(word) % 2 != 1:
+        raise ValueError("cylinder words have odd length")
     dist = chain.power(n)
-    counts = sample_group_elements(chain.measure, n, trials, seed)
-    vals = []
-    for g, c in counts.items():
-        p = dist.probs.get(g)
-        if p is None:
-            raise InternalInvariantError("sampled element missing from exact support")
-        vals.extend([-math.log(float(p)) / n] * c)
-    arr = np.asarray(vals)
-    return {
-        "n": n,
-        "trials": trials,
-        "mean": float(arr.mean()),
-        "quantiles": {
-            "q10": float(np.quantile(arr, 0.10)),
-            "q50": float(np.quantile(arr, 0.50)),
-            "q90": float(np.quantile(arr, 0.90)),
-        },
-    }
+    elements = chain.ball.elements
+    deep = chain.ball.depths[dist.index] > (len(word) - 1) // 2
+    bad = sum(c for i, c in zip(dist.index[deep].tolist(), dist.counts[deep].tolist())
+              if not is_constant_on_cylinder(elements[i], word))
+    return Fraction(bad, dist.denominator)
+
+
+def shannon_path_diagnostic(chain: ConvolutionCache, n: int) -> dict:
+    """Law of -(1/n) log mu^{*n}(g) under g ~ mu^{*n} (diagnostic only: the
+    almost-sure limit is asymptotic, no threshold is attached).
+
+    The mean is H(mu^{*n})/n.  Quantile q is the value of the first support
+    element, in ascending order of value (descending count), at which the
+    cumulative count reaches q D^n: integer compares only.
+    """
+    dist = chain.power(n)
+    counts = np.sort(dist.counts)[::-1]
+    cumulative = np.cumsum(counts)
+    quantiles = {}
+    for name, q in SHANNON_QUANTILES.items():
+        c = int(counts[np.searchsorted(cumulative, math.ceil(q * dist.denominator))])
+        quantiles[name] = -math.log(c / dist.denominator) / n
+    return {"n": n, "mean": entropy(dist) / n, "quantiles": quantiles}

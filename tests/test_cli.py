@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -64,6 +65,30 @@ def test_complexity_full_shift_powers(workdir, tmp_path):
     assert run(["complexity", "--spec", tmp_path / "full.json", "--n", 12, "--out", out]) == 0
     rows = read_rows(out / "complexity.csv")
     assert [int(r["rho"]) for r in rows] == [2**n for n in range(1, 13)]
+
+
+def test_complexity_past_the_float_range(tmp_path, capsys):
+    # rho(n) = 2^n passes the largest float at n = 1024
+    write_json(tmp_path / "full.json", {"variant": "full_shift", "alphabet": ["a", "b"]})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["complexity", "--spec", tmp_path / "full.json", "--n", 1100,
+                    "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    assert int(read_rows(out / "complexity.csv")[-1]["rho"]) == 2**1100
+    fit = json.loads((out / "complexity_fit.json").read_text())
+    assert math.isfinite(fit["loglog_slope"]) and math.isfinite(fit["loglog_intercept"])
+    assert "complexity_fit.json" in json.loads((out / "manifest.json").read_text())["outputs"]
+
+
+def test_factor_dump_past_the_cap_leaves_no_directory(tmp_path, capsys):
+    write_json(tmp_path / "full.json", {"variant": "full_shift", "alphabet": ["a", "b"]})
+    out = tmp_path / "out"
+    assert run(["complexity", "--spec", tmp_path / "full.json", "--n", 4,
+                "--dump-factors", 40, "--out", out]) == 3
+    assert capsys.readouterr().err.startswith("resource limit: ")
+    assert not out.exists()
 
 
 def test_complexity_factor_dump(workdir):
@@ -140,8 +165,6 @@ def test_toeplitz_coprime_exponent_reported(tmp_path):
     out = tmp_path / "out"
     assert run(["complexity", "--spec", tmp_path / "toep.json", "--n", 30, "--out", out]) == 0
     fit = json.loads((out / "complexity_fit.json").read_text())
-    import math
-
     assert fit["coprime_exponent"] == pytest.approx(math.log(5) / math.log(2.5))
 
 
@@ -184,10 +207,18 @@ def test_walk_seed_changes_output(workdir):
     assert (out1 / "walk_summary.csv").read_bytes() != (out2 / "walk_summary.csv").read_bytes()
 
 
-def test_manifest_replay_reproduces_outputs(workdir):
+REPLAY_ARGS = {
+    "walk": ("--gens", "gens.json", "--n", 30, "--trials", 500, "--seed", 3),
+    "entropy": ("--gens", "gens.json", "--n", 6, "--L", 4.5),
+    "complexity": ("--n", 40, "--dump-factors", 5),
+}
+
+
+@pytest.mark.parametrize("command", list(REPLAY_ARGS))
+def test_manifest_replay_reproduces_outputs(workdir, command):
     out1 = workdir / "r1"
-    assert run(["walk", "--spec", workdir / "fib.json", "--gens", workdir / "gens.json",
-                "--n", 30, "--trials", 500, "--seed", 3, "--out", out1]) == 0
+    args = [workdir / a if str(a).endswith(".json") else a for a in REPLAY_ARGS[command]]
+    assert run([command, "--spec", workdir / "fib.json", *args, "--out", out1]) == 0
     manifest = json.loads((out1 / "manifest.json").read_text())
     replay_argv = list(manifest["argv"])
     replay_argv[replay_argv.index(str(out1))] = str(workdir / "r2")
@@ -195,6 +226,16 @@ def test_manifest_replay_reproduces_outputs(workdir):
     for name in manifest["outputs"]:
         if name != "manifest.json":
             assert (out1 / name).read_bytes() == (workdir / "r2" / name).read_bytes()
+
+
+def test_entropy_takes_no_seed(workdir, capsys):
+    out = workdir / "x"
+    with pytest.raises(SystemExit) as exc:
+        run(["entropy", "--spec", workdir / "fib.json", "--gens", workdir / "gens.json",
+             "--n", 4, "--seed", 1, "--out", out])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_walk_with_large_shift_generators(workdir):

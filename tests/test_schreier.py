@@ -8,6 +8,7 @@ from fullgroup_lab import (
     PeriodicCollision,
     PeriodicPoint,
     build_ball,
+    evaluate,
     export_adjacency_csv,
     export_dot,
     from_table,
@@ -107,3 +108,37 @@ def test_aperiodic_point_is_fine_with_shift_generators(fib_spec, fib_point):
     gens = GeneratorSet(fib_spec, (("s", tau), ("i", inverse(tau))))
     ball = build_ball(fib_point, gens, 5)
     assert ball.vertices == tuple(range(-5, 6))
+
+
+def _evaluated_ball(point, gens, radius):
+    """Reference search: two `evaluate` calls per vertex and generator, one
+    to explore and one to list the edges."""
+    dist = {0: 0}
+    frontier = [0]
+    for layer in range(1, radius + 1):
+        new = []
+        for v in frontier:
+            for _, g in gens:
+                w = v + evaluate(g, point, v)
+                if w not in dist:
+                    dist[w] = layer
+                    new.append(w)
+        frontier = new
+    edges = tuple((v, name, v + evaluate(g, point, v)) for v in sorted(dist)
+                  for name, g in gens if v + evaluate(g, point, v) in dist)
+    return tuple(sorted(dist)), edges
+
+
+@pytest.mark.parametrize("which", ["shift", "fibonacci"])
+def test_ball_equals_the_evaluate_reference(fib_spec, fib_gens, fib_point, which):
+    from fullgroup_lab import factors
+
+    if which == "shift":
+        tau = from_table(fib_spec, 0, {w: 1 for w in factors(fib_spec, 1)})
+        gens = GeneratorSet(fib_spec, (("s", tau), ("i", inverse(tau))))
+    else:
+        gens = fib_gens
+    for radius in (0, 1, 4, 9):
+        ball = build_ball(fib_point, gens, radius)
+        assert ball.max_shift == 1
+        assert (ball.vertices, ball.edges) == _evaluated_ball(fib_point, gens, radius)

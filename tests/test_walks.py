@@ -35,6 +35,7 @@ from fullgroup_lab import (
     from_table,
     identity,
     inverse,
+    is_constant_on_cylinder,
     max_displacement_tail,
     mixture_entropy_check,
     pushforward_offsets,
@@ -46,13 +47,13 @@ from fullgroup_lab import (
     total_variation,
     uniform_measure,
 )
-from fullgroup_lab.cocycles import DEFAULT_BALL_CAP
+from fullgroup_lab.cocycles import DEFAULT_BALL_CAP, increment_table
 from fullgroup_lab.walks import (
     ATOM_COUNT_MAX,
     CHECK_CHUNK_BYTES,
     DRAW_BLOCK,
+    SHANNON_QUANTILES,
     _atom_draws,
-    _atom_increment_table,
     _atom_index,
     _check_rows,
     _check_sample_size,
@@ -470,7 +471,7 @@ def test_atom_increment_table_equals_evaluate(fib_measure, fib_point, which):
     measure = fib_measure if which == "fibonacci" else _many_atoms_measure()[0]
     point = fib_point if which == "fibonacci" else canonical_point(measure.spec)
     span = measure.max_shift * 3 + 1
-    table = _atom_increment_table(measure, point, span, np.int16)
+    table = increment_table(measure.generator_set(), point, span, np.int16)
     assert table.dtype == np.int16 and table.shape == (len(measure.atoms), 2 * span + 1)
     assert np.array_equal(table, _evaluated_increment_table(measure, point, span))
 
@@ -483,7 +484,7 @@ def test_atom_increment_table_rejects_inadmissible_windows(fib_spec, fib_gens, f
     with pytest.raises(error):
         evaluate(fib_gens["gamma"], point, 0)
     with pytest.raises(error):
-        _atom_increment_table(fib_measure, point, 3, np.int16)
+        increment_table(fib_measure.generator_set(), point, 3, np.int16)
 
 
 def test_negative_and_large_seeds_give_distinct_samples(fib_measure, fib_point):
@@ -654,22 +655,22 @@ def test_folner_bound_domain_errors():
         folner_growth_bound(1.5, -0.1, 1.0, 5)
 
 
-# --- sampled-element diagnostics --------------------------------------------------------------
+# --- exact group-element diagnostics --------------------------------------------------------
 
 
-def test_cylinder_nonconstancy_rare_at_large_depth(fib_spec, fib_measure, fib_point):
+def test_cylinder_nonconstancy_rare_at_large_depth(fib_spec, fib_cache, fib_point):
     word = fib_point.window(0, cylinder_depth(8, 9.0))
-    rate = cylinder_nonconstancy_rate(fib_measure, word, 8, 300, seed=3)
+    rate = cylinder_nonconstancy_rate(fib_cache, word, 8)
     assert rate == 0.0  # depth 8 walks cannot reach depth-15 cylinders
 
 
-def test_single_cylinder_nonconstancy_bound(fib_measure, fib_point, tail_sample):
+def test_single_cylinder_nonconstancy_bound(fib_cache, fib_point, tail_sample):
     # the non-constancy probability on a depth-d(n) cylinder is controlled
     # by C1 * n^(-L / 4D) with the constants read off the tail fit
     n, scale = 10, 9.0
     curve = max_displacement_tail(tail_sample, supported_a_grid(tail_sample))
     word = fib_point.window(0, cylinder_depth(n, scale))
-    rate = cylinder_nonconstancy_rate(fib_measure, word, n, 400, seed=17)
+    rate = cylinder_nonconstancy_rate(fib_cache, word, n)
     bound = curve.fit.c * n ** (-scale / (4.0 * curve.fit.d))
     assert rate <= bound
 
@@ -683,7 +684,51 @@ def test_default_depth_scale_exceeds_eight_fits(tail_sample):
 
 
 def test_shannon_diagnostic_reports(fib_cache):
-    diag = shannon_path_diagnostic(fib_cache, 8, 200, seed=5)
+    diag = shannon_path_diagnostic(fib_cache, 8)
     assert diag["n"] == 8
     assert 0 < diag["quantiles"]["q10"] <= diag["quantiles"]["q90"]
     assert diag["mean"] > 0
+
+
+def _nonconstancy_oracle(law, word):
+    """Mass of the law on elements not constant on the cylinder of `word`."""
+    return sum((p for g, p in law.items() if not is_constant_on_cylinder(g, word)),
+               Fraction(0))
+
+
+def _shannon_oracle(law, n):
+    """Mean and lower weighted quantiles of -log(p)/n under the law: the
+    value at which the Fraction mass, summed in ascending order of value,
+    first reaches q."""
+    values = sorted((-math.log(float(p)) / n, p) for p in law.values())
+    quantiles = {}
+    for name, q in SHANNON_QUANTILES.items():
+        mass = Fraction(0)
+        for value, p in values:
+            mass += p
+            if mass >= q:
+                quantiles[name] = value
+                break
+    return fraction_entropy(law) / n, quantiles
+
+
+def test_exact_diagnostics_equal_the_fraction_oracle(fib_measure, fib_point):
+    laws = fraction_chain(fib_measure, 8)
+    chain = chain_of(fib_measure)
+    for n in range(1, 9):
+        words = ["a", "b", "aba", "baa", fib_point.window(0, 2), fib_point.window(3, 3),
+                 fib_point.window(0, cylinder_depth(n, 9.0))]
+        for word in words:
+            rate = cylinder_nonconstancy_rate(chain, word, n)
+            assert type(rate) is Fraction
+            assert rate == _nonconstancy_oracle(laws[n], word)
+        mean, quantiles = _shannon_oracle(laws[n], n)
+        diag = shannon_path_diagnostic(chain, n)
+        assert diag == {"n": n, "mean": mean, "quantiles": quantiles}
+    # deeper elements cut a short cylinder, so this sum is not empty
+    assert cylinder_nonconstancy_rate(chain, "a", 4) == Fraction(58, 81)
+
+
+def test_nonconstancy_rate_rejects_even_words(fib_cache):
+    with pytest.raises(ValueError):
+        cylinder_nonconstancy_rate(fib_cache, "ab", 2)

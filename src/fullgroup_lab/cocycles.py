@@ -8,20 +8,24 @@ shifts) identity is element identity and elements can key dictionaries
 directly.  Operations read a vector on longer words through the index maps
 of `LanguageTable.subwords`, never by slicing words.
 
-Composition follows the cocycle rule k_{gh}(x) = k_g(hx) + k_h(x);
-inversion and the invertibility check both run the same preimage search:
-at depth l+K every admissible word must select exactly one shift j with
-the table sending the j-shifted subwindow to j.
+Composition follows the cocycle rule k_{gh}(x) = k_g(hx) + k_h(x), which
+for a constant g is h's vector plus that constant; inversion and the
+invertibility check both run the same preimage search: at depth l+K every
+admissible word must select exactly one shift j with the table sending the
+j-shifted subwindow to j.
 
 Word-metric balls are CayleyBall graphs: the elements in breadth-first
 order with their word lengths and depths, plus the index of every left
 product by a generator, which is all the exact chain in `walks` needs.
+A ball composes a whole layer of shift rows at once with the same rule,
+as array gathers, and builds elements only when they are asked for.
 `increment_table` holds every generator's shift along a point's orbit,
 the one orbit move that the walk sampler and the Schreier ball read.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -176,6 +180,10 @@ def compose(g: CocycleElement, h: CocycleElement) -> CocycleElement:
     """The element g.h (h acts first)."""
     if g.spec != h.spec:
         raise SpecMismatch("cannot compose elements over different subshifts")
+    if len(set(g.shifts)) == 1:
+        # a constant shift c moves every point by c: k_{gh}(x) = c + k_h(x)
+        c = g.shifts[0]
+        return CocycleElement(g.spec, h.depth, tuple(k + c for k in h.shifts))
     d = max(h.depth, g.depth + h.max_shift)
     n = 2 * d + 1
     oracle = language_table(g.spec)
@@ -344,6 +352,20 @@ def fibonacci_generators(spec: SubstitutionSpec) -> GeneratorSet:
     return GeneratorSet(spec, (("alpha", alpha), ("beta", beta), ("gamma", gamma)))
 
 
+def _row_dtype(bound: int) -> np.dtype:
+    """The narrowest signed integer type that holds every shift up to `bound`."""
+    for kind in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(kind).max:
+            return np.dtype(kind)
+    return np.dtype(np.int64)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One bytes key per row of a 2-D array: keys are equal iff rows are."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+
+
 class CayleyBall(Mapping):
     """The word-metric ball of a generator set, read as a mapping from
     element to word length in breadth-first order.
@@ -352,73 +374,204 @@ class CayleyBall(Mapping):
     `lengths[i]` and table depth `depths[i]`.  For every element shorter
     than `radius`, row i of the int32 array `neighbors` holds the index of
     compose(s, elements[i]) for each generator s in order: the edges of the
-    left walk.  Those elements are a prefix of `elements`.  An edge back to
-    the layer before is read off the forward edge of the inverse
-    generator, when the set holds one, so only the other edges are
-    composed.
+    left walk.  Those elements are a prefix of `elements`.
+
+    The ball keeps each element as a row of shifts in one 2-D array per
+    table depth, of the narrowest integer type that holds radius times the
+    generators' largest shift.  `grow` composes a whole layer at once, and
+    `CocycleElement`s are built from the rows only when `elements`, the
+    iteration or a lookup asks for them.  An edge back to the layer before
+    is read off the forward edge of the inverse generator, when the set
+    holds one, so only the other edges are composed; `composed_cells`
+    counts the (element, generator) cells composed so far.
     """
 
     def __init__(self, gens: GeneratorSet, cap: int):
         self.gens = gens
         self.cap = cap
         self.radius = 0
-        self.elements = [identity(gens.spec)]
-        self._index = {self.elements[0]: 0}
+        self.composed_cells = 0
         self.lengths = np.zeros(1, dtype=np.int64)
         self.depths = np.zeros(1, dtype=np.int64)
         self.neighbors = np.empty((0, len(gens)), dtype=np.int32)
+        oracle = language_table(gens.spec)
+        self._atoms = [s for _, s in gens.elements]
+        self._rows = {0: np.zeros((1, len(oracle.words(1))), dtype=np.int8)}
+        self._slots = np.zeros(1, dtype=np.int64)  # element i is _rows[depths[i]][_slots[i]]
+        self._reach = np.zeros(1, dtype=np.int64)  # element i's largest absolute shift
+        self._steps: dict[tuple[int, int, int], tuple] = {}
+        self._elements: list[CocycleElement] = []
+        self._index: dict[CocycleElement, int] = {}
+
+    @property
+    def elements(self) -> list[CocycleElement]:
+        """The elements in breadth-first order, built from the rows on
+        first use."""
+        built = self._elements
+        if len(built) < len(self.lengths):
+            rows = {d: r.tolist() for d, r in self._rows.items()}
+            spec = self.gens.spec
+            built.extend(
+                CocycleElement(spec, d, tuple(rows[d][slot]))
+                for d, slot in zip(self.depths[len(built):].tolist(),
+                                   self._slots[len(built):].tolist())
+            )
+        return built
 
     def grow(self, radius: int) -> None:
         """Continue the breadth-first search out to `radius`.  A layer that
         would take the ball past `cap` elements raises ResourceLimit and
         leaves the ball as it was.  Back edges are read, not composed; they
         never reach a new element, so elements are found in the same order
-        as by composing every edge."""
-        atoms = [s for _, s in self.gens.elements]
-        position = {s: a for a, s in enumerate(atoms)}
+        as by composing every edge, one element and one generator at a
+        time."""
+        if radius <= self.radius:
+            return
+        dtype = _row_dtype(radius * self.gens.max_shift)
+        if dtype.itemsize > self._rows[0].dtype.itemsize:
+            self._rows = {d: r.astype(dtype) for d, r in self._rows.items()}
+        position = {s: a for a, s in enumerate(self._atoms)}
         # back[a]: a generator that undoes atom a, or -1
-        back = np.array([position.get(inverse(s), -1) for s in atoms], dtype=np.int64)
+        back = np.array([position.get(inverse(s), -1) for s in self._atoms], dtype=np.int64)
         while self.radius < radius:
-            first, size = len(self.neighbors), len(self.elements)
-            new: dict[CocycleElement, int] = {}
-            rows = np.full((size - first, len(atoms)), -1, dtype=np.int32)
-            # an edge p -> s.p from the layer before, with s.p in this layer,
-            # gives the edge s.p -> p by the inverse of s: read, not composed
-            start = int(np.searchsorted(self.lengths, self.radius - 1))
-            last = self.neighbors[start:]
-            p, a = np.nonzero((last >= first) & (back >= 0))
-            rows[last[p, a] - first, back[a]] = start + p
-            for i, row in enumerate(rows.tolist(), start=first):
-                g = self.elements[i]
-                for a, s in enumerate(atoms):
-                    if row[a] >= 0:
-                        continue
-                    prod = compose(s, g)
-                    j = self._index.get(prod)
-                    if j is None:
-                        j = new.setdefault(prod, size + len(new))
-                        if j >= self.cap:
-                            raise ResourceLimit(
-                                f"ball enumeration exceeded {self.cap} elements"
-                            )
-                    rows[i - first, a] = j
-            self.radius += 1
-            self.elements.extend(new)
-            self._index.update(new)
-            self.lengths = np.concatenate([self.lengths, np.full(len(new), self.radius)])
-            self.depths = np.concatenate(
-                [self.depths, np.array([g.depth for g in new], dtype=np.int64)]
+            self._grow_layer(back)
+
+    def _step(self, depth: int, reach: int, a: int) -> tuple:
+        """How generator a composes with elements of this depth and largest
+        shift: the product depth d, the positions on the (2d+1)-words that
+        read the element's shift k, and a word-major table of a's shift on
+        every word's window moved by each k in [-reach, reach]."""
+        key = (depth, reach, a)
+        got = self._steps.get(key)
+        if got is None:
+            s, oracle = self._atoms[a], language_table(self.gens.spec)
+            d = max(depth, s.depth + reach)
+            n = 2 * d + 1
+            shifts = np.array(s.shifts, dtype=self._rows[0].dtype)
+            table = np.stack([
+                shifts[np.array(oracle.subwords(n, d - s.depth + k, 2 * s.depth + 1))]
+                for k in range(-reach, reach + 1)
+            ], axis=1)
+            # the product's shift on word w is table[w, k + reach] + k
+            base = np.arange(len(table), dtype=np.intp) * (2 * reach + 1) + reach
+            got = self._steps[key] = (
+                d, np.array(oracle.subwords(n, d - depth, 2 * depth + 1), dtype=np.intp),
+                base, table.ravel(),
             )
-            self.neighbors = np.concatenate([self.neighbors, rows])
+        return got
+
+    def _grow_layer(self, back: np.ndarray) -> None:
+        oracle = language_table(self.gens.spec)
+        first, size, width = len(self.neighbors), len(self.lengths), len(self._atoms)
+        rows = np.full((size - first, width), -1, dtype=np.int32)
+        # an edge p -> s.p from the layer before, with s.p in this layer,
+        # gives the edge s.p -> p by the inverse of s: read, not composed
+        start = int(np.searchsorted(self.lengths, self.radius - 1))
+        last = self.neighbors[start:]
+        p, a = np.nonzero((last >= first) & (back >= 0))
+        rows[last[p, a] - first, back[a]] = start + p
+
+        # compose every open cell, a group of equal (depth, largest shift) at
+        # a time; a cell is member * width + atom, its rank in the
+        # one-at-a-time order.  built: products at the depth they are built
+        # at; canonical: products already in canonical form
+        built, canonical = defaultdict(list), defaultdict(list)
+        composed = 0
+        depths, reach = self.depths[first:], self._reach[first:]
+        groups, group_of, sizes = np.unique(np.stack([depths, reach], axis=1), axis=0,
+                                            return_inverse=True, return_counts=True)
+        order = np.argsort(group_of.ravel(), kind="stable")
+        for (depth, m), members in zip(groups.tolist(),
+                                       np.split(order, np.cumsum(sizes)[:-1])):
+            shifts = self._rows[depth][self._slots[first + members]]
+            for a, s in enumerate(self._atoms):
+                todo = rows[members, a] < 0
+                h = shifts[todo]
+                cells = members[todo] * width + a
+                composed += len(cells)
+                if not len(cells):
+                    continue
+                if len(set(s.shifts)) == 1:
+                    # a constant shift c moves every point by c: k_{sh} = c + k_h
+                    canonical[depth].append((h + s.shifts[0], cells))
+                    continue
+                d, read, base, table = self._step(depth, m, a)
+                k = h[:, read]
+                built[d].append((table[k.astype(np.intp) + base] + k, cells))
+
+        # canonical reduction of all products, one depth at a time from the top
+        for d in range(max(built, default=-1), -1, -1):
+            parts = built.pop(d, None)
+            if not parts:
+                continue
+            shifts, cells = (np.concatenate(x) for x in zip(*parts))
+            plan = oracle.siblings(2 * d + 1) if d > 0 else None
+            if plan is not None:
+                pick, left, right = plan.positions
+                fold = (shifts[:, left] == shifts[:, right]).all(axis=1)
+                if fold.any():
+                    built[d - 1].append((shifts[fold][:, pick], cells[fold]))
+                    shifts, cells = shifts[~fold], cells[~fold]
+            canonical[d].append((shifts, cells))
+
+        # deduplicate against layers r-1 and r: a product of a layer-r
+        # element has length r-1, r or r+1.  A new element is first found at
+        # its smallest cell, and new elements are numbered in that order; until
+        # then a cell holds -1 - (that first cell).
+        targets = rows.astype(np.int64).ravel()
+        added = []
+        for d, parts in canonical.items():
+            shifts, cells = (np.concatenate(x) for x in zip(*parts))
+            by_cell = np.argsort(cells)
+            shifts, cells = shifts[by_cell], cells[by_cell]
+            known = start + np.flatnonzero(self.depths[start:] == d)
+            old = self._rows[d][self._slots[known]] if d in self._rows else shifts[:0]
+            _, firsts, which = np.unique(_row_keys(np.concatenate([old, shifts])),
+                                         return_index=True, return_inverse=True)
+            is_old = firsts < len(old)
+            label = np.empty(len(firsts), dtype=np.int64)
+            label[is_old] = known[firsts[is_old]]
+            label[~is_old] = -1 - cells[firsts[~is_old] - len(old)]
+            targets[cells] = label[which.ravel()[len(old):]]
+            fresh = np.sort(firsts[~is_old]) - len(old)
+            added.append((d, shifts[fresh], cells[fresh]))
+        fresh_cells = np.sort(np.concatenate([np.empty(0, dtype=np.int64),
+                                              *(c for _, _, c in added)]))
+        if len(fresh_cells) and size + len(fresh_cells) > self.cap:
+            raise ResourceLimit(f"ball enumeration exceeded {self.cap} elements")
+        pending = targets < 0
+        targets[pending] = size + np.searchsorted(fresh_cells, -1 - targets[pending])
+        rows = targets.reshape(rows.shape).astype(np.int32)
+
+        new_depths = np.empty(len(fresh_cells), dtype=np.int64)
+        new_slots = np.empty_like(new_depths)
+        new_reach = np.empty_like(new_depths)
+        for d, new, cells in added:
+            ids = np.searchsorted(fresh_cells, cells)
+            held = len(self._rows.get(d, ()))
+            new_depths[ids] = d
+            new_slots[ids] = held + np.arange(len(new))
+            new_reach[ids] = np.abs(new).max(axis=1, initial=0)
+            self._rows[d] = np.concatenate([self._rows[d], new]) if held else new
+        self.radius += 1
+        self.composed_cells += composed
+        self.lengths = np.concatenate([self.lengths, np.full(len(new_depths), self.radius)])
+        self.depths = np.concatenate([self.depths, new_depths])
+        self._slots = np.concatenate([self._slots, new_slots])
+        self._reach = np.concatenate([self._reach, new_reach])
+        self.neighbors = np.concatenate([self.neighbors, rows])
 
     def __getitem__(self, g: CocycleElement) -> int:
-        return int(self.lengths[self._index[g]])
+        elements, index = self.elements, self._index
+        for i in range(len(index), len(elements)):
+            index[elements[i]] = i
+        return int(self.lengths[index[g]])
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.lengths)
 
 
 def ball(gens: GeneratorSet, radius: int, cap: int = DEFAULT_BALL_CAP) -> CayleyBall:

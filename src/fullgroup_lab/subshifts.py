@@ -693,11 +693,13 @@ def _gather(positions: list[int]) -> Callable[[tuple], tuple]:
 class _SiblingPlan(NamedTuple):
     """How a vector over the n-words factors through their (n-2)-centres:
     it does iff left(v) == right(v), and then its vector over the centres
-    is pick(v)."""
+    is pick(v).  `positions` holds the same three reads as index arrays,
+    for the columns of a batch of vectors."""
 
     pick: Callable[[tuple], tuple]
     left: Callable[[tuple], tuple]
     right: Callable[[tuple], tuple]
+    positions: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class LanguageTable:
@@ -779,9 +781,10 @@ class LanguageTable:
             plan = None
             if len(first) == len(self.words(n - 2)):
                 pairs = [(i, first[c]) for i, c in enumerate(centre) if first[c] != i]
-                plan = _SiblingPlan(_gather([first[c] for c in range(len(first))]),
-                                    _gather([i for i, _ in pairs]),
-                                    _gather([j for _, j in pairs]))
+                reads = ([first[c] for c in range(len(first))],
+                         [i for i, _ in pairs], [j for _, j in pairs])
+                plan = _SiblingPlan(*map(_gather, reads),
+                                    tuple(np.array(r, dtype=np.intp) for r in reads))
             self._siblings[n] = plan
         return plan
 

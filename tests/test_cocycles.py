@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -32,8 +33,8 @@ from fullgroup_lab import (
     is_constant_on_depth,
     language_table,
 )
-from fullgroup_lab import cocycles, subshifts
-from fullgroup_lab.cocycles import _reduce_depth, _refined
+from fullgroup_lab import subshifts
+from fullgroup_lab.cocycles import CocycleElement, _reduce_depth, _refined
 
 
 @pytest.fixture(scope="module")
@@ -323,17 +324,83 @@ def test_ball_back_edges_match_direct_composes(fib_spec, fib_gens, abg):
     _assert_rows_are_left_products(ball(gens, 5), gens)
 
 
-def test_ball_composes_only_the_forward_edges(fib_gens, monkeypatch):
-    calls = 0
+def test_ball_composes_only_the_forward_edges(fib_gens):
+    b = ball(fib_gens, 12)
+    # 16,437 cells when the 5,586 back edges are composed too
+    assert b.composed_cells == 10_851
+    assert b.composed_cells + 5_586 == b.neighbors.size
 
-    def counting_compose(g, h):
-        nonlocal calls
-        calls += 1
-        return compose(g, h)
 
-    monkeypatch.setattr(cocycles, "compose", counting_compose)
-    ball(fib_gens, 12)
-    assert calls == 10_851  # 16,437 when the 5,586 back edges are composed too
+def _reference_ball(gens, radius):
+    """The ball by one `compose` per edge: a dict index, every edge composed."""
+    atoms = [s for _, s in gens.elements]
+    elements, lengths = [identity(gens.spec)], [0]
+    index, rows = {elements[0]: 0}, []
+    for i, g in enumerate(elements):
+        if lengths[i] == radius:
+            break
+        row = []
+        for s in atoms:
+            prod = compose(s, g)
+            if prod not in index:
+                index[prod] = len(elements)
+                elements.append(prod)
+                lengths.append(lengths[i] + 1)
+            row.append(index[prod])
+        rows.append(row)
+    return elements, lengths, [g.depth for g in elements], rows
+
+
+def _swap(spec, two):
+    """The involution exchanging the two letters of each occurrence of `two`."""
+    return from_table(spec, 1, {
+        w: 1 if w[1:] == two else -1 if w[:2] == two else 0 for w in factors(spec, 3)
+    })
+
+
+def _oracle_generator_sets():
+    toeplitz = ToeplitzSpec("ab*b*")
+    full = FullShiftSpec(("a", "b"))
+    fib = fibonacci_spec()
+    alpha = fibonacci_generators(fib)["alpha"]
+    return {
+        "toeplitz-swaps": (GeneratorSet(toeplitz, (("ab", _swap(toeplitz, "ab")),
+                                                   ("ba", _swap(toeplitz, "ba")))), 10),
+        "full-shift": (GeneratorSet(full, (("tau", from_table(full, 0, {"a": 1, "b": 1})),
+                                           ("swap", _swap(full, "ab")))), 5),
+        "alpha-sigma": (GeneratorSet(fib, (("alpha", alpha),
+                                           ("sigma", from_table(fib, 0, {"a": 1, "b": 1})))), 6),
+        # 3 x 43 passes the int8 range of the rows
+        "sigma-43": (GeneratorSet(fib, (("alpha", alpha),
+                                        ("sigma43", from_table(fib, 0, {"a": 43, "b": 43})))), 3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_generator_sets()))
+def test_ball_equals_the_compose_per_edge_reference(name):
+    gens, radius = _oracle_generator_sets()[name]
+    b = ball(gens, radius)
+    elements, lengths, depths, rows = _reference_ball(gens, radius)
+    assert b.elements == elements
+    assert b.lengths.tolist() == lengths and b.depths.tolist() == depths
+    assert b.neighbors.tolist() == rows
+
+
+def _ball_digest(b):
+    digest = hashlib.sha256()
+    for g in b.elements:
+        digest.update(repr((g.depth, g.shifts)).encode())
+    for array, dtype in ((b.lengths, "<i8"), (b.depths, "<i8"), (b.neighbors, "<i4")):
+        digest.update(array.astype(dtype).tobytes())
+    return digest.hexdigest()
+
+
+def test_ball_order_is_pinned(fib_gens):
+    # every element's (depth, shifts) in order, then lengths, depths and
+    # neighbors: a change that reorders the ball changes this digest
+    assert _ball_digest(ball(fib_gens, 12)) == (
+        "30d62d7560b10272c5ec16de0b47c96f15d9e2fc598c68e8a1b898a4783e377f"
+    )
 
 
 def test_sibling_plans_are_one_per_word_length(fib_gens, monkeypatch):
@@ -486,15 +553,23 @@ def test_shift_powers_match_the_dict_oracle_on_the_full_shift():
     _assert_matches_dict_oracle([from_table(fs, 0, {"a": j, "b": j}) for j in range(1, 7)])
 
 
+def test_compose_with_a_constant_left_factor():
+    fs = FullShiftSpec(("a", "b"))
+    tau = from_table(fs, 0, {"a": 1, "b": 1})
+    power = tau
+    for k in range(1, 21):
+        # built over all 2^(2k+1) words of depth k, the product passes the
+        # factor cap at k = 20
+        product = compose(tau, power)
+        assert product == CocycleElement(fs, 0, (k + 1, k + 1))
+        if k <= 6:
+            assert product.to_dict() == _dict_compose(tau, power)
+        power = product
+
+
 def test_toeplitz_swaps_match_the_dict_oracle():
     spec = ToeplitzSpec("ab*b*")
-
-    def swap(two):
-        return from_table(spec, 1, {
-            w: 1 if w[1:] == two else -1 if w[:2] == two else 0 for w in factors(spec, 3)
-        })
-
-    g, h = swap("ab"), swap("ba")
+    g, h = _swap(spec, "ab"), _swap(spec, "ba")
     assert g.max_shift == h.max_shift == 1
     _assert_matches_dict_oracle([g, h, compose(g, h), compose(h, compose(g, h))])
 

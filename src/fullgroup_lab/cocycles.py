@@ -383,7 +383,9 @@ class CayleyBall(Mapping):
     iteration or a lookup asks for them.  An edge back to the layer before
     is read off the forward edge of the inverse generator, when the set
     holds one, so only the other edges are composed; `composed_cells`
-    counts the (element, generator) cells composed so far.
+    counts the (element, generator) cells composed so far.  Products are
+    deduplicated against the last two layers when the set is
+    inverse-closed, and against the whole ball when it is not.
     """
 
     def __init__(self, gens: GeneratorSet, cap: int):
@@ -434,7 +436,7 @@ class CayleyBall(Mapping):
         # back[a]: a generator that undoes atom a, or -1
         back = np.array([position.get(inverse(s), -1) for s in self._atoms], dtype=np.int64)
         while self.radius < radius:
-            self._grow_layer(back)
+            self._grow_layer(back, closed=bool((back >= 0).all()))
 
     def _step(self, depth: int, reach: int, a: int) -> tuple:
         """How generator a composes with elements of this depth and largest
@@ -460,7 +462,7 @@ class CayleyBall(Mapping):
             )
         return got
 
-    def _grow_layer(self, back: np.ndarray) -> None:
+    def _grow_layer(self, back: np.ndarray, closed: bool) -> None:
         oracle = language_table(self.gens.spec)
         first, size, width = len(self.neighbors), len(self.lengths), len(self._atoms)
         rows = np.full((size - first, width), -1, dtype=np.int32)
@@ -514,17 +516,20 @@ class CayleyBall(Mapping):
                     shifts, cells = shifts[~fold], cells[~fold]
             canonical[d].append((shifts, cells))
 
-        # deduplicate against layers r-1 and r: a product of a layer-r
-        # element has length r-1, r or r+1.  A new element is first found at
-        # its smallest cell, and new elements are numbered in that order; until
-        # then a cell holds -1 - (that first cell).
+        # deduplicate against layers r-1 and r when the set is inverse-closed:
+        # a product of a layer-r element then has length r-1, r or r+1.
+        # Otherwise a product can fall back further, so against the whole
+        # ball.  A new element is first found at its smallest cell, and new
+        # elements are numbered in that order; until then a cell holds
+        # -1 - (that first cell).
+        floor = start if closed else 0
         targets = rows.astype(np.int64).ravel()
-        added = []
+        added, found = [], 0
         for d, parts in canonical.items():
             shifts, cells = (np.concatenate(x) for x in zip(*parts))
             by_cell = np.argsort(cells)
             shifts, cells = shifts[by_cell], cells[by_cell]
-            known = start + np.flatnonzero(self.depths[start:] == d)
+            known = floor + np.flatnonzero(self.depths[floor:] == d)
             old = self._rows[d][self._slots[known]] if d in self._rows else shifts[:0]
             _, firsts, which = np.unique(_row_keys(np.concatenate([old, shifts])),
                                          return_index=True, return_inverse=True)
@@ -534,11 +539,12 @@ class CayleyBall(Mapping):
             label[~is_old] = -1 - cells[firsts[~is_old] - len(old)]
             targets[cells] = label[which.ravel()[len(old):]]
             fresh = np.sort(firsts[~is_old]) - len(old)
+            found += len(fresh)
+            if found and size + found > self.cap:
+                raise ResourceLimit(f"ball enumeration exceeded {self.cap} elements")
             added.append((d, shifts[fresh], cells[fresh]))
         fresh_cells = np.sort(np.concatenate([np.empty(0, dtype=np.int64),
                                               *(c for _, _, c in added)]))
-        if len(fresh_cells) and size + len(fresh_cells) > self.cap:
-            raise ResourceLimit(f"ball enumeration exceeded {self.cap} elements")
         pending = targets < 0
         targets[pending] = size + np.searchsorted(fresh_cells, -1 - targets[pending])
         rows = targets.reshape(rows.shape).astype(np.int32)

@@ -373,6 +373,11 @@ def _oracle_generator_sets():
         # 3 x 43 passes the int8 range of the rows
         "sigma-43": (GeneratorSet(fib, (("alpha", alpha),
                                         ("sigma43", from_table(fib, 0, {"a": 43, "b": 43})))), 3),
+        # neither inverse is a generator, so a product can fall back two or
+        # more layers: sigma . sigma^-1 is the identity, found again at length 3
+        "sigma-inverse-square": (GeneratorSet(fib, (("sigma", from_table(fib, 0, {"a": 1, "b": 1})),
+                                                    ("sigma^-2", from_table(fib, 0, {"a": -2, "b": -2})))),
+                                 6),
     }
 
 
@@ -380,6 +385,20 @@ def _oracle_generator_sets():
 def test_ball_equals_the_compose_per_edge_reference(name):
     gens, radius = _oracle_generator_sets()[name]
     b = ball(gens, radius)
+    elements, lengths, depths, rows = _reference_ball(gens, radius)
+    assert b.elements == elements
+    assert b.lengths.tolist() == lengths and b.depths.tolist() == depths
+    assert b.neighbors.tolist() == rows
+
+
+def test_ball_grown_past_the_int8_bound_equals_the_reference():
+    # radius 2 x 43 fits int8 rows, radius 3 does not: the stored rows are
+    # widened and the products of the int8 step tables join int16 rows
+    gens, radius = _oracle_generator_sets()["sigma-43"]
+    b = ball(gens, 2)
+    assert b._rows[0].dtype == np.int8
+    b.grow(radius)
+    assert b._rows[0].dtype == np.int16
     elements, lengths, depths, rows = _reference_ball(gens, radius)
     assert b.elements == elements
     assert b.lengths.tolist() == lengths and b.depths.tolist() == depths

@@ -171,17 +171,10 @@ def cmd_walk(args, argv) -> int:
     # debugging aid: the window of the walked point around the start offset
     (args.out / "point_window.txt").write_text(point.window(0, 60) + "\n", encoding="utf-8")
     outputs.append("point_window.txt")
-    rows = []
-    # one contiguous row of offsets per step; only that row is copied to float64
-    for j, step in enumerate(sample.offsets.T):
-        offs = step.astype(np.float64)
-        rows.append(
-            (j, float(offs.mean()), float(offs.std()), float(np.abs(offs).mean()),
-             int(np.abs(step).max()))
-        )
+    # the sampler summarized each step's row of offsets as it made it
     table = fileio.write_table(
         args.out / "walk_summary", ("j", "mean", "std", "mean_abs", "max_abs"),
-        rows, args.format,
+        sample.summary, args.format,
     )
     outputs.append(table.name)
 

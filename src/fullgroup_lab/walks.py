@@ -14,16 +14,19 @@ Two complementary routes are implemented and cross-checked:
 
 Each trial t draws from its own counter-based stream, Philox keyed by
 (seed mod 2^64, t), so results do not depend on trial batching.  One
-generator per sampler call is rekeyed for each trial, and draws are mapped
-to atoms one block of trials at a time, in reused buffers: up to
+generator per sampler call is rekeyed for each trial, and its floats are
+mapped to atoms one block of trials at a time, in reused buffers: up to
 ATOM_COUNT_MAX atoms by counting the cumulative bounds each float passes,
-past that by one binary search.  Each step of a block then reads the
-position-major `cocycles.increment_table` once, flat at (offset + span)
-* atoms + atom.  Offsets are stored step-major, so each step's offsets
-across the trials are contiguous, and the Lipschitz check differences them
-a chunk of step rows at a time.  A sample whose arrays, all counted, would pass
-MAX_SAMPLE_BYTES is refused with ResourceLimit before anything is
-allocated.
+past that by one binary search.  The atoms of all draws go into one
+step-major (n, trials) array of the narrowest unsigned type.  The walk then
+makes one pass over the steps, moving every trial at once: each step reads
+the position-major `cocycles.increment_table` once, flat at
+(offset + span) * atoms + atom, and its contiguous row of offsets is
+summarized and folded into each trial's running max|m| before the next step
+overwrites it, so no trials x (n+1) matrix is ever held.  The increment
+table is checked against the Lipschitz bound before any draw.  A sample
+whose arrays, all counted, would pass MAX_SAMPLE_BYTES is refused with
+ResourceLimit before anything is allocated.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -59,13 +62,13 @@ from .subshifts import SubshiftSpec, language_table
 BASE_TAIL_GRID = tuple(round(0.25 * i, 2) for i in range(1, 17))  # 0.25 .. 4.0
 MIN_TAIL_EXCEEDANCES = 10
 ENVELOPE_GRID = tuple(i / 20.0 for i in range(1, 401))  # 0.05 .. 20.0
-DRAW_BLOCK = 2048  # trials whose draws are held at once
+DRAW_BLOCK = 256  # trials whose float draws are held at once (0.8 MB at n=400)
 # counting bounds costs one pass over a block per atom; at 64 atoms it still
 # beat one binary search (33 ms against 57 ms for a 2,048 x 400 block, 2-vCPU
 # Xeon VM, numpy 2.4)
 ATOM_COUNT_MAX = 64
-CHECK_CHUNK_BYTES = 1 << 20  # offsets differenced at once by the Lipschitz check
 MAX_SAMPLE_BYTES = 1 << 30  # cap on the arrays of one orbit-walk sample
+SUMMARY_ROW_BYTES = 256  # one walk_summary row, a 5-tuple of Python numbers (about 210)
 
 # ---------------------------------------------------------------------------
 # Step measures and exact convolution
@@ -264,46 +267,17 @@ def mixture_entropy_check(components: Sequence[Mapping], weights: Sequence) -> M
 
 @dataclass
 class WalkSample:
-    """Sampled offset trajectories m_j of an orbit walk."""
+    """Orbit walks as `sample_orbit_walks` summarized them, step by step;
+    the trajectories m_j themselves are not kept."""
 
     n: int
     trials: int
     seed: int
     max_shift: int
-    offsets: np.ndarray  # shape (trials, n+1), offsets[:, 0] == 0; may be a transposed view
-
-    @cached_property
-    def max_abs(self) -> np.ndarray:
-        """max_j |m_j| of each trial, computed once for the tail reports."""
-        # two reductions instead of a trials x (n+1) copy holding |offsets|
-        return np.maximum(self.offsets.max(axis=1), -self.offsets.min(axis=1))
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.offsets[:, -1]
-
-    def lipschitz_ok(self) -> bool:
-        """True when no step moves a trial by more than max_shift.  The step
-        rows are differenced one chunk at a time, each chunk overlapping the
-        last by one row, so the check holds one chunk beside the offsets."""
-        steps = self.offsets.T
-        trials = steps.shape[1]
-        rows = _check_rows(trials, steps.itemsize)
-        diff = np.empty((min(rows, len(steps) - 1), trials), dtype=steps.dtype)
-        for lo in range(0, len(steps) - 1, rows):
-            chunk = steps[lo:lo + rows + 1]
-            jumps = diff[:len(chunk) - 1]
-            np.subtract(chunk[1:], chunk[:-1], out=jumps)
-            np.abs(jumps, out=jumps)
-            if jumps.max() > self.max_shift:
-                return False
-        return True
-
-
-def _check_rows(trials: int, itemsize: int) -> int:
-    """Step rows in one chunk of the Lipschitz check: CHECK_CHUNK_BYTES of
-    offsets, or one row when a row is larger."""
-    return max(1, CHECK_CHUNK_BYTES // (trials * itemsize))
+    # one row per step j = 0..n: (j, mean, std, mean_abs, max_abs) of m_j over the trials
+    summary: list[tuple[int, float, float, float, int]]
+    max_abs: np.ndarray  # max_j |m_j| of each trial
+    final: np.ndarray  # m_n of each trial
 
 
 def _atom_index(cum: np.ndarray, x: np.ndarray, out: np.ndarray, mask: np.ndarray) -> None:
@@ -323,54 +297,60 @@ def _atom_index(cum: np.ndarray, x: np.ndarray, out: np.ndarray, mask: np.ndarra
         out += mask
 
 
-def _atom_draws(measure: StepMeasure, n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
-    """Yield the atom indices of the trials in blocks of up to DRAW_BLOCK
-    rows; row t holds the n draws of trial t's own counter-based stream
-    Philox(key=[seed mod 2^64, t]).  Each block is the (rows, n) transposed
-    view of a new step-major array, so one step's draws are contiguous.
+def _atom_draws(measure: StepMeasure, n: int, trials: int, seed: int) -> np.ndarray:
+    """Return the atom indices of all draws as a step-major (n, trials)
+    array of the narrowest unsigned type: column t holds the n draws of
+    trial t's own counter-based stream Philox(key=[seed mod 2^64, t]).
 
-    One generator serves the whole call: for each trial its state is reset
-    to that key, counter 0 and an empty buffer, which is the state a new
-    Philox(key=[seed, t]) starts in.  The floats, their atom indices and the
-    compare mask are buffers that every block reuses."""
+    One generator serves the whole call: for each trial its state is set to
+    that key, counter 0 and an empty buffer, which is the state a new
+    Philox(key=[seed mod 2^64, t]) starts in.  The state is a dict of plain
+    ints, which the setter reads faster than arrays.  The floats, their atom
+    indices and the compare mask are DRAW_BLOCK-trial buffers that every
+    block reuses."""
     cum = np.cumsum([float(p) for _, _, p in measure.atoms])
     cum[-1] = 1.0
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": [seed & 0xFFFFFFFFFFFFFFFF, 0]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key = state["state"]["key"]
+    bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    fresh["state"]["key"] = key
+    moves = np.empty((n, trials), dtype=np.min_scalar_type(len(measure.atoms) - 1))
     width = min(trials, DRAW_BLOCK)
     floats = np.empty((width, n))
-    index = np.empty((width, n), dtype=np.min_scalar_type(len(measure.atoms) - 1))
+    index = np.empty((width, n), dtype=moves.dtype)
     mask = np.empty((width, n), dtype=bool)
     for start in range(0, trials, DRAW_BLOCK):
         rows = min(DRAW_BLOCK, trials - start)
         for row in range(rows):
             key[1] = start + row
-            bitgen.state = fresh
+            bitgen.state = state
             gen.random(out=floats[row])
         _atom_index(cum, floats[:rows], index[:rows], mask[:rows])
-        yield np.ascontiguousarray(index[:rows].T).T
+        moves[:, start:start + rows] = index[:rows].T
+    return moves
 
 
 def _check_sample_size(n: int, trials: int, atoms: int, span: int, dtype: np.dtype) -> int:
-    """Return the bytes of the arrays a sample holds at most, and refuse it
-    with ResourceLimit when they pass MAX_SAMPLE_BYTES, before any of them
-    is allocated.  Counted: the offsets; the increment table; one block of
-    draws (the floats, their atom indices, the compare mask and the
-    step-major copy, plus the int64 search result past ATOM_COUNT_MAX
-    atoms); the step loop's per-trial buffers; and one chunk of the
-    Lipschitz check."""
+    """Return the bytes a sample holds at most, and refuse it with
+    ResourceLimit when they pass MAX_SAMPLE_BYTES, before any of them is
+    allocated.  Counted: the atom array of all draws; one block of draws
+    (the floats, their atom indices and the compare mask, plus the int64
+    search result past ATOM_COUNT_MAX atoms); the increment table; the step
+    loop's per-trial buffers and temporaries; and the summary rows."""
     itemsize = np.dtype(dtype).itemsize
     draw_itemsize = np.min_scalar_type(atoms - 1).itemsize
     width = min(trials, DRAW_BLOCK)
-    per_draw = 8 + 2 * draw_itemsize + 1 + (8 if atoms > ATOM_COUNT_MAX else 0)
-    need = (trials * (n + 1) * itemsize
-            + atoms * (2 * span + 1) * itemsize
+    per_draw = 8 + draw_itemsize + 1 + (8 if atoms > ATOM_COUNT_MAX else 0)
+    # cell, where and three float64 rows (the copy, its abs, std's deviations);
+    # the gathered increments, the offsets, their abs and the running max
+    per_trial = 5 * 8 + 4 * itemsize
+    need = (n * trials * draw_itemsize
             + width * n * per_draw
-            + width * (8 + 8 + itemsize)
-            + min(_check_rows(trials, itemsize), n) * trials * itemsize)
+            + atoms * (2 * span + 1) * itemsize
+            + trials * per_trial
+            + (n + 1) * SUMMARY_ROW_BYTES)
     if need > MAX_SAMPLE_BYTES:
         raise ResourceLimit(
             f"{trials} walks of {n} steps need {need} bytes, over the cap of "
@@ -381,13 +361,18 @@ def _check_sample_size(n: int, trials: int, atoms: int, span: int, dtype: np.dty
 
 def sample_orbit_walks(measure: StepMeasure, point: Point, n: int, trials: int,
                        seed: int) -> WalkSample:
-    """Simulate `trials` independent orbit walks of length `n`.
+    """Simulate `trials` independent orbit walks of length `n` and summarize
+    them step by step.
 
     The offset after each step is the cocycle of the running product at the
     start point; increments are read from a precomputed per-atom table, so
-    the point's windows are only evaluated once per reachable offset.
-    Offsets are stored step-major, one contiguous row per step;
-    `WalkSample.offsets` is the transposed (trials, n+1) view.
+    the point's windows are only evaluated once per reachable offset.  The
+    table is checked first: no entry may exceed the measure's max_shift, so
+    no step can.  Then every draw is made (`_atom_draws`), and one pass over
+    the steps moves all trials at once.  Each step's contiguous row of
+    offsets gets its summary row, exactly as a float64 copy of that row
+    gives it, and raises each trial's running max|m|; the last row is
+    `final`.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
@@ -399,29 +384,32 @@ def sample_orbit_walks(measure: StepMeasure, point: Point, n: int, trials: int,
     dtype = np.int16 if span < 30000 else np.int32
     atoms = len(measure.atoms)
     _check_sample_size(n, trials, atoms, span, dtype)
+    table = increment_table(measure.generator_set(), point, span, dtype)
+    if np.abs(table).max() > k:
+        raise InternalInvariantError("an increment exceeds the generator shift bound")
     # atom a moves offset m by flat[(m + span) * atoms + a]
-    flat = increment_table(measure.generator_set(), point, span, dtype).T.ravel()
-    steps = np.zeros((n + 1, trials), dtype=dtype)
-    start = 0
-    for draws in _atom_draws(measure, n, trials, seed):
-        rows = len(draws)
-        out = steps[:, start:start + rows]
-        cell = np.full(rows, span, dtype=np.intp)  # offset + span
-        where = np.empty(rows, dtype=np.intp)
-        moves = draws.T  # moves[j]: step j's atom in each trial
-        for j in range(n):
+    flat = table.T.ravel()
+    moves = _atom_draws(measure, n, trials, seed)
+    cell = np.full(trials, span, dtype=np.intp)  # offset + span
+    where = np.empty(trials, dtype=np.intp)
+    row = np.zeros(trials, dtype=dtype)
+    row_abs = np.zeros(trials, dtype=dtype)
+    max_abs = np.zeros(trials, dtype=dtype)
+    offs = np.empty(trials)
+    summary = []
+    for j in range(n + 1):
+        if j:
             np.multiply(cell, atoms, out=where)
-            where += moves[j]
+            where += moves[j - 1]
             # a bounds-checked gather; np.take(out=) was slower, as it buffers
             cell += flat[where]
-            np.subtract(cell, span, out=out[j + 1])
-        start += rows
-        # the next block is made while the loop variable still holds this one
-        del draws, moves
-    sample = WalkSample(n, trials, seed, k, steps.T)
-    if not sample.lipschitz_ok():
-        raise InternalInvariantError("sampled increments exceed the generator shift bound")
-    return sample
+            np.subtract(cell, span, out=row)
+            np.abs(row, out=row_abs)
+            np.maximum(max_abs, row_abs, out=max_abs)
+        np.copyto(offs, row)
+        summary.append((j, float(offs.mean()), float(offs.std()), float(np.abs(offs).mean()),
+                        int(row_abs.max())))
+    return WalkSample(n, trials, seed, k, summary, max_abs, row)
 
 
 def empirical_offset_distribution(sample: WalkSample) -> dict[int, float]:

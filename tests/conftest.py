@@ -1,3 +1,6 @@
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from fullgroup_lab import (
@@ -8,6 +11,8 @@ from fullgroup_lab import (
     fibonacci_spec,
     uniform_measure,
 )
+from fullgroup_lab.cocycles import increment_table
+from fullgroup_lab.walks import _atom_draws
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +38,30 @@ def fib_cache(fib_measure, fib_gens):
 @pytest.fixture(scope="session")
 def fib_point(fib_spec):
     return SubstitutionFixedPoint(fib_spec, validate=True)
+
+
+def _walk_matrix(measure, point, n, trials, seed):
+    """Matrix oracle of `sample_orbit_walks`: the same draws walked into the
+    whole step-major (n+1, trials) offset array, then summarized from it.
+
+    Each step reads the 2-D increment table at (atom, offset + span), not
+    the sampler's flat table, and every summary row is taken from the
+    finished matrix; `offsets` is the (trials, n+1) view."""
+    span = measure.max_shift * n + 1
+    table = increment_table(measure.generator_set(), point, span, np.int64)
+    moves = _atom_draws(measure, n, trials, seed)
+    steps = np.zeros((n + 1, trials), dtype=np.int64)
+    for j in range(n):
+        steps[j + 1] = steps[j] + table[moves[j], steps[j] + span]
+    summary = []
+    for j, step in enumerate(steps):
+        offs = step.astype(np.float64)
+        summary.append((j, float(offs.mean()), float(offs.std()), float(np.abs(offs).mean()),
+                        int(np.abs(step).max())))
+    return SimpleNamespace(offsets=steps.T, summary=summary,
+                           max_abs=np.abs(steps).max(axis=0), final=steps[-1])
+
+
+@pytest.fixture(scope="session")
+def walk_matrix():
+    return _walk_matrix

@@ -5,14 +5,12 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from fullgroup_lab import (
     canonical_point,
     fibonacci_generators,
     fibonacci_spec,
-    sample_orbit_walks,
     uniform_measure,
 )
 from fullgroup_lab.cli import main
@@ -23,6 +21,7 @@ from fullgroup_lab.fileio import (
     save_generator_set,
     save_spec,
     write_json,
+    write_table,
 )
 
 
@@ -252,24 +251,24 @@ def test_walk_with_large_shift_generators(workdir):
 
 
 @pytest.mark.parametrize("seed", [2, 11])
-def test_walk_summary_equals_whole_matrix_columns(workdir, seed):
+def test_walk_summary_equals_whole_matrix_columns(workdir, walk_matrix, seed):
     n, trials = 30, 2100
-    out = workdir / f"sum{seed}"
-    assert run(["walk", "--spec", workdir / "fib.json", "--gens", workdir / "gens.json",
-                "--n", n, "--trials", trials, "--seed", seed, "--format", "json",
-                "--out", out]) == 0
     spec = load_spec(workdir / "fib.json")
     gens, _ = load_generator_set(workdir / "gens.json", spec)
-    sample = sample_orbit_walks(uniform_measure(gens), canonical_point(spec), n, trials, seed)
-    # the summary as it was computed from one float64 copy of the whole matrix
-    offs = sample.offsets.astype(np.float64)
-    expected = [
-        {"j": j, "mean": float(offs[:, j].mean()), "std": float(offs[:, j].std()),
-         "mean_abs": float(np.abs(offs[:, j]).mean()),
-         "max_abs": int(np.abs(sample.offsets[:, j]).max())}
-        for j in range(n + 1)
-    ]
-    assert json.loads((out / "walk_summary.json").read_text()) == expected
+    # the summary as it was computed from the columns of the whole offset matrix
+    oracle = walk_matrix(uniform_measure(gens), canonical_point(spec), n, trials, seed)
+    (workdir / "oracle").mkdir()
+    for fmt in ("json", "csv"):
+        out = workdir / f"sum{seed}{fmt}"
+        assert run(["walk", "--spec", workdir / "fib.json", "--gens", workdir / "gens.json",
+                    "--n", n, "--trials", trials, "--seed", seed, "--format", fmt,
+                    "--out", out]) == 0
+        expected = write_table(workdir / "oracle" / "walk_summary",
+                               ("j", "mean", "std", "mean_abs", "max_abs"), oracle.summary, fmt)
+        assert (out / expected.name).read_bytes() == expected.read_bytes()
+    rows = json.loads((workdir / f"sum{seed}json" / "walk_summary.json").read_text())
+    assert rows == [dict(zip(("j", "mean", "std", "mean_abs", "max_abs"), r))
+                    for r in oracle.summary]
 
 
 def test_walk_too_large_is_resource_limit_before_allocating(workdir, capsys):

@@ -23,7 +23,6 @@ from fullgroup_lab import (
     SpecMismatch,
     StepMeasure,
     ValidationError,
-    WalkSample,
     ball,
     canonical_point,
     compose,
@@ -47,15 +46,16 @@ from fullgroup_lab import (
     total_variation,
     uniform_measure,
 )
+from fullgroup_lab import walks
+from fullgroup_lab.cli import main
 from fullgroup_lab.cocycles import DEFAULT_BALL_CAP, increment_table
+from fullgroup_lab.fileio import write_json
 from fullgroup_lab.walks import (
     ATOM_COUNT_MAX,
-    CHECK_CHUNK_BYTES,
     DRAW_BLOCK,
     SHANNON_QUANTILES,
     _atom_draws,
     _atom_index,
-    _check_rows,
     _check_sample_size,
     cylinder_nonconstancy_rate,
     empirical_offset_distribution,
@@ -317,7 +317,8 @@ def test_identity_only_measure_stays_put(fib_spec, fib_point):
     e = identity(fib_spec)
     measure = StepMeasure(fib_spec, (("e", e, Fraction(1)),))
     sample = sample_orbit_walks(measure, fib_point, 20, 50, seed=1)
-    assert not sample.offsets.any()
+    assert not sample.max_abs.any() and not sample.final.any()
+    assert sample.summary == [(j, 0.0, 0.0, 0.0, 0) for j in range(21)]
 
 
 def test_one_step_increments_near_uniform(fib_measure, fib_point):
@@ -335,60 +336,65 @@ def test_sampled_law_matches_exact_convolution(fib_measure, fib_point, fib_cache
     assert total_variation(empirical, exact) < 0.02
 
 
-def test_lipschitz_increments(fib_measure, fib_point):
-    sample = sample_orbit_walks(fib_measure, fib_point, 64, 500, seed=2)
-    assert sample.lipschitz_ok()
-    for path in ([0, 1, 3], [0, -1, -3]):
-        jump = WalkSample(2, 2, 0, 1, np.array([[0, 1, 0], path], dtype=np.int16))
-        assert not jump.lipschitz_ok()
+def test_lipschitz_increments(fib_measure, fib_point, walk_matrix, tmp_path, monkeypatch):
+    # every step of a real sample stays within the generator shift bound
+    oracle = walk_matrix(fib_measure, fib_point, 64, 500, 2)
+    assert np.abs(np.diff(oracle.offsets, axis=1)).max() == fib_measure.max_shift == 1
+    sample_orbit_walks(fib_measure, fib_point, 64, 500, seed=2)
+    # one table entry past the bound is refused before any draw is made
+    write_json(tmp_path / "fib.json", {"variant": "substitution", "rules": {"a": "ab", "b": "a"},
+                                       "seed": "a"})
+    write_json(tmp_path / "gens.json", {"spec": "fib.json", "builtin": "fibonacci"})
+    real = walks.increment_table
+    draws = []
+    monkeypatch.setattr(walks, "_atom_draws", lambda *args: draws.append(args))
+    for entry in (2, -2):
+        def jumpy(gens, point, span, dtype):
+            table = real(gens, point, span, dtype)
+            table[1, span] = entry
+            return table
+        monkeypatch.setattr(walks, "increment_table", jumpy)
+        with pytest.raises(InternalInvariantError):
+            sample_orbit_walks(fib_measure, fib_point, 5, 10, seed=0)
+        out = tmp_path / f"jump{entry}"
+        assert main(["walk", "--spec", str(tmp_path / "fib.json"),
+                     "--gens", str(tmp_path / "gens.json"), "--n", "5", "--trials", "10",
+                     "--out", str(out)]) == 4
+        assert not out.exists()
+    assert draws == []
 
 
-@pytest.mark.parametrize("layout", ["step_major", "trial_major"])
-def test_lipschitz_check_sees_a_jump_at_every_chunk_edge(layout):
-    trials = CHECK_CHUNK_BYTES // 16
-    rows = _check_rows(trials, 2)
-    assert rows == 8
-    rng = np.random.default_rng(11)
-    for n in (rows - 1, rows, rows + 1, 2 * rows + 1):
-        steps = np.zeros((n + 1, trials), dtype=np.int16)
-        np.cumsum(rng.integers(-1, 2, size=(n, trials)), axis=0, out=steps[1:])
-        offsets = steps.T if layout == "step_major" else np.ascontiguousarray(steps.T)
-        assert WalkSample(n, trials, 0, 1, offsets).lipschitz_ok()
-        # step j is offsets[:, j] - offsets[:, j-1]; a chunk holds `rows` steps
-        edges = {1, n} | {j for j in (rows, rows + 1, 2 * rows, 2 * rows + 1) if j <= n}
-        for j in sorted(edges):
-            for jump in (2, -2):
-                bad = offsets.copy(order="K")
-                assert bad.T.flags.c_contiguous == (layout == "step_major")
-                t = trials // 3
-                bad[t, j:] += jump - (bad[t, j] - bad[t, j - 1])  # step j becomes `jump`
-                assert np.abs(np.diff(bad, axis=1)).max() == 2
-                assert not WalkSample(n, trials, 0, 1, bad).lipschitz_ok(), (n, j, jump)
-                assert WalkSample(n, trials, 0, 2, bad).lipschitz_ok(), (n, j, jump)
-
-
-def test_sampling_deterministic_and_prefix_stable(fib_measure, fib_point):
+def test_sampling_deterministic_and_prefix_stable(fib_measure, fib_point, walk_matrix):
     a = sample_orbit_walks(fib_measure, fib_point, 12, 400, seed=5)
     b = sample_orbit_walks(fib_measure, fib_point, 12, 400, seed=5)
     c = sample_orbit_walks(fib_measure, fib_point, 12, 650, seed=5)
     d = sample_orbit_walks(fib_measure, fib_point, 12, 400, seed=6)
-    assert np.array_equal(a.offsets, b.offsets)
-    assert np.array_equal(a.offsets, c.offsets[:400])
-    assert not np.array_equal(a.offsets, d.offsets)
-    # the sampler works in blocks of 2,048 trials; a prefix that crosses a
+    assert a.summary == b.summary
+    assert np.array_equal(a.max_abs, b.max_abs) and np.array_equal(a.final, b.final)
+    assert np.array_equal(a.max_abs, c.max_abs[:400]) and np.array_equal(a.final, c.final[:400])
+    assert not np.array_equal(a.final, d.final)
+    # draws are made in blocks of DRAW_BLOCK trials; a prefix that crosses a
     # block boundary must not depend on where the blocks fall
-    e = sample_orbit_walks(fib_measure, fib_point, 12, 2100, seed=5)
-    f = sample_orbit_walks(fib_measure, fib_point, 12, 4500, seed=5)
+    e = walk_matrix(fib_measure, fib_point, 12, 2100, 5)
+    f = walk_matrix(fib_measure, fib_point, 12, 4500, 5)
     assert np.array_equal(e.offsets, f.offsets[:2100])
+    assert np.array_equal(walk_matrix(fib_measure, fib_point, 12, 400, 5).offsets,
+                          e.offsets[:400])
+    g = sample_orbit_walks(fib_measure, fib_point, 12, 4500, seed=5)
+    assert np.array_equal(g.max_abs[:2100], e.max_abs) and np.array_equal(g.final[:2100], e.final)
 
 
-def test_large_shift_increments_are_not_truncated(fib_spec, fib_point):
+def test_large_shift_increments_are_not_truncated(fib_spec, fib_point, walk_matrix):
     up = from_table(fib_spec, 0, {"a": 128, "b": 128})
     measure = StepMeasure(fib_spec, (("up", up, Fraction(1, 2)),
                                      ("down", inverse(up), Fraction(1, 2))))
     sample = sample_orbit_walks(measure, fib_point, 30, 200, seed=1)
-    assert np.all(sample.offsets % 128 == 0)
-    assert np.all(np.abs(np.diff(sample.offsets, axis=1)) == 128)
+    oracle = walk_matrix(measure, fib_point, 30, 200, 1)
+    assert np.all(oracle.offsets % 128 == 0)
+    assert np.all(np.abs(np.diff(oracle.offsets, axis=1)) == 128)
+    assert np.array_equal(sample.max_abs, oracle.max_abs)
+    assert np.array_equal(sample.final, oracle.final)
+    assert sample.summary == oracle.summary
 
 
 def test_more_than_256_atoms_are_all_drawn():
@@ -423,26 +429,30 @@ def _many_atoms_measure():
     return StepMeasure(spec, tuple(atoms)), moves
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2**62 + 5])
+@pytest.mark.parametrize("seed", [0, 7, 2**62 + 5, 2**63 + 5, 2**64 - 1])
 @pytest.mark.parametrize("which", ["halves", "many_atoms"])
 def test_atom_draws_equal_a_new_philox_per_trial(fib_spec, seed, which):
     measure, moves = _halves_measure(fib_spec) if which == "halves" else _many_atoms_measure()
     cum = np.cumsum([float(p) for _, _, p in measure.atoms])
     # the increment table of 300 atoms grows with k*n, so keep their walks short
     n, trials = (9 if which == "halves" else 2), DRAW_BLOCK + 1
+    # an exact uint64 key: numpy reads a list holding 2^63 or more through float64
     expected = np.array([
-        np.searchsorted(cum, np.random.Generator(np.random.Philox(key=[seed, t])).random(n),
-                        side="right")
+        np.searchsorted(cum, np.random.Generator(np.random.Philox(
+            key=np.array([seed, t], dtype=np.uint64))).random(n), side="right")
         for t in range(trials)
     ])
     for rows in (DRAW_BLOCK - 1, DRAW_BLOCK + 1):
-        blocks = list(_atom_draws(measure, n, rows, seed))
-        assert [len(b) for b in blocks] == ([rows] if rows < DRAW_BLOCK else [DRAW_BLOCK, 1])
-        assert np.array_equal(np.concatenate(blocks), expected[:rows])
+        draws = _atom_draws(measure, n, rows, seed)
+        assert draws.dtype == np.min_scalar_type(len(measure.atoms) - 1)
+        assert draws.shape == (n, rows) and draws.flags.c_contiguous
+        assert np.array_equal(draws.T, expected[:rows])
         # every atom moves each point by the same amount, so the sampled
         # offsets are the running sums of the drawn moves
         sample = sample_orbit_walks(measure, canonical_point(measure.spec), n, rows, seed)
-        assert np.array_equal(sample.offsets[:, 1:], np.cumsum(moves[expected[:rows]], axis=1))
+        offsets = np.cumsum(moves[expected[:rows]], axis=1)
+        assert np.array_equal(sample.final, offsets[:, -1])
+        assert np.array_equal(sample.max_abs, np.abs(offsets).max(axis=1))
 
 
 @pytest.mark.parametrize("atoms", [3, ATOM_COUNT_MAX, ATOM_COUNT_MAX + 1, 300])
@@ -491,21 +501,30 @@ def test_negative_and_large_seeds_give_distinct_samples(fib_measure, fib_point):
     seeds = [0, -1, -3, 2**63, 2**63 + 1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        samples = [sample_orbit_walks(fib_measure, fib_point, 20, 50, seed=s).offsets
+        samples = [sample_orbit_walks(fib_measure, fib_point, 20, 50, seed=s).summary
                    for s in seeds]
     for i in range(len(seeds)):
         for j in range(i):
-            assert not np.array_equal(samples[i], samples[j]), (seeds[i], seeds[j])
+            assert samples[i] != samples[j], (seeds[i], seeds[j])
 
 
-def test_offsets_are_step_major_and_max_abs_is_cached(fib_measure, fib_point):
+@pytest.mark.parametrize("seed", [0, 5, 2**62 + 5])
+@pytest.mark.parametrize("trials", [1, DRAW_BLOCK - 1, DRAW_BLOCK + 1, 2100])
+@pytest.mark.parametrize("n", [1, 30])
+def test_streamed_summary_equals_the_matrix_oracle(fib_measure, fib_point, walk_matrix,
+                                                   seed, trials, n):
+    sample = sample_orbit_walks(fib_measure, fib_point, n, trials, seed)
+    oracle = walk_matrix(fib_measure, fib_point, n, trials, seed)
+    assert sample.summary == oracle.summary
+    assert np.array_equal(sample.max_abs, oracle.max_abs)
+    assert np.array_equal(sample.final, oracle.final)
+
+
+def test_sample_keeps_per_trial_vectors_and_no_matrix(fib_measure, fib_point):
     sample = sample_orbit_walks(fib_measure, fib_point, 30, 100, seed=8)
-    assert sample.offsets.shape == (100, 31)
-    assert sample.offsets.T.flags.c_contiguous
-    # the sampler returns no derived array; max_abs is made on first use, once
-    assert [k for k, v in vars(sample).items() if isinstance(v, np.ndarray)] == ["offsets"]
-    assert sample.max_abs is sample.max_abs
-    assert np.array_equal(sample.max_abs, np.abs(sample.offsets).max(axis=1))
+    arrays = {k: v.shape for k, v in vars(sample).items() if isinstance(v, np.ndarray)}
+    assert arrays == {"max_abs": (100,), "final": (100,)}
+    assert [row[0] for row in sample.summary] == list(range(31))
 
 
 def test_walk_peak_memory_is_counted_by_the_cap(fib_measure, fib_point):
@@ -513,24 +532,17 @@ def test_walk_peak_memory_is_counted_by_the_cap(fib_measure, fib_point):
     sample_orbit_walks(fib_measure, fib_point, n, 1, seed=0)  # language tables built
     tracemalloc.start()
     try:
-        sample = sample_orbit_walks(fib_measure, fib_point, n, trials, seed=0)
-        sample.max_abs
+        sample_orbit_walks(fib_measure, fib_point, n, trials, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one block of draws: the floats, their uint8 atom indices, the compare
-    # mask and the step-major copy of the indices
-    block = DRAW_BLOCK * n * (8 + 1 + 1 + 1)
-    assert peak < sample.offsets.nbytes + block + 10**6
+    moves = n * trials  # the uint8 atoms of every draw
+    # one block of draws: the floats, their uint8 atom indices and the compare mask
+    block = DRAW_BLOCK * n * (8 + 1 + 1)
+    assert peak < moves + block + 10**6
     assert peak <= _check_sample_size(n, trials, len(fib_measure.atoms), n + 1, np.int16)
-    # the Lipschitz check holds one chunk of step rows, not a second matrix
-    tracemalloc.start()
-    try:
-        assert sample.lipschitz_ok()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < _check_rows(trials, 2) * trials * 2 + 10**5 < sample.offsets.nbytes / 2
+    # below the int16 offset matrix that the sampler no longer holds
+    assert peak < trials * (n + 1) * 2
 
 
 # --- displacement tails -----------------------------------------------------------------

@@ -11,10 +11,12 @@ oracle of the owning subshift.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 
 from . import subshifts
 from .errors import (
     AdmissibilityViolation,
+    ResourceLimit,
     SpecMismatch,
     UnresolvableHole,
     ValidationError,
@@ -106,28 +108,43 @@ class SubstitutionFixedPoint(Point):
                  validate: bool = False):
         super().__init__(spec, validate)
         self.rules = spec.rules_dict
+        self._images = {c: Counter(image) for c, image in self.rules.items()}
+        self.power = power
         if left is None or right is None or power is None:
-            power, left, right = _fixed_point_seeds(self.rules, spec)
+            self.power, left, right = _fixed_point_seeds(self.rules, spec)
         else:
             if power < 1:  # power 0 fixes every word, and the tails would never grow
                 raise ValidationError(f"fixed-point power must be >= 1, got {power}")
-            it = subshifts.substitution_iterate
-            if not it(self.rules, left, power).endswith(left):
+            if not left or not right:  # an empty seed stays empty, and its tail never grows
+                raise ValidationError("fixed-point seeds must be nonempty")
+            if not self._step(left).endswith(left):
                 raise SpecMismatch(f"psi^{power}({left!r}) does not end with {left!r}")
-            if not it(self.rules, right, power).startswith(right):
+            if not self._step(right).startswith(right):
                 raise SpecMismatch(f"psi^{power}({right!r}) does not start with {right!r}")
             if not language_table(spec).is_admissible(left + right):
                 raise SpecMismatch(f"seed pair {left + right!r} is not admissible")
         self.left_seed = left
         self.right_seed = right
-        self.power = power
         self._left_word = left
         self._right_word = right
 
     def _step(self, word: str) -> str:
+        """psi^power(word).  The length of each iterate on the way is first
+        read off the letter counts, and one past DEFAULT_MAX_TEXT letters is
+        refused with ResourceLimit before any of them is built."""
+        counts = Counter(word)
         for _ in range(self.power):
-            word = "".join(self.rules[c] for c in word)
-        return word
+            step = Counter()
+            for c, k in counts.items():
+                for d, m in self._images[c].items():
+                    step[d] += k * m
+            counts = step
+            if counts.total() > subshifts.DEFAULT_MAX_TEXT:
+                raise ResourceLimit(
+                    f"psi^{self.power} of a {len(word)}-letter word passes the text "
+                    f"budget of {subshifts.DEFAULT_MAX_TEXT} letters"
+                )
+        return subshifts.substitution_iterate(self.rules, word, self.power)
 
     def _materialize(self, lo: int, hi: int) -> str:
         while len(self._left_word) < -lo:

@@ -601,8 +601,13 @@ def _saturate(spec, n: int, max_text: int, stream: _IndexStream) -> _FactorIndex
 
     Whole snapshots are prefixes of one another, so a region's factor set
     contains the previous one's and equal counts mean equal sets: counts
-    are compared.  Tail halves are not nested, so there the sets are.
+    are compared.  Tail halves are not nested, so there the sets are.  A
+    length past the text budget is refused before any text is generated.
     """
+    if n > max_text:
+        raise SaturationFailure(
+            f"factor length {n} is longer than the text budget of {max_text} letters"
+        )
     expected = n + 1 if isinstance(spec, SturmianSpec) and n >= 1 else None
     prev = changed_at = None
     for index in stream:

@@ -27,6 +27,10 @@ overwrites it, so no trials x (n+1) matrix is ever held.  The increment
 table is checked against the Lipschitz bound before any draw.  A sample
 whose arrays, all counted, would pass MAX_SAMPLE_BYTES is refused with
 ResourceLimit before anything is allocated.
+
+Each report statistic is computed once: a distribution sums its entropy once
+for every report, one sort per array gives all tail exceedances, and one
+least-constant search fits the entropy envelope and the return bound.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -132,7 +136,7 @@ class GroupDistribution:
     Support element i is `ball.elements[index[i]]` and has probability
     `counts[i] / denominator`: integer path counts over D^n.  The support
     is in first-insertion order (the previous support's order, then atom
-    order); `probs` builds the Fractions on first use.
+    order); `probs` builds the Fractions and `entropy` sums H on first use.
     """
 
     def __init__(self, n: int, ball: CayleyBall, index: np.ndarray, counts: np.ndarray,
@@ -147,6 +151,11 @@ class GroupDistribution:
         self.index = index
         self.counts = counts
         self.denominator = denominator
+
+    @cached_property
+    def entropy(self) -> float:
+        """H(mu^{*n}) in nats, summed once by `entropy`; every report reads it."""
+        return entropy(self)
 
     @cached_property
     def probs(self) -> dict[CocycleElement, Fraction]:
@@ -216,12 +225,13 @@ class ConvolutionCache:
 
 def entropy(dist: GroupDistribution | Mapping) -> float:
     """Shannon entropy in nats, summed in the support's order; the 0 log 0
-    terms are dropped."""
+    terms are dropped.  A GroupDistribution keeps its sum as `dist.entropy`."""
     if isinstance(dist, GroupDistribution):
-        # int / int is correctly rounded, as float(Fraction) is
-        values = [c / dist.denominator for c in dist.counts.tolist()]
+        # int / int is correctly rounded, as float(Fraction) is; a generator,
+        # so a large support holds no list of floats
+        values = (c / dist.denominator for c in dist.counts.tolist())
     else:
-        values = [float(p) for p in dist.values()]
+        values = (float(p) for p in dist.values())
     total = 0.0
     for x in values:
         if x > 0.0:
@@ -468,27 +478,22 @@ class TailCurve:
         return bool(np.all(env + 1e-12 >= np.asarray(self.empirical)))
 
 
+def _exceedances(values: np.ndarray, n: int, a_grid: Iterable[float],
+                 shift: float = 0.0) -> list[int]:
+    """For each a of the grid, how many integer entries of `values` are >=
+    (a - shift) sqrt(n): one sort, then one exact float64 search per a."""
+    scale = math.sqrt(n)
+    ordered = np.sort(values).astype(np.float64)
+    thresholds = [(a - shift) * scale for a in a_grid]
+    return (len(ordered) - np.searchsorted(ordered, thresholds, side="left")).tolist()
+
+
 def supported_a_grid(sample: WalkSample) -> tuple[float, ...]:
     """Prefix of the base grid on which the tail still has enough
     exceedances to estimate probabilities."""
-    max_abs = sample.max_abs
-    scale = math.sqrt(sample.n)
-    out = []
-    for a in BASE_TAIL_GRID:
-        if int(np.sum(max_abs >= a * scale)) >= MIN_TAIL_EXCEEDANCES:
-            out.append(float(a))
-        else:
-            break
-    return tuple(out)
-
-
-def _tail_b0(sample: WalkSample) -> float:
-    final_abs = np.abs(sample.final)
-    scale = math.sqrt(sample.n)
-    for a in BASE_TAIL_GRID:
-        if np.mean(final_abs >= a * scale) <= 0.5:
-            return float(a)
-    raise InsufficientData("final-offset tail never drops below 1/2 on the grid")
+    counts = _exceedances(sample.max_abs, sample.n, BASE_TAIL_GRID)
+    # the counts never increase along the grid
+    return BASE_TAIL_GRID[:sum(c >= MIN_TAIL_EXCEEDANCES for c in counts)]
 
 
 def max_displacement_tail(sample: WalkSample,
@@ -501,9 +506,7 @@ def max_displacement_tail(sample: WalkSample,
     a_grid = tuple(float(a) for a in a_grid)
     if len(a_grid) < 3:
         raise InsufficientData("need at least three grid points to fit the tail shape")
-    max_abs = sample.max_abs
-    scale = math.sqrt(sample.n)
-    counts = [int(np.sum(max_abs >= a * scale)) for a in a_grid]
+    counts = _exceedances(sample.max_abs, sample.n, a_grid)
     if counts[-1] < MIN_TAIL_EXCEEDANCES:
         raise InsufficientData(
             f"only {counts[-1]} exceedances at a={a_grid[-1]}; trim the grid"
@@ -519,7 +522,11 @@ def max_displacement_tail(sample: WalkSample,
     log_c = c0 + a0 * a0 / d
     # raise C to the smallest dominating constant
     log_c = max(log_c, max(lp + (a - a0) ** 2 / d for a, lp in zip(a_grid, log_p)))
-    fit = TailFit(float(math.exp(log_c)), float(d), float(a0), _tail_b0(sample))
+    finals = _exceedances(np.abs(sample.final), sample.n, BASE_TAIL_GRID)
+    b0 = next((a for a, f in zip(BASE_TAIL_GRID, finals) if f / sample.trials <= 0.5), None)
+    if b0 is None:
+        raise InsufficientData("final-offset tail never drops below 1/2 on the grid")
+    fit = TailFit(float(math.exp(log_c)), float(d), float(a0), b0)
     return TailCurve(sample.n, sample.trials, a_grid, tuple(probs), tuple(counts), fit)
 
 
@@ -532,17 +539,12 @@ class ReflectionCheck:
 def reflection_check(sample: WalkSample, a_grid: Iterable[float], b0: float) -> ReflectionCheck:
     """Empirical version of the maximal inequality: the running-maximum
     tail at x is at most twice the final-offset tail at x - b0*sqrt(n)."""
-    max_abs = sample.max_abs
-    final_abs = np.abs(sample.final)
-    scale = math.sqrt(sample.n)
-    rows = []
-    ok = True
-    for a in a_grid:
-        lhs = float(np.mean(max_abs >= a * scale))
-        rhs = 2.0 * float(np.mean(final_abs >= (a - b0) * scale))
-        rows.append((float(a), lhs, rhs))
-        ok = ok and lhs <= rhs + 1e-12
-    return ReflectionCheck(ok, tuple(rows))
+    a_grid = tuple(a_grid)
+    maxima = _exceedances(sample.max_abs, sample.n, a_grid)
+    finals = _exceedances(np.abs(sample.final), sample.n, a_grid, b0)
+    rows = tuple((float(a), m / sample.trials, 2.0 * (f / sample.trials))
+                 for a, m, f in zip(a_grid, maxima, finals))
+    return ReflectionCheck(all(lhs <= rhs + 1e-12 for _, lhs, rhs in rows), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -593,17 +595,16 @@ def stable_set_report(chain: ConvolutionCache, n: int, depth_scale: float) -> St
     """Report on the depth-stable subset at step n of the chain.
 
     The stable mass sums the path counts of the support elements whose
-    table depth is at most d(n); the stable count masks the chain's ball
-    to word length <= n and the same depths.
+    table depth is at most d(n); the stable count reads the same depths on
+    the radius-n ball, a prefix of the chain's ball (it is in BFS order).
     """
     d = cylinder_depth(n, depth_scale)
     dist = chain.power(n)
     ball = chain.ball
     stable_support = ball.depths[dist.index] <= d
     mass = Fraction(int(dist.counts[stable_support].sum()), dist.denominator)
-    in_ball = ball.lengths <= n
-    stable_count = int(np.count_nonzero(in_ball & (ball.depths <= d)))
-    h = entropy(dist)
+    ball_size = int(np.searchsorted(ball.lengths, n, side="right"))
+    stable_count = int(np.count_nonzero(ball.depths[:ball_size] <= d))
     measure = chain.measure
     k = measure.max_shift
     cylinder_count = language_table(measure.spec).complexity(2 * d + 1)
@@ -621,13 +622,19 @@ def stable_set_report(chain: ConvolutionCache, n: int, depth_scale: float) -> St
         stable_mass=mass,
         stable_count=stable_count,
         stable_support_count=int(np.count_nonzero(stable_support)),
-        ball_size=int(np.count_nonzero(in_ball)),
-        walk_entropy=h,
+        ball_size=ball_size,
+        walk_entropy=dist.entropy,
         cylinder_count=cylinder_count,
         log_count_bound=log_count_bound,
         entropy_bound=bound,
         support_size=dist.support_size,
     )
+
+
+def _least_constant(grid: Iterable[float], ns: Sequence[int],
+                    holds: Callable[[float, int], bool]) -> float | None:
+    """The first c of `grid` with holds(c, n) at every n of `ns`, in order; else None."""
+    return next((c for c in grid if all(holds(c, n) for n in ns)), None)
 
 
 @dataclass(frozen=True)
@@ -658,28 +665,20 @@ def return_probability_suite(chain: ConvolutionCache, n_max: int) -> ReturnProba
     complexity-driven lower bound holds on the computed range."""
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    spec = chain.measure.spec
     rows = []
     for n in range(1, n_max + 1):
         dist = chain.power(2 * n)
         rows.append(ReturnProbabilityRow(n, 2 * n, dist.identity_mass(), dist.max_prob()))
     monotone = all(rows[i].return_prob >= rows[i + 1].return_prob for i in range(len(rows) - 1))
-    oracle = language_table(spec)
-    fitted = math.inf
-    for c_times_4 in range(1, 257):
-        c = c_times_4 / 4.0
-        ok = True
-        for row in rows:
-            n = row.n
-            rho = oracle.complexity(math.ceil(c * math.sqrt(n * math.log(max(n, 2)))))
-            lower = (1.0 / c) * math.exp(-c * rho * math.log(max(n, 2))) if n > 1 else 1.0 / c
-            if float(row.return_prob) < lower:
-                ok = False
-                break
-        if ok:
-            fitted = c
-            break
-    return ReturnProbabilitySuite(tuple(rows), monotone, fitted)
+    oracle = language_table(chain.measure.spec)
+
+    def holds(c: float, n: int) -> bool:
+        rho = oracle.complexity(math.ceil(c * math.sqrt(n * math.log(max(n, 2)))))
+        lower = (1.0 / c) * math.exp(-c * rho * math.log(max(n, 2))) if n > 1 else 1.0 / c
+        return float(rows[n - 1].return_prob) >= lower
+
+    fitted = _least_constant((i / 4.0 for i in range(1, 257)), range(1, n_max + 1), holds)
+    return ReturnProbabilitySuite(tuple(rows), monotone, math.inf if fitted is None else fitted)
 
 
 @dataclass(frozen=True)
@@ -700,17 +699,14 @@ class EntropyEnvelope:
 def entropy_envelope(chain: ConvolutionCache, n_max: int) -> EntropyEnvelope:
     if n_max < 2:
         raise ValidationError("n_max must be >= 2")
-    entropies = [entropy(chain.power(n)) for n in range(n_max + 1)]
+    entropies = [chain.power(n).entropy for n in range(n_max + 1)]
     oracle = language_table(chain.measure.spec)
 
     def bound_at(c: float, n: int) -> float:
         return c * oracle.complexity(math.ceil(c * math.sqrt(n * math.log(n)))) * math.log(n)
 
-    fitted = None
-    for c in ENVELOPE_GRID:
-        if all(entropies[n] <= bound_at(c, n) + 1e-12 for n in range(2, n_max + 1)):
-            fitted = c
-            break
+    fitted = _least_constant(ENVELOPE_GRID, range(2, n_max + 1),
+                             lambda c, n: entropies[n] <= bound_at(c, n) + 1e-12)
     if fitted is None:
         raise InsufficientData("no grid constant satisfies the entropy envelope")
     bounds = tuple(bound_at(fitted, n) for n in range(2, n_max + 1))
@@ -770,4 +766,4 @@ def shannon_path_diagnostic(chain: ConvolutionCache, n: int) -> dict:
     for name, q in SHANNON_QUANTILES.items():
         c = int(counts[np.searchsorted(cumulative, math.ceil(q * dist.denominator))])
         quantiles[name] = -math.log(c / dist.denominator) / n
-    return {"n": n, "mean": entropy(dist) / n, "quantiles": quantiles}
+    return {"n": n, "mean": dist.entropy / n, "quantiles": quantiles}

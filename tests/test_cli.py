@@ -321,6 +321,42 @@ def test_entropy_cap_writes_flagged_partial_results(workdir):
     assert (out / "entropy.csv").exists()
 
 
+def test_entropy_depth_past_the_text_budget_writes_partial_results(workdir, capsys):
+    # --L 1e300 asks for cylinders far longer than any generated text
+    out = workdir / "deep"
+    assert run(["entropy", "--spec", workdir / "fib.json", "--gens", workdir / "gens.json",
+                "--n", 4, "--L", 1e300, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert "text budget" in err and "Traceback" not in err
+    assert read_rows(out / "entropy.csv") == []
+    assert json.loads((out / "entropy_fit.json").read_text())["partial"] is True
+
+
+@pytest.mark.parametrize("case", ["dump-factors", "element-depth", "fixed-point-power"])
+def test_huge_lengths_exit_3_before_any_output(workdir, capsys, fib_gens, case):
+    out = workdir / "huge"
+    if case == "dump-factors":
+        args = ["complexity", "--spec", workdir / "fib.json", "--n", 4,
+                "--dump-factors", 10**12]
+    elif case == "element-depth":
+        doc = fib_gens["gamma"].to_dict()
+        doc["depth"] = 10**9
+        write_json(workdir / "deep.json", {"spec": "fib.json", "generators": {"gamma": doc}})
+        args = ["walk", "--spec", workdir / "fib.json", "--gens", workdir / "deep.json",
+                "--n", 4, "--trials", 4]
+    else:
+        write_json(workdir / "fib.json", FIB | {"point": {
+            "kind": "substitution_fixed_point", "left": "a", "right": "a", "power": 60}})
+        args = ["walk", "--spec", workdir / "fib.json", "--gens", workdir / "gens.json",
+                "--n", 4, "--trials", 4]
+    assert run(args + ["--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert "text budget" in err
+    assert not out.exists()
+
+
 # --- validation and exit codes ------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from fullgroup_lab import (
     FullShiftSpec,
     MechanicalPoint,
     PeriodicPoint,
+    ResourceLimit,
     SpecMismatch,
     SturmianSpec,
     SubstitutionFixedPoint,
@@ -17,6 +18,7 @@ from fullgroup_lab import (
     ToeplitzPoint,
     ToeplitzSpec,
     UnresolvableHole,
+    ValidationError,
     canonical_point,
     factors,
     find_cylinder_position,
@@ -24,6 +26,7 @@ from fullgroup_lab import (
     substitution_iterate,
     toeplitz_word,
 )
+from fullgroup_lab import subshifts
 
 
 def test_fibonacci_fixed_point_center_window(fib_spec, fib_point):
@@ -38,6 +41,31 @@ def test_fibonacci_fixed_point_center_window(fib_spec, fib_point):
 def test_fixed_point_rejects_bad_seeds(fib_spec):
     with pytest.raises(SpecMismatch):
         SubstitutionFixedPoint(fib_spec, left="b", right="b", power=2)  # "bb" inadmissible
+
+
+def test_fixed_point_rejects_empty_seeds(fib_spec):
+    # an empty seed stays empty, so its tail would never grow
+    for left, right in (("", "a"), ("a", "")):
+        with pytest.raises(ValidationError, match="nonempty"):
+            SubstitutionFixedPoint(fib_spec, left=left, right=right, power=2)
+
+
+def test_fixed_point_power_past_the_text_budget_is_refused(fib_spec, monkeypatch):
+    # psi^60(a) has about 4e12 letters: the letter counts refuse it before
+    # any iterate is built
+    def no_iterate(*args):
+        raise AssertionError("an iterate was built")
+
+    monkeypatch.setattr(subshifts, "substitution_iterate", no_iterate)
+    with pytest.raises(ResourceLimit, match="text budget"):
+        SubstitutionFixedPoint(fib_spec, left="a", right="a", power=60)
+
+
+def test_explicit_power_gives_the_canonical_windows(fib_spec, fib_point):
+    # the canonical point is the (2, "a", "a") fixed point, and psi^4 fixes it too
+    point = SubstitutionFixedPoint(fib_spec, left="a", right="a", power=4)
+    for center, radius in ((0, 0), (0, 60), (-1000, 37), (5000, 200)):
+        assert point.window(center, radius) == fib_point.window(center, radius)
 
 
 def test_periodic_point_phase():

@@ -490,6 +490,27 @@ def test_saturation_failure_with_tiny_budget():
         table.factors(40)
 
 
+def test_length_past_the_text_budget_is_refused_before_any_text(monkeypatch):
+    def no_text(spec):
+        raise AssertionError("a snapshot was generated")
+        yield  # pragma: no cover
+
+    monkeypatch.setattr(subshifts, "_substitution_snapshots", no_text)
+    table = LanguageTable(fibonacci_spec(), max_text=1000)
+    with pytest.raises(SaturationFailure, match="longer than the text budget"):
+        table.complexity(10**12)
+    with pytest.raises(SaturationFailure):
+        table.factors(1001)
+
+
+def test_lengths_within_the_text_budget_are_unchanged():
+    table = LanguageTable(fibonacci_spec(), max_text=1000)
+    assert [table.complexity(n) for n in range(1, 89)] == list(range(2, 90))
+    # within the budget, a length is still scanned for, and refused as before
+    with pytest.raises(SaturationFailure, match="did not stabilize"):
+        table.complexity(89)
+
+
 def _plan_reads(table, n):
     """What the sibling plan of the n-words reads off the vector 0, 1, 2, ..."""
     plan = table.siblings(n)

@@ -35,6 +35,7 @@ from fullgroup_lab import (
     identity,
     inverse,
     is_constant_on_cylinder,
+    language_table,
     max_displacement_tail,
     mixture_entropy_check,
     pushforward_offsets,
@@ -579,6 +580,40 @@ def test_small_a_probabilities_trivially_bounded(tail_sample):
     assert curve.empirical[0] > 0.9  # a = 0.25 is almost surely exceeded
 
 
+def _tail_oracle(sample):
+    """The tail statistics from one scan of the arrays per grid point: the
+    supported grid, its exceedance counts, b0 and the reflection rows."""
+    max_abs, final_abs = sample.max_abs, np.abs(sample.final)
+    scale = math.sqrt(sample.n)
+    grid = []
+    for a in walks.BASE_TAIL_GRID:
+        if int(np.sum(max_abs >= a * scale)) < walks.MIN_TAIL_EXCEEDANCES:
+            break
+        grid.append(float(a))
+    counts = tuple(int(np.sum(max_abs >= a * scale)) for a in grid)
+    b0 = next(float(a) for a in walks.BASE_TAIL_GRID
+              if np.mean(final_abs >= a * scale) <= 0.5)
+    rows = tuple((float(a), float(np.mean(max_abs >= a * scale)),
+                  2.0 * float(np.mean(final_abs >= (a - b0) * scale))) for a in grid)
+    return tuple(grid), counts, b0, rows
+
+
+@pytest.mark.parametrize("n, seed", [(400, 0), (400, 7), (37, 5)])
+def test_tail_reports_equal_the_per_threshold_oracle(fib_measure, fib_point, n, seed):
+    sample = sample_orbit_walks(fib_measure, fib_point, n, 20_000, seed)
+    grid, counts, b0, rows = _tail_oracle(sample)
+    if n == 400:
+        # sqrt(n) = 20 makes every threshold an integer, and maxima land on them
+        assert all(np.any(sample.max_abs == a * 20) for a in grid[:-1])
+    assert supported_a_grid(sample) == grid
+    curve = max_displacement_tail(sample, grid)
+    assert curve.exceedances == counts
+    assert curve.fit.b0 == b0
+    refl = reflection_check(sample, grid, b0)
+    assert refl.rows == rows
+    assert refl.holds == all(lhs <= rhs + 1e-12 for _, lhs, rhs in rows)
+
+
 # --- depth-stability reports --------------------------------------------------------------
 
 
@@ -603,6 +638,37 @@ def test_stable_mass_monotone_in_depth_scale(fib_cache):
     assert small.stable_mass < 1  # the tiny depth scale actually bites
 
 
+@pytest.mark.parametrize("depth_scale", [9.0, 0.05])
+def test_stable_report_on_a_ball_grown_past_n(fib_measure, depth_scale):
+    chain = ConvolutionCache(fib_measure, ball(fib_measure.generator_set(), 8))
+    lengths, depths = chain.ball.lengths, chain.ball.depths
+    assert lengths.max() == 8
+    for n in range(1, 9):
+        rep = stable_set_report(chain, n, depth_scale)
+        in_ball = lengths <= n
+        assert rep.ball_size == int(np.count_nonzero(in_ball))
+        assert rep.stable_count == int(np.count_nonzero(in_ball & (depths <= rep.depth)))
+
+
+def test_entropy_run_sums_each_power_once(tmp_path, monkeypatch):
+    write_json(tmp_path / "fib.json", {"variant": "substitution", "rules": {"a": "ab", "b": "a"},
+                                       "seed": "a"})
+    write_json(tmp_path / "gens.json", {"spec": "fib.json", "builtin": "fibonacci"})
+    real = walks.entropy
+    powers = []
+
+    def counting(dist):
+        powers.append(dist.n)
+        return real(dist)
+
+    monkeypatch.setattr(walks, "entropy", counting)
+    assert main(["entropy", "--spec", str(tmp_path / "fib.json"),
+                 "--gens", str(tmp_path / "gens.json"), "--n", "8",
+                 "--out", str(tmp_path / "out")]) == 0
+    # the rows, the envelope and the rates all read one sum per power
+    assert sorted(powers) == list(range(9))
+
+
 # --- return probabilities ------------------------------------------------------------------
 
 
@@ -612,6 +678,41 @@ def test_return_suite_fibonacci(fib_cache):
     assert suite.all_max_at_identity()
     assert suite.monotone
     assert suite.fitted_constant < math.inf
+
+
+def _first_constant(grid, ns, holds):
+    """The grid search written out: c fails at its first failing n."""
+    for c in grid:
+        ok = True
+        for n in ns:
+            if not holds(c, n):
+                ok = False
+                break
+        if ok:
+            return c
+    return None
+
+
+def test_fitted_constants_equal_the_grid_search(fib_spec, fib_cache):
+    oracle = language_table(fib_spec)
+    suite = return_probability_suite(fib_cache, 5)
+
+    def returns_hold(c, n):
+        rho = oracle.complexity(math.ceil(c * math.sqrt(n * math.log(max(n, 2)))))
+        lower = (1.0 / c) * math.exp(-c * rho * math.log(max(n, 2))) if n > 1 else 1.0 / c
+        return not float(suite.rows[n - 1].return_prob) < lower
+
+    assert suite.fitted_constant == _first_constant(
+        [i / 4.0 for i in range(1, 257)], range(1, 6), returns_hold)
+    env = entropy_envelope(fib_cache, 10)
+
+    def envelope_holds(c, n):
+        rho = oracle.complexity(math.ceil(c * math.sqrt(n * math.log(n))))
+        return env.entropies[n] <= c * rho * math.log(n) + 1e-12
+
+    assert env.fitted_constant == _first_constant(walks.ENVELOPE_GRID, range(2, 11),
+                                                  envelope_holds)
+    assert env.entropies == tuple(fib_cache.power(n).entropy for n in range(11))
 
 
 def test_return_probability_identity_atom_bound():

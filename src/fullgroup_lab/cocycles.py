@@ -311,9 +311,6 @@ class GeneratorSet:
         return all(inverse(g) in members for g in members)
 
 
-FIBONACCI_GENERATOR_ORDER = ("alpha", "beta", "gamma")
-
-
 def fibonacci_generators(spec: SubstitutionSpec) -> GeneratorSet:
     """The three involutions generating the classical subgroup over the
     golden-ratio substitution subshift.

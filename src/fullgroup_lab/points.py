@@ -6,22 +6,23 @@ from a cached segment that grows by doubling.  All windows of a point are
 slices of one fixed assignment, so nesting and shift-compatibility hold by
 construction; optional validation checks every window against the language
 oracle of the owning subshift.
+
+A substitution fixed point's iterates are refused past the text budget
+before they are built, and its default seeds are found without any iterate.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import Counter
 
-from . import subshifts
 from .errors import (
     AdmissibilityViolation,
-    ResourceLimit,
     SpecMismatch,
     UnresolvableHole,
     ValidationError,
 )
 from .subshifts import (
+    _SWAP_AB,
     ExplicitSpec,
     FullShiftSpec,
     SturmianSpec,
@@ -29,6 +30,8 @@ from .subshifts import (
     SubstitutionSpec,
     ToeplitzSpec,
     language_table,
+    sturmian_rules,
+    substitution_iterate,
 )
 
 
@@ -77,18 +80,17 @@ class Point:
 
 def _fixed_point_seeds(rules: dict[str, str], spec: SubstitutionSpec) -> tuple[int, str, str]:
     """Find (power, left, right) with psi^power(left) ending in left,
-    psi^power(right) starting with right, and the pair admissible."""
+    psi^power(right) starting with right, and the pair admissible.  Images
+    are nonempty (growth condition), so the last and first letters of the
+    iterates are followed letter by letter, and no iterate is built."""
     table = language_table(spec)
     letters = sorted(rules)
+    last = first = {c: c for c in letters}  # of psi^power(c)
     for power in (2, 4, 6, 8):
-        ends = [
-            y for y in letters if subshifts.substitution_iterate(rules, y, power).endswith(y)
-        ]
-        starts = [
-            z for z in letters if subshifts.substitution_iterate(rules, z, power).startswith(z)
-        ]
-        for y in ends:
-            for z in starts:
+        last = {c: rules[rules[d][-1]][-1] for c, d in last.items()}
+        first = {c: rules[rules[d][0]][0] for c, d in first.items()}
+        for y in [y for y in letters if last[y] == y]:
+            for z in [z for z in letters if first[z] == z]:
                 if table.is_admissible(y + z):
                     return power, y, z
     raise SpecMismatch("no admissible two-sided fixed-point seed pair found")
@@ -108,7 +110,6 @@ class SubstitutionFixedPoint(Point):
                  validate: bool = False):
         super().__init__(spec, validate)
         self.rules = spec.rules_dict
-        self._images = {c: Counter(image) for c, image in self.rules.items()}
         self.power = power
         if left is None or right is None or power is None:
             self.power, left, right = _fixed_point_seeds(self.rules, spec)
@@ -129,22 +130,8 @@ class SubstitutionFixedPoint(Point):
         self._right_word = right
 
     def _step(self, word: str) -> str:
-        """psi^power(word).  The length of each iterate on the way is first
-        read off the letter counts, and one past DEFAULT_MAX_TEXT letters is
-        refused with ResourceLimit before any of them is built."""
-        counts = Counter(word)
-        for _ in range(self.power):
-            step = Counter()
-            for c, k in counts.items():
-                for d, m in self._images[c].items():
-                    step[d] += k * m
-            counts = step
-            if counts.total() > subshifts.DEFAULT_MAX_TEXT:
-                raise ResourceLimit(
-                    f"psi^{self.power} of a {len(word)}-letter word passes the text "
-                    f"budget of {subshifts.DEFAULT_MAX_TEXT} letters"
-                )
-        return subshifts.substitution_iterate(self.rules, word, self.power)
+        """psi^power(word), refused past DEFAULT_MAX_TEXT letters."""
+        return substitution_iterate(self.rules, word, self.power)
 
     def _materialize(self, lo: int, hi: int) -> str:
         while len(self._left_word) < -lo:
@@ -155,17 +142,6 @@ class SubstitutionFixedPoint(Point):
         return left + self._right_word[max(lo, 0) : hi]
 
 
-def _sturmian_one_period_rules(cf: tuple[int, ...]) -> dict[str, str]:
-    """Composition of the standard substitutions a -> a^m b, b -> a over one
-    period of the continued fraction (outermost coefficient first)."""
-    rules = {"a": "a", "b": "b"}
-    for m in reversed(cf):
-        theta = {"a": "a" * m + "b", "b": "a"}
-        rules = {c: "".join(theta[d] for d in rules[c]) for c in rules}
-    # rules is now theta_{a_1} o ... o theta_{a_m}
-    return rules
-
-
 class MechanicalPoint(Point):
     """Two-sided Sturmian point, built from the one-period composition of
     the standard-word substitutions and shifted by an intercept index."""
@@ -173,14 +149,13 @@ class MechanicalPoint(Point):
     def __init__(self, spec: SturmianSpec, intercept: int = 0, validate: bool = False):
         super().__init__(spec, validate)
         self.intercept = intercept
-        rules = _sturmian_one_period_rules(spec.cf)
-        inner_spec = SubstitutionSpec.from_rules(rules, "a")
+        inner_spec = SubstitutionSpec.from_rules(sturmian_rules(spec.cf), "a")
         self._inner = SubstitutionFixedPoint(inner_spec)
         self._swap = spec.swap_letters
 
     def _materialize(self, lo: int, hi: int) -> str:
         raw = self._inner.letters(lo + self.intercept, hi + self.intercept)
-        return raw.translate(subshifts._SWAP_AB) if self._swap else raw
+        return raw.translate(_SWAP_AB) if self._swap else raw
 
 
 class ToeplitzPoint(Point):
@@ -200,8 +175,10 @@ class ToeplitzPoint(Point):
         self._hole_index = {h: s for s, h in enumerate(self._holes)}
         self._memo: dict[int, str] = {}
         p = len(self.pattern)
-        for i in range(-p * p - p, 0):
-            self._resolve(i)  # cycles live in a bounded negative region
+        # cycles live in a bounded negative region; from -1 downward, each
+        # hole chain stops at an offset resolved before it
+        for i in range(-1, -p * p - p - 1, -1):
+            self._resolve(i)
 
     def _resolve(self, i: int) -> str:
         seen: list[int] = []

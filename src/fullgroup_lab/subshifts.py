@@ -7,19 +7,22 @@ forbidden words.  Words are plain Python strings over single-character
 letters.
 
 Sturmian, substitution and Toeplitz languages are read off an expanding
-generated word.  Each snapshot of it is indexed once: a prefix-doubling
-suffix array and Kasai's linear LCP give, for every start position, the
-longest common prefix with the suffix sorted just before it.  One histogram
-of those values yields the snapshot's count of distinct length-n windows for
-every n at once, and the windows starting where that LCP is below n are its
-length-n factors, one each.  A factor set is declared complete once it
-survives two consecutive doublings of the generated length (plus the
-Sturmian early exit where the complexity n + 1 is known).  That stop is a
-heuristic, not a certificate.  Full shifts use the closed form, and a shift
-of finite type spells or counts the paths of one graph on its allowed
-k-words.  Results are memoized per spec in a `LanguageTable`, the one place
-that enumerates, orders and locates factors; it is safe to share across
-threads.
+generated word, a Sturmian one by its one-period substitution.  Each
+substitution snapshot is refused before it is built when its length, read
+off the letter counts, passes twice the text budget.  Each snapshot is
+indexed once: a prefix-doubling suffix array and Kasai's linear LCP give,
+for every start position, the longest common prefix with the suffix sorted
+just before it.  One histogram of those values yields the snapshot's count
+of distinct length-n windows for every n at once, and the windows starting
+where that LCP is below n are its length-n factors, one each.  A factor
+set is declared complete once it survives two consecutive doublings of the
+generated length (plus the Sturmian early exit where the complexity n + 1
+is known).  That stop is a heuristic, not a certificate.  Full shifts use
+the closed form, and a shift of finite type spells or counts the paths of
+one graph on its allowed k-words.  A length past the text budget is refused
+for every family.  Results are memoized per spec in a `LanguageTable`, the
+one place that enumerates, orders and locates factors; it is safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -306,14 +309,37 @@ def spec_to_dict(spec: SubshiftSpec) -> dict:
 # Substitution machinery
 
 
-def substitution_iterate(rules: Mapping[str, str], seed: str, k: int) -> str:
-    """Apply the substitution k times to `seed` by concatenation."""
+def substitution_iterate(rules: Mapping[str, str], word: str, k: int,
+                         limit: int = DEFAULT_MAX_TEXT) -> str:
+    """psi^k(word) for the substitution psi given by `rules`: the one place
+    that joins substitution images.  Each iterate's length is read off the
+    letter counts first, and one past `limit` letters is refused with
+    ResourceLimit before any is built."""
     if k < 0:
         raise ValueError("iteration count must be nonnegative")
-    word = seed
+    counts = {c: word.count(c) for c in rules}
+    for _ in range(k):
+        counts = {d: sum(m * rules[c].count(d) for c, m in counts.items()) for d in rules}
+        if sum(counts.values()) > limit:
+            raise ResourceLimit(f"psi^{k} of a {len(word)}-letter word passes the text "
+                                f"budget of {limit} letters")
     for _ in range(k):
         word = "".join(rules[c] for c in word)
     return word
+
+
+def sturmian_rules(cf: tuple[int, ...], limit: int = DEFAULT_MAX_TEXT) -> dict[str, str]:
+    """theta_{a_1} o ... o theta_{a_m} over one period of the continued
+    fraction, theta_c being a -> a^c b, b -> a: its k-th iterate of 'a' is
+    the (k m)-th standard word (Lothaire, Algebraic Combinatorics on Words,
+    ch. 2).  An image past `limit` letters is refused with ResourceLimit."""
+    rules = {"a": "a", "b": "b"}
+    for m in cf:
+        if m >= limit:  # theta_m(a) alone has m + 1 letters
+            raise ResourceLimit(f"continued fraction coefficient {m} passes the text "
+                                f"budget of {limit} letters")
+        rules = {"a": substitution_iterate(rules, "a" * m + "b", 1, limit), "b": rules["a"]}
+    return rules
 
 
 def _mortal_letters(rules: Mapping[str, str]) -> set[str]:
@@ -425,39 +451,19 @@ def toeplitz_word(pattern: str, length: int, hole: str = "*") -> str:
 # Expanding-word snapshots per family
 
 
-def _sturmian_standard_words(cf: tuple[int, ...], swap: bool) -> Iterator[str]:
-    """Standard words s_k = s_{k-1}^{a_k} s_{k-2}, coefficients cycled."""
-    prev, cur = "b", "a"
-    k = 0
-    while True:
-        a_k = cf[k % len(cf)]
-        k += 1
-        prev, cur = cur, cur * a_k + prev
-        yield cur.translate(_SWAP_AB) if swap else cur
-
-
-def _substitution_snapshots(spec: SubstitutionSpec) -> Iterator[str]:
-    rules = spec.rules_dict
-    word = spec.seed
-    while True:
-        word = "".join(rules[c] for c in word)
-        yield word
-
-
-def _toeplitz_snapshots(spec: ToeplitzSpec) -> Iterator[str]:
-    length = 4 * len(spec.pattern)
-    while True:
-        yield toeplitz_word(spec.pattern, length, spec.hole)
-        length *= 2
-
-
-def _snapshots(spec: SubshiftSpec) -> Iterator[str]:
+def _snapshot_steps(spec: SubshiftSpec, limit: int) -> tuple[str, Callable[[str], str]]:
+    """The word a scan-based spec's snapshots grow from, and the step from
+    one snapshot to the next.  A substitution step past `limit` letters is
+    refused before it is built, every time it is asked for."""
     if isinstance(spec, SturmianSpec):
-        return _sturmian_standard_words(spec.cf, spec.swap_letters)
+        swap = _SWAP_AB if spec.swap_letters else {}
+        rules = {c.translate(swap): image.translate(swap)
+                 for c, image in sturmian_rules(spec.cf, limit).items()}
+        return "a".translate(swap), partial(substitution_iterate, rules, k=1, limit=limit)
     if isinstance(spec, SubstitutionSpec):
-        return _substitution_snapshots(spec)
-    if isinstance(spec, ToeplitzSpec):
-        return _toeplitz_snapshots(spec)
+        return spec.seed, partial(substitution_iterate, spec.rules_dict, k=1, limit=limit)
+    if isinstance(spec, ToeplitzSpec):  # snapshots of 4, 8, 16, ... periods
+        return spec.pattern * 2, lambda text: toeplitz_word(spec.pattern, 2 * len(text), spec.hole)
     raise TypeError(f"spec family {spec.variant!r} is not scan-based")
 
 
@@ -580,20 +586,29 @@ class _IndexStream:
     read the same indexes.
     """
 
-    def __init__(self, snapshots: Iterator[str], tail: bool):
+    def __init__(self, spec: SubshiftSpec, limit: int, tail: bool):
         self.tail = tail
-        self._gen = snapshots
+        self._text, self._grow = _snapshot_steps(spec, limit)
         self._cache: list[_FactorIndex] = []
 
     def __iter__(self) -> Iterator[_FactorIndex]:
         i = 0
         while True:
             if i >= len(self._cache):
-                text = next(self._gen)
+                text = self._text = self._grow(self._text)
                 region = text[len(text) // 2 :] if self.tail else text
                 self._cache.append(_FactorIndex(region, len(text)))
             yield self._cache[i]
             i += 1
+
+
+def _check_length(n: int, max_text: int) -> None:
+    """Refuse a negative factor length, and one past the text budget at once."""
+    if n < 0:
+        raise ValueError("factor length must be nonnegative")
+    if n > max_text:
+        raise SaturationFailure(
+            f"factor length {n} is longer than the text budget of {max_text} letters")
 
 
 def _saturate(spec, n: int, max_text: int, stream: _IndexStream) -> _FactorIndex:
@@ -604,10 +619,7 @@ def _saturate(spec, n: int, max_text: int, stream: _IndexStream) -> _FactorIndex
     are compared.  Tail halves are not nested, so there the sets are.  A
     length past the text budget is refused before any text is generated.
     """
-    if n > max_text:
-        raise SaturationFailure(
-            f"factor length {n} is longer than the text budget of {max_text} letters"
-        )
+    _check_length(n, max_text)
     expected = n + 1 if isinstance(spec, SturmianSpec) and n >= 1 else None
     prev = changed_at = None
     for index in stream:
@@ -743,8 +755,7 @@ class LanguageTable:
         self._siblings: dict[int, _SiblingPlan | None] = {}
 
     def factors(self, n: int) -> frozenset[str]:
-        if n < 0:
-            raise ValueError("factor length must be nonnegative")
+        _check_length(n, self.max_text)
         with self._lock:
             got = self._factors.get(n)
             if got is not None:
@@ -794,8 +805,7 @@ class LanguageTable:
         return plan
 
     def complexity(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("factor length must be nonnegative")
+        _check_length(n, self.max_text)
         with self._lock:
             got = self._counts.get(n)
             if got is not None:
@@ -826,7 +836,8 @@ class LanguageTable:
     def _compute_factors(self, n: int) -> frozenset[str]:
         spec = self.spec
         if isinstance(spec, FullShiftSpec):
-            if len(spec.letters) ** n > self.max_factors:
+            cap = self.max_factors  # a power past the cap's bit length passes it
+            if len(spec.letters) ** min(n, cap.bit_length()) > cap:
                 raise ResourceLimit(f"full-shift factor set of length {n} exceeds cap")
             return frozenset("".join(t) for t in itertools.product(spec.letters, repeat=n))
         if isinstance(spec, ExplicitSpec):
@@ -844,7 +855,7 @@ class LanguageTable:
         # the scan to the tail half and waiting for stabilization implements
         # that filter.  For primitive substitutions it converges to the plain
         # factor set.
-        return _IndexStream(_snapshots(self.spec), isinstance(self.spec, SubstitutionSpec))
+        return _IndexStream(self.spec, 2 * self.max_text, isinstance(self.spec, SubstitutionSpec))
 
 
 _TABLES: dict[SubshiftSpec, LanguageTable] = {}
@@ -888,7 +899,7 @@ def substitution_enumeration_diagnostics(spec: SubstitutionSpec, n: int,
     """
     tail_set = factors(spec, n)
     plain = _saturate(spec, n, max_text,
-                      _IndexStream(_substitution_snapshots(spec), tail=False)).factors(n)
+                      _IndexStream(spec, 2 * max_text, tail=False)).factors(n)
     return {"tail": tail_set, "prefix": plain, "agree": tail_set == plain}
 
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -7,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import fullgroup_lab
 from fullgroup_lab import (
     canonical_point,
     fibonacci_generators,
@@ -23,6 +28,10 @@ from fullgroup_lab.fileio import (
     write_json,
     write_table,
 )
+
+
+FIB = {"variant": "substitution", "rules": {"a": "ab", "b": "a"}, "seed": "a"}
+GENS = {"spec": "fib.json", "builtin": "fibonacci"}
 
 
 @pytest.fixture()
@@ -357,6 +366,45 @@ def test_huge_lengths_exit_3_before_any_output(workdir, capsys, fib_gens, case):
     assert not out.exists()
 
 
+_BLOW_UP_INPUTS = {
+    "sturmian-huge-coefficient": (
+        {"variant": "sturmian", "cf": [100000], "swap_letters": False},
+        ["complexity", "--n", "5"]),
+    "full-shift-dump": (
+        {"variant": "full_shift", "alphabet": ["a", "b"]},
+        ["complexity", "--n", "4", "--dump-factors", str(10**12)]),
+    "fixed-point-power": (
+        FIB | {"point": {"kind": "substitution_fixed_point", "left": "a", "right": "a",
+                         "power": 60}},
+        ["walk", "--gens", "gens.json", "--n", "4", "--trials", "4"]),
+}
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("case", list(_BLOW_UP_INPUTS))
+def test_blow_up_inputs_exit_3_under_a_2_gib_address_space(workdir, case):
+    # a child process with 2 GiB of address space: a raw MemoryError there
+    # exits 1 with a traceback instead of a resource-limit line
+    spec, args = _BLOW_UP_INPUTS[case]
+    write_json(workdir / "fib.json", spec)
+    package_root = Path(fullgroup_lab.__file__).resolve().parents[1]
+    env = os.environ | {"OPENBLAS_NUM_THREADS": "1",
+                        "PYTHONPATH": os.pathsep.join(filter(None, [
+                            str(package_root), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fullgroup_lab.cli", args[0], "--spec", "fib.json", *args[1:],
+         "--out", "out"],
+        cwd=workdir, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_address_space)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("resource limit: ")
+    assert "Traceback" not in proc.stderr
+    assert not (workdir / "out").exists()
+
+
 # --- validation and exit codes ------------------------------------------------------
 
 
@@ -414,10 +462,6 @@ def test_malformed_element_documents_are_validation_errors(workdir, capsys, fib_
                 "--n", 2, "--out", out]) == 2
     assert capsys.readouterr().err.startswith("error: malformed element document")
     assert not out.exists()
-
-
-FIB = {"variant": "substitution", "rules": {"a": "ab", "b": "a"}, "seed": "a"}
-GENS = {"spec": "fib.json", "builtin": "fibonacci"}
 
 
 @pytest.mark.parametrize("spec, gens, field", [

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,6 @@ from fullgroup_lab import (
     substitution_iterate,
     toeplitz_word,
 )
-from fullgroup_lab import subshifts
 
 
 def test_fibonacci_fixed_point_center_window(fib_spec, fib_point):
@@ -50,15 +50,18 @@ def test_fixed_point_rejects_empty_seeds(fib_spec):
             SubstitutionFixedPoint(fib_spec, left=left, right=right, power=2)
 
 
-def test_fixed_point_power_past_the_text_budget_is_refused(fib_spec, monkeypatch):
+def test_fixed_point_power_past_the_text_budget_is_refused(fib_spec):
     # psi^60(a) has about 4e12 letters: the letter counts refuse it before
-    # any iterate is built
-    def no_iterate(*args):
-        raise AssertionError("an iterate was built")
-
-    monkeypatch.setattr(subshifts, "substitution_iterate", no_iterate)
-    with pytest.raises(ResourceLimit, match="text budget"):
-        SubstitutionFixedPoint(fib_spec, left="a", right="a", power=60)
+    # any iterate is built, so the allocation peak stays far below the
+    # budget of 2^23 letters that the iterates on the way would fill
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match="text budget"):
+            SubstitutionFixedPoint(fib_spec, left="a", right="a", power=60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_explicit_power_gives_the_canonical_windows(fib_spec, fib_point):
@@ -116,6 +119,12 @@ def test_window_nesting_and_shift_compatibility(center, radius, extra):
     assert p.window(center + 1, radius) == p.window(center, radius + 1)[2:]
 
 
+def test_mechanical_point_with_a_huge_coefficient_is_refused():
+    # the second iterate of a -> a^100000 b, b -> a has about 10^10 letters
+    with pytest.raises(ResourceLimit, match="text budget"):
+        MechanicalPoint(SturmianSpec((100000,)))
+
+
 def test_sturmian_random_slope_windows_admissible():
     spec = SturmianSpec((3, 1, 2))
     p = MechanicalPoint(spec, 0, validate=True)
@@ -139,8 +148,29 @@ def test_toeplitz_point_anchor_shifts():
 
 
 def test_toeplitz_permanent_hole_rejected():
-    with pytest.raises(UnresolvableHole):
-        ToeplitzPoint(ToeplitzSpec("ab*b*"), 0)
+    for pattern in ("ab*b*", "a*b*", "a**b*", "ab**"):
+        with pytest.raises(UnresolvableHole, match="offset -1$"):
+            ToeplitzPoint(ToeplitzSpec(pattern), 0)
+
+
+def _filled_letter(pattern: str, j: int, hole: str = "*") -> str:
+    """Memo-free two-sided hole filling: the k-th hole of period m carries
+    the letter at offset m q + k, so follow those offsets from j until one
+    is a letter of the pattern."""
+    p = len(pattern)
+    holes = [i for i, c in enumerate(pattern) if c == hole]
+    while pattern[j % p] == hole:
+        r = j % p
+        j = (j - r) // p * len(holes) + holes.index(r)
+    return pattern[j % p]
+
+
+@pytest.mark.parametrize("pattern", ["a*ab*a", "a*b", "a**b", "a" + "*" * 28 + "b"])
+def test_toeplitz_point_windows_match_a_memo_free_filler(pattern):
+    point = ToeplitzPoint(ToeplitzSpec(pattern), 0)
+    expected = "".join(_filled_letter(pattern, j) for j in range(-3000, 3000))
+    assert point.letters(-3000, 3000) == expected
+    assert point.letters(0, 3000) == toeplitz_word(pattern, 3000)
 
 
 def test_nonprimitive_fixed_point_windows(fib_spec):

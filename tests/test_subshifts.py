@@ -1,6 +1,9 @@
+import itertools
 import math
 import sys
 import threading
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +15,7 @@ from fullgroup_lab import (
     ExplicitSpec,
     FullShiftSpec,
     LanguageTable,
+    ResourceLimit,
     SaturationFailure,
     SturmianSpec,
     SubstitutionSpec,
@@ -28,7 +32,11 @@ from fullgroup_lab import (
     toeplitz_word,
 )
 from fullgroup_lab import subshifts
-from fullgroup_lab.subshifts import _FactorIndex, substitution_enumeration_diagnostics
+from fullgroup_lab.subshifts import (
+    _FactorIndex,
+    sturmian_rules,
+    substitution_enumeration_diagnostics,
+)
 
 FIB = {"a": "ab", "b": "a"}
 NONPRIM = {"a": "aba", "b": "bb"}
@@ -243,6 +251,59 @@ def test_substitution_iterate_produces_known_prefix():
 
 def test_substitution_iterate_zero_is_seed():
     assert substitution_iterate(NONPRIM, "b", 0) == "b"
+
+
+def test_substitution_iterate_refuses_past_its_limit():
+    # psi^10(a) has F_12 = 144 letters
+    assert len(substitution_iterate(FIB, "a", 10, limit=144)) == 144
+    with pytest.raises(ResourceLimit, match="text budget of 143 letters"):
+        substitution_iterate(FIB, "a", 10, limit=143)
+
+
+# --- Sturmian text: the one-period substitution against the standard words ----
+
+STURMIAN_CFS = [(1,), (2, 1), (3,), (1, 2, 3), (5, 1, 1), (50,)]
+
+
+def _standard_words(cf: tuple[int, ...]):
+    """Reference: the standard words s_k = s_{k-1}^{a_k} s_{k-2} for k >= 1,
+    from s_{-1} = b and s_0 = a, coefficients cycled."""
+    prev, cur = "b", "a"
+    for a_k in itertools.cycle(cf):
+        prev, cur = cur, cur * a_k + prev
+        yield cur
+
+
+@pytest.mark.parametrize("cf", STURMIAN_CFS)
+def test_sturmian_rules_iterate_the_standard_words(cf):
+    rules = sturmian_rules(cf)
+    words = list(itertools.islice(_standard_words(cf), 3 * len(cf)))
+    # the k-th iterate of a is the (k m)-th standard word
+    for k in (1, 2, 3):
+        assert substitution_iterate(rules, "a", k) == words[k * len(cf) - 1]
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("cf", STURMIAN_CFS)
+def test_sturmian_language_matches_standard_word_windows(cf, swap):
+    word = next(w for w in _standard_words(cf) if len(w) >= 20_000)
+    if swap:
+        word = word.translate(str.maketrans("ab", "ba"))
+    reference = _FactorIndex(word, len(word))
+    table = LanguageTable(SturmianSpec(cf, swap))
+    for n in range(1, 401):
+        assert table.complexity(n) == reference.count(n) == n + 1
+    for n in (1, 2, 7, 60, 400):
+        assert table.factors(n) == {word[i : i + n] for i in range(len(word) - n + 1)}
+
+
+def test_sturmian_huge_coefficient_is_refused_before_its_text():
+    # the second standard word of [100000] has about 10^10 letters
+    table = LanguageTable(SturmianSpec((100000,)))
+    assert table.complexity(1) == 2
+    for n in (2, 3):  # the refusal holds for every later query too
+        with pytest.raises(ResourceLimit, match="text budget"):
+            table.complexity(n)
 
 
 def test_is_primitive_examples():
@@ -490,17 +551,44 @@ def test_saturation_failure_with_tiny_budget():
         table.factors(40)
 
 
-def test_length_past_the_text_budget_is_refused_before_any_text(monkeypatch):
-    def no_text(spec):
-        raise AssertionError("a snapshot was generated")
-        yield  # pragma: no cover
+def test_length_past_the_text_budget_is_refused_before_any_text():
+    # a snapshot of the default 2^23-letter budget would fill megabytes
+    table = LanguageTable(fibonacci_spec())
+    tracemalloc.start()
+    try:
+        with pytest.raises(SaturationFailure, match="longer than the text budget"):
+            table.complexity(10**12)
+        with pytest.raises(SaturationFailure, match="longer than the text budget"):
+            table.factors(table.max_text + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
-    monkeypatch.setattr(subshifts, "_substitution_snapshots", no_text)
-    table = LanguageTable(fibonacci_spec(), max_text=1000)
-    with pytest.raises(SaturationFailure, match="longer than the text budget"):
-        table.complexity(10**12)
-    with pytest.raises(SaturationFailure):
-        table.factors(1001)
+
+def test_snapshot_past_twice_the_text_budget_is_refused():
+    # snapshots of 5, 21, 85 and 341 letters: the last passes 2 x 100
+    table = LanguageTable(SubstitutionSpec.from_rules({"a": "aaaab", "b": "a"}, "a"),
+                          max_text=100)
+    for n in (20, 21):
+        with pytest.raises(ResourceLimit, match="text budget of 200 letters"):
+            table.factors(n)
+
+
+def test_full_shift_cap_is_decided_without_the_power():
+    table = LanguageTable(FullShiftSpec(("a", "b")), max_factors=8)
+    assert len(table.factors(3)) == 8
+    with pytest.raises(ResourceLimit):
+        table.factors(4)
+    for letters in (("a", "b"), ("a",)):
+        table = LanguageTable(FullShiftSpec(letters))
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit):
+            table.factors(10**12)
+        with pytest.raises(ResourceLimit):
+            table.complexity(10**12)
+        assert time.perf_counter() - start < 1.0
+    assert LanguageTable(FullShiftSpec(("a", "b", "c"))).complexity(1024) == 3**1024
 
 
 def test_lengths_within_the_text_budget_are_unchanged():

@@ -22,7 +22,6 @@ from .errors import (
     ValidationError,
 )
 from .subshifts import (
-    _SWAP_AB,
     ExplicitSpec,
     FullShiftSpec,
     SturmianSpec,
@@ -33,6 +32,8 @@ from .subshifts import (
     sturmian_rules,
     substitution_iterate,
 )
+
+_SWAP_AB = str.maketrans("ab", "ba")
 
 
 class Point:

@@ -7,9 +7,10 @@ forbidden words.  Words are plain Python strings over single-character
 letters.
 
 Sturmian, substitution and Toeplitz languages are read off an expanding
-generated word, a Sturmian one by its one-period substitution.  Each
-substitution snapshot is refused before it is built when its length, read
-off the letter counts, passes twice the text budget.  Each snapshot is
+generated word, a Sturmian one by the standard-word recursion.  Each
+snapshot but a Toeplitz one is one substitution step from the one before,
+refused before it is built when its length, read off the letter counts,
+passes twice the text budget.  Each snapshot is
 indexed once: a prefix-doubling suffix array and Kasai's linear LCP give,
 for every start position, the longest common prefix with the suffix sorted
 just before it.  One histogram of those values yields the snapshot's count
@@ -19,10 +20,9 @@ set is declared complete once it survives two consecutive doublings of the
 generated length (plus the Sturmian early exit where the complexity n + 1
 is known).  That stop is a heuristic, not a certificate.  Full shifts use
 the closed form, and a shift of finite type spells or counts the paths of
-one graph on its allowed k-words.  A length past the text budget is refused
-for every family.  Results are memoized per spec in a `LanguageTable`, the
-one place that enumerates, orders and locates factors; it is safe to share
-across threads.
+one graph on its allowed k-words.  Results are memoized per spec in a
+`LanguageTable`, the one place that enumerates, orders and locates factors;
+it is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ from .errors import (
 DEFAULT_MAX_TEXT = 1 << 23
 # Element budget for explicit factor-set enumeration.
 DEFAULT_MAX_FACTORS = 2_000_000
-
-_SWAP_AB = str.maketrans("ab", "ba")
-
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -318,27 +315,29 @@ def substitution_iterate(rules: Mapping[str, str], word: str, k: int,
     if k < 0:
         raise ValueError("iteration count must be nonnegative")
     counts = {c: word.count(c) for c in rules}
-    for _ in range(k):
+    for i in range(1, k + 1):
         counts = {d: sum(m * rules[c].count(d) for c, m in counts.items()) for d in rules}
         if sum(counts.values()) > limit:
-            raise ResourceLimit(f"psi^{k} of a {len(word)}-letter word passes the text "
-                                f"budget of {limit} letters")
+            raise ResourceLimit(f"psi^{i} of a {len(word)}-letter word has "
+                                f"{sum(counts.values())} letters, past the text budget "
+                                f"of {limit} letters")
     for _ in range(k):
         word = "".join(rules[c] for c in word)
     return word
 
 
-def sturmian_rules(cf: tuple[int, ...], limit: int = DEFAULT_MAX_TEXT) -> dict[str, str]:
+def sturmian_rules(cf: tuple[int, ...]) -> dict[str, str]:
     """theta_{a_1} o ... o theta_{a_m} over one period of the continued
     fraction, theta_c being a -> a^c b, b -> a: its k-th iterate of 'a' is
     the (k m)-th standard word (Lothaire, Algebraic Combinatorics on Words,
-    ch. 2).  An image past `limit` letters is refused with ResourceLimit."""
+    ch. 2).  An image past DEFAULT_MAX_TEXT letters is refused with
+    ResourceLimit."""
     rules = {"a": "a", "b": "b"}
     for m in cf:
-        if m >= limit:  # theta_m(a) alone has m + 1 letters
+        if m >= DEFAULT_MAX_TEXT:  # theta_m(a) alone has m + 1 letters
             raise ResourceLimit(f"continued fraction coefficient {m} passes the text "
-                                f"budget of {limit} letters")
-        rules = {"a": substitution_iterate(rules, "a" * m + "b", 1, limit), "b": rules["a"]}
+                                f"budget of {DEFAULT_MAX_TEXT} letters")
+        rules = {"a": substitution_iterate(rules, "a" * m + "b", 1), "b": rules["a"]}
     return rules
 
 
@@ -456,10 +455,20 @@ def _snapshot_steps(spec: SubshiftSpec, limit: int) -> tuple[str, Callable[[str]
     one snapshot to the next.  A substitution step past `limit` letters is
     refused before it is built, every time it is asked for."""
     if isinstance(spec, SturmianSpec):
-        swap = _SWAP_AB if spec.swap_letters else {}
-        rules = {c.translate(swap): image.translate(swap)
-                 for c, image in sturmian_rules(spec.cf, limit).items()}
-        return "a".translate(swap), partial(substitution_iterate, rules, k=1, limit=limit)
+        # the standard words s_k = s_{k-1}^{a_k} s_{k-2}, from s_{-1} = b and
+        # s_0 = a, coefficients cycled: theta_{a_k}(a) = a^{a_k} b read with
+        # a -> s_{k-1} and b -> s_{k-2}
+        a, b = "ba" if spec.swap_letters else "ab"
+        k, before = 0, b
+
+        def standard_word(text: str) -> str:
+            nonlocal k, before
+            word = substitution_iterate({a: text, b: before},
+                                        a * spec.cf[k % len(spec.cf)] + b, 1, limit)
+            k, before = k + 1, text
+            return word
+
+        return a, standard_word
     if isinstance(spec, SubstitutionSpec):
         return spec.seed, partial(substitution_iterate, spec.rules_dict, k=1, limit=limit)
     if isinstance(spec, ToeplitzSpec):  # snapshots of 4, 8, 16, ... periods
@@ -602,15 +611,6 @@ class _IndexStream:
             i += 1
 
 
-def _check_length(n: int, max_text: int) -> None:
-    """Refuse a negative factor length, and one past the text budget at once."""
-    if n < 0:
-        raise ValueError("factor length must be nonnegative")
-    if n > max_text:
-        raise SaturationFailure(
-            f"factor length {n} is longer than the text budget of {max_text} letters")
-
-
 def _saturate(spec, n: int, max_text: int, stream: _IndexStream) -> _FactorIndex:
     """The index at which the length-n factor set stabilized.
 
@@ -619,7 +619,10 @@ def _saturate(spec, n: int, max_text: int, stream: _IndexStream) -> _FactorIndex
     are compared.  Tail halves are not nested, so there the sets are.  A
     length past the text budget is refused before any text is generated.
     """
-    _check_length(n, max_text)
+    if n > max_text:
+        raise SaturationFailure(
+            f"factor length {n} is longer than the text budget of {max_text} letters"
+        )
     expected = n + 1 if isinstance(spec, SturmianSpec) and n >= 1 else None
     prev = changed_at = None
     for index in stream:
@@ -755,7 +758,8 @@ class LanguageTable:
         self._siblings: dict[int, _SiblingPlan | None] = {}
 
     def factors(self, n: int) -> frozenset[str]:
-        _check_length(n, self.max_text)
+        if n < 0:
+            raise ValueError("factor length must be nonnegative")
         with self._lock:
             got = self._factors.get(n)
             if got is not None:
@@ -805,7 +809,8 @@ class LanguageTable:
         return plan
 
     def complexity(self, n: int) -> int:
-        _check_length(n, self.max_text)
+        if n < 0:
+            raise ValueError("factor length must be nonnegative")
         with self._lock:
             got = self._counts.get(n)
             if got is not None:

@@ -113,7 +113,9 @@ def cmd_complexity(args, argv) -> int:
         raise ValidationError("--dump-factors must be >= 0")
     oracle = language_table(spec)
     rows = [(n, oracle.complexity(n)) for n in range(1, args.n + 1)]
-    # listed before the output directory is made, so a blown cap leaves none
+    # checked and listed before the output directory is made, so a refusal
+    # leaves none
+    fileio.check_cells(rows)
     dump = None if args.dump_factors is None else oracle.words(args.dump_factors)
     args.out.mkdir(parents=True, exist_ok=True)
     outputs = []

@@ -842,7 +842,11 @@ class LanguageTable:
         spec = self.spec
         if isinstance(spec, FullShiftSpec):
             cap = self.max_factors  # a power past the cap's bit length passes it
-            if len(spec.letters) ** min(n, cap.bit_length()) > cap:
+            count = len(spec.letters) ** min(n, cap.bit_length())
+            # its words hold count * n letters; on two or more letters the word
+            # cap lets through at most cap * bit_length(cap), and one letter
+            # gets the same
+            if count > cap or count * n > cap * cap.bit_length():
                 raise ResourceLimit(f"full-shift factor set of length {n} exceeds cap")
             return frozenset("".join(t) for t in itertools.product(spec.letters, repeat=n))
         if isinstance(spec, ExplicitSpec):

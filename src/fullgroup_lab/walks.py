@@ -17,15 +17,19 @@ Each trial t draws from its own counter-based stream, Philox keyed by
 generator per sampler call is rekeyed for each trial, and its floats are
 mapped to atoms one block of trials at a time, in reused buffers: up to
 ATOM_COUNT_MAX atoms by counting the cumulative bounds each float passes,
-past that by one binary search.  The atoms of all draws go into one
-step-major (n, trials) array of the narrowest unsigned type.  The walk then
-makes one pass over the steps, moving every trial at once: each step reads
-the position-major `cocycles.increment_table` once, flat at
-(offset + span) * atoms + atom, and its contiguous row of offsets is
-summarized and folded into each trial's running max|m| before the next step
-overwrites it, so no trials x (n+1) matrix is ever held.  The increment
-table is checked against the Lipschitz bound before any draw.  A sample
-whose arrays, all counted, would pass MAX_SAMPLE_BYTES is refused with
+past that by one binary search.  Each draw is stored at its information
+size, b bits with b the smallest power of two that holds the largest atom
+index: 8/b draws share one byte up to 256 atoms, and past that each draw
+has a word of its own, uint16 up to 65,536 atoms.  The packed draws of all
+trials go into one step-major array, trials wide.  The walk then makes one
+pass over the steps, moving every trial at once: each step unpacks its
+draws with one shift and one mask, and reads the position-major
+`cocycles.increment_table` once, flat at (offset + span) * atoms + atom.
+Its contiguous row of narrow integer offsets is summarized directly and
+folded into each trial's running max|m| before the next step overwrites
+it, so no trials x (n+1) matrix is ever held.  The increment table is
+checked against the Lipschitz bound before any draw.  A sample whose
+arrays, all counted, would pass MAX_SAMPLE_BYTES is refused with
 ResourceLimit before anything is allocated.
 
 Each report statistic is computed once: a distribution sums its entropy once
@@ -307,17 +311,30 @@ def _atom_index(cum: np.ndarray, x: np.ndarray, out: np.ndarray, mask: np.ndarra
         out += mask
 
 
+def _draw_layout(atoms: int) -> tuple[int, int, np.dtype]:
+    """How one draw among `atoms` is stored: its width b, the smallest power
+    of two with b >= max(1, bit_length(atoms - 1)); the draws per stored
+    word, 8 // b up to 8 bits and 1 past that; and the unsigned word type,
+    uint8 up to 256 atoms, then the narrowest that holds b bits."""
+    bits = 1 << (max(1, (atoms - 1).bit_length()) - 1).bit_length()
+    return bits, max(1, 8 // bits), np.min_scalar_type((1 << bits) - 1)
+
+
 def _atom_draws(measure: StepMeasure, n: int, trials: int, seed: int) -> np.ndarray:
-    """Return the atom indices of all draws as a step-major (n, trials)
-    array of the narrowest unsigned type: column t holds the n draws of
-    trial t's own counter-based stream Philox(key=[seed mod 2^64, t]).
+    """Return the atom indices of all draws, packed as `_draw_layout` says,
+    in a step-major (ceil(n / per), trials) array: draw j of trial t sits in
+    row j // per, column t, at bit (j % per) * b, and the unused high bits
+    of the last row are zero.  Column t holds the n draws of trial t's own
+    counter-based stream Philox(key=[seed mod 2^64, t]).
 
     One generator serves the whole call: for each trial its state is set to
     that key, counter 0 and an empty buffer, which is the state a new
     Philox(key=[seed mod 2^64, t]) starts in.  The state is a dict of plain
     ints, which the setter reads faster than arrays.  The floats, their atom
-    indices and the compare mask are DRAW_BLOCK-trial buffers that every
-    block reuses."""
+    indices, the compare mask and the packed rows are DRAW_BLOCK-trial
+    buffers that every block reuses; each block is packed before its
+    transpose is written."""
+    bits, per, dtype = _draw_layout(len(measure.atoms))
     cum = np.cumsum([float(p) for _, _, p in measure.atoms])
     cum[-1] = 1.0
     state = {"bit_generator": "Philox",
@@ -326,11 +343,12 @@ def _atom_draws(measure: StepMeasure, n: int, trials: int, seed: int) -> np.ndar
     key = state["state"]["key"]
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
-    moves = np.empty((n, trials), dtype=np.min_scalar_type(len(measure.atoms) - 1))
+    moves = np.empty((-(-n // per), trials), dtype=dtype)
     width = min(trials, DRAW_BLOCK)
     floats = np.empty((width, n))
-    index = np.empty((width, n), dtype=moves.dtype)
+    index = np.empty((width, n), dtype=dtype)
     mask = np.empty((width, n), dtype=bool)
+    packed = np.empty((width, len(moves)), dtype=dtype)
     for start in range(0, trials, DRAW_BLOCK):
         rows = min(DRAW_BLOCK, trials - start)
         for row in range(rows):
@@ -338,25 +356,33 @@ def _atom_draws(measure: StepMeasure, n: int, trials: int, seed: int) -> np.ndar
             bitgen.state = state
             gen.random(out=floats[row])
         _atom_index(cum, floats[:rows], index[:rows], mask[:rows])
-        moves[:, start:start + rows] = index[:rows].T
+        packed[:rows] = index[:rows, ::per]
+        for k in range(1, per):
+            draws = index[:rows, k::per]
+            draws <<= k * bits
+            packed[:rows, :draws.shape[1]] |= draws
+        moves[:, start:start + rows] = packed[:rows].T
     return moves
 
 
 def _check_sample_size(n: int, trials: int, atoms: int, span: int, dtype: np.dtype) -> int:
     """Return the bytes a sample holds at most, and refuse it with
     ResourceLimit when they pass MAX_SAMPLE_BYTES, before any of them is
-    allocated.  Counted: the atom array of all draws; one block of draws
+    allocated.  Counted: the packed draws of all trials; one block of draws
     (the floats, their atom indices and the compare mask, plus the int64
-    search result past ATOM_COUNT_MAX atoms); the increment table; the step
-    loop's per-trial buffers and temporaries; and the summary rows."""
+    search result past ATOM_COUNT_MAX atoms, and the block's packed rows);
+    the increment table; the step loop's per-trial buffers and temporaries;
+    and the summary rows."""
     itemsize = np.dtype(dtype).itemsize
-    draw_itemsize = np.min_scalar_type(atoms - 1).itemsize
+    _, per, draw_dtype = _draw_layout(atoms)
+    draw_itemsize = draw_dtype.itemsize
+    packed_rows = -(-n // per)
     width = min(trials, DRAW_BLOCK)
     per_draw = 8 + draw_itemsize + 1 + (8 if atoms > ATOM_COUNT_MAX else 0)
-    # cell, where and three float64 rows (the copy, its abs, std's deviations);
+    # cell, where and std's float64 deviations; one step's unpacked draws;
     # the gathered increments, the offsets, their abs and the running max
-    per_trial = 5 * 8 + 4 * itemsize
-    need = (n * trials * draw_itemsize
+    per_trial = 3 * 8 + draw_itemsize + 4 * itemsize
+    need = ((trials + width) * packed_rows * draw_itemsize
             + width * n * per_draw
             + atoms * (2 * span + 1) * itemsize
             + trials * per_trial
@@ -378,11 +404,11 @@ def sample_orbit_walks(measure: StepMeasure, point: Point, n: int, trials: int,
     start point; increments are read from a precomputed per-atom table, so
     the point's windows are only evaluated once per reachable offset.  The
     table is checked first: no entry may exceed the measure's max_shift, so
-    no step can.  Then every draw is made (`_atom_draws`), and one pass over
-    the steps moves all trials at once.  Each step's contiguous row of
-    offsets gets its summary row, exactly as a float64 copy of that row
-    gives it, and raises each trial's running max|m|; the last row is
-    `final`.
+    no step can.  Then every draw is made and packed (`_atom_draws`), and
+    one pass over the steps moves all trials at once.  Each step's
+    contiguous row of narrow integer offsets gets its summary row, read from
+    the row itself and equal to what a float64 copy of it gives, and raises
+    each trial's running max|m|; the last row is `final`.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
@@ -400,24 +426,30 @@ def sample_orbit_walks(measure: StepMeasure, point: Point, n: int, trials: int,
     # atom a moves offset m by flat[(m + span) * atoms + a]
     flat = table.T.ravel()
     moves = _atom_draws(measure, n, trials, seed)
+    bits, per, _ = _draw_layout(atoms)
+    low = (1 << bits) - 1
+    drawn = np.empty(trials, dtype=moves.dtype)
     cell = np.full(trials, span, dtype=np.intp)  # offset + span
     where = np.empty(trials, dtype=np.intp)
     row = np.zeros(trials, dtype=dtype)
     row_abs = np.zeros(trials, dtype=dtype)
     max_abs = np.zeros(trials, dtype=dtype)
-    offs = np.empty(trials)
     summary = []
     for j in range(n + 1):
         if j:
+            np.right_shift(moves[(j - 1) // per], (j - 1) % per * bits, out=drawn)
+            drawn &= low
             np.multiply(cell, atoms, out=where)
-            where += moves[j - 1]
+            where += drawn
             # a bounds-checked gather; np.take(out=) was slower, as it buffers
             cell += flat[where]
             np.subtract(cell, span, out=row)
             np.abs(row, out=row_abs)
             np.maximum(max_abs, row_abs, out=max_abs)
-        np.copyto(offs, row)
-        summary.append((j, float(offs.mean()), float(offs.std()), float(np.abs(offs).mean()),
+        # integer means reduce in float64: every partial sum is an integer
+        # below 2^53, so exact in any order, and std forms its deviations in
+        # float64, so each value is the one a float64 copy of the row gives
+        summary.append((j, float(row.mean()), float(row.std()), float(row_abs.mean()),
                         int(row_abs.max())))
     return WalkSample(n, trials, seed, k, summary, max_abs, row)
 

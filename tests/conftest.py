@@ -12,7 +12,6 @@ from fullgroup_lab import (
     uniform_measure,
 )
 from fullgroup_lab.cocycles import increment_table
-from fullgroup_lab.walks import _atom_draws
 
 
 @pytest.fixture(scope="session")
@@ -40,16 +39,30 @@ def fib_point(fib_spec):
     return SubstitutionFixedPoint(fib_spec, validate=True)
 
 
+def _oracle_draws(measure, n, trials, seed):
+    """The atoms of every draw as a (trials, n) array, each trial from a new
+    Philox(key=[seed mod 2^64, t]) and one search of the cumulative weights,
+    the last of them set to 1."""
+    cum = np.cumsum([float(p) for _, _, p in measure.atoms])
+    cum[-1] = 1.0
+    # an exact uint64 key: numpy reads a list holding 2^63 or more through float64
+    return np.array([
+        np.searchsorted(cum, np.random.Generator(np.random.Philox(
+            key=np.array([seed % 2**64, t], dtype=np.uint64))).random(n), side="right")
+        for t in range(trials)
+    ])
+
+
 def _walk_matrix(measure, point, n, trials, seed):
-    """Matrix oracle of `sample_orbit_walks`: the same draws walked into the
+    """Matrix oracle of `sample_orbit_walks`: its own draws walked into the
     whole step-major (n+1, trials) offset array, then summarized from it.
 
     Each step reads the 2-D increment table at (atom, offset + span), not
-    the sampler's flat table, and every summary row is taken from the
-    finished matrix; `offsets` is the (trials, n+1) view."""
+    the sampler's flat table, and every summary row is taken from a float64
+    copy of the finished matrix's row; `offsets` is the (trials, n+1) view."""
     span = measure.max_shift * n + 1
     table = increment_table(measure.generator_set(), point, span, np.int64)
-    moves = _atom_draws(measure, n, trials, seed)
+    moves = _oracle_draws(measure, n, trials, seed).T
     steps = np.zeros((n + 1, trials), dtype=np.int64)
     for j in range(n):
         steps[j + 1] = steps[j] + table[moves[j], steps[j] + span]
@@ -60,6 +73,11 @@ def _walk_matrix(measure, point, n, trials, seed):
                         int(np.abs(step).max())))
     return SimpleNamespace(offsets=steps.T, summary=summary,
                            max_abs=np.abs(steps).max(axis=0), final=steps[-1])
+
+
+@pytest.fixture(scope="session")
+def oracle_draws():
+    return _oracle_draws
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ import pytest
 
 import fullgroup_lab
 from fullgroup_lab import (
+    ResourceLimit,
     canonical_point,
     fibonacci_generators,
     fibonacci_spec,
@@ -20,6 +21,7 @@ from fullgroup_lab import (
 )
 from fullgroup_lab.cli import main
 from fullgroup_lab.fileio import (
+    check_cells,
     dumps_json,
     load_generator_set,
     load_spec,
@@ -88,6 +90,22 @@ def test_complexity_past_the_float_range(tmp_path, capsys):
     fit = json.loads((out / "complexity_fit.json").read_text())
     assert math.isfinite(fit["loglog_slope"]) and math.isfinite(fit["loglog_intercept"])
     assert "complexity_fit.json" in json.loads((out / "manifest.json").read_text())["outputs"]
+
+
+def test_complexity_past_the_integer_text_limit_exits_3(tmp_path, capsys):
+    # rho(n) = 10^n has n + 1 digits: one more than Python writes at n = 4,300
+    limit = sys.get_int_max_str_digits()
+    write_json(tmp_path / "full.json", {"variant": "full_shift", "alphabet": list("abcdefghij")})
+    out = tmp_path / "out"
+    assert run(["complexity", "--spec", tmp_path / "full.json", "--n", limit,
+                "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and "Traceback" not in err
+    assert not out.exists()
+    assert sys.get_int_max_str_digits() == limit
+    check_cells([(limit - 1, 10**limit - 1)])
+    with pytest.raises(ResourceLimit, match=f"more than {limit} decimal digits"):
+        check_cells([(1, 2.0), (limit, -(10**limit))])
 
 
 def test_factor_dump_past_the_cap_leaves_no_directory(tmp_path, capsys):
@@ -373,6 +391,9 @@ _BLOW_UP_INPUTS = {
     "full-shift-dump": (
         {"variant": "full_shift", "alphabet": ["a", "b"]},
         ["complexity", "--n", "4", "--dump-factors", str(10**12)]),
+    "one-letter-full-shift-dump": (
+        {"variant": "full_shift", "alphabet": ["a"]},
+        ["complexity", "--n", "3", "--dump-factors", str(10**12)]),
     "fixed-point-power": (
         FIB | {"point": {"kind": "substitution_fixed_point", "left": "a", "right": "a",
                          "power": 60}},

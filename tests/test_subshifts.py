@@ -604,6 +604,11 @@ def test_full_shift_cap_is_decided_without_the_power():
         table.factors(10**12)
     assert time.perf_counter() - start < 1.0
     assert LanguageTable(FullShiftSpec(("a", "b", "c"))).complexity(1024) == 3**1024
+    # the letters are capped too, at 8 words of bit_length(8) = 4 letters each
+    table = LanguageTable(FullShiftSpec(("a",)), max_factors=8)
+    assert table.factors(32) == {"a" * 32}
+    with pytest.raises(ResourceLimit, match="length 33 exceeds cap"):
+        table.factors(33)
 
 
 def test_lengths_within_the_text_budget_are_unchanged():

@@ -389,26 +389,24 @@ def test_large_shift_increments_are_not_truncated(fib_spec, fib_point, walk_matr
     up = from_table(fib_spec, 0, {"a": 128, "b": 128})
     measure = StepMeasure(fib_spec, (("up", up, Fraction(1, 2)),
                                      ("down", inverse(up), Fraction(1, 2))))
-    sample = sample_orbit_walks(measure, fib_point, 30, 200, seed=1)
-    oracle = walk_matrix(measure, fib_point, 30, 200, 1)
-    assert np.all(oracle.offsets % 128 == 0)
-    assert np.all(np.abs(np.diff(oracle.offsets, axis=1)) == 128)
-    assert np.array_equal(sample.max_abs, oracle.max_abs)
-    assert np.array_equal(sample.final, oracle.final)
-    assert sample.summary == oracle.summary
+    # at n = 240 the span 128n + 1 passes 30,000, so the offsets are int32
+    for n, dtype in ((30, np.int16), (240, np.int32)):
+        sample = sample_orbit_walks(measure, fib_point, n, 200, seed=1)
+        oracle = walk_matrix(measure, fib_point, n, 200, 1)
+        assert np.all(oracle.offsets % 128 == 0)
+        assert np.all(np.abs(np.diff(oracle.offsets, axis=1)) == 128)
+        assert sample.final.dtype == dtype
+        assert np.array_equal(sample.max_abs, oracle.max_abs)
+        assert np.array_equal(sample.final, oracle.final)
+        assert sample.summary == oracle.summary
 
 
 def test_more_than_256_atoms_are_all_drawn():
     # on the one-letter shift sigma^k moves the point by k everywhere,
     # so the final offset of a one-step walk names the atom drawn
-    spec = FullShiftSpec(("a",))
-    atoms = []
-    for k in range(1, 151):
-        g = from_table(spec, 0, {"a": k})
-        atoms += [(f"+{k}", g, Fraction(1, 300)), (f"-{k}", inverse(g), Fraction(1, 300))]
-    measure = StepMeasure(spec, tuple(atoms))
-    sample = sample_orbit_walks(measure, canonical_point(spec), 1, 3000, seed=3)
-    assert set(sample.final.tolist()) == {s * k for k in range(1, 151) for s in (1, -1)}
+    measure, moves = _shift_measure(150)
+    sample = sample_orbit_walks(measure, canonical_point(measure.spec), 1, 3000, seed=3)
+    assert set(sample.final.tolist()) == set(moves.tolist())
 
 
 def _halves_measure(spec):
@@ -419,35 +417,44 @@ def _halves_measure(spec):
                               ("down", inverse(up), Fraction(1, 4)))), np.array([0, 1, -1])
 
 
-def _many_atoms_measure():
-    """300 atoms sigma^{+-k}, k = 1..150, on the one-letter shift."""
+def _shift_measure(k_max):
+    """2 * k_max atoms sigma^{+-k}, k = 1..k_max, of equal weight, on the
+    one-letter shift, with the move of each."""
     spec = FullShiftSpec(("a",))
+    w = Fraction(1, 2 * k_max)
     atoms = []
-    for k in range(1, 151):
+    for k in range(1, k_max + 1):
         g = from_table(spec, 0, {"a": k})
-        atoms += [(f"+{k}", g, Fraction(1, 300)), (f"-{k}", inverse(g), Fraction(1, 300))]
-    moves = np.array([s * k for k in range(1, 151) for s in (1, -1)])
+        atoms += [(f"+{k}", g, w), (f"-{k}", inverse(g), w)]
+    moves = np.array([s * k for k in range(1, k_max + 1) for s in (1, -1)])
     return StepMeasure(spec, tuple(atoms)), moves
 
 
+# (atoms, bits per draw) of each measure: 1, 2, 4, 8 and 16 bits
+_DRAW_MEASURES = {"two_atoms": (2, 1), "halves": (3, 2), "eight_atoms": (8, 4),
+                  "forty_atoms": (40, 8), "many_atoms": (300, 16)}
+
+
 @pytest.mark.parametrize("seed", [0, 7, 2**62 + 5, 2**63 + 5, 2**64 - 1])
-@pytest.mark.parametrize("which", ["halves", "many_atoms"])
-def test_atom_draws_equal_a_new_philox_per_trial(fib_spec, seed, which):
-    measure, moves = _halves_measure(fib_spec) if which == "halves" else _many_atoms_measure()
-    cum = np.cumsum([float(p) for _, _, p in measure.atoms])
-    # the increment table of 300 atoms grows with k*n, so keep their walks short
-    n, trials = (9 if which == "halves" else 2), DRAW_BLOCK + 1
-    # an exact uint64 key: numpy reads a list holding 2^63 or more through float64
-    expected = np.array([
-        np.searchsorted(cum, np.random.Generator(np.random.Philox(
-            key=np.array([seed, t], dtype=np.uint64))).random(n), side="right")
-        for t in range(trials)
-    ])
+@pytest.mark.parametrize("which", list(_DRAW_MEASURES))
+def test_atom_draws_equal_a_new_philox_per_trial(fib_spec, oracle_draws, seed, which):
+    atoms, bits = _DRAW_MEASURES[which]
+    measure, moves = _halves_measure(fib_spec) if atoms == 3 else _shift_measure(atoms // 2)
+    assert len(measure.atoms) == atoms
+    per = max(1, 8 // bits)
+    # 9 is no multiple of 8, 4 or 2 draws per byte; the increment table of
+    # 300 atoms grows with k*n, so their walks stay short
+    n = 9 if atoms < 300 else 2
+    expected = oracle_draws(measure, n, DRAW_BLOCK + 1, seed)
     for rows in (DRAW_BLOCK - 1, DRAW_BLOCK + 1):
         draws = _atom_draws(measure, n, rows, seed)
-        assert draws.dtype == np.min_scalar_type(len(measure.atoms) - 1)
-        assert draws.shape == (n, rows) and draws.flags.c_contiguous
-        assert np.array_equal(draws.T, expected[:rows])
+        assert draws.dtype == (np.uint8 if bits <= 8 else np.uint16)
+        assert draws.shape == (math.ceil(n / per), rows) and draws.flags.c_contiguous
+        # draw j of trial t: row j // per, bits (j % per) * b upwards
+        unpacked = np.stack([(draws[j // per] >> (j % per * bits)) & ((1 << bits) - 1)
+                             for j in range(n)], axis=1)
+        assert np.array_equal(unpacked, expected[:rows])
+        assert not np.any(draws[-1] >> ((n - 1) % per + 1) * bits)  # unused bits are 0
         # every atom moves each point by the same amount, so the sampled
         # offsets are the running sums of the drawn moves
         sample = sample_orbit_walks(measure, canonical_point(measure.spec), n, rows, seed)
@@ -479,7 +486,7 @@ def _evaluated_increment_table(measure, point, span):
 
 @pytest.mark.parametrize("which", ["fibonacci", "many_atoms"])
 def test_atom_increment_table_equals_evaluate(fib_measure, fib_point, which):
-    measure = fib_measure if which == "fibonacci" else _many_atoms_measure()[0]
+    measure = fib_measure if which == "fibonacci" else _shift_measure(150)[0]
     point = fib_point if which == "fibonacci" else canonical_point(measure.spec)
     span = measure.max_shift * 3 + 1
     table = increment_table(measure.generator_set(), point, span, np.int16)
@@ -537,10 +544,13 @@ def test_walk_peak_memory_is_counted_by_the_cap(fib_measure, fib_point):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    moves = n * trials  # the uint8 atoms of every draw
-    # one block of draws: the floats, their uint8 atom indices and the compare mask
-    block = DRAW_BLOCK * n * (8 + 1 + 1)
-    assert peak < moves + block + 10**6
+    # the atoms of every draw, four 2-bit draws to a byte; one byte per draw
+    # would add 1.5 MB here and fail the bound below
+    moves = math.ceil(n / 4) * trials
+    # one block of draws: the floats, their uint8 atom indices, the compare
+    # mask and the packed rows
+    block = DRAW_BLOCK * (n * (8 + 1 + 1) + math.ceil(n / 4))
+    assert peak < moves + block + 3 * 10**5
     assert peak <= _check_sample_size(n, trials, len(fib_measure.atoms), n + 1, np.int16)
     # below the int16 offset matrix that the sampler no longer holds
     assert peak < trials * (n + 1) * 2

@@ -20,7 +20,6 @@ from fullgroup_lab import (
     SubstitutionSpec,
     ToeplitzSpec,
     fibonacci_spec,
-    language_table,
 )
 
 FAMILIES = {
@@ -40,7 +39,7 @@ def run(out: Path, n_max: int, points: int) -> int:
     grid = log_grid(8, n_max, points)
     summary = {}
     for name, spec in FAMILIES.items():
-        table = language_table(spec)
+        table = spec.language
         rows = [(n, table.complexity(n)) for n in grid]
         path = out / f"{name}.csv"
         path.write_text(

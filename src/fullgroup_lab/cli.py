@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .points import canonical_point
-from .subshifts import ToeplitzSpec, language_table
+from .subshifts import ToeplitzSpec
 from .walks import (
     ConvolutionCache,
     cylinder_depth,
@@ -111,7 +111,7 @@ def cmd_complexity(args, argv) -> int:
         raise ValidationError("--n must be >= 1")
     if args.dump_factors is not None and args.dump_factors < 0:
         raise ValidationError("--dump-factors must be >= 0")
-    oracle = language_table(spec)
+    oracle = spec.language
     rows = [(n, oracle.complexity(n)) for n in range(1, args.n + 1)]
     # checked and listed before the output directory is made, so a refusal
     # leaves none

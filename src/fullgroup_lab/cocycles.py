@@ -39,7 +39,7 @@ from .errors import (
     SpecMismatch,
 )
 from .points import Point
-from .subshifts import SubshiftSpec, SubstitutionSpec, language_table
+from .subshifts import SubshiftSpec, SubstitutionSpec
 
 DEFAULT_BALL_CAP = 2_000_000  # elements of a word-metric ball, and so of the exact chain
 
@@ -47,7 +47,7 @@ DEFAULT_BALL_CAP = 2_000_000  # elements of a word-metric ball, and so of the ex
 class CocycleElement:
     """Immutable full-group element in canonical (minimal-depth) form:
     `shifts[i]` is the shift on the cylinder of the i-th word of
-    `language_table(spec).words(2 * depth + 1)`."""
+    `spec.language.words(2 * depth + 1)`."""
 
     __slots__ = ("spec", "depth", "shifts", "max_shift", "_hash", "_inverse")
 
@@ -59,7 +59,7 @@ class CocycleElement:
         self._inverse = None
 
     def _words(self) -> dict[str, int]:
-        return language_table(self.spec).words(2 * self.depth + 1)
+        return self.spec.language.words(2 * self.depth + 1)
 
     @property
     def table(self) -> dict[str, int]:
@@ -105,7 +105,7 @@ def _incomplete(count: int, length: int) -> IncompleteTable:
 def _reduce_depth(spec: SubshiftSpec, depth: int, shifts: tuple[int, ...]):
     """Merge sibling cylinders outermost-first until the table stops
     factoring through the shorter central word."""
-    oracle = language_table(spec)
+    oracle = spec.language
     count = len(oracle.words(2 * depth + 1))
     if len(shifts) != count:
         raise _incomplete(count, 2 * depth + 1)
@@ -122,13 +122,13 @@ def _reduce_depth(spec: SubshiftSpec, depth: int, shifts: tuple[int, ...]):
 
 def identity(spec: SubshiftSpec) -> CocycleElement:
     """The identity element: shift 0 on every letter cylinder."""
-    return CocycleElement(spec, 0, (0,) * len(language_table(spec).words(1)))
+    return CocycleElement(spec, 0, (0,) * len(spec.language.words(1)))
 
 
 def _preimage_table(spec: SubshiftSpec, depth: int, shifts: tuple[int, ...],
                     max_shift: int) -> tuple[int, ...]:
     """Inverse shift vector at depth depth+max_shift, or raise NotInvertible."""
-    oracle = language_table(spec)
+    oracle = spec.language
     n = 2 * (depth + max_shift) + 1
     # a read-back equals j only if j is one of the table's shifts
     js = sorted(set(shifts))
@@ -150,7 +150,7 @@ def _preimage_table(spec: SubshiftSpec, depth: int, shifts: tuple[int, ...],
 def from_table(spec: SubshiftSpec, depth: int, table: dict[str, int]) -> CocycleElement:
     """Validate a user table (totality and invertibility) and canonicalize."""
     table = {str(w): int(k) for w, k in table.items()}
-    words = language_table(spec).words(2 * depth + 1)
+    words = spec.language.words(2 * depth + 1)
     if table.keys() != words.keys():
         raise _incomplete(len(words), 2 * depth + 1)
     g = CocycleElement(spec, depth, tuple(map(table.__getitem__, words)))
@@ -186,7 +186,7 @@ def compose(g: CocycleElement, h: CocycleElement) -> CocycleElement:
         return CocycleElement(g.spec, h.depth, tuple(k + c for k in h.shifts))
     d = max(h.depth, g.depth + h.max_shift)
     n = 2 * d + 1
-    oracle = language_table(g.spec)
+    oracle = g.spec.language
     kh = tuple(map(h.shifts.__getitem__, oracle.subwords(n, d - h.depth, 2 * h.depth + 1)))
     # after h moves x by k, g reads the window that starts k places further right
     g_reads = {k: oracle.subwords(n, d - g.depth + k, 2 * g.depth + 1) for k in set(kh)}
@@ -208,7 +208,7 @@ def increment_table(gens: GeneratorSet, point: Point, span: int,
     those positions.  `table.T` is position-major and contiguous.  A window
     outside the language raises SpecMismatch (a validating point raises
     AdmissibilityViolation when it is read)."""
-    oracle = language_table(gens.spec)
+    oracle = gens.spec.language
     table = np.zeros((2 * span + 1, len(gens)), dtype=dtype).T
     for depth in {g.depth for _, g in gens}:
         position = oracle.words(2 * depth + 1)
@@ -239,7 +239,7 @@ def equals(g: CocycleElement, h: CocycleElement) -> bool:
 
 def _refined(g: CocycleElement, depth: int) -> dict[str, int]:
     """g's table read on the admissible (2*depth+1)-words, depth >= g.depth."""
-    oracle = language_table(g.spec)
+    oracle = g.spec.language
     n = 2 * depth + 1
     reads = oracle.subwords(n, depth - g.depth, 2 * g.depth + 1)
     return dict(zip(oracle.words(n), map(g.shifts.__getitem__, reads)))
@@ -260,7 +260,7 @@ def is_constant_on_cylinder(g: CocycleElement, word: str) -> bool:
     l = (len(word) - 1) // 2
     if g.depth <= l:
         return True
-    oracle = language_table(g.spec)
+    oracle = g.spec.language
     target = oracle.words(len(word)).get(word)
     centres = oracle.subwords(2 * g.depth + 1, g.depth - l, len(word))
     return len({k for c, k in zip(centres, g.shifts) if c == target}) <= 1
@@ -321,7 +321,7 @@ def fibonacci_generators(spec: SubstitutionSpec) -> GeneratorSet:
     """
     if not isinstance(spec, SubstitutionSpec) or spec.rules_dict != {"a": "ab", "b": "a"}:
         raise SpecMismatch("the built-in generators require the a->ab, b->a subshift")
-    oracle = language_table(spec)
+    oracle = spec.language
 
     def branch(two: str) -> dict[str, int]:
         table = {}
@@ -393,9 +393,8 @@ class CayleyBall(Mapping):
         self.lengths = np.zeros(1, dtype=np.int64)
         self.depths = np.zeros(1, dtype=np.int64)
         self.neighbors = np.empty((0, len(gens)), dtype=np.int32)
-        oracle = language_table(gens.spec)
         self._atoms = [s for _, s in gens.elements]
-        self._rows = {0: np.zeros((1, len(oracle.words(1))), dtype=np.int8)}
+        self._rows = {0: np.zeros((1, len(gens.spec.language.words(1))), dtype=np.int8)}
         self._slots = np.zeros(1, dtype=np.int64)  # element i is _rows[depths[i]][_slots[i]]
         self._reach = np.zeros(1, dtype=np.int64)  # element i's largest absolute shift
         self._steps: dict[tuple[int, int, int], tuple] = {}
@@ -443,7 +442,7 @@ class CayleyBall(Mapping):
         key = (depth, reach, a)
         got = self._steps.get(key)
         if got is None:
-            s, oracle = self._atoms[a], language_table(self.gens.spec)
+            s, oracle = self._atoms[a], self.gens.spec.language
             d = max(depth, s.depth + reach)
             n = 2 * d + 1
             shifts = np.array(s.shifts, dtype=self._rows[0].dtype)
@@ -460,7 +459,7 @@ class CayleyBall(Mapping):
         return got
 
     def _grow_layer(self, back: np.ndarray, closed: bool) -> None:
-        oracle = language_table(self.gens.spec)
+        oracle = self.gens.spec.language
         first, size, width = len(self.neighbors), len(self.lengths), len(self._atoms)
         rows = np.full((size - first, width), -1, dtype=np.int32)
         # an edge p -> s.p from the layer before, with s.p in this layer,

@@ -28,7 +28,6 @@ from .subshifts import (
     SubshiftSpec,
     SubstitutionSpec,
     ToeplitzSpec,
-    language_table,
     sturmian_rules,
     substitution_iterate,
 )
@@ -69,7 +68,7 @@ class Point:
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         word = self.letters(center - radius, center + radius + 1)
-        if self.validate and not language_table(self.spec).is_admissible(word):
+        if self.validate and not self.spec.language.is_admissible(word):
             raise AdmissibilityViolation(
                 f"window {word!r} at center {center} is not admissible"
             )
@@ -84,7 +83,7 @@ def _fixed_point_seeds(rules: dict[str, str], spec: SubstitutionSpec) -> tuple[i
     psi^power(right) starting with right, and the pair admissible.  Images
     are nonempty (growth condition), so the last and first letters of the
     iterates are followed letter by letter, and no iterate is built."""
-    table = language_table(spec)
+    table = spec.language
     letters = sorted(rules)
     last = first = {c: c for c in letters}  # of psi^power(c)
     for power in (2, 4, 6, 8):
@@ -123,7 +122,7 @@ class SubstitutionFixedPoint(Point):
                 raise SpecMismatch(f"psi^{power}({left!r}) does not end with {left!r}")
             if not self._step(right).startswith(right):
                 raise SpecMismatch(f"psi^{power}({right!r}) does not start with {right!r}")
-            if not language_table(spec).is_admissible(left + right):
+            if not spec.language.is_admissible(left + right):
                 raise SpecMismatch(f"seed pair {left + right!r} is not admissible")
         self.left_seed = left
         self.right_seed = right

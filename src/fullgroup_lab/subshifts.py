@@ -20,9 +20,9 @@ set is declared complete once it survives two consecutive doublings of the
 generated length (plus the Sturmian early exit where the complexity n + 1
 is known).  That stop is a heuristic, not a certificate.  Full shifts use
 the closed form, and a shift of finite type spells or counts the paths of
-one graph on its allowed k-words.  Results are memoized per spec in a
-`LanguageTable`, the one place that enumerates, orders and locates factors;
-it is safe to share across threads.
+one graph on its allowed k-words.  Results are memoized in the spec's own
+`LanguageTable`, `spec.language`, the one place that enumerates, orders and
+locates factors; it is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import itertools
 import math
 import threading
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, NamedTuple
@@ -94,6 +94,7 @@ class SturmianSpec:
 
     cf: tuple[int, ...]
     swap_letters: bool = False
+    language: LanguageTable = field(init=False, repr=False, compare=False)
 
     variant = "sturmian"
 
@@ -103,6 +104,7 @@ class SturmianSpec:
             raise ConditionViolated(1, "?", "continued fraction list is empty")
         if any(a < 1 for a in self.cf):
             raise ConditionViolated(1, "?", "continued fraction coefficients must be >= 1")
+        object.__setattr__(self, "language", LanguageTable(self))
 
     @property
     def alphabet(self) -> Alphabet:
@@ -121,6 +123,7 @@ class SubstitutionSpec:
 
     rules: tuple[tuple[str, str], ...]
     seed: str
+    language: LanguageTable = field(init=False, repr=False, compare=False)
 
     variant = "substitution"
 
@@ -144,6 +147,7 @@ class SubstitutionSpec:
         for a in sorted(d):
             if a not in growing:
                 raise ConditionViolated(2, a, "iterated image length stays bounded")
+        object.__setattr__(self, "language", LanguageTable(self))
 
     @classmethod
     def from_rules(cls, rules: Mapping[str, str], seed: str) -> "SubstitutionSpec":
@@ -164,6 +168,7 @@ class ToeplitzSpec:
 
     pattern: str
     hole: str = "*"
+    language: LanguageTable = field(init=False, repr=False, compare=False)
 
     variant = "toeplitz"
 
@@ -179,6 +184,7 @@ class ToeplitzSpec:
             raise ConditionViolated(2, self.hole, "pattern contains no hole to fill")
         if not tuple(sorted(set(self.pattern) - {self.hole})):
             raise EmptyAlphabet("pattern has no letters")
+        object.__setattr__(self, "language", LanguageTable(self))
 
     @property
     def alphabet(self) -> Alphabet:
@@ -198,11 +204,13 @@ class FullShiftSpec:
     """The full shift over a finite alphabet; every word is admissible."""
 
     letters: tuple[str, ...]
+    language: LanguageTable = field(init=False, repr=False, compare=False)
 
     variant = "full_shift"
 
     def __post_init__(self):
         Alphabet(tuple(self.letters))
+        object.__setattr__(self, "language", LanguageTable(self))
 
     @property
     def alphabet(self) -> Alphabet:
@@ -215,6 +223,7 @@ class ExplicitSpec:
 
     letters: tuple[str, ...]
     forbidden: tuple[str, ...]
+    language: LanguageTable = field(init=False, repr=False, compare=False)
 
     variant = "explicit"
 
@@ -227,6 +236,7 @@ class ExplicitSpec:
             for c in w:
                 if c not in alpha:
                     raise EmptyAlphabet(f"forbidden word {w!r} uses unknown letter {c!r}")
+        object.__setattr__(self, "language", LanguageTable(self))
 
     @property
     def alphabet(self) -> Alphabet:
@@ -670,33 +680,40 @@ def _overlap_graph(spec: ExplicitSpec, cap: int) -> dict[str, tuple[str, ...]]:
         live = kept
 
 
+def _step_paths(graph: dict[str, tuple[str, ...]], paths: dict[str, int]) -> dict[str, int]:
+    """Path counts one vertex longer: `paths[w]` paths end at vertex w."""
+    longer = dict.fromkeys(graph, 0)
+    for w, count in paths.items():
+        for v in graph[w]:
+            longer[v] += count
+    return longer
+
+
 def _spell_paths(graph: dict[str, tuple[str, ...]], n: int, cap: int) -> frozenset[str]:
     """The length-n words of the shift: prefixes of the vertices up to their
-    length k, and beyond it the words spelled by paths."""
+    length k, and beyond it the words spelled by paths, depth first into one
+    letter list, so each word costs its own letters.  Refused first past `cap`
+    words, or past a full shift's `cap * bit_length(cap)` letters: every
+    vertex starts a path, so the words hold at least len(graph) * n."""
     k = len(next(iter(graph), ""))
-    if n <= k:
+    if n <= k or not graph:
         return frozenset(w[:n] for w in graph)
-    words = list(graph)
+    if len(graph) * n > cap * cap.bit_length():
+        raise ResourceLimit(f"SFT factor set of length {n} exceeds the letter cap")
+    paths = dict.fromkeys(graph, 1)
     for _ in range(n - k):
-        words = [w + v[-1] for w in words for v in graph[w[-k:]]]
-        if len(words) > cap:
+        paths = _step_paths(graph, paths)
+        if sum(paths.values()) > cap:
             raise ResourceLimit(f"SFT enumeration exceeded {cap} words")
+    words, letters, stack = [], [], [(w, 0) for w in graph]  # letters: a vertex, then one a step
+    while stack:
+        w, step = stack.pop()
+        letters[step:] = [w if step == 0 else w[-1]]
+        if step == n - k:
+            words.append("".join(letters))
+        else:
+            stack.extend((v, step + 1) for v in graph[w])
     return frozenset(words)
-
-
-def _count_paths(graph: dict[str, tuple[str, ...]], n: int) -> int:
-    """len(_spell_paths(graph, n)), without spelling the paths."""
-    k = len(next(iter(graph), ""))
-    if n <= k:
-        return len({w[:n] for w in graph})
-    counts = dict.fromkeys(graph, 1)
-    for _ in range(n - k):
-        nxt = dict.fromkeys(graph, 0)
-        for w, paths in counts.items():
-            for v in graph[w]:
-                nxt[v] += paths
-        counts = nxt
-    return sum(counts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +740,7 @@ class _SiblingPlan(NamedTuple):
 
 
 class LanguageTable:
-    """Memoizing language oracle of one subshift.
+    """Memoizing language oracle of one subshift, owned by its spec as `spec.language`.
 
     `factors(n)` returns the exact set of admissible length-n words and
     `complexity(n)` its cardinality: for scan-based families a count read
@@ -756,6 +773,7 @@ class LanguageTable:
         self._words: dict[int, dict[str, int]] = {}
         self._subwords: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._siblings: dict[int, _SiblingPlan | None] = {}
+        self._paths: tuple[int, dict[str, int]] | None = None  # see _count_paths
 
     def factors(self, n: int) -> frozenset[str]:
         if n < 0:
@@ -818,7 +836,7 @@ class LanguageTable:
             if isinstance(self.spec, FullShiftSpec):
                 count = len(self.spec.letters) ** n
             elif isinstance(self.spec, ExplicitSpec):
-                count = _count_paths(self._graph, n)
+                count = self._count_paths(n)
             else:
                 count = _saturate(self.spec, n, self.max_text, self._indexes).count(n)
             self._counts[n] = count
@@ -853,6 +871,21 @@ class LanguageTable:
             return _spell_paths(self._graph, n, self.max_factors)
         return _saturate(self.spec, n, self.max_text, self._indexes).factors(n)
 
+    def _count_paths(self, n: int) -> int:
+        """len(_spell_paths(self._graph, n)), without spelling the paths: the
+        path counts of the longest length counted so far step forward to n,
+        memoizing each length passed, so a table to n costs n steps."""
+        graph = self._graph
+        k = len(next(iter(graph), ""))
+        if n <= k or not graph:
+            return len({w[:n] for w in graph})
+        length, paths = self._paths or (k, dict.fromkeys(graph, 1))
+        while length < n:
+            length, paths = length + 1, _step_paths(graph, paths)
+            self._counts[length] = sum(paths.values())
+        self._paths = length, paths
+        return self._counts[n]
+
     @cached_property
     def _graph(self) -> dict[str, tuple[str, ...]]:
         return _overlap_graph(self.spec, self.max_factors)
@@ -867,37 +900,6 @@ class LanguageTable:
         return _IndexStream(self.spec, 2 * self.max_text, isinstance(self.spec, SubstitutionSpec))
 
 
-_TABLES: dict[SubshiftSpec, LanguageTable] = {}
-_TABLES_LOCK = threading.Lock()
-
-
-def language_table(spec: SubshiftSpec) -> LanguageTable:
-    """Shared memoized table for `spec` (one per distinct spec value)."""
-    # every compose asks twice, so a hit skips the lock; tables are only
-    # ever added
-    table = _TABLES.get(spec)
-    if table is None:
-        with _TABLES_LOCK:
-            table = _TABLES.get(spec)
-            if table is None:
-                table = _TABLES[spec] = LanguageTable(spec)
-    return table
-
-
-def factors(spec: SubshiftSpec, n: int) -> frozenset[str]:
-    """Admissible words of length n."""
-    return language_table(spec).factors(n)
-
-
-def complexity(spec: SubshiftSpec, n: int) -> int:
-    """Number of admissible words of length n."""
-    return language_table(spec).complexity(n)
-
-
-def complexity_interp(spec: SubshiftSpec, x: float) -> float:
-    return language_table(spec).complexity_interp(x)
-
-
 def substitution_enumeration_diagnostics(spec: SubstitutionSpec, n: int,
                                          max_text: int = DEFAULT_MAX_TEXT) -> dict:
     """Compare the tail-occurrence filter with a plain prefix scan.
@@ -906,7 +908,7 @@ def substitution_enumeration_diagnostics(spec: SubstitutionSpec, n: int,
     substitution whose generated word has prefix-only factors (those are
     correctly excluded by the tail filter).
     """
-    tail_set = factors(spec, n)
+    tail_set = spec.language.factors(n)
     plain = _saturate(spec, n, max_text,
                       _IndexStream(spec, 2 * max_text, tail=False)).factors(n)
     return {"tail": tail_set, "prefix": plain, "agree": tail_set == plain}

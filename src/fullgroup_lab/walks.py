@@ -65,7 +65,7 @@ from .errors import (
     ValidationError,
 )
 from .points import Point
-from .subshifts import SubshiftSpec, language_table
+from .subshifts import SubshiftSpec
 
 BASE_TAIL_GRID = tuple(round(0.25 * i, 2) for i in range(1, 17))  # 0.25 .. 4.0
 MIN_TAIL_EXCEEDANCES = 10
@@ -639,7 +639,7 @@ def stable_set_report(chain: ConvolutionCache, n: int, depth_scale: float) -> St
     stable_count = int(np.count_nonzero(ball.depths[:ball_size] <= d))
     measure = chain.measure
     k = measure.max_shift
-    cylinder_count = language_table(measure.spec).complexity(2 * d + 1)
+    cylinder_count = measure.spec.language.complexity(2 * d + 1)
     log_count_bound = cylinder_count * math.log(2 * k * n + 1) if n else 0.0
     support = len(measure.atoms)
     bound = (
@@ -702,7 +702,7 @@ def return_probability_suite(chain: ConvolutionCache, n_max: int) -> ReturnProba
         dist = chain.power(2 * n)
         rows.append(ReturnProbabilityRow(n, 2 * n, dist.identity_mass(), dist.max_prob()))
     monotone = all(rows[i].return_prob >= rows[i + 1].return_prob for i in range(len(rows) - 1))
-    oracle = language_table(chain.measure.spec)
+    oracle = chain.measure.spec.language
 
     def holds(c: float, n: int) -> bool:
         rho = oracle.complexity(math.ceil(c * math.sqrt(n * math.log(max(n, 2)))))
@@ -732,7 +732,7 @@ def entropy_envelope(chain: ConvolutionCache, n_max: int) -> EntropyEnvelope:
     if n_max < 2:
         raise ValidationError("n_max must be >= 2")
     entropies = [chain.power(n).entropy for n in range(n_max + 1)]
-    oracle = language_table(chain.measure.spec)
+    oracle = chain.measure.spec.language
 
     def bound_at(c: float, n: int) -> float:
         return c * oracle.complexity(math.ceil(c * math.sqrt(n * math.log(n)))) * math.log(n)

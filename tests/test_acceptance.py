@@ -26,13 +26,11 @@ from fullgroup_lab import (
     build_ball,
     compose,
     evaluate,
-    factors,
     fibonacci_spec,
     find_cylinder_position,
     identity,
     inverse,
     is_constant_on_cylinder,
-    language_table,
     max_displacement_tail,
     pushforward_offsets,
     reflection_check,
@@ -71,7 +69,7 @@ def test_criterion_02_sturmian_equals_fibonacci_language(fib_spec):
     with criterion(2, "golden-slope factor sets equal the substitution's, n <= 100"):
         golden = SturmianSpec((1,))
         for n in range(101):
-            assert factors(golden, n) == factors(fib_spec, n)
+            assert golden.language.factors(n) == fib_spec.language.factors(n)
 
 
 def test_criterion_03_toeplitz_reference_word():
@@ -93,7 +91,7 @@ def test_criterion_04_toeplitz_complexity_exponent():
 def test_criterion_05_nonprimitive_growth_ratio():
     with criterion(5, "rho(n)/(n ln ln n) varies < 30% over [50, 500] for a->aba, b->bb"):
         spec = SubstitutionSpec.from_rules({"a": "aba", "b": "bb"}, "a")
-        table = language_table(spec)
+        table = spec.language
         ns = list(range(50, 501, 25))
         ratios = [table.complexity(n) / (n * math.log(math.log(n))) for n in ns]
         spread = (max(ratios) - min(ratios)) / min(ratios)
@@ -202,7 +200,7 @@ def test_criterion_12_coupling_exhaustive(fib_spec, fib_gens, fib_point):
         counterexamples = 0
         for depth in range(1, 13):
             threshold = depth - l0
-            for word in sorted(factors(fib_spec, 2 * depth + 1)):
+            for word in sorted(fib_spec.language.factors(2 * depth + 1)):
                 witness = find_cylinder_position(fib_point, word)
                 assert fib_point.window(witness, depth) == word
                 stack = [(identity(fib_spec), 0, 0)]
@@ -257,6 +255,6 @@ def test_criterion_13_property_suites(fib_spec, fib_gens, fib_point, fib_cache):
         ]
         for spec in specs:
             for n in range(1, 9):
-                level = factors(spec, n)
-                below = factors(spec, n - 1)
+                level = spec.language.factors(n)
+                below = spec.language.factors(n - 1)
                 assert all(w[:-1] in below and w[1:] in below for w in level)

@@ -394,6 +394,9 @@ _BLOW_UP_INPUTS = {
     "one-letter-full-shift-dump": (
         {"variant": "full_shift", "alphabet": ["a"]},
         ["complexity", "--n", "3", "--dump-factors", str(10**12)]),
+    "one-path-sft-dump": (
+        {"variant": "explicit", "alphabet": ["a", "b"], "forbidden": ["b"]},
+        ["complexity", "--n", "3", "--dump-factors", str(10**12)]),
     "fixed-point-power": (
         FIB | {"point": {"kind": "substitution_fixed_point", "left": "a", "right": "a",
                          "power": 60}},

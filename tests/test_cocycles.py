@@ -11,7 +11,6 @@ from fullgroup_lab import (
     FullShiftSpec,
     GeneratorSet,
     IncompleteTable,
-    LanguageTable,
     NotInvertible,
     PeriodicPoint,
     ResourceLimit,
@@ -22,7 +21,6 @@ from fullgroup_lab import (
     element_from_dict,
     equals,
     evaluate,
-    factors,
     fibonacci_generators,
     fibonacci_spec,
     find_cylinder_position,
@@ -31,9 +29,7 @@ from fullgroup_lab import (
     inverse,
     is_constant_on_cylinder,
     is_constant_on_depth,
-    language_table,
 )
-from fullgroup_lab import subshifts
 from fullgroup_lab.cocycles import CocycleElement, _reduce_depth, _refined
 
 
@@ -83,19 +79,19 @@ def test_from_table_collision_not_invertible():
         from_table(fs, 0, {"a": 1, "b": 0})
 
 
-def test_preimage_tries_only_the_shifts_the_table_takes(fib_spec, monkeypatch):
+def test_preimage_tries_only_the_shifts_the_table_takes():
     # sigma^k takes the one shift k, so inverting it reads one subword map
-    # per shift instead of 2k + 1; a fresh table counts only these maps
-    table = LanguageTable(fib_spec)
-    monkeypatch.setitem(subshifts._TABLES, fib_spec, table)
+    # per shift instead of 2k + 1; a fresh spec's table counts only these maps
+    spec = fibonacci_spec()
+    table = spec.language
     for k in range(1, 41):
-        sigma_k = from_table(fib_spec, 0, {"a": k, "b": k})
+        sigma_k = from_table(spec, 0, {"a": k, "b": k})
         assert inverse(sigma_k).table == {"a": -k, "b": -k}
     assert len(table._subwords) <= 4 * 40  # 1,719 when every shift in [-k, k] is tried
 
 
 def test_from_table_requires_total_table(fib_spec):
-    words = sorted(factors(fib_spec, 3))
+    words = sorted(fib_spec.language.factors(3))
     partial = {w: 0 for w in words[:-1]}
     with pytest.raises(IncompleteTable):
         from_table(fib_spec, 1, partial)
@@ -171,7 +167,7 @@ def test_compose_requires_same_spec(fib_spec, abg):
 
 
 def test_constant_zero_table_canonicalizes_to_identity(fib_spec):
-    table = {w: 0 for w in factors(fib_spec, 7)}
+    table = {w: 0 for w in fib_spec.language.factors(7)}
     g = from_table(fib_spec, 3, table)
     assert g == identity(fib_spec)
     assert g.depth == 0
@@ -191,7 +187,7 @@ def test_equals_matches_operator_eq(fib_spec, abg):
 def test_refinement_preserves_semantics(fib_spec, abg):
     _, _, gamma = abg
     refined = _refined(gamma, 4)
-    assert set(refined) == factors(fib_spec, 9)
+    assert set(refined) == fib_spec.language.factors(9)
     rebuilt = from_table(fib_spec, 4, refined)
     assert rebuilt == gamma
     assert rebuilt.depth == gamma.depth == 1
@@ -354,7 +350,7 @@ def _reference_ball(gens, radius):
 def _swap(spec, two):
     """The involution exchanging the two letters of each occurrence of `two`."""
     return from_table(spec, 1, {
-        w: 1 if w[1:] == two else -1 if w[:2] == two else 0 for w in factors(spec, 3)
+        w: 1 if w[1:] == two else -1 if w[:2] == two else 0 for w in spec.language.factors(3)
     })
 
 
@@ -422,10 +418,10 @@ def test_ball_order_is_pinned(fib_gens):
     )
 
 
-def test_sibling_plans_are_one_per_word_length(fib_gens, monkeypatch):
-    monkeypatch.setattr(subshifts, "_TABLES", {})  # a fresh table sees only this ball
-    ball(fib_gens, 12)
-    table = language_table(fib_gens.spec)
+def test_sibling_plans_are_one_per_word_length():
+    spec = fibonacci_spec()  # a fresh spec's table sees only this ball
+    ball(fibonacci_generators(spec), 12)
+    table = spec.language
     assert table._siblings and set(table._siblings) <= set(table._words)
 
 
@@ -492,7 +488,7 @@ def test_coupling_small(fib_spec, fib_gens, fib_point):
     atoms = [g for _, g in fib_gens.elements]
     l0 = fib_gens.max_depth
     for depth in range(1, 9):
-        for word in sorted(factors(fib_spec, 2 * depth + 1)):
+        for word in sorted(fib_spec.language.factors(2 * depth + 1)):
             witness = find_cylinder_position(fib_point, word)
             stack = [(identity(fib_spec), 0, 0)]
             while stack:
@@ -515,13 +511,13 @@ def test_coupling_small(fib_spec, fib_gens, fib_point):
 
 
 def _dict_reduce(spec, depth, table):
-    assert set(table) == factors(spec, 2 * depth + 1)
+    assert set(table) == spec.language.factors(2 * depth + 1)
     while depth > 0:
         grouped = {}
         for w, k in table.items():
             if grouped.setdefault(w[1:-1], k) != k:
                 return depth, table
-        if set(grouped) != factors(spec, 2 * depth - 1):
+        if set(grouped) != spec.language.factors(2 * depth - 1):
             break
         table, depth = grouped, depth - 1
     return depth, table
@@ -536,7 +532,7 @@ def _dict_compose(g, h):
     d = max(h.depth, g.depth + h.max_shift)
     g_table, h_table = g.table, h.table
     out = {}
-    for w in factors(g.spec, 2 * d + 1):
+    for w in g.spec.language.factors(2 * d + 1):
         kh = h_table[w[d - h.depth : d + h.depth + 1]]
         lo = d + kh - g.depth
         out[w] = g_table[w[lo : lo + 2 * g.depth + 1]] + kh
@@ -546,7 +542,7 @@ def _dict_compose(g, h):
 def _dict_inverse(g):
     k, width, table = g.max_shift, 2 * g.depth + 1, g.table
     inv = {}
-    for v in factors(g.spec, 2 * (g.depth + k) + 1):
+    for v in g.spec.language.factors(2 * (g.depth + k) + 1):
         hits = [j for j in range(-k, k + 1) if table[v[k - j : k - j + width]] == j]
         assert len(hits) == 1
         inv[v] = -hits[0]
@@ -605,7 +601,7 @@ def test_element_documents_round_trip_over_a_ball(fib_spec, fib_gens):
 
 
 def _grouping_reduce_depth(spec, depth, shifts):
-    oracle = language_table(spec)
+    oracle = spec.language
     while depth > 0:
         centre = oracle.subwords(2 * depth + 1, 1, 2 * depth - 1)
         grouped = dict(zip(centre, shifts))
@@ -623,7 +619,7 @@ def _shift_vectors(draw):
     lower depth, then (sometimes) changed in one place."""
     spec = draw(st.sampled_from([fibonacci_spec(), ToeplitzSpec("ab*b*"),
                                  FullShiftSpec(("a", "b")), ExplicitSpec(("a", "b"), ("bb",))]))
-    table = language_table(spec)
+    table = spec.language
     depth = draw(st.integers(0, 5))
     low = draw(st.integers(0, depth))
     rnd = draw(st.randoms(use_true_random=False))

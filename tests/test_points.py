@@ -21,7 +21,6 @@ from fullgroup_lab import (
     UnresolvableHole,
     ValidationError,
     canonical_point,
-    factors,
     find_cylinder_position,
     is_periodic_window,
     substitution_iterate,
@@ -35,7 +34,7 @@ def test_fibonacci_fixed_point_center_window(fib_spec, fib_point):
     expected = word[-2:] + word[:3]
     got = fib_point.window(0, 2)
     assert got == expected == "baaba"
-    assert got in factors(fib_spec, 5)
+    assert got in fib_spec.language.factors(5)
 
 
 def test_fixed_point_rejects_bad_seeds(fib_spec):
@@ -82,7 +81,7 @@ def test_mechanical_point_deep_window_admissible():
     p = MechanicalPoint(spec, 0)
     w = p.window(10**4, 3)
     assert len(w) == 7
-    assert w in factors(spec, 7)
+    assert w in spec.language.factors(7)
 
 
 def test_mechanical_matches_substitution_fixed_point(fib_spec, fib_point):
@@ -130,14 +129,14 @@ def test_sturmian_random_slope_windows_admissible():
     p = MechanicalPoint(spec, 0, validate=True)
     for center in (-50, -7, 0, 13, 101):
         w = p.window(center, 6)
-        assert w in factors(spec, 13)
+        assert w in spec.language.factors(13)
 
 
 def test_toeplitz_point_right_half_matches_one_sided_word():
     spec = ToeplitzSpec("a*ab*a")
     p = ToeplitzPoint(spec, 0, validate=True)
     assert p.letters(0, 40) == toeplitz_word("a*ab*a", 40)
-    assert p.window(-10, 5) in factors(spec, 11)
+    assert p.window(-10, 5) in spec.language.factors(11)
 
 
 def test_toeplitz_point_anchor_shifts():
@@ -178,7 +177,7 @@ def test_nonprimitive_fixed_point_windows(fib_spec):
     p = SubstitutionFixedPoint(spec, validate=True)
     w = p.window(0, 10)
     assert len(w) == 21
-    assert w in factors(spec, 21)
+    assert w in spec.language.factors(21)
 
 
 def test_explicit_point_layout():
@@ -226,7 +225,7 @@ def test_canonical_points_per_family(fib_spec):
 
 
 def test_find_cylinder_position(fib_spec, fib_point):
-    for word in sorted(factors(fib_spec, 5)):
+    for word in sorted(fib_spec.language.factors(5)):
         c = find_cylinder_position(fib_point, word)
         assert fib_point.window(c, 2) == word
 

@@ -101,9 +101,9 @@ def test_periodic_point_collision():
 
 def test_aperiodic_point_is_fine_with_shift_generators(fib_spec, fib_point):
     # the subshift's own shift acts; on an aperiodic point offsets stay distinct
-    from fullgroup_lab import factors, from_table as build
+    from fullgroup_lab import from_table as build
 
-    table = {w: 1 for w in factors(fib_spec, 1)}
+    table = {w: 1 for w in fib_spec.language.factors(1)}
     tau = build(fib_spec, 0, table)
     gens = GeneratorSet(fib_spec, (("s", tau), ("i", inverse(tau))))
     ball = build_ball(fib_point, gens, 5)
@@ -131,10 +131,8 @@ def _evaluated_ball(point, gens, radius):
 
 @pytest.mark.parametrize("which", ["shift", "fibonacci"])
 def test_ball_equals_the_evaluate_reference(fib_spec, fib_gens, fib_point, which):
-    from fullgroup_lab import factors
-
     if which == "shift":
-        tau = from_table(fib_spec, 0, {w: 1 for w in factors(fib_spec, 1)})
+        tau = from_table(fib_spec, 0, {w: 1 for w in fib_spec.language.factors(1)})
         gens = GeneratorSet(fib_spec, (("s", tau), ("i", inverse(tau))))
     else:
         gens = fib_gens

@@ -21,19 +21,16 @@ from fullgroup_lab import (
     SubstitutionSpec,
     ToeplitzSpec,
     build_spec,
-    complexity,
-    complexity_interp,
-    factors,
     fibonacci_spec,
     is_primitive,
-    language_table,
     spec_to_dict,
     substitution_iterate,
     toeplitz_word,
 )
-from fullgroup_lab import subshifts
 from fullgroup_lab.subshifts import (
     _FactorIndex,
+    _spell_paths,
+    _step_paths,
     sturmian_rules,
     substitution_enumeration_diagnostics,
 )
@@ -105,6 +102,14 @@ def test_spec_dict_round_trip(doc):
     assert build_spec(spec_to_dict(spec)) == spec
 
 
+def test_each_spec_owns_its_table_outside_equality_hash_and_repr():
+    a, b = fibonacci_spec(), fibonacci_spec()
+    assert a == b and hash(a) == hash(b)
+    assert a.language is not b.language and a.language.spec is a
+    assert repr(a) == "SubstitutionSpec(rules=(('a', 'ab'), ('b', 'a')), seed='a')"
+    assert spec_to_dict(a) == {"variant": "substitution", "rules": FIB, "seed": "a"}
+
+
 # --- factor sets -------------------------------------------------------------
 
 
@@ -114,24 +119,24 @@ def test_fibonacci_factors_length_two(fib_spec):
     for _ in range(15):
         word = "".join(FIB[c] for c in word)
     oracle = {word[i : i + 2] for i in range(len(word) - 1)}
-    assert factors(fib_spec, 2) == oracle == {"aa", "ab", "ba"}
+    assert fib_spec.language.factors(2) == oracle == {"aa", "ab", "ba"}
 
 
 def test_full_shift_factors_all_words():
     fs = FullShiftSpec(("a", "b"))
-    assert len(factors(fs, 3)) == 8
+    assert len(fs.language.factors(3)) == 8
 
 
 def test_sturmian_golden_six_factors_of_length_five():
-    assert len(factors(SturmianSpec((1,)), 5)) == 6
+    assert len(SturmianSpec((1,)).language.factors(5)) == 6
 
 
 def test_factors_memoized_identity(fib_spec):
-    assert factors(fib_spec, 7) is factors(fib_spec, 7)
+    assert fib_spec.language.factors(7) is fib_spec.language.factors(7)
 
 
 def test_factors_zero_is_empty_word(fib_spec):
-    assert factors(fib_spec, 0) == frozenset({""})
+    assert fib_spec.language.factors(0) == frozenset({""})
 
 
 # --- complexity --------------------------------------------------------------
@@ -140,19 +145,19 @@ def test_factors_zero_is_empty_word(fib_spec):
 def test_sturmian_complexity_exact():
     spec = SturmianSpec((1,))
     for n in range(1, 64):
-        assert complexity(spec, n) == n + 1
+        assert spec.language.complexity(n) == n + 1
 
 
 def test_sturmian_swapped_same_complexity():
     spec = SturmianSpec((2, 1), swap_letters=True)
     for n in range(1, 32):
-        assert complexity(spec, n) == n + 1
+        assert spec.language.complexity(n) == n + 1
 
 
 def test_full_shift_complexity_closed_form():
     fs = FullShiftSpec(("a", "b"))
-    assert complexity(fs, 10) == 1024
-    assert complexity(fs, 50) == 2**50
+    assert fs.language.complexity(10) == 1024
+    assert fs.language.complexity(50) == 2**50
 
 
 def test_toeplitz_complexity_matches_brute_scan():
@@ -165,8 +170,8 @@ def test_toeplitz_complexity_matches_brute_scan():
         cur = "".join(next(filler) if c == "*" else c for c in base)
     counts = {n: len({cur[i : i + n] for i in range(12000 - n)}) for n in (1, 2, 3, 4)}
     for n in (1, 2, 3, 4):
-        assert complexity(spec, n) == counts[n]
-    assert complexity(spec, 4) == 11
+        assert spec.language.complexity(n) == counts[n]
+    assert spec.language.complexity(4) == 11
 
 
 def test_golden_mean_shift_matches_transfer_matrix():
@@ -177,21 +182,21 @@ def test_golden_mean_shift_matches_transfer_matrix():
         ends_a, ends_b = 1, 1
         for _ in range(n - 1):
             ends_a, ends_b = ends_a + ends_b, ends_a
-        assert complexity(spec, n) == ends_a + ends_b
+        assert spec.language.complexity(n) == ends_a + ends_b
 
 
 def test_sft_with_dead_ends_prunes_non_extendable_words():
     # "a" cannot be continued: both aa and ab are forbidden
     spec = ExplicitSpec(("a", "b"), ("aa", "ab"))
-    assert factors(spec, 1) == frozenset({"b"})
-    assert factors(spec, 3) == frozenset({"bbb"})
-    assert complexity(spec, 20) == 1
+    assert spec.language.factors(1) == frozenset({"b"})
+    assert spec.language.factors(3) == frozenset({"bbb"})
+    assert spec.language.complexity(20) == 1
 
 
 def test_empty_sft_language():
     spec = ExplicitSpec(("a",), ("a",))
-    assert factors(spec, 1) == frozenset()
-    assert factors(spec, 0) == frozenset()
+    assert spec.language.factors(1) == frozenset()
+    assert spec.language.factors(0) == frozenset()
 
 
 def test_complexity_counts_windows_of_a_long_prefix():
@@ -204,11 +209,11 @@ def test_complexity_counts_windows_of_a_long_prefix():
 
 
 def test_complexity_interp_piecewise_affine(fib_spec):
-    assert complexity_interp(fib_spec, 5) == complexity(fib_spec, 5)
-    mid = complexity_interp(fib_spec, 5.5)
-    assert mid == (complexity(fib_spec, 5) + complexity(fib_spec, 6)) / 2
+    assert fib_spec.language.complexity_interp(5) == fib_spec.language.complexity(5)
+    mid = fib_spec.language.complexity_interp(5.5)
+    assert mid == (fib_spec.language.complexity(5) + fib_spec.language.complexity(6)) / 2
     with pytest.raises(ValueError):
-        complexity_interp(fib_spec, -0.5)
+        fib_spec.language.complexity_interp(-0.5)
 
 
 # --- suffix-array factor index ------------------------------------------------
@@ -234,7 +239,7 @@ def test_tail_filtered_factors_are_windows_of_a_late_tail():
     word = substitution_iterate(NONPRIM, "a", 16)
     tail = word[len(word) // 2 :]
     for n in (50, 100):
-        assert factors(spec, n) == {tail[i : i + n] for i in range(len(tail) - n + 1)}
+        assert spec.language.factors(n) == {tail[i : i + n] for i in range(len(tail) - n + 1)}
 
 
 # --- substitution iteration and primitivity ----------------------------------
@@ -379,17 +384,17 @@ SPEC_IDS = ["golden", "silver-ish", "fibonacci", "nonprimitive", "toeplitz", "fu
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
 def test_factor_closure_and_extension(spec):
     for n in range(1, 9):
-        level = factors(spec, n)
-        below = factors(spec, n - 1)
+        level = spec.language.factors(n)
+        below = spec.language.factors(n - 1)
         for w in level:
             assert w[:-1] in below and w[1:] in below
         # every admissible word extends one letter on each side
-        assert level == {u[1:-1] for u in factors(spec, n + 2)}
+        assert level == {u[1:-1] for u in spec.language.factors(n + 2)}
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=SPEC_IDS)
 def test_complexity_nondecreasing(spec):
-    values = [complexity(spec, n) for n in range(9)]
+    values = [spec.language.complexity(n) for n in range(9)]
     assert values[0] == 1
     assert all(a <= b for a, b in zip(values, values[1:]))
 
@@ -397,15 +402,15 @@ def test_complexity_nondecreasing(spec):
 def test_substitution_nlogn_envelope(fib_spec):
     # rho(n) <= C n log n with one fitted constant over the whole range
     ns = range(2, 201)
-    c_fib = max(complexity(fib_spec, n) / (n * math.log(n)) for n in ns)
+    c_fib = max(fib_spec.language.complexity(n) / (n * math.log(n)) for n in ns)
     assert c_fib < 10
     nonprim = SubstitutionSpec.from_rules(NONPRIM, "a")
-    c_np = max(complexity(nonprim, n) / (n * math.log(n)) for n in ns)
+    c_np = max(nonprim.language.complexity(n) / (n * math.log(n)) for n in ns)
     assert c_np < 10
 
 
 def test_primitive_substitution_linear_envelope(fib_spec):
-    c = max(complexity(fib_spec, n) / n for n in range(1, 201))
+    c = max(fib_spec.language.complexity(n) / n for n in range(1, 201))
     assert c <= 2.0  # rho(n) = n + 1
 
 
@@ -416,8 +421,8 @@ def test_primitive_substitution_linear_envelope(fib_spec):
 )
 def test_sft_factor_closure_random(forbidden, n):
     spec = ExplicitSpec(("a", "b"), tuple(forbidden))
-    level = factors(spec, n)
-    below = factors(spec, n - 1)
+    level = spec.language.factors(n)
+    below = spec.language.factors(n - 1)
     for w in level:
         assert w[:-1] in below and w[1:] in below
 
@@ -492,6 +497,44 @@ def test_sft_overlap_graph_matches_the_set_scan(case):
         assert LanguageTable(spec).complexity(n) == _sft_count(spec, n)
 
 
+def test_sft_complexity_table_steps_one_count_vector(monkeypatch):
+    # one table's counts to n = 300 step one path-count vector forward, 297
+    # steps past the vertex length 3 in all, and each length passed on the
+    # way is memoized; the counts equal the spelled factor sets where those
+    # are small and the per-n recount everywhere
+    spec = ExplicitSpec(("a", "b", "c"), ("ac", "cb", "bab", "ccc"))
+    table = LanguageTable(spec)
+    steps = []
+    step = _step_paths
+    monkeypatch.setattr("fullgroup_lab.subshifts._step_paths",
+                        lambda graph, paths: steps.append(1) or step(graph, paths))
+    top = table.complexity(300)
+    counts = [table.complexity(n) for n in range(301)]
+    assert len(steps) == 300 - 3 and counts[300] == top
+    for n, count in enumerate(counts):
+        if count <= 10_000:
+            assert count == len(_spell_paths(table._graph, n, 10_000))
+        assert count == _sft_count(spec, n)
+
+
+def test_sft_factors_are_refused_by_their_letters_before_any_is_spelled():
+    # one path: a single word, whose letters still pass cap * bit_length(cap)
+    table = LanguageTable(ExplicitSpec(("a", "b"), ("b",)), max_factors=8)
+    assert table.factors(32) == {"a" * 32}
+    with pytest.raises(ResourceLimit, match="length 33 exceeds the letter cap"):
+        table.factors(33)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="exceeds the letter cap"):
+        ExplicitSpec(("a", "b"), ("b",)).language.factors(10**12)
+    assert time.perf_counter() - start < 1.0
+    # the word cap still holds: on the golden mean shift 8 words of length 4
+    # pass it, and 13 of length 5 do not
+    table = LanguageTable(ExplicitSpec(("a", "b"), ("bb",)), max_factors=8)
+    assert len(table.factors(4)) == 8
+    with pytest.raises(ResourceLimit, match="exceeded 8 words"):
+        table.factors(5)
+
+
 @st.composite
 def growing_substitutions(draw):
     image_a = draw(st.text(alphabet="ab", min_size=1, max_size=3))
@@ -506,9 +549,9 @@ def test_substitution_factor_closure_random(rules, n):
         spec = SubstitutionSpec.from_rules(rules, "a")
     except ConditionViolated:
         return
-    level = factors(spec, n)
+    level = spec.language.factors(n)
     assert level
-    below = factors(spec, n - 1)
+    below = spec.language.factors(n - 1)
     for w in level:
         assert w[:-1] in below and w[1:] in below
 
@@ -518,7 +561,7 @@ def test_substitution_factor_closure_random(rules, n):
 def test_sturmian_complexity_random_slopes(cf):
     spec = SturmianSpec(tuple(cf))
     for n in (1, 2, 5, 9):
-        assert complexity(spec, n) == n + 1
+        assert spec.language.complexity(n) == n + 1
 
 
 # --- enumeration strategy diagnostics -----------------------------------------
@@ -537,7 +580,7 @@ def test_tail_filter_flags_prefix_only_factors():
     assert not diag["agree"]
     assert diag["tail"] == frozenset({"bb"})
     assert "ab" in diag["prefix"]
-    assert factors(spec, 3) == frozenset({"bbb"})
+    assert spec.language.factors(3) == frozenset({"bbb"})
 
 
 def test_tail_saturation_compares_sets_not_counts():
@@ -545,15 +588,15 @@ def test_tail_saturation_compares_sets_not_counts():
     # each, a different one each time: equal counts over two doublings, but
     # the sets differ, so the scan must go on
     spec = SubstitutionSpec.from_rules({"a": "ab", "b": "cc", "c": "aa"}, "a")
-    assert factors(spec, 1) == frozenset("abc")
-    assert complexity(spec, 1) == 3
+    assert spec.language.factors(1) == frozenset("abc")
+    assert spec.language.complexity(1) == 3
 
 
 def test_nonprimitive_language_facts():
     spec = SubstitutionSpec.from_rules(NONPRIM, "a")
-    assert "aa" not in factors(spec, 2)
+    assert "aa" not in spec.language.factors(2)
     for k in range(1, 9):
-        assert "b" * k in factors(spec, k)
+        assert "b" * k in spec.language.factors(k)
     # here every factor of the generated word recurs (prefixes reoccur),
     # so the tail filter changes nothing
     assert substitution_enumeration_diagnostics(spec, 4)["agree"]
@@ -626,9 +669,9 @@ def _plan_reads(table, n):
     return None if plan is None else (plan.pick(v), plan.left(v), plan.right(v))
 
 
-def test_language_table_concurrent_queries(fib_spec, monkeypatch):
-    specs = (fib_spec, ExplicitSpec(("a", "b", "c"), ("ac", "cb", "bab", "ccc")))
-    monkeypatch.setattr(subshifts, "_TABLES", {})  # each spec's table is made under contention
+def test_language_table_concurrent_queries():
+    # fresh specs, so each table fills its memos under contention
+    specs = (fibonacci_spec(), ExplicitSpec(("a", "b", "c"), ("ac", "cb", "bab", "ccc")))
 
     def queries(table):
         return ([table.complexity(n) for n in range(1, 30)],
@@ -641,7 +684,7 @@ def test_language_table_concurrent_queries(fib_spec, monkeypatch):
         results = {}
 
         def worker(idx):
-            results[idx] = (language_table(spec), queries(language_table(spec)))
+            results[idx] = (spec.language, queries(spec.language))
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
         interval = sys.getswitchinterval()
@@ -655,7 +698,7 @@ def test_language_table_concurrent_queries(fib_spec, monkeypatch):
         finally:
             sys.setswitchinterval(interval)
         assert len(results) == len(threads)
-        table = language_table(spec)
+        table = spec.language
         assert all(t is table and v == serial for t, v in results.values())
         for n, (words, *_) in enumerate(serial[1], start=1):
             assert [w for w, _ in words] == sorted(table.factors(n))

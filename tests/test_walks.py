@@ -35,7 +35,6 @@ from fullgroup_lab import (
     identity,
     inverse,
     is_constant_on_cylinder,
-    language_table,
     max_displacement_tail,
     mixture_entropy_check,
     pushforward_offsets,
@@ -704,7 +703,7 @@ def _first_constant(grid, ns, holds):
 
 
 def test_fitted_constants_equal_the_grid_search(fib_spec, fib_cache):
-    oracle = language_table(fib_spec)
+    oracle = fib_spec.language
     suite = return_probability_suite(fib_cache, 5)
 
     def returns_hold(c, n):

@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .points import canonical_point
-from .subshifts import ToeplitzSpec
+from .subshifts import DEFAULT_MAX_FACTORS, ToeplitzSpec
 from .walks import (
     ConvolutionCache,
     cylinder_depth,
@@ -105,10 +105,18 @@ def _resolve_point(args, spec):
     return canonical_point(spec)
 
 
+def _check_rows(n: int) -> None:
+    """Refuse a table of `n` rows, one per length, past the element budget,
+    before any row is computed."""
+    if n > DEFAULT_MAX_FACTORS:
+        raise ResourceLimit(f"--n {n} asks for more than {DEFAULT_MAX_FACTORS} table rows")
+
+
 def cmd_complexity(args, argv) -> int:
     spec = fileio.load_spec(args.spec)
     if args.n < 1:
         raise ValidationError("--n must be >= 1")
+    _check_rows(args.n)
     if args.dump_factors is not None and args.dump_factors < 0:
         raise ValidationError("--dump-factors must be >= 0")
     oracle = spec.language
@@ -227,6 +235,7 @@ def cmd_entropy(args, argv) -> int:
         raise ValidationError("--n must be >= 2")
     if args.cap < 1:
         raise ValidationError("--cap must be >= 1")
+    _check_rows(args.n)
     depths = [cylinder_depth(n, args.depth_scale) for n in range(1, args.n + 1)]
 
     rows = []

@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import (
     IncompleteTable,
-    InternalInvariantError,
     NotInvertible,
     ResourceLimit,
     SpecMismatch,
@@ -206,8 +205,7 @@ def increment_table(gens: GeneratorSet, point: Point, span: int,
     each offset's window is read once per generator depth and looked up in
     the factor index, and every generator of that depth gathers its row by
     those positions.  `table.T` is position-major and contiguous.  A window
-    outside the language raises SpecMismatch (a validating point raises
-    AdmissibilityViolation when it is read)."""
+    outside the language raises SpecMismatch."""
     oracle = gens.spec.language
     table = np.zeros((2 * span + 1, len(gens)), dtype=dtype).T
     for depth in {g.depth for _, g in gens}:

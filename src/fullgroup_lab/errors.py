@@ -69,7 +69,3 @@ class InternalInvariantError(FullgroupLabError):
 
 class SaturationFailure(ResourceLimit):
     """Factor enumeration could not certify completeness within budget."""
-
-
-class AdmissibilityViolation(InternalInvariantError):
-    """A generated window is not in the language of its subshift."""

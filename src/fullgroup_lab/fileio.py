@@ -65,7 +65,7 @@ def save_spec(path: Path, spec: SubshiftSpec, point: Mapping | None = None) -> N
     write_json(path, doc)
 
 
-def point_from_dict(spec: SubshiftSpec, desc: Mapping, validate: bool = False) -> Point:
+def point_from_dict(spec: SubshiftSpec, desc: Mapping) -> Point:
     field = partial(json_field, desc, where="point description")
     kind = desc.get("kind")
     if kind == "substitution_fixed_point":
@@ -73,23 +73,20 @@ def point_from_dict(spec: SubshiftSpec, desc: Mapping, validate: bool = False) -
             raise ValidationError("substitution_fixed_point needs a substitution spec")
         left, right = field("left", "a string", None), field("right", "a string", None)
         power = field("power", "an integer", None)
-        return SubstitutionFixedPoint(spec, left, right, power, validate=validate)
+        return SubstitutionFixedPoint(spec, left, right, power)
     if kind == "mechanical":
         if not isinstance(spec, SturmianSpec):
             raise ValidationError("mechanical points need a sturmian spec")
-        return MechanicalPoint(spec, field("intercept", "an integer", 0), validate=validate)
+        return MechanicalPoint(spec, field("intercept", "an integer", 0))
     if kind == "toeplitz":
         if not isinstance(spec, ToeplitzSpec):
             raise ValidationError("toeplitz points need a toeplitz spec")
-        return ToeplitzPoint(spec, field("anchor", "an integer", 0), validate=validate)
+        return ToeplitzPoint(spec, field("anchor", "an integer", 0))
     if kind == "periodic":
-        return PeriodicPoint(field("word", "a string"), field("phase", "an integer", 0),
-                             spec, validate=validate)
+        return PeriodicPoint(field("word", "a string"), field("phase", "an integer", 0))
     if kind == "explicit":
-        return ExplicitPoint(
-            field("left_period", "a string"), field("center", "a string", ""),
-            field("right_period", "a string"), spec, validate=validate,
-        )
+        return ExplicitPoint(field("left_period", "a string"), field("center", "a string", ""),
+                             field("right_period", "a string"))
     raise ValidationError(f"unknown point kind {kind!r}")
 
 

@@ -4,8 +4,8 @@ A `Point` never materializes an infinite sequence: `window(center, radius)`
 returns the letters at coordinates center-radius .. center+radius, computed
 from a cached segment that grows by doubling.  All windows of a point are
 slices of one fixed assignment, so nesting and shift-compatibility hold by
-construction; optional validation checks every window against the language
-oracle of the owning subshift.
+construction.  A point is not checked against a subshift: a window outside
+the language is refused where it meets a table over the admissible words.
 
 A substitution fixed point's iterates are refused past the text budget
 before they are built, and its default seeds are found without any iterate.
@@ -15,12 +15,7 @@ from __future__ import annotations
 
 import threading
 
-from .errors import (
-    AdmissibilityViolation,
-    SpecMismatch,
-    UnresolvableHole,
-    ValidationError,
-)
+from .errors import SpecMismatch, UnresolvableHole, ValidationError
 from .subshifts import (
     ExplicitSpec,
     FullShiftSpec,
@@ -38,9 +33,7 @@ _SWAP_AB = str.maketrans("ab", "ba")
 class Point:
     """Base class: cached window access over a fixed letter assignment."""
 
-    def __init__(self, spec: SubshiftSpec | None = None, validate: bool = False):
-        self.spec = spec
-        self.validate = validate and spec is not None
+    def __init__(self):
         self._lock = threading.RLock()
         self._lo = 0
         self._hi = 0
@@ -67,12 +60,7 @@ class Point:
         """The word at coordinates center-radius .. center+radius."""
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        word = self.letters(center - radius, center + radius + 1)
-        if self.validate and not self.spec.language.is_admissible(word):
-            raise AdmissibilityViolation(
-                f"window {word!r} at center {center} is not admissible"
-            )
-        return word
+        return self.letters(center - radius, center + radius + 1)
 
     def __repr__(self):
         return f"<{type(self).__name__}>"
@@ -106,9 +94,8 @@ class SubstitutionFixedPoint(Point):
     """
 
     def __init__(self, spec: SubstitutionSpec, left: str | None = None,
-                 right: str | None = None, power: int | None = None,
-                 validate: bool = False):
-        super().__init__(spec, validate)
+                 right: str | None = None, power: int | None = None):
+        super().__init__()
         self.rules = spec.rules_dict
         self.power = power
         if left is None or right is None or power is None:
@@ -146,8 +133,8 @@ class MechanicalPoint(Point):
     """Two-sided Sturmian point, built from the one-period composition of
     the standard-word substitutions and shifted by an intercept index."""
 
-    def __init__(self, spec: SturmianSpec, intercept: int = 0, validate: bool = False):
-        super().__init__(spec, validate)
+    def __init__(self, spec: SturmianSpec, intercept: int = 0):
+        super().__init__()
         self.intercept = intercept
         inner_spec = SubstitutionSpec.from_rules(sturmian_rules(spec.cf), "a")
         self._inner = SubstitutionFixedPoint(inner_spec)
@@ -166,8 +153,8 @@ class ToeplitzPoint(Point):
     rejected at construction (the recursion would cycle).
     """
 
-    def __init__(self, spec: ToeplitzSpec, anchor: int = 0, validate: bool = False):
-        super().__init__(spec, validate)
+    def __init__(self, spec: ToeplitzSpec, anchor: int = 0):
+        super().__init__()
         self.anchor = anchor
         self.pattern = spec.pattern
         self.hole = spec.hole
@@ -211,11 +198,10 @@ class ToeplitzPoint(Point):
 class PeriodicPoint(Point):
     """Periodic repetition of a finite word: x_j = word[(j+phase) mod len]."""
 
-    def __init__(self, word: str, phase: int = 0, spec: SubshiftSpec | None = None,
-                 validate: bool = False):
+    def __init__(self, word: str, phase: int = 0):
         if not word:
             raise ValidationError("periodic word must be nonempty")
-        super().__init__(spec, validate)
+        super().__init__()
         self.word = word
         self.phase = phase
 
@@ -227,11 +213,10 @@ class PeriodicPoint(Point):
 class ExplicitPoint(Point):
     """Finite center word with declared periodic tails on both sides."""
 
-    def __init__(self, left_period: str, center: str, right_period: str,
-                 spec: SubshiftSpec | None = None, validate: bool = False):
+    def __init__(self, left_period: str, center: str, right_period: str):
         if not left_period or not right_period:
             raise ValidationError("tail periods must be nonempty")
-        super().__init__(spec, validate)
+        super().__init__()
         self.left_period = left_period
         self.center = center
         self.right_period = right_period
@@ -268,16 +253,16 @@ def is_periodic_window(point: Point, radius: int) -> int | None:
     return None
 
 
-def canonical_point(spec: SubshiftSpec, validate: bool = False) -> Point:
+def canonical_point(spec: SubshiftSpec) -> Point:
     """A default admissible point for the families that have one built in."""
     if isinstance(spec, SubstitutionSpec):
-        return SubstitutionFixedPoint(spec, validate=validate)
+        return SubstitutionFixedPoint(spec)
     if isinstance(spec, SturmianSpec):
-        return MechanicalPoint(spec, 0, validate=validate)
+        return MechanicalPoint(spec, 0)
     if isinstance(spec, ToeplitzSpec):
-        return ToeplitzPoint(spec, 0, validate=validate)
+        return ToeplitzPoint(spec, 0)
     if isinstance(spec, FullShiftSpec):
-        return PeriodicPoint("".join(spec.letters), spec=spec, validate=validate)
+        return PeriodicPoint("".join(spec.letters))
     if isinstance(spec, ExplicitSpec):
         raise SpecMismatch(
             "explicit subshifts have no built-in point; supply a point descriptor"

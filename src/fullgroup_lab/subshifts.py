@@ -28,13 +28,12 @@ locates factors; it is safe to share across threads.
 from __future__ import annotations
 
 import itertools
-import math
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from operator import itemgetter
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, KeysView, Mapping, NamedTuple
 
 import numpy as np
 
@@ -52,29 +51,17 @@ DEFAULT_MAX_TEXT = 1 << 23
 # Element budget for explicit factor-set enumeration.
 DEFAULT_MAX_FACTORS = 2_000_000
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Ordered finite set of single-character letters."""
 
-    letters: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.letters:
-            raise EmptyAlphabet("alphabet must contain at least one letter")
-        if len(set(self.letters)) != len(self.letters):
-            raise EmptyAlphabet(f"duplicate letters in alphabet {self.letters}")
-        for c in self.letters:
-            if len(c) != 1:
-                raise EmptyAlphabet(f"letters must be single characters, got {c!r}")
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __contains__(self, c):
-        return c in self.letters
+def _check_letters(letters: tuple[str, ...]) -> None:
+    """Refuse an alphabet that is empty, repeats a letter or has a letter
+    that is not one character."""
+    if not letters:
+        raise EmptyAlphabet("alphabet must contain at least one letter")
+    if len(set(letters)) != len(letters):
+        raise EmptyAlphabet(f"duplicate letters in alphabet {letters}")
+    for c in letters:
+        if len(c) != 1:
+            raise EmptyAlphabet(f"letters must be single characters, got {c!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +92,6 @@ class SturmianSpec:
         if any(a < 1 for a in self.cf):
             raise ConditionViolated(1, "?", "continued fraction coefficients must be >= 1")
         object.__setattr__(self, "language", LanguageTable(self))
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(("a", "b"))
 
 
 @dataclass(frozen=True)
@@ -157,10 +140,6 @@ class SubstitutionSpec:
     def rules_dict(self) -> dict[str, str]:
         return dict(self.rules)
 
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(tuple(sorted(self.rules_dict)))
-
 
 @dataclass(frozen=True)
 class ToeplitzSpec:
@@ -187,10 +166,6 @@ class ToeplitzSpec:
         object.__setattr__(self, "language", LanguageTable(self))
 
     @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(tuple(sorted(set(self.pattern) - {self.hole})))
-
-    @property
     def period(self) -> int:
         return len(self.pattern)
 
@@ -209,12 +184,8 @@ class FullShiftSpec:
     variant = "full_shift"
 
     def __post_init__(self):
-        Alphabet(tuple(self.letters))
+        _check_letters(tuple(self.letters))
         object.__setattr__(self, "language", LanguageTable(self))
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(tuple(self.letters))
 
 
 @dataclass(frozen=True)
@@ -228,19 +199,15 @@ class ExplicitSpec:
     variant = "explicit"
 
     def __post_init__(self):
-        alpha = Alphabet(tuple(self.letters))
+        _check_letters(tuple(self.letters))
         object.__setattr__(self, "forbidden", tuple(sorted(set(self.forbidden))))
         for w in self.forbidden:
             if not w:
                 raise EmptyAlphabet("the empty word cannot be forbidden")
             for c in w:
-                if c not in alpha:
+                if c not in self.letters:
                     raise EmptyAlphabet(f"forbidden word {w!r} uses unknown letter {c!r}")
         object.__setattr__(self, "language", LanguageTable(self))
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(tuple(self.letters))
 
 
 SubshiftSpec = SturmianSpec | SubstitutionSpec | ToeplitzSpec | FullShiftSpec | ExplicitSpec
@@ -742,22 +709,22 @@ class _SiblingPlan(NamedTuple):
 class LanguageTable:
     """Memoizing language oracle of one subshift, owned by its spec as `spec.language`.
 
-    `factors(n)` returns the exact set of admissible length-n words and
-    `complexity(n)` its cardinality: for scan-based families a count read
-    from the snapshot factor indexes (the set itself is built only when
-    `factors` asks for it), a closed form for full shifts and a path count
-    on one overlap graph for shifts of finite type.
+    `words(n)` is the ordered index of the exact set of admissible length-n
+    words: each word maps to its position in sorted order, the order of the
+    dict, so a table over them is a vector of shifts.  `factors(n)` is its
+    key view, the set itself.  `complexity(n)` is its cardinality: for
+    scan-based families a count read from the snapshot factor indexes (the
+    set itself is built only when `words` asks for it), a closed form for
+    full shifts and a path count on one overlap graph for shifts of finite
+    type.
 
-    The word geometry of cocycle tables lives here too.  `words(n)` is the
-    ordered index of the length-n factors: each word maps to its position
-    in sorted order, the order of the dict, so a table over them is a
-    vector of shifts.  `subwords(n, lo, width)` gives, for each of those
+    The word geometry of cocycle tables lives here too.  `subwords(n, lo, width)` gives, for each of those
     words, the position in `words(width)` of its subword starting at `lo`.
     `siblings(n)` is the plan that canonical reduction reads: for each
     (n-2)-word, the position of the first n-word around it as centre, and
     the pairs of positions that must carry equal shifts for a table to
     factor through the centre; None when some (n-2)-word is no centre.
-    All three are memoized like `factors`, one entry per key.  Inserts
+    All three are memoized like `words`, one entry per key.  Inserts
     are synchronized, while a hit reads without the lock: entries are only
     ever added, and whole.  All queries are pure functions of the spec.
     """
@@ -768,32 +735,28 @@ class LanguageTable:
         self.max_text = max_text
         self.max_factors = max_factors
         self._lock = threading.RLock()
-        self._factors: dict[int, frozenset[str]] = {}
         self._counts: dict[int, int] = {}
         self._words: dict[int, dict[str, int]] = {}
         self._subwords: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._siblings: dict[int, _SiblingPlan | None] = {}
         self._paths: tuple[int, dict[str, int]] | None = None  # see _count_paths
 
-    def factors(self, n: int) -> frozenset[str]:
-        if n < 0:
-            raise ValueError("factor length must be nonnegative")
-        with self._lock:
-            got = self._factors.get(n)
-            if got is not None:
-                return got
-            result = self._compute_factors(n)
-            self._factors[n] = result
-            self._counts[n] = len(result)
-            return result
+    def factors(self, n: int) -> KeysView[str]:
+        return self.words(n).keys()
 
     # Every compose reads these several times, so a hit skips the lock.
 
     def words(self, n: int) -> dict[str, int]:
         got = self._words.get(n)
         if got is None:
+            if n < 0:
+                raise ValueError("factor length must be nonnegative")
             with self._lock:
-                got = self._words[n] = {w: i for i, w in enumerate(sorted(self.factors(n)))}
+                got = self._words.get(n)
+                if got is None:
+                    got = {w: i for i, w in enumerate(sorted(self._compute_factors(n)))}
+                    self._words[n] = got
+                    self._counts[n] = len(got)
         return got
 
     def subwords(self, n: int, lo: int, width: int) -> tuple[int, ...]:
@@ -844,17 +807,6 @@ class LanguageTable:
 
     def is_admissible(self, word: str) -> bool:
         return word in self.words(len(word))
-
-    def complexity_interp(self, x: float) -> float:
-        """Piecewise affine extension of the complexity to real arguments."""
-        if x < 0:
-            raise ValueError("argument must be nonnegative")
-        lo = math.floor(x)
-        hi = math.ceil(x)
-        if lo == hi:
-            return float(self.complexity(lo))
-        c_lo, c_hi = self.complexity(lo), self.complexity(hi)
-        return c_lo + (c_hi - c_lo) * (x - lo)
 
     def _compute_factors(self, n: int) -> frozenset[str]:
         spec = self.spec

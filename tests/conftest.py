@@ -36,7 +36,7 @@ def fib_cache(fib_measure, fib_gens):
 
 @pytest.fixture(scope="session")
 def fib_point(fib_spec):
-    return SubstitutionFixedPoint(fib_spec, validate=True)
+    return SubstitutionFixedPoint(fib_spec)
 
 
 def _oracle_draws(measure, n, trials, seed):

@@ -397,6 +397,18 @@ _BLOW_UP_INPUTS = {
     "one-path-sft-dump": (
         {"variant": "explicit", "alphabet": ["a", "b"], "forbidden": ["b"]},
         ["complexity", "--n", "3", "--dump-factors", str(10**12)]),
+    # one table row per length: a huge --n is refused before any row is computed
+    "one-path-sft-rows": (
+        {"variant": "explicit", "alphabet": ["a", "b"], "forbidden": ["b"]},
+        ["complexity", "--n", str(10**12)]),
+    "one-letter-full-shift-rows": (
+        {"variant": "full_shift", "alphabet": ["a"]},
+        ["complexity", "--n", str(10**12)]),
+    "sturmian-rows": (
+        {"variant": "sturmian", "cf": [1], "swap_letters": False},
+        ["complexity", "--n", str(10**12)]),
+    "entropy-rows": (
+        FIB, ["entropy", "--gens", "gens.json", "--n", str(10**9)]),
     "fixed-point-power": (
         FIB | {"point": {"kind": "substitution_fixed_point", "left": "a", "right": "a",
                          "power": 60}},
@@ -499,6 +511,7 @@ def test_malformed_element_documents_are_validation_errors(workdir, capsys, fib_
     (FIB | {"point": {"kind": "periodic"}}, GENS, "'word'"),
     (FIB | {"point": {"kind": "periodic", "word": "ab", "phase": "x"}}, GENS, "'phase'"),
     (FIB | {"point": {"kind": "explicit", "left_period": "a"}}, GENS, "'right_period'"),
+    (FIB | {"point": {"kind": "periodic", "word": "b"}}, GENS, "is not admissible"),
     (FIB | {"point": {"kind": "substitution_fixed_point", "left": "a", "right": "a",
                       "power": "2"}}, GENS, "'power'"),
     (FIB | {"point": {"kind": "substitution_fixed_point", "left": "a", "right": "a",
@@ -506,11 +519,20 @@ def test_malformed_element_documents_are_validation_errors(workdir, capsys, fib_
     (FIB, {"spec": "fib.json", "generators": []}, "'generators'"),
     (FIB, GENS | {"weights": "abc"}, "'weights'"),
     (FIB, GENS | {"weights": {"alpha": "1/0", "beta": "1/3", "gamma": "1/3"}}, "weights"),
+    ({"variant": "full_shift", "alphabet": []}, GENS, "at least one letter"),
+    ({"variant": "full_shift", "alphabet": ["a", "a"]}, GENS, "duplicate letters"),
+    ({"variant": "full_shift", "alphabet": ["a", "bc"]}, GENS, "'bc'"),
+    ({"variant": "explicit", "alphabet": [], "forbidden": []}, GENS, "at least one letter"),
+    ({"variant": "explicit", "alphabet": ["a", "a"], "forbidden": []}, GENS, "duplicate letters"),
+    ({"variant": "explicit", "alphabet": ["a", "bc"], "forbidden": []}, GENS, "'bc'"),
 ], ids=["sturmian-no-cf", "cf-not-a-list", "swap-letters-a-string", "toeplitz-no-pattern",
         "toeplitz-two-letter-hole", "toeplitz-empty-hole",
         "rules-not-an-object", "periodic-no-word", "phase-not-an-integer", "explicit-no-right-period",
+        "periodic-point-outside-the-subshift",
         "power-a-string", "power-zero", "generators-a-list", "weights-a-string",
-        "weight-over-zero"])
+        "weight-over-zero", "full-shift-no-letter", "full-shift-duplicate-letter",
+        "full-shift-two-character-letter", "explicit-no-letter", "explicit-duplicate-letter",
+        "explicit-two-character-letter"])
 def test_malformed_documents_exit_2_without_a_traceback(tmp_path, capsys, spec, gens, field):
     write_json(tmp_path / "fib.json", spec)
     write_json(tmp_path / "gens.json", gens)

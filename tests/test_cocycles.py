@@ -67,7 +67,7 @@ def test_from_table_accepts_branch_table(fib_spec, abg):
 def test_from_table_shift_on_full_shift():
     fs = FullShiftSpec(("a", "b"))
     tau = from_table(fs, 0, {"a": 1, "b": 1})
-    point = PeriodicPoint("ab", spec=fs)
+    point = PeriodicPoint("ab")
     assert all(evaluate(tau, point, j) == 1 for j in range(-5, 5))
     assert inverse(tau).table == {"a": -1, "b": -1}
 

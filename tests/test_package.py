@@ -103,6 +103,47 @@ class Holder:
         "global COUNT", "CACHE.__setitem__(...)"]
 
 
+def _unused_imports(tree: ast.Module, name: str) -> list[str]:
+    """Names a module imports at top level and never reads: a read is a Name
+    node anywhere in the module, annotations included; strings, docstrings
+    among them, are not reads."""
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name.split(".")[0]): node.lineno for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {(a.asname or a.name): node.lineno for a in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{name}:{line}: {alias}" for alias, line in imported.items() if alias not in read]
+
+
+def test_every_import_is_read():
+    hits = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name != "__init__.py":
+            hits += _unused_imports(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    assert hits == []
+
+
+def test_the_unused_import_guard_reads_names_not_text():
+    source = """
+'''Uses json and math only in this docstring.'''
+from __future__ import annotations
+
+import json
+import math
+import os.path
+import numpy as np
+from typing import Mapping
+from .errors import SpecMismatch as Mismatch, ValidationError
+
+def f(doc: Mapping) -> int:
+    raise Mismatch(os.path.join("a", "b"))
+"""
+    hits = _unused_imports(ast.parse(source), "m.py")
+    assert [h.split(": ", 1)[1] for h in hits] == ["json", "math", "np", "ValidationError"]
+
+
 def test_the_language_table_alone_orders_and_locates_factors():
     # `LanguageTable.words` is the sorted index of the factors: no module
     # bisects a sorted tuple or sorts a factor set again

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fullgroup_lab import (
-    AdmissibilityViolation,
     ExplicitPoint,
     FullShiftSpec,
     MechanicalPoint,
@@ -126,7 +125,7 @@ def test_mechanical_point_with_a_huge_coefficient_is_refused():
 
 def test_sturmian_random_slope_windows_admissible():
     spec = SturmianSpec((3, 1, 2))
-    p = MechanicalPoint(spec, 0, validate=True)
+    p = MechanicalPoint(spec, 0)
     for center in (-50, -7, 0, 13, 101):
         w = p.window(center, 6)
         assert w in spec.language.factors(13)
@@ -134,7 +133,7 @@ def test_sturmian_random_slope_windows_admissible():
 
 def test_toeplitz_point_right_half_matches_one_sided_word():
     spec = ToeplitzSpec("a*ab*a")
-    p = ToeplitzPoint(spec, 0, validate=True)
+    p = ToeplitzPoint(spec, 0)
     assert p.letters(0, 40) == toeplitz_word("a*ab*a", 40)
     assert p.window(-10, 5) in spec.language.factors(11)
 
@@ -174,7 +173,7 @@ def test_toeplitz_point_windows_match_a_memo_free_filler(pattern):
 
 def test_nonprimitive_fixed_point_windows(fib_spec):
     spec = SubstitutionSpec.from_rules({"a": "aba", "b": "bb"}, "a")
-    p = SubstitutionFixedPoint(spec, validate=True)
+    p = SubstitutionFixedPoint(spec)
     w = p.window(0, 10)
     assert len(w) == 21
     assert w in spec.language.factors(21)
@@ -204,13 +203,6 @@ def test_is_periodic_window_needs_four_repetitions():
     # period 3 with a window of length 11 shows < 4 repetitions
     assert is_periodic_window(PeriodicPoint("aab"), 5) is None
     assert is_periodic_window(PeriodicPoint("aab"), 6) == 3
-
-
-def test_admissibility_guard_fires():
-    p = PeriodicPoint("b", spec=SubstitutionSpec.from_rules({"a": "ab", "b": "a"}, "a"),
-                      validate=True)
-    with pytest.raises(AdmissibilityViolation):
-        p.window(0, 1)  # "bbb" is not a golden-ratio factor
 
 
 def test_canonical_points_per_family(fib_spec):

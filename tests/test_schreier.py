@@ -75,7 +75,7 @@ def test_dot_round_trip(fib_point, fib_gens):
 def test_dot_empty_generator_set():
     fs = FullShiftSpec(("a", "b"))
     gens = GeneratorSet(fs, ())
-    point = PeriodicPoint("ab", spec=fs)
+    point = PeriodicPoint("ab")
     ball = build_ball(point, gens, 3)
     assert ball.vertices == (0,) and ball.edges == ()
     text = export_dot(ball)
@@ -94,7 +94,7 @@ def test_periodic_point_collision():
     fs = FullShiftSpec(("a", "b"))
     tau = from_table(fs, 0, {"a": 1, "b": 1})
     gens = GeneratorSet(fs, (("s", tau), ("i", inverse(tau))))
-    point = PeriodicPoint("ab", spec=fs)
+    point = PeriodicPoint("ab")
     with pytest.raises(PeriodicCollision):
         build_ball(point, gens, 4)
 

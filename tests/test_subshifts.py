@@ -132,7 +132,9 @@ def test_sturmian_golden_six_factors_of_length_five():
 
 
 def test_factors_memoized_identity(fib_spec):
-    assert fib_spec.language.factors(7) is fib_spec.language.factors(7)
+    # `words` is the one memo, and `factors` is its key view
+    assert fib_spec.language.words(7) is fib_spec.language.words(7)
+    assert fib_spec.language.factors(7) == fib_spec.language.words(7).keys()
 
 
 def test_factors_zero_is_empty_word(fib_spec):
@@ -206,14 +208,6 @@ def test_complexity_counts_windows_of_a_long_prefix():
     for n in (64, 65, 70):
         windows = {prefix[i : i + n] for i in range(len(prefix) - n + 1)}
         assert table.complexity(n) == len(windows)
-
-
-def test_complexity_interp_piecewise_affine(fib_spec):
-    assert fib_spec.language.complexity_interp(5) == fib_spec.language.complexity(5)
-    mid = fib_spec.language.complexity_interp(5.5)
-    assert mid == (fib_spec.language.complexity(5) + fib_spec.language.complexity(6)) / 2
-    with pytest.raises(ValueError):
-        fib_spec.language.complexity_interp(-0.5)
 
 
 # --- suffix-array factor index ------------------------------------------------

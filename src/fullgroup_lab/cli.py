@@ -120,10 +120,9 @@ def cmd_complexity(args, argv) -> int:
     if args.dump_factors is not None and args.dump_factors < 0:
         raise ValidationError("--dump-factors must be >= 0")
     oracle = spec.language
-    rows = [(n, oracle.complexity(n)) for n in range(1, args.n + 1)]
-    # checked and listed before the output directory is made, so a refusal
-    # leaves none
-    fileio.check_cells(rows)
+    # each row is checked as it is computed, and all before the output
+    # directory is made, so a refusal leaves none
+    rows = list(fileio.check_cells((n, oracle.complexity(n)) for n in range(1, args.n + 1)))
     dump = None if args.dump_factors is None else oracle.words(args.dump_factors)
     args.out.mkdir(parents=True, exist_ok=True)
     outputs = []

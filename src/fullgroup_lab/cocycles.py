@@ -17,8 +17,9 @@ j-shifted subwindow to j.
 Word-metric balls are CayleyBall graphs: the elements in breadth-first
 order with their word lengths and depths, plus the index of every left
 product by a generator, which is all the exact chain in `walks` needs.
-A ball composes a whole layer of shift rows at once with the same rule,
-as array gathers, and builds elements only when they are asked for.
+A ball keeps each element as a row of shifts, composes a whole layer of
+rows at once with the same rule, as array gathers, and builds a
+`CocycleElement` only when `element(i)` asks for one.
 `increment_table` holds every generator's shift along a point's orbit,
 the one orbit move that the walk sampler and the Schreier ball read.
 """
@@ -26,7 +27,7 @@ the one orbit move that the walk sampler and the Schreier ball read.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ from .points import Point
 from .subshifts import SubshiftSpec, SubstitutionSpec
 
 DEFAULT_BALL_CAP = 2_000_000  # elements of a word-metric ball, and so of the exact chain
+MAX_BALL_BYTES = 1 << 30  # cap on the arrays a ball holds while it grows one layer
 
 
 class CocycleElement:
@@ -199,24 +201,28 @@ def evaluate(g: CocycleElement, point: Point, position: int = 0) -> int:
     return g.shift_at(point.window(position, g.depth))
 
 
+def window_columns(spec: SubshiftSpec, point: Point, offsets: Iterable[int],
+                   depth: int) -> np.ndarray:
+    """The position of the point's window at each offset among the sorted
+    admissible (2*depth+1)-words: the column of a shift row that applies
+    there.  A window outside the language raises SpecMismatch."""
+    position = spec.language.words(2 * depth + 1)
+    try:
+        return np.array([position[point.window(off, depth)] for off in offsets], dtype=np.intp)
+    except KeyError as exc:
+        raise SpecMismatch(f"window {exc.args[0]!r} is not admissible for the "
+                           "generators' subshift") from None
+
+
 def increment_table(gens: GeneratorSet, point: Point, span: int,
                     dtype: np.dtype) -> np.ndarray:
     """Row i holds generator i's `evaluate` at each offset in [-span, span]:
-    each offset's window is read once per generator depth and looked up in
-    the factor index, and every generator of that depth gathers its row by
-    those positions.  `table.T` is position-major and contiguous.  A window
-    outside the language raises SpecMismatch."""
-    oracle = gens.spec.language
+    each offset's window is read once per generator depth and looked up by
+    `window_columns`, and every generator of that depth gathers its row by
+    those positions.  `table.T` is position-major and contiguous."""
     table = np.zeros((2 * span + 1, len(gens)), dtype=dtype).T
     for depth in {g.depth for _, g in gens}:
-        position = oracle.words(2 * depth + 1)
-        try:
-            cols = np.array([position[point.window(off, depth)]
-                             for off in range(-span, span + 1)])
-        except KeyError as exc:
-            raise SpecMismatch(
-                f"window {exc.args[0]!r} is not admissible for the generators' subshift"
-            ) from None
+        cols = window_columns(gens.spec, point, range(-span, span + 1), depth)
         for i, (_, g) in enumerate(gens):
             if g.depth == depth:
                 table[i] = np.array(g.shifts)[cols]
@@ -241,13 +247,6 @@ def _refined(g: CocycleElement, depth: int) -> dict[str, int]:
     n = 2 * depth + 1
     reads = oracle.subwords(n, depth - g.depth, 2 * g.depth + 1)
     return dict(zip(oracle.words(n), map(g.shifts.__getitem__, reads)))
-
-
-def is_constant_on_depth(g: CocycleElement, d: int) -> bool:
-    """True iff the cocycle is constant on every admissible depth-d cylinder."""
-    if d < 0:
-        raise ValueError("depth must be nonnegative")
-    return g.depth <= d
 
 
 def is_constant_on_cylinder(g: CocycleElement, word: str) -> bool:
@@ -304,10 +303,6 @@ class GeneratorSet:
         the orbit embedding)."""
         return max((g.max_shift for _, g in self.elements), default=0)
 
-    def is_inverse_closed(self) -> bool:
-        members = {g for _, g in self.elements}
-        return all(inverse(g) in members for g in members)
-
 
 def fibonacci_generators(spec: SubstitutionSpec) -> GeneratorSet:
     """The three involutions generating the classical subgroup over the
@@ -361,26 +356,25 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
 
-class CayleyBall(Mapping):
-    """The word-metric ball of a generator set, read as a mapping from
-    element to word length in breadth-first order.
+class CayleyBall:
+    """The word-metric ball of a generator set, in breadth-first order.
 
-    Element i is `elements[i]` (the identity is 0), with word length
-    `lengths[i]` and table depth `depths[i]`.  For every element shorter
-    than `radius`, row i of the int32 array `neighbors` holds the index of
-    compose(s, elements[i]) for each generator s in order: the edges of the
-    left walk.  Those elements are a prefix of `elements`.
+    Element i (the identity is 0) has word length `lengths[i]` and table
+    depth `depths[i]`; `len(ball)` counts the elements.  For every element
+    shorter than `radius`, row i of the int32 array `neighbors` holds the
+    index of compose(s, element(i)) for each generator s in order: the
+    edges of the left walk.  Those elements are a prefix of the ball.
 
-    The ball keeps each element as a row of shifts in one 2-D array per
+    The shift rows are the ball's only element store: one 2-D array per
     table depth, of the narrowest integer type that holds radius times the
-    generators' largest shift.  `grow` composes a whole layer at once, and
-    `CocycleElement`s are built from the rows only when `elements`, the
-    iteration or a lookup asks for them.  An edge back to the layer before
-    is read off the forward edge of the inverse generator, when the set
-    holds one, so only the other edges are composed; `composed_cells`
-    counts the (element, generator) cells composed so far.  Products are
-    deduplicated against the last two layers when the set is
-    inverse-closed, and against the whole ball when it is not.
+    generators' largest shift, read by `shift_rows`.  `element(i)` builds
+    one `CocycleElement` from its row.  `grow` composes a whole layer at
+    once.  An edge back to the layer before is read off the forward edge
+    of the inverse generator, when the set holds one, so only the other
+    edges are composed; `composed_cells` counts the (element, generator)
+    cells composed so far.  Products are deduplicated against the last two
+    layers when the set is inverse-closed, and against the whole ball when
+    it is not.
     """
 
     def __init__(self, gens: GeneratorSet, cap: int):
@@ -396,31 +390,27 @@ class CayleyBall(Mapping):
         self._slots = np.zeros(1, dtype=np.int64)  # element i is _rows[depths[i]][_slots[i]]
         self._reach = np.zeros(1, dtype=np.int64)  # element i's largest absolute shift
         self._steps: dict[tuple[int, int, int], tuple] = {}
-        self._elements: list[CocycleElement] = []
-        self._index: dict[CocycleElement, int] = {}
 
-    @property
-    def elements(self) -> list[CocycleElement]:
-        """The elements in breadth-first order, built from the rows on
-        first use."""
-        built = self._elements
-        if len(built) < len(self.lengths):
-            rows = {d: r.tolist() for d, r in self._rows.items()}
-            spec = self.gens.spec
-            built.extend(
-                CocycleElement(spec, d, tuple(rows[d][slot]))
-                for d, slot in zip(self.depths[len(built):].tolist(),
-                                   self._slots[len(built):].tolist())
-            )
-        return built
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def shift_rows(self, depth: int, ids: np.ndarray) -> np.ndarray:
+        """The shift rows of elements `ids`, all of table depth `depth`: row
+        j is element ids[j]'s shift on each admissible (2*depth+1)-word."""
+        return self._rows[depth][self._slots[ids]]
+
+    def element(self, i: int) -> CocycleElement:
+        """Element i, built from its shift row."""
+        depth = int(self.depths[i])
+        return CocycleElement(self.gens.spec, depth, tuple(self.shift_rows(depth, i).tolist()))
 
     def grow(self, radius: int) -> None:
         """Continue the breadth-first search out to `radius`.  A layer that
-        would take the ball past `cap` elements raises ResourceLimit and
-        leaves the ball as it was.  Back edges are read, not composed; they
-        never reach a new element, so elements are found in the same order
-        as by composing every edge, one element and one generator at a
-        time."""
+        would take the ball past `cap` elements, or its arrays past
+        MAX_BALL_BYTES, raises ResourceLimit and leaves the ball as it was.
+        Back edges are read, not composed; they never reach a new element,
+        so elements are found in the same order as by composing every edge,
+        one element and one generator at a time."""
         if radius <= self.radius:
             return
         dtype = _row_dtype(radius * self.gens.max_shift)
@@ -429,8 +419,10 @@ class CayleyBall(Mapping):
         position = {s: a for a, s in enumerate(self._atoms)}
         # back[a]: a generator that undoes atom a, or -1
         back = np.array([position.get(inverse(s), -1) for s in self._atoms], dtype=np.int64)
+        closed = bool((back >= 0).all())
         while self.radius < radius:
-            self._grow_layer(back, closed=bool((back >= 0).all()))
+            self._check_layer_bytes(closed)
+            self._grow_layer(back, closed)
 
     def _step(self, depth: int, reach: int, a: int) -> tuple:
         """How generator a composes with elements of this depth and largest
@@ -456,6 +448,23 @@ class CayleyBall(Mapping):
             )
         return got
 
+    def _check_layer_bytes(self, closed: bool) -> None:
+        """Refuse the next layer before any of it is allocated when the ball's
+        arrays plus, per cell it may compose, a product row and an intp index
+        row at the deepest product and ten int64 words pass MAX_BALL_BYTES.
+        In an inverse-closed set each element past the identity has one cell
+        read, not composed: the edge back along the edge that found it."""
+        first = len(self.neighbors)
+        depth = np.maximum(self.depths[first:], self.gens.max_depth + self._reach[first:])
+        words = self.gens.spec.language.complexity(2 * int(depth.max(initial=0)) + 1)
+        cells = (len(self) - first) * (len(self._atoms) - (closed and self.radius > 0))
+        held = sum(a.nbytes for a in (self.lengths, self.depths, self.neighbors,
+                                      self._slots, self._reach, *self._rows.values()))
+        need = held + cells * ((self._rows[0].itemsize + 8) * words + 80)
+        if need > MAX_BALL_BYTES:
+            raise ResourceLimit(f"ball layer {self.radius + 1} needs about {need} bytes, "
+                                f"over the cap of {MAX_BALL_BYTES} bytes")
+
     def _grow_layer(self, back: np.ndarray, closed: bool) -> None:
         oracle = self.gens.spec.language
         first, size, width = len(self.neighbors), len(self.lengths), len(self._atoms)
@@ -479,7 +488,7 @@ class CayleyBall(Mapping):
         order = np.argsort(group_of.ravel(), kind="stable")
         for (depth, m), members in zip(groups.tolist(),
                                        np.split(order, np.cumsum(sizes)[:-1])):
-            shifts = self._rows[depth][self._slots[first + members]]
+            shifts = self.shift_rows(depth, first + members)
             for a, s in enumerate(self._atoms):
                 todo = rows[members, a] < 0
                 h = shifts[todo]
@@ -524,7 +533,7 @@ class CayleyBall(Mapping):
             by_cell = np.argsort(cells)
             shifts, cells = shifts[by_cell], cells[by_cell]
             known = floor + np.flatnonzero(self.depths[floor:] == d)
-            old = self._rows[d][self._slots[known]] if d in self._rows else shifts[:0]
+            old = self.shift_rows(d, known) if d in self._rows else shifts[:0]
             _, firsts, which = np.unique(_row_keys(np.concatenate([old, shifts])),
                                          return_index=True, return_inverse=True)
             is_old = firsts < len(old)
@@ -561,21 +570,9 @@ class CayleyBall(Mapping):
         self._reach = np.concatenate([self._reach, new_reach])
         self.neighbors = np.concatenate([self.neighbors, rows])
 
-    def __getitem__(self, g: CocycleElement) -> int:
-        elements, index = self.elements, self._index
-        for i in range(len(index), len(elements)):
-            index[elements[i]] = i
-        return int(self.lengths[index[g]])
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.lengths)
-
 
 def ball(gens: GeneratorSet, radius: int, cap: int = DEFAULT_BALL_CAP) -> CayleyBall:
-    """All elements of word length <= radius, mapped to their word length.
+    """The CayleyBall of all elements of word length <= radius.
 
     Breadth-first left products with canonical-table deduplication; raises
     ResourceLimit instead of truncating when `cap` is exceeded.

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .cocycles import GeneratorSet, element_from_dict, fibonacci_generators
@@ -160,20 +160,21 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def check_cells(rows: Iterable[Sequence]) -> None:
-    """Refuse with ResourceLimit a table that holds an integer of more decimal
-    digits than Python converts to text: `str` and `json` raise ValueError
-    past sys.get_int_max_str_digits() digits (4,300 by default, 0 for no
-    limit).  Call it before the output directory is made; the process-wide
+def check_cells(rows: Iterable[Sequence]) -> Iterator[Sequence]:
+    """Yield each row, but refuse with ResourceLimit, before the next row is
+    asked for, one holding an integer of more decimal digits than `str` and
+    `json` convert: sys.get_int_max_str_digits() (4,300 by default, 0 for no
+    limit).  Drain it before the output directory is made; the process-wide
     limit is left as it is."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        too_long = 10 ** limit
-        if any(isinstance(v, int) and abs(v) >= too_long for row in rows for v in row):
+    too_long = 10 ** limit
+    for row in rows:
+        if limit and any(isinstance(v, int) and abs(v) >= too_long for v in row):
             raise ResourceLimit(
                 f"a table cell has more than {limit} decimal digits, the most Python "
                 f"converts to text (sys.get_int_max_str_digits)"
             )
+        yield row
 
 
 def write_table(path_base: Path, headers: Sequence[str], rows: Sequence[Sequence],

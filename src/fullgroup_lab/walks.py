@@ -52,10 +52,9 @@ from .cocycles import (
     CayleyBall,
     CocycleElement,
     GeneratorSet,
-    evaluate,
     increment_table,
     inverse,
-    is_constant_on_cylinder,
+    window_columns,
 )
 from .errors import (
     DomainError,
@@ -137,10 +136,10 @@ def measure_from_weights(gens: GeneratorSet, weights: Mapping[str, Fraction]) ->
 class GroupDistribution:
     """Exact distribution of the walk position after `n` steps.
 
-    Support element i is `ball.elements[index[i]]` and has probability
+    Support element i is `ball.element(index[i])` and has probability
     `counts[i] / denominator`: integer path counts over D^n.  The support
     is in first-insertion order (the previous support's order, then atom
-    order); `probs` builds the Fractions and `entropy` sums H on first use.
+    order); `probs` builds the keyed Fractions, `entropy` sums H, on first use.
     """
 
     def __init__(self, n: int, ball: CayleyBall, index: np.ndarray, counts: np.ndarray,
@@ -163,9 +162,8 @@ class GroupDistribution:
 
     @cached_property
     def probs(self) -> dict[CocycleElement, Fraction]:
-        elements = self.ball.elements
         return {
-            elements[i]: Fraction(c, self.denominator)
+            self.ball.element(i): Fraction(c, self.denominator)
             for i, c in zip(self.index.tolist(), self.counts.tolist())
         }
 
@@ -459,12 +457,25 @@ def empirical_offset_distribution(sample: WalkSample) -> dict[int, float]:
     return {int(v): c / sample.trials for v, c in zip(values, counts)}
 
 
+def _rows_by_depth(dist: GroupDistribution, above: int = -1):
+    """For each table depth d > `above` of the support, in increasing order:
+    d, the support positions of that depth and their shift rows."""
+    ball = dist.ball
+    depths = ball.depths[dist.index]
+    for d in np.unique(depths[depths > above]).tolist():
+        at = np.flatnonzero(depths == d)
+        yield d, at, ball.shift_rows(d, dist.index[at])
+
+
 def pushforward_offsets(dist: GroupDistribution, point: Point) -> dict[int, Fraction]:
-    """Exact law of the orbit offset under the group-element distribution."""
-    out: dict[int, Fraction] = defaultdict(Fraction)
-    for g, p in dist.probs.items():
-        out[evaluate(g, point, 0)] += p
-    return dict(out)
+    """Exact law of the orbit offset under the group-element distribution:
+    each support depth reads the column of the point's window in its rows."""
+    out: dict[int, int] = defaultdict(int)
+    for d, at, rows in _rows_by_depth(dist):
+        column = window_columns(dist.ball.gens.spec, point, [0], d)[0]
+        for k, c in zip(rows[:, column].tolist(), dist.counts[at].tolist()):
+            out[k] += c
+    return {k: Fraction(c, dist.denominator) for k, c in out.items()}
 
 
 def total_variation(p: Mapping, q: Mapping) -> float:
@@ -772,14 +783,20 @@ SHANNON_QUANTILES = {"q10": Fraction(1, 10), "q50": Fraction(1, 2), "q90": Fract
 
 def cylinder_nonconstancy_rate(chain: ConvolutionCache, word: str, n: int) -> Fraction:
     """Exact probability that g_n is not constant on the cylinder of `word`,
-    as path counts over D^n; only elements deeper than the cylinder can be."""
+    as path counts over D^n.  Only elements deeper than the cylinder can
+    be: at each such depth d, the columns of the (2d+1)-words around `word`
+    are gathered, and a row whose shifts there differ is not constant."""
     if len(word) % 2 != 1:
         raise ValueError("cylinder words have odd length")
     dist = chain.power(n)
-    elements = chain.ball.elements
-    deep = chain.ball.depths[dist.index] > (len(word) - 1) // 2
-    bad = sum(c for i, c in zip(dist.index[deep].tolist(), dist.counts[deep].tolist())
-              if not is_constant_on_cylinder(elements[i], word))
+    language = chain.measure.spec.language
+    half = (len(word) - 1) // 2
+    target = language.words(len(word)).get(word, -1)  # -1: inadmissible, no word around it
+    bad = 0
+    for d, at, rows in _rows_by_depth(dist, above=half):
+        centres = np.array(language.subwords(2 * d + 1, d - half, len(word)))
+        around = rows[:, centres == target]
+        bad += int(dist.counts[at[(around != around[:, :1]).any(axis=1)]].sum())
     return Fraction(bad, dist.denominator)
 
 

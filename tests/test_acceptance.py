@@ -223,7 +223,7 @@ def test_criterion_13_property_suites(fib_spec, fib_gens, fib_point, fib_cache):
         rng = random.Random(2024)
 
         small_ball = ball(fib_gens, 4)
-        elements = list(small_ball)
+        elements = [small_ball.element(i) for i in range(len(small_ball))]
         for _ in range(60):
             g, h, k = (rng.choice(elements) for _ in range(3))
             assert compose(compose(g, h), k) == compose(g, compose(h, k))
@@ -241,7 +241,8 @@ def test_criterion_13_property_suites(fib_spec, fib_gens, fib_point, fib_cache):
         full_ball = ball(fib_gens, 6)
         k_bound = fib_gens.max_shift
         assert len(full_ball) == 188
-        for g, length in full_ball.items():
+        for i, length in enumerate(full_ball.lengths.tolist()):
+            g = full_ball.element(i)
             assert g.max_shift <= k_bound * length or length == 0
 
         for n in range(13):

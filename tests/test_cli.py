@@ -103,9 +103,19 @@ def test_complexity_past_the_integer_text_limit_exits_3(tmp_path, capsys):
     assert err.startswith("resource limit: ") and "Traceback" not in err
     assert not out.exists()
     assert sys.get_int_max_str_digits() == limit
-    check_cells([(limit - 1, 10**limit - 1)])
+    assert list(check_cells([(limit - 1, 10**limit - 1)])) == [(limit - 1, 10**limit - 1)]
     with pytest.raises(ResourceLimit, match=f"more than {limit} decimal digits"):
-        check_cells([(1, 2.0), (limit, -(10**limit))])
+        list(check_cells([(1, 2.0), (limit, -(10**limit))]))
+
+    def rows():
+        yield 1, 2.0
+        yield limit, -(10**limit)
+        raise AssertionError("a row past the refused one was computed")
+
+    checked = check_cells(rows())
+    assert next(checked) == (1, 2.0)
+    with pytest.raises(ResourceLimit, match=f"more than {limit} decimal digits"):
+        next(checked)
 
 
 def test_factor_dump_past_the_cap_leaves_no_directory(tmp_path, capsys):
@@ -409,11 +419,24 @@ _BLOW_UP_INPUTS = {
         ["complexity", "--n", str(10**12)]),
     "entropy-rows": (
         FIB, ["entropy", "--gens", "gens.json", "--n", str(10**9)]),
+    # each row is checked as it is computed: 2^n passes 4,300 digits at
+    # n = 14,285, and the golden-mean count at n = 20,576
+    "full-shift-long-rows": (
+        {"variant": "full_shift", "alphabet": ["a", "b"]},
+        ["complexity", "--n", "2000000"]),
+    "golden-mean-long-rows": (
+        {"variant": "explicit", "alphabet": ["a", "b"], "forbidden": ["bb"]},
+        ["complexity", "--n", "2000000"]),
+    # the ball's byte budget refuses layer 22 before it is allocated
+    "entropy-huge-cap": (
+        FIB, ["entropy", "--gens", "gens.json", "--n", "30", "--cap", str(10**12)]),
     "fixed-point-power": (
         FIB | {"point": {"kind": "substitution_fixed_point", "left": "a", "right": "a",
                          "power": 60}},
         ["walk", "--gens", "gens.json", "--n", "4", "--trials", "4"]),
 }
+# entropy writes its documented partial results when a limit stops the chain
+_PARTIAL_RESULTS = {"entropy-huge-cap"}
 
 
 def _limit_address_space():
@@ -438,7 +461,11 @@ def test_blow_up_inputs_exit_3_under_a_2_gib_address_space(workdir, case):
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("resource limit: ")
     assert "Traceback" not in proc.stderr
-    assert not (workdir / "out").exists()
+    if case in _PARTIAL_RESULTS:
+        fit = json.loads((workdir / "out" / "entropy_fit.json").read_text())
+        assert fit["partial"] is True and fit["resource_limit"] in proc.stderr
+    else:
+        assert not (workdir / "out").exists()
 
 
 # --- validation and exit codes ------------------------------------------------------

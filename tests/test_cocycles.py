@@ -28,8 +28,8 @@ from fullgroup_lab import (
     identity,
     inverse,
     is_constant_on_cylinder,
-    is_constant_on_depth,
 )
+from fullgroup_lab import cocycles
 from fullgroup_lab.cocycles import CocycleElement, _reduce_depth, _refined
 
 
@@ -201,7 +201,8 @@ def test_generator_depths_and_shifts(fib_gens):
     assert fib_gens.max_shift == 1
     assert fib_gens["gamma"].depth == 1
     assert fib_gens["alpha"].depth == 2
-    assert fib_gens.is_inverse_closed()
+    members = {g for _, g in fib_gens}
+    assert all(inverse(g) in members for g in members)
 
 
 def test_generators_distinct(abg):
@@ -241,19 +242,29 @@ def test_builtin_generators_reject_other_specs():
 # --- balls -----------------------------------------------------------------------
 
 
+def _elements(b):
+    """The ball's elements in index order, each built from its shift row."""
+    return [b.element(i) for i in range(len(b))]
+
+
+def _lengths(b):
+    """Each element of the ball mapped to its word length, in index order."""
+    return dict(zip(_elements(b), b.lengths.tolist()))
+
+
 def test_ball_radius_zero(fib_spec, fib_gens):
     b = ball(fib_gens, 0)
-    assert set(b) == {identity(fib_spec)} and b[identity(fib_spec)] == 0
+    assert set(_elements(b)) == {identity(fib_spec)} and _lengths(b)[identity(fib_spec)] == 0
 
 
 def test_ball_radius_one(fib_spec, fib_gens, abg):
     b = ball(fib_gens, 1)
-    assert set(b) == {identity(fib_spec), *abg}
-    assert sorted(b.values()) == [0, 1, 1, 1]
+    assert set(_elements(b)) == {identity(fib_spec), *abg}
+    assert sorted(_lengths(b).values()) == [0, 1, 1, 1]
 
 
 def test_ball_shift_bound(fib_gens):
-    for g, length in ball(fib_gens, 5).items():
+    for g, length in _lengths(ball(fib_gens, 5)).items():
         assert g.max_shift <= fib_gens.max_shift * max(length, 0)
 
 
@@ -265,17 +276,19 @@ def test_ball_resource_limit(fib_gens):
 def _assert_rows_are_left_products(b, gens):
     """One row per element shorter than the radius: its left products."""
     atoms = [s for _, s in gens.elements]
+    elements = _elements(b)
     assert b.neighbors.shape == (np.count_nonzero(b.lengths < b.radius), len(atoms))
     for i, row in enumerate(b.neighbors.tolist()):
-        assert [b.elements[j] for j in row] == [compose(s, b.elements[i]) for s in atoms]
+        assert [elements[j] for j in row] == [compose(s, elements[i]) for s in atoms]
 
 
 def test_ball_neighbors_lengths_and_depths(fib_spec, fib_gens):
     b = ball(fib_gens, 3)
-    assert b.elements[0] == identity(fib_spec)
-    assert list(b) == b.elements and len(b) == 22
-    assert b.lengths.tolist() == [b[g] for g in b.elements] == sorted(b.lengths.tolist())
-    assert b.depths.tolist() == [g.depth for g in b.elements]
+    elements, lengths = _elements(b), _lengths(b)
+    assert elements[0] == identity(fib_spec)
+    assert len(lengths) == len(b) == 22
+    assert b.lengths.tolist() == [lengths[g] for g in elements] == sorted(b.lengths.tolist())
+    assert b.depths.tolist() == [g.depth for g in elements]
     assert b.neighbors.dtype == np.int32
     _assert_rows_are_left_products(b, fib_gens)
 
@@ -285,7 +298,7 @@ def test_ball_grows_in_place(fib_gens):
     b.grow(5)
     fresh = ball(fib_gens, 5)
     assert b.radius == 5
-    assert list(b.items()) == list(fresh.items())
+    assert list(_lengths(b).items()) == list(_lengths(fresh).items())
     assert np.array_equal(b.neighbors, fresh.neighbors)
     b.grow(4)  # never shrinks
     assert b.radius == 5 and len(b) == len(fresh)
@@ -293,22 +306,35 @@ def test_ball_grows_in_place(fib_gens):
 
 def test_ball_cap_leaves_the_ball_as_it_was(fib_gens):
     b = ball(fib_gens, 2, cap=21)  # radius 2 has 10 elements, radius 3 has 22
-    items, rows = list(b.items()), b.neighbors.copy()
+    items, rows = list(_lengths(b).items()), b.neighbors.copy()
     for _ in range(2):
         with pytest.raises(ResourceLimit, match="ball enumeration exceeded 21 elements"):
             b.grow(3)
-        assert b.radius == 2 and list(b.items()) == items
+        assert b.radius == 2 and list(_lengths(b).items()) == items
         assert np.array_equal(b.neighbors, rows) and len(b.lengths) == len(b.depths) == 10
     b.cap = 22
     b.grow(3)
-    assert list(b.items()) == list(ball(fib_gens, 3).items())
+    assert list(_lengths(b).items()) == list(_lengths(ball(fib_gens, 3)).items())
+
+
+def test_ball_byte_budget_refuses_a_layer_before_it_is_built(fib_gens, monkeypatch):
+    b = ball(fib_gens, 5)
+    rows = b.neighbors.copy()
+    monkeypatch.setattr(cocycles, "MAX_BALL_BYTES", 0)
+    for _ in range(2):
+        with pytest.raises(ResourceLimit, match="ball layer 6 needs about"):
+            b.grow(6)
+        assert b.radius == 5 and len(b) == 94 and np.array_equal(b.neighbors, rows)
+    monkeypatch.undo()
+    b.grow(6)
+    assert b.lengths.tolist() == ball(fib_gens, 6).lengths.tolist()
 
 
 def test_ball_word_lengths_are_geodesic(fib_gens, abg):
     alpha, beta, gamma = abg
-    b = ball(fib_gens, 3)
-    assert b[compose(alpha, beta)] == 2
-    assert b[compose(alpha, alpha)] == 0
+    lengths = _lengths(ball(fib_gens, 3))
+    assert lengths[compose(alpha, beta)] == 2
+    assert lengths[compose(alpha, alpha)] == 0
 
 
 def test_ball_back_edges_match_direct_composes(fib_spec, fib_gens, abg):
@@ -382,7 +408,7 @@ def test_ball_equals_the_compose_per_edge_reference(name):
     gens, radius = _oracle_generator_sets()[name]
     b = ball(gens, radius)
     elements, lengths, depths, rows = _reference_ball(gens, radius)
-    assert b.elements == elements
+    assert _elements(b) == elements
     assert b.lengths.tolist() == lengths and b.depths.tolist() == depths
     assert b.neighbors.tolist() == rows
 
@@ -396,14 +422,14 @@ def test_ball_grown_past_the_int8_bound_equals_the_reference():
     b.grow(radius)
     assert b._rows[0].dtype == np.int16
     elements, lengths, depths, rows = _reference_ball(gens, radius)
-    assert b.elements == elements
+    assert _elements(b) == elements
     assert b.lengths.tolist() == lengths and b.depths.tolist() == depths
     assert b.neighbors.tolist() == rows
 
 
 def _ball_digest(b):
     digest = hashlib.sha256()
-    for g in b.elements:
+    for g in _elements(b):
         digest.update(repr((g.depth, g.shifts)).encode())
     for array, dtype in ((b.lengths, "<i8"), (b.depths, "<i8"), (b.neighbors, "<i4")):
         digest.update(array.astype(dtype).tobytes())
@@ -428,17 +454,6 @@ def test_sibling_plans_are_one_per_word_length():
 # --- constancy predicates ----------------------------------------------------------
 
 
-def test_is_constant_on_depth(fib_spec, abg):
-    alpha, _, gamma = abg
-    e = identity(fib_spec)
-    assert is_constant_on_depth(e, 0)
-    assert not is_constant_on_depth(alpha, 0)
-    assert not is_constant_on_depth(alpha, 1)
-    assert is_constant_on_depth(alpha, 2)
-    assert is_constant_on_depth(gamma, 1)
-    assert is_constant_on_depth(alpha, alpha.depth + 3)
-
-
 def test_is_constant_on_cylinder(fib_spec, abg):
     alpha, _, _ = abg
     # alpha's shift is fully determined by x_{-2} x_{-1} x_0; any cylinder
@@ -453,7 +468,7 @@ def test_is_constant_on_cylinder(fib_spec, abg):
 
 def test_group_axioms_on_sampled_triples(fib_spec, fib_gens):
     rng = random.Random(7)
-    elements = list(ball(fib_gens, 4))
+    elements = _elements(ball(fib_gens, 4))
     e = identity(fib_spec)
     for _ in range(40):
         g, h, k = (rng.choice(elements) for _ in range(3))
@@ -464,7 +479,7 @@ def test_group_axioms_on_sampled_triples(fib_spec, fib_gens):
 
 def test_cocycle_rule_pointwise(fib_gens, fib_point):
     rng = random.Random(11)
-    elements = list(ball(fib_gens, 4))
+    elements = _elements(ball(fib_gens, 4))
     for _ in range(25):
         g, h = rng.choice(elements), rng.choice(elements)
         gh = compose(g, h)
@@ -475,7 +490,7 @@ def test_cocycle_rule_pointwise(fib_gens, fib_point):
 
 def test_composition_depth_bound(fib_gens):
     rng = random.Random(3)
-    elements = list(ball(fib_gens, 4))
+    elements = _elements(ball(fib_gens, 4))
     for _ in range(40):
         g, h = rng.choice(elements), rng.choice(elements)
         assert compose(g, h).depth <= g.depth + h.depth + h.max_shift
@@ -557,7 +572,7 @@ def _assert_matches_dict_oracle(elements):
 
 
 def test_shift_vectors_match_the_dict_oracle_on_a_ball(fib_gens):
-    elements = list(ball(fib_gens, 4))
+    elements = _elements(ball(fib_gens, 4))
     assert len(elements) == 46
     _assert_matches_dict_oracle(elements)
 
@@ -590,7 +605,7 @@ def test_toeplitz_swaps_match_the_dict_oracle():
 
 
 def test_element_documents_round_trip_over_a_ball(fib_spec, fib_gens):
-    for g in ball(fib_gens, 4):
+    for g in _elements(ball(fib_gens, 4)):
         assert element_from_dict(fib_spec, g.to_dict()) == g
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fullgroup_lab import (
+    CocycleElement,
     ConvolutionCache,
     DomainError,
     FullShiftSpec,
@@ -191,7 +192,9 @@ def test_integer_chain_equals_fraction_chain(fib_measure, which):
     gens = measure.generator_set()
     laws = fraction_chain(measure, 8)
     chain = chain_of(measure)
-    lengths = dict(ball(gens, 8).items())
+    reference = ball(gens, 8)
+    lengths = {reference.element(i): length
+               for i, length in enumerate(reference.lengths.tolist())}
     first = {}
     for n, law in enumerate(laws):
         dist = chain.power(n)
@@ -846,6 +849,39 @@ def test_exact_diagnostics_equal_the_fraction_oracle(fib_measure, fib_point):
         assert diag == {"n": n, "mean": mean, "quantiles": quantiles}
     # deeper elements cut a short cylinder, so this sum is not empty
     assert cylinder_nonconstancy_rate(chain, "a", 4) == Fraction(58, 81)
+
+
+@pytest.mark.parametrize("which", ["fibonacci", "squares"])
+def test_reports_read_rows_and_build_no_element(fib_measure, fib_point, monkeypatch, which):
+    if which == "fibonacci":
+        measure, point, words = fib_measure, fib_point, ["a", "b", "aba", "baa", "abaab",
+                                                         fib_point.window(0, 3)]
+    else:
+        measure, point, words = _squares_measure(), PeriodicPoint("a"), ["a", "aaa"]
+    # the element-based values, from the elements of a second chain's support
+    law = chain_of(measure).power(12).probs
+    chain = chain_of(measure)
+    dist = chain.power(12)
+    rates = {word: _nonconstancy_oracle(law, word) for word in words}
+    offsets = defaultdict(Fraction)
+    for g, p in law.items():
+        offsets[evaluate(g, point, 0)] += p
+
+    def refuse(*args):
+        raise AssertionError("a report built a CocycleElement")
+
+    monkeypatch.setattr(CocycleElement, "__init__", refuse)
+    # on Fibonacci deeper elements cut some cylinder; on the one-letter
+    # shift every element has depth 0
+    assert any(rates.values()) == (which == "fibonacci")
+    for word in words:
+        assert cylinder_nonconstancy_rate(chain, word, 12) == rates[word]
+    assert pushforward_offsets(dist, point) == offsets
+    # an inadmissible cylinder carries no mass; a window outside the language
+    # has no column to read
+    assert cylinder_nonconstancy_rate(chain, "bbb" if which == "fibonacci" else "aba", 12) == 0
+    with pytest.raises(SpecMismatch):
+        pushforward_offsets(dist, PeriodicPoint("b"))
 
 
 def test_nonconstancy_rate_rejects_even_words(fib_cache):

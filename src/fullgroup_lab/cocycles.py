@@ -42,7 +42,7 @@ from .points import Point
 from .subshifts import SubshiftSpec, SubstitutionSpec
 
 DEFAULT_BALL_CAP = 2_000_000  # elements of a word-metric ball, and so of the exact chain
-MAX_BALL_BYTES = 1 << 30  # cap on the arrays a ball holds while it grows one layer
+MAX_BALL_BYTES = 1 << 29  # cap on the bytes a ball holds and makes while it grows a layer
 
 
 class CocycleElement:
@@ -317,25 +317,9 @@ def fibonacci_generators(spec: SubstitutionSpec) -> GeneratorSet:
     oracle = spec.language
 
     def branch(two: str) -> dict[str, int]:
-        table = {}
-        for w in oracle.factors(5):
-            if w[1:3] == two:
-                table[w] = 1
-            elif w[0:2] == two:
-                table[w] = -1
-            else:
-                table[w] = 0
-        return table
+        return {w: 1 if w[1:3] == two else -1 if w[0:2] == two else 0 for w in oracle.factors(5)}
 
-    gamma_table = {}
-    for w in oracle.factors(3):
-        if w[1] == "b":
-            gamma_table[w] = 1
-        elif w[0] == "b":
-            gamma_table[w] = -1
-        else:
-            gamma_table[w] = 0
-
+    gamma_table = {w: 1 if w[1] == "b" else -1 if w[0] == "b" else 0 for w in oracle.factors(3)}
     alpha = from_table(spec, 2, branch("aa"))
     beta = from_table(spec, 2, branch("ba"))
     gamma = from_table(spec, 1, gamma_table)
@@ -406,8 +390,8 @@ class CayleyBall:
 
     def grow(self, radius: int) -> None:
         """Continue the breadth-first search out to `radius`.  A layer that
-        would take the ball past `cap` elements, or its arrays past
-        MAX_BALL_BYTES, raises ResourceLimit and leaves the ball as it was.
+        would take the ball past `cap` elements, or hold MAX_BALL_BYTES of
+        arrays at once, raises ResourceLimit and leaves the ball as it was.
         Back edges are read, not composed; they never reach a new element,
         so elements are found in the same order as by composing every edge,
         one element and one generator at a time."""
@@ -419,10 +403,8 @@ class CayleyBall:
         position = {s: a for a, s in enumerate(self._atoms)}
         # back[a]: a generator that undoes atom a, or -1
         back = np.array([position.get(inverse(s), -1) for s in self._atoms], dtype=np.int64)
-        closed = bool((back >= 0).all())
         while self.radius < radius:
-            self._check_layer_bytes(closed)
-            self._grow_layer(back, closed)
+            self._grow_layer(back, closed=bool((back >= 0).all()))
 
     def _step(self, depth: int, reach: int, a: int) -> tuple:
         """How generator a composes with elements of this depth and largest
@@ -448,27 +430,21 @@ class CayleyBall:
             )
         return got
 
-    def _check_layer_bytes(self, closed: bool) -> None:
-        """Refuse the next layer before any of it is allocated when the ball's
-        arrays plus, per cell it may compose, a product row and an intp index
-        row at the deepest product and ten int64 words pass MAX_BALL_BYTES.
-        In an inverse-closed set each element past the identity has one cell
-        read, not composed: the edge back along the edge that found it."""
-        first = len(self.neighbors)
-        depth = np.maximum(self.depths[first:], self.gens.max_depth + self._reach[first:])
-        words = self.gens.spec.language.complexity(2 * int(depth.max(initial=0)) + 1)
-        cells = (len(self) - first) * (len(self._atoms) - (closed and self.radius > 0))
-        held = sum(a.nbytes for a in (self.lengths, self.depths, self.neighbors,
-                                      self._slots, self._reach, *self._rows.values()))
-        need = held + cells * ((self._rows[0].itemsize + 8) * words + 80)
-        if need > MAX_BALL_BYTES:
-            raise ResourceLimit(f"ball layer {self.radius + 1} needs about {need} bytes, "
-                                f"over the cap of {MAX_BALL_BYTES} bytes")
-
     def _grow_layer(self, back: np.ndarray, closed: bool) -> None:
         oracle = self.gens.spec.language
         first, size, width = len(self.neighbors), len(self.lengths), len(self._atoms)
         rows = np.full((size - first, width), -1, dtype=np.int32)
+        # kept: bytes of the ball's arrays and of what this layer keeps.  A step
+        # that makes large arrays first affords them, with kept, against MAX_BALL_BYTES
+        ball_bytes = sum(a.nbytes for a in (self.lengths, self.depths, self.neighbors,
+                                            self._slots, self._reach, *self._rows.values()))
+        kept = ball_bytes + rows.nbytes
+
+        def afford(nbytes: int) -> None:
+            if kept + nbytes > MAX_BALL_BYTES:
+                raise ResourceLimit(f"ball layer {self.radius + 1} needs more than "
+                                    f"{MAX_BALL_BYTES} bytes")
+
         # an edge p -> s.p from the layer before, with s.p in this layer,
         # gives the edge s.p -> p by the inverse of s: read, not composed
         start = int(np.searchsorted(self.lengths, self.radius - 1))
@@ -499,16 +475,21 @@ class CayleyBall:
                 if len(set(s.shifts)) == 1:
                     # a constant shift c moves every point by c: k_{sh} = c + k_h
                     canonical[depth].append((h + s.shifts[0], cells))
+                    kept += h.nbytes + cells.nbytes
                     continue
                 d, read, base, table = self._step(depth, m, a)
                 k = h[:, read]
+                # the gather's two intp indices, then its product, of k's shape
+                afford(k.size * (2 * k.itemsize + 16))
                 built[d].append((table[k.astype(np.intp) + base] + k, cells))
+                kept += k.nbytes + cells.nbytes
 
         # canonical reduction of all products, one depth at a time from the top
         for d in range(max(built, default=-1), -1, -1):
             parts = built.pop(d, None)
             if not parts:
                 continue
+            afford(sum(x.nbytes for part in parts for x in part))
             shifts, cells = (np.concatenate(x) for x in zip(*parts))
             plan = oracle.siblings(2 * d + 1) if d > 0 else None
             if plan is not None:
@@ -527,6 +508,7 @@ class CayleyBall:
         # -1 - (that first cell).
         floor = start if closed else 0
         targets = rows.astype(np.int64).ravel()
+        kept += targets.nbytes
         added, found = [], 0
         for d, parts in canonical.items():
             shifts, cells = (np.concatenate(x) for x in zip(*parts))
@@ -534,6 +516,8 @@ class CayleyBall:
             shifts, cells = shifts[by_cell], cells[by_cell]
             known = floor + np.flatnonzero(self.depths[floor:] == d)
             old = self.shift_rows(d, known) if d in self._rows else shifts[:0]
+            # these rows, old, their joined keys, np.unique's two copies and indices
+            afford(4 * (old.nbytes + shifts.nbytes) + 24 * (len(old) + len(shifts)))
             _, firsts, which = np.unique(_row_keys(np.concatenate([old, shifts])),
                                          return_index=True, return_inverse=True)
             is_old = firsts < len(old)
@@ -546,12 +530,15 @@ class CayleyBall:
             if found and size + found > self.cap:
                 raise ResourceLimit(f"ball enumeration exceeded {self.cap} elements")
             added.append((d, shifts[fresh], cells[fresh]))
+            kept += added[-1][1].nbytes + added[-1][2].nbytes
         fresh_cells = np.sort(np.concatenate([np.empty(0, dtype=np.int64),
                                               *(c for _, _, c in added)]))
         pending = targets < 0
         targets[pending] = size + np.searchsorted(fresh_cells, -1 - targets[pending])
         rows = targets.reshape(rows.shape).astype(np.int32)
 
+        # appending copies the ball's arrays, with the new rows and four int64 words each
+        afford(ball_bytes + rows.nbytes + sum(new.nbytes + 32 * len(new) for _, new, _ in added))
         new_depths = np.empty(len(fresh_cells), dtype=np.int64)
         new_slots = np.empty_like(new_depths)
         new_reach = np.empty_like(new_depths)

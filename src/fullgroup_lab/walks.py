@@ -460,11 +460,10 @@ def empirical_offset_distribution(sample: WalkSample) -> dict[int, float]:
 def _rows_by_depth(dist: GroupDistribution, above: int = -1):
     """For each table depth d > `above` of the support, in increasing order:
     d, the support positions of that depth and their shift rows."""
-    ball = dist.ball
-    depths = ball.depths[dist.index]
+    depths = dist.ball.depths[dist.index]
     for d in np.unique(depths[depths > above]).tolist():
         at = np.flatnonzero(depths == d)
-        yield d, at, ball.shift_rows(d, dist.index[at])
+        yield d, at, dist.ball.shift_rows(d, dist.index[at])
 
 
 def pushforward_offsets(dist: GroupDistribution, point: Point) -> dict[int, Fraction]:

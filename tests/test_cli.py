@@ -427,7 +427,7 @@ _BLOW_UP_INPUTS = {
     "golden-mean-long-rows": (
         {"variant": "explicit", "alphabet": ["a", "b"], "forbidden": ["bb"]},
         ["complexity", "--n", "2000000"]),
-    # the ball's byte budget refuses layer 22 before it is allocated
+    # the ball's byte budget refuses layer 22 before it joins the ball
     "entropy-huge-cap": (
         FIB, ["entropy", "--gens", "gens.json", "--n", "30", "--cap", str(10**12)]),
     "fixed-point-power": (

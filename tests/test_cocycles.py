@@ -322,7 +322,7 @@ def test_ball_byte_budget_refuses_a_layer_before_it_is_built(fib_gens, monkeypat
     rows = b.neighbors.copy()
     monkeypatch.setattr(cocycles, "MAX_BALL_BYTES", 0)
     for _ in range(2):
-        with pytest.raises(ResourceLimit, match="ball layer 6 needs about"):
+        with pytest.raises(ResourceLimit, match="ball layer 6 needs more than 0 bytes"):
             b.grow(6)
         assert b.radius == 5 and len(b) == 94 and np.array_equal(b.neighbors, rows)
     monkeypatch.undo()
@@ -385,6 +385,7 @@ def _oracle_generator_sets():
     full = FullShiftSpec(("a", "b"))
     fib = fibonacci_spec()
     alpha = fibonacci_generators(fib)["alpha"]
+    tau, tau5 = (from_table(full, 0, {"a": c, "b": c}) for c in (1, 5))
     return {
         "toeplitz-swaps": (GeneratorSet(toeplitz, (("ab", _swap(toeplitz, "ab")),
                                                    ("ba", _swap(toeplitz, "ba")))), 10),
@@ -400,6 +401,11 @@ def _oracle_generator_sets():
         "sigma-inverse-square": (GeneratorSet(fib, (("sigma", from_table(fib, 0, {"a": 1, "b": 1})),
                                                     ("sigma^-2", from_table(fib, 0, {"a": -2, "b": -2})))),
                                  6),
+        # constant generators keep every product at depth 0, however far
+        # the ball reaches, so the byte budget never comes near
+        "tau-pair": (GeneratorSet(full, (("tau", tau), ("tau^-1", inverse(tau)))), 20),
+        "tau5-pair-and-identity": (GeneratorSet(full, (("tau5", tau5), ("tau^-5", inverse(tau5)),
+                                                       ("id", identity(full)))), 20),
     }
 
 
@@ -408,6 +414,8 @@ def test_ball_equals_the_compose_per_edge_reference(name):
     gens, radius = _oracle_generator_sets()[name]
     b = ball(gens, radius)
     elements, lengths, depths, rows = _reference_ball(gens, radius)
+    if name.startswith("tau"):
+        assert len(b) == 2 * radius + 1
     assert _elements(b) == elements
     assert b.lengths.tolist() == lengths and b.depths.tolist() == depths
     assert b.neighbors.tolist() == rows

@@ -356,9 +356,9 @@ class CayleyBall:
     once.  An edge back to the layer before is read off the forward edge
     of the inverse generator, when the set holds one, so only the other
     edges are composed; `composed_cells` counts the (element, generator)
-    cells composed so far.  Products are deduplicated against the last two
-    layers when the set is inverse-closed, and against the whole ball when
-    it is not.
+    cells composed so far.  Products are deduplicated depth by depth, deepest
+    first, against the last two layers when the set is inverse-closed, and
+    against the whole ball when it is not.
     """
 
     def __init__(self, gens: GeneratorSet, cap: int):
@@ -372,7 +372,6 @@ class CayleyBall:
         self._atoms = [s for _, s in gens.elements]
         self._rows = {0: np.zeros((1, len(gens.spec.language.words(1))), dtype=np.int8)}
         self._slots = np.zeros(1, dtype=np.int64)  # element i is _rows[depths[i]][_slots[i]]
-        self._reach = np.zeros(1, dtype=np.int64)  # element i's largest absolute shift
         self._steps: dict[tuple[int, int, int], tuple] = {}
 
     def __len__(self) -> int:
@@ -382,6 +381,16 @@ class CayleyBall:
         """The shift rows of elements `ids`, all of table depth `depth`: row
         j is element ids[j]'s shift on each admissible (2*depth+1)-word."""
         return self._rows[depth][self._slots[ids]]
+
+    def rows_by_depth(self, ids: np.ndarray, above: int = -1):
+        """For each table depth d > `above` among elements `ids`, in
+        increasing order: d, the positions in `ids` of that depth and
+        their shift rows."""
+        depths = self.depths[ids]
+        for d in sorted(self._rows):
+            at = np.flatnonzero(depths == d) if d > above else ()
+            if len(at):
+                yield d, at, self.shift_rows(d, ids[at])
 
     def element(self, i: int) -> CocycleElement:
         """Element i, built from its shift row."""
@@ -437,7 +446,7 @@ class CayleyBall:
         # kept: bytes of the ball's arrays and of what this layer keeps.  A step
         # that makes large arrays first affords them, with kept, against MAX_BALL_BYTES
         ball_bytes = sum(a.nbytes for a in (self.lengths, self.depths, self.neighbors,
-                                            self._slots, self._reach, *self._rows.values()))
+                                            self._slots, *self._rows.values()))
         kept = ball_bytes + rows.nbytes
 
         def afford(nbytes: int) -> None:
@@ -452,39 +461,46 @@ class CayleyBall:
         p, a = np.nonzero((last >= first) & (back >= 0))
         rows[last[p, a] - first, back[a]] = start + p
 
-        # compose every open cell, a group of equal (depth, largest shift) at
-        # a time; a cell is member * width + atom, its rank in the
-        # one-at-a-time order.  built: products at the depth they are built
-        # at; canonical: products already in canonical form
-        built, canonical = defaultdict(list), defaultdict(list)
+        # compose every open cell, a group of equal depth and largest shift
+        # at a time; a cell is member * width + atom, its rank in the
+        # one-at-a-time order.  built: products at the depth they are built at
+        built = defaultdict(list)
         composed = 0
-        depths, reach = self.depths[first:], self._reach[first:]
-        groups, group_of, sizes = np.unique(np.stack([depths, reach], axis=1), axis=0,
-                                            return_inverse=True, return_counts=True)
-        order = np.argsort(group_of.ravel(), kind="stable")
-        for (depth, m), members in zip(groups.tolist(),
-                                       np.split(order, np.cumsum(sizes)[:-1])):
-            shifts = self.shift_rows(depth, first + members)
-            for a, s in enumerate(self._atoms):
-                todo = rows[members, a] < 0
-                h = shifts[todo]
-                cells = members[todo] * width + a
-                composed += len(cells)
-                if not len(cells):
-                    continue
-                if len(set(s.shifts)) == 1:
-                    # a constant shift c moves every point by c: k_{sh} = c + k_h
-                    canonical[depth].append((h + s.shifts[0], cells))
-                    kept += h.nbytes + cells.nbytes
-                    continue
-                d, read, base, table = self._step(depth, m, a)
-                k = h[:, read]
-                # the gather's two intp indices, then its product, of k's shape
-                afford(k.size * (2 * k.itemsize + 16))
-                built[d].append((table[k.astype(np.intp) + base] + k, cells))
-                kept += k.nbytes + cells.nbytes
+        for depth, at, layer_rows in self.rows_by_depth(np.arange(first, size)):
+            reach = np.abs(layer_rows).max(axis=1)
+            for m in np.flatnonzero(np.bincount(reach)).tolist():
+                group = reach == m
+                members, shifts = at[group], layer_rows[group]
+                for a, s in enumerate(self._atoms):
+                    todo = rows[members, a] < 0
+                    h = shifts[todo]
+                    cells = members[todo] * width + a
+                    composed += len(cells)
+                    if not len(cells):
+                        continue
+                    if len(set(s.shifts)) == 1:
+                        # a constant shift c moves every point by c: k_{sh} = c + k_h,
+                        # as canonical as h
+                        built[depth].append((h + s.shifts[0], cells))
+                        kept += h.nbytes + cells.nbytes
+                        continue
+                    d, read, base, table = self._step(depth, m, a)
+                    k = h[:, read]
+                    # the gather's two intp indices, then its product, of k's shape
+                    afford(k.size * (2 * k.itemsize + 16))
+                    built[d].append((table[k.astype(np.intp) + base] + k, cells))
+                    kept += k.nbytes + cells.nbytes
 
-        # canonical reduction of all products, one depth at a time from the top
+        # one pass from the top depth down: reduce the products built at d,
+        # then deduplicate what stays there, against layers r-1 and r when
+        # the set is inverse-closed (a product of a layer-r element then has
+        # length r-1, r or r+1), otherwise against the whole ball.  A new
+        # element is first found at its smallest cell, and new elements are
+        # numbered in that order; until then a cell holds -1 - (that first cell)
+        floor = start if closed else 0
+        targets = rows.astype(np.int64).ravel()
+        kept += targets.nbytes
+        added, found = [], 0
         for d in range(max(built, default=-1), -1, -1):
             parts = built.pop(d, None)
             if not parts:
@@ -498,20 +514,6 @@ class CayleyBall:
                 if fold.any():
                     built[d - 1].append((shifts[fold][:, pick], cells[fold]))
                     shifts, cells = shifts[~fold], cells[~fold]
-            canonical[d].append((shifts, cells))
-
-        # deduplicate against layers r-1 and r when the set is inverse-closed:
-        # a product of a layer-r element then has length r-1, r or r+1.
-        # Otherwise a product can fall back further, so against the whole
-        # ball.  A new element is first found at its smallest cell, and new
-        # elements are numbered in that order; until then a cell holds
-        # -1 - (that first cell).
-        floor = start if closed else 0
-        targets = rows.astype(np.int64).ravel()
-        kept += targets.nbytes
-        added, found = [], 0
-        for d, parts in canonical.items():
-            shifts, cells = (np.concatenate(x) for x in zip(*parts))
             by_cell = np.argsort(cells)
             shifts, cells = shifts[by_cell], cells[by_cell]
             known = floor + np.flatnonzero(self.depths[floor:] == d)
@@ -537,24 +539,21 @@ class CayleyBall:
         targets[pending] = size + np.searchsorted(fresh_cells, -1 - targets[pending])
         rows = targets.reshape(rows.shape).astype(np.int32)
 
-        # appending copies the ball's arrays, with the new rows and four int64 words each
-        afford(ball_bytes + rows.nbytes + sum(new.nbytes + 32 * len(new) for _, new, _ in added))
+        # appending copies the ball's arrays, with the new rows and three int64 words each
+        afford(ball_bytes + rows.nbytes + sum(new.nbytes + 24 * len(new) for _, new, _ in added))
         new_depths = np.empty(len(fresh_cells), dtype=np.int64)
         new_slots = np.empty_like(new_depths)
-        new_reach = np.empty_like(new_depths)
         for d, new, cells in added:
             ids = np.searchsorted(fresh_cells, cells)
             held = len(self._rows.get(d, ()))
             new_depths[ids] = d
             new_slots[ids] = held + np.arange(len(new))
-            new_reach[ids] = np.abs(new).max(axis=1, initial=0)
             self._rows[d] = np.concatenate([self._rows[d], new]) if held else new
         self.radius += 1
         self.composed_cells += composed
         self.lengths = np.concatenate([self.lengths, np.full(len(new_depths), self.radius)])
         self.depths = np.concatenate([self.depths, new_depths])
         self._slots = np.concatenate([self._slots, new_slots])
-        self._reach = np.concatenate([self._reach, new_reach])
         self.neighbors = np.concatenate([self.neighbors, rows])
 
 

@@ -20,15 +20,14 @@ class EmptyAlphabet(ValidationError):
 
 
 class ConditionViolated(ValidationError):
-    """A substitution fails one of its two standing growth conditions."""
+    """A spec fails one of its family's standing conditions; the message
+    names the family, and the letter where the condition is about one."""
 
-    def __init__(self, condition: int, letter: str, detail: str = ""):
+    def __init__(self, family: str, condition: int, detail: str, letter: str | None = None):
         self.condition = condition
         self.letter = letter
-        msg = f"substitution condition {condition} fails at letter {letter!r}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        where = "" if letter is None else f" at letter {letter!r}"
+        super().__init__(f"{family} condition {condition} fails{where}: {detail}")
 
 
 class IncompleteTable(ValidationError):

@@ -28,6 +28,7 @@ from .subshifts import (
 )
 
 _SWAP_AB = str.maketrans("ab", "ba")
+MAX_CYLINDER_RADIUS = 1 << 16  # widest window `find_cylinder_position` scans
 
 
 class Point:
@@ -270,17 +271,17 @@ def canonical_point(spec: SubshiftSpec) -> Point:
     raise SpecMismatch(f"no canonical point for {spec!r}")
 
 
-def find_cylinder_position(point: Point, word: str, max_radius: int = 1 << 16) -> int:
+def find_cylinder_position(point: Point, word: str) -> int:
     """A center position c with window(c, depth) == word, by scanning
-    growing centered windows of the point."""
+    growing centered windows of the point up to MAX_CYLINDER_RADIUS."""
     if len(word) % 2 != 1:
         raise ValueError("cylinder words have odd length")
     depth = (len(word) - 1) // 2
     radius = max(4 * len(word), 16)
-    while radius <= max_radius:
+    while radius <= MAX_CYLINDER_RADIUS:
         text = point.window(0, radius)
         at = text.find(word)
         if at >= 0:
             return at - radius + depth
         radius *= 2
-    raise ValidationError(f"word {word!r} not found within radius {max_radius}")
+    raise ValidationError(f"word {word!r} not found within radius {MAX_CYLINDER_RADIUS}")

@@ -88,9 +88,9 @@ class SturmianSpec:
     def __post_init__(self):
         object.__setattr__(self, "cf", tuple(int(a) for a in self.cf))
         if not self.cf:
-            raise ConditionViolated(1, "?", "continued fraction list is empty")
+            raise ConditionViolated("Sturmian", 1, "continued fraction list is empty")
         if any(a < 1 for a in self.cf):
-            raise ConditionViolated(1, "?", "continued fraction coefficients must be >= 1")
+            raise ConditionViolated("Sturmian", 1, "continued fraction coefficients must be >= 1")
         object.__setattr__(self, "language", LanguageTable(self))
 
 
@@ -125,11 +125,12 @@ class SubstitutionSpec:
         if self.seed not in d:
             raise EmptyAlphabet(f"seed {self.seed!r} is not a letter")
         if not d[self.seed].startswith(self.seed):
-            raise ConditionViolated(1, self.seed, "image does not start with the seed letter")
+            raise ConditionViolated("substitution", 1, "image does not start with the seed letter",
+                                    self.seed)
         growing = growing_letters(d)
         for a in sorted(d):
             if a not in growing:
-                raise ConditionViolated(2, a, "iterated image length stays bounded")
+                raise ConditionViolated("substitution", 2, "iterated image length stays bounded", a)
         object.__setattr__(self, "language", LanguageTable(self))
 
     @classmethod
@@ -158,9 +159,9 @@ class ToeplitzSpec:
         if not self.pattern:
             raise EmptyAlphabet("empty Toeplitz pattern")
         if self.pattern[0] == self.hole:
-            raise ConditionViolated(1, self.hole, "pattern must start with a letter, not a hole")
+            raise ConditionViolated("Toeplitz", 1, "pattern must start with a letter, not a hole")
         if self.hole not in self.pattern:
-            raise ConditionViolated(2, self.hole, "pattern contains no hole to fill")
+            raise ConditionViolated("Toeplitz", 2, "pattern contains no hole to fill")
         if not tuple(sorted(set(self.pattern) - {self.hole})):
             raise EmptyAlphabet("pattern has no letters")
         object.__setattr__(self, "language", LanguageTable(self))
@@ -412,7 +413,7 @@ def toeplitz_word(pattern: str, length: int, hole: str = "*") -> str:
     if not pattern:
         raise EmptyAlphabet("empty Toeplitz pattern")
     if pattern[0] == hole:
-        raise ConditionViolated(1, hole, "pattern must start with a letter, not a hole")
+        raise ConditionViolated("Toeplitz", 1, "pattern must start with a letter, not a hole")
     word: list[str] = []
     filled = 0
     for c in itertools.islice(itertools.cycle(pattern), length):
@@ -852,14 +853,15 @@ class LanguageTable:
         return _IndexStream(self.spec, 2 * self.max_text, isinstance(self.spec, SubstitutionSpec))
 
 
-def substitution_enumeration_diagnostics(spec: SubstitutionSpec, n: int,
-                                         max_text: int = DEFAULT_MAX_TEXT) -> dict:
-    """Compare the tail-occurrence filter with a plain prefix scan.
+def substitution_enumeration_diagnostics(spec: SubstitutionSpec, n: int) -> dict:
+    """Compare the tail-occurrence filter with a plain prefix scan, both
+    within the text budget of the spec's language table.
 
     The two agree for primitive substitutions; a disagreement flags a
     substitution whose generated word has prefix-only factors (those are
     correctly excluded by the tail filter).
     """
+    max_text = spec.language.max_text
     tail_set = spec.language.factors(n)
     plain = _saturate(spec, n, max_text,
                       _IndexStream(spec, 2 * max_text, tail=False)).factors(n)

@@ -32,9 +32,10 @@ checked against the Lipschitz bound before any draw.  A sample whose
 arrays, all counted, would pass MAX_SAMPLE_BYTES is refused with
 ResourceLimit before anything is allocated.
 
-Each report statistic is computed once: a distribution sums its entropy once
-for every report, one sort per array gives all tail exceedances, and one
-least-constant search fits the entropy envelope and the return bound.
+A distribution sums its entropy once for every report, and one
+least-constant search fits the entropy envelope and the return bound.  Tail
+exceedances cost one sort per report that reads them: a `walk` run sorts
+max|m| three times (grid trim, tail fit, reflection check) and |final| twice.
 """
 
 from __future__ import annotations
@@ -457,20 +458,11 @@ def empirical_offset_distribution(sample: WalkSample) -> dict[int, float]:
     return {int(v): c / sample.trials for v, c in zip(values, counts)}
 
 
-def _rows_by_depth(dist: GroupDistribution, above: int = -1):
-    """For each table depth d > `above` of the support, in increasing order:
-    d, the support positions of that depth and their shift rows."""
-    depths = dist.ball.depths[dist.index]
-    for d in np.unique(depths[depths > above]).tolist():
-        at = np.flatnonzero(depths == d)
-        yield d, at, dist.ball.shift_rows(d, dist.index[at])
-
-
 def pushforward_offsets(dist: GroupDistribution, point: Point) -> dict[int, Fraction]:
     """Exact law of the orbit offset under the group-element distribution:
     each support depth reads the column of the point's window in its rows."""
     out: dict[int, int] = defaultdict(int)
-    for d, at, rows in _rows_by_depth(dist):
+    for d, at, rows in dist.ball.rows_by_depth(dist.index):
         column = window_columns(dist.ball.gens.spec, point, [0], d)[0]
         for k, c in zip(rows[:, column].tolist(), dist.counts[at].tolist()):
             out[k] += c
@@ -792,7 +784,7 @@ def cylinder_nonconstancy_rate(chain: ConvolutionCache, word: str, n: int) -> Fr
     half = (len(word) - 1) // 2
     target = language.words(len(word)).get(word, -1)  # -1: inadmissible, no word around it
     bad = 0
-    for d, at, rows in _rows_by_depth(dist, above=half):
+    for d, at, rows in dist.ball.rows_by_depth(dist.index, above=half):
         centres = np.array(language.subwords(2 * d + 1, d - half, len(word)))
         around = rows[:, centres == target]
         bad += int(dist.counts[at[(around != around[:, :1]).any(axis=1)]].sum())
@@ -807,6 +799,8 @@ def shannon_path_diagnostic(chain: ConvolutionCache, n: int) -> dict:
     element, in ascending order of value (descending count), at which the
     cumulative count reaches q D^n: integer compares only.
     """
+    if n < 1:
+        raise ValidationError("n must be >= 1")
     dist = chain.power(n)
     counts = np.sort(dist.counts)[::-1]
     cumulative = np.cumsum(counts)

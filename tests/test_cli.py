@@ -468,6 +468,32 @@ def test_blow_up_inputs_exit_3_under_a_2_gib_address_space(workdir, case):
         assert not (workdir / "out").exists()
 
 
+_NO_MASKED_ARRAYS = """
+import sys
+from fullgroup_lab.cli import main
+for args in (
+    ["complexity", "--spec", "toeplitz.json", "--n", "24", "--out", "c"],
+    ["walk", "--spec", "fib.json", "--gens", "gens.json", "--n", "40", "--trials", "200",
+     "--out", "w"],
+    ["entropy", "--spec", "fib.json", "--gens", "gens.json", "--n", "8", "--out", "e"],
+):
+    assert main(args) == 0, args
+assert "numpy.ma" not in sys.modules, "a CLI run imported numpy.ma"
+"""
+
+
+def test_cli_runs_never_import_numpy_ma(workdir):
+    # a bare np.unique(x) imports numpy.ma (about 15 ms and 1.2 MB under
+    # numpy 2.4); every np.unique on these paths asks for indices or counts
+    write_json(workdir / "toeplitz.json", {"variant": "toeplitz", "pattern": "ab*b*"})
+    package_root = Path(fullgroup_lab.__file__).resolve().parents[1]
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [
+        str(package_root), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS], cwd=workdir, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 # --- validation and exit codes ------------------------------------------------------
 
 

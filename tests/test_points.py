@@ -222,6 +222,13 @@ def test_find_cylinder_position(fib_spec, fib_point):
         assert fib_point.window(c, 2) == word
 
 
+def test_find_cylinder_position_refuses_a_word_it_never_meets(fib_point):
+    # "bbb" is no factor of the Fibonacci word, so every window up to the
+    # widest one is scanned in vain
+    with pytest.raises(ValidationError, match=r"^word 'bbb' not found within radius 65536$"):
+        find_cylinder_position(fib_point, "bbb")
+
+
 def test_window_cache_thread_safety(fib_point):
     results = []
 

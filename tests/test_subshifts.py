@@ -76,15 +76,26 @@ def test_unknown_variant_rejected():
 
 
 def test_sturmian_requires_positive_coefficients():
-    with pytest.raises(ConditionViolated):
+    with pytest.raises(ConditionViolated, match=r"^Sturmian condition 1 fails: continued "
+                       r"fraction coefficients must be >= 1$"):
         SturmianSpec((1, 0, 2))
+    with pytest.raises(ConditionViolated, match=r"^Sturmian condition 1 fails: continued "
+                       r"fraction list is empty$"):
+        SturmianSpec(())
 
 
 def test_toeplitz_pattern_validation():
-    with pytest.raises(ConditionViolated):
-        ToeplitzSpec("*aab")  # starts with a hole
-    with pytest.raises(ConditionViolated):
-        ToeplitzSpec("ab")  # no hole
+    with pytest.raises(ConditionViolated, match=r"^Toeplitz condition 1 fails: pattern must "
+                       r"start with a letter, not a hole$") as err:
+        ToeplitzSpec("*aab")
+    assert err.value.condition == 1
+    with pytest.raises(ConditionViolated, match=r"^Toeplitz condition 2 fails: pattern "
+                       r"contains no hole to fill$") as err:
+        ToeplitzSpec("ab")
+    assert err.value.condition == 2
+    with pytest.raises(ConditionViolated, match=r"^Toeplitz condition 1 fails: pattern must "
+                       r"start with a letter"):
+        toeplitz_word("*ab", 4)
 
 
 @pytest.mark.parametrize(

@@ -812,6 +812,12 @@ def test_shannon_diagnostic_reports(fib_cache):
     assert diag["mean"] > 0
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_shannon_diagnostic_refuses_n_below_one(fib_cache, n):
+    with pytest.raises(ValidationError, match="n must be >= 1"):
+        shannon_path_diagnostic(fib_cache, n)
+
+
 def _nonconstancy_oracle(law, word):
     """Mass of the law on elements not constant on the cylinder of `word`."""
     return sum((p for g, p in law.items() if not is_constant_on_cylinder(g, word)),

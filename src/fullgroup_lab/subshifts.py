@@ -10,17 +10,18 @@ Sturmian, substitution and Toeplitz languages are read off an expanding
 generated word, a Sturmian one by the standard-word recursion.  Each
 snapshot but a Toeplitz one is one substitution step from the one before,
 refused before it is built when its length, read off the letter counts,
-passes twice the text budget.  Each snapshot is
-indexed once: a prefix-doubling suffix array and Kasai's linear LCP give,
-for every start position, the longest common prefix with the suffix sorted
-just before it.  One histogram of those values yields the snapshot's count
-of distinct length-n windows for every n at once, and the windows starting
-where that LCP is below n are its length-n factors, one each.  A factor
-set is declared complete once it survives two consecutive doublings of the
-generated length (plus the Sturmian early exit where the complexity n + 1
-is known).  That stop is a heuristic, not a certificate.  Full shifts use
-the closed form, and a shift of finite type spells or counts the paths of
-one graph on its allowed k-words.  Results are memoized in the spec's own
+passes twice the text budget.  Each snapshot is indexed once by a
+prefix-doubling suffix array, and for every start position the longest
+common prefix with the suffix sorted just before it is read back from the
+doubling rounds' keys, a few numpy passes a round.  One histogram of those
+values yields the snapshot's count of distinct length-n windows for every n
+at once, and the windows starting where that LCP is below n are its
+length-n factors, one each.  A factor set is declared complete once it
+survives two consecutive doublings of the generated length (plus the
+Sturmian early exit where the complexity n + 1 is known).  That stop is a
+heuristic, not a certificate.  Full shifts use the closed form, and a shift
+of finite type spells or counts the paths of one graph on its allowed
+k-words.  Results are memoized in the spec's own
 `LanguageTable`, `spec.language`, the one place that enumerates, orders and
 locates factors; it is safe to share across threads.
 """
@@ -403,10 +404,12 @@ def toeplitz_word(pattern: str, length: int, hole: str = "*") -> str:
     """First `length` letters of the one-sided Toeplitz word of `pattern`.
 
     The holes of the periodic pattern word are filled, in order, with the
-    letters of the word itself.  One left-to-right pass suffices: the k-th
-    hole sits at a position beyond k, because the pattern starts with a
-    letter, so its filler is already written.  A pattern without holes is
-    simply repeated.
+    letters of the word itself.  The holes among its first L letters take
+    the first H letters, and H < L because the pattern starts with a letter.
+    So the word is built level by level, from the shortest of the lengths
+    L, H(L), H(H(L)), ... that has no hole: each level repeats the pattern
+    and scatters the level before into its holes.  A pattern without holes
+    is simply repeated.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -414,14 +417,22 @@ def toeplitz_word(pattern: str, length: int, hole: str = "*") -> str:
         raise EmptyAlphabet("empty Toeplitz pattern")
     if pattern[0] == hole:
         raise ConditionViolated("Toeplitz", 1, "pattern must start with a letter, not a hole")
-    word: list[str] = []
-    filled = 0
-    for c in itertools.islice(itertools.cycle(pattern), length):
-        if c == hole:
-            c = word[filled]
-            filled += 1
-        word.append(c)
-    return "".join(word)
+    is_hole = [c == hole for c in pattern]
+    lengths = [length]
+    while True:
+        periods, rest = divmod(lengths[-1], len(pattern))
+        holes = periods * sum(is_hole) + sum(is_hole[:rest])
+        if not holes:
+            break
+        lengths.append(holes)
+    letters = np.frombuffer(pattern.encode("utf-32-le"), dtype=np.uint32)
+    word = np.empty(0, np.uint32)
+    for size in reversed(lengths):
+        periods = -(-size // len(pattern))
+        level = np.tile(letters, periods)[:size]
+        level[np.tile(is_hole, periods)[:size]] = word
+        word = level
+    return word.tobytes().decode("utf-32-le")
 
 
 # ---------------------------------------------------------------------------
@@ -459,84 +470,163 @@ def _snapshot_steps(spec: SubshiftSpec, limit: int) -> tuple[str, Callable[[str]
 
 # Bits of the packed sort key of one prefix-doubling round.
 _KEY_BITS = 62
+# Sorted-adjacent pairs whose LCP one pass of `_lcp_descent` reads at a time.
+_LCP_BLOCK = 8192
 
 
-def _suffix_array(dense: str, letter_count: int) -> np.ndarray:
-    """Start positions of the suffixes of `dense` in sorted order (int32).
+class _Round(NamedTuple):
+    """One prefix-doubling round, as much as the LCP descent reads of it.
+
+    The round's key packs `fields` ranks of `step` letters each, `bits` wide,
+    the first field highest.  With a `table`, `ranks` holds each position's
+    rank + 1 in the round's key order and `table[rank + 1]` is the key;
+    without one, `ranks` holds the ranks + 1 of the round before, which the
+    key packs.  Either way `ranks[size]` is 0: past the end, below every
+    rank."""
+
+    step: int
+    bits: int
+    fields: int
+    ranks: np.ndarray
+    table: np.ndarray | None
+
+    def keys(self, at: np.ndarray) -> np.ndarray:
+        if self.table is not None:
+            return self.table[self.ranks[at]]
+        key = np.zeros(len(at), np.int64)
+        for offset in range(0, self.fields * self.step, self.step):
+            key <<= self.bits
+            # a field that starts past the end lies beyond the first field
+            # in which the two keys differ, so any value does: ranks[size]
+            key |= np.take(self.ranks, at + offset, mode="clip")
+        return key
+
+    def advances(self) -> np.ndarray:
+        """The letters two keys share, indexed by the bit length e of their
+        XOR: the fields wholly above bit e - 1, times `step` (all fields at
+        e = 0)."""
+        e = np.arange(64)
+        return (self.fields - 1 - (e - 1) // self.bits) * self.step
+
+
+def _suffix_array(dense: str, letter_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start positions of the suffixes of `dense` in sorted order, and for
+    each start position the length of the longest common prefix of its
+    suffix with the suffix sorted just before it, -1 for the first; both
+    int32.
 
     `dense` spells its text with the characters 0 .. letter_count - 1.
-    Prefix doubling, generalized: while the suffixes are ranked by their
-    first k letters, one round packs the ranks at i, i + k, i + 2k, ... into
-    one 62-bit key, as many as fit, and sorts by it.  A block past the end
-    packs as 0, below every rank, so a proper prefix sorts first.  The first
-    round packs letters (k = 1); rounds stop once every rank is distinct.
-    Only the current int32 ranks are kept between rounds.
+    Prefix doubling (Manber & Myers, SIAM J. Comput. 22, 1993), generalized:
+    while the suffixes are ranked by their first k letters, one round packs
+    the ranks + 1 at i, i + k, i + 2k, ... into one 62-bit key, as many as
+    fit, and sorts by it.  A block past the end packs as 0, below every
+    rank, so a proper prefix sorts first.  The first round packs letters
+    (k = 1); rounds stop once every key is distinct, so the order is the
+    one suffix order and the LCP is exact.
+
+    A round holds its int64 keys, sorted in place, their int64 argsort and
+    int32 ranks in key order: 20 bytes a letter.  For the LCP descent
+    (`_lcp_descent`) the last round keeps its sorted keys, and each earlier
+    round keeps one of two things:
+    - its ranks + 1 in the narrowest unsigned type, 1, 2 or 4 bytes a
+      letter, and the table of its distinct keys in sorted order, 8 bytes a
+      key, when that table is no larger than those ranks;
+    - otherwise the ranks + 1 of the round before (for the first round, the
+      letters + 1), from which the descent packs the key again.
+    Rounds share these arrays: at most one rank array a round, plus the
+    letters, and tables no larger than their ranks.
     """
     size = len(dense)
-    rank = np.frombuffer(dense.encode("utf-32-le"), dtype=np.int32).copy()
+    # every round's ranks in key order, then the LCP array written over them;
+    # allocated before any round, so it pins none of their freed heap
+    rank = np.empty(size, np.int32)
+    shifted = np.zeros(size + 1, np.min_scalar_type(letter_count))
+    shifted[:size] = np.frombuffer(dense.encode("utf-32-le"), dtype=np.int32)
+    shifted[:size] += 1
     groups = letter_count
-    k = 1
+    step = 1
+    rounds: list[_Round] = []
     while True:
         bits = groups.bit_length()
-        shifted = rank + 1
+        fields = _KEY_BITS // bits
         key = np.zeros(size, np.int64)
-        for offset in range(0, (_KEY_BITS // bits) * k, k):
+        for offset in range(0, fields * step, step):
             key *= 1 << bits
             if offset < size:
-                key[: size - offset] += shifted[offset:]
-        k *= _KEY_BITS // bits
-        del shifted
+                key[: size - offset] += shifted[offset:size]
         sa = np.argsort(key)
-        # sorting again is cheaper than gathering key[sa]
-        sorted_key = np.sort(key)
-        del key
-        rank_sorted = np.zeros(size, np.int32)
-        np.not_equal(sorted_key[1:], sorted_key[:-1], out=rank_sorted[1:])
-        del sorted_key
-        np.cumsum(rank_sorted, out=rank_sorted)
-        groups = int(rank_sorted[-1]) + 1
+        key.sort()
+        rank[0] = 1
+        np.not_equal(key[1:], key[:-1], out=rank[1:])
+        np.cumsum(rank, out=rank)
+        groups = int(rank[-1])
         if groups == size:
-            return sa.astype(np.int32)
-        rank[sa] = rank_sorted
+            sa = sa.astype(np.int32)
+            _lcp_descent(sa, key, _Round(step, bits, fields, shifted, None), rounds, out=rank)
+            return sa, rank
+        ranks = np.zeros(size + 1, np.min_scalar_type(groups))
+        ranks[sa] = rank
+        del sa
+        if (groups + 1) * 8 <= ranks.nbytes:
+            table = np.zeros(groups + 1, np.int64)
+            table[rank] = key
+            rounds.append(_Round(step, bits, fields, ranks, table))
+        else:
+            rounds.append(_Round(step, bits, fields, shifted, None))
+        del key
+        shifted = ranks
+        step *= fields
 
 
-def _predecessor_lcp(text: str, sa: np.ndarray) -> np.ndarray:
-    """For each start position i, the length of the longest common prefix of
-    suffix i with the suffix sorted just before it; -1 for the first suffix.
+def _lcp_descent(sa: np.ndarray, last_keys: np.ndarray, last: _Round,
+                 rounds: list[_Round], out: np.ndarray) -> None:
+    """The LCP of each suffix with the one sorted just before it, indexed by
+    start position, -1 for the first suffix.
 
-    `sa` sorts the suffixes of `text` without its last letter, which must
-    occur nowhere else: the comparisons stop there.  Kasai's linear scan in
-    text order (Kasai et al., CPM 2001): the value at i + 1 is at least the
-    value at i minus one, so the comparisons resume where the previous
-    position stopped.
+    Two different suffixes a and b differ in the key of the last round
+    `last`, whose sorted keys are `last_keys`, and the leading fields their
+    two keys share are q * step equal letters.  So h = q * step, and the
+    suffixes at a + h and b + h differ within the next field: in the key of
+    the round before.  Descending round by round, each adds its q * step to
+    h, and the first round, one letter a field, leaves h the exact LCP.
+    Positions stay at most the text length, where every key is 0.  Each
+    round is a few numpy passes over a block of `_LCP_BLOCK` pairs,
+    whatever the LCP lengths.
     """
     size = len(sa)
-    before = np.empty(size, np.int32)
-    before[sa[1:]] = sa[:-1]
-    before[sa[0]] = -1
-    lcp = np.empty(size, np.int32)
-    out = memoryview(lcp)
-    h = 0
-    for i, j in enumerate(memoryview(before)):
-        if j < 0:
-            out[i] = -1
-            h = 0
-            continue
-        while text[i + h] == text[j + h]:
-            h += 1
-        out[i] = h
-        if h:
-            h -= 1
-    return lcp
+    out[sa[0]] = -1
+    steps = [(round_, round_.advances()) for round_ in reversed(rounds)]
+    last_advances = last.advances()
+    for lo in range(1, size, _LCP_BLOCK):
+        hi = min(size, lo + _LCP_BLOCK)
+        a, b = sa[lo - 1 : hi - 1], sa[lo:hi]
+        h = last_advances[_bit_length(last_keys[lo - 1 : hi - 1] ^ last_keys[lo:hi])]
+        for round_, advances in steps:
+            xor = round_.keys(a + h)
+            xor ^= round_.keys(b + h)
+            h += advances[_bit_length(xor)]
+        out[b] = h
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """The bit length of each nonnegative int64 of `x`, which is overwritten,
+    through the exponent of a float64.  Keeping only the bits whose next
+    higher bit is clear leaves the highest set bit and clears the one below
+    it, so the conversion cannot round up to the next power of two."""
+    x &= ~(x >> 1)
+    return np.frexp(x.astype(np.float64))[1]
 
 
 class _FactorIndex:
     """All factors of one snapshot region, read once.
 
-    The length-n windows that start where the predecessor LCP is below n
-    are the distinct length-n factors of the region, one each.  Suffix i
-    therefore adds one factor to every n with lcp[i] < n <= len - i, and a
-    difference-array histogram of those ranges gives `counts[n]` for all n.
+    `lcp[i]` is the longest common prefix of suffix i with the suffix
+    sorted just before it, from `_suffix_array`'s doubling rounds.  The
+    length-n windows that start where it is below n are the distinct
+    length-n factors of the region, one each.  Suffix i therefore adds one
+    factor to every n with lcp[i] < n <= len - i, and a difference-array
+    histogram of those ranges gives `counts[n]` for all n.  The index keeps
+    the text and two int32 arrays, 8 bytes a letter.
     """
 
     __slots__ = ("text", "snapshot_len", "lcp", "counts")
@@ -547,12 +637,13 @@ class _FactorIndex:
         size = len(text)
         letters = sorted(set(text))
         dense = text.translate({ord(c): i for i, c in enumerate(letters)})
-        sa = _suffix_array(dense, len(letters))
-        self.lcp = _predecessor_lcp(dense + chr(len(letters)), sa)
+        _, self.lcp = _suffix_array(dense, len(letters))
+        # allocated before the int64 temporaries, so it pins none of their freed heap
+        self.counts = np.empty(size + 1, np.int32)
         diff = np.bincount(self.lcp + 1, minlength=size + 2)
         # suffix i stops counting at n = size - i + 1: once at each of 2 .. size + 1
         diff[2:] -= 1
-        self.counts = np.cumsum(diff[: size + 1]).astype(np.int32)
+        np.cumsum(diff[: size + 1], out=self.counts)
 
     def count(self, n: int) -> int:
         return int(self.counts[n]) if n <= len(self.text) else 0

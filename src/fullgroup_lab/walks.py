@@ -330,9 +330,12 @@ def _atom_draws(measure: StepMeasure, n: int, trials: int, seed: int) -> np.ndar
     that key, counter 0 and an empty buffer, which is the state a new
     Philox(key=[seed mod 2^64, t]) starts in.  The state is a dict of plain
     ints, which the setter reads faster than arrays.  The floats, their atom
-    indices, the compare mask and the packed rows are DRAW_BLOCK-trial
-    buffers that every block reuses; each block is packed before its
-    transpose is written."""
+    indices and the compare mask are DRAW_BLOCK-trial buffers that every
+    block reuses.  The indices are zero-padded to whole stored words, and a
+    block is packed through their little-endian view of `per`-byte words,
+    in which draw k of a word sits at bit 8k: OR-ing in the word shifted
+    right by k * (8 - b) brings it to bit k * b, and the transpose keeps the
+    low byte, which then holds the word's `per` draws."""
     bits, per, dtype = _draw_layout(len(measure.atoms))
     cum = np.cumsum([float(p) for _, _, p in measure.atoms])
     cum[-1] = 1.0
@@ -345,22 +348,20 @@ def _atom_draws(measure: StepMeasure, n: int, trials: int, seed: int) -> np.ndar
     moves = np.empty((-(-n // per), trials), dtype=dtype)
     width = min(trials, DRAW_BLOCK)
     floats = np.empty((width, n))
-    index = np.empty((width, n), dtype=dtype)
+    index = np.zeros((width, len(moves) * per), dtype=dtype)
     mask = np.empty((width, n), dtype=bool)
-    packed = np.empty((width, len(moves)), dtype=dtype)
     for start in range(0, trials, DRAW_BLOCK):
         rows = min(DRAW_BLOCK, trials - start)
         for row in range(rows):
             key[1] = start + row
             bitgen.state = state
             gen.random(out=floats[row])
-        _atom_index(cum, floats[:rows], index[:rows], mask[:rows])
-        packed[:rows] = index[:rows, ::per]
+        _atom_index(cum, floats[:rows], index[:rows, :n], mask[:rows])
+        words = index[:rows].view(f"<u{per}") if per > 1 else index[:rows]
+        packed = words.copy()
         for k in range(1, per):
-            draws = index[:rows, k::per]
-            draws <<= k * bits
-            packed[:rows, :draws.shape[1]] |= draws
-        moves[:, start:start + rows] = packed[:rows].T
+            packed |= words >> k * (8 - bits)
+        moves[:, start:start + rows] = packed.T
     return moves
 
 
@@ -368,8 +369,9 @@ def _check_sample_size(n: int, trials: int, atoms: int, span: int, dtype: np.dty
     """Return the bytes a sample holds at most, and refuse it with
     ResourceLimit when they pass MAX_SAMPLE_BYTES, before any of them is
     allocated.  Counted: the packed draws of all trials; one block of draws
-    (the floats, their atom indices and the compare mask, plus the int64
-    search result past ATOM_COUNT_MAX atoms, and the block's packed rows);
+    (the floats and the compare mask, plus the int64 search result past
+    ATOM_COUNT_MAX atoms, and three buffers of whole stored words: the atom
+    indices, zero-padded to them, the packed words and one shifted copy);
     the increment table; the step loop's per-trial buffers and temporaries;
     and the summary rows."""
     itemsize = np.dtype(dtype).itemsize
@@ -377,11 +379,11 @@ def _check_sample_size(n: int, trials: int, atoms: int, span: int, dtype: np.dty
     draw_itemsize = draw_dtype.itemsize
     packed_rows = -(-n // per)
     width = min(trials, DRAW_BLOCK)
-    per_draw = 8 + draw_itemsize + 1 + (8 if atoms > ATOM_COUNT_MAX else 0)
+    per_draw = 8 + 1 + (8 if atoms > ATOM_COUNT_MAX else 0)
     # cell, where and std's float64 deviations; one step's unpacked draws;
     # the gathered increments, the offsets, their abs and the running max
     per_trial = 3 * 8 + draw_itemsize + 4 * itemsize
-    need = ((trials + width) * packed_rows * draw_itemsize
+    need = ((trials + 3 * per * width) * packed_rows * draw_itemsize
             + width * n * per_draw
             + atoms * (2 * span + 1) * itemsize
             + trials * per_trial

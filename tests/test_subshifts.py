@@ -1,10 +1,12 @@
 import itertools
 import math
+import random
 import sys
 import threading
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,10 +29,13 @@ from fullgroup_lab import (
     substitution_iterate,
     toeplitz_word,
 )
+from fullgroup_lab import subshifts
 from fullgroup_lab.subshifts import (
     _FactorIndex,
+    _bit_length,
     _spell_paths,
     _step_paths,
+    _suffix_array,
     sturmian_rules,
     substitution_enumeration_diagnostics,
 )
@@ -237,6 +242,84 @@ def test_factor_index_matches_brute_force_windows(text):
         assert index.factors(n) == windows
 
 
+def _predecessor_lcp(text: str, sa: np.ndarray) -> np.ndarray:
+    """For each start position i, the length of the longest common prefix of
+    suffix i with the suffix sorted just before it; -1 for the first suffix.
+
+    `sa` sorts the suffixes of `text` without its last letter, which must
+    occur nowhere else: the comparisons stop there.  Kasai's linear scan in
+    text order (Kasai et al., CPM 2001): the value at i + 1 is at least the
+    value at i minus one, so the comparisons resume where the previous
+    position stopped.
+    """
+    size = len(sa)
+    before = np.empty(size, np.int32)
+    before[sa[1:]] = sa[:-1]
+    before[sa[0]] = -1
+    lcp = np.empty(size, np.int32)
+    out = memoryview(lcp)
+    h = 0
+    for i, j in enumerate(memoryview(before)):
+        if j < 0:
+            out[i] = -1
+            h = 0
+            continue
+        while text[i + h] == text[j + h]:
+            h += 1
+        out[i] = h
+        if h:
+            h -= 1
+    return lcp
+
+
+def _lcp_texts():
+    rng = random.Random(20_011)
+    for k in (1, 2, 3, 17):
+        letters = "abcdefghijklmnopq"[:k]
+        for size in (1, 2, 49, 50, 63, 64, 700, 5000):
+            yield f"random-{k}-{size}", "".join(rng.choices(letters, k=size))
+        # a repeat makes long LCPs, so later rounds run over many letters
+        half = "".join(rng.choices(letters, k=2500))
+        yield f"repeat-{k}", half + half[:-7] + rng.choice(letters) * 7
+    yield "ab*b*", toeplitz_word("ab*b*", 20_000)
+    yield "a*ab*a", toeplitz_word("a*ab*a", 20_000)
+    yield "fibonacci", substitution_iterate(FIB, "a", 21)[:20_000]
+    for cf in ((2,), (1, 3), (3, 1, 4)):
+        word = next(w for w in _standard_words(cf) if len(w) >= 20_000)
+        yield f"sturmian-{cf}", word[:20_000]
+
+
+def test_bit_length_is_exact_where_a_float64_rounds_up():
+    # 2^k - 1 for k > 53 converts to the float 2^k; so do values just below
+    # 2^k whose low bits a float64 cannot hold
+    values = [0, 1, 2, 3, 2**52, 2**53 - 1, 2**53, 2**53 + 1]
+    values += [2**k - d for k in range(54, 63) for d in (1, 2, 3, 2**(k - 54) + 1)]
+    x = np.array(values, dtype=np.int64)
+    assert _bit_length(x.copy()).tolist() == [v.bit_length() for v in values]
+
+
+def test_suffix_array_lcp_equals_kasai_at_every_position(monkeypatch):
+    descend = subshifts._lcp_descent
+    tables = set()
+
+    def spy(sa, keys, last, rounds, out):
+        tables.update(r.table is not None for r in rounds)
+        descend(sa, keys, last, rounds, out)
+
+    monkeypatch.setattr(subshifts, "_lcp_descent", spy)
+    for name, text in _lcp_texts():
+        letters = sorted(set(text))
+        dense = text.translate({ord(c): i for i, c in enumerate(letters)})
+        sa, lcp = _suffix_array(dense, len(letters))
+        assert sa.dtype == lcp.dtype == np.int32
+        if len(text) <= 5000:
+            assert sa.tolist() == sorted(range(len(text)), key=lambda i: text[i:]), name
+        kasai = _predecessor_lcp(dense + chr(len(letters)), sa)
+        assert np.array_equal(lcp, kasai), name
+    # the descent ran rounds with and without a key table
+    assert tables == {True, False}
+
+
 def test_tail_filtered_factors_are_windows_of_a_late_tail():
     # the sets stabilize on iterates of 6,144 and 13,312 letters; a much
     # later iterate's tail half must hold exactly the same windows
@@ -365,6 +448,54 @@ def test_toeplitz_word_two_round_example():
     round2 = "".join(round2)
     assert "*" not in round2
     assert toeplitz_word("a*b", 8) == round2 == "aabaabab"
+
+
+def _toeplitz_word_by_loop(pattern: str, length: int, hole: str = "*") -> str:
+    """The left-to-right reference: the k-th hole sits at a position beyond
+    k, because the pattern starts with a letter, so its filler is already
+    written when the hole is reached."""
+    word: list[str] = []
+    filled = 0
+    for c in itertools.islice(itertools.cycle(pattern), length):
+        if c == hole:
+            c = word[filled]
+            filled += 1
+        word.append(c)
+    return "".join(word)
+
+
+def _level_starts(pattern: str, hole: str, limit: int) -> list[int]:
+    """The shortest length with one, two, three, ... levels of holes: the
+    next starts one past the hole that the previous start's letter fills."""
+    holes = [i for i, c in enumerate(pattern) if c == hole]
+    starts = [1]
+    while holes and starts[-1] <= limit:
+        j = starts[-1] - 1
+        starts.append(j // len(holes) * len(pattern) + holes[j % len(holes)] + 1)
+    return starts
+
+
+@pytest.mark.parametrize("pattern, hole", [
+    ("ab", "*"), ("aab", "*"),  # no hole
+    ("a*", "*"), ("ab*a", "*"),  # one hole
+    ("ab*b*", "*"), ("a*ab*a", "*"),
+    ("a**b*", "*"), ("é*€**", "*"), ("𝄞?b??", "?"),  # three holes, non-ASCII letters
+])
+def test_toeplitz_word_equals_the_left_to_right_loop(pattern, hole):
+    starts = _level_starts(pattern, hole, 100_000)
+    lengths = set(range(1, 60)) | {s + d for s in starts for d in (-1, 0, 1) if s + d >= 1}
+    for length in sorted(lengths):
+        assert toeplitz_word(pattern, length, hole) == _toeplitz_word_by_loop(
+            pattern, length, hole), length
+
+
+def test_toeplitz_word_refusals():
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        toeplitz_word("ab*", 0)
+    with pytest.raises(EmptyAlphabet, match="empty Toeplitz pattern"):
+        toeplitz_word("", 5)
+    with pytest.raises(ConditionViolated, match="Toeplitz condition 1 fails"):
+        toeplitz_word("*ab", 5)
 
 
 def test_toeplitz_word_prefix_stability():

@@ -8,17 +8,21 @@ shifts) identity is element identity and elements can key dictionaries
 directly.  Operations read a vector on longer words through the index maps
 of `LanguageTable.subwords`, never by slicing words.
 
-Composition follows the cocycle rule k_{gh}(x) = k_g(hx) + k_h(x), which
-for a constant g is h's vector plus that constant; inversion and the
-invertibility check both run the same preimage search: at depth l+K every
-admissible word must select exactly one shift j with the table sending the
-j-shifted subwindow to j.
+One kernel composes and reduces elements and rows alike.  Composition
+follows the cocycle rule k_{gh}(x) = k_g(hx) + k_h(x): `compose_plan`
+gives g's shift on every word's window moved by each offset k, memoized on
+g (for a constant g, that constant at h's own depth), and `compose_rows`
+applies the plan to a batch of h's shift rows as array gathers.
+`fold_rows` is one step of canonical reduction on a batch.  `compose` and
+`CocycleElement` call them on one row, `CayleyBall` on a whole layer.
+Inversion and the invertibility check both run the same preimage search:
+at depth l+K every admissible word must select exactly one shift j with
+the table sending the j-shifted subwindow to j.
 
 Word-metric balls are CayleyBall graphs: the elements in breadth-first
 order with their word lengths and depths, plus the index of every left
 product by a generator, which is all the exact chain in `walks` needs.
-A ball keeps each element as a row of shifts, composes a whole layer of
-rows at once with the same rule, as array gathers, and builds a
+A ball keeps each element as a row of shifts and builds a
 `CocycleElement` only when `element(i)` asks for one.
 `increment_table` holds every generator's shift along a point's orbit,
 the one orbit move that the walk sampler and the Schreier ball read.
@@ -26,7 +30,7 @@ the one orbit move that the walk sampler and the Schreier ball read.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -50,14 +54,15 @@ class CocycleElement:
     `shifts[i]` is the shift on the cylinder of the i-th word of
     `spec.language.words(2 * depth + 1)`."""
 
-    __slots__ = ("spec", "depth", "shifts", "max_shift", "_hash", "_inverse")
+    __slots__ = ("spec", "depth", "shifts", "max_shift", "_hash", "_inverse", "_plans")
 
-    def __init__(self, spec: SubshiftSpec, depth: int, shifts: tuple[int, ...]):
+    def __init__(self, spec: SubshiftSpec, depth: int, shifts: tuple[int, ...] | np.ndarray):
         self.spec = spec
         self.depth, self.shifts = _reduce_depth(spec, depth, shifts)
         self.max_shift = max(map(abs, self.shifts), default=0)
         self._hash = hash((self.depth, self.shifts))
         self._inverse = None
+        self._plans: dict[tuple[int, int], tuple] = {}  # compose_plan's, keyed (depth, reach)
 
     def _words(self) -> dict[str, int]:
         return self.spec.language.words(2 * self.depth + 1)
@@ -103,22 +108,68 @@ def _incomplete(count: int, length: int) -> IncompleteTable:
                            f"of length {length}")
 
 
-def _reduce_depth(spec: SubshiftSpec, depth: int, shifts: tuple[int, ...]):
-    """Merge sibling cylinders outermost-first until the table stops
-    factoring through the shorter central word."""
-    oracle = spec.language
-    count = len(oracle.words(2 * depth + 1))
+def _reduce_depth(spec: SubshiftSpec, depth: int, shifts: tuple[int, ...] | np.ndarray):
+    """Fold a shift vector as a one-row batch, outermost level first, until
+    it stops factoring through the shorter central words."""
+    count = len(spec.language.words(2 * depth + 1))
     if len(shifts) != count:
         raise _incomplete(count, 2 * depth + 1)
+    row = np.asarray(shifts)[None]
     while depth > 0:
-        # reduce only if every shorter word is a centre and all the words
-        # around one centre share its shift
-        plan = oracle.siblings(2 * depth + 1)
-        if plan is None or plan.left(shifts) != plan.right(shifts):
+        fold, row_on_centres = fold_rows(spec, depth, row)
+        if not fold[0]:
             break
-        shifts = plan.pick(shifts)
-        depth -= 1
-    return depth, shifts
+        row, depth = row_on_centres, depth - 1
+    return depth, tuple(row[0].tolist())
+
+
+def fold_rows(spec: SubshiftSpec, depth: int, rows: np.ndarray):
+    """Which shift rows over the (2*depth+1)-words factor through their
+    (2*depth-1)-centres, and those rows read on the centres: none at depth
+    0, or when some shorter word is no centre."""
+    plan = spec.language.siblings(2 * depth + 1) if depth > 0 else None
+    if plan is None:
+        return np.zeros(len(rows), dtype=bool), rows[:0]
+    fold = (rows.take(plan.left, axis=1) == rows.take(plan.right, axis=1)).all(axis=1)
+    return fold, rows.compress(fold, axis=0).take(plan.pick, axis=1)
+
+
+def compose_plan(s: CocycleElement, depth: int, reach: int) -> tuple:
+    """How s composes on the left with rows of table depth `depth` and
+    largest shift `reach`, memoized on s: the product depth d, the column
+    `read` of a row that holds its shift k on each (2d+1)-word, and s's
+    shift on each word's window moved by each k, flat and word-major at s's
+    narrowest integer type, with `base` each word's entry for k = 0."""
+    plan = s._plans.get((depth, reach))
+    if plan is None:
+        oracle = s.spec.language
+        dtype = _row_dtype(s.max_shift)
+        if len(set(s.shifts)) == 1:
+            # a constant shift c moves every point by c: k_{sh} = c + k_h, at h's depth
+            d = depth
+            read = np.arange(len(oracle.words(2 * depth + 1)), dtype=np.intp)
+            table = np.full((len(read), 2 * reach + 1), s.shifts[0], dtype=dtype)
+        else:
+            d = max(depth, s.depth + reach)
+            n = 2 * d + 1
+            read = np.array(oracle.subwords(n, d - depth, 2 * depth + 1), dtype=np.intp)
+            shifts = np.array(s.shifts, dtype=dtype)
+            # after h moves x by k, s reads the window that starts k places further right
+            table = np.stack([
+                shifts[np.array(oracle.subwords(n, d - s.depth + k, 2 * s.depth + 1))]
+                for k in range(-reach, reach + 1)
+            ], axis=1)
+        base = np.arange(len(read), dtype=np.intp) * (2 * reach + 1) + reach
+        plan = s._plans[(depth, reach)] = (d, read, base, table.ravel())
+    return plan
+
+
+def compose_rows(plan: tuple, rows: np.ndarray) -> np.ndarray:
+    """The products s.h of `plan = compose_plan(s, ...)` for the rows h: on
+    word w, with k = h[read[w]], s's table at base[w] + k, plus k."""
+    _, read, base, table = plan
+    k = rows.take(read, axis=1)
+    return table.take(k.astype(np.intp) + base) + k
 
 
 def identity(spec: SubshiftSpec) -> CocycleElement:
@@ -154,6 +205,10 @@ def from_table(spec: SubshiftSpec, depth: int, table: dict[str, int]) -> Cocycle
     words = spec.language.words(2 * depth + 1)
     if table.keys() != words.keys():
         raise _incomplete(len(words), 2 * depth + 1)
+    # the inverse reads windows of at least 2 * max_shift + 1 letters: asking
+    # for them first refuses, past the language's caps, a shift too large
+    # for any integer row
+    spec.language.words(2 * max(map(abs, table.values()), default=0) + 1)
     g = CocycleElement(spec, depth, tuple(map(table.__getitem__, words)))
     g_inv = inverse(g)
     ident = identity(spec)
@@ -178,22 +233,12 @@ def inverse(g: CocycleElement) -> CocycleElement:
 
 
 def compose(g: CocycleElement, h: CocycleElement) -> CocycleElement:
-    """The element g.h (h acts first)."""
+    """The element g.h (h acts first): h's shifts as a one-row batch
+    through g's compose plan."""
     if g.spec != h.spec:
         raise SpecMismatch("cannot compose elements over different subshifts")
-    if len(set(g.shifts)) == 1:
-        # a constant shift c moves every point by c: k_{gh}(x) = c + k_h(x)
-        c = g.shifts[0]
-        return CocycleElement(g.spec, h.depth, tuple(k + c for k in h.shifts))
-    d = max(h.depth, g.depth + h.max_shift)
-    n = 2 * d + 1
-    oracle = g.spec.language
-    kh = tuple(map(h.shifts.__getitem__, oracle.subwords(n, d - h.depth, 2 * h.depth + 1)))
-    # after h moves x by k, g reads the window that starts k places further right
-    g_reads = {k: oracle.subwords(n, d - g.depth + k, 2 * g.depth + 1) for k in set(kh)}
-    g_shifts = g.shifts
-    out = tuple(g_shifts[g_reads[k][i]] + k for i, k in enumerate(kh))
-    return CocycleElement(g.spec, d, out)
+    plan = compose_plan(g, h.depth, h.max_shift)
+    return CocycleElement(g.spec, plan[0], compose_rows(plan, np.array(h.shifts, ndmin=2))[0])
 
 
 def evaluate(g: CocycleElement, point: Point, position: int = 0) -> int:
@@ -353,9 +398,11 @@ class CayleyBall:
     table depth, of the narrowest integer type that holds radius times the
     generators' largest shift, read by `shift_rows`.  `element(i)` builds
     one `CocycleElement` from its row.  `grow` composes a whole layer at
-    once.  An edge back to the layer before is read off the forward edge
-    of the inverse generator, when the set holds one, so only the other
-    edges are composed; `composed_cells` counts the (element, generator)
+    once with the kernels of `compose`: each group of rows of one depth and
+    largest shift goes through each generator's `compose_plan` and
+    `compose_rows`, and `fold_rows` reduces the products.  An edge back to
+    the layer before is read off the forward edge of the inverse generator,
+    when the set holds one, so only the other edges are composed; `composed_cells` counts the (element, generator)
     cells composed so far.  Products are deduplicated depth by depth, deepest
     first, against the last two layers when the set is inverse-closed, and
     against the whole ball when it is not.
@@ -372,7 +419,6 @@ class CayleyBall:
         self._atoms = [s for _, s in gens.elements]
         self._rows = {0: np.zeros((1, len(gens.spec.language.words(1))), dtype=np.int8)}
         self._slots = np.zeros(1, dtype=np.int64)  # element i is _rows[depths[i]][_slots[i]]
-        self._steps: dict[tuple[int, int, int], tuple] = {}
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -395,7 +441,7 @@ class CayleyBall:
     def element(self, i: int) -> CocycleElement:
         """Element i, built from its shift row."""
         depth = int(self.depths[i])
-        return CocycleElement(self.gens.spec, depth, tuple(self.shift_rows(depth, i).tolist()))
+        return CocycleElement(self.gens.spec, depth, self.shift_rows(depth, i))
 
     def grow(self, radius: int) -> None:
         """Continue the breadth-first search out to `radius`.  A layer that
@@ -415,32 +461,8 @@ class CayleyBall:
         while self.radius < radius:
             self._grow_layer(back, closed=bool((back >= 0).all()))
 
-    def _step(self, depth: int, reach: int, a: int) -> tuple:
-        """How generator a composes with elements of this depth and largest
-        shift: the product depth d, the positions on the (2d+1)-words that
-        read the element's shift k, and a word-major table of a's shift on
-        every word's window moved by each k in [-reach, reach]."""
-        key = (depth, reach, a)
-        got = self._steps.get(key)
-        if got is None:
-            s, oracle = self._atoms[a], self.gens.spec.language
-            d = max(depth, s.depth + reach)
-            n = 2 * d + 1
-            shifts = np.array(s.shifts, dtype=self._rows[0].dtype)
-            table = np.stack([
-                shifts[np.array(oracle.subwords(n, d - s.depth + k, 2 * s.depth + 1))]
-                for k in range(-reach, reach + 1)
-            ], axis=1)
-            # the product's shift on word w is table[w, k + reach] + k
-            base = np.arange(len(table), dtype=np.intp) * (2 * reach + 1) + reach
-            got = self._steps[key] = (
-                d, np.array(oracle.subwords(n, d - depth, 2 * depth + 1), dtype=np.intp),
-                base, table.ravel(),
-            )
-        return got
-
     def _grow_layer(self, back: np.ndarray, closed: bool) -> None:
-        oracle = self.gens.spec.language
+        spec = self.gens.spec
         first, size, width = len(self.neighbors), len(self.lengths), len(self._atoms)
         rows = np.full((size - first, width), -1, dtype=np.int32)
         # kept: bytes of the ball's arrays and of what this layer keeps.  A step
@@ -478,18 +500,13 @@ class CayleyBall:
                     composed += len(cells)
                     if not len(cells):
                         continue
-                    if len(set(s.shifts)) == 1:
-                        # a constant shift c moves every point by c: k_{sh} = c + k_h,
-                        # as canonical as h
-                        built[depth].append((h + s.shifts[0], cells))
-                        kept += h.nbytes + cells.nbytes
-                        continue
-                    d, read, base, table = self._step(depth, m, a)
-                    k = h[:, read]
-                    # the gather's two intp indices, then its product, of k's shape
-                    afford(k.size * (2 * k.itemsize + 16))
-                    built[d].append((table[k.astype(np.intp) + base] + k, cells))
-                    kept += k.nbytes + cells.nbytes
+                    plan = compose_plan(s, depth, m)
+                    # the gather, its two intp indices and its product, all of
+                    # the product's shape
+                    afford(len(h) * len(plan[1]) * (2 * h.itemsize + 16))
+                    product = compose_rows(plan, h)
+                    built[plan[0]].append((product, cells))
+                    kept += product.nbytes + cells.nbytes
 
         # one pass from the top depth down: reduce the products built at d,
         # then deduplicate what stays there, against layers r-1 and r when
@@ -507,13 +524,10 @@ class CayleyBall:
                 continue
             afford(sum(x.nbytes for part in parts for x in part))
             shifts, cells = (np.concatenate(x) for x in zip(*parts))
-            plan = oracle.siblings(2 * d + 1) if d > 0 else None
-            if plan is not None:
-                pick, left, right = plan.positions
-                fold = (shifts[:, left] == shifts[:, right]).all(axis=1)
-                if fold.any():
-                    built[d - 1].append((shifts[fold][:, pick], cells[fold]))
-                    shifts, cells = shifts[~fold], cells[~fold]
+            fold, on_centres = fold_rows(spec, d, shifts)
+            if fold.any():
+                built[d - 1].append((on_centres, cells[fold]))
+                shifts, cells = shifts[~fold], cells[~fold]
             by_cell = np.argsort(cells)
             shifts, cells = shifts[by_cell], cells[by_cell]
             known = floor + np.flatnonzero(self.depths[floor:] == d)
@@ -572,12 +586,17 @@ def ball(gens: GeneratorSet, radius: int, cap: int = DEFAULT_BALL_CAP) -> Cayley
 
 def element_from_dict(spec: SubshiftSpec, data: dict) -> CocycleElement:
     """Parse the {depth, entries: [{word, k}]} wire format; the depth and
-    every k must be JSON integers, and the depth nonnegative."""
+    every k must be JSON integers, the depth nonnegative, and no word given
+    twice."""
     try:
         depth = data["depth"]
-        table = {e["word"]: e["k"] for e in data["entries"]}
+        entries = [(e["word"], e["k"]) for e in data["entries"]]
+        table = dict(entries)
     except (KeyError, TypeError) as exc:
         raise IncompleteTable(f"malformed element document: {exc}") from exc
+    if len(table) < len(entries):
+        word = next(w for w, n in Counter(w for w, _ in entries).items() if n > 1)
+        raise IncompleteTable(f"malformed element document: word {word!r} is given twice")
     for name, value in (("depth", depth), *(("k", k) for k in table.values())):
         if type(value) is not int:  # neither a bool nor a float is a JSON integer
             raise IncompleteTable(

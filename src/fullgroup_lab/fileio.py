@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -44,10 +45,20 @@ def write_json(path: Path, doc: Any) -> None:
     path.write_text(dumps_json(doc), encoding="utf-8")
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """One JSON object as a dict, refusing a key given twice: `json` keeps
+    only the last, which would drop, say, a generator without an error."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValidationError(f"key {key!r} is given twice in one object")
+    return doc
+
+
 def load_json(path: Path) -> Any:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except (OSError, json.JSONDecodeError, ValidationError) as exc:
         raise ValidationError(f"cannot read JSON document {path}: {exc}") from exc
 
 

@@ -33,7 +33,6 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from operator import itemgetter
 from typing import Callable, Iterator, KeysView, Mapping, NamedTuple
 
 import numpy as np
@@ -779,23 +778,14 @@ def _spell_paths(graph: dict[str, tuple[str, ...]], n: int, cap: int) -> frozens
 # Language tables
 
 
-def _gather(positions: list[int]) -> Callable[[tuple], tuple]:
-    """Read `positions` of a tuple as a tuple, in one C call when it can."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    return lambda v: tuple(v[i] for i in positions)
-
-
 class _SiblingPlan(NamedTuple):
-    """How a vector over the n-words factors through their (n-2)-centres:
-    it does iff left(v) == right(v), and then its vector over the centres
-    is pick(v).  `positions` holds the same three reads as index arrays,
-    for the columns of a batch of vectors."""
+    """How rows over the n-words factor through their (n-2)-centres, as
+    column indices: a row does iff its `left` and `right` columns agree,
+    and then its row over the centres is its `pick` columns."""
 
-    pick: Callable[[tuple], tuple]
-    left: Callable[[tuple], tuple]
-    right: Callable[[tuple], tuple]
-    positions: tuple[np.ndarray, np.ndarray, np.ndarray]
+    pick: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
 
 
 class LanguageTable:
@@ -812,10 +802,11 @@ class LanguageTable:
 
     The word geometry of cocycle tables lives here too.  `subwords(n, lo, width)` gives, for each of those
     words, the position in `words(width)` of its subword starting at `lo`.
-    `siblings(n)` is the plan that canonical reduction reads: for each
-    (n-2)-word, the position of the first n-word around it as centre, and
-    the pairs of positions that must carry equal shifts for a table to
-    factor through the centre; None when some (n-2)-word is no centre.
+    `siblings(n)` is the plan that canonical reduction reads, as three index
+    arrays: for each (n-2)-word, the position of the first n-word around it
+    as centre, and the pairs of positions that must carry equal shifts for
+    a table to factor through the centre; None when some (n-2)-word is no
+    centre.
     All three are memoized like `words`, one entry per key.  Inserts
     are synchronized, while a hit reads without the lock: entries are only
     ever added, and whole.  All queries are pure functions of the spec.
@@ -876,8 +867,7 @@ class LanguageTable:
                 pairs = [(i, first[c]) for i, c in enumerate(centre) if first[c] != i]
                 reads = ([first[c] for c in range(len(first))],
                          [i for i, _ in pairs], [j for _, j in pairs])
-                plan = _SiblingPlan(*map(_gather, reads),
-                                    tuple(np.array(r, dtype=np.intp) for r in reads))
+                plan = _SiblingPlan(*(np.array(r, dtype=np.intp) for r in reads))
             self._siblings[n] = plan
         return plan
 

@@ -537,6 +537,47 @@ def test_entropy_rejects_a_bad_depth_scale_or_cap(workdir, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", [FIB, {"variant": "full_shift", "alphabet": ["a", "b"]}],
+                         ids=["fibonacci", "full-shift"])
+@pytest.mark.parametrize("k", [2**63, -2**63, 10**30, -10**30])
+@pytest.mark.parametrize("depth", [0, 1])
+def test_shifts_past_int64_exit_3_before_any_output(tmp_path, capsys, spec, k, depth):
+    # inverting a shift k reads windows of 2k + 1 letters, past every cap
+    write_json(tmp_path / "spec.json", spec)
+    words = sorted(load_spec(tmp_path / "spec.json").language.factors(2 * depth + 1))
+    write_json(tmp_path / "gens.json", {"spec": "spec.json", "generators": {
+        "tau": {"depth": depth, "entries": [{"word": w, "k": k} for w in words]}}})
+    out = tmp_path / "x"
+    assert run(["walk", "--spec", tmp_path / "spec.json", "--gens", tmp_path / "gens.json",
+                "--n", 4, "--trials", 4, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_repeated_names_in_a_generator_document_exit_2(workdir, capsys, fib_gens):
+    # if the last of two equal names won, both documents would load: one
+    # gives gamma's first word twice, the second time with its own shift, and
+    # the other gives "alpha" twice, the second time with beta's table
+    docs = {name: g.to_dict() for name, g in fib_gens}
+    word = docs["gamma"]["entries"][0]["word"]
+    docs["gamma"]["entries"].insert(0, {"word": word, "k": 5})
+    write_json(workdir / "word.json", {"spec": "fib.json", "generators": docs})
+    alpha, beta, gamma = (json.dumps(fib_gens[name].to_dict())
+                          for name in ("alpha", "beta", "gamma"))
+    (workdir / "name.json").write_text('{"spec": "fib.json", "generators": {'
+                                       f'"alpha": {alpha}, "alpha": {beta}, "gamma": {gamma}}}}}')
+    for gens, message in (("word.json", f"word {word!r} is given twice"),
+                          ("name.json", "key 'alpha' is given twice")):
+        out = workdir / "x"
+        assert run(["walk", "--spec", workdir / "fib.json", "--gens", workdir / gens,
+                    "--n", 4, "--trials", 4, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("field, value", [("k", "x"), ("depth", -1), ("k", 1.5), ("k", True)])
 def test_malformed_element_documents_are_validation_errors(workdir, capsys, fib_gens,
                                                            field, value):

@@ -612,6 +612,19 @@ def test_toeplitz_swaps_match_the_dict_oracle():
     _assert_matches_dict_oracle([g, h, compose(g, h), compose(h, compose(g, h))])
 
 
+@pytest.mark.parametrize("name", sorted(_oracle_generator_sets()))
+def test_ball_left_products_match_the_dict_oracle(name):
+    # compose shares the ball's kernels, so the ball's rows are checked
+    # against the string oracle.  It has no constant rule and builds
+    # tau^j . tau^k over all 2^(2k+1) words, so the constant pairs stop early
+    gens, radius = _oracle_generator_sets()[name]
+    b = ball(gens, {"tau-pair": 7, "tau5-pair-and-identity": 2}.get(name, radius))
+    elements = _elements(b)
+    for i, row in enumerate(b.neighbors.tolist()):
+        for (_, s), j in zip(gens, row):
+            assert elements[j].to_dict() == _dict_compose(s, elements[i])
+
+
 def test_element_documents_round_trip_over_a_ball(fib_spec, fib_gens):
     for g in _elements(ball(fib_gens, 4)):
         assert element_from_dict(fib_spec, g.to_dict()) == g

@@ -799,10 +799,9 @@ def test_lengths_within_the_text_budget_are_unchanged():
 
 
 def _plan_reads(table, n):
-    """What the sibling plan of the n-words reads off the vector 0, 1, 2, ..."""
+    """The sibling plan of the n-words: its pick, left and right columns."""
     plan = table.siblings(n)
-    v = tuple(range(len(table.words(n))))
-    return None if plan is None else (plan.pick(v), plan.left(v), plan.right(v))
+    return None if plan is None else tuple(tuple(r.tolist()) for r in plan)
 
 
 def test_language_table_concurrent_queries():

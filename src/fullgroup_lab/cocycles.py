@@ -10,9 +10,10 @@ of `LanguageTable.subwords`, never by slicing words.
 
 One kernel composes and reduces elements and rows alike.  Composition
 follows the cocycle rule k_{gh}(x) = k_g(hx) + k_h(x): `compose_plan`
-gives g's shift on every word's window moved by each offset k, memoized on
-g (for a constant g, that constant at h's own depth), and `compose_rows`
-applies the plan to a batch of h's shift rows as array gathers.
+gives g's shift on every word's window moved by each shift k that h may
+take, memoized on g (for a constant g, that constant at h's own depth),
+and `compose_rows` applies the plan to a batch of h's shift rows as array
+gathers.
 `fold_rows` is one step of canonical reduction on a batch.  `compose` and
 `CocycleElement` call them on one row, `CayleyBall` on a whole layer.
 Inversion and the invertibility check both run the same preimage search:
@@ -30,9 +31,10 @@ the one orbit move that the walk sampler and the Schreier ball read.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .errors import (
     NotInvertible,
     ResourceLimit,
     SpecMismatch,
+    unique_dict,
 )
 from .points import Point
 from .subshifts import SubshiftSpec, SubstitutionSpec
@@ -62,7 +65,7 @@ class CocycleElement:
         self.max_shift = max(map(abs, self.shifts), default=0)
         self._hash = hash((self.depth, self.shifts))
         self._inverse = None
-        self._plans: dict[tuple[int, int], tuple] = {}  # compose_plan's, keyed (depth, reach)
+        self._plans: dict[tuple, _ComposePlan] = {}  # compose_plan's, keyed (depth, offsets)
 
     def _words(self) -> dict[str, int]:
         return self.spec.language.words(2 * self.depth + 1)
@@ -134,42 +137,62 @@ def fold_rows(spec: SubshiftSpec, depth: int, rows: np.ndarray):
     return fold, rows.compress(fold, axis=0).take(plan.pick, axis=1)
 
 
-def compose_plan(s: CocycleElement, depth: int, reach: int) -> tuple:
-    """How s composes on the left with rows of table depth `depth` and
-    largest shift `reach`, memoized on s: the product depth d, the column
-    `read` of a row that holds its shift k on each (2d+1)-word, and s's
-    shift on each word's window moved by each k, flat and word-major at s's
-    narrowest integer type, with `base` each word's entry for k = 0."""
-    plan = s._plans.get((depth, reach))
+class _ComposePlan(NamedTuple):
+    """How s composes on the left with rows of one table depth whose
+    shifts all lie in `offsets`: the product depth, the column `read` of a
+    row that holds its shift k on each (2*depth+1)-word, and s's shift on
+    word w's window moved by k at `table[base[w] + column[k - lo]]`, where
+    lo is the least offset and column[k - lo] is k's place in `offsets`:
+    just k - lo, with no `column`, when the offsets are a whole range."""
+
+    depth: int
+    read: np.ndarray
+    lo: int
+    column: np.ndarray | None
+    base: np.ndarray
+    table: np.ndarray
+
+
+def compose_plan(s: CocycleElement, depth: int, offsets: tuple[int, ...]) -> _ComposePlan:
+    """The plan of s on rows of table depth `depth` whose shifts lie in
+    `offsets` (sorted, distinct), memoized on s.  Its table holds s's
+    shifts at their narrowest integer type, word-major, one window read per
+    offset; for a constant s, that constant once per offset, at h's depth."""
+    plan = s._plans.get((depth, offsets))
     if plan is None:
         oracle = s.spec.language
-        dtype = _row_dtype(s.max_shift)
+        shifts = np.array(s.shifts, dtype=_row_dtype(s.max_shift))
         if len(set(s.shifts)) == 1:
             # a constant shift c moves every point by c: k_{sh} = c + k_h, at h's depth
-            d = depth
+            d, table = depth, np.full(len(offsets), s.shifts[0], dtype=shifts.dtype)
             read = np.arange(len(oracle.words(2 * depth + 1)), dtype=np.intp)
-            table = np.full((len(read), 2 * reach + 1), s.shifts[0], dtype=dtype)
+            base = np.zeros(len(read), dtype=np.intp)
         else:
-            d = max(depth, s.depth + reach)
+            d = max(depth, s.depth + max(-offsets[0], offsets[-1]))
             n = 2 * d + 1
             read = np.array(oracle.subwords(n, d - depth, 2 * depth + 1), dtype=np.intp)
-            shifts = np.array(s.shifts, dtype=dtype)
             # after h moves x by k, s reads the window that starts k places further right
             table = np.stack([
                 shifts[np.array(oracle.subwords(n, d - s.depth + k, 2 * s.depth + 1))]
-                for k in range(-reach, reach + 1)
-            ], axis=1)
-        base = np.arange(len(read), dtype=np.intp) * (2 * reach + 1) + reach
-        plan = s._plans[(depth, reach)] = (d, read, base, table.ravel())
+                for k in offsets
+            ], axis=1).ravel()
+            base = np.arange(len(read), dtype=np.intp) * len(offsets)
+        lo, column = offsets[0], None
+        if offsets[-1] - lo >= len(offsets):
+            column = np.zeros(offsets[-1] - lo + 1, dtype=np.intp)
+            column[np.subtract(offsets, lo)] = np.arange(len(offsets))
+        plan = s._plans[(depth, offsets)] = _ComposePlan(d, read, lo, column, base, table)
     return plan
 
 
-def compose_rows(plan: tuple, rows: np.ndarray) -> np.ndarray:
+def compose_rows(plan: _ComposePlan, rows: np.ndarray) -> np.ndarray:
     """The products s.h of `plan = compose_plan(s, ...)` for the rows h: on
-    word w, with k = h[read[w]], s's table at base[w] + k, plus k."""
-    _, read, base, table = plan
-    k = rows.take(read, axis=1)
-    return table.take(k.astype(np.intp) + base) + k
+    word w, with k = h[read[w]], s's shift on w's window moved by k, plus k."""
+    k = rows.take(plan.read, axis=1)
+    place = np.subtract(k, plan.lo, dtype=np.intp)
+    if plan.column is not None:
+        place = plan.column.take(place)
+    return plan.table.take(place + plan.base) + k
 
 
 def identity(spec: SubshiftSpec) -> CocycleElement:
@@ -234,11 +257,11 @@ def inverse(g: CocycleElement) -> CocycleElement:
 
 def compose(g: CocycleElement, h: CocycleElement) -> CocycleElement:
     """The element g.h (h acts first): h's shifts as a one-row batch
-    through g's compose plan."""
+    through g's compose plan for the shifts that h takes."""
     if g.spec != h.spec:
         raise SpecMismatch("cannot compose elements over different subshifts")
-    plan = compose_plan(g, h.depth, h.max_shift)
-    return CocycleElement(g.spec, plan[0], compose_rows(plan, np.array(h.shifts, ndmin=2))[0])
+    plan = compose_plan(g, h.depth, tuple(sorted(set(h.shifts))))
+    return CocycleElement(g.spec, plan.depth, compose_rows(plan, np.array(h.shifts, ndmin=2))[0])
 
 
 def evaluate(g: CocycleElement, point: Point, position: int = 0) -> int:
@@ -399,8 +422,8 @@ class CayleyBall:
     generators' largest shift, read by `shift_rows`.  `element(i)` builds
     one `CocycleElement` from its row.  `grow` composes a whole layer at
     once with the kernels of `compose`: each group of rows of one depth and
-    largest shift goes through each generator's `compose_plan` and
-    `compose_rows`, and `fold_rows` reduces the products.  An edge back to
+    largest shift m goes through each generator's `compose_plan` for the
+    offsets -m..m and `compose_rows`, and `fold_rows` reduces the products.  An edge back to
     the layer before is read off the forward edge of the inverse generator,
     when the set holds one, so only the other edges are composed; `composed_cells` counts the (element, generator)
     cells composed so far.  Products are deduplicated depth by depth, deepest
@@ -493,6 +516,7 @@ class CayleyBall:
             for m in np.flatnonzero(np.bincount(reach)).tolist():
                 group = reach == m
                 members, shifts = at[group], layer_rows[group]
+                offsets = tuple(range(-m, m + 1))
                 for a, s in enumerate(self._atoms):
                     todo = rows[members, a] < 0
                     h = shifts[todo]
@@ -500,12 +524,12 @@ class CayleyBall:
                     composed += len(cells)
                     if not len(cells):
                         continue
-                    plan = compose_plan(s, depth, m)
+                    plan = compose_plan(s, depth, offsets)
                     # the gather, its two intp indices and its product, all of
                     # the product's shape
-                    afford(len(h) * len(plan[1]) * (2 * h.itemsize + 16))
+                    afford(len(h) * len(plan.read) * (2 * h.itemsize + 16))
                     product = compose_rows(plan, h)
-                    built[plan[0]].append((product, cells))
+                    built[plan.depth].append((product, cells))
                     kept += product.nbytes + cells.nbytes
 
         # one pass from the top depth down: reduce the products built at d,
@@ -590,13 +614,10 @@ def element_from_dict(spec: SubshiftSpec, data: dict) -> CocycleElement:
     twice."""
     try:
         depth = data["depth"]
-        entries = [(e["word"], e["k"]) for e in data["entries"]]
-        table = dict(entries)
+        table = unique_dict(((e["word"], e["k"]) for e in data["entries"]),
+                            IncompleteTable, "malformed element document: word")
     except (KeyError, TypeError) as exc:
         raise IncompleteTable(f"malformed element document: {exc}") from exc
-    if len(table) < len(entries):
-        word = next(w for w, n in Counter(w for w, _ in entries).items() if n > 1)
-        raise IncompleteTable(f"malformed element document: word {word!r} is given twice")
     for name, value in (("depth", depth), *(("k", k) for k in table.values())):
         if type(value) is not int:  # neither a bool nor a float is a JSON integer
             raise IncompleteTable(

@@ -68,3 +68,14 @@ class InternalInvariantError(FullgroupLabError):
 
 class SaturationFailure(ResourceLimit):
     """Factor enumeration could not certify completeness within budget."""
+
+
+def unique_dict(pairs, error: type[ValidationError], what: str) -> dict:
+    """The (key, value) pairs as a dict, raising `error` on a key given
+    twice, where `dict` would keep the last value without a word."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise error(f"{what} {key!r} is given twice")
+        out[key] = value
+    return out

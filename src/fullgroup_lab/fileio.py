@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-from collections import Counter
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .cocycles import GeneratorSet, element_from_dict, fibonacci_generators
-from .errors import ResourceLimit, ValidationError
+from .errors import ResourceLimit, ValidationError, unique_dict
 from .points import (
     ExplicitPoint,
     MechanicalPoint,
@@ -45,19 +44,13 @@ def write_json(path: Path, doc: Any) -> None:
     path.write_text(dumps_json(doc), encoding="utf-8")
 
 
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    """One JSON object as a dict, refusing a key given twice: `json` keeps
-    only the last, which would drop, say, a generator without an error."""
-    doc = dict(pairs)
-    if len(doc) < len(pairs):
-        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
-        raise ValidationError(f"key {key!r} is given twice in one object")
-    return doc
-
-
 def load_json(path: Path) -> Any:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        # a key given twice in one object is refused: a repeated generator
+        # name would otherwise drop a generator without an error
+        return json.loads(Path(path).read_text(encoding="utf-8"),
+                          object_pairs_hook=partial(unique_dict, error=ValidationError,
+                                                    what="key"))
     except (OSError, json.JSONDecodeError, ValidationError) as exc:
         raise ValidationError(f"cannot read JSON document {path}: {exc}") from exc
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import numpy as np
 import pytest
@@ -603,6 +604,26 @@ def test_compose_with_a_constant_left_factor():
         if k <= 6:
             assert product.to_dict() == _dict_compose(tau, power)
         power = product
+
+
+def test_compose_reads_only_the_shifts_the_right_factor_takes(fib_spec, abg):
+    # sigma^m . alpha shifts every point by m - 1, m or m + 1, so composing
+    # with it reads three windows a word, however large m is; a constant
+    # factor's plan holds its constant once per shift.  Fresh elements hold
+    # only the plans of these composes
+    m = 1000
+    alpha = CocycleElement(fib_spec, abg[0].depth, abg[0].shifts)
+    sigma = CocycleElement(fib_spec, 0, (m, m))
+    g = compose(sigma, alpha)
+    assert sorted(set(g.shifts)) == [m - 1, m, m + 1]
+    [plan] = sigma._plans.values()
+    assert plan.table.size == 3
+    start = time.perf_counter()
+    product = compose(alpha, g)
+    assert time.perf_counter() - start < 10
+    [plan] = alpha._plans.values()
+    assert plan.table.size == 3 * plan.read.size
+    assert product.to_dict() == _dict_compose(alpha, g)
 
 
 def test_toeplitz_swaps_match_the_dict_oracle():

@@ -16,9 +16,11 @@ and `compose_rows` applies the plan to a batch of h's shift rows as array
 gathers.
 `fold_rows` is one step of canonical reduction on a batch.  `compose` and
 `CocycleElement` call them on one row, `CayleyBall` on a whole layer.
-Inversion and the invertibility check both run the same preimage search:
+Inversion reads g's compose plan for the offsets -j, j among g's shifts:
 at depth l+K every admissible word must select exactly one shift j with
-the table sending the j-shifted subwindow to j.
+the table sending the (-j)-moved window to j, and a constant c inverts
+to -c with no search.  `from_table` accepts a table only if both
+products with its inverse are all-zero rows, reduced or not.
 
 Word-metric balls are CayleyBall graphs: the elements in breadth-first
 order with their word lengths and depths, plus the index of every left
@@ -200,26 +202,21 @@ def identity(spec: SubshiftSpec) -> CocycleElement:
     return CocycleElement(spec, 0, (0,) * len(spec.language.words(1)))
 
 
-def _preimage_table(spec: SubshiftSpec, depth: int, shifts: tuple[int, ...],
-                    max_shift: int) -> tuple[int, ...]:
-    """Inverse shift vector at depth depth+max_shift, or raise NotInvertible."""
-    oracle = spec.language
-    n = 2 * (depth + max_shift) + 1
-    # a read-back equals j only if j is one of the table's shifts
-    js = sorted(set(shifts))
-    # row i: the shift the table reads on word i's subwindow moved by each j
-    reads = zip(*(
-        map(shifts.__getitem__, oracle.subwords(n, max_shift - j, 2 * depth + 1))
-        for j in js
-    ))
-    inv = []
-    for v, read in zip(oracle.words(n), reads):
-        hits = [j for j, k in zip(js, read) if k == j]
-        if len(hits) != 1:
-            kind = "no preimage" if not hits else f"{len(hits)} preimages"
-            raise NotInvertible(f"configuration {v!r} has {kind}")
-        inv.append(-hits[0])
-    return tuple(inv)
+def _preimage_table(g: CocycleElement) -> tuple[int, np.ndarray]:
+    """The inverse's depth and shifts, or raise NotInvertible: g's compose
+    plan for the offsets -j, j among g's shifts, holds g's shift on each
+    word's window moved by -j, and the one column that reads j gives -j."""
+    offsets = np.array(sorted({-k for k in g.shifts}))
+    plan = compose_plan(g, 0, tuple(offsets.tolist()))
+    hits = plan.table.reshape(-1, len(offsets)) == -offsets
+    count = hits.sum(axis=1)
+    bad = count != 1
+    if bad.any():
+        i = bad.argmax()
+        word = list(g.spec.language.words(2 * plan.depth + 1))[i]
+        kind = "no preimage" if not count[i] else f"{count[i]} preimages"
+        raise NotInvertible(f"configuration {word!r} has {kind}")
+    return plan.depth, offsets[hits.argmax(axis=1)]
 
 
 def from_table(spec: SubshiftSpec, depth: int, table: dict[str, int]) -> CocycleElement:
@@ -234,9 +231,11 @@ def from_table(spec: SubshiftSpec, depth: int, table: dict[str, int]) -> Cocycle
     spec.language.words(2 * max(map(abs, table.values()), default=0) + 1)
     g = CocycleElement(spec, depth, tuple(map(table.__getitem__, words)))
     g_inv = inverse(g)
-    ident = identity(spec)
-    if compose(g, g_inv) != ident or compose(g_inv, g) != ident:
-        raise NotInvertible("preimage table is not a two-sided inverse")
+    # a product is the identity iff its unreduced row is all 0
+    for s, h in ((g, g_inv), (g_inv, g)):
+        plan = compose_plan(s, h.depth, tuple(sorted(set(h.shifts))))
+        if compose_rows(plan, np.array(h.shifts, ndmin=2)).any():
+            raise NotInvertible("preimage table is not a two-sided inverse")
     return g
 
 
@@ -244,12 +243,11 @@ def inverse(g: CocycleElement) -> CocycleElement:
     """Group inverse; shifts satisfy k_inv(y) = -k_g(g^{-1} y)."""
     if g._inverse is not None:
         return g._inverse
-    if g.max_shift == 0:
-        # only the identity has an all-zero table
-        inv = g
+    if len(set(g.shifts)) == 1:
+        # a constant shift c moves every point by c, and -c moves it back
+        inv = CocycleElement(g.spec, g.depth, tuple(-k for k in g.shifts))
     else:
-        inv_shifts = _preimage_table(g.spec, g.depth, g.shifts, g.max_shift)
-        inv = CocycleElement(g.spec, g.depth + g.max_shift, inv_shifts)
+        inv = CocycleElement(g.spec, *_preimage_table(g))
     g._inverse = inv
     inv._inverse = g
     return inv

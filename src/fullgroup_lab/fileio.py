@@ -99,7 +99,8 @@ def load_point_descriptor(spec_path: Path) -> Mapping | None:
 
 
 def parse_fraction(value) -> Fraction:
-    if isinstance(value, (str, int)):
+    # a JSON true or false is an int to isinstance, but no weight
+    if isinstance(value, (str, int)) and not isinstance(value, bool):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -95,19 +95,3 @@ def build_ball(point: Point, gens: GeneratorSet, radius: int) -> SchreierBall:
                 edges.append((v, name, w))
     return SchreierBall(point, radius, vertices, tuple(edges), k)
 
-
-def export_dot(ball: SchreierBall) -> str:
-    """DOT digraph with one arc per (vertex, generator)."""
-    lines = ["digraph schreier {"]
-    for v in ball.vertices:
-        lines.append(f'  "{v}";')
-    for src, label, dst in sorted(ball.edges):
-        lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def export_adjacency_csv(ball: SchreierBall) -> str:
-    rows = ["src,label,dst"]
-    rows.extend(f"{src},{label},{dst}" for src, label, dst in sorted(ball.edges))
-    return "\n".join(rows) + "\n"

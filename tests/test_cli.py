@@ -443,21 +443,27 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-@pytest.mark.parametrize("case", list(_BLOW_UP_INPUTS))
-def test_blow_up_inputs_exit_3_under_a_2_gib_address_space(workdir, case):
-    # a child process with 2 GiB of address space: a raw MemoryError there
-    # exits 1 with a traceback instead of a resource-limit line
-    spec, args = _BLOW_UP_INPUTS[case]
-    write_json(workdir / "fib.json", spec)
+def _run_under_2_gib(workdir, args):
+    """The CLI run `args` in a child process with 2 GiB of address space:
+    a raw MemoryError there exits 1 with a traceback."""
     package_root = Path(fullgroup_lab.__file__).resolve().parents[1]
     env = os.environ | {"OPENBLAS_NUM_THREADS": "1",
                         "PYTHONPATH": os.pathsep.join(filter(None, [
                             str(package_root), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "fullgroup_lab.cli", args[0], "--spec", "fib.json", *args[1:],
          "--out", "out"],
         cwd=workdir, env=env, capture_output=True, text=True, timeout=120,
         preexec_fn=_limit_address_space)
+
+
+@pytest.mark.parametrize("case", list(_BLOW_UP_INPUTS))
+def test_blow_up_inputs_exit_3_under_a_2_gib_address_space(workdir, case):
+    # a blow-up input exits 3 with a resource-limit line, not with a
+    # MemoryError traceback
+    spec, args = _BLOW_UP_INPUTS[case]
+    write_json(workdir / "fib.json", spec)
+    proc = _run_under_2_gib(workdir, args)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("resource limit: ")
     assert "Traceback" not in proc.stderr
@@ -466,6 +472,20 @@ def test_blow_up_inputs_exit_3_under_a_2_gib_address_space(workdir, case):
         assert fit["partial"] is True and fit["resource_limit"] in proc.stderr
     else:
         assert not (workdir / "out").exists()
+
+
+def test_constant_shifts_of_2000_walk_under_a_2_gib_address_space(workdir):
+    # a constant shift inverts to its negative with no preimage search, and
+    # the two-sided check reduces no product, so no level-by-level word
+    # table of up to 4,001 letters is built
+    table = {c: [{"word": w, "k": c} for w in "ab"] for c in (2000, -2000)}
+    write_json(workdir / "big.json", {"spec": "fib.json", "generators": {
+        "up": {"depth": 0, "entries": table[2000]},
+        "down": {"depth": 0, "entries": table[-2000]}}})
+    proc = _run_under_2_gib(workdir, ["walk", "--gens", "big.json", "--n", "4",
+                                      "--trials", "4"])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 _NO_MASKED_ARRAYS = """
@@ -613,6 +633,9 @@ def test_malformed_element_documents_are_validation_errors(workdir, capsys, fib_
     (FIB, {"spec": "fib.json", "generators": []}, "'generators'"),
     (FIB, GENS | {"weights": "abc"}, "'weights'"),
     (FIB, GENS | {"weights": {"alpha": "1/0", "beta": "1/3", "gamma": "1/3"}}, "weights"),
+    ({"variant": "full_shift", "alphabet": ["a", "b"]},
+     {"generators": {"t": {"depth": 0, "entries": [{"word": "a", "k": 0}, {"word": "b", "k": 0}]}},
+      "weights": {"t": True}}, "weights"),
     ({"variant": "full_shift", "alphabet": []}, GENS, "at least one letter"),
     ({"variant": "full_shift", "alphabet": ["a", "a"]}, GENS, "duplicate letters"),
     ({"variant": "full_shift", "alphabet": ["a", "bc"]}, GENS, "'bc'"),
@@ -624,7 +647,7 @@ def test_malformed_element_documents_are_validation_errors(workdir, capsys, fib_
         "rules-not-an-object", "periodic-no-word", "phase-not-an-integer", "explicit-no-right-period",
         "periodic-point-outside-the-subshift",
         "power-a-string", "power-zero", "generators-a-list", "weights-a-string",
-        "weight-over-zero", "full-shift-no-letter", "full-shift-duplicate-letter",
+        "weight-over-zero", "weight-a-boolean", "full-shift-no-letter", "full-shift-duplicate-letter",
         "full-shift-two-character-letter", "explicit-no-letter", "explicit-duplicate-letter",
         "explicit-two-character-letter"])
 def test_malformed_documents_exit_2_without_a_traceback(tmp_path, capsys, spec, gens, field):

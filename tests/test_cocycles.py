@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import time
 
@@ -89,6 +90,14 @@ def test_preimage_tries_only_the_shifts_the_table_takes():
         sigma_k = from_table(spec, 0, {"a": k, "b": k})
         assert inverse(sigma_k).table == {"a": -k, "b": -k}
     assert len(table._subwords) <= 4 * 40  # 1,719 when every shift in [-k, k] is tried
+
+
+def test_from_table_refuses_an_inverse_that_is_not_two_sided(fib_spec, abg, monkeypatch):
+    # the zero-row check stands apart from the preimage search: an inverse
+    # that does not undo g, here the identity, is refused
+    monkeypatch.setattr(cocycles, "_preimage_table", lambda g: (g.depth, (0,) * len(g.shifts)))
+    with pytest.raises(NotInvertible, match="preimage table is not a two-sided inverse"):
+        from_table(fib_spec, 2, abg[0].table)
 
 
 def test_from_table_requires_total_table(fib_spec):
@@ -626,6 +635,17 @@ def test_compose_reads_only_the_shifts_the_right_factor_takes(fib_spec, abg):
     assert product.to_dict() == _dict_compose(alpha, g)
 
 
+def test_from_table_loads_a_shift_of_1000_in_bounded_time(fib_spec, abg):
+    # the two-sided check tests the two product rows for zero, so it
+    # reduces no product level by level down to depth 0
+    m = 1000
+    alpha = CocycleElement(fib_spec, abg[0].depth, abg[0].shifts)
+    g = compose(CocycleElement(fib_spec, 0, (m, m)), alpha)
+    start = time.perf_counter()
+    assert from_table(fib_spec, g.depth, g.table) == g
+    assert time.perf_counter() - start < 10
+
+
 def test_toeplitz_swaps_match_the_dict_oracle():
     spec = ToeplitzSpec("ab*b*")
     g, h = _swap(spec, "ab"), _swap(spec, "ba")
@@ -649,6 +669,90 @@ def test_ball_left_products_match_the_dict_oracle(name):
 def test_element_documents_round_trip_over_a_ball(fib_spec, fib_gens):
     for g in _elements(ball(fib_gens, 4)):
         assert element_from_dict(fib_spec, g.to_dict()) == g
+
+
+# --- the tuple-loop preimage search as an oracle ------------------------------------
+#
+# Inversion as it was written before it read a compose plan: one loop over
+# the words of depth l + K, reading the table through one subword map per
+# shift the table takes.
+
+
+def _tuple_preimage_table(spec, depth, shifts, max_shift):
+    """Inverse shift vector at depth depth+max_shift, or raise NotInvertible."""
+    oracle = spec.language
+    n = 2 * (depth + max_shift) + 1
+    # a read-back equals j only if j is one of the table's shifts
+    js = sorted(set(shifts))
+    # row i: the shift the table reads on word i's subwindow moved by each j
+    reads = zip(*(
+        map(shifts.__getitem__, oracle.subwords(n, max_shift - j, 2 * depth + 1))
+        for j in js
+    ))
+    inv = []
+    for v, read in zip(oracle.words(n), reads):
+        hits = [j for j, k in zip(js, read) if k == j]
+        if len(hits) != 1:
+            kind = "no preimage" if not hits else f"{len(hits)} preimages"
+            raise NotInvertible(f"configuration {v!r} has {kind}")
+        inv.append(-hits[0])
+    return tuple(inv)
+
+
+def _outcome(search):
+    """search()'s depth and inverse vector, or its NotInvertible text."""
+    try:
+        depth, shifts = search()
+    except NotInvertible as exc:
+        return str(exc)
+    return depth, tuple(np.asarray(shifts).tolist())
+
+
+def _loop_outcome(g):
+    return _outcome(lambda: (g.depth + g.max_shift,
+                             _tuple_preimage_table(g.spec, g.depth, g.shifts, g.max_shift)))
+
+
+def _kernel_outcome(g):
+    """Only for a non-constant g: inverse takes a constant apart."""
+    return _outcome(lambda: cocycles._preimage_table(g))
+
+
+# radii that keep the tuple loop near 1 s over all sets: it reads tau^k
+# over all 2^(2k+1) full-shift words, constant or not
+_PREIMAGE_RADII = {"toeplitz-swaps": 11, "full-shift": 3, "alpha-sigma": 8, "sigma-43": 4,
+                   "sigma-inverse-square": 11, "tau-pair": 7, "tau5-pair-and-identity": 1}
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_generator_sets()))
+def test_inverses_match_the_tuple_preimage_search_on_a_ball(name):
+    # the kernel search on every non-constant element; inverse, with its
+    # constant rule, on every element
+    gens, _ = _oracle_generator_sets()[name]
+    for g in _elements(ball(gens, _PREIMAGE_RADII[name])):
+        loop = _loop_outcome(g)
+        if len(set(g.shifts)) > 1:
+            assert _kernel_outcome(g) == loop
+        assert inverse(g) == CocycleElement(g.spec, *loop)
+
+
+@pytest.mark.parametrize("spec, depth", [(FullShiftSpec(("a", "b")), 0),
+                                         (FullShiftSpec(("a", "b")), 1),
+                                         (fibonacci_spec(), 1)])
+def test_preimage_search_refuses_like_the_tuple_loop(spec, depth):
+    # every table of shifts in -1..1 at this depth: the kernel gives the
+    # tuple loop's inverse vector, or its exact message for the first word
+    # with no preimage or several
+    words = len(spec.language.words(2 * depth + 1))
+    kinds = set()
+    for shifts in itertools.product((-1, 0, 1), repeat=words):
+        g = CocycleElement(spec, depth, shifts)
+        if len(set(g.shifts)) > 1:
+            loop = _loop_outcome(g)
+            assert _kernel_outcome(g) == loop
+            if isinstance(loop, str):
+                kinds.add(loop.split(" has ")[-1])
+    assert {"no preimage", "2 preimages"} <= kinds
 
 
 # --- the dict-grouping reduction as an oracle ------------------------------------------

@@ -1,5 +1,3 @@
-import re
-
 import pytest
 
 from fullgroup_lab import (
@@ -9,17 +7,10 @@ from fullgroup_lab import (
     PeriodicPoint,
     build_ball,
     evaluate,
-    export_adjacency_csv,
-    export_dot,
     from_table,
     identity,
     inverse,
 )
-
-
-def parse_dot_edges(text):
-    pattern = re.compile(r'"(-?\d+)" -> "(-?\d+)" \[label="(\w+)"\]')
-    return sorted((int(a), label, int(b)) for a, b, label in pattern.findall(text))
 
 
 def test_radius_zero_single_vertex(fib_point, fib_gens):
@@ -65,29 +56,12 @@ def test_connectivity_within_radius(fib_point, fib_gens):
     assert seen == set(ball.vertices)
 
 
-def test_dot_round_trip(fib_point, fib_gens):
-    ball = build_ball(fib_point, fib_gens, 5)
-    text = export_dot(ball)
-    assert text.startswith("digraph")
-    assert parse_dot_edges(text) == sorted(ball.edges)
-
-
-def test_dot_empty_generator_set():
+def test_empty_generator_set_ball_is_one_vertex():
     fs = FullShiftSpec(("a", "b"))
     gens = GeneratorSet(fs, ())
     point = PeriodicPoint("ab")
     ball = build_ball(point, gens, 3)
     assert ball.vertices == (0,) and ball.edges == ()
-    text = export_dot(ball)
-    assert '"0";' in text and "->" not in text
-
-
-def test_adjacency_csv(fib_point, fib_gens):
-    ball = build_ball(fib_point, fib_gens, 3)
-    text = export_adjacency_csv(ball)
-    lines = text.strip().splitlines()
-    assert lines[0] == "src,label,dst"
-    assert len(lines) == len(ball.edges) + 1
 
 
 def test_periodic_point_collision():

@@ -10,13 +10,15 @@ Sturmian, substitution and Toeplitz languages are read off an expanding
 generated word, a Sturmian one by the standard-word recursion.  Each
 snapshot but a Toeplitz one is one substitution step from the one before,
 refused before it is built when its length, read off the letter counts,
-passes twice the text budget.  Each snapshot is indexed once by a
-prefix-doubling suffix array, and for every start position the longest
-common prefix with the suffix sorted just before it is read back from the
-doubling rounds' keys, a few numpy passes a round.  One histogram of those
-values yields the snapshot's count of distinct length-n windows for every n
-at once, and the windows starting where that LCP is below n are its
-length-n factors, one each.  A factor set is declared complete once it
+passes twice the text budget.  Each snapshot is indexed by a
+prefix-doubling suffix array whose rounds stop once their keys cover the
+longest length asked so far, and for every start position the longest
+common prefix with the suffix sorted just before it, exact below that
+depth, is read back from the doubling rounds' keys, a few numpy passes a
+round.  A longer query indexes the snapshot again, deeper.  One histogram
+of those values yields the snapshot's count of distinct length-n windows
+for every n up to the depth at once, and the windows starting where that
+LCP is below n are its length-n factors, one each.  A factor set is declared complete once it
 survives two consecutive doublings of the generated length (plus the
 Sturmian early exit where the complexity n + 1 is known).  That stop is a
 heuristic, not a certificate.  Full shifts use the closed form, and a shift
@@ -50,6 +52,8 @@ from .errors import (
 DEFAULT_MAX_TEXT = 1 << 23
 # Element budget for explicit factor-set enumeration.
 DEFAULT_MAX_FACTORS = 2_000_000
+# Letters one factor set read off a snapshot index may spell (256 MiB).
+MAX_FACTOR_LETTERS = 1 << 28
 
 
 def _check_letters(letters: tuple[str, ...]) -> None:
@@ -508,11 +512,12 @@ class _Round(NamedTuple):
         return (self.fields - 1 - (e - 1) // self.bits) * self.step
 
 
-def _suffix_array(dense: str, letter_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start positions of the suffixes of `dense` in sorted order, and for
-    each start position the length of the longest common prefix of its
-    suffix with the suffix sorted just before it, -1 for the first; both
-    int32.
+def _suffix_array(dense: str, letter_count: int,
+                  depth: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Start positions of the suffixes of `dense` in sorted order, for each
+    start position the length of the longest common prefix of its suffix
+    with the suffix sorted just before it, -1 for the first (both int32),
+    and the depth below which that LCP is exact.
 
     `dense` spells its text with the characters 0 .. letter_count - 1.
     Prefix doubling (Manber & Myers, SIAM J. Comput. 22, 1993), generalized:
@@ -520,8 +525,14 @@ def _suffix_array(dense: str, letter_count: int) -> tuple[np.ndarray, np.ndarray
     the ranks + 1 at i, i + k, i + 2k, ... into one 62-bit key, as many as
     fit, and sorts by it.  A block past the end packs as 0, below every
     rank, so a proper prefix sorts first.  The first round packs letters
-    (k = 1); rounds stop once every key is distinct, so the order is the
-    one suffix order and the LCP is exact.
+    (k = 1); rounds stop after the first whose key covers at least `depth`
+    letters, or once every key is distinct.  The suffixes are then sorted
+    by their first `covered` letters, where `covered` is the last key's
+    length: an LCP below it is exact, and a pair of equal keys reads
+    `covered`, at most its LCP.  With 2 letters the first round covers 31
+    letters and the second 186.  Once every key is distinct the order is
+    the one suffix order and every LCP is exact: the depth reported is then
+    the text length, so a `depth` of at least that is the exact index.
 
     A round holds its int64 keys, sorted in place, their int64 argsort and
     int32 ranks in key order: 20 bytes a letter.  For the LCP descent
@@ -559,10 +570,10 @@ def _suffix_array(dense: str, letter_count: int) -> tuple[np.ndarray, np.ndarray
         np.not_equal(key[1:], key[:-1], out=rank[1:])
         np.cumsum(rank, out=rank)
         groups = int(rank[-1])
-        if groups == size:
+        if groups == size or step * fields >= depth:
             sa = sa.astype(np.int32)
             _lcp_descent(sa, key, _Round(step, bits, fields, shifted, None), rounds, out=rank)
-            return sa, rank
+            return sa, rank, size if groups == size else step * fields
         ranks = np.zeros(size + 1, np.min_scalar_type(groups))
         ranks[sa] = rank
         del sa
@@ -580,26 +591,34 @@ def _suffix_array(dense: str, letter_count: int) -> tuple[np.ndarray, np.ndarray
 def _lcp_descent(sa: np.ndarray, last_keys: np.ndarray, last: _Round,
                  rounds: list[_Round], out: np.ndarray) -> None:
     """The LCP of each suffix with the one sorted just before it, indexed by
-    start position, -1 for the first suffix.
+    start position, -1 for the first suffix, capped at the `covered` letters
+    of the last round's key.
 
-    Two different suffixes a and b differ in the key of the last round
-    `last`, whose sorted keys are `last_keys`, and the leading fields their
-    two keys share are q * step equal letters.  So h = q * step, and the
-    suffixes at a + h and b + h differ within the next field: in the key of
-    the round before.  Descending round by round, each adds its q * step to
-    h, and the first round, one letter a field, leaves h the exact LCP.
-    Positions stay at most the text length, where every key is 0.  Each
-    round is a few numpy passes over a block of `_LCP_BLOCK` pairs,
+    Two suffixes a and b whose keys differ in the last round `last`, whose
+    sorted keys are `last_keys`, share the leading fields of those keys,
+    q * step equal letters.  So h = q * step, and the suffixes at a + h and
+    b + h differ within the next field: in the key of the round before.
+    Descending round by round, each adds its q * step to h, and the first
+    round, one letter a field, leaves h the exact LCP.  Positions stay at
+    most the text length, where every key is 0.  A pair whose last keys are
+    equal reads all the fields, h = covered: its LCP is at least that, so it
+    is capped there and not read in the rounds below.
+    Each round is a few numpy passes over a block of `_LCP_BLOCK` pairs,
     whatever the LCP lengths.
     """
     size = len(sa)
     out[sa[0]] = -1
     steps = [(round_, round_.advances()) for round_ in reversed(rounds)]
     last_advances = last.advances()
+    covered = last_advances[0]
     for lo in range(1, size, _LCP_BLOCK):
         hi = min(size, lo + _LCP_BLOCK)
         a, b = sa[lo - 1 : hi - 1], sa[lo:hi]
         h = last_advances[_bit_length(last_keys[lo - 1 : hi - 1] ^ last_keys[lo:hi])]
+        differ = np.flatnonzero(h < covered)
+        if len(differ) < len(h):
+            out[b] = h
+            a, b, h = a[differ], b[differ], h[differ]
         for round_, advances in steps:
             xor = round_.keys(a + h)
             xor ^= round_.keys(b + h)
@@ -617,40 +636,52 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
 
 
 class _FactorIndex:
-    """All factors of one snapshot region, read once.
+    """All factors of one snapshot region up to a depth, read once.
 
     `lcp[i]` is the longest common prefix of suffix i with the suffix
-    sorted just before it, from `_suffix_array`'s doubling rounds.  The
-    length-n windows that start where it is below n are the distinct
-    length-n factors of the region, one each.  Suffix i therefore adds one
-    factor to every n with lcp[i] < n <= len - i, and a difference-array
-    histogram of those ranges gives `counts[n]` for all n.  The index keeps
-    the text and two int32 arrays, 8 bytes a letter.
+    sorted just before it, from `_suffix_array`'s doubling rounds, exact
+    below the index's `depth` and at least `depth` where it reads that.
+    The length-n windows, n <= depth, that start where it is below n are
+    the distinct length-n factors of the region, one each.  Suffix i
+    therefore adds one factor to every n with lcp[i] < n <= len - i, and a
+    difference-array histogram of those ranges gives `counts[n]` for all
+    n <= depth.  Only those lengths, and lengths past the text, where there
+    is no window, are answered.  The index keeps the text, an int32 array,
+    5 bytes a letter, and `depth + 1` counts.  A factor set of more than
+    `MAX_FACTOR_LETTERS` letters is refused before it is spelled.
     """
 
-    __slots__ = ("text", "snapshot_len", "lcp", "counts")
+    __slots__ = ("text", "snapshot_len", "lcp", "depth", "counts")
 
-    def __init__(self, text: str, snapshot_len: int):
+    def __init__(self, text: str, snapshot_len: int, depth: int):
         self.text = text
         self.snapshot_len = snapshot_len
-        size = len(text)
         letters = sorted(set(text))
         dense = text.translate({ord(c): i for i, c in enumerate(letters)})
-        _, self.lcp = _suffix_array(dense, len(letters))
+        _, self.lcp, self.depth = _suffix_array(dense, len(letters), depth)
         # allocated before the int64 temporaries, so it pins none of their freed heap
-        self.counts = np.empty(size + 1, np.int32)
-        diff = np.bincount(self.lcp + 1, minlength=size + 2)
+        self.counts = np.empty(self.depth + 1, np.int32)
+        diff = np.bincount(self.lcp + 1, minlength=self.depth + 2)
         # suffix i stops counting at n = size - i + 1: once at each of 2 .. size + 1
         diff[2:] -= 1
-        np.cumsum(diff[: size + 1], out=self.counts)
+        np.cumsum(diff[: self.depth + 1], out=self.counts)
+
+    def answers(self, n: int) -> bool:
+        return n <= self.depth or n > len(self.text)
 
     def count(self, n: int) -> int:
-        return int(self.counts[n]) if n <= len(self.text) else 0
+        if n > len(self.text):
+            return 0
+        if n > self.depth:
+            raise InternalInvariantError(f"factor index of depth {self.depth} asked for {n}")
+        return int(self.counts[n])
 
     def factors(self, n: int) -> frozenset[str]:
         text = self.text
         if n > len(text):
             return frozenset()
+        if self.count(n) * n > MAX_FACTOR_LETTERS:
+            raise ResourceLimit(f"factor set of length {n} exceeds the letter cap")
         starts = np.flatnonzero(self.lcp[: len(text) - n + 1] < n)
         return frozenset([text[i : i + n] for i in starts.tolist()])
 
@@ -659,24 +690,33 @@ class _IndexStream:
     """Replayable stream of factor indexes over a spec's expanding words.
 
     Each snapshot region (the whole snapshot, or its tail half when `tail`)
-    is indexed when a query first reaches it; queries at every length then
-    read the same indexes.
+    is indexed when a query first reaches it, and indexed again, deeper,
+    when a longer query reaches it; queries at every length up to its depth
+    read the same index.  The depth asked is the stream's: the first query's
+    length, and when a query passes it, that length or twice the depth,
+    whichever is more.  So rising lengths, which reach the large late
+    snapshots last, index each of those about once, not once per round.
     """
 
     def __init__(self, spec: SubshiftSpec, limit: int, tail: bool):
         self.tail = tail
         self._text, self._grow = _snapshot_steps(spec, limit)
         self._cache: list[_FactorIndex] = []
+        self._depth = 0
 
-    def __iter__(self) -> Iterator[_FactorIndex]:
-        i = 0
-        while True:
-            if i >= len(self._cache):
+    def reaching(self, n: int) -> Iterator[_FactorIndex]:
+        """The indexes in snapshot order, each answering length n."""
+        if n > self._depth:
+            self._depth = max(n, 2 * self._depth)
+        for i in itertools.count():
+            if i == len(self._cache):
                 text = self._text = self._grow(self._text)
                 region = text[len(text) // 2 :] if self.tail else text
-                self._cache.append(_FactorIndex(region, len(text)))
+                self._cache.append(_FactorIndex(region, len(text), self._depth))
+            elif not self._cache[i].answers(n):
+                index = self._cache[i]
+                self._cache[i] = _FactorIndex(index.text, index.snapshot_len, self._depth)
             yield self._cache[i]
-            i += 1
 
 
 def _saturate(spec, n: int, max_text: int, stream: _IndexStream) -> _FactorIndex:
@@ -693,7 +733,7 @@ def _saturate(spec, n: int, max_text: int, stream: _IndexStream) -> _FactorIndex
         )
     expected = n + 1 if isinstance(spec, SturmianSpec) and n >= 1 else None
     prev = changed_at = None
-    for index in stream:
+    for index in stream.reaching(n):
         if len(index.text) < max(n, 1):
             continue
         count = index.count(n)

@@ -474,17 +474,27 @@ def test_blow_up_inputs_exit_3_under_a_2_gib_address_space(workdir, case):
         assert not (workdir / "out").exists()
 
 
+def _constant_shifts_walk(workdir, shift):
+    table = {c: [{"word": w, "k": c} for w in "ab"] for c in (shift, -shift)}
+    write_json(workdir / "big.json", {"spec": "fib.json", "generators": {
+        "up": {"depth": 0, "entries": table[shift]},
+        "down": {"depth": 0, "entries": table[-shift]}}})
+    return _run_under_2_gib(workdir, ["walk", "--gens", "big.json", "--n", "4",
+                                      "--trials", "4"])
+
+
 def test_constant_shifts_of_2000_walk_under_a_2_gib_address_space(workdir):
     # a constant shift inverts to its negative with no preimage search, and
     # the two-sided check reduces no product, so no level-by-level word
     # table of up to 4,001 letters is built
-    table = {c: [{"word": w, "k": c} for w in "ab"] for c in (2000, -2000)}
-    write_json(workdir / "big.json", {"spec": "fib.json", "generators": {
-        "up": {"depth": 0, "entries": table[2000]},
-        "down": {"depth": 0, "entries": table[-2000]}}})
-    proc = _run_under_2_gib(workdir, ["walk", "--gens", "big.json", "--n", "4",
-                                      "--trials", "4"])
+    proc = _constant_shifts_walk(workdir, 2000)
     assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    # the 40,002 factors of 40,001 letters that a shift of 20,000 asks for
+    # pass the letter cap, and are refused before they are spelled
+    proc = _constant_shifts_walk(workdir, 20000)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("resource limit: ")
     assert "Traceback" not in proc.stderr
 
 

@@ -16,6 +16,7 @@ from fullgroup_lab import (
     EmptyAlphabet,
     ExplicitSpec,
     FullShiftSpec,
+    InternalInvariantError,
     LanguageTable,
     ResourceLimit,
     SaturationFailure,
@@ -224,6 +225,11 @@ def test_complexity_counts_windows_of_a_long_prefix():
     for n in (64, 65, 70):
         windows = {prefix[i : i + n] for i in range(len(prefix) - n + 1)}
         assert table.complexity(n) == len(windows)
+    # rising lengths index each snapshot again, deeper, as they pass its
+    # depth; falling ones index each once, at 300
+    up, down = LanguageTable(spec), LanguageTable(spec)
+    rising = [up.complexity(n) for n in range(1, 301)]
+    assert [down.complexity(n) for n in range(300, 0, -1)] == rising[::-1]
 
 
 # --- suffix-array factor index ------------------------------------------------
@@ -231,15 +237,21 @@ def test_complexity_counts_windows_of_a_long_prefix():
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=1, max_value=3).flatmap(
-    lambda k: st.text(alphabet="abc"[:k], min_size=1, max_size=300)))
-@example("a" * 300)
-@example("ab" * 150)
-def test_factor_index_matches_brute_force_windows(text):
-    index = _FactorIndex(text, len(text))
-    for n in range(len(text) + 2):
+    lambda k: st.text(alphabet="abc"[:k], min_size=1, max_size=300)),
+    st.integers(min_value=0, max_value=310))
+@example("a" * 300, 40)
+@example("ab" * 150, 300)
+@example("ab" * 150, 31)
+def test_factor_index_matches_brute_force_windows(text, depth):
+    index = _FactorIndex(text, len(text), depth)
+    assert min(depth, len(text)) <= index.depth <= len(text)
+    for n in [*range(index.depth + 1), len(text) + 1]:
         windows = {text[i : i + n] for i in range(len(text) - n + 1)}
         assert index.count(n) == len(windows)
         assert index.factors(n) == windows
+    if index.depth < len(text):
+        with pytest.raises(InternalInvariantError):
+            index.count(index.depth + 1)
 
 
 def _predecessor_lcp(text: str, sa: np.ndarray) -> np.ndarray:
@@ -310,7 +322,7 @@ def test_suffix_array_lcp_equals_kasai_at_every_position(monkeypatch):
     for name, text in _lcp_texts():
         letters = sorted(set(text))
         dense = text.translate({ord(c): i for i, c in enumerate(letters)})
-        sa, lcp = _suffix_array(dense, len(letters))
+        sa, lcp, _ = _suffix_array(dense, len(letters), len(dense))
         assert sa.dtype == lcp.dtype == np.int32
         if len(text) <= 5000:
             assert sa.tolist() == sorted(range(len(text)), key=lambda i: text[i:]), name
@@ -318,6 +330,28 @@ def test_suffix_array_lcp_equals_kasai_at_every_position(monkeypatch):
         assert np.array_equal(lcp, kasai), name
     # the descent ran rounds with and without a key table
     assert tables == {True, False}
+
+
+def test_doubling_stops_at_the_first_round_that_covers_the_depth(monkeypatch):
+    # the 81,920-letter snapshot of ab*b* repeats 2,466 letters, and every
+    # suffix is apart only after five rounds; lengths to 68 need two, whose
+    # keys cover 31 and then 186 letters
+    descend = subshifts._lcp_descent
+    rounds_run = []
+
+    def spy(sa, keys, last, rounds, out):
+        rounds_run.append(len(rounds) + 1)
+        descend(sa, keys, last, rounds, out)
+
+    monkeypatch.setattr(subshifts, "_lcp_descent", spy)
+    text = toeplitz_word("ab*b*", 81_920)
+    index = _FactorIndex(text, len(text), 68)
+    exact = _FactorIndex(text, len(text), len(text))
+    assert rounds_run == [2, 5]
+    assert (index.depth, exact.depth) == (186, len(text))
+    # pairs whose last keys are equal stop at the covered letters
+    assert (index.lcp.max(), exact.lcp.max()) == (186, 2466)
+    assert [index.count(n) for n in range(187)] == [exact.count(n) for n in range(187)]
 
 
 def test_tail_filtered_factors_are_windows_of_a_late_tail():
@@ -382,7 +416,7 @@ def test_sturmian_language_matches_standard_word_windows(cf, swap):
     word = next(w for w in _standard_words(cf) if len(w) >= 20_000)
     if swap:
         word = word.translate(str.maketrans("ab", "ba"))
-    reference = _FactorIndex(word, len(word))
+    reference = _FactorIndex(word, len(word), len(word))
     table = LanguageTable(SturmianSpec(cf, swap))
     for n in range(1, 401):
         assert table.complexity(n) == reference.count(n) == n + 1

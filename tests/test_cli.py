@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -439,6 +440,13 @@ _BLOW_UP_INPUTS = {
 _PARTIAL_RESULTS = {"entropy-huge-cap"}
 
 
+def _child_env():
+    """The environment of a child process that imports this package."""
+    package_root = Path(fullgroup_lab.__file__).resolve().parents[1]
+    return os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [
+        str(package_root), os.environ.get("PYTHONPATH")]))}
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
@@ -446,15 +454,11 @@ def _limit_address_space():
 def _run_under_2_gib(workdir, args):
     """The CLI run `args` in a child process with 2 GiB of address space:
     a raw MemoryError there exits 1 with a traceback."""
-    package_root = Path(fullgroup_lab.__file__).resolve().parents[1]
-    env = os.environ | {"OPENBLAS_NUM_THREADS": "1",
-                        "PYTHONPATH": os.pathsep.join(filter(None, [
-                            str(package_root), os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
         [sys.executable, "-m", "fullgroup_lab.cli", args[0], "--spec", "fib.json", *args[1:],
          "--out", "out"],
-        cwd=workdir, env=env, capture_output=True, text=True, timeout=120,
-        preexec_fn=_limit_address_space)
+        cwd=workdir, env=_child_env() | {"OPENBLAS_NUM_THREADS": "1"}, capture_output=True,
+        text=True, timeout=120, preexec_fn=_limit_address_space)
 
 
 @pytest.mark.parametrize("case", list(_BLOW_UP_INPUTS))
@@ -516,12 +520,53 @@ def test_cli_runs_never_import_numpy_ma(workdir):
     # a bare np.unique(x) imports numpy.ma (about 15 ms and 1.2 MB under
     # numpy 2.4); every np.unique on these paths asks for indices or counts
     write_json(workdir / "toeplitz.json", {"variant": "toeplitz", "pattern": "ab*b*"})
-    package_root = Path(fullgroup_lab.__file__).resolve().parents[1]
-    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [
-        str(package_root), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS], cwd=workdir, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS], cwd=workdir,
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# the child runs the package as `python -m fullgroup_lab.cli` does, after
+# registering an atexit hook that reports whether the heap was frozen
+_ENTRY_WITH_FREEZE_PROBE = """
+import atexit, gc, runpy
+atexit.register(lambda: print(f"frozen at exit: {gc.get_freeze_count() > 0}"))
+runpy.run_module("fullgroup_lab.cli", run_name="__main__", alter_sys=True)
+"""
+_TOEPLITZ = {"variant": "toeplitz", "pattern": "ab*b*"}
+_ENTRY_CASES = {
+    "complexity": (_TOEPLITZ, "24", 0),
+    "malformed-spec": ({"variant": "substitution", "rules": {"a": "a"}, "seed": "a"}, "5", 2),
+    "too-many-rows": (_TOEPLITZ, "2000001", 3),
+}
+
+
+@pytest.mark.parametrize("case", list(_ENTRY_CASES))
+def test_process_entry_freezes_the_heap_and_changes_no_output(tmp_path, capsys, case):
+    # `run` freezes the heap after `main` returns, so the interpreter's final
+    # collection skips it; `main`, which tests and scripts call in process,
+    # must never freeze
+    spec, n, code = _ENTRY_CASES[case]
+    write_json(tmp_path / "spec.json", spec)
+    args = ["complexity", "--spec", str(tmp_path / "spec.json"), "--n", n, "--out"]
+    frozen = gc.get_freeze_count()
+    assert main([*args, str(tmp_path / "in-process")]) == code
+    assert gc.get_freeze_count() == frozen
+    captured = capsys.readouterr()
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENTRY_WITH_FREEZE_PROBE, *args, str(tmp_path / "child")],
+        env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == captured.out + "frozen at exit: True\n"
+    assert proc.stderr == captured.err
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith({0: "", 2: "error: ", 3: "resource limit: "}[code])
+
+    def outputs(name):
+        return {p.name: p.read_bytes() for p in (tmp_path / name).glob("*")
+                if p.name != "manifest.json"}
+
+    assert outputs("child") == outputs("in-process")
+    assert ("complexity.csv" in outputs("child")) == (code == 0)
 
 
 # --- validation and exit codes ------------------------------------------------------

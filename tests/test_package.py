@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import fullgroup_lab
 
 PACKAGE = Path(fullgroup_lab.__file__).parent
@@ -161,3 +163,21 @@ def test_the_language_table_alone_orders_and_locates_factors():
                           for arg in node.args for inner in ast.walk(arg))):
                 hits.append(f"{path.name}:{node.lineno}: sorted(...factors(...))")
     assert hits == []
+
+
+def test_the_installed_command_is_the_entry_that_freezes_the_heap():
+    # the installed command skips the interpreter's final collection only
+    # through `cli.run`; `gc.freeze` anywhere else would put the cyclic
+    # garbage of in-process `main` calls out of the collector's reach
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"fullgroup-lab": "fullgroup_lab.cli:run"}
+    callers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            callers += [f"{path.name}: {getattr(top, 'name', '<module>')}"
+                        for n in ast.walk(top) if isinstance(n, ast.Attribute)
+                        and n.attr == "freeze"]
+    assert callers == ["cli.py: run"]

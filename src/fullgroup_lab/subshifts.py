@@ -6,24 +6,28 @@ by hole filling, full shifts, and explicit shifts of finite type given by
 forbidden words.  Words are plain Python strings over single-character
 letters.
 
-Sturmian, substitution and Toeplitz languages are read off an expanding
-generated word, a Sturmian one by the standard-word recursion.  Each
-snapshot but a Toeplitz one is one substitution step from the one before,
-refused before it is built when its length, read off the letter counts,
-passes twice the text budget.  Each snapshot is indexed by a
-prefix-doubling suffix array whose rounds stop once their keys cover the
-longest length asked so far, and for every start position the longest
-common prefix with the suffix sorted just before it, exact below that
-depth, is read back from the doubling rounds' keys, a few numpy passes a
-round.  A longer query indexes the snapshot again, deeper.  One histogram
-of those values yields the snapshot's count of distinct length-n windows
-for every n up to the depth at once, and the windows starting where that
-LCP is below n are its length-n factors, one each.  A factor set is declared complete once it
-survives two consecutive doublings of the generated length (plus the
-Sturmian early exit where the complexity n + 1 is known).  That stop is a
-heuristic, not a certificate.  Full shifts use the closed form, and a shift
-of finite type spells or counts the paths of one graph on its allowed
-k-words.  Results are memoized in the spec's own
+Sturmian and substitution languages are read off an expanding generated
+word, a Sturmian one by the standard-word recursion.  Each snapshot is one
+substitution step from the one before, refused before it is built when its
+length, read off the letter counts, passes twice the text budget.  Each
+snapshot is indexed by a prefix-doubling suffix array whose rounds stop
+once their keys cover the longest length asked so far, and for every start
+position the longest common prefix with the suffix sorted just before it,
+exact below that depth, is read back from the doubling rounds' keys, a few
+numpy passes a round.  A longer query indexes the snapshot again, deeper.
+One histogram of those values yields the snapshot's count of distinct
+length-n windows for every n up to the depth at once, and the windows
+starting where that LCP is below n are its length-n factors, one each.  A
+factor set is declared complete once it survives two consecutive doublings
+of the generated length (plus the Sturmian early exit where the complexity
+n + 1 is known).  That stop is a heuristic, not a certificate.  A Toeplitz
+language generates no text: its factors of one length are the pattern's
+templates filled by shorter factors, and from a length certified by the
+pattern itself on, its counts add up over the templates, and a periodic
+word's counts stay at the first one the next length repeats
+(`_ToeplitzLanguage`).  Full shifts use the closed form, and a shift of
+finite type spells or counts the paths of one graph on its allowed k-words.
+Results are memoized in the spec's own
 `LanguageTable`, `spec.language`, the one place that enumerates, orders and
 locates factors; it is safe to share across threads.
 """
@@ -31,6 +35,7 @@ locates factors; it is safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
@@ -52,7 +57,7 @@ from .errors import (
 DEFAULT_MAX_TEXT = 1 << 23
 # Element budget for explicit factor-set enumeration.
 DEFAULT_MAX_FACTORS = 2_000_000
-# Letters one factor set read off a snapshot index may spell (256 MiB).
+# Letters one factor set may spell (256 MiB).
 MAX_FACTOR_LETTERS = 1 << 28
 
 
@@ -438,13 +443,261 @@ def toeplitz_word(pattern: str, length: int, hole: str = "*") -> str:
     return word.tobytes().decode("utf-32-le")
 
 
+# Letters `_fill_holes` fills with one numpy pass (a longer word fills alone).
+_FILL_LETTERS = 1 << 22
+
+
+def _fill_holes(template: str, hole: str, words: set[str]) -> Iterator[str]:
+    """`template` once for each of `words`, its holes filled in order by
+    that word's letters; every word has as many letters as it has holes.
+    Each numpy pass fills words of about `_FILL_LETTERS` letters in all."""
+    cells = np.frombuffer(template.encode("utf-32-le"), dtype=np.uint32)
+    holes = np.flatnonzero(cells == ord(hole))
+    m = len(template)
+    words = iter(words)
+    while block := list(itertools.islice(words, max(1, _FILL_LETTERS // m))):
+        filled = np.tile(cells, (len(block), 1))
+        filled[:, holes] = np.frombuffer("".join(block).encode("utf-32-le"),
+                                         dtype=np.uint32).reshape(len(block), len(holes))
+        text = filled.tobytes().decode("utf-32-le")
+        yield from (text[i : i + m] for i in range(0, len(text), m))
+
+
+class _ToeplitzLanguage:
+    """The language of a Toeplitz word by the hole recursion, with no text.
+
+    Let the pattern P have p letters, q of them holes, and let j(r) be the
+    number of holes before r.  The one-sided word T has T[bp + r] = P[r]
+    when r is not a hole and T[bp + r] = T[bq + j(r)] when it is.  So the
+    length-m window at i = bp + r is P's periodic extension read from r,
+    the template of (r, m), with its k_r = k(r, m) holes filled by the
+    length-k_r window of T at bq + j(r): the hole after the j(r) before r
+    in period b.  As b runs, the windows at the positions = r mod p are
+    branch B_r(m), the template filled by each window of length k_r at a
+    position = j(r) mod q.  Filling one template is injective.  Let
+    g = gcd(p, q), and G(m, c) the length-m windows at positions = c mod g.
+    Three facts make this a recursion on the states (m, c mod g), and a
+    fourth counts the words whose branches never come apart:
+
+    1. The windows at positions = j mod q are G(m, j mod g).  Every
+       position is fixed at a finite level: level 1 fixes the letters of
+       P, level K + 1 a hole bp + r whose source bq + j(r) level K fixes,
+       and the chain i -> bq + j(r) strictly decreases to a letter
+       (j(r) < r, since P starts with a letter).  Level K has a period
+       Pi_K: Pi_1 = p, and moving b by Pi_K / gcd(Pi_K, q) moves the source
+       by a multiple of Pi_K, so Pi_{K+1} = p Pi_K / gcd(Pi_K, q).  With
+       p = g p' and q = g q', Pi_K = g p'^K and gcd(Pi_K, q) = g for every
+       K.  A window at i lies within some level K, so it recurs at
+       i + t Pi_K for all t >= 0, and these positions cover every residue
+       mod q that is = i mod g.  For coprime p and q there is one class.
+       As g divides p and q, B_r(m) lies in class r mod g and is the
+       template filled by G(k_r, j(r) mod g).
+    2. The base case needs no text.  The lengths k_r are at most m, and
+       k_r = m only when the template is all holes, which m past P's
+       longest run of holes rules out.  Then B_r(m) = G(m, j(r) mod g), and
+       the sets of that length are the least fixed point of their g
+       equations over the other branches, already spelled.  It is sound:
+       the windows form a fixed point, and each one enters the least one
+       by induction on its position, down the decreasing chain of fact 1
+       to a window that holds a letter.
+    3. m0, the first length at which B_0(m), ..., B_{p-1}(m) are pairwise
+       disjoint, certifies the counts.  A window of B_r(m + 1) has its
+       length-m prefix, at the same position, in B_r(m), so disjointness
+       carries to every longer length.  For m >= m0 the union is disjoint
+       and the fills injective, so |G(m, c)| is the sum over r = c mod g of
+       |G(k_r, j(r) mod g)|.  No template is all holes there: such a B_r(m)
+       would equal a whole class, holding some other branch of it (each
+       class has p / g >= 2 residues).  So k_r < m and the counts recurse
+       down to lengths below m0, which are spelled.
+    4. A flat length f, one with rho(f + 1) = rho(f), certifies the counts
+       from f on: they are all rho(f).  Each length-n factor of the
+       infinite word T extends to the right, so rho(n + 1) >= rho(n), and
+       equality means each extends by exactly one letter.  Then so does
+       each length-(f + 1) factor, as the letter after it is the one after
+       its length-f suffix, and rho(f + 2) = rho(f + 1), and so on.  As rho
+       never falls, rho(m) = rho(f) at some m > f makes f flat.  A pattern
+       whose branches never come apart, its period not essential (`ab**`
+       and `a**`, whose words are periodic), is counted this way: by its
+       spelled sets up to its flat length (1 and 0) and by rho there past it.
+
+    A pattern u^k is read as u.  With P = u^k, the position
+    bp + s|u| + r (s < k, r < |u|) is (bk + s)|u| + r, and when r is a
+    hole its source bq + s q_u + j_u(r) is (bk + s) q_u + j_u(r): the rule
+    of u's word at that position.  So the two words agree letter by letter,
+    and `ab*ab*` is counted as `ab*`, whose m0 is 3, not by spelled sets.
+
+    A length is spelled only when the letters of all its fills, at most
+    `MAX_FACTOR_LETTERS`, are known to fit; for lengths from m0 on they are
+    the factor set's own letters.  The sizes of every spelled length are
+    kept, and the spelled sets within a quarter of that cap, the oldest
+    dropped first, so a long table holds no more words than that.
+    """
+
+    def __init__(self, pattern: str, hole: str):
+        p = len(pattern)
+        pattern = next(pattern[:d] for d in range(1, p + 1)
+                       if p % d == 0 and pattern[:d] * (p // d) == pattern)
+        self.pattern = pattern
+        self.hole = hole
+        self.period = len(pattern)
+        self.holes = pattern.count(hole)
+        self.classes = math.gcd(self.period, self.holes)
+        self.before = [pattern[:r].count(hole) for r in range(self.period)]
+        self.m0: int | None = None
+        self.flat: int | None = None  # fact 4's f, once one is found
+        self._overlapping = 0  # the branches overlap at every length up to it
+        # rho(m) and the sizes |G(m, c)| of every length spelled so far
+        self._sizes = {0: (1, (1,) * self.classes)}
+        self._sets: dict[int, tuple[set[str], ...]] = {}  # oldest first
+        self._held = 0  # letters in _sets
+        self._counts: dict[tuple[int, int], int] = {}
+
+    def branches(self, m: int) -> Iterator[tuple[int, int, int]]:
+        """(r, k_r, j(r) mod g) of each branch B_r(m)."""
+        p, q = self.period, self.holes
+        for r, j in enumerate(self.before):
+            end = r + m
+            yield r, end // p * q + self.before[end % p] - j, j % self.classes
+
+    def count(self, n: int) -> int:
+        """The number of length-n factors."""
+        if self.first_disjoint(n) is not None:
+            return sum(self.class_count(k, c) for _, k, c in self.branches(n))
+        return self._size(n if self.flat is None else min(n, self.flat))[0]
+
+    def factors(self, n: int) -> frozenset[str]:
+        """The length-n factors, refused past `MAX_FACTOR_LETTERS` letters
+        before they are spelled."""
+        if self.count(n) * n > MAX_FACTOR_LETTERS:
+            raise ResourceLimit(f"factor set of length {n} exceeds the letter cap")
+        return frozenset().union(*self._spell(n))
+
+    def class_count(self, m: int, c: int) -> int:
+        """|G(m, c)|: from m0 on by fact 3, below it the spelled set's size."""
+        if self.m0 is None or m < self.m0:
+            return self._size(m)[1][c]
+        counts, stack = self._counts, [(m, c)]
+        while stack:
+            m, c = stack[-1]
+            if (m, c) in counts:
+                stack.pop()
+                continue
+            parts = [(k, j) for r, k, j in self.branches(m) if r % self.classes == c]
+            todo = [s for s in parts if s[0] >= self.m0 and s not in counts]
+            if todo:
+                stack.extend(todo)
+                continue
+            counts[m, c] = sum(counts[k, j] if k >= self.m0 else self._size(k)[1][j]
+                               for k, j in parts)
+            stack.pop()
+        return counts[m, c]
+
+    def first_disjoint(self, n: int) -> int | None:
+        """m0 if it is at most n, else None.  As disjointness carries to
+        longer lengths, lengths are tried past the last one known to
+        overlap at doubling steps, capped at n, and m0 is then bisected.
+        A step whose sets would pass the letter cap starts over at one
+        length past that one: a steep language, such as a*****b's, can
+        pass the cap at twice its m0 and not at m0.  A step whose count
+        equals that of the last length known to overlap finds that length
+        flat (fact 4), and the search ends there."""
+        if self.m0 is not None or self.flat is not None or self._overlapping >= n:
+            return self.m0 if self.m0 is not None and self.m0 <= n else None
+        step = 1
+        while True:
+            m = min(self._overlapping + step, n)
+            try:
+                if self._disjoint(m):
+                    break
+            except ResourceLimit:
+                if step == 1:
+                    raise
+                step = 1
+                continue
+            if self._size(m)[0] == self._size(self._overlapping)[0]:
+                self.flat = self._overlapping
+                self._overlapping = m
+                return None
+            self._overlapping = m
+            if m == n:
+                return None
+            step *= 2
+        while m - self._overlapping > 1:
+            mid = (self._overlapping + m) // 2
+            if self._disjoint(mid):
+                m = mid
+            else:
+                self._overlapping = mid
+        self.m0 = m
+        return m
+
+    def _disjoint(self, m: int) -> bool:
+        rho = self._size(m)[0]
+        return sum(self._size(k)[1][j] for _, k, j in self.branches(m)) == rho
+
+    def _size(self, m: int) -> tuple[int, tuple[int, ...]]:
+        """rho(m) and |G(m, c)| for every class c, spelled if not yet known."""
+        got = self._sizes.get(m)
+        if got is None:
+            self._spell(m)
+            got = self._sizes[m]
+        return got
+
+    def _spell(self, m: int) -> tuple[set[str], ...]:
+        """G(m, c) for every class c, by facts 1 and 2, memoized within the
+        letters `_keep` allows (and never changed once made)."""
+        if m == 0:
+            return ({""},) * self.classes
+        got = self._sets.get(m)
+        if got is not None:
+            return got
+        branches = list(self.branches(m))
+        fills = {k: self._spell(k) for k in sorted({k for _, k, _ in branches if k < m})}
+        if sum(len(fills[k][j]) for _, k, j in branches if k < m) * m > MAX_FACTOR_LETTERS:
+            raise ResourceLimit(f"factor set of length {m} exceeds the letter cap")
+        found = [set() for _ in range(self.classes)]
+        links = [set() for _ in range(self.classes)]  # all-hole branches
+        text = self.pattern * (m // self.period + 2)
+        for r, k, j in branches:
+            if k < m:
+                found[r % self.classes].update(
+                    _fill_holes(text[r : r + m], self.hole, fills[k][j]))
+            else:
+                links[r % self.classes].add(j)
+        grown = True
+        while grown:  # the least fixed point of fact 2
+            grown = False
+            for c, sources in enumerate(links):
+                for j in sources:
+                    if not found[j] <= found[c]:
+                        found[c] |= found[j]
+                        grown = True
+        got = tuple(found)
+        self._sizes[m] = (len(found[0].union(*found[1:])), tuple(map(len, found)))
+        self._keep(m, got)
+        return got
+
+    def _keep(self, m: int, sets: tuple[set[str], ...]) -> None:
+        """Memoize G(m, .) while the spelled sets kept hold at most a quarter
+        of `MAX_FACTOR_LETTERS` letters, dropping the oldest lengths first.
+        Sets past that bound alone are not kept."""
+        letters, budget = m * sum(map(len, sets)), MAX_FACTOR_LETTERS // 4
+        if letters > budget:
+            return
+        while self._held + letters > budget:
+            k = next(iter(self._sets))
+            self._held -= k * sum(map(len, self._sets.pop(k)))
+        self._sets[m] = sets
+        self._held += letters
+
+
 # ---------------------------------------------------------------------------
 # Expanding-word snapshots per family
 
 
 def _snapshot_steps(spec: SubshiftSpec, limit: int) -> tuple[str, Callable[[str], str]]:
-    """The word a scan-based spec's snapshots grow from, and the step from
-    one snapshot to the next.  A substitution step past `limit` letters is
+    """The word a Sturmian or substitution spec's snapshots grow from, and
+    the step from one snapshot to the next.  A step past `limit` letters is
     refused before it is built, every time it is asked for."""
     if isinstance(spec, SturmianSpec):
         # the standard words s_k = s_{k-1}^{a_k} s_{k-2}, from s_{-1} = b and
@@ -463,8 +716,6 @@ def _snapshot_steps(spec: SubshiftSpec, limit: int) -> tuple[str, Callable[[str]
         return a, standard_word
     if isinstance(spec, SubstitutionSpec):
         return spec.seed, partial(substitution_iterate, spec.rules_dict, k=1, limit=limit)
-    if isinstance(spec, ToeplitzSpec):  # snapshots of 4, 8, 16, ... periods
-        return spec.pattern * 2, lambda text: toeplitz_word(spec.pattern, 2 * len(text), spec.hole)
     raise TypeError(f"spec family {spec.variant!r} is not scan-based")
 
 
@@ -835,10 +1086,10 @@ class LanguageTable:
     words: each word maps to its position in sorted order, the order of the
     dict, so a table over them is a vector of shifts.  `factors(n)` is its
     key view, the set itself.  `complexity(n)` is its cardinality: for
-    scan-based families a count read from the snapshot factor indexes (the
-    set itself is built only when `words` asks for it), a closed form for
-    full shifts and a path count on one overlap graph for shifts of finite
-    type.
+    Sturmian and substitution specs a count read from the snapshot factor
+    indexes (the set itself is built only when `words` asks for it), for
+    Toeplitz specs a count by the hole recursion, a closed form for full
+    shifts and a path count on one overlap graph for shifts of finite type.
 
     The word geometry of cocycle tables lives here too.  `subwords(n, lo, width)` gives, for each of those
     words, the position in `words(width)` of its subword starting at `lo`.
@@ -922,6 +1173,8 @@ class LanguageTable:
                 count = len(self.spec.letters) ** n
             elif isinstance(self.spec, ExplicitSpec):
                 count = self._count_paths(n)
+            elif isinstance(self.spec, ToeplitzSpec):
+                count = self._toeplitz.count(n)
             else:
                 count = _saturate(self.spec, n, self.max_text, self._indexes).count(n)
             self._counts[n] = count
@@ -943,6 +1196,8 @@ class LanguageTable:
             return frozenset("".join(t) for t in itertools.product(spec.letters, repeat=n))
         if isinstance(spec, ExplicitSpec):
             return _spell_paths(self._graph, n, self.max_factors)
+        if isinstance(spec, ToeplitzSpec):
+            return self._toeplitz.factors(n)
         return _saturate(self.spec, n, self.max_text, self._indexes).factors(n)
 
     def _count_paths(self, n: int) -> int:
@@ -963,6 +1218,10 @@ class LanguageTable:
     @cached_property
     def _graph(self) -> dict[str, tuple[str, ...]]:
         return _overlap_graph(self.spec, self.max_factors)
+
+    @cached_property
+    def _toeplitz(self) -> _ToeplitzLanguage:
+        return _ToeplitzLanguage(self.spec.pattern, self.spec.hole)
 
     @cached_property
     def _indexes(self) -> _IndexStream:

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -203,6 +204,42 @@ def test_toeplitz_coprime_exponent_reported(tmp_path):
     assert run(["complexity", "--spec", tmp_path / "toep.json", "--n", 30, "--out", out]) == 0
     fit = json.loads((out / "complexity_fit.json").read_text())
     assert fit["coprime_exponent"] == pytest.approx(math.log(5) / math.log(2.5))
+
+
+def test_toeplitz_counts_below_the_first_disjoint_length_are_spelled_sets(tmp_path):
+    # a*****b's branches first come apart at length 39, and its factors of
+    # length 20 do not all occur within a text of the 2^23-letter budget
+    spec = {"variant": "toeplitz", "pattern": "a*****b"}
+    write_json(tmp_path / "toep.json", spec)
+    out = tmp_path / "out"
+    assert run(["complexity", "--spec", tmp_path / "toep.json", "--n", 20, "--out", out]) == 0
+    rows = [int(r["rho"]) for r in read_rows(out / "complexity.csv")]
+    assert rows == [len(load_spec(tmp_path / "toep.json").language.factors(n))
+                    for n in range(1, 21)]
+    assert rows[-1] == 38_432
+
+
+@pytest.mark.parametrize("pattern, length", [("ab*b*", 1079), ("ab*b*", 10**12),
+                                             ("a**", 2**28 + 1), ("a**", 10**12)])
+def test_toeplitz_factor_dump_past_the_letter_cap_exits_3_before_spelling(tmp_path, capsys,
+                                                                          pattern, length):
+    # rho(1078) * 1078 is just under 2^28 letters and rho(1079) * 1079 over;
+    # a** has one factor of each length, and no m0
+    write_json(tmp_path / "toep.json", {"variant": "toeplitz", "pattern": pattern})
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        assert run(["complexity", "--spec", tmp_path / "toep.json", "--n", 4,
+                    "--dump-factors", length, "--out", out]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2**22
+    err = capsys.readouterr().err
+    assert err == f"resource limit: factor set of length {length} exceeds the letter cap\n"
+    assert not out.exists()
 
 
 # --- walk -------------------------------------------------------------------------
@@ -476,6 +513,16 @@ def test_blow_up_inputs_exit_3_under_a_2_gib_address_space(workdir, case):
         assert fit["partial"] is True and fit["resource_limit"] in proc.stderr
     else:
         assert not (workdir / "out").exists()
+
+
+def test_periodic_toeplitz_complexity_to_100000_under_a_2_gib_address_space(workdir):
+    # ab** spells (ab)^inf: its counts are 2 from length 1 on, certified at
+    # length 1 by the repeated count at 3, so no set past length 3 is spelled
+    write_json(workdir / "fib.json", {"variant": "toeplitz", "pattern": "ab**"})
+    proc = _run_under_2_gib(workdir, ["complexity", "--n", "100000"])
+    assert proc.returncode == 0, proc.stderr
+    rows = [int(r["rho"]) for r in read_rows(workdir / "out" / "complexity.csv")]
+    assert rows == [2] * 100_000
 
 
 def _constant_shifts_walk(workdir, shift):

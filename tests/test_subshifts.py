@@ -227,6 +227,7 @@ def test_complexity_counts_windows_of_a_long_prefix():
         assert table.complexity(n) == len(windows)
     # rising lengths index each snapshot again, deeper, as they pass its
     # depth; falling ones index each once, at 300
+    spec = SubstitutionSpec.from_rules(NONPRIM, "a")
     up, down = LanguageTable(spec), LanguageTable(spec)
     rising = [up.complexity(n) for n in range(1, 301)]
     assert [down.complexity(n) for n in range(300, 0, -1)] == rising[::-1]
@@ -537,6 +538,147 @@ def test_toeplitz_word_prefix_stability():
     assert toeplitz_word("a*ab*a", 200) == long[:200]
 
 
+# --- Toeplitz languages by the hole recursion ----------------------------------
+
+# gcd(p, q) = 1, 2, 3 and 4, adjacent holes, more factors of 2 in q than in
+# p, two patterns whose period is not essential (their words are periodic),
+# so their counts are spelled sets at every length, and the square of ab*
+TOEPLITZ_PATTERNS = ["ab*b*", "a*ab*a", "ab**b*", "a*b*", "a**b", "ab*a*b**", "a****b",
+                     "ab**", "a**", "ab*ab*"]
+
+
+@pytest.mark.parametrize("pattern", TOEPLITZ_PATTERNS)
+def test_toeplitz_language_equals_the_windows_of_a_long_prefix(pattern):
+    # 400,000 letters hold every factor to length 40 of these patterns; a
+    # prefix that short misses factors of a****b from length 50 (and of
+    # ab*** from 28, of abc*a**c* from 11), which 4,000,000 letters hold
+    prefix = toeplitz_word(pattern, 400_000)
+    longest = {prefix[i : i + 40] for i in range(len(prefix) - 39)}
+    counted, spelled = LanguageTable(ToeplitzSpec(pattern)), LanguageTable(ToeplitzSpec(pattern))
+    for n in range(41):
+        windows = {w[:n] for w in longest}
+        assert counted.complexity(n) == len(windows), n
+        assert spelled.factors(n) == windows, n
+
+
+@pytest.mark.parametrize("pattern, m0, carried", [("ab*b*", 5, (8, 12, 18, 32)),
+                                                   ("a*ab*a", 6, ())])
+def test_toeplitz_counts_add_only_from_the_first_disjoint_length(pattern, m0, carried):
+    # from m0 on the branches B_r are disjoint and counts add; one length
+    # earlier two of them overlap, and adding overcounts there.  On ab*b*
+    # (one class) the overcount carries to the lengths whose recursion
+    # passes through length 4; on a*ab*a the two branches that overlap at
+    # length 5 lie in different classes, so the class counts stay exact
+    exact = LanguageTable(ToeplitzSpec(pattern))
+    exact.complexity(40)
+    assert exact._toeplitz.m0 == m0
+    forced = subshifts._ToeplitzLanguage(pattern, "*")
+    forced.m0 = m0 - 1
+    over = [n for n in range(m0 - 1, 41) if forced.count(n) != exact.complexity(n)]
+    assert all(forced.count(n) > exact.complexity(n) for n in over)
+    assert over[0] == m0 - 1 and set(carried) <= set(over)
+    assert len(over) > 1 if carried else over == [m0 - 1]
+
+
+def test_a_toeplitz_pattern_power_is_counted_as_its_root():
+    # the branches of ab*ab* at r and r + 3 are equal at every length; read
+    # as ab* it comes apart at 3, and counts by the recursion, not by
+    # spelled sets
+    square, root = LanguageTable(ToeplitzSpec("ab*ab*")), LanguageTable(ToeplitzSpec("ab*"))
+    assert [square.complexity(n) for n in range(301)] == [root.complexity(n) for n in range(301)]
+    assert (square._toeplitz.pattern, square._toeplitz.m0) == ("ab*", 3)
+    assert max(square._toeplitz._sizes) == 3  # spelled to m0 only
+
+
+def test_toeplitz_first_disjoint_length_is_found_when_twice_it_passes_the_cap(monkeypatch):
+    # a****b first comes apart at 16.  The doubling steps try lengths 1, 3,
+    # 7, 15 and 31, and under a cap of 100,000 letters the sets of length 31
+    # are refused while those to length 21 are not
+    exact = LanguageTable(ToeplitzSpec("a****b"))
+    expected = [exact.complexity(n) for n in (16, 32, 100)]
+    monkeypatch.setattr(subshifts, "MAX_FACTOR_LETTERS", 100_000)
+    table = LanguageTable(ToeplitzSpec("a****b"))
+    assert [table.complexity(n) for n in (100, 32, 16)] == expected[::-1]
+    assert table._toeplitz.m0 == 16
+    with pytest.raises(ResourceLimit, match="length 32 exceeds the letter cap"):
+        table.factors(32)
+
+
+def test_toeplitz_queries_generate_and_index_no_text(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Toeplitz query read generated text")
+
+    for name in ("_FactorIndex", "_IndexStream", "_saturate", "toeplitz_word"):
+        monkeypatch.setattr(subshifts, name, refuse)
+    for pattern in TOEPLITZ_PATTERNS:
+        table = LanguageTable(ToeplitzSpec(pattern))
+        assert [table.complexity(n) for n in range(1, 69)]
+        assert all(table.words(n) for n in range(13))
+    table = LanguageTable(ToeplitzSpec("ab*b*"))
+    assert table.complexity(1000) == 213_625
+
+
+@pytest.mark.parametrize("pattern, lengths", [("ab*b*", (2000, 10**12)),
+                                             ("a**", (2**28 + 1, 10**12)),
+                                             ("ab**", (2**27 + 1, 10**9))])
+def test_toeplitz_factor_sets_are_refused_by_their_count_before_any_is_spelled(pattern,
+                                                                                lengths):
+    # a** and ab** have no m0: their counts are flat from length 0 and 1 on,
+    # so a fresh table refuses them with no doubling search up to the cap
+    table = LanguageTable(ToeplitzSpec(pattern))
+    tracemalloc.start()
+    try:
+        for n in lengths:
+            assert table.complexity(n) * n > subshifts.MAX_FACTOR_LETTERS
+            with pytest.raises(ResourceLimit, match=f"length {n} exceeds the letter cap"):
+                table.factors(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("pattern, flat, rho, reach", [("a**", 0, 1, 1), ("ab**", 1, 2, 3)])
+def test_toeplitz_counts_of_a_periodic_word_are_flat_from_a_repeated_count(pattern, flat,
+                                                                           rho, reach):
+    # their branches never come apart; the first doubling step whose count
+    # repeats the one before certifies every longer count (fact 4), so a
+    # fresh table answers 10^12 from the lengths to 1 or 3 alone
+    deep = LanguageTable(ToeplitzSpec(pattern))
+    assert deep.complexity(10**12) == rho
+    language = deep._toeplitz
+    assert (language.m0, language.flat, max(language._sizes)) == (None, flat, reach)
+    table = LanguageTable(ToeplitzSpec(pattern))
+    prefix = toeplitz_word(pattern, 10_000)
+    for n in range(1, 301):
+        assert table.complexity(n) == len({prefix[i : i + n] for i in range(5000)}), n
+    assert max(table._toeplitz._sizes) == flat + 1
+    for pattern in ("ab*b*", "a****b", "ab*ab*", "a*b*"):
+        language = LanguageTable(ToeplitzSpec(pattern))._toeplitz
+        assert language.count(60) > 60 and language.flat is None
+
+
+def test_toeplitz_spelled_sets_kept_stay_within_a_quarter_of_the_cap(monkeypatch):
+    # a****b spells every length to its m0 = 16 and more to list factors;
+    # under a cap of 4,000,000 letters the sets kept hold at most 1,000,000,
+    # the oldest dropped first, and counts and factor sets do not change
+    exact = LanguageTable(ToeplitzSpec("a****b"))
+    counts = [exact.complexity(n) for n in range(1, 61)]
+    words = [exact.words(n) for n in range(41)]
+    monkeypatch.setattr(subshifts, "MAX_FACTOR_LETTERS", 4_000_000)
+    table = LanguageTable(ToeplitzSpec("a****b"))
+    language, spelled = table._toeplitz, set()
+    for n in range(1, 61):
+        assert table.complexity(n) == counts[n - 1], n
+        if n <= 40:
+            assert table.words(n) == words[n], n
+        spelled |= language._sets.keys()
+        assert language._held == sum(k * sum(map(len, sets))
+                                     for k, sets in language._sets.items())
+        assert language._held <= 1_000_000
+    assert spelled - language._sets.keys()  # some were dropped
+
+
 # --- language invariants ------------------------------------------------------
 
 ALL_SPECS = [
@@ -776,7 +918,7 @@ def test_nonprimitive_language_facts():
 
 
 def test_saturation_failure_with_tiny_budget():
-    table = LanguageTable(ToeplitzSpec("a*ab*a"), max_text=100)
+    table = LanguageTable(SubstitutionSpec.from_rules(NONPRIM, "a"), max_text=100)
     with pytest.raises(SaturationFailure):
         table.factors(40)
 

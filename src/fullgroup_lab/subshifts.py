@@ -10,26 +10,25 @@ Sturmian and substitution languages are read off an expanding generated
 word, a Sturmian one by the standard-word recursion.  Each snapshot is one
 substitution step from the one before, refused before it is built when its
 length, read off the letter counts, passes twice the text budget.  Each
-snapshot is indexed by a prefix-doubling suffix array whose rounds stop
-once their keys cover the longest length asked so far, and for every start
-position the longest common prefix with the suffix sorted just before it,
-exact below that depth, is read back from the doubling rounds' keys, a few
-numpy passes a round.  A longer query indexes the snapshot again, deeper.
-One histogram of those values yields the snapshot's count of distinct
-length-n windows for every n up to the depth at once, and the windows
-starting where that LCP is below n are its length-n factors, one each.  A
-factor set is declared complete once it survives two consecutive doublings
-of the generated length (plus the Sturmian early exit where the complexity
-n + 1 is known).  That stop is a heuristic, not a certificate.  A Toeplitz
-language generates no text: its factors of one length are the pattern's
-templates filled by shorter factors, and from a length certified by the
-pattern itself on, its counts add up over the templates, and a periodic
-word's counts stay at the first one the next length repeats
+snapshot is indexed once, by a prefix-doubling suffix array run until
+every suffix is ranked apart, and for every start position the longest
+common prefix with the suffix sorted just before it, by Kasai's scan.  One
+histogram of those values yields the snapshot's count of distinct length-n
+windows for every n at once, and the windows starting where that LCP is
+below n are its length-n factors, one each.  A factor set is declared
+complete once it survives two consecutive doublings of the generated
+length (plus the Sturmian early exit where the complexity n + 1 is known).
+That stop is a heuristic, not a certificate.  A Toeplitz language
+generates no text: its factors of one length are the pattern's templates
+filled by shorter factors, and from a length certified by the pattern
+itself on, its counts add up over the templates, and a periodic word's
+counts stay at the first one the next length repeats
 (`_ToeplitzLanguage`).  Full shifts use the closed form, and a shift of
-finite type spells or counts the paths of one graph on its allowed k-words.
-Results are memoized in the spec's own
-`LanguageTable`, `spec.language`, the one place that enumerates, orders and
-locates factors; it is safe to share across threads.
+finite type spells or counts the paths of one graph on its allowed
+k-words; a count that would pass `MAX_COUNT_BITS` is refused first.
+Results are memoized in the spec's own `LanguageTable`, `spec.language`,
+the one place that enumerates, orders and locates factors; it is safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -59,6 +58,9 @@ DEFAULT_MAX_TEXT = 1 << 23
 DEFAULT_MAX_FACTORS = 2_000_000
 # Letters one factor set may spell (256 MiB).
 MAX_FACTOR_LETTERS = 1 << 28
+# Bits one count may take, or one table's memo of path counts with a 64-bit
+# word an entry at least (32 MiB).
+MAX_COUNT_BITS = MAX_FACTOR_LETTERS
 
 
 def _check_letters(letters: tuple[str, ...]) -> None:
@@ -724,51 +726,13 @@ def _snapshot_steps(spec: SubshiftSpec, limit: int) -> tuple[str, Callable[[str]
 
 # Bits of the packed sort key of one prefix-doubling round.
 _KEY_BITS = 62
-# Sorted-adjacent pairs whose LCP one pass of `_lcp_descent` reads at a time.
-_LCP_BLOCK = 8192
 
 
-class _Round(NamedTuple):
-    """One prefix-doubling round, as much as the LCP descent reads of it.
-
-    The round's key packs `fields` ranks of `step` letters each, `bits` wide,
-    the first field highest.  With a `table`, `ranks` holds each position's
-    rank + 1 in the round's key order and `table[rank + 1]` is the key;
-    without one, `ranks` holds the ranks + 1 of the round before, which the
-    key packs.  Either way `ranks[size]` is 0: past the end, below every
-    rank."""
-
-    step: int
-    bits: int
-    fields: int
-    ranks: np.ndarray
-    table: np.ndarray | None
-
-    def keys(self, at: np.ndarray) -> np.ndarray:
-        if self.table is not None:
-            return self.table[self.ranks[at]]
-        key = np.zeros(len(at), np.int64)
-        for offset in range(0, self.fields * self.step, self.step):
-            key <<= self.bits
-            # a field that starts past the end lies beyond the first field
-            # in which the two keys differ, so any value does: ranks[size]
-            key |= np.take(self.ranks, at + offset, mode="clip")
-        return key
-
-    def advances(self) -> np.ndarray:
-        """The letters two keys share, indexed by the bit length e of their
-        XOR: the fields wholly above bit e - 1, times `step` (all fields at
-        e = 0)."""
-        e = np.arange(64)
-        return (self.fields - 1 - (e - 1) // self.bits) * self.step
-
-
-def _suffix_array(dense: str, letter_count: int,
-                  depth: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Start positions of the suffixes of `dense` in sorted order, for each
-    start position the length of the longest common prefix of its suffix
-    with the suffix sorted just before it, -1 for the first (both int32),
-    and the depth below which that LCP is exact.
+def _suffix_array(dense: str, letter_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start positions of the suffixes of `dense` in sorted order, and for
+    each start position the length of the longest common prefix of its
+    suffix with the suffix sorted just before it, -1 for the first (both
+    int32).
 
     `dense` spells its text with the characters 0 .. letter_count - 1.
     Prefix doubling (Manber & Myers, SIAM J. Comput. 22, 1993), generalized:
@@ -776,37 +740,26 @@ def _suffix_array(dense: str, letter_count: int,
     the ranks + 1 at i, i + k, i + 2k, ... into one 62-bit key, as many as
     fit, and sorts by it.  A block past the end packs as 0, below every
     rank, so a proper prefix sorts first.  The first round packs letters
-    (k = 1); rounds stop after the first whose key covers at least `depth`
-    letters, or once every key is distinct.  The suffixes are then sorted
-    by their first `covered` letters, where `covered` is the last key's
-    length: an LCP below it is exact, and a pair of equal keys reads
-    `covered`, at most its LCP.  With 2 letters the first round covers 31
-    letters and the second 186.  Once every key is distinct the order is
-    the one suffix order and every LCP is exact: the depth reported is then
-    the text length, so a `depth` of at least that is the exact index.
+    (k = 1); rounds stop once every key is distinct.  A round holds its int64
+    keys, sorted in place, their int64 argsort and int32 ranks in key order,
+    20 bytes a letter; only the ranks + 1, in the narrowest unsigned type,
+    pass to the next round.
 
-    A round holds its int64 keys, sorted in place, their int64 argsort and
-    int32 ranks in key order: 20 bytes a letter.  For the LCP descent
-    (`_lcp_descent`) the last round keeps its sorted keys, and each earlier
-    round keeps one of two things:
-    - its ranks + 1 in the narrowest unsigned type, 1, 2 or 4 bytes a
-      letter, and the table of its distinct keys in sorted order, 8 bytes a
-      key, when that table is no larger than those ranks;
-    - otherwise the ranks + 1 of the round before (for the first round, the
-      letters + 1), from which the descent packs the key again.
-    Rounds share these arrays: at most one rank array a round, plus the
-    letters, and tables no larger than their ranks.
+    The LCP is Kasai's linear scan in text order (Kasai et al., CPM 2001)
+    over the letters closed by one that occurs nowhere else, so every
+    comparison stops there: the value at i + 1 is at least the value at i
+    minus one, so the comparisons resume where the previous position
+    stopped.
     """
     size = len(dense)
     # every round's ranks in key order, then the LCP array written over them;
     # allocated before any round, so it pins none of their freed heap
     rank = np.empty(size, np.int32)
-    shifted = np.zeros(size + 1, np.min_scalar_type(letter_count))
-    shifted[:size] = np.frombuffer(dense.encode("utf-32-le"), dtype=np.int32)
-    shifted[:size] += 1
-    groups = letter_count
-    step = 1
-    rounds: list[_Round] = []
+    # the letters + 1, closed by 0, which occurs nowhere else
+    letters = np.zeros(size + 1, np.min_scalar_type(letter_count))
+    letters[:size] = np.frombuffer(dense.encode("utf-32-le"), dtype=np.int32)
+    letters[:size] += 1
+    shifted, groups, step = letters, letter_count, 1
     while True:
         bits = groups.bit_length()
         fields = _KEY_BITS // bits
@@ -819,113 +772,68 @@ def _suffix_array(dense: str, letter_count: int,
         key.sort()
         rank[0] = 1
         np.not_equal(key[1:], key[:-1], out=rank[1:])
+        del key
         np.cumsum(rank, out=rank)
         groups = int(rank[-1])
-        if groups == size or step * fields >= depth:
-            sa = sa.astype(np.int32)
-            _lcp_descent(sa, key, _Round(step, bits, fields, shifted, None), rounds, out=rank)
-            return sa, rank, size if groups == size else step * fields
-        ranks = np.zeros(size + 1, np.min_scalar_type(groups))
-        ranks[sa] = rank
+        if groups == size:
+            break
+        shifted = np.empty(size, np.min_scalar_type(groups))
+        shifted[sa] = rank
         del sa
-        if (groups + 1) * 8 <= ranks.nbytes:
-            table = np.zeros(groups + 1, np.int64)
-            table[rank] = key
-            rounds.append(_Round(step, bits, fields, ranks, table))
-        else:
-            rounds.append(_Round(step, bits, fields, shifted, None))
-        del key
-        shifted = ranks
         step *= fields
-
-
-def _lcp_descent(sa: np.ndarray, last_keys: np.ndarray, last: _Round,
-                 rounds: list[_Round], out: np.ndarray) -> None:
-    """The LCP of each suffix with the one sorted just before it, indexed by
-    start position, -1 for the first suffix, capped at the `covered` letters
-    of the last round's key.
-
-    Two suffixes a and b whose keys differ in the last round `last`, whose
-    sorted keys are `last_keys`, share the leading fields of those keys,
-    q * step equal letters.  So h = q * step, and the suffixes at a + h and
-    b + h differ within the next field: in the key of the round before.
-    Descending round by round, each adds its q * step to h, and the first
-    round, one letter a field, leaves h the exact LCP.  Positions stay at
-    most the text length, where every key is 0.  A pair whose last keys are
-    equal reads all the fields, h = covered: its LCP is at least that, so it
-    is capped there and not read in the rounds below.
-    Each round is a few numpy passes over a block of `_LCP_BLOCK` pairs,
-    whatever the LCP lengths.
-    """
-    size = len(sa)
-    out[sa[0]] = -1
-    steps = [(round_, round_.advances()) for round_ in reversed(rounds)]
-    last_advances = last.advances()
-    covered = last_advances[0]
-    for lo in range(1, size, _LCP_BLOCK):
-        hi = min(size, lo + _LCP_BLOCK)
-        a, b = sa[lo - 1 : hi - 1], sa[lo:hi]
-        h = last_advances[_bit_length(last_keys[lo - 1 : hi - 1] ^ last_keys[lo:hi])]
-        differ = np.flatnonzero(h < covered)
-        if len(differ) < len(h):
-            out[b] = h
-            a, b, h = a[differ], b[differ], h[differ]
-        for round_, advances in steps:
-            xor = round_.keys(a + h)
-            xor ^= round_.keys(b + h)
-            h += advances[_bit_length(xor)]
-        out[b] = h
-
-
-def _bit_length(x: np.ndarray) -> np.ndarray:
-    """The bit length of each nonnegative int64 of `x`, which is overwritten,
-    through the exponent of a float64.  Keeping only the bits whose next
-    higher bit is clear leaves the highest set bit and clears the one below
-    it, so the conversion cannot round up to the next power of two."""
-    x &= ~(x >> 1)
-    return np.frexp(x.astype(np.float64))[1]
+    del shifted
+    sa = sa.astype(np.int32)
+    before = np.empty(size, np.int32)
+    before[sa[1:]] = sa[:-1]
+    before[sa[0]] = -1
+    text, out = memoryview(letters), memoryview(rank)
+    i = h = 0
+    for j in memoryview(before):
+        if j < 0:
+            out[i] = -1
+            h = 0
+        else:
+            while text[i + h] == text[j + h]:
+                h += 1
+            out[i] = h
+            if h:
+                h -= 1
+        i += 1
+    return sa, rank
 
 
 class _FactorIndex:
-    """All factors of one snapshot region up to a depth, read once.
+    """All factors of one snapshot region, read once.
 
     `lcp[i]` is the longest common prefix of suffix i with the suffix
-    sorted just before it, from `_suffix_array`'s doubling rounds, exact
-    below the index's `depth` and at least `depth` where it reads that.
-    The length-n windows, n <= depth, that start where it is below n are
-    the distinct length-n factors of the region, one each.  Suffix i
-    therefore adds one factor to every n with lcp[i] < n <= len - i, and a
-    difference-array histogram of those ranges gives `counts[n]` for all
-    n <= depth.  Only those lengths, and lengths past the text, where there
-    is no window, are answered.  The index keeps the text, an int32 array,
-    5 bytes a letter, and `depth + 1` counts.  A factor set of more than
-    `MAX_FACTOR_LETTERS` letters is refused before it is spelled.
+    sorted just before it (`_suffix_array`).  The length-n windows that
+    start where it is below n are the distinct length-n factors of the
+    region, one each.  Suffix i therefore adds one factor to every n with
+    lcp[i] < n <= len - i, and a difference-array histogram of those ranges
+    gives `counts[n]` for every n up to the text length; past it there is no
+    window.  The index keeps the text and two int32 arrays, the LCP and the
+    counts.  A factor set of more than `MAX_FACTOR_LETTERS` letters is
+    refused before it is spelled.
     """
 
-    __slots__ = ("text", "snapshot_len", "lcp", "depth", "counts")
+    __slots__ = ("text", "snapshot_len", "lcp", "counts")
 
-    def __init__(self, text: str, snapshot_len: int, depth: int):
+    def __init__(self, text: str, snapshot_len: int):
         self.text = text
         self.snapshot_len = snapshot_len
+        size = len(text)
         letters = sorted(set(text))
         dense = text.translate({ord(c): i for i, c in enumerate(letters)})
-        _, self.lcp, self.depth = _suffix_array(dense, len(letters), depth)
+        _, self.lcp = _suffix_array(dense, len(letters))
         # allocated before the int64 temporaries, so it pins none of their freed heap
-        self.counts = np.empty(self.depth + 1, np.int32)
-        diff = np.bincount(self.lcp + 1, minlength=self.depth + 2)
+        self.counts = np.empty(size + 1, np.int32)
+        diff = np.bincount(self.lcp + 1, minlength=size + 2)
         # suffix i stops counting at n = size - i + 1: once at each of 2 .. size + 1
         diff[2:] -= 1
-        np.cumsum(diff[: self.depth + 1], out=self.counts)
-
-    def answers(self, n: int) -> bool:
-        return n <= self.depth or n > len(self.text)
+        np.cumsum(diff[: size + 1], out=self.counts)
 
     def count(self, n: int) -> int:
-        if n > len(self.text):
-            return 0
-        if n > self.depth:
-            raise InternalInvariantError(f"factor index of depth {self.depth} asked for {n}")
-        return int(self.counts[n])
+        return int(self.counts[n]) if n <= len(self.text) else 0
 
     def factors(self, n: int) -> frozenset[str]:
         text = self.text
@@ -941,33 +849,27 @@ class _IndexStream:
     """Replayable stream of factor indexes over a spec's expanding words.
 
     Each snapshot region (the whole snapshot, or its tail half when `tail`)
-    is indexed when a query first reaches it, and indexed again, deeper,
-    when a longer query reaches it; queries at every length up to its depth
-    read the same index.  The depth asked is the stream's: the first query's
-    length, and when a query passes it, that length or twice the depth,
-    whichever is more.  So rising lengths, which reach the large late
-    snapshots last, index each of those about once, not once per round.
+    is indexed once, when a query first reaches it with a length it can
+    hold; queries at every length then read the same indexes.
     """
 
     def __init__(self, spec: SubshiftSpec, limit: int, tail: bool):
         self.tail = tail
         self._text, self._grow = _snapshot_steps(spec, limit)
-        self._cache: list[_FactorIndex] = []
-        self._depth = 0
+        self._regions: list[tuple[str, int]] = []  # (region, snapshot length)
+        self._cache: dict[int, _FactorIndex] = {}
 
     def reaching(self, n: int) -> Iterator[_FactorIndex]:
-        """The indexes in snapshot order, each answering length n."""
-        if n > self._depth:
-            self._depth = max(n, 2 * self._depth)
+        """The indexes of the regions of at least n letters, in snapshot order."""
         for i in itertools.count():
-            if i == len(self._cache):
+            if i == len(self._regions):
                 text = self._text = self._grow(self._text)
-                region = text[len(text) // 2 :] if self.tail else text
-                self._cache.append(_FactorIndex(region, len(text), self._depth))
-            elif not self._cache[i].answers(n):
-                index = self._cache[i]
-                self._cache[i] = _FactorIndex(index.text, index.snapshot_len, self._depth)
-            yield self._cache[i]
+                self._regions.append((text[len(text) // 2 :] if self.tail else text, len(text)))
+            region, snapshot_len = self._regions[i]
+            if len(region) >= n:
+                if i not in self._cache:
+                    self._cache[i] = _FactorIndex(region, snapshot_len)
+                yield self._cache[i]
 
 
 def _saturate(spec, n: int, max_text: int, stream: _IndexStream) -> _FactorIndex:
@@ -984,9 +886,7 @@ def _saturate(spec, n: int, max_text: int, stream: _IndexStream) -> _FactorIndex
         )
     expected = n + 1 if isinstance(spec, SturmianSpec) and n >= 1 else None
     prev = changed_at = None
-    for index in stream.reaching(n):
-        if len(index.text) < max(n, 1):
-            continue
+    for index in stream.reaching(max(n, 1)):
         count = index.count(n)
         if expected is not None and count == expected:
             return index
@@ -1170,6 +1070,10 @@ class LanguageTable:
             if got is not None:
                 return got
             if isinstance(self.spec, FullShiftSpec):
+                # k ** n has at most n * bit_length(k - 1) + 1 bits
+                if n * (len(self.spec.letters) - 1).bit_length() > MAX_COUNT_BITS:
+                    raise ResourceLimit(f"full-shift count at length {n} has more than "
+                                        f"{MAX_COUNT_BITS} bits")
                 count = len(self.spec.letters) ** n
             elif isinstance(self.spec, ExplicitSpec):
                 count = self._count_paths(n)
@@ -1203,11 +1107,20 @@ class LanguageTable:
     def _count_paths(self, n: int) -> int:
         """len(_spell_paths(self._graph, n)), without spelling the paths: the
         path counts of the longest length counted so far step forward to n,
-        memoizing each length passed, so a table to n costs n steps."""
+        memoizing each length passed, so a table to n costs n steps.
+
+        Refused before any step when the memo to n could pass
+        `MAX_COUNT_BITS`: at length m there are at most len(graph) * d^(m-k)
+        paths, d the largest out-degree, and each entry takes a 64-bit word
+        at least."""
         graph = self._graph
         k = len(next(iter(graph), ""))
         if n <= k or not graph:
             return len({w[:n] for w in graph})
+        t, e = n - k, (max(map(len, graph.values())) - 1).bit_length()
+        if t * (64 + len(graph).bit_length()) + e * t * (t + 1) // 2 > MAX_COUNT_BITS:
+            raise ResourceLimit(f"SFT path counts to length {n} could hold more than "
+                                f"{MAX_COUNT_BITS} bits")
         length, paths = self._paths or (k, dict.fromkeys(graph, 1))
         while length < n:
             length, paths = length + 1, _step_paths(graph, paths)

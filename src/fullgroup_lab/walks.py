@@ -589,11 +589,16 @@ def reflection_check(sample: WalkSample, a_grid: Iterable[float], b0: float) -> 
 
 def cylinder_depth(n: int, depth_scale: float) -> int:
     """ceil(sqrt(scale * n * ln n)) for a positive finite scale; n=1 shares
-    the n=2 value so the log never vanishes."""
+    the n=2 value so the log never vanishes.  A product past the float range
+    is refused too."""
     if not 0 < depth_scale < math.inf:
         raise DomainError(f"depth scale must be positive and finite, not {depth_scale}")
     n_eff = max(n, 2)
-    return math.ceil(math.sqrt(depth_scale * n_eff * math.log(n_eff)))
+    square = depth_scale * n_eff * math.log(n_eff)
+    if square == math.inf:
+        raise DomainError(f"depth scale {depth_scale} at n={n} puts the depth past the "
+                          f"float range")
+    return math.ceil(math.sqrt(square))
 
 
 def default_depth_scale(fit: TailFit) -> float:
@@ -644,7 +649,10 @@ def stable_set_report(chain: ConvolutionCache, n: int, depth_scale: float) -> St
     measure = chain.measure
     k = measure.max_shift
     cylinder_count = measure.spec.language.complexity(2 * d + 1)
-    log_count_bound = cylinder_count * math.log(2 * k * n + 1) if n else 0.0
+    try:
+        log_count_bound = cylinder_count * math.log(2 * k * n + 1) if n and k else 0.0
+    except OverflowError:  # a count past the float range
+        log_count_bound = math.inf
     support = len(measure.atoms)
     bound = (
         math.log(max(stable_count, 1))

@@ -36,6 +36,10 @@ from fullgroup_lab.fileio import (
 
 FIB = {"variant": "substitution", "rules": {"a": "ab", "b": "a"}, "seed": "a"}
 GENS = {"spec": "fib.json", "builtin": "fibonacci"}
+# the shift and its inverse on a spec whose letters are a and b
+SHIFT_GENS = {"spec": "fib.json", "generators": {
+    name: {"depth": 0, "entries": [{"word": w, "k": k} for w in "ab"]}
+    for name, k in (("tau", 1), ("tau_inv", -1))}}
 
 
 @pytest.fixture()
@@ -45,6 +49,7 @@ def workdir(tmp_path):
     write_json(tmp_path / "sturmian.json",
                {"variant": "sturmian", "cf": [1], "swap_letters": False})
     write_json(tmp_path / "gens.json", {"spec": "fib.json", "builtin": "fibonacci"})
+    write_json(tmp_path / "shift.json", SHIFT_GENS)
     return tmp_path
 
 
@@ -465,6 +470,14 @@ _BLOW_UP_INPUTS = {
     "golden-mean-long-rows": (
         {"variant": "explicit", "alphabet": ["a", "b"], "forbidden": ["bb"]},
         ["complexity", "--n", "2000000"]),
+    # cylinders of 2.4e11 letters: 2^n is refused by its bits before the power
+    "full-shift-entropy-depth": (
+        {"variant": "full_shift", "alphabet": ["a", "b"]},
+        ["entropy", "--gens", "shift.json", "--n", "4", "--L", "1e22"]),
+    # cylinders of 2.4e6 letters: the path-count memo is refused before a step
+    "golden-mean-entropy-depth": (
+        {"variant": "explicit", "alphabet": ["a", "b"], "forbidden": ["bb"]},
+        ["entropy", "--gens", "shift.json", "--n", "4", "--L", "1e12"]),
     # the ball's byte budget refuses layer 22 before it joins the ball
     "entropy-huge-cap": (
         FIB, ["entropy", "--gens", "gens.json", "--n", "30", "--cap", str(10**12)]),
@@ -474,7 +487,7 @@ _BLOW_UP_INPUTS = {
         ["walk", "--gens", "gens.json", "--n", "4", "--trials", "4"]),
 }
 # entropy writes its documented partial results when a limit stops the chain
-_PARTIAL_RESULTS = {"entropy-huge-cap"}
+_PARTIAL_RESULTS = {"entropy-huge-cap", "full-shift-entropy-depth", "golden-mean-entropy-depth"}
 
 
 def _child_env():
@@ -649,14 +662,27 @@ def test_gens_spec_cross_check(workdir, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("flag, value", [("--L", "nan"), ("--L", "inf"),
+@pytest.mark.parametrize("flag, value", [("--L", "nan"), ("--L", "inf"), ("--L", "1.7e308"),
                                          ("--cap", 0), ("--cap", -1)])
 def test_entropy_rejects_a_bad_depth_scale_or_cap(workdir, capsys, flag, value):
+    # 1.7e308 is finite, but its depth at n = 1 is not
     out = workdir / "x"
     assert run(["entropy", "--spec", workdir / "fib.json", "--gens", workdir / "gens.json",
                 "--n", 4, flag, value, "--out", out]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_entropy_on_the_full_shift_with_counts_past_the_float_range(workdir):
+    # at --L 200000 the cylinders at n = 4 have 2,107 letters, and their
+    # 2^2107 words pass the float range in the report's log count bound
+    write_json(workdir / "fib.json", {"variant": "full_shift", "alphabet": ["a", "b"]})
+    out = workdir / "full"
+    assert run(["entropy", "--spec", workdir / "fib.json", "--gens", workdir / "shift.json",
+                "--n", 4, "--L", 200000, "--out", out]) == 0
+    assert len(read_rows(out / "entropy.csv")) == 4
+    assert json.loads((out / "entropy_fit.json").read_text())["partial"] is False
 
 
 @pytest.mark.parametrize("spec", [FIB, {"variant": "full_shift", "alphabet": ["a", "b"]}],

@@ -16,7 +16,6 @@ from fullgroup_lab import (
     EmptyAlphabet,
     ExplicitSpec,
     FullShiftSpec,
-    InternalInvariantError,
     LanguageTable,
     ResourceLimit,
     SaturationFailure,
@@ -33,7 +32,6 @@ from fullgroup_lab import (
 from fullgroup_lab import subshifts
 from fullgroup_lab.subshifts import (
     _FactorIndex,
-    _bit_length,
     _spell_paths,
     _step_paths,
     _suffix_array,
@@ -218,19 +216,31 @@ def test_empty_sft_language():
     assert spec.language.factors(0) == frozenset()
 
 
-def test_complexity_counts_windows_of_a_long_prefix():
+def test_complexity_counts_windows_of_a_long_prefix(monkeypatch):
     spec = ToeplitzSpec("a*ab*a")
     table = LanguageTable(spec)
     prefix = toeplitz_word(spec.pattern, 1 << 16)
     for n in (64, 65, 70):
         windows = {prefix[i : i + n] for i in range(len(prefix) - n + 1)}
         assert table.complexity(n) == len(windows)
-    # rising lengths index each snapshot again, deeper, as they pass its
-    # depth; falling ones index each once, at 300
+    # rising and falling lengths give the same counts and index each region
+    # once; a falling table's first query indexes no region shorter than it
+    built = []
+
+    class Spy(subshifts._FactorIndex):
+        def __init__(self, text, snapshot_len):
+            built.append(len(text))
+            super().__init__(text, snapshot_len)
+
+    monkeypatch.setattr(subshifts, "_FactorIndex", Spy)
     spec = SubstitutionSpec.from_rules(NONPRIM, "a")
     up, down = LanguageTable(spec), LanguageTable(spec)
     rising = [up.complexity(n) for n in range(1, 301)]
-    assert [down.complexity(n) for n in range(300, 0, -1)] == rising[::-1]
+    rising_built, built[:] = sorted(built), []
+    assert down.complexity(300) == rising[-1]
+    assert built and min(built) >= 300
+    assert [down.complexity(n) for n in range(299, 0, -1)] == rising[-2::-1]
+    assert sorted(built) == rising_built == sorted(set(rising_built))
 
 
 # --- suffix-array factor index ------------------------------------------------
@@ -238,51 +248,28 @@ def test_complexity_counts_windows_of_a_long_prefix():
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=1, max_value=3).flatmap(
-    lambda k: st.text(alphabet="abc"[:k], min_size=1, max_size=300)),
-    st.integers(min_value=0, max_value=310))
-@example("a" * 300, 40)
-@example("ab" * 150, 300)
-@example("ab" * 150, 31)
-def test_factor_index_matches_brute_force_windows(text, depth):
-    index = _FactorIndex(text, len(text), depth)
-    assert min(depth, len(text)) <= index.depth <= len(text)
-    for n in [*range(index.depth + 1), len(text) + 1]:
+    lambda k: st.text(alphabet="abc"[:k], min_size=1, max_size=300)))
+@example("a" * 300)
+@example("ab" * 150)
+def test_factor_index_matches_brute_force_windows(text):
+    index = _FactorIndex(text, len(text))
+    for n in range(len(text) + 2):
         windows = {text[i : i + n] for i in range(len(text) - n + 1)}
         assert index.count(n) == len(windows)
         assert index.factors(n) == windows
-    if index.depth < len(text):
-        with pytest.raises(InternalInvariantError):
-            index.count(index.depth + 1)
 
 
-def _predecessor_lcp(text: str, sa: np.ndarray) -> np.ndarray:
-    """For each start position i, the length of the longest common prefix of
-    suffix i with the suffix sorted just before it; -1 for the first suffix.
-
-    `sa` sorts the suffixes of `text` without its last letter, which must
-    occur nowhere else: the comparisons stop there.  Kasai's linear scan in
-    text order (Kasai et al., CPM 2001): the value at i + 1 is at least the
-    value at i minus one, so the comparisons resume where the previous
-    position stopped.
-    """
-    size = len(sa)
-    before = np.empty(size, np.int32)
-    before[sa[1:]] = sa[:-1]
-    before[sa[0]] = -1
-    lcp = np.empty(size, np.int32)
-    out = memoryview(lcp)
-    h = 0
-    for i, j in enumerate(memoryview(before)):
-        if j < 0:
-            out[i] = -1
-            h = 0
-            continue
-        while text[i + h] == text[j + h]:
-            h += 1
-        out[i] = h
-        if h:
-            h -= 1
-    return lcp
+def _common_prefix(a: str, b: str) -> int:
+    """The length of the longest common prefix of a and b, by bisection on
+    slices."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def _lcp_texts():
@@ -294,65 +281,26 @@ def _lcp_texts():
         # a repeat makes long LCPs, so later rounds run over many letters
         half = "".join(rng.choices(letters, k=2500))
         yield f"repeat-{k}", half + half[:-7] + rng.choice(letters) * 7
-    yield "ab*b*", toeplitz_word("ab*b*", 20_000)
-    yield "a*ab*a", toeplitz_word("a*ab*a", 20_000)
-    yield "fibonacci", substitution_iterate(FIB, "a", 21)[:20_000]
+    yield "ab*b*", toeplitz_word("ab*b*", 5000)
+    yield "a*ab*a", toeplitz_word("a*ab*a", 5000)
+    yield "fibonacci", substitution_iterate(FIB, "a", 21)[:5000]
     for cf in ((2,), (1, 3), (3, 1, 4)):
-        word = next(w for w in _standard_words(cf) if len(w) >= 20_000)
-        yield f"sturmian-{cf}", word[:20_000]
+        word = next(w for w in _standard_words(cf) if len(w) >= 5000)
+        yield f"sturmian-{cf}", word[:5000]
 
 
-def test_bit_length_is_exact_where_a_float64_rounds_up():
-    # 2^k - 1 for k > 53 converts to the float 2^k; so do values just below
-    # 2^k whose low bits a float64 cannot hold
-    values = [0, 1, 2, 3, 2**52, 2**53 - 1, 2**53, 2**53 + 1]
-    values += [2**k - d for k in range(54, 63) for d in (1, 2, 3, 2**(k - 54) + 1)]
-    x = np.array(values, dtype=np.int64)
-    assert _bit_length(x.copy()).tolist() == [v.bit_length() for v in values]
-
-
-def test_suffix_array_lcp_equals_kasai_at_every_position(monkeypatch):
-    descend = subshifts._lcp_descent
-    tables = set()
-
-    def spy(sa, keys, last, rounds, out):
-        tables.update(r.table is not None for r in rounds)
-        descend(sa, keys, last, rounds, out)
-
-    monkeypatch.setattr(subshifts, "_lcp_descent", spy)
+def test_suffix_array_lcp_compares_adjacent_sorted_suffixes():
     for name, text in _lcp_texts():
         letters = sorted(set(text))
         dense = text.translate({ord(c): i for i, c in enumerate(letters)})
-        sa, lcp, _ = _suffix_array(dense, len(letters), len(dense))
+        sa, lcp = _suffix_array(dense, len(letters))
         assert sa.dtype == lcp.dtype == np.int32
-        if len(text) <= 5000:
-            assert sa.tolist() == sorted(range(len(text)), key=lambda i: text[i:]), name
-        kasai = _predecessor_lcp(dense + chr(len(letters)), sa)
-        assert np.array_equal(lcp, kasai), name
-    # the descent ran rounds with and without a key table
-    assert tables == {True, False}
-
-
-def test_doubling_stops_at_the_first_round_that_covers_the_depth(monkeypatch):
-    # the 81,920-letter snapshot of ab*b* repeats 2,466 letters, and every
-    # suffix is apart only after five rounds; lengths to 68 need two, whose
-    # keys cover 31 and then 186 letters
-    descend = subshifts._lcp_descent
-    rounds_run = []
-
-    def spy(sa, keys, last, rounds, out):
-        rounds_run.append(len(rounds) + 1)
-        descend(sa, keys, last, rounds, out)
-
-    monkeypatch.setattr(subshifts, "_lcp_descent", spy)
-    text = toeplitz_word("ab*b*", 81_920)
-    index = _FactorIndex(text, len(text), 68)
-    exact = _FactorIndex(text, len(text), len(text))
-    assert rounds_run == [2, 5]
-    assert (index.depth, exact.depth) == (186, len(text))
-    # pairs whose last keys are equal stop at the covered letters
-    assert (index.lcp.max(), exact.lcp.max()) == (186, 2466)
-    assert [index.count(n) for n in range(187)] == [exact.count(n) for n in range(187)]
+        order = sorted(range(len(text)), key=lambda i: text[i:])
+        assert sa.tolist() == order, name
+        expected = [-1] * len(text)
+        for a, b in zip(order, order[1:]):
+            expected[b] = _common_prefix(text[a:], text[b:])
+        assert lcp.tolist() == expected, name
 
 
 def test_tail_filtered_factors_are_windows_of_a_late_tail():
@@ -417,7 +365,7 @@ def test_sturmian_language_matches_standard_word_windows(cf, swap):
     word = next(w for w in _standard_words(cf) if len(w) >= 20_000)
     if swap:
         word = word.translate(str.maketrans("ab", "ba"))
-    reference = _FactorIndex(word, len(word), len(word))
+    reference = _FactorIndex(word, len(word))
     table = LanguageTable(SturmianSpec(cf, swap))
     for n in range(1, 401):
         assert table.complexity(n) == reference.count(n) == n + 1
@@ -964,6 +912,28 @@ def test_full_shift_cap_is_decided_without_the_power():
     assert table.factors(32) == {"a" * 32}
     with pytest.raises(ResourceLimit, match="length 33 exceeds cap"):
         table.factors(33)
+
+
+def test_full_shift_and_sft_counts_are_refused_past_the_count_bits():
+    # 2^n has n + 1 bits and the golden-mean memo to n about n^2 / 2 bits:
+    # past MAX_COUNT_BITS both are refused before any power or step is made
+    full = LanguageTable(FullShiftSpec(("a", "b")))
+    golden = LanguageTable(ExplicitSpec(("a", "b"), ("bb",)))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match=f"more than {subshifts.MAX_COUNT_BITS} bits"):
+        full.complexity(10**22)
+    with pytest.raises(ResourceLimit, match=f"more than {subshifts.MAX_COUNT_BITS} bits"):
+        golden.complexity(10**6)
+    assert time.perf_counter() - start < 1.0
+    assert golden._paths is None
+    # one letter's powers are all 1; and the lengths a CLI table reaches
+    # before its cells pass 4,300 digits, 14,285 and 20,576, are counted
+    assert LanguageTable(FullShiftSpec(("a",))).complexity(10**22) == 1
+    assert full.complexity(14_285) == 2**14_285
+    fib = [1, 1]
+    while len(fib) < 21_002:
+        fib.append(fib[-1] + fib[-2])
+    assert golden.complexity(21_000) == fib[-1]
 
 
 def test_lengths_within_the_text_budget_are_unchanged():

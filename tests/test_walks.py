@@ -631,6 +631,14 @@ def test_cylinder_depth_formula():
     assert cylinder_depth(6, 9.0) == math.ceil(math.sqrt(9.0 * 6 * math.log(6)))
 
 
+def test_cylinder_depth_refuses_a_finite_scale_whose_depth_is_not():
+    # scale * n * ln n passes the float range though the scale does not
+    assert cylinder_depth(4, 1e300) == math.ceil(math.sqrt(1e300 * 4 * math.log(4)))
+    for n, scale in ((1, 1.7e308), (4, 1.7e308), (10**6, 1e303)):
+        with pytest.raises(DomainError, match="float range"):
+            cylinder_depth(n, scale)
+
+
 def test_stable_report_trivial_when_depth_dominates(fib_cache):
     rep = stable_set_report(fib_cache, 6, 9.0)
     assert rep.stable_mass == 1

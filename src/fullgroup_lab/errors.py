@@ -66,10 +66,6 @@ class InternalInvariantError(FullgroupLabError):
     """A should-never-happen consistency check failed (bug guard)."""
 
 
-class SaturationFailure(ResourceLimit):
-    """Factor enumeration could not certify completeness within budget."""
-
-
 def unique_dict(pairs, error: type[ValidationError], what: str) -> dict:
     """The (key, value) pairs as a dict, raising `error` on a key given
     twice, where `dict` would keep the last value without a word."""

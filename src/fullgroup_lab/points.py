@@ -7,8 +7,9 @@ slices of one fixed assignment, so nesting and shift-compatibility hold by
 construction.  A point is not checked against a subshift: a window outside
 the language is refused where it meets a table over the admissible words.
 
-A substitution fixed point's iterates are refused past the text budget
-before they are built, and its default seeds are found without any iterate.
+A substitution fixed point's iterates, and a Sturmian point's standard
+words, are refused past the text budget before they are built, and a fixed
+point's default seeds are found without any iterate.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from .subshifts import (
     SturmianSpec,
     SubshiftSpec,
     SubstitutionSpec,
+    StandardWords,
     ToeplitzSpec,
-    sturmian_rules,
     substitution_iterate,
 )
 
-_SWAP_AB = str.maketrans("ab", "ba")
 MAX_CYLINDER_RADIUS = 1 << 16  # widest window `find_cylinder_position` scans
 
 
@@ -131,19 +131,27 @@ class SubstitutionFixedPoint(Point):
 
 
 class MechanicalPoint(Point):
-    """Two-sided Sturmian point, built from the one-period composition of
-    the standard-word substitutions and shifted by an intercept index."""
+    """Two-sided Sturmian point read off the standard words s_k and shifted
+    by an intercept index: right of 0 the limit of s_0, s_1, ..., each a
+    prefix of the next, and left of 0 the limit of s_0, s_2, s_4, ..., each
+    a suffix of the next, so one even-indexed word serves both sides.  It
+    is the fixed point of the square of the standard-word substitutions
+    composed over one period of the continued fraction, whose iterates of a
+    are the s_k at every period's end."""
 
     def __init__(self, spec: SturmianSpec, intercept: int = 0):
         super().__init__()
         self.intercept = intercept
-        inner_spec = SubstitutionSpec.from_rules(sturmian_rules(spec.cf), "a")
-        self._inner = SubstitutionFixedPoint(inner_spec)
-        self._swap = spec.swap_letters
+        self._words = StandardWords(spec)
 
     def _materialize(self, lo: int, hi: int) -> str:
-        raw = self._inner.letters(lo + self.intercept, hi + self.intercept)
-        return raw.translate(_SWAP_AB) if self._swap else raw
+        lo, hi = lo + self.intercept, hi + self.intercept
+        k = 0
+        while len(self._words[k]) < max(hi, -lo):
+            k += 2
+        word = self._words[k]
+        left = word[len(word) + lo : len(word) + min(hi, 0)] if lo < 0 else ""
+        return left + word[max(lo, 0) : max(hi, 0)]
 
 
 class ToeplitzPoint(Point):

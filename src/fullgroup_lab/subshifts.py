@@ -6,23 +6,46 @@ by hole filling, full shifts, and explicit shifts of finite type given by
 forbidden words.  Words are plain Python strings over single-character
 letters.
 
-Sturmian and substitution languages are read off an expanding generated
-word, a Sturmian one by the standard-word recursion.  Each snapshot is one
-substitution step from the one before, refused before it is built when its
-length, read off the letter counts, passes twice the text budget.  Each
-snapshot is indexed once, by a prefix-doubling suffix array run until
-every suffix is ranked apart, and for every start position the longest
-common prefix with the suffix sorted just before it, by Kasai's scan.  One
-histogram of those values yields the snapshot's count of distinct length-n
-windows for every n at once, and the windows starting where that LCP is
-below n are its length-n factors, one each.  A factor set is declared
-complete once it survives two consecutive doublings of the generated
-length (plus the Sturmian early exit where the complexity n + 1 is known).
-That stop is a heuristic, not a certificate.  A Toeplitz language
-generates no text: its factors of one length are the pattern's templates
-filled by shorter factors, and from a length certified by the pattern
-itself on, its counts add up over the templates, and a periodic word's
-counts stay at the first one the next length repeats
+Sturmian and substitution languages are read off generated text, with a
+certificate.  A Sturmian language has n + 1 factors of length n (Lothaire,
+Algebraic Combinatorics on Words, ch. 2), so its counts need no text, and
+its length-n factors are the windows of the first standard word that holds
+n + 1 of them: every window of a standard word is a factor.  A substitution
+psi, with fixed point u = psi(u), has the factors that occur infinitely
+often in u as its language (Queffelec, Substitution Dynamical Systems,
+LNM 1294), and two facts make them finite work:
+
+1. The two-letter words that recur in u, R, come from a finite search.  Cut
+   u = psi(u) into the blocks psi(u_j).  An occurrence of a pair cd at
+   j >= 1 yields the pairs of psi(cd) that start inside psi(c), and these
+   are the pairs at every position of block j, each later than j (u_0's
+   image has two letters at least, as u_0 grows).  So the occurrences at
+   positions >= 1 form a tree, rooted at the children of u_0 u_1 at
+   offsets >= 1, whose labels walk the pair graph cd -> those pairs.  A
+   finitely branching infinite tree has infinitely many nodes of a label
+   exactly when the graph reaches that label from a cycle that the roots
+   reach (`_recurrent_pairs`).
+2. Let |psi^k(c)| >= n for every letter c of R.  Then the length-n
+   factors are the length-n windows of the words psi^k(cd), cd in R, that
+   start inside psi^k(c).  Each is a factor, as cd recurs.  Past the last
+   occurrence of a pair outside R, a window starts inside some block
+   psi^k(u_j) and, being no longer than psi^k(u_{j+1}), ends inside the
+   next one, and u_j u_{j+1} is in R.
+
+With b the least |psi^k(c)| over the letters of R, the blocks psi^k(c)
+followed by the first b - 1 letters of psi^k(d) hold those windows for
+every length up to b, and k is taken least with b >= n, so one index serves
+a table until a longer length is asked for (`_recurrent_blocks`).  Their
+letters, and a standard word's, are read off the letter counts and refused
+past twice the text budget before any is built.  The blocks are indexed
+together, by a prefix-doubling suffix array and Kasai's LCP scan, which
+count the distinct windows of every length at once and spell those of one
+length when asked (`_FactorIndex`).
+
+A Toeplitz language generates no text: its factors of one length are the
+pattern's templates filled by shorter factors, and from a length certified
+by the pattern itself on, its counts add up over the templates, and a
+periodic word's counts stay at the first one the next length repeats
 (`_ToeplitzLanguage`).  Full shifts use the closed form, and a shift of
 finite type spells or counts the paths of one graph on its allowed
 k-words; a count that would pass `MAX_COUNT_BITS` is refused first.
@@ -39,16 +62,14 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Iterator, KeysView, Mapping, NamedTuple
+from typing import Iterator, KeysView, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import (
     ConditionViolated,
     EmptyAlphabet,
-    InternalInvariantError,
     ResourceLimit,
-    SaturationFailure,
     ValidationError,
 )
 
@@ -315,19 +336,30 @@ def substitution_iterate(rules: Mapping[str, str], word: str, k: int,
     return word
 
 
-def sturmian_rules(cf: tuple[int, ...]) -> dict[str, str]:
-    """theta_{a_1} o ... o theta_{a_m} over one period of the continued
-    fraction, theta_c being a -> a^c b, b -> a: its k-th iterate of 'a' is
-    the (k m)-th standard word (Lothaire, Algebraic Combinatorics on Words,
-    ch. 2).  An image past DEFAULT_MAX_TEXT letters is refused with
-    ResourceLimit."""
-    rules = {"a": "a", "b": "b"}
-    for m in cf:
-        if m >= DEFAULT_MAX_TEXT:  # theta_m(a) alone has m + 1 letters
-            raise ResourceLimit(f"continued fraction coefficient {m} passes the text "
-                                f"budget of {DEFAULT_MAX_TEXT} letters")
-        rules = {"a": substitution_iterate(rules, "a" * m + "b", 1), "b": rules["a"]}
-    return rules
+class StandardWords:
+    """The standard words of a Sturmian spec, grown on demand and kept:
+    s_{-1} = b, s_0 = a and s_k = s_{k-1}^{a_k} s_{k-2}, the coefficients
+    cycled, with a and b swapped when the spec says so.  For k >= 0 each
+    s_k is a prefix of s_{k+1} and a suffix of s_{k+2} (Lothaire, Algebraic
+    Combinatorics on Words, ch. 2).  A word past `limit` letters is refused
+    with ResourceLimit before it is built, each time it is asked for."""
+
+    def __init__(self, spec: SturmianSpec, limit: int = DEFAULT_MAX_TEXT):
+        self.cf = spec.cf
+        self.limit = limit
+        self._words = list("ab" if spec.swap_letters else "ba")  # s_{-1}, s_0, ...
+
+    def __getitem__(self, k: int) -> str:
+        """s_k, for k >= -1."""
+        words = self._words
+        while len(words) < k + 2:
+            m = self.cf[(len(words) - 2) % len(self.cf)]
+            size = m * len(words[-1]) + len(words[-2])
+            if size > self.limit:
+                raise ResourceLimit(f"standard word s_{len(words) - 1} has {size} letters, "
+                                    f"past the text budget of {self.limit} letters")
+            words.append(words[-1] * m + words[-2])
+        return words[k + 1]
 
 
 def _mortal_letters(rules: Mapping[str, str]) -> set[str]:
@@ -392,18 +424,35 @@ def growing_letters(rules: Mapping[str, str]) -> set[str]:
     return growing
 
 
-def is_primitive(rules: Mapping[str, str]) -> bool:
-    """True iff some power of the substitution maps every letter onto a
-    word containing every letter (boolean incidence-matrix powering)."""
-    letters = sorted(rules)
-    step = {a: set(rules[a]) for a in letters}
-    power = {a: set(rules[a]) for a in letters}
-    full = set(letters)
-    for _ in range(len(letters) ** 2):
-        if all(power[a] == full for a in letters):
-            return True
-        power = {a: {c for b in power[a] for c in step[b]} for a in letters}
-    return all(power[a] == full for a in letters)
+def _recurrent_pairs(rules: Mapping[str, str], seed: str) -> list[str]:
+    """The two-letter words that occur infinitely often in the fixed point
+    u = psi(u) that starts with `seed`, by fact 1 of the module docstring:
+    the pairs that the pair graph reaches from a cycle that the children of
+    u_0 u_1 at offsets >= 1 reach."""
+
+    def children(pair: str, start: int) -> set[str]:
+        image = rules[pair[0]] + rules[pair[1]][0]
+        return {image[i : i + 2] for i in range(start, len(rules[pair[0]]))}
+
+    def reach(sources) -> set[str]:
+        """The pairs reached from `sources` in one step or more."""
+        seen: set[str] = set()
+        todo = [p for s in sources for p in graph[s]]
+        while todo:
+            p = todo.pop()
+            if p not in seen:
+                seen.add(p)
+                todo.extend(graph[p])
+        return seen
+
+    graph: dict[str, set[str]] = {}
+    todo = list(children(seed + rules[seed][1], 1))
+    while todo:
+        p = todo.pop()
+        if p not in graph:
+            graph[p] = children(p, 0)
+            todo.extend(graph[p])
+    return sorted(reach([p for p in graph if p in reach([p])]))
 
 
 # ---------------------------------------------------------------------------
@@ -694,34 +743,6 @@ class _ToeplitzLanguage:
 
 
 # ---------------------------------------------------------------------------
-# Expanding-word snapshots per family
-
-
-def _snapshot_steps(spec: SubshiftSpec, limit: int) -> tuple[str, Callable[[str], str]]:
-    """The word a Sturmian or substitution spec's snapshots grow from, and
-    the step from one snapshot to the next.  A step past `limit` letters is
-    refused before it is built, every time it is asked for."""
-    if isinstance(spec, SturmianSpec):
-        # the standard words s_k = s_{k-1}^{a_k} s_{k-2}, from s_{-1} = b and
-        # s_0 = a, coefficients cycled: theta_{a_k}(a) = a^{a_k} b read with
-        # a -> s_{k-1} and b -> s_{k-2}
-        a, b = "ba" if spec.swap_letters else "ab"
-        k, before = 0, b
-
-        def standard_word(text: str) -> str:
-            nonlocal k, before
-            word = substitution_iterate({a: text, b: before},
-                                        a * spec.cf[k % len(spec.cf)] + b, 1, limit)
-            k, before = k + 1, text
-            return word
-
-        return a, standard_word
-    if isinstance(spec, SubstitutionSpec):
-        return spec.seed, partial(substitution_iterate, spec.rules_dict, k=1, limit=limit)
-    raise TypeError(f"spec family {spec.variant!r} is not scan-based")
-
-
-# ---------------------------------------------------------------------------
 # Suffix-array factor index
 
 # Bits of the packed sort key of one prefix-doubling round.
@@ -803,103 +824,71 @@ def _suffix_array(dense: str, letter_count: int) -> tuple[np.ndarray, np.ndarray
 
 
 class _FactorIndex:
-    """All factors of one snapshot region, read once.
+    """All factors of a few blocks of text, read once.
 
-    `lcp[i]` is the longest common prefix of suffix i with the suffix
-    sorted just before it (`_suffix_array`).  The length-n windows that
-    start where it is below n are the distinct length-n factors of the
-    region, one each.  Suffix i therefore adds one factor to every n with
-    lcp[i] < n <= len - i, and a difference-array histogram of those ranges
-    gives `counts[n]` for every n up to the text length; past it there is no
-    window.  The index keeps the text and two int32 arrays, the LCP and the
-    counts.  A factor set of more than `MAX_FACTOR_LETTERS` letters is
-    refused before it is spelled.
+    The blocks are joined, each closed by a separator letter of its own, so
+    no common prefix runs past a block's end.  `lcp[i]` is the longest
+    common prefix of suffix i with the suffix sorted just before it
+    (`_suffix_array`), and `room[i]` the letters from i to its block's end.
+    The length-n windows that start where lcp < n <= room are the distinct
+    length-n factors of the blocks, one each: the suffixes that start with
+    one of them are sorted together, and only the first has a shorter LCP.
+    So suffix i adds one factor to every n with lcp[i] < n <= room[i], and
+    a difference-array histogram of those ranges gives `counts[n]` for
+    every n up to the longest block; past it there is no window.  The index
+    keeps the text and three int32 arrays.  A factor set of more than
+    `MAX_FACTOR_LETTERS` letters is refused before it is spelled.
     """
 
-    __slots__ = ("text", "snapshot_len", "lcp", "counts")
+    __slots__ = ("text", "room", "lcp", "counts")
 
-    def __init__(self, text: str, snapshot_len: int):
-        self.text = text
-        self.snapshot_len = snapshot_len
-        size = len(text)
-        letters = sorted(set(text))
-        dense = text.translate({ord(c): i for i, c in enumerate(letters)})
-        _, self.lcp = _suffix_array(dense, len(letters))
-        # allocated before the int64 temporaries, so it pins none of their freed heap
-        self.counts = np.empty(size + 1, np.int32)
-        diff = np.bincount(self.lcp + 1, minlength=size + 2)
-        # suffix i stops counting at n = size - i + 1: once at each of 2 .. size + 1
-        diff[2:] -= 1
-        np.cumsum(diff[: size + 1], out=self.counts)
+    def __init__(self, blocks: list[str]):
+        letters = sorted(set().union(*blocks))
+        dense = {ord(c): i for i, c in enumerate(letters)}
+        self.text = "".join(block + "\0" for block in blocks)
+        _, self.lcp = _suffix_array(
+            "".join(block.translate(dense) + chr(len(letters) + j)
+                    for j, block in enumerate(blocks)),
+            len(letters) + len(blocks))
+        sizes = np.array([len(block) + 1 for block in blocks])
+        self.room = (np.repeat(np.cumsum(sizes) - 1, sizes)
+                     - np.arange(len(self.text))).astype(np.int32)
+        longest = int(sizes.max()) - 1
+        diff = (np.bincount(self.lcp + 1, minlength=longest + 2)
+                - np.bincount(self.room + 1, minlength=longest + 2))
+        self.counts = np.cumsum(diff[: longest + 1]).astype(np.int32)
 
     def count(self, n: int) -> int:
-        return int(self.counts[n]) if n <= len(self.text) else 0
+        return int(self.counts[n]) if n < len(self.counts) else 0
 
     def factors(self, n: int) -> frozenset[str]:
-        text = self.text
-        if n > len(text):
-            return frozenset()
         if self.count(n) * n > MAX_FACTOR_LETTERS:
             raise ResourceLimit(f"factor set of length {n} exceeds the letter cap")
-        starts = np.flatnonzero(self.lcp[: len(text) - n + 1] < n)
-        return frozenset([text[i : i + n] for i in starts.tolist()])
+        starts = np.flatnonzero((self.lcp < n) & (self.room >= n))
+        return frozenset([self.text[i : i + n] for i in starts.tolist()])
 
 
-class _IndexStream:
-    """Replayable stream of factor indexes over a spec's expanding words.
-
-    Each snapshot region (the whole snapshot, or its tail half when `tail`)
-    is indexed once, when a query first reaches it with a length it can
-    hold; queries at every length then read the same indexes.
-    """
-
-    def __init__(self, spec: SubshiftSpec, limit: int, tail: bool):
-        self.tail = tail
-        self._text, self._grow = _snapshot_steps(spec, limit)
-        self._regions: list[tuple[str, int]] = []  # (region, snapshot length)
-        self._cache: dict[int, _FactorIndex] = {}
-
-    def reaching(self, n: int) -> Iterator[_FactorIndex]:
-        """The indexes of the regions of at least n letters, in snapshot order."""
-        for i in itertools.count():
-            if i == len(self._regions):
-                text = self._text = self._grow(self._text)
-                self._regions.append((text[len(text) // 2 :] if self.tail else text, len(text)))
-            region, snapshot_len = self._regions[i]
-            if len(region) >= n:
-                if i not in self._cache:
-                    self._cache[i] = _FactorIndex(region, snapshot_len)
-                yield self._cache[i]
-
-
-def _saturate(spec, n: int, max_text: int, stream: _IndexStream) -> _FactorIndex:
-    """The index at which the length-n factor set stabilized.
-
-    Whole snapshots are prefixes of one another, so a region's factor set
-    contains the previous one's and equal counts mean equal sets: counts
-    are compared.  Tail halves are not nested, so there the sets are.  A
-    length past the text budget is refused before any text is generated.
-    """
-    if n > max_text:
-        raise SaturationFailure(
-            f"factor length {n} is longer than the text budget of {max_text} letters"
-        )
-    expected = n + 1 if isinstance(spec, SturmianSpec) and n >= 1 else None
-    prev = changed_at = None
-    for index in stream.reaching(max(n, 1)):
-        count = index.count(n)
-        if expected is not None and count == expected:
-            return index
-        value = index.factors(n) if stream.tail else count
-        if value != prev:
-            prev, changed_at = value, index.snapshot_len
-        elif index.snapshot_len >= 4 * changed_at:
-            return index
-        if index.snapshot_len > max_text:
-            raise SaturationFailure(
-                f"factor set of length {n} did not stabilize within {max_text} letters"
-            )
-    raise InternalInvariantError("snapshot stream ended")  # pragma: no cover
+def _recurrent_blocks(spec: SubstitutionSpec, n: int, limit: int) -> tuple[int, _FactorIndex]:
+    """(b, index): the index of the blocks psi^k(c) + psi^k(d)[:b - 1], cd
+    in `_recurrent_pairs`, whose length-m windows are the language's for
+    every m <= b (module docstring), k least with b >= n.  Blocks past
+    `limit` letters in all are refused with ResourceLimit before any is
+    built."""
+    rules = spec.rules_dict
+    pairs = _recurrent_pairs(rules, spec.seed)
+    letters = set("".join(pairs))
+    lengths = dict.fromkeys(rules, 1)  # |psi^k(c)|
+    for k in itertools.count():
+        bound = min(lengths[c] for c in letters)
+        size = sum(lengths[c] + bound for c, _ in pairs)
+        if size > limit:
+            raise ResourceLimit(f"the recurrent pairs' blocks under psi^{k} have {size} "
+                                f"letters, past the text budget of {limit} letters")
+        if bound >= n:
+            break
+        lengths = {c: sum(lengths[x] for x in image) for c, image in rules.items()}
+    images = {c: substitution_iterate(rules, c, k, limit) for c in letters}
+    return bound, _FactorIndex([images[c] + images[d][: bound - 1] for c, d in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -985,11 +974,12 @@ class LanguageTable:
     `words(n)` is the ordered index of the exact set of admissible length-n
     words: each word maps to its position in sorted order, the order of the
     dict, so a table over them is a vector of shifts.  `factors(n)` is its
-    key view, the set itself.  `complexity(n)` is its cardinality: for
-    Sturmian and substitution specs a count read from the snapshot factor
-    indexes (the set itself is built only when `words` asks for it), for
-    Toeplitz specs a count by the hole recursion, a closed form for full
-    shifts and a path count on one overlap graph for shifts of finite type.
+    key view, the set itself.  `complexity(n)` is its cardinality: n + 1
+    for Sturmian specs, for substitutions a count read from the factor index
+    of the recurrent pairs' images (the set itself is built only when
+    `words` asks for it), for Toeplitz specs a count by the hole recursion,
+    a closed form for full shifts and a path count on one overlap graph for
+    shifts of finite type.
 
     The word geometry of cocycle tables lives here too.  `subwords(n, lo, width)` gives, for each of those
     words, the position in `words(width)` of its subword starting at `lo`.
@@ -1014,6 +1004,7 @@ class LanguageTable:
         self._subwords: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._siblings: dict[int, _SiblingPlan | None] = {}
         self._paths: tuple[int, dict[str, int]] | None = None  # see _count_paths
+        self._last_index: tuple[int, _FactorIndex] | None = None  # see _index
 
     def factors(self, n: int) -> KeysView[str]:
         return self.words(n).keys()
@@ -1079,8 +1070,10 @@ class LanguageTable:
                 count = self._count_paths(n)
             elif isinstance(self.spec, ToeplitzSpec):
                 count = self._toeplitz.count(n)
+            elif isinstance(self.spec, SturmianSpec):
+                count = n + 1
             else:
-                count = _saturate(self.spec, n, self.max_text, self._indexes).count(n)
+                count = self._index(n).count(n)
             self._counts[n] = count
             return count
 
@@ -1102,7 +1095,22 @@ class LanguageTable:
             return _spell_paths(self._graph, n, self.max_factors)
         if isinstance(spec, ToeplitzSpec):
             return self._toeplitz.factors(n)
-        return _saturate(self.spec, n, self.max_text, self._indexes).factors(n)
+        return self._index(n).factors(n)
+
+    def _index(self, n: int) -> _FactorIndex:
+        """An index whose length-n windows are the language's length-n
+        words: for a Sturmian spec the first standard word with n + 1 of
+        them, all there are, and for a substitution `_recurrent_blocks`.  The
+        last one made is kept while it answers."""
+        key, index = self._last_index or (-1, None)  # the word's k, or the blocks' bound
+        if isinstance(self.spec, SturmianSpec):
+            while index is None or index.count(n) <= n:
+                key += 1
+                index = _FactorIndex([self._standard_words[key]])
+                self._last_index = key, index
+        elif key < n:
+            self._last_index = key, index = _recurrent_blocks(self.spec, n, 2 * self.max_text)
+        return index
 
     def _count_paths(self, n: int) -> int:
         """len(_spell_paths(self._graph, n)), without spelling the paths: the
@@ -1137,28 +1145,8 @@ class LanguageTable:
         return _ToeplitzLanguage(self.spec.pattern, self.spec.hole)
 
     @cached_property
-    def _indexes(self) -> _IndexStream:
-        # Substitution factors must occur arbitrarily late in the generated
-        # word (prefix-only factors are not part of the subshift); restricting
-        # the scan to the tail half and waiting for stabilization implements
-        # that filter.  For primitive substitutions it converges to the plain
-        # factor set.
-        return _IndexStream(self.spec, 2 * self.max_text, isinstance(self.spec, SubstitutionSpec))
-
-
-def substitution_enumeration_diagnostics(spec: SubstitutionSpec, n: int) -> dict:
-    """Compare the tail-occurrence filter with a plain prefix scan, both
-    within the text budget of the spec's language table.
-
-    The two agree for primitive substitutions; a disagreement flags a
-    substitution whose generated word has prefix-only factors (those are
-    correctly excluded by the tail filter).
-    """
-    max_text = spec.language.max_text
-    tail_set = spec.language.factors(n)
-    plain = _saturate(spec, n, max_text,
-                      _IndexStream(spec, 2 * max_text, tail=False)).factors(n)
-    return {"tail": tail_set, "prefix": plain, "agree": tail_set == plain}
+    def _standard_words(self) -> StandardWords:
+        return StandardWords(self.spec, 2 * self.max_text)
 
 
 FIBONACCI_RULES = {"a": "ab", "b": "a"}

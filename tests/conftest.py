@@ -10,6 +10,7 @@ from fullgroup_lab import (
     ball,
     fibonacci_generators,
     fibonacci_spec,
+    substitution_iterate,
     uniform_measure,
 )
 from fullgroup_lab.cocycles import increment_table
@@ -43,6 +44,22 @@ def fib_cache(fib_measure, fib_gens):
 @pytest.fixture(scope="session")
 def fib_point(fib_spec):
     return SubstitutionFixedPoint(fib_spec)
+
+
+def _sturmian_rules(cf):
+    """theta_{a_1} o ... o theta_{a_m} over one period of the continued
+    fraction, theta_c being a -> a^c b, b -> a: its k-th iterate of a is the
+    (k m)-th standard word (Lothaire, Algebraic Combinatorics on Words,
+    ch. 2), and the fixed point of its square is the Sturmian point."""
+    rules = {"a": "a", "b": "b"}
+    for m in cf:
+        rules = {"a": substitution_iterate(rules, "a" * m + "b", 1), "b": rules["a"]}
+    return rules
+
+
+@pytest.fixture(scope="session")
+def sturmian_rules():
+    return _sturmian_rules
 
 
 def _oracle_draws(measure, n, trials, seed):

@@ -438,9 +438,10 @@ def test_huge_lengths_exit_3_before_any_output(workdir, capsys, fib_gens, case):
 
 
 _BLOW_UP_INPUTS = {
+    # counts need no text, but the factors of length 2 need s_2, 10^10 letters
     "sturmian-huge-coefficient": (
         {"variant": "sturmian", "cf": [100000], "swap_letters": False},
-        ["complexity", "--n", "5"]),
+        ["complexity", "--n", "5", "--dump-factors", "2"]),
     "full-shift-dump": (
         {"variant": "full_shift", "alphabet": ["a", "b"]},
         ["complexity", "--n", "4", "--dump-factors", str(10**12)]),

@@ -118,9 +118,33 @@ def test_window_nesting_and_shift_compatibility(center, radius, extra):
 
 
 def test_mechanical_point_with_a_huge_coefficient_is_refused():
-    # the second iterate of a -> a^100000 b, b -> a has about 10^10 letters
-    with pytest.raises(ResourceLimit, match="text budget"):
-        MechanicalPoint(SturmianSpec((100000,)))
+    # left of 0 the point reads s_2, which has about 10^10 letters
+    point = MechanicalPoint(SturmianSpec((100000,)))
+    for _ in range(2):  # the refusal holds for every later read too
+        with pytest.raises(ResourceLimit, match="s_2 has 10000100001 letters, past the text"):
+            point.window(0, 3)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("cf", [(1,), (2,), (1, 2), (2, 1), (3, 1, 2), (5, 1, 1), (1, 1, 2)])
+def test_mechanical_point_is_the_fixed_point_of_the_one_period_square(cf, swap, sturmian_rules):
+    # the reference is the two-sided fixed point of psi^2, psi the
+    # standard-word substitutions composed over one period
+    inner = SubstitutionFixedPoint(SubstitutionSpec.from_rules(sturmian_rules(cf), "a"))
+    flip = str.maketrans("ab", "ba") if swap else {}
+    for intercept in (0, 7, -13):
+        point = MechanicalPoint(SturmianSpec(cf, swap), intercept)
+        for center, radius in ((0, 2000), (-1500, 300), (1800, 17)):
+            expected = inner.window(center + intercept, radius).translate(flip)
+            assert point.window(center, radius) == expected
+
+
+def test_mechanical_point_of_a_long_period_reads_only_the_standard_words():
+    # the square of the one-period composition would spell 3.7e8 letters;
+    # the point reads s_8 (21,164 letters) on both sides
+    spec = SturmianSpec((3, 1, 4, 1, 5, 9, 2, 6))
+    window = MechanicalPoint(spec).window(0, 3000)
+    assert window in spec.language.factors(6001)
 
 
 def test_sturmian_random_slope_windows_admissible():

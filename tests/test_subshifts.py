@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fullgroup_lab import (
@@ -18,25 +18,23 @@ from fullgroup_lab import (
     FullShiftSpec,
     LanguageTable,
     ResourceLimit,
-    SaturationFailure,
     SturmianSpec,
     SubstitutionSpec,
     ToeplitzSpec,
     build_spec,
     fibonacci_spec,
-    is_primitive,
     spec_to_dict,
     substitution_iterate,
     toeplitz_word,
 )
 from fullgroup_lab import subshifts
 from fullgroup_lab.subshifts import (
+    StandardWords,
     _FactorIndex,
     _spell_paths,
     _step_paths,
     _suffix_array,
-    sturmian_rules,
-    substitution_enumeration_diagnostics,
+    growing_letters,
 )
 
 FIB = {"a": "ab", "b": "a"}
@@ -223,24 +221,25 @@ def test_complexity_counts_windows_of_a_long_prefix(monkeypatch):
     for n in (64, 65, 70):
         windows = {prefix[i : i + n] for i in range(len(prefix) - n + 1)}
         assert table.complexity(n) == len(windows)
-    # rising and falling lengths give the same counts and index each region
-    # once; a falling table's first query indexes no region shorter than it
+    # a rising table indexes the recurrent pairs' blocks once for each
+    # power of the substitution, 48,885 letters in all to n = 2000 on
+    # Fibonacci; a falling table's first index answers every shorter length
     built = []
 
     class Spy(subshifts._FactorIndex):
-        def __init__(self, text, snapshot_len):
-            built.append(len(text))
-            super().__init__(text, snapshot_len)
+        def __init__(self, blocks):
+            built.append(sum(map(len, blocks)))
+            super().__init__(blocks)
 
     monkeypatch.setattr(subshifts, "_FactorIndex", Spy)
-    spec = SubstitutionSpec.from_rules(NONPRIM, "a")
-    up, down = LanguageTable(spec), LanguageTable(spec)
-    rising = [up.complexity(n) for n in range(1, 301)]
-    rising_built, built[:] = sorted(built), []
-    assert down.complexity(300) == rising[-1]
-    assert built and min(built) >= 300
-    assert [down.complexity(n) for n in range(299, 0, -1)] == rising[-2::-1]
-    assert sorted(built) == rising_built == sorted(set(rising_built))
+    for spec, top in ((fibonacci_spec(), 2000), (SubstitutionSpec.from_rules(NONPRIM, "a"), 1000)):
+        up, down, built[:] = LanguageTable(spec), LanguageTable(spec), []
+        rising = [up.complexity(n) for n in range(1, top + 1)]
+        assert sum(built) <= 50_000
+        built[:] = []
+        assert [down.complexity(n) for n in range(top, 0, -1)] == rising[::-1]
+        assert len(built) == 1
+    assert rising[:10] == [2, 3, 5, 8, 10, 13, 16, 19, 21, 24]
 
 
 # --- suffix-array factor index ------------------------------------------------
@@ -252,11 +251,15 @@ def test_complexity_counts_windows_of_a_long_prefix(monkeypatch):
 @example("a" * 300)
 @example("ab" * 150)
 def test_factor_index_matches_brute_force_windows(text):
-    index = _FactorIndex(text, len(text))
-    for n in range(len(text) + 2):
-        windows = {text[i : i + n] for i in range(len(text) - n + 1)}
-        assert index.count(n) == len(windows)
-        assert index.factors(n) == windows
+    # the whole text, and the text cut into three blocks: a window of the
+    # blocks never runs across a cut
+    cuts = (len(text) // 3, len(text) // 2)
+    for blocks in ([text], [text[: cuts[0]], text[cuts[0] : cuts[1]], text[cuts[1] :]]):
+        index = _FactorIndex(blocks)
+        for n in range(len(text) + 2):
+            windows = {b[i : i + n] for b in blocks for i in range(len(b) - n + 1)}
+            assert index.count(n) == len(windows)
+            assert index.factors(n) == windows
 
 
 def _common_prefix(a: str, b: str) -> int:
@@ -351,12 +354,17 @@ def _standard_words(cf: tuple[int, ...]):
 
 
 @pytest.mark.parametrize("cf", STURMIAN_CFS)
-def test_sturmian_rules_iterate_the_standard_words(cf):
+def test_sturmian_rules_iterate_the_standard_words(cf, sturmian_rules):
+    # the k-th iterate of a under the one-period composition, the points'
+    # reference, is the (k m)-th standard word, as `StandardWords` spells it
     rules = sturmian_rules(cf)
     words = list(itertools.islice(_standard_words(cf), 3 * len(cf)))
-    # the k-th iterate of a is the (k m)-th standard word
+    standard, swapped = StandardWords(SturmianSpec(cf)), StandardWords(SturmianSpec(cf, True))
+    assert (standard[-1], standard[0], swapped[-1], swapped[0]) == ("b", "a", "a", "b")
     for k in (1, 2, 3):
-        assert substitution_iterate(rules, "a", k) == words[k * len(cf) - 1]
+        word = substitution_iterate(rules, "a", k)
+        assert word == words[k * len(cf) - 1] == standard[k * len(cf)]
+        assert swapped[k * len(cf)] == word.translate(str.maketrans("ab", "ba"))
 
 
 @pytest.mark.parametrize("swap", [False, True])
@@ -365,7 +373,7 @@ def test_sturmian_language_matches_standard_word_windows(cf, swap):
     word = next(w for w in _standard_words(cf) if len(w) >= 20_000)
     if swap:
         word = word.translate(str.maketrans("ab", "ba"))
-    reference = _FactorIndex(word, len(word))
+    reference = _FactorIndex([word])
     table = LanguageTable(SturmianSpec(cf, swap))
     for n in range(1, 401):
         assert table.complexity(n) == reference.count(n) == n + 1
@@ -374,12 +382,26 @@ def test_sturmian_language_matches_standard_word_windows(cf, swap):
 
 
 def test_sturmian_huge_coefficient_is_refused_before_its_text():
-    # the second standard word of [100000] has about 10^10 letters
+    # the second standard word of [100000] has about 10^10 letters: counts
+    # need no text, and s_1 = a^100000 b holds the factors of length 1 but
+    # not those of length 2
     table = LanguageTable(SturmianSpec((100000,)))
-    assert table.complexity(1) == 2
-    for n in (2, 3):  # the refusal holds for every later query too
-        with pytest.raises(ResourceLimit, match="text budget"):
-            table.complexity(n)
+    assert [table.complexity(n) for n in (1, 5, 10**12)] == [2, 6, 10**12 + 1]
+    assert table.factors(1) == {"a", "b"}
+    for _ in range(2):  # the refusal holds for every later query too
+        with pytest.raises(ResourceLimit, match="s_2 has 10000100001 letters, past the text"):
+            table.factors(2)
+
+
+def test_sturmian_counts_read_no_text(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Sturmian count read generated text")
+
+    for name in ("_FactorIndex", "StandardWords"):
+        monkeypatch.setattr(subshifts, name, refuse)
+    for cf in STURMIAN_CFS + [(3, 1, 4, 1, 5, 9, 2, 6)]:
+        table = LanguageTable(SturmianSpec(cf))
+        assert [table.complexity(n) for n in range(2001)] == list(range(1, 2002))
 
 
 def test_sturmian_snapshots_are_the_standard_words():
@@ -396,13 +418,8 @@ def test_sturmian_snapshots_are_the_standard_words():
 def test_sturmian_long_period_starts_from_the_first_standard_word():
     # one period of (1, 2, ..., 11) spells about 8.3e7 letters; s_1 = ab
     # already holds both letters
-    assert LanguageTable(SturmianSpec(tuple(range(1, 12)))).complexity(1) == 2
-
-
-def test_is_primitive_examples():
-    assert is_primitive(FIB) is True
-    assert is_primitive(NONPRIM) is False
-    assert is_primitive({"a": "aa"}) is True
+    table = LanguageTable(SturmianSpec(tuple(range(1, 12))))
+    assert table.complexity(1) == 2 and table.factors(1) == {"a", "b"}
 
 
 # --- Toeplitz words -----------------------------------------------------------
@@ -556,7 +573,7 @@ def test_toeplitz_queries_generate_and_index_no_text(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a Toeplitz query read generated text")
 
-    for name in ("_FactorIndex", "_IndexStream", "_saturate", "toeplitz_word"):
+    for name in ("_FactorIndex", "StandardWords", "substitution_iterate", "toeplitz_word"):
         monkeypatch.setattr(subshifts, name, refuse)
     for pattern in TOEPLITZ_PATTERNS:
         table = LanguageTable(ToeplitzSpec(pattern))
@@ -824,29 +841,29 @@ def test_sturmian_complexity_random_slopes(cf):
         assert spec.language.complexity(n) == n + 1
 
 
-# --- enumeration strategy diagnostics -----------------------------------------
+# --- recurrent factors of substitutions ---------------------------------------
 
 
 def test_tail_filter_agrees_for_primitive(fib_spec):
-    diag = substitution_enumeration_diagnostics(fib_spec, 4)
-    assert diag["agree"]
+    # every factor of the Fibonacci word recurs, so the language is all the
+    # windows of an iterate
+    word = substitution_iterate(FIB, "a", 20)
+    for n in range(1, 9):
+        assert fib_spec.language.factors(n) == {word[i : i + n] for i in range(len(word) - n + 1)}
 
 
 def test_tail_filter_flags_prefix_only_factors():
     # a -> ab, b -> bb collapses to the all-b sequence; the letter 'a'
     # occurs once in the generated word and must not enter the language
     spec = SubstitutionSpec.from_rules({"a": "ab", "b": "bb"}, "a")
-    diag = substitution_enumeration_diagnostics(spec, 2)
-    assert not diag["agree"]
-    assert diag["tail"] == frozenset({"bb"})
-    assert "ab" in diag["prefix"]
+    assert "ab" in substitution_iterate(spec.rules_dict, "a", 3)
+    assert spec.language.factors(2) == frozenset({"bb"})
     assert spec.language.factors(3) == frozenset({"bbb"})
 
 
 def test_tail_saturation_compares_sets_not_counts():
     # the tail halves "b", "cc", "aaaa" of the first iterates hold one letter
-    # each, a different one each time: equal counts over two doublings, but
-    # the sets differ, so the scan must go on
+    # each, a different one each time: all three letters recur
     spec = SubstitutionSpec.from_rules({"a": "ab", "b": "cc", "c": "aa"}, "a")
     assert spec.language.factors(1) == frozenset("abc")
     assert spec.language.complexity(1) == 3
@@ -857,17 +874,61 @@ def test_nonprimitive_language_facts():
     assert "aa" not in spec.language.factors(2)
     for k in range(1, 9):
         assert "b" * k in spec.language.factors(k)
-    # here every factor of the generated word recurs (prefixes reoccur),
-    # so the tail filter changes nothing
-    assert substitution_enumeration_diagnostics(spec, 4)["agree"]
+    # here every factor of the generated word recurs (prefixes reoccur)
+    word = substitution_iterate(NONPRIM, "a", 12)
+    assert spec.language.factors(4) == {word[i : i + 4] for i in range(len(word) - 3)}
 
 
-# --- saturation and thread safety ---------------------------------------------
+def test_non_primitive_substitutions_count_every_recurrent_letter_and_pair():
+    # a recurs in the fixed point of a -> aabb, b -> bbb (psi^k(a) holds 2^k
+    # of them), and cb in that of a -> abc, b -> bb, c -> cc
+    assert SubstitutionSpec.from_rules({"a": "aabb", "b": "bbb"}, "a").language.complexity(1) == 2
+    spec = SubstitutionSpec.from_rules({"a": "abc", "b": "bb", "c": "cc"}, "a")
+    assert spec.language.factors(2) == {"bb", "bc", "cb", "cc"}
+
+
+def _late_windows(rules, top, size=200_000):
+    """Reference: for n <= top, the length-n windows at positions of at
+    least sqrt(L) in the iterate of a of L >= `size` letters."""
+    word = "a"
+    while len(word) < size:
+        word = substitution_iterate(rules, word, 1)
+    tail = word[math.isqrt(len(word)) :]
+    longest, end = {tail[i : i + top] for i in range(len(tail) - top + 1)}, tail[-top:]
+    return [{w[:n] for w in longest} | {end[i : i + n] for i in range(top - n + 1)}
+            for n in range(top + 1)]
+
+
+@st.composite
+def growing_rules(draw):
+    """A substitution on two or three letters whose letters all grow, and
+    whose image of a starts with a."""
+    letters = "abc"[: draw(st.integers(min_value=2, max_value=3))]
+    rules = {c: draw(st.text(alphabet=letters, min_size=1, max_size=3)) for c in letters}
+    rules["a"] = "a" + rules["a"]
+    assume(growing_letters(rules) == set(letters))
+    return rules
+
+
+@settings(max_examples=25, deadline=None)
+@given(growing_rules())
+@example({"a": "aabb", "b": "bbb"})
+@example({"a": "abc", "b": "bb", "c": "cc"})
+def test_substitution_language_equals_the_windows_of_a_late_tail(rules):
+    table = SubstitutionSpec.from_rules(rules, "a").language
+    for n, windows in enumerate(_late_windows(rules, 9)):
+        assert table.factors(n) == windows, n
+        assert table.complexity(n) == len(windows), n
+
+
+# --- text budgets and thread safety -------------------------------------------
 
 
 def test_saturation_failure_with_tiny_budget():
+    # with their separators, the blocks for lengths 17 to 32 (under psi^5)
+    # hold 272 letters, past 2 x 100
     table = LanguageTable(SubstitutionSpec.from_rules(NONPRIM, "a"), max_text=100)
-    with pytest.raises(SaturationFailure):
+    with pytest.raises(ResourceLimit, match="text budget of 200 letters"):
         table.factors(40)
 
 
@@ -876,9 +937,9 @@ def test_length_past_the_text_budget_is_refused_before_any_text():
     table = LanguageTable(fibonacci_spec())
     tracemalloc.start()
     try:
-        with pytest.raises(SaturationFailure, match="longer than the text budget"):
+        with pytest.raises(ResourceLimit, match="past the text budget"):
             table.complexity(10**12)
-        with pytest.raises(SaturationFailure, match="longer than the text budget"):
+        with pytest.raises(ResourceLimit, match="past the text budget"):
             table.factors(table.max_text + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -887,7 +948,8 @@ def test_length_past_the_text_budget_is_refused_before_any_text():
 
 
 def test_snapshot_past_twice_the_text_budget_is_refused():
-    # snapshots of 5, 21, 85 and 341 letters: the last passes 2 x 100
+    # with their separators, the blocks for lengths 6 to 21 hold 262
+    # letters, past 2 x 100
     table = LanguageTable(SubstitutionSpec.from_rules({"a": "aaaab", "b": "a"}, "a"),
                           max_text=100)
     for n in (20, 21):
@@ -937,11 +999,12 @@ def test_full_shift_and_sft_counts_are_refused_past_the_count_bits():
 
 
 def test_lengths_within_the_text_budget_are_unchanged():
+    # with their separators, the blocks for lengths 145 to 233 hold 1,686
+    # letters, and those for 234 to 377 hold 2,728, past 2 x 1,000
     table = LanguageTable(fibonacci_spec(), max_text=1000)
-    assert [table.complexity(n) for n in range(1, 89)] == list(range(2, 90))
-    # within the budget, a length is still scanned for, and refused as before
-    with pytest.raises(SaturationFailure, match="did not stabilize"):
-        table.complexity(89)
+    assert [table.complexity(n) for n in range(1, 234)] == list(range(2, 235))
+    with pytest.raises(ResourceLimit, match="psi\\^13 have 2728 letters"):
+        table.complexity(234)
 
 
 def _plan_reads(table, n):

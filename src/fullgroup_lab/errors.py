@@ -55,7 +55,7 @@ class PeriodicCollision(ValidationError):
 
 
 class UnresolvableHole(ValidationError):
-    """The two-sided hole filling leaves a permanently drifting hole."""
+    """The two-sided hole filling leaves a hole filled by itself."""
 
 
 class ResourceLimit(FullgroupLabError):

@@ -1,22 +1,20 @@
 """Bi-infinite points of a subshift, exposed through finite centered windows.
 
-A `Point` never materializes an infinite sequence: `window(center, radius)`
-returns the letters at coordinates center-radius .. center+radius, computed
-from a cached segment that grows by doubling.  All windows of a point are
-slices of one fixed assignment, so nesting and shift-compatibility hold by
-construction.  A point is not checked against a subshift: a window outside
-the language is refused where it meets a table over the admissible words.
-
-A substitution fixed point's iterates, and a Sturmian point's standard
-words, are refused past the text budget before they are built, and a fixed
-point's default seeds are found without any iterate.
+A `Point` is two one-sided words around 0, x_0 x_1 ... on the right and
+... x_-2 x_-1 on the left, each grown by doubling with its family's own
+word builder.  A read grows only the sides it passes and slices them, so
+all windows are slices of one fixed assignment.  A point is not checked
+against a subshift: a window outside the language is refused where it
+meets a table over the admissible words.  Substitution iterates and
+standard words are refused past the text budget before they are built, and
+a fixed point's default seeds are found without any iterate.
 """
 
 from __future__ import annotations
 
 import threading
 
-from .errors import SpecMismatch, UnresolvableHole, ValidationError
+from .errors import SpecMismatch, ValidationError
 from .subshifts import (
     ExplicitSpec,
     FullShiftSpec,
@@ -26,36 +24,41 @@ from .subshifts import (
     StandardWords,
     ToeplitzSpec,
     substitution_iterate,
+    toeplitz_word,
 )
 
 MAX_CYLINDER_RADIUS = 1 << 16  # widest window `find_cylinder_position` scans
 
 
+def _slice(left: str, right: str, lo: int, hi: int) -> str:
+    """Letters lo .. hi-1 of `left` then `right`, 0 the first of `right`;
+    `left` holds -lo letters or more."""
+    return left[len(left) + lo : len(left) + min(hi, 0)] + right[max(lo, 0) : max(hi, 0)]
+
+
 class Point:
-    """Base class: cached window access over a fixed letter assignment."""
+    """Base class: window access over two cached one-sided words."""
 
     def __init__(self):
         self._lock = threading.RLock()
-        self._lo = 0
-        self._hi = 0
-        self._seg = ""
+        self._right = ""  # x_0 x_1 ...
+        self._left = ""  # ... x_-2 x_-1
 
-    def _materialize(self, lo: int, hi: int) -> str:
-        """Letters at coordinates lo .. hi-1 (to be provided by subclasses)."""
+    def _grow(self, side: str, length: int) -> str:
+        """At least `length` letters of the "right" or "left" side."""
         raise NotImplementedError
 
     def letters(self, lo: int, hi: int) -> str:
-        """Letters at coordinates lo .. hi-1, from the doubling cache."""
+        """Letters at coordinates lo .. hi-1, from the sides that the read
+        passes, each grown to at least twice its length when it is short."""
         if hi <= lo:
             return ""
         with self._lock:
-            if lo < self._lo or hi > self._hi:
-                span = max(hi - lo, 2 * (self._hi - self._lo), 16)
-                new_lo = min(lo, self._lo, -(span // 2))
-                new_hi = max(hi, self._hi, span // 2)
-                self._seg = self._materialize(new_lo, new_hi)
-                self._lo, self._hi = new_lo, new_hi
-            return self._seg[lo - self._lo : hi - self._lo]
+            if hi > len(self._right):
+                self._right = self._grow("right", max(hi, 2 * len(self._right)))
+            if -lo > len(self._left):
+                self._left = self._grow("left", max(-lo, 2 * len(self._left)))
+            return _slice(self._left, self._right, lo, hi)
 
     def window(self, center: int, radius: int) -> str:
         """The word at coordinates center-radius .. center+radius."""
@@ -112,96 +115,69 @@ class SubstitutionFixedPoint(Point):
                 raise SpecMismatch(f"psi^{power}({right!r}) does not start with {right!r}")
             if not spec.language.is_admissible(left + right):
                 raise SpecMismatch(f"seed pair {left + right!r} is not admissible")
-        self.left_seed = left
-        self.right_seed = right
-        self._left_word = left
-        self._right_word = right
+        self.left_seed = self._left = left
+        self.right_seed = self._right = right
 
     def _step(self, word: str) -> str:
         """psi^power(word), refused past DEFAULT_MAX_TEXT letters."""
         return substitution_iterate(self.rules, word, self.power)
 
-    def _materialize(self, lo: int, hi: int) -> str:
-        while len(self._left_word) < -lo:
-            self._left_word = self._step(self._left_word)
-        while len(self._right_word) < hi:
-            self._right_word = self._step(self._right_word)
-        left = self._left_word[len(self._left_word) + lo :] if lo < 0 else ""
-        return left + self._right_word[max(lo, 0) : hi]
+    def _grow(self, side: str, length: int) -> str:
+        word = self._right if side == "right" else self._left
+        while len(word) < length:
+            word = self._step(word)
+        return word
 
 
 class MechanicalPoint(Point):
     """Two-sided Sturmian point read off the standard words s_k and shifted
     by an intercept index: right of 0 the limit of s_0, s_1, ..., each a
     prefix of the next, and left of 0 the limit of s_0, s_2, s_4, ..., each
-    a suffix of the next, so one even-indexed word serves both sides.  It
-    is the fixed point of the square of the standard-word substitutions
-    composed over one period of the continued fraction, whose iterates of a
-    are the s_k at every period's end."""
+    a suffix of the next.  It is the fixed point of the square of the
+    standard-word substitutions composed over one period of the continued
+    fraction, whose iterates of a are the s_k at every period's end."""
 
     def __init__(self, spec: SturmianSpec, intercept: int = 0):
         super().__init__()
         self.intercept = intercept
         self._words = StandardWords(spec)
 
-    def _materialize(self, lo: int, hi: int) -> str:
-        lo, hi = lo + self.intercept, hi + self.intercept
+    def _word(self, length: int, step: int) -> str:
+        """The first of s_0, s_step, s_2step, ... with `length` letters or more."""
         k = 0
-        while len(self._words[k]) < max(hi, -lo):
-            k += 2
-        word = self._words[k]
-        left = word[len(word) + lo : len(word) + min(hi, 0)] if lo < 0 else ""
-        return left + word[max(lo, 0) : max(hi, 0)]
+        while len(self._words[k]) < length:
+            k += step
+        return self._words[k]
+
+    def _grow(self, side: str, length: int) -> str:
+        lo = self.intercept if side == "right" else self.intercept - length
+        left = self._word(-lo, 2) if lo < 0 else ""
+        right = self._word(lo + length, 1) if lo + length > 0 else ""
+        return _slice(left, right, lo, lo + length)
 
 
 class ToeplitzPoint(Point):
-    """Two-sided hole filling of a Toeplitz pattern, anchored at an offset.
-
-    Coordinate j carries the letter of the bi-infinite filling at j+anchor.
-    Patterns whose signed filling leaves a permanently drifting hole are
-    rejected at construction (the recursion would cycle).
-    """
+    """Two-sided hole filling of a Toeplitz pattern, anchored at an offset:
+    coordinate j carries the letter of the two-sided Toeplitz word at
+    j+anchor.  A pattern that ends with a hole leaves a permanent hole at
+    -1, and is refused at construction."""
 
     def __init__(self, spec: ToeplitzSpec, anchor: int = 0):
         super().__init__()
         self.anchor = anchor
         self.pattern = spec.pattern
         self.hole = spec.hole
-        self._holes = [i for i, c in enumerate(self.pattern) if c == self.hole]
-        self._hole_index = {h: s for s, h in enumerate(self._holes)}
-        self._memo: dict[int, str] = {}
-        p = len(self.pattern)
-        # cycles live in a bounded negative region; from -1 downward, each
-        # hole chain stops at an offset resolved before it
-        for i in range(-1, -p * p - p - 1, -1):
-            self._resolve(i)
+        toeplitz_word(self.pattern, 1, self.hole, -1)  # every anchor's point holds x_-1
 
-    def _resolve(self, i: int) -> str:
-        seen: list[int] = []
-        j = i
-        while True:
-            got = self._memo.get(j)
-            if got is not None:
-                break
-            r = j % len(self.pattern)
-            c = self.pattern[r]
-            if c != self.hole:
-                got = c
-                break
-            if j in seen:
-                raise UnresolvableHole(
-                    f"pattern {self.pattern!r} leaves a permanent hole at offset {j}"
-                )
-            seen.append(j)
-            q = len(self._holes)
-            j = ((j - r) // len(self.pattern)) * q + self._hole_index[r]
-        for visited in seen:
-            self._memo[visited] = got
-        self._memo[i] = got
-        return got
+    def _grow(self, side: str, length: int) -> str:
+        start = self.anchor if side == "right" else self.anchor - length
+        return toeplitz_word(self.pattern, length, self.hole, start)
 
-    def _materialize(self, lo: int, hi: int) -> str:
-        return "".join(self._resolve(j + self.anchor) for j in range(lo, hi))
+
+def _repeat(word: str, start: int, length: int) -> str:
+    """word[start mod len], word[start+1 mod len], ...: `length` letters."""
+    start %= len(word)
+    return (word * ((start + length) // len(word) + 1))[start : start + length]
 
 
 class PeriodicPoint(Point):
@@ -214,9 +190,9 @@ class PeriodicPoint(Point):
         self.word = word
         self.phase = phase
 
-    def _materialize(self, lo: int, hi: int) -> str:
-        m = len(self.word)
-        return "".join(self.word[(j + self.phase) % m] for j in range(lo, hi))
+    def _grow(self, side: str, length: int) -> str:
+        start = self.phase if side == "right" else self.phase - length
+        return _repeat(self.word, start, length)
 
 
 class ExplicitPoint(Point):
@@ -230,18 +206,10 @@ class ExplicitPoint(Point):
         self.center = center
         self.right_period = right_period
 
-    def _materialize(self, lo: int, hi: int) -> str:
-        out = []
-        nc = len(self.center)
-        ll, lr = len(self.left_period), len(self.right_period)
-        for j in range(lo, hi):
-            if j < 0:
-                out.append(self.left_period[j % ll])
-            elif j < nc:
-                out.append(self.center[j])
-            else:
-                out.append(self.right_period[(j - nc) % lr])
-        return "".join(out)
+    def _grow(self, side: str, length: int) -> str:
+        if side == "left":
+            return _repeat(self.left_period, -length, length)
+        return self.center + _repeat(self.right_period, 0, max(length - len(self.center), 0))
 
 
 def is_periodic_window(point: Point, radius: int) -> int | None:

@@ -70,6 +70,7 @@ from .errors import (
     ConditionViolated,
     EmptyAlphabet,
     ResourceLimit,
+    UnresolvableHole,
     ValidationError,
 )
 
@@ -459,16 +460,20 @@ def _recurrent_pairs(rules: Mapping[str, str], seed: str) -> list[str]:
 # Toeplitz hole filling
 
 
-def toeplitz_word(pattern: str, length: int, hole: str = "*") -> str:
-    """First `length` letters of the one-sided Toeplitz word of `pattern`.
+def toeplitz_word(pattern: str, length: int, hole: str = "*", start: int = 0) -> str:
+    """The `length` letters from position `start` (an int of any size) of
+    the two-sided Toeplitz word x of `pattern`; from 0, the one-sided word.
 
-    The holes of the periodic pattern word are filled, in order, with the
-    letters of the word itself.  The holes among its first L letters take
-    the first H letters, and H < L because the pattern starts with a letter.
-    So the word is built level by level, from the shortest of the lengths
-    L, H(L), H(H(L)), ... that has no hole: each level repeats the pattern
-    and scatters the level before into its holes.  A pattern without holes
-    is simply repeated.
+    x repeats the pattern of p cells and q holes, and its hole at i carries
+    x_h(i), h(i) = floor(i/p) q + (holes of the pattern before i mod p).  h
+    grows by one exactly at a hole, so the holes of the window [s, e) take,
+    in order, the letters of [h(s), h(e)).  So x is built level by level,
+    from the first of the windows [s, e), [h(s), h(e)), ... without a hole:
+    each level repeats the pattern and scatters the level before into its
+    holes.  The windows close in on 0, as h(i) < i for i > 0 (the pattern
+    starts with a letter) and h(i) > i for i < 0, except that a pattern
+    ending with a hole has h(-1) = -1, a hole filled by itself: such a
+    pattern refuses a negative start.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -476,20 +481,26 @@ def toeplitz_word(pattern: str, length: int, hole: str = "*") -> str:
         raise EmptyAlphabet("empty Toeplitz pattern")
     if pattern[0] == hole:
         raise ConditionViolated("Toeplitz", 1, "pattern must start with a letter, not a hole")
+    if start < 0 and pattern[-1] == hole:
+        raise UnresolvableHole(f"pattern {pattern!r} leaves a permanent hole at offset -1")
+    p = len(pattern)
     is_hole = [c == hole for c in pattern]
-    lengths = [length]
-    while True:
-        periods, rest = divmod(lengths[-1], len(pattern))
-        holes = periods * sum(is_hole) + sum(is_hole[:rest])
-        if not holes:
-            break
-        lengths.append(holes)
+    before = list(itertools.accumulate(is_hole, initial=0))
+
+    def h(i: int) -> int:
+        return i // p * before[p] + before[i % p]
+
+    windows = []
+    s, e = start, start + length
+    while s < e:
+        windows.append((s, e))
+        s, e = h(s), h(e)
     letters = np.frombuffer(pattern.encode("utf-32-le"), dtype=np.uint32)
     word = np.empty(0, np.uint32)
-    for size in reversed(lengths):
-        periods = -(-size // len(pattern))
-        level = np.tile(letters, periods)[:size]
-        level[np.tile(is_hole, periods)[:size]] = word
+    for s, e in reversed(windows):
+        cells = slice(s % p, s % p + e - s)
+        level = np.tile(letters, cells.stop // p + 1)[cells]
+        level[np.tile(is_hole, cells.stop // p + 1)[cells]] = word
         word = level
     return word.tobytes().decode("utf-32-le")
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import os
@@ -284,6 +285,56 @@ def test_walk_seed_changes_output(workdir):
     assert run(base + ["--seed", 1, "--out", out1]) == 0
     assert run(base + ["--seed", 2, "--out", out2]) == 0
     assert (out1 / "walk_summary.csv").read_bytes() != (out2 / "walk_summary.csv").read_bytes()
+
+
+# a spec for each point kind that a descriptor names, besides the fixed point
+POINT_KINDS = {
+    "mechanical": {"variant": "sturmian", "cf": [2, 1], "swap_letters": False,
+                   "point": {"kind": "mechanical", "intercept": -13}},
+    "toeplitz": {"variant": "toeplitz", "pattern": "a*ab*a", "hole": "*",
+                 "point": {"kind": "toeplitz", "anchor": 10**15 + 3}},
+    "periodic": {"variant": "full_shift", "alphabet": ["a", "b"],
+                 "point": {"kind": "periodic", "word": "aabab", "phase": 2}},
+    "explicit": {"variant": "explicit", "alphabet": ["a", "b"], "forbidden": ["bb"],
+                 "point": {"kind": "explicit", "left_period": "ab", "center": "aab",
+                           "right_period": "aba"}},
+}
+# SHA-256 of walk_summary.csv, tail_fit.json and entropy.csv
+POINT_KIND_DIGESTS = {
+    "mechanical": ("b4746c65d38e59e3b8590acf60595e66b24d3db45574189bc1720c94a84193aa",
+                   "5690239c665a08838906880c72419eb501b356c9e2e3812363a480f7179a9ba2",
+                   "68c602be81ed6b7cd4135f01d3b8511f8c19a240b8324ca3e724983dbfa522fd"),
+    "toeplitz": ("b0480ce71d69139b37695aad443058bb319d6cdc6fec23d0986e650beb548955",
+                 "354a5df6e5d48f9ef4f08f2c8352b839356e644b9d02fd51e5957f6fb49eccc5",
+                 "55e0f211148198850f1c2fecf25f073a3897f9bad6d126db0ab17fb52d8d8554"),
+    "periodic": ("85fd5d665b52ab97c694a683e76eb75932d17a51e02cd3f3b5d69b41246a8687",
+                 "338b4d1af888ac53873a3b2a91fff06f3f648c6abd9fda4db82d12ccd4268b27",
+                 "55e0f211148198850f1c2fecf25f073a3897f9bad6d126db0ab17fb52d8d8554"),
+    "explicit": ("984e5321584ba62b8d7f6caed7daf5789a51b4549da4611831b46bed7a11c4a4",
+                 "511f554562dcfaccd2402a1884a78f414d231955dae6a382c5fa58f808f9474e",
+                 "c61d314f9bcd07e11b505e20e440ed9935b3077cc03842b506a588e006e2ea5d"),
+}
+
+
+@pytest.mark.parametrize("kind", list(POINT_KINDS))
+def test_walk_and_entropy_bytes_per_point_kind(tmp_path, kind):
+    # the swaps across ab and ba read the point's windows, and the shift
+    # and its inverse carry the walk along it
+    write_json(tmp_path / "spec.json", POINT_KINDS[kind])
+    words = sorted(load_spec(tmp_path / "spec.json").language.factors(3))
+    gens = {name: {"depth": 0, "entries": [{"word": c, "k": k} for c in "ab"]}
+            for name, k in (("tau", 1), ("tau_inv", -1))}
+    for two in ("ab", "ba"):
+        gens[two] = {"depth": 1, "entries": [
+            {"word": w, "k": 1 if w[1:] == two else -1 if w[:2] == two else 0} for w in words]}
+    write_json(tmp_path / "gens.json", {"spec": "spec.json", "generators": gens})
+    base = ["--spec", tmp_path / "spec.json", "--gens", tmp_path / "gens.json"]
+    assert run(["walk", *base, "--n", 40, "--trials", 200, "--out", tmp_path / "w"]) == 0
+    assert run(["entropy", *base, "--n", 4, "--out", tmp_path / "e"]) == 0
+    paths = (tmp_path / "w" / "walk_summary.csv", tmp_path / "w" / "tail_fit.json",
+             tmp_path / "e" / "entropy.csv")
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths)
+    assert digests == POINT_KIND_DIGESTS[kind]
 
 
 REPLAY_ARGS = {

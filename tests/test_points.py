@@ -125,6 +125,12 @@ def test_mechanical_point_with_a_huge_coefficient_is_refused():
             point.window(0, 3)
 
 
+def test_mechanical_point_reads_right_of_0_from_any_standard_word():
+    # x_0 .. x_100000 is s_1 = a^100000 b; s_2 would have about 10^10 letters
+    point = MechanicalPoint(SturmianSpec((100000,)))
+    assert point.letters(0, 100001) == "a" * 100000 + "b"
+
+
 @pytest.mark.parametrize("swap", [False, True])
 @pytest.mark.parametrize("cf", [(1,), (2,), (1, 2), (2, 1), (3, 1, 2), (5, 1, 1), (1, 1, 2)])
 def test_mechanical_point_is_the_fixed_point_of_the_one_period_square(cf, swap, sturmian_rules):
@@ -170,9 +176,11 @@ def test_toeplitz_point_anchor_shifts():
 
 
 def test_toeplitz_permanent_hole_rejected():
+    # the hole at -1 belongs to the point at every anchor
     for pattern in ("ab*b*", "a*b*", "a**b*", "ab**"):
-        with pytest.raises(UnresolvableHole, match="offset -1$"):
-            ToeplitzPoint(ToeplitzSpec(pattern), 0)
+        for anchor in (0, 5):
+            with pytest.raises(UnresolvableHole, match="offset -1$"):
+                ToeplitzPoint(ToeplitzSpec(pattern), anchor)
 
 
 def _filled_letter(pattern: str, j: int, hole: str = "*") -> str:
@@ -189,10 +197,31 @@ def _filled_letter(pattern: str, j: int, hole: str = "*") -> str:
 
 @pytest.mark.parametrize("pattern", ["a*ab*a", "a*b", "a**b", "a" + "*" * 28 + "b"])
 def test_toeplitz_point_windows_match_a_memo_free_filler(pattern):
-    point = ToeplitzPoint(ToeplitzSpec(pattern), 0)
-    expected = "".join(_filled_letter(pattern, j) for j in range(-3000, 3000))
-    assert point.letters(-3000, 3000) == expected
-    assert point.letters(0, 3000) == toeplitz_word(pattern, 3000)
+    # a window far from 0 is filled through more levels: 175 for the
+    # 30-cell pattern at 3^80
+    for anchor in (0, -7, 10**15 + 3, -(10**15) - 1, 3**80):
+        point = ToeplitzPoint(ToeplitzSpec(pattern), anchor)
+        expected = "".join(_filled_letter(pattern, j + anchor) for j in range(-3000, 3000))
+        assert point.letters(-3000, 3000) == expected, anchor
+    assert ToeplitzPoint(ToeplitzSpec(pattern)).letters(0, 3000) == toeplitz_word(pattern, 3000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from("*?"),
+    st.sampled_from("ab"),
+    st.lists(st.sampled_from("ab."), max_size=7),
+    st.integers(min_value=-(10**20), max_value=10**20),
+    st.integers(min_value=1, max_value=200),
+)
+def test_toeplitz_word_from_any_start_matches_the_memo_free_filler(hole, first, rest, start, n):
+    pattern = first + "".join(rest).replace(".", hole)
+    if start < 0 and pattern[-1] == hole:
+        with pytest.raises(UnresolvableHole, match="permanent hole at offset -1$"):
+            toeplitz_word(pattern, n, hole, start)
+    else:
+        expected = "".join(_filled_letter(pattern, j, hole) for j in range(start, start + n))
+        assert toeplitz_word(pattern, n, hole, start) == expected
 
 
 def test_nonprimitive_fixed_point_windows(fib_spec):
@@ -251,6 +280,32 @@ def test_find_cylinder_position_refuses_a_word_it_never_meets(fib_point):
     # widest one is scanned in vain
     with pytest.raises(ValidationError, match=r"^word 'bbb' not found within radius 65536$"):
         find_cylinder_position(fib_point, "bbb")
+
+
+POINTS = {
+    "fixed point": lambda: SubstitutionFixedPoint(SubstitutionSpec.from_rules({"a": "ab", "b": "a"},
+                                                                              "a")),
+    "mechanical": lambda: MechanicalPoint(SturmianSpec((2, 1)), -13),
+    "toeplitz": lambda: ToeplitzPoint(ToeplitzSpec("a*ab*a"), 5),
+    "periodic": lambda: PeriodicPoint("aab", 1),
+    "explicit": lambda: ExplicitPoint("ab", "aab", "aba"),
+}
+
+
+@pytest.mark.parametrize("kind", list(POINTS))
+def test_a_read_grows_only_the_side_it_passes(kind):
+    for side, reads in (("right", ((0, 500), (3, 2000))), ("left", ((-500, 0), (-2000, -3)))):
+        point = POINTS[kind]()
+        grow, asked = point._grow, []
+
+        def spy(side, length):
+            asked.append(side)
+            return grow(side, length)
+
+        point._grow = spy
+        for lo, hi in reads:
+            assert len(point.letters(lo, hi)) == hi - lo
+        assert set(asked) == {side}
 
 
 def test_window_cache_thread_safety(fib_point):

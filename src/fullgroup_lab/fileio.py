@@ -126,6 +126,9 @@ def load_generator_set(path: Path, spec: SubshiftSpec) -> tuple[GeneratorSet, di
     elif isinstance(ref, Mapping):
         if build_spec(ref) != spec:
             raise ValidationError("generator file embeds a different spec")
+    elif ref is not None:
+        raise ValidationError(f"generator document field 'spec' must be a path or an object, "
+                              f"got {ref!r}")
 
     if doc.get("builtin") == "fibonacci":
         gens = fibonacci_generators(spec)

@@ -119,7 +119,7 @@ class SubstitutionFixedPoint(Point):
         self.right_seed = self._right = right
 
     def _step(self, word: str) -> str:
-        """psi^power(word), refused past DEFAULT_MAX_TEXT letters."""
+        """psi^power(word), refused past `subshifts.MAX_TEXT` letters."""
         return substitution_iterate(self.rules, word, self.power)
 
     def _grow(self, side: str, length: int) -> str:

@@ -6,6 +6,20 @@ by hole filling, full shifts, and explicit shifts of finite type given by
 forbidden words.  Words are plain Python strings over single-character
 letters.
 
+A substitution psi meets the growth condition when every letter a grows,
+|psi^k(a)| unbounded.  Rule (`growing_letters`): call a letter surviving
+when no psi^k empties it; a grows iff it reaches, through surviving letters
+in zero steps or more, a letter c on a cycle whose image holds two or more
+surviving letters, counted with multiplicity.  Proof: a surviving letter's
+image holds one, so the surviving letters of psi^k(a) never fall in number,
+and |psi^k(a)| is unbounded exactly when their number is (with d letters, a
+mortal letter's d-th image is empty).  With such a c, psi^j(c), j its
+cycle's length, holds c and one more surviving letter, so the number grows
+without bound.  Without, each cycle letter's only surviving image letter is
+its successor on the cycle, and as every chain of d steps or more repeats a
+letter, each surviving letter of psi^k(a), k >= d, is a cycle letter: the
+number is fixed from k = d on.
+
 Sturmian and substitution languages are read off generated text, with a
 certificate.  A Sturmian language has n + 1 factors of length n (Lothaire,
 Algebraic Combinatorics on Words, ch. 2), so its counts need no text, and
@@ -36,11 +50,11 @@ With b the least |psi^k(c)| over the letters of R, the blocks psi^k(c)
 followed by the first b - 1 letters of psi^k(d) hold those windows for
 every length up to b, and k is taken least with b >= n, so one index serves
 a table until a longer length is asked for (`_recurrent_blocks`).  Their
-letters, and a standard word's, are read off the letter counts and refused
-past twice the text budget before any is built.  The blocks are indexed
-together, by a prefix-doubling suffix array and Kasai's LCP scan, which
-count the distinct windows of every length at once and spell those of one
-length when asked (`_FactorIndex`).
+letters, like those of a standard word or an iterate, are read off the letter
+counts and refused past the text budget, `MAX_TEXT`, before any is built.
+The blocks are indexed together, by a prefix-doubling suffix array and
+Kasai's LCP scan, which count the distinct windows of every length at once
+and spell those of one length when asked (`_FactorIndex`).
 
 A Toeplitz language generates no text: its factors of one length are the
 pattern's templates filled by shorter factors, and from a length certified
@@ -59,10 +73,9 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Iterator, KeysView, Mapping, NamedTuple
+from typing import Iterable, Iterator, KeysView, Mapping, NamedTuple
 
 import numpy as np
 
@@ -74,8 +87,9 @@ from .errors import (
     ValidationError,
 )
 
-# Generated-text budget for factor enumeration (letters).
-DEFAULT_MAX_TEXT = 1 << 23
+# Letters one piece of generated text may take: a substitution iterate, a
+# standard word or the recurrent pairs' blocks.
+MAX_TEXT = 1 << 24
 # Element budget for explicit factor-set enumeration.
 DEFAULT_MAX_FACTORS = 2_000_000
 # Letters one factor set may spell (256 MiB).
@@ -317,21 +331,20 @@ def spec_to_dict(spec: SubshiftSpec) -> dict:
 # Substitution machinery
 
 
-def substitution_iterate(rules: Mapping[str, str], word: str, k: int,
-                         limit: int = DEFAULT_MAX_TEXT) -> str:
+def substitution_iterate(rules: Mapping[str, str], word: str, k: int) -> str:
     """psi^k(word) for the substitution psi given by `rules`: the one place
     that joins substitution images.  Each iterate's length is read off the
-    letter counts first, and one past `limit` letters is refused with
+    letter counts first, and one past `MAX_TEXT` letters is refused with
     ResourceLimit before any is built."""
     if k < 0:
         raise ValueError("iteration count must be nonnegative")
     counts = {c: word.count(c) for c in rules}
     for i in range(1, k + 1):
         counts = {d: sum(m * rules[c].count(d) for c, m in counts.items()) for d in rules}
-        if sum(counts.values()) > limit:
+        if sum(counts.values()) > MAX_TEXT:
             raise ResourceLimit(f"psi^{i} of a {len(word)}-letter word has "
                                 f"{sum(counts.values())} letters, past the text budget "
-                                f"of {limit} letters")
+                                f"of {MAX_TEXT} letters")
     for _ in range(k):
         word = "".join(rules[c] for c in word)
     return word
@@ -342,12 +355,11 @@ class StandardWords:
     s_{-1} = b, s_0 = a and s_k = s_{k-1}^{a_k} s_{k-2}, the coefficients
     cycled, with a and b swapped when the spec says so.  For k >= 0 each
     s_k is a prefix of s_{k+1} and a suffix of s_{k+2} (Lothaire, Algebraic
-    Combinatorics on Words, ch. 2).  A word past `limit` letters is refused
-    with ResourceLimit before it is built, each time it is asked for."""
+    Combinatorics on Words, ch. 2).  A word past `MAX_TEXT` letters is
+    refused with ResourceLimit before it is built, each time it is asked for."""
 
-    def __init__(self, spec: SturmianSpec, limit: int = DEFAULT_MAX_TEXT):
+    def __init__(self, spec: SturmianSpec):
         self.cf = spec.cf
-        self.limit = limit
         self._words = list("ab" if spec.swap_letters else "ba")  # s_{-1}, s_0, ...
 
     def __getitem__(self, k: int) -> str:
@@ -356,73 +368,35 @@ class StandardWords:
         while len(words) < k + 2:
             m = self.cf[(len(words) - 2) % len(self.cf)]
             size = m * len(words[-1]) + len(words[-2])
-            if size > self.limit:
+            if size > MAX_TEXT:
                 raise ResourceLimit(f"standard word s_{len(words) - 1} has {size} letters, "
-                                    f"past the text budget of {self.limit} letters")
+                                    f"past the text budget of {MAX_TEXT} letters")
             words.append(words[-1] * m + words[-2])
         return words[k + 1]
 
 
-def _mortal_letters(rules: Mapping[str, str]) -> set[str]:
-    # A letter is mortal when some iterate of its image is empty.
-    mortal: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for a, image in rules.items():
-            if a not in mortal and all(c in mortal for c in image):
-                mortal.add(a)
-                changed = True
-    return mortal
+def _reach(graph: Mapping[str, Iterable[str]], sources: Iterable[str]) -> set[str]:
+    """The vertices of `graph` reached from `sources` in one step or more."""
+    seen: set[str] = set()
+    todo = [v for s in sources for v in graph[s]]
+    while todo:
+        v = todo.pop()
+        if v not in seen:
+            seen.add(v)
+            todo.extend(graph[v])
+    return seen
 
 
 def growing_letters(rules: Mapping[str, str]) -> set[str]:
-    """Letters whose iterated image length tends to infinity.
-
-    Decided exactly on the incidence digraph of surviving letters: a letter
-    grows iff it reaches a strongly connected component that branches (some
-    vertex feeds >= 2 surviving letters back into its own component) or a
-    walk through two distinct cycles.
-    """
-    mortal = _mortal_letters(rules)
-    live = set(rules) - mortal
-    adj = {a: Counter(c for c in rules[a] if c in live) for a in live}
-
-    reach: dict[str, set[str]] = {}
-    for a in live:
-        seen: set[str] = set()
-        frontier = set(adj[a])
-        while frontier:
-            seen |= frontier
-            frontier = {c for b in frontier for c in adj[b]} - seen
-        reach[a] = seen  # reachable in >= 1 steps
-
-    cyclic = {a for a in live if a in reach[a]}
-
-    def same_scc(u: str, v: str) -> bool:
-        return u == v or (v in reach[u] and u in reach[v])
-
-    expanding_roots: set[str] = set()
-    for u in cyclic:
-        scc = {v for v in cyclic if same_scc(u, v)}
-        if any(sum(m for w, m in adj[v].items() if w in scc) >= 2 for v in scc):
-            expanding_roots.add(u)
-
-    growing: set[str] = set()
-    for b in live:
-        targets = reach[b] | {b}
-        hit = {u for u in targets if u in cyclic}
-        if any(u in expanding_roots for u in hit):
-            growing.add(b)
-            continue
-        # two distinct simple cycles along one walk
-        if any(
-            v in reach[u] and not same_scc(u, v)
-            for u in hit
-            for v in hit
-        ):
-            growing.add(b)
-    return growing
+    """Letters whose iterated image length tends to infinity, by the growth
+    rule of the module docstring."""
+    mortal: set[str] = set()  # the letters that some psi^k empties
+    while dying := {a for a, image in rules.items() if a not in mortal and set(image) <= mortal}:
+        mortal |= dying
+    graph = {a: [c for c in image if c not in mortal]
+             for a, image in rules.items() if a not in mortal}
+    roots = {c for c, image in graph.items() if len(image) >= 2 and c in _reach(graph, [c])}
+    return {a for a in graph if a in roots or roots & _reach(graph, [a])}
 
 
 def _recurrent_pairs(rules: Mapping[str, str], seed: str) -> list[str]:
@@ -435,17 +409,6 @@ def _recurrent_pairs(rules: Mapping[str, str], seed: str) -> list[str]:
         image = rules[pair[0]] + rules[pair[1]][0]
         return {image[i : i + 2] for i in range(start, len(rules[pair[0]]))}
 
-    def reach(sources) -> set[str]:
-        """The pairs reached from `sources` in one step or more."""
-        seen: set[str] = set()
-        todo = [p for s in sources for p in graph[s]]
-        while todo:
-            p = todo.pop()
-            if p not in seen:
-                seen.add(p)
-                todo.extend(graph[p])
-        return seen
-
     graph: dict[str, set[str]] = {}
     todo = list(children(seed + rules[seed][1], 1))
     while todo:
@@ -453,7 +416,7 @@ def _recurrent_pairs(rules: Mapping[str, str], seed: str) -> list[str]:
         if p not in graph:
             graph[p] = children(p, 0)
             todo.extend(graph[p])
-    return sorted(reach([p for p in graph if p in reach([p])]))
+    return sorted(_reach(graph, [p for p in graph if p in _reach(graph, [p])]))
 
 
 # ---------------------------------------------------------------------------
@@ -879,11 +842,11 @@ class _FactorIndex:
         return frozenset([self.text[i : i + n] for i in starts.tolist()])
 
 
-def _recurrent_blocks(spec: SubstitutionSpec, n: int, limit: int) -> tuple[int, _FactorIndex]:
+def _recurrent_blocks(spec: SubstitutionSpec, n: int) -> tuple[int, _FactorIndex]:
     """(b, index): the index of the blocks psi^k(c) + psi^k(d)[:b - 1], cd
     in `_recurrent_pairs`, whose length-m windows are the language's for
     every m <= b (module docstring), k least with b >= n.  Blocks past
-    `limit` letters in all are refused with ResourceLimit before any is
+    `MAX_TEXT` letters in all are refused with ResourceLimit before any is
     built."""
     rules = spec.rules_dict
     pairs = _recurrent_pairs(rules, spec.seed)
@@ -892,13 +855,13 @@ def _recurrent_blocks(spec: SubstitutionSpec, n: int, limit: int) -> tuple[int, 
     for k in itertools.count():
         bound = min(lengths[c] for c in letters)
         size = sum(lengths[c] + bound for c, _ in pairs)
-        if size > limit:
+        if size > MAX_TEXT:
             raise ResourceLimit(f"the recurrent pairs' blocks under psi^{k} have {size} "
-                                f"letters, past the text budget of {limit} letters")
+                                f"letters, past the text budget of {MAX_TEXT} letters")
         if bound >= n:
             break
         lengths = {c: sum(lengths[x] for x in image) for c, image in rules.items()}
-    images = {c: substitution_iterate(rules, c, k, limit) for c in letters}
+    images = {c: substitution_iterate(rules, c, k) for c in letters}
     return bound, _FactorIndex([images[c] + images[d][: bound - 1] for c, d in pairs])
 
 
@@ -906,7 +869,7 @@ def _recurrent_blocks(spec: SubstitutionSpec, n: int, limit: int) -> tuple[int, 
 # Shifts of finite type
 
 
-def _overlap_graph(spec: ExplicitSpec, cap: int) -> dict[str, tuple[str, ...]]:
+def _overlap_graph(spec: ExplicitSpec) -> dict[str, tuple[str, ...]]:
     """The allowed words of length k = max(1, longest forbidden word) that lie
     on a bi-infinite path, each mapped to its successors w[1:] + c.  The
     shift is the set of bi-infinite paths of this graph (Lind & Marcus,
@@ -916,8 +879,8 @@ def _overlap_graph(spec: ExplicitSpec, cap: int) -> dict[str, tuple[str, ...]]:
     for _ in range(k):
         words = [w + c for w in words for c in spec.letters
                  if not any((w + c).endswith(f) for f in spec.forbidden)]
-        if len(words) > cap:
-            raise ResourceLimit(f"SFT enumeration exceeded {cap} words")
+        if len(words) > DEFAULT_MAX_FACTORS:
+            raise ResourceLimit(f"SFT enumeration exceeded {DEFAULT_MAX_FACTORS} words")
     live = set(words)
     while True:
         succ = {w: tuple(v for v in (w[1:] + c for c in spec.letters) if v in live)
@@ -938,15 +901,17 @@ def _step_paths(graph: dict[str, tuple[str, ...]], paths: dict[str, int]) -> dic
     return longer
 
 
-def _spell_paths(graph: dict[str, tuple[str, ...]], n: int, cap: int) -> frozenset[str]:
+def _spell_paths(graph: dict[str, tuple[str, ...]], n: int) -> frozenset[str]:
     """The length-n words of the shift: prefixes of the vertices up to their
     length k, and beyond it the words spelled by paths, depth first into one
-    letter list, so each word costs its own letters.  Refused first past `cap`
-    words, or past a full shift's `cap * bit_length(cap)` letters: every
-    vertex starts a path, so the words hold at least len(graph) * n."""
+    letter list, so each word costs its own letters.  Refused first past
+    cap = `DEFAULT_MAX_FACTORS` words, or past a full shift's
+    cap * bit_length(cap) letters: every vertex starts a path, so the words
+    hold at least len(graph) * n."""
     k = len(next(iter(graph), ""))
     if n <= k or not graph:
         return frozenset(w[:n] for w in graph)
+    cap = DEFAULT_MAX_FACTORS
     if len(graph) * n > cap * cap.bit_length():
         raise ResourceLimit(f"SFT factor set of length {n} exceeds the letter cap")
     paths = dict.fromkeys(graph, 1)
@@ -990,25 +955,24 @@ class LanguageTable:
     of the recurrent pairs' images (the set itself is built only when
     `words` asks for it), for Toeplitz specs a count by the hole recursion,
     a closed form for full shifts and a path count on one overlap graph for
-    shifts of finite type.
+    shifts of finite type.  A table takes only its spec: its caps are the
+    module constants `MAX_TEXT`, `DEFAULT_MAX_FACTORS`, `MAX_FACTOR_LETTERS`
+    and `MAX_COUNT_BITS`, each read where its check is made.
 
-    The word geometry of cocycle tables lives here too.  `subwords(n, lo, width)` gives, for each of those
-    words, the position in `words(width)` of its subword starting at `lo`.
-    `siblings(n)` is the plan that canonical reduction reads, as three index
-    arrays: for each (n-2)-word, the position of the first n-word around it
-    as centre, and the pairs of positions that must carry equal shifts for
-    a table to factor through the centre; None when some (n-2)-word is no
-    centre.
-    All three are memoized like `words`, one entry per key.  Inserts
-    are synchronized, while a hit reads without the lock: entries are only
-    ever added, and whole.  All queries are pure functions of the spec.
+    The word geometry of cocycle tables lives here too.  `subwords(n, lo,
+    width)` gives, for each of those words, the position in `words(width)`
+    of its subword starting at `lo`.  `siblings(n)` is the plan that
+    canonical reduction reads, as three index arrays: for each (n-2)-word,
+    the position of the first n-word around it as centre, and the pairs of
+    positions that must carry equal shifts for a table to factor through
+    the centre; None when some (n-2)-word is no centre.  All three are
+    memoized like `words`, one entry per key.  Inserts are synchronized,
+    while a hit reads without the lock: entries are only ever added, and
+    whole.  All queries are pure functions of the spec.
     """
 
-    def __init__(self, spec: SubshiftSpec, max_text: int = DEFAULT_MAX_TEXT,
-                 max_factors: int = DEFAULT_MAX_FACTORS):
+    def __init__(self, spec: SubshiftSpec):
         self.spec = spec
-        self.max_text = max_text
-        self.max_factors = max_factors
         self._lock = threading.RLock()
         self._counts: dict[int, int] = {}
         self._words: dict[int, dict[str, int]] = {}
@@ -1094,7 +1058,7 @@ class LanguageTable:
     def _compute_factors(self, n: int) -> frozenset[str]:
         spec = self.spec
         if isinstance(spec, FullShiftSpec):
-            cap = self.max_factors  # a power past the cap's bit length passes it
+            cap = DEFAULT_MAX_FACTORS  # a power past the cap's bit length passes it
             count = len(spec.letters) ** min(n, cap.bit_length())
             # its words hold count * n letters; on two or more letters the word
             # cap lets through at most cap * bit_length(cap), and one letter
@@ -1103,7 +1067,7 @@ class LanguageTable:
                 raise ResourceLimit(f"full-shift factor set of length {n} exceeds cap")
             return frozenset("".join(t) for t in itertools.product(spec.letters, repeat=n))
         if isinstance(spec, ExplicitSpec):
-            return _spell_paths(self._graph, n, self.max_factors)
+            return _spell_paths(self._graph, n)
         if isinstance(spec, ToeplitzSpec):
             return self._toeplitz.factors(n)
         return self._index(n).factors(n)
@@ -1120,7 +1084,7 @@ class LanguageTable:
                 index = _FactorIndex([self._standard_words[key]])
                 self._last_index = key, index
         elif key < n:
-            self._last_index = key, index = _recurrent_blocks(self.spec, n, 2 * self.max_text)
+            self._last_index = key, index = _recurrent_blocks(self.spec, n)
         return index
 
     def _count_paths(self, n: int) -> int:
@@ -1149,7 +1113,7 @@ class LanguageTable:
 
     @cached_property
     def _graph(self) -> dict[str, tuple[str, ...]]:
-        return _overlap_graph(self.spec, self.max_factors)
+        return _overlap_graph(self.spec)
 
     @cached_property
     def _toeplitz(self) -> _ToeplitzLanguage:
@@ -1157,7 +1121,7 @@ class LanguageTable:
 
     @cached_property
     def _standard_words(self) -> StandardWords:
-        return StandardWords(self.spec, 2 * self.max_text)
+        return StandardWords(self.spec)
 
 
 FIBONACCI_RULES = {"a": "ab", "b": "a"}

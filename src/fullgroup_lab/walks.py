@@ -125,8 +125,8 @@ class StepMeasure:
 
 
 def uniform_measure(gens: GeneratorSet) -> StepMeasure:
-    p = Fraction(1, len(gens))
-    return StepMeasure(gens.spec, tuple((name, g, p) for name, g in gens))
+    # no atom, no division: StepMeasure refuses an empty set itself
+    return StepMeasure(gens.spec, tuple((name, g, Fraction(1, len(gens))) for name, g in gens))
 
 
 def measure_from_weights(gens: GeneratorSet, weights: Mapping[str, Fraction]) -> StepMeasure:

@@ -214,7 +214,7 @@ def test_toeplitz_coprime_exponent_reported(tmp_path):
 
 def test_toeplitz_counts_below_the_first_disjoint_length_are_spelled_sets(tmp_path):
     # a*****b's branches first come apart at length 39, and its factors of
-    # length 20 do not all occur within a text of the 2^23-letter budget
+    # length 20 do not all occur within the first 2^23 letters of its word
     spec = {"variant": "toeplitz", "pattern": "a*****b"}
     write_json(tmp_path / "toep.json", spec)
     out = tmp_path / "out"
@@ -811,6 +811,8 @@ def test_malformed_element_documents_are_validation_errors(workdir, capsys, fib_
     (FIB | {"point": {"kind": "substitution_fixed_point", "left": "a", "right": "a",
                       "power": 0}}, GENS, "power"),
     (FIB, {"spec": "fib.json", "generators": []}, "'generators'"),
+    (FIB, {"spec": "fib.json", "generators": {}}, "at least one atom"),
+    (FIB, {"spec": 5, "builtin": "fibonacci"}, "'spec'"),
     (FIB, GENS | {"weights": "abc"}, "'weights'"),
     (FIB, GENS | {"weights": {"alpha": "1/0", "beta": "1/3", "gamma": "1/3"}}, "weights"),
     ({"variant": "full_shift", "alphabet": ["a", "b"]},
@@ -826,7 +828,8 @@ def test_malformed_element_documents_are_validation_errors(workdir, capsys, fib_
         "toeplitz-two-letter-hole", "toeplitz-empty-hole",
         "rules-not-an-object", "periodic-no-word", "phase-not-an-integer", "explicit-no-right-period",
         "periodic-point-outside-the-subshift",
-        "power-a-string", "power-zero", "generators-a-list", "weights-a-string",
+        "power-a-string", "power-zero", "generators-a-list", "generators-empty",
+        "spec-a-number", "weights-a-string",
         "weight-over-zero", "weight-a-boolean", "full-shift-no-letter", "full-shift-duplicate-letter",
         "full-shift-two-character-letter", "explicit-no-letter", "explicit-duplicate-letter",
         "explicit-two-character-letter"])

@@ -127,6 +127,21 @@ def test_every_import_is_read():
     assert hits == []
 
 
+def test_no_text_or_factor_budget_is_a_parameter():
+    # the text and factor budgets are module constants of `subshifts`, read
+    # where each check is made, so no caller can pass a budget of its own
+    banned = {"limit", "cap", "max_text", "max_factors"}
+    hits = []
+    for name in ("subshifts.py", "points.py"):
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                hits += [f"{name}:{node.lineno}: {a.arg}"
+                         for a in args.posonlyargs + args.args + args.kwonlyargs
+                         if a.arg in banned]
+    assert hits == []
+
+
 def test_the_unused_import_guard_reads_names_not_text():
     source = """
 '''Uses json and math only in this docstring.'''

@@ -51,7 +51,7 @@ def test_fixed_point_rejects_empty_seeds(fib_spec):
 def test_fixed_point_power_past_the_text_budget_is_refused(fib_spec):
     # psi^60(a) has about 4e12 letters: the letter counts refuse it before
     # any iterate is built, so the allocation peak stays far below the
-    # budget of 2^23 letters that the iterates on the way would fill
+    # text budget of 2^24 letters that the iterates on the way would fill
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimit, match="text budget"):

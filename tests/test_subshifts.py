@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from fullgroup_lab import (
     ExplicitSpec,
     FullShiftSpec,
     LanguageTable,
+    MechanicalPoint,
     ResourceLimit,
     SturmianSpec,
+    SubstitutionFixedPoint,
     SubstitutionSpec,
     ToeplitzSpec,
     build_spec,
@@ -332,11 +335,13 @@ def test_substitution_iterate_zero_is_seed():
     assert substitution_iterate(NONPRIM, "b", 0) == "b"
 
 
-def test_substitution_iterate_refuses_past_its_limit():
+def test_substitution_iterate_refuses_past_its_limit(monkeypatch):
     # psi^10(a) has F_12 = 144 letters
-    assert len(substitution_iterate(FIB, "a", 10, limit=144)) == 144
+    monkeypatch.setattr(subshifts, "MAX_TEXT", 144)
+    assert len(substitution_iterate(FIB, "a", 10)) == 144
+    monkeypatch.setattr(subshifts, "MAX_TEXT", 143)
     with pytest.raises(ResourceLimit, match="text budget of 143 letters"):
-        substitution_iterate(FIB, "a", 10, limit=143)
+        substitution_iterate(FIB, "a", 10)
 
 
 # --- Sturmian text: the one-period substitution against the standard words ----
@@ -404,13 +409,15 @@ def test_sturmian_counts_read_no_text(monkeypatch):
         assert [table.complexity(n) for n in range(2001)] == list(range(1, 2002))
 
 
-def test_sturmian_snapshots_are_the_standard_words():
+def test_sturmian_factors_are_the_windows_of_a_standard_word(monkeypatch):
     # s_8 of this period has 21,164 letters, too few for 11,001 windows of
-    # length 11,000; s_9 (66,761 letters) holds them, while the next iterate
-    # of the one-period substitution would pass 2.4e8
+    # length 11,000; s_9 (66,761 letters) holds them, within a text budget of
+    # 100,000 letters, while the next iterate of the one-period substitution
+    # would pass 2.4e8
     cf = (3, 1, 4, 1, 5, 9, 2, 6)
     word = next(w for w in _standard_words(cf) if len(w) > 50_000)
-    table = LanguageTable(SturmianSpec(cf), max_text=50_000)
+    monkeypatch.setattr(subshifts, "MAX_TEXT", 100_000)
+    table = LanguageTable(SturmianSpec(cf))
     assert table.complexity(11_000) == 11_001
     assert table.factors(11_000) == {word[i : i + 11_000] for i in range(len(word) - 10_999)}
 
@@ -781,6 +788,7 @@ def test_sft_complexity_table_steps_one_count_vector(monkeypatch):
     # are small and the per-n recount everywhere
     spec = ExplicitSpec(("a", "b", "c"), ("ac", "cb", "bab", "ccc"))
     table = LanguageTable(spec)
+    monkeypatch.setattr(subshifts, "DEFAULT_MAX_FACTORS", 10_000)
     steps = []
     step = _step_paths
     monkeypatch.setattr("fullgroup_lab.subshifts._step_paths",
@@ -790,23 +798,24 @@ def test_sft_complexity_table_steps_one_count_vector(monkeypatch):
     assert len(steps) == 300 - 3 and counts[300] == top
     for n, count in enumerate(counts):
         if count <= 10_000:
-            assert count == len(_spell_paths(table._graph, n, 10_000))
+            assert count == len(_spell_paths(table._graph, n))
         assert count == _sft_count(spec, n)
 
 
-def test_sft_factors_are_refused_by_their_letters_before_any_is_spelled():
-    # one path: a single word, whose letters still pass cap * bit_length(cap)
-    table = LanguageTable(ExplicitSpec(("a", "b"), ("b",)), max_factors=8)
-    assert table.factors(32) == {"a" * 32}
-    with pytest.raises(ResourceLimit, match="length 33 exceeds the letter cap"):
-        table.factors(33)
+def test_sft_factors_are_refused_by_their_letters_before_any_is_spelled(monkeypatch):
     start = time.perf_counter()
     with pytest.raises(ResourceLimit, match="exceeds the letter cap"):
         ExplicitSpec(("a", "b"), ("b",)).language.factors(10**12)
     assert time.perf_counter() - start < 1.0
+    # one path: a single word, whose letters still pass cap * bit_length(cap)
+    monkeypatch.setattr(subshifts, "DEFAULT_MAX_FACTORS", 8)
+    table = LanguageTable(ExplicitSpec(("a", "b"), ("b",)))
+    assert table.factors(32) == {"a" * 32}
+    with pytest.raises(ResourceLimit, match="length 33 exceeds the letter cap"):
+        table.factors(33)
     # the word cap still holds: on the golden mean shift 8 words of length 4
     # pass it, and 13 of length 5 do not
-    table = LanguageTable(ExplicitSpec(("a", "b"), ("bb",)), max_factors=8)
+    table = LanguageTable(ExplicitSpec(("a", "b"), ("bb",)))
     assert len(table.factors(4)) == 8
     with pytest.raises(ResourceLimit, match="exceeded 8 words"):
         table.factors(5)
@@ -899,6 +908,60 @@ def _late_windows(rules, top, size=200_000):
             for n in range(top + 1)]
 
 
+def _growing_letters_by_components(rules):
+    """Reference: the growing letters by strongly connected components of
+    the surviving letters, as decided before the one-cycle rule: a letter
+    grows iff it reaches a component that feeds two or more surviving
+    letters back into itself, or a walk through two distinct cycles."""
+    mortal, changed = set(), True
+    while changed:
+        changed = False
+        for a, image in rules.items():
+            if a not in mortal and all(c in mortal for c in image):
+                mortal.add(a)
+                changed = True
+    live = set(rules) - mortal
+    adj = {a: Counter(c for c in rules[a] if c in live) for a in live}
+    reach = {}
+    for a in live:
+        seen, frontier = set(), set(adj[a])
+        while frontier:
+            seen |= frontier
+            frontier = {c for b in frontier for c in adj[b]} - seen
+        reach[a] = seen
+    cyclic = {a for a in live if a in reach[a]}
+
+    def same_scc(u, v):
+        return u == v or (v in reach[u] and u in reach[v])
+
+    expanding = set()
+    for u in cyclic:
+        scc = {v for v in cyclic if same_scc(u, v)}
+        if any(sum(m for w, m in adj[v].items() if w in scc) >= 2 for v in scc):
+            expanding.add(u)
+    growing = set()
+    for b in live:
+        hit = {u for u in reach[b] | {b} if u in cyclic}
+        if hit & expanding or any(v in reach[u] and not same_scc(u, v)
+                                  for u in hit for v in hit):
+            growing.add(b)
+    return growing
+
+
+def test_growing_letters_match_the_component_rule_on_every_small_substitution():
+    # every substitution of 2 letters with images of at most 4 letters, and
+    # of 3 letters with images of at most 2: 31^2 + 13^3 = 3,158 cases
+    cases = 0
+    for letters, longest in (("ab", 4), ("abc", 2)):
+        images = ["".join(w) for size in range(longest + 1)
+                  for w in itertools.product(letters, repeat=size)]
+        for chosen in itertools.product(images, repeat=len(letters)):
+            rules = dict(zip(letters, chosen))
+            assert growing_letters(rules) == _growing_letters_by_components(rules), rules
+            cases += 1
+    assert cases == 3158
+
+
 @st.composite
 def growing_rules(draw):
     """A substitution on two or three letters whose letters all grow, and
@@ -924,44 +987,41 @@ def test_substitution_language_equals_the_windows_of_a_late_tail(rules):
 # --- text budgets and thread safety -------------------------------------------
 
 
-def test_saturation_failure_with_tiny_budget():
+def test_recurrent_blocks_past_the_text_budget_are_refused(monkeypatch):
     # with their separators, the blocks for lengths 17 to 32 (under psi^5)
-    # hold 272 letters, past 2 x 100
-    table = LanguageTable(SubstitutionSpec.from_rules(NONPRIM, "a"), max_text=100)
+    # hold 272 letters, past 200
+    monkeypatch.setattr(subshifts, "MAX_TEXT", 200)
+    table = LanguageTable(SubstitutionSpec.from_rules(NONPRIM, "a"))
     with pytest.raises(ResourceLimit, match="text budget of 200 letters"):
         table.factors(40)
 
 
 def test_length_past_the_text_budget_is_refused_before_any_text():
-    # a snapshot of the default 2^23-letter budget would fill megabytes
+    # blocks within the 2^24-letter text budget would fill megabytes
     table = LanguageTable(fibonacci_spec())
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimit, match="past the text budget"):
             table.complexity(10**12)
         with pytest.raises(ResourceLimit, match="past the text budget"):
-            table.factors(table.max_text + 1)
+            table.factors(subshifts.MAX_TEXT + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
 
 
-def test_snapshot_past_twice_the_text_budget_is_refused():
+def test_steep_substitution_blocks_past_the_text_budget_are_refused(monkeypatch):
     # with their separators, the blocks for lengths 6 to 21 hold 262
-    # letters, past 2 x 100
-    table = LanguageTable(SubstitutionSpec.from_rules({"a": "aaaab", "b": "a"}, "a"),
-                          max_text=100)
+    # letters, past 200
+    monkeypatch.setattr(subshifts, "MAX_TEXT", 200)
+    table = LanguageTable(SubstitutionSpec.from_rules({"a": "aaaab", "b": "a"}, "a"))
     for n in (20, 21):
         with pytest.raises(ResourceLimit, match="text budget of 200 letters"):
             table.factors(n)
 
 
-def test_full_shift_cap_is_decided_without_the_power():
-    table = LanguageTable(FullShiftSpec(("a", "b")), max_factors=8)
-    assert len(table.factors(3)) == 8
-    with pytest.raises(ResourceLimit, match="length 4 exceeds cap"):
-        table.factors(4)
+def test_full_shift_cap_is_decided_without_the_power(monkeypatch):
     # 2^(10^12) would need about 125 GB; the cap compares 2^21 instead
     table = LanguageTable(FullShiftSpec(("a", "b")))
     start = time.perf_counter()
@@ -969,8 +1029,13 @@ def test_full_shift_cap_is_decided_without_the_power():
         table.factors(10**12)
     assert time.perf_counter() - start < 1.0
     assert LanguageTable(FullShiftSpec(("a", "b", "c"))).complexity(1024) == 3**1024
+    monkeypatch.setattr(subshifts, "DEFAULT_MAX_FACTORS", 8)
+    table = LanguageTable(FullShiftSpec(("a", "b")))
+    assert len(table.factors(3)) == 8
+    with pytest.raises(ResourceLimit, match="length 4 exceeds cap"):
+        table.factors(4)
     # the letters are capped too, at 8 words of bit_length(8) = 4 letters each
-    table = LanguageTable(FullShiftSpec(("a",)), max_factors=8)
+    table = LanguageTable(FullShiftSpec(("a",)))
     assert table.factors(32) == {"a" * 32}
     with pytest.raises(ResourceLimit, match="length 33 exceeds cap"):
         table.factors(33)
@@ -998,13 +1063,35 @@ def test_full_shift_and_sft_counts_are_refused_past_the_count_bits():
     assert golden.complexity(21_000) == fib[-1]
 
 
-def test_lengths_within_the_text_budget_are_unchanged():
+def test_lengths_within_the_text_budget_are_unchanged(monkeypatch):
     # with their separators, the blocks for lengths 145 to 233 hold 1,686
-    # letters, and those for 234 to 377 hold 2,728, past 2 x 1,000
-    table = LanguageTable(fibonacci_spec(), max_text=1000)
+    # letters, and those for 234 to 377 hold 2,728, past 2,000
+    monkeypatch.setattr(subshifts, "MAX_TEXT", 2000)
+    table = LanguageTable(fibonacci_spec())
     assert [table.complexity(n) for n in range(1, 234)] == list(range(2, 235))
     with pytest.raises(ResourceLimit, match="psi\\^13 have 2728 letters"):
         table.complexity(234)
+
+
+def test_points_and_languages_share_one_text_budget(monkeypatch):
+    # under a budget of 1,000 letters: psi^14(a) has F_16 = 987 letters and
+    # psi^16(a) passes it at psi^15 (1,597); s_14 of the golden slope has 987
+    # letters and s_15 1,597; and the Fibonacci blocks under psi^10 serve
+    # lengths to F_11 = 89 in 644 letters, while those under psi^11 hold 1,042
+    monkeypatch.setattr(subshifts, "MAX_TEXT", 1000)
+    refused = "text budget of 1000 letters"
+    point = SubstitutionFixedPoint(fibonacci_spec(), "a", "a", 14)
+    assert len(point.letters(0, 987)) == 987
+    with pytest.raises(ResourceLimit, match=refused):
+        SubstitutionFixedPoint(fibonacci_spec(), "a", "a", 16)
+    mechanical = MechanicalPoint(SturmianSpec((1,)))
+    assert len(mechanical.letters(0, 987)) == 987
+    with pytest.raises(ResourceLimit, match="s_15 has 1597 letters, past the " + refused):
+        mechanical.letters(0, 988)
+    language = fibonacci_spec().language
+    assert language.complexity(89) == 90
+    with pytest.raises(ResourceLimit, match="psi\\^11 have 1042 letters, past the " + refused):
+        language.complexity(90)
 
 
 def _plan_reads(table, n):

@@ -148,7 +148,7 @@ def cmd_complexity(args, argv) -> int:
             f"{len(fit_rows)}"
         )
     if isinstance(spec, ToeplitzSpec):
-        p, q = spec.period, spec.hole_count
+        p, q = len(spec.pattern), spec.pattern.count(spec.hole)
         if math.gcd(p, q) == 1 and p > q:
             fit["coprime_exponent"] = math.log(p) / math.log(p / q)
     fileio.write_json(args.out / "complexity_fit.json", fit)

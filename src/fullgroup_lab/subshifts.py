@@ -62,10 +62,11 @@ by the pattern itself on, its counts add up over the templates, and a
 periodic word's counts stay at the first one the next length repeats
 (`_ToeplitzLanguage`).  Full shifts use the closed form, and a shift of
 finite type spells or counts the paths of one graph on its allowed
-k-words; a count that would pass `MAX_COUNT_BITS` is refused first.
-Results are memoized in the spec's own `LanguageTable`, `spec.language`,
-the one place that enumerates, orders and locates factors; it is safe to
-share across threads.
+k-words; a count that would pass `MAX_COUNT_BITS` is refused first.  Each
+family is one engine with `count(n)` and `factors(n)`, picked once by the
+spec's own `LanguageTable`, `spec.language`: the one place that memoizes,
+orders and locates factors, safe to share across threads, whose one lock
+guards every call into its engine.
 """
 
 from __future__ import annotations
@@ -130,8 +131,6 @@ class SturmianSpec:
     swap_letters: bool = False
     language: LanguageTable = field(init=False, repr=False, compare=False)
 
-    variant = "sturmian"
-
     def __post_init__(self):
         object.__setattr__(self, "cf", tuple(int(a) for a in self.cf))
         if not self.cf:
@@ -154,8 +153,6 @@ class SubstitutionSpec:
     rules: tuple[tuple[str, str], ...]
     seed: str
     language: LanguageTable = field(init=False, repr=False, compare=False)
-
-    variant = "substitution"
 
     def __post_init__(self):
         rules = tuple(sorted((str(k), str(v)) for k, v in self.rules))
@@ -197,8 +194,6 @@ class ToeplitzSpec:
     hole: str = "*"
     language: LanguageTable = field(init=False, repr=False, compare=False)
 
-    variant = "toeplitz"
-
     def __post_init__(self):
         if len(self.hole) != 1:
             raise ValidationError(
@@ -209,17 +204,7 @@ class ToeplitzSpec:
             raise ConditionViolated("Toeplitz", 1, "pattern must start with a letter, not a hole")
         if self.hole not in self.pattern:
             raise ConditionViolated("Toeplitz", 2, "pattern contains no hole to fill")
-        if not tuple(sorted(set(self.pattern) - {self.hole})):
-            raise EmptyAlphabet("pattern has no letters")
         object.__setattr__(self, "language", LanguageTable(self))
-
-    @property
-    def period(self) -> int:
-        return len(self.pattern)
-
-    @property
-    def hole_count(self) -> int:
-        return self.pattern.count(self.hole)
 
 
 @dataclass(frozen=True)
@@ -228,8 +213,6 @@ class FullShiftSpec:
 
     letters: tuple[str, ...]
     language: LanguageTable = field(init=False, repr=False, compare=False)
-
-    variant = "full_shift"
 
     def __post_init__(self):
         _check_letters(tuple(self.letters))
@@ -243,8 +226,6 @@ class ExplicitSpec:
     letters: tuple[str, ...]
     forbidden: tuple[str, ...]
     language: LanguageTable = field(init=False, repr=False, compare=False)
-
-    variant = "explicit"
 
     def __post_init__(self):
         _check_letters(tuple(self.letters))
@@ -319,11 +300,8 @@ def spec_to_dict(spec: SubshiftSpec) -> dict:
     if isinstance(spec, FullShiftSpec):
         return {"variant": "full_shift", "alphabet": list(spec.letters)}
     if isinstance(spec, ExplicitSpec):
-        return {
-            "variant": "explicit",
-            "alphabet": list(spec.letters),
-            "forbidden": list(spec.forbidden),
-        }
+        return {"variant": "explicit", "alphabet": list(spec.letters),
+                "forbidden": list(spec.forbidden)}
     raise TypeError(f"not a subshift spec: {spec!r}")
 
 
@@ -567,7 +545,7 @@ class _ToeplitzLanguage:
         self.period = len(pattern)
         self.holes = pattern.count(hole)
         self.classes = math.gcd(self.period, self.holes)
-        self.before = [pattern[:r].count(hole) for r in range(self.period)]
+        self.before = list(itertools.accumulate((c == hole for c in pattern[:-1]), initial=0))
         self.m0: int | None = None
         self.flat: int | None = None  # fact 4's f, once one is found
         self._overlapping = 0  # the branches overlap at every length up to it
@@ -865,8 +843,71 @@ def _recurrent_blocks(spec: SubstitutionSpec, n: int) -> tuple[int, _FactorIndex
     return bound, _FactorIndex([images[c] + images[d][: bound - 1] for c, d in pairs])
 
 
+class _SubstitutionLanguage:
+    """A substitution's language: the last `_recurrent_blocks` index, kept while it answers."""
+
+    def __init__(self, spec: SubstitutionSpec):
+        self.spec = spec
+        self._last_index: tuple[int, _FactorIndex | None] = (-1, None)  # the blocks' bound
+
+    def count(self, n: int) -> int:
+        return self._index(n).count(n)
+
+    def factors(self, n: int) -> frozenset[str]:
+        return self._index(n).factors(n)
+
+    def _index(self, n: int) -> _FactorIndex:
+        if self._last_index[0] < n:
+            self._last_index = _recurrent_blocks(self.spec, n)
+        return self._last_index[1]
+
+
+class _SturmianLanguage(_SubstitutionLanguage):
+    """A Sturmian language: n + 1 factors of each length n, counted with no text,
+    and spelled off the index of the first standard word holding them all."""
+
+    def count(self, n: int) -> int:
+        return n + 1
+
+    def _index(self, n: int) -> _FactorIndex:
+        k, index = self._last_index  # the word's k
+        while index is None or index.count(n) <= n:
+            k += 1
+            index = _FactorIndex([self._standard_words[k]])
+            self._last_index = k, index
+        return index
+
+    @cached_property
+    def _standard_words(self) -> StandardWords:
+        return StandardWords(self.spec)
+
+
 # ---------------------------------------------------------------------------
-# Shifts of finite type
+# Full shifts and shifts of finite type
+
+
+class _FullShiftLanguage:
+    """A full shift's language: every word, counted by the closed form."""
+
+    def __init__(self, spec: FullShiftSpec):
+        self.letters = spec.letters
+
+    def count(self, n: int) -> int:
+        # k ** n has at most n * bit_length(k - 1) + 1 bits
+        if n * (len(self.letters) - 1).bit_length() > MAX_COUNT_BITS:
+            raise ResourceLimit(f"full-shift count at length {n} has more than "
+                                f"{MAX_COUNT_BITS} bits")
+        return len(self.letters) ** n
+
+    def factors(self, n: int) -> frozenset[str]:
+        cap = DEFAULT_MAX_FACTORS  # a power past the cap's bit length passes it
+        count = len(self.letters) ** min(n, cap.bit_length())
+        # its words hold count * n letters; on two or more letters the word
+        # cap lets through at most cap * bit_length(cap), and one letter
+        # gets the same
+        if count > cap or count * n > cap * cap.bit_length():
+            raise ResourceLimit(f"full-shift factor set of length {n} exceeds cap")
+        return frozenset("".join(t) for t in itertools.product(self.letters, repeat=n))
 
 
 def _overlap_graph(spec: ExplicitSpec) -> dict[str, tuple[str, ...]]:
@@ -877,8 +918,9 @@ def _overlap_graph(spec: ExplicitSpec) -> dict[str, tuple[str, ...]]:
     k = max((len(f) for f in spec.forbidden), default=1)
     words = [""]
     for _ in range(k):
-        words = [w + c for w in words for c in spec.letters
-                 if not any((w + c).endswith(f) for f in spec.forbidden)]
+        words = list(itertools.islice((w + c for w in words for c in spec.letters  # cap + 1
+                                       if not any((w + c).endswith(f) for f in spec.forbidden)),
+                                      DEFAULT_MAX_FACTORS + 1))
         if len(words) > DEFAULT_MAX_FACTORS:
             raise ResourceLimit(f"SFT enumeration exceeded {DEFAULT_MAX_FACTORS} words")
     live = set(words)
@@ -930,172 +972,24 @@ def _spell_paths(graph: dict[str, tuple[str, ...]], n: int) -> frozenset[str]:
     return frozenset(words)
 
 
-# ---------------------------------------------------------------------------
-# Language tables
+class _PathLanguage:
+    """A shift of finite type's language: the paths of its overlap graph,
+    built on first use, spelled by `_spell_paths` or counted by stepping
+    one path-count vector forward, each length passed memoized, so counts
+    to n cost n steps."""
 
-
-class _SiblingPlan(NamedTuple):
-    """How rows over the n-words factor through their (n-2)-centres, as
-    column indices: a row does iff its `left` and `right` columns agree,
-    and then its row over the centres is its `pick` columns."""
-
-    pick: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-
-class LanguageTable:
-    """Memoizing language oracle of one subshift, owned by its spec as `spec.language`.
-
-    `words(n)` is the ordered index of the exact set of admissible length-n
-    words: each word maps to its position in sorted order, the order of the
-    dict, so a table over them is a vector of shifts.  `factors(n)` is its
-    key view, the set itself.  `complexity(n)` is its cardinality: n + 1
-    for Sturmian specs, for substitutions a count read from the factor index
-    of the recurrent pairs' images (the set itself is built only when
-    `words` asks for it), for Toeplitz specs a count by the hole recursion,
-    a closed form for full shifts and a path count on one overlap graph for
-    shifts of finite type.  A table takes only its spec: its caps are the
-    module constants `MAX_TEXT`, `DEFAULT_MAX_FACTORS`, `MAX_FACTOR_LETTERS`
-    and `MAX_COUNT_BITS`, each read where its check is made.
-
-    The word geometry of cocycle tables lives here too.  `subwords(n, lo,
-    width)` gives, for each of those words, the position in `words(width)`
-    of its subword starting at `lo`.  `siblings(n)` is the plan that
-    canonical reduction reads, as three index arrays: for each (n-2)-word,
-    the position of the first n-word around it as centre, and the pairs of
-    positions that must carry equal shifts for a table to factor through
-    the centre; None when some (n-2)-word is no centre.  All three are
-    memoized like `words`, one entry per key.  Inserts are synchronized,
-    while a hit reads without the lock: entries are only ever added, and
-    whole.  All queries are pure functions of the spec.
-    """
-
-    def __init__(self, spec: SubshiftSpec):
+    def __init__(self, spec: ExplicitSpec):
         self.spec = spec
-        self._lock = threading.RLock()
+        self._paths: tuple[int, dict[str, int]] | None = None  # the last length stepped to
         self._counts: dict[int, int] = {}
-        self._words: dict[int, dict[str, int]] = {}
-        self._subwords: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        self._siblings: dict[int, _SiblingPlan | None] = {}
-        self._paths: tuple[int, dict[str, int]] | None = None  # see _count_paths
-        self._last_index: tuple[int, _FactorIndex] | None = None  # see _index
 
-    def factors(self, n: int) -> KeysView[str]:
-        return self.words(n).keys()
+    def factors(self, n: int) -> frozenset[str]:
+        return _spell_paths(self._graph, n)
 
-    # Every compose reads these several times, so a hit skips the lock.
-
-    def words(self, n: int) -> dict[str, int]:
-        got = self._words.get(n)
-        if got is None:
-            if n < 0:
-                raise ValueError("factor length must be nonnegative")
-            with self._lock:
-                got = self._words.get(n)
-                if got is None:
-                    got = {w: i for i, w in enumerate(sorted(self._compute_factors(n)))}
-                    self._words[n] = got
-                    self._counts[n] = len(got)
-        return got
-
-    def subwords(self, n: int, lo: int, width: int) -> tuple[int, ...]:
-        key = (n, lo, width)
-        got = self._subwords.get(key)
-        if got is None:
-            with self._lock:
-                position = self.words(width)
-                got = tuple(position[w[lo:lo + width]] for w in self.words(n))
-                self._subwords[key] = got
-        return got
-
-    def siblings(self, n: int) -> _SiblingPlan | None:
-        try:
-            return self._siblings[n]
-        except KeyError:
-            pass
-        with self._lock:
-            centre = self.subwords(n, 1, n - 2)
-            first: dict[int, int] = {}
-            for i, c in enumerate(centre):
-                first.setdefault(c, i)
-            plan = None
-            if len(first) == len(self.words(n - 2)):
-                pairs = [(i, first[c]) for i, c in enumerate(centre) if first[c] != i]
-                reads = ([first[c] for c in range(len(first))],
-                         [i for i, _ in pairs], [j for _, j in pairs])
-                plan = _SiblingPlan(*(np.array(r, dtype=np.intp) for r in reads))
-            self._siblings[n] = plan
-        return plan
-
-    def complexity(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("factor length must be nonnegative")
-        with self._lock:
-            got = self._counts.get(n)
-            if got is not None:
-                return got
-            if isinstance(self.spec, FullShiftSpec):
-                # k ** n has at most n * bit_length(k - 1) + 1 bits
-                if n * (len(self.spec.letters) - 1).bit_length() > MAX_COUNT_BITS:
-                    raise ResourceLimit(f"full-shift count at length {n} has more than "
-                                        f"{MAX_COUNT_BITS} bits")
-                count = len(self.spec.letters) ** n
-            elif isinstance(self.spec, ExplicitSpec):
-                count = self._count_paths(n)
-            elif isinstance(self.spec, ToeplitzSpec):
-                count = self._toeplitz.count(n)
-            elif isinstance(self.spec, SturmianSpec):
-                count = n + 1
-            else:
-                count = self._index(n).count(n)
-            self._counts[n] = count
-            return count
-
-    def is_admissible(self, word: str) -> bool:
-        return word in self.words(len(word))
-
-    def _compute_factors(self, n: int) -> frozenset[str]:
-        spec = self.spec
-        if isinstance(spec, FullShiftSpec):
-            cap = DEFAULT_MAX_FACTORS  # a power past the cap's bit length passes it
-            count = len(spec.letters) ** min(n, cap.bit_length())
-            # its words hold count * n letters; on two or more letters the word
-            # cap lets through at most cap * bit_length(cap), and one letter
-            # gets the same
-            if count > cap or count * n > cap * cap.bit_length():
-                raise ResourceLimit(f"full-shift factor set of length {n} exceeds cap")
-            return frozenset("".join(t) for t in itertools.product(spec.letters, repeat=n))
-        if isinstance(spec, ExplicitSpec):
-            return _spell_paths(self._graph, n)
-        if isinstance(spec, ToeplitzSpec):
-            return self._toeplitz.factors(n)
-        return self._index(n).factors(n)
-
-    def _index(self, n: int) -> _FactorIndex:
-        """An index whose length-n windows are the language's length-n
-        words: for a Sturmian spec the first standard word with n + 1 of
-        them, all there are, and for a substitution `_recurrent_blocks`.  The
-        last one made is kept while it answers."""
-        key, index = self._last_index or (-1, None)  # the word's k, or the blocks' bound
-        if isinstance(self.spec, SturmianSpec):
-            while index is None or index.count(n) <= n:
-                key += 1
-                index = _FactorIndex([self._standard_words[key]])
-                self._last_index = key, index
-        elif key < n:
-            self._last_index = key, index = _recurrent_blocks(self.spec, n)
-        return index
-
-    def _count_paths(self, n: int) -> int:
-        """len(_spell_paths(self._graph, n)), without spelling the paths: the
-        path counts of the longest length counted so far step forward to n,
-        memoizing each length passed, so a table to n costs n steps.
-
-        Refused before any step when the memo to n could pass
-        `MAX_COUNT_BITS`: at length m there are at most len(graph) * d^(m-k)
-        paths, d the largest out-degree, and each entry takes a 64-bit word
-        at least."""
+    def count(self, n: int) -> int:
+        """len(factors(n)), unspelled; refused before any step when the memo to n
+        could pass `MAX_COUNT_BITS`: length m has at most len(graph) * d^(m-k)
+        paths, d the largest out-degree, each entry a 64-bit word at least."""
         graph = self._graph
         k = len(next(iter(graph), ""))
         if n <= k or not graph:
@@ -1115,13 +1009,119 @@ class LanguageTable:
     def _graph(self) -> dict[str, tuple[str, ...]]:
         return _overlap_graph(self.spec)
 
-    @cached_property
-    def _toeplitz(self) -> _ToeplitzLanguage:
-        return _ToeplitzLanguage(self.spec.pattern, self.spec.hole)
 
-    @cached_property
-    def _standard_words(self) -> StandardWords:
-        return StandardWords(self.spec)
+# ---------------------------------------------------------------------------
+# Language tables
+
+
+_ENGINES = {
+    SturmianSpec: _SturmianLanguage,
+    SubstitutionSpec: _SubstitutionLanguage,
+    ToeplitzSpec: lambda spec: _ToeplitzLanguage(spec.pattern, spec.hole),
+    FullShiftSpec: _FullShiftLanguage,
+    ExplicitSpec: _PathLanguage,
+}
+
+
+class _SiblingPlan(NamedTuple):
+    """How rows over the n-words factor through their (n-2)-centres, as
+    column indices: a row does iff its `left` and `right` columns agree,
+    and then its row over the centres is its `pick` columns."""
+
+    pick: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+
+class LanguageTable:
+    """Memoizing language oracle of one subshift, owned by its spec as `spec.language`.
+
+    `words(n)` is the ordered index of the exact set of admissible length-n
+    words: each word maps to its position in sorted order, the order of the
+    dict, so a table over them is a vector of shifts.  `factors(n)` is its
+    key view, the set itself, and `complexity(n)` its cardinality.  Both come
+    from the family's engine, picked once from `_ENGINES`, which counts
+    without the set where it can and builds nothing until asked.  The caps
+    are module constants, each read where its check is made.
+
+    The word geometry of cocycle tables lives here too.  `subwords(n, lo,
+    width)` gives, for each of those words, the position in `words(width)`
+    of its subword starting at `lo`.  `siblings(n)` is the plan that
+    canonical reduction reads, as three index arrays: for each (n-2)-word,
+    the position of the first n-word around it as centre, and the pairs of
+    positions that must carry equal shifts for a table to factor through
+    the centre; None when some (n-2)-word is no centre.  All three are
+    memoized like `words`, one entry per key.  Inserts, and every call into
+    the engine, which holds no lock, hold the table's one lock, while a hit
+    reads without it: entries are only ever added, and whole.  All queries
+    are pure functions of the spec.
+    """
+
+    def __init__(self, spec: SubshiftSpec):
+        self.spec = spec
+        self._engine = _ENGINES[type(spec)](spec)
+        self._lock = threading.RLock()
+        self._counts: dict[int, int] = {}
+        self._words: dict[int, dict[str, int]] = {}
+        self._subwords: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._siblings: dict[int, _SiblingPlan | None] = {}
+
+    def factors(self, n: int) -> KeysView[str]:
+        return self.words(n).keys()
+
+    # Every compose reads these several times, so a hit skips the lock.
+
+    def words(self, n: int) -> dict[str, int]:
+        got = self._words.get(n)
+        if got is None:
+            if n < 0:
+                raise ValueError("factor length must be nonnegative")
+            with self._lock:
+                got = self._words.get(n)
+                if got is None:
+                    got = {w: i for i, w in enumerate(sorted(self._engine.factors(n)))}
+                    self._words[n] = got
+                    self._counts[n] = len(got)
+        return got
+
+    def subwords(self, n: int, lo: int, width: int) -> tuple[int, ...]:
+        key = (n, lo, width)
+        got = self._subwords.get(key)
+        if got is None:
+            with self._lock:
+                position = self.words(width)
+                got = tuple(position[w[lo:lo + width]] for w in self.words(n))
+                self._subwords[key] = got
+        return got
+
+    def siblings(self, n: int) -> _SiblingPlan | None:
+        if n in self._siblings:  # None is a plan too
+            return self._siblings[n]
+        with self._lock:
+            centre = self.subwords(n, 1, n - 2)
+            first: dict[int, int] = {}
+            for i, c in enumerate(centre):
+                first.setdefault(c, i)
+            plan = None
+            if len(first) == len(self.words(n - 2)):
+                pairs = [(i, first[c]) for i, c in enumerate(centre) if first[c] != i]
+                reads = ([first[c] for c in range(len(first))],
+                         [i for i, _ in pairs], [j for _, j in pairs])
+                plan = _SiblingPlan(*(np.array(r, dtype=np.intp) for r in reads))
+            self._siblings[n] = plan
+        return plan
+
+    def complexity(self, n: int) -> int:
+        if n < 0:
+            raise ValueError("factor length must be nonnegative")
+        with self._lock:
+            got = self._counts.get(n)
+            if got is None:
+                got = self._counts[n] = self._engine.count(n)
+            return got
+
+    def is_admissible(self, word: str) -> bool:
+        return word in self.words(len(word))
 
 
 FIBONACCI_RULES = {"a": "ab", "b": "a"}

@@ -502,6 +502,12 @@ _BLOW_UP_INPUTS = {
     "one-path-sft-dump": (
         {"variant": "explicit", "alphabet": ["a", "b"], "forbidden": ["b"]},
         ["complexity", "--n", "3", "--dump-factors", str(10**12)]),
+    # the overlap graph's words of length 2 stop at the word cap + 1, not at
+    # all 36 million
+    "wide-sft-graph": (
+        {"variant": "explicit", "alphabet": [chr(ord("a") + i) for i in range(6000)],
+         "forbidden": ["aaa"]},
+        ["complexity", "--n", "2"]),
     # one table row per length: a huge --n is refused before any row is computed
     "one-path-sft-rows": (
         {"variant": "explicit", "alphabet": ["a", "b"], "forbidden": ["b"]},

@@ -180,6 +180,20 @@ def test_the_language_table_alone_orders_and_locates_factors():
     assert hits == []
 
 
+def test_the_language_table_picks_its_engine_without_type_tests():
+    # each family's language is one engine, picked once from one mapping;
+    # a method of `LanguageTable` that tests a type is a family ladder
+    tree = ast.parse((PACKAGE / "subshifts.py").read_text(encoding="utf-8"))
+    table = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "LanguageTable")
+    hits = [f"{method.name}:{node.lineno}"
+            for method in table.body if isinstance(method, ast.FunctionDef)
+            for node in ast.walk(method)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"]
+    assert hits == []
+
+
 def test_the_installed_command_is_the_entry_that_freezes_the_heap():
     # the installed command skips the interpreter's final collection only
     # through `cli.run`; `gc.freeze` anywhere else would put the cyclic

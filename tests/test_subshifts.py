@@ -543,7 +543,7 @@ def test_toeplitz_counts_add_only_from_the_first_disjoint_length(pattern, m0, ca
     # length 5 lie in different classes, so the class counts stay exact
     exact = LanguageTable(ToeplitzSpec(pattern))
     exact.complexity(40)
-    assert exact._toeplitz.m0 == m0
+    assert exact._engine.m0 == m0
     forced = subshifts._ToeplitzLanguage(pattern, "*")
     forced.m0 = m0 - 1
     over = [n for n in range(m0 - 1, 41) if forced.count(n) != exact.complexity(n)]
@@ -558,8 +558,8 @@ def test_a_toeplitz_pattern_power_is_counted_as_its_root():
     # spelled sets
     square, root = LanguageTable(ToeplitzSpec("ab*ab*")), LanguageTable(ToeplitzSpec("ab*"))
     assert [square.complexity(n) for n in range(301)] == [root.complexity(n) for n in range(301)]
-    assert (square._toeplitz.pattern, square._toeplitz.m0) == ("ab*", 3)
-    assert max(square._toeplitz._sizes) == 3  # spelled to m0 only
+    assert (square._engine.pattern, square._engine.m0) == ("ab*", 3)
+    assert max(square._engine._sizes) == 3  # spelled to m0 only
 
 
 def test_toeplitz_first_disjoint_length_is_found_when_twice_it_passes_the_cap(monkeypatch):
@@ -571,7 +571,7 @@ def test_toeplitz_first_disjoint_length_is_found_when_twice_it_passes_the_cap(mo
     monkeypatch.setattr(subshifts, "MAX_FACTOR_LETTERS", 100_000)
     table = LanguageTable(ToeplitzSpec("a****b"))
     assert [table.complexity(n) for n in (100, 32, 16)] == expected[::-1]
-    assert table._toeplitz.m0 == 16
+    assert table._engine.m0 == 16
     with pytest.raises(ResourceLimit, match="length 32 exceeds the letter cap"):
         table.factors(32)
 
@@ -618,15 +618,15 @@ def test_toeplitz_counts_of_a_periodic_word_are_flat_from_a_repeated_count(patte
     # fresh table answers 10^12 from the lengths to 1 or 3 alone
     deep = LanguageTable(ToeplitzSpec(pattern))
     assert deep.complexity(10**12) == rho
-    language = deep._toeplitz
+    language = deep._engine
     assert (language.m0, language.flat, max(language._sizes)) == (None, flat, reach)
     table = LanguageTable(ToeplitzSpec(pattern))
     prefix = toeplitz_word(pattern, 10_000)
     for n in range(1, 301):
         assert table.complexity(n) == len({prefix[i : i + n] for i in range(5000)}), n
-    assert max(table._toeplitz._sizes) == flat + 1
+    assert max(table._engine._sizes) == flat + 1
     for pattern in ("ab*b*", "a****b", "ab*ab*", "a*b*"):
-        language = LanguageTable(ToeplitzSpec(pattern))._toeplitz
+        language = LanguageTable(ToeplitzSpec(pattern))._engine
         assert language.count(60) > 60 and language.flat is None
 
 
@@ -639,7 +639,7 @@ def test_toeplitz_spelled_sets_kept_stay_within_a_quarter_of_the_cap(monkeypatch
     words = [exact.words(n) for n in range(41)]
     monkeypatch.setattr(subshifts, "MAX_FACTOR_LETTERS", 4_000_000)
     table = LanguageTable(ToeplitzSpec("a****b"))
-    language, spelled = table._toeplitz, set()
+    language, spelled = table._engine, set()
     for n in range(1, 61):
         assert table.complexity(n) == counts[n - 1], n
         if n <= 40:
@@ -681,6 +681,10 @@ def test_complexity_nondecreasing(spec):
     values = [spec.language.complexity(n) for n in range(9)]
     assert values[0] == 1
     assert all(a <= b for a, b in zip(values, values[1:]))
+    # each engine's count path and spell path, on tables that share no memo
+    counted, spelled = LanguageTable(spec), LanguageTable(spec)
+    for n in range(13):
+        assert counted.complexity(n) == len(spelled.words(n)), n
 
 
 def test_substitution_nlogn_envelope(fib_spec):
@@ -798,7 +802,7 @@ def test_sft_complexity_table_steps_one_count_vector(monkeypatch):
     assert len(steps) == 300 - 3 and counts[300] == top
     for n, count in enumerate(counts):
         if count <= 10_000:
-            assert count == len(_spell_paths(table._graph, n))
+            assert count == len(_spell_paths(table._engine._graph, n))
         assert count == _sft_count(spec, n)
 
 
@@ -1052,7 +1056,7 @@ def test_full_shift_and_sft_counts_are_refused_past_the_count_bits():
     with pytest.raises(ResourceLimit, match=f"more than {subshifts.MAX_COUNT_BITS} bits"):
         golden.complexity(10**6)
     assert time.perf_counter() - start < 1.0
-    assert golden._paths is None
+    assert golden._engine._paths is None
     # one letter's powers are all 1; and the lengths a CLI table reaches
     # before its cells pass 4,300 digits, 14,285 and 20,576, are counted
     assert LanguageTable(FullShiftSpec(("a",))).complexity(10**22) == 1
@@ -1102,7 +1106,8 @@ def _plan_reads(table, n):
 
 def test_language_table_concurrent_queries():
     # fresh specs, so each table fills its memos under contention
-    specs = (fibonacci_spec(), ExplicitSpec(("a", "b", "c"), ("ac", "cb", "bab", "ccc")))
+    specs = (fibonacci_spec(), ExplicitSpec(("a", "b", "c"), ("ac", "cb", "bab", "ccc")),
+             SturmianSpec((2, 1)), ToeplitzSpec("ab*b*"))
 
     def queries(table):
         return ([table.complexity(n) for n in range(1, 30)],

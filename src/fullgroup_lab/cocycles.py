@@ -269,12 +269,13 @@ def evaluate(g: CocycleElement, point: Point, position: int = 0) -> int:
 
 def window_columns(spec: SubshiftSpec, point: Point, offsets: Iterable[int],
                    depth: int) -> np.ndarray:
-    """The position of the point's window at each offset among the sorted
-    admissible (2*depth+1)-words: the column of a shift row that applies
-    there.  A window outside the language raises SpecMismatch."""
-    position = spec.language.words(2 * depth + 1)
+    """The column of a shift row that applies at each offset: the position
+    among the sorted admissible (2*depth+1)-words of the point's window
+    there, all sliced from one read.  A window outside the language raises SpecMismatch."""
+    w, lo = 2 * depth + 1, min(offsets)
+    position, text = spec.language.words(w), point.letters(lo - depth, max(offsets) + depth + 1)
     try:
-        return np.array([position[point.window(off, depth)] for off in offsets], dtype=np.intp)
+        return np.array([position[text[k - lo : k - lo + w]] for k in offsets], dtype=np.intp)
     except KeyError as exc:
         raise SpecMismatch(f"window {exc.args[0]!r} is not admissible for the "
                            "generators' subshift") from None
@@ -283,9 +284,9 @@ def window_columns(spec: SubshiftSpec, point: Point, offsets: Iterable[int],
 def increment_table(gens: GeneratorSet, point: Point, span: int,
                     dtype: np.dtype) -> np.ndarray:
     """Row i holds generator i's `evaluate` at each offset in [-span, span]:
-    each offset's window is read once per generator depth and looked up by
-    `window_columns`, and every generator of that depth gathers its row by
-    those positions.  `table.T` is position-major and contiguous."""
+    the point is read once per generator depth, and each offset's window
+    looked up by `window_columns`; every generator of that depth gathers its
+    row by those positions.  `table.T` is position-major and contiguous."""
     table = np.zeros((2 * span + 1, len(gens)), dtype=dtype).T
     for depth in {g.depth for _, g in gens}:
         cols = window_columns(gens.spec, point, range(-span, span + 1), depth)

@@ -1,64 +1,43 @@
 """Bi-infinite points of a subshift, exposed through finite centered windows.
 
-A `Point` is two one-sided words around 0, x_0 x_1 ... on the right and
-... x_-2 x_-1 on the left, each grown by doubling with its family's own
-word builder.  A read grows only the sides it passes and slices them, so
-all windows are slices of one fixed assignment.  A point is not checked
-against a subshift: a window outside the language is refused where it
-meets a table over the admissible words.  Substitution iterates and
-standard words are refused past the text budget before they are built, and
-a fixed point's default seeds are found without any iterate.
+A `Point` is a position rule: `letters(lo, hi)` spells exactly the window
+asked for, and a read changes nothing, so a point is shared across threads
+with no lock.  Toeplitz points fill their holes from the anchor
+(`toeplitz_word`); periodic and explicit points repeat their words.
+Substitution fixed points and Sturmian points read level words (Dumont &
+Thomas, TCS 65, 1989; Ostrowski numeration for standard words): a read
+keeps, level by level, only the copies that meet it, so it spells about as
+many letters as it returns.  A point is not checked against a subshift: a
+window outside the language is refused where it meets a table over the
+admissible words.
 """
 
 from __future__ import annotations
 
-import threading
+import itertools
 
-from .errors import SpecMismatch, ValidationError
+from .errors import ResourceLimit, SpecMismatch, ValidationError
 from .subshifts import (
     ExplicitSpec,
     FullShiftSpec,
     SturmianSpec,
     SubshiftSpec,
     SubstitutionSpec,
-    StandardWords,
     ToeplitzSpec,
-    substitution_iterate,
     toeplitz_word,
 )
 
 MAX_CYLINDER_RADIUS = 1 << 16  # widest window `find_cylinder_position` scans
-
-
-def _slice(left: str, right: str, lo: int, hi: int) -> str:
-    """Letters lo .. hi-1 of `left` then `right`, 0 the first of `right`;
-    `left` holds -lo letters or more."""
-    return left[len(left) + lo : len(left) + min(hi, 0)] + right[max(lo, 0) : max(hi, 0)]
+SPELLED = 1 << 12  # letters of the longest level word a point keeps spelled
+REACH = 1 << 64  # letters that the level words of a point reach on each side
 
 
 class Point:
-    """Base class: window access over two cached one-sided words."""
-
-    def __init__(self):
-        self._lock = threading.RLock()
-        self._right = ""  # x_0 x_1 ...
-        self._left = ""  # ... x_-2 x_-1
-
-    def _grow(self, side: str, length: int) -> str:
-        """At least `length` letters of the "right" or "left" side."""
-        raise NotImplementedError
+    """Base class: windows over a position rule, `letters`."""
 
     def letters(self, lo: int, hi: int) -> str:
-        """Letters at coordinates lo .. hi-1, from the sides that the read
-        passes, each grown to at least twice its length when it is short."""
-        if hi <= lo:
-            return ""
-        with self._lock:
-            if hi > len(self._right):
-                self._right = self._grow("right", max(hi, 2 * len(self._right)))
-            if -lo > len(self._left):
-                self._left = self._grow("left", max(-lo, 2 * len(self._left)))
-            return _slice(self._left, self._right, lo, hi)
+        """Letters at coordinates lo .. hi-1."""
+        raise NotImplementedError
 
     def window(self, center: int, radius: int) -> str:
         """The word at coordinates center-radius .. center+radius."""
@@ -70,90 +49,125 @@ class Point:
         return f"<{type(self).__name__}>"
 
 
-def _fixed_point_seeds(rules: dict[str, str], spec: SubstitutionSpec) -> tuple[int, str, str]:
-    """Find (power, left, right) with psi^power(left) ending in left,
-    psi^power(right) starting with right, and the pair admissible.  Images
-    are nonempty (growth condition), so the last and first letters of the
-    iterates are followed letter by letter, and no iterate is built."""
-    table = spec.language
-    letters = sorted(rules)
-    last = first = {c: c for c in letters}  # of psi^power(c)
-    for power in (2, 4, 6, 8):
-        last = {c: rules[rules[d][-1]][-1] for c, d in last.items()}
-        first = {c: rules[rules[d][0]][0] for c, d in first.items()}
-        for y in [y for y in letters if last[y] == y]:
-            for z in [z for z in letters if first[z] == z]:
-                if table.is_admissible(y + z):
-                    return power, y, z
-    raise SpecMismatch("no admissible two-sided fixed-point seed pair found")
+class _LevelPoint(Point):
+    """A point whose sides are limits of level words, moved by `shift`:
+    W_0(c) is `base[c]`, and W_j(c) the runs W_{j-1}(d)^m, (d, m) in
+    rule(j)[c].  For an end (c, t), the right side is the limit of W_0(c),
+    W_t(c), W_2t(c), ..., each a prefix of the next, and the left side the
+    limit of such words that are each a suffix of the next.  The lengths,
+    and the words of at most `SPELLED` letters, are built here, up to the
+    levels whose words pass `REACH` letters."""
+
+    def __init__(self, base: dict[str, str], rule, left: tuple[str, int],
+                 right: tuple[str, int], shift: int = 0):
+        self.ends, self.shift = (left, right), shift
+        lengths, self.runs, words = [dict.fromkeys(base, 1)], [{}], [dict(base)]
+        while any(lengths[(len(lengths) - 1) // t * t][c] < REACH for c, t in self.ends):
+            self.runs.append(runs := rule(len(lengths)))
+            lengths.append({c: sum(lengths[-1][d] * m for d, m in r) for c, r in runs.items()})
+            words.append({c: "".join(words[-1][d] * m for d, m in r)
+                          for c, r in runs.items() if lengths[-1][c] <= SPELLED})
+        self.lengths, self.words = lengths, words
+        self.near = tuple(next(words[j][c] for j in reversed(range(0, len(words), t))
+                               if c in words[j]) for c, t in self.ends)
+
+    def letters(self, lo: int, hi: int) -> str:
+        """Letters at coordinates lo .. hi-1: one slice of the spelled words
+        around 0, or else a descent on each side that the read passes."""
+        lo, hi = lo + self.shift, hi + self.shift
+        left, right = self.near
+        if -len(left) <= lo and hi <= len(right):
+            return left[len(left) + lo : len(left) + min(hi, 0)] + right[max(lo, 0) : max(hi, 0)]
+        if hi <= lo:
+            return ""
+        return self._side(*self.ends[0], lo, min(hi, 0)) + self._side(*self.ends[1], max(lo, 0), hi)
+
+    def _side(self, c: str, t: int, s: int, e: int) -> str:
+        """Letters s .. e-1, none if e <= s, of the side that the end (c, t)
+        spans (0 <= s or e <= 0), from the first of W_0(c), W_t(c), ... long enough."""
+        j = next((j for j in range(0, len(self.lengths), t)
+                  if self.lengths[j][c] >= max(e, -s)), None)
+        if j is None:
+            raise ResourceLimit(f"a read at {s} passes the {REACH} letters the level words reach")
+        n = self.lengths[j][c] if s < 0 else 0
+        runs, s, e = ((c, 1),), s + n, e + n
+        while True:  # letters s .. e-1 of the level-j words of `runs`, in order
+            width, kept, start = e - s, [], 0
+            for d, m in runs:  # keep the copies that meet [s, e), m of them by one division
+                n = self.lengths[j][d]
+                first, stop = max(s, 0) // n, min(-(-e // n), m)
+                if first < stop:
+                    start = start if kept else s - first * n
+                    kept.append((d, stop - first))
+                s, e = s - n * m, e - n * m
+            words = self.words[j]
+            if all(d in words for d, _ in kept):
+                return "".join(words[d] * m for d, m in kept)[start : start + width]
+            runs = [r for d, m in kept for r in self.runs[j][d] * m]
+            j, s, e = j - 1, start, start + width
 
 
-class SubstitutionFixedPoint(Point):
-    """Two-sided fixed point of an even power of the substitution.
+def _cycles(step: dict[str, str]) -> dict[str, int]:
+    """The length of the cycle of `step` through each letter on one."""
+    orbits = {c: list(itertools.accumulate(step, lambda d, _: step[d], initial=step[c]))
+              for c in step}  # step(c), step^2(c), ..., as many as there are letters
+    return {c: orbit.index(c) + 1 for c, orbit in orbits.items() if c in orbit}
 
-    The left tail is the limit of psi^{pk}(left) extended leftward (the
-    image of `left` ends with `left`), the right side the limit of
-    psi^{pk}(right) extended rightward; the seed pair must be admissible,
-    which puts the point inside the subshift.
-    """
+
+class SubstitutionFixedPoint(_LevelPoint):
+    """Two-sided fixed point of a power psi^p of the substitution.
+
+    psi^p(right) starts with `right` exactly when right[0] lies on a cycle
+    of c -> psi(c)[0] whose length q divides p and `right` is a prefix of
+    the limit of psi^{qk}(right[0]), the right side; the left side is the
+    same with last letters and suffixes, so no iterate of psi^p is built.
+    The seed pair must be admissible, which puts the point inside the
+    subshift.  With no seeds, the point takes the first admissible pair of
+    one-letter seeds at the first even power up to 8 that has one."""
 
     def __init__(self, spec: SubstitutionSpec, left: str | None = None,
                  right: str | None = None, power: int | None = None):
-        super().__init__()
-        self.rules = spec.rules_dict
-        self.power = power
-        if left is None or right is None or power is None:
-            self.power, left, right = _fixed_point_seeds(self.rules, spec)
-        else:
-            if power < 1:  # power 0 fixes every word, and the tails would never grow
-                raise ValidationError(f"fixed-point power must be >= 1, got {power}")
-            if not left or not right:  # an empty seed stays empty, and its tail never grows
-                raise ValidationError("fixed-point seeds must be nonempty")
-            if not self._step(left).endswith(left):
-                raise SpecMismatch(f"psi^{power}({left!r}) does not end with {left!r}")
-            if not self._step(right).startswith(right):
-                raise SpecMismatch(f"psi^{power}({right!r}) does not start with {right!r}")
-            if not spec.language.is_admissible(left + right):
-                raise SpecMismatch(f"seed pair {left + right!r} is not admissible")
-        self.left_seed = self._left = left
-        self.right_seed = self._right = right
-
-    def _step(self, word: str) -> str:
-        """psi^power(word), refused past `subshifts.MAX_TEXT` letters."""
-        return substitution_iterate(self.rules, word, self.power)
-
-    def _grow(self, side: str, length: int) -> str:
-        word = self._right if side == "right" else self._left
-        while len(word) < length:
-            word = self._step(word)
-        return word
+        rules = spec.rules_dict
+        first, last = (_cycles({c: image[i] for c, image in rules.items()}) for i in (0, -1))
+        seeds = {"left": left, "right": right, "power": power}
+        missing = [repr(name) for name in seeds if seeds[name] is None]
+        if len(missing) == 3:
+            power, left, right = next(((p, y, z) for p in (2, 4, 6, 8) for y in sorted(last)
+                                       for z in sorted(first) if p % last[y] == p % first[z] == 0
+                                       and spec.language.is_admissible(y + z)), (None,) * 3)
+            if power is None:
+                raise SpecMismatch("no admissible two-sided fixed-point seed pair found")
+        elif missing:
+            raise ValidationError(f"a fixed point's seeds also need {' and '.join(missing)}")
+        elif power < 1:  # power 0 fixes every word, and the sides would never grow
+            raise ValidationError(f"fixed-point power must be >= 1, got {power}")
+        elif not left or not right:  # an empty seed stays empty, and its side never grows
+            raise ValidationError("fixed-point seeds must be nonempty")
+        q, r = last.get(left[-1], 0), first.get(right[0], 0)
+        runs = {c: [(d, 1) for d in image] for c, image in rules.items()}
+        super().__init__({c: c for c in rules}, lambda j: runs,
+                         (left[-1], q or 1), (right[0], r or 1))
+        if not q or power % q or self.letters(-len(left), 0) != left:
+            raise SpecMismatch(f"psi^{power}({left!r}) does not end with {left!r}")
+        if not r or power % r or self.letters(0, len(right)) != right:
+            raise SpecMismatch(f"psi^{power}({right!r}) does not start with {right!r}")
+        if not spec.language.is_admissible(left + right):
+            raise SpecMismatch(f"seed pair {left + right!r} is not admissible")
 
 
-class MechanicalPoint(Point):
+class MechanicalPoint(_LevelPoint):
     """Two-sided Sturmian point read off the standard words s_k and shifted
     by an intercept index: right of 0 the limit of s_0, s_1, ..., each a
     prefix of the next, and left of 0 the limit of s_0, s_2, s_4, ..., each
-    a suffix of the next.  It is the fixed point of the square of the
-    standard-word substitutions composed over one period of the continued
-    fraction, whose iterates of a are the s_k at every period's end."""
+    a suffix of the next.  Level k holds a = s_k and b = s_{k-1}, from
+    s_0 = a and s_{-1} = b, swapped when the spec says so: s_k is the run
+    s_{k-1}^{a_k} then s_{k-2}, the coefficients cycled."""
 
     def __init__(self, spec: SturmianSpec, intercept: int = 0):
-        super().__init__()
-        self.intercept = intercept
-        self._words = StandardWords(spec)
-
-    def _word(self, length: int, step: int) -> str:
-        """The first of s_0, s_step, s_2step, ... with `length` letters or more."""
-        k = 0
-        while len(self._words[k]) < length:
-            k += step
-        return self._words[k]
-
-    def _grow(self, side: str, length: int) -> str:
-        lo = self.intercept if side == "right" else self.intercept - length
-        left = self._word(-lo, 2) if lo < 0 else ""
-        right = self._word(lo + length, 1) if lo + length > 0 else ""
-        return _slice(left, right, lo, lo + length)
+        super().__init__(dict(zip("ab", "ba" if spec.swap_letters else "ab")),
+                         lambda k: {"a": (("a", spec.cf[(k - 1) % len(spec.cf)]), ("b", 1)),
+                                    "b": (("a", 1),)},
+                         ("a", 2), ("a", 1), intercept)
 
 
 class ToeplitzPoint(Point):
@@ -163,53 +177,43 @@ class ToeplitzPoint(Point):
     -1, and is refused at construction."""
 
     def __init__(self, spec: ToeplitzSpec, anchor: int = 0):
-        super().__init__()
-        self.anchor = anchor
-        self.pattern = spec.pattern
-        self.hole = spec.hole
+        self.anchor, self.pattern, self.hole = anchor, spec.pattern, spec.hole
         toeplitz_word(self.pattern, 1, self.hole, -1)  # every anchor's point holds x_-1
 
-    def _grow(self, side: str, length: int) -> str:
-        start = self.anchor if side == "right" else self.anchor - length
-        return toeplitz_word(self.pattern, length, self.hole, start)
+    def letters(self, lo: int, hi: int) -> str:
+        return toeplitz_word(self.pattern, hi - lo, self.hole, lo + self.anchor) if lo < hi else ""
 
 
 def _repeat(word: str, start: int, length: int) -> str:
-    """word[start mod len], word[start+1 mod len], ...: `length` letters."""
+    """word[start mod len], word[start+1 mod len], ...: `length` letters,
+    none if `length` is not positive."""
     start %= len(word)
     return (word * ((start + length) // len(word) + 1))[start : start + length]
 
 
-class PeriodicPoint(Point):
+class ExplicitPoint(Point):
+    """Finite center word at 0 .. len(center)-1 with declared periodic tails:
+    x_j = left_period[j mod len] left of it, right_period[j - len(center) mod len] right."""
+
+    def __init__(self, left_period: str, center: str, right_period: str):
+        if not left_period or not right_period:
+            raise ValidationError("tail periods must be nonempty")
+        self.left_period, self.center, self.right_period = left_period, center, right_period
+
+    def letters(self, lo: int, hi: int) -> str:
+        n = len(self.center)
+        return (_repeat(self.left_period, lo, min(hi, 0) - lo)
+                + self.center[max(lo, 0) : max(hi, 0)]
+                + _repeat(self.right_period, max(lo, n) - n, hi - max(lo, n)))
+
+
+class PeriodicPoint(ExplicitPoint):
     """Periodic repetition of a finite word: x_j = word[(j+phase) mod len]."""
 
     def __init__(self, word: str, phase: int = 0):
         if not word:
             raise ValidationError("periodic word must be nonempty")
-        super().__init__()
-        self.word = word
-        self.phase = phase
-
-    def _grow(self, side: str, length: int) -> str:
-        start = self.phase if side == "right" else self.phase - length
-        return _repeat(self.word, start, length)
-
-
-class ExplicitPoint(Point):
-    """Finite center word with declared periodic tails on both sides."""
-
-    def __init__(self, left_period: str, center: str, right_period: str):
-        if not left_period or not right_period:
-            raise ValidationError("tail periods must be nonempty")
-        super().__init__()
-        self.left_period = left_period
-        self.center = center
-        self.right_period = right_period
-
-    def _grow(self, side: str, length: int) -> str:
-        if side == "left":
-            return _repeat(self.left_period, -length, length)
-        return self.center + _repeat(self.right_period, 0, max(length - len(self.center), 0))
+        super().__init__(rotated := _repeat(word, phase, len(word)), "", rotated)
 
 
 def is_periodic_window(point: Point, radius: int) -> int | None:
@@ -223,11 +227,7 @@ def is_periodic_window(point: Point, radius: int) -> int | None:
     if radius < 1:
         raise ValueError("radius must be >= 1")
     w = point.window(0, radius)
-    n = len(w)
-    for q in range(1, n // 4 + 1):
-        if all(w[i] == w[i + q] for i in range(n - q)):
-            return q
-    return None
+    return next((q for q in range(1, len(w) // 4 + 1) if w[q:] == w[:-q]), None)
 
 
 def canonical_point(spec: SubshiftSpec) -> Point:
@@ -241,9 +241,7 @@ def canonical_point(spec: SubshiftSpec) -> Point:
     if isinstance(spec, FullShiftSpec):
         return PeriodicPoint("".join(spec.letters))
     if isinstance(spec, ExplicitSpec):
-        raise SpecMismatch(
-            "explicit subshifts have no built-in point; supply a point descriptor"
-        )
+        raise SpecMismatch("explicit subshifts have no built-in point; supply a point descriptor")
     raise SpecMismatch(f"no canonical point for {spec!r}")
 
 

@@ -310,10 +310,9 @@ def spec_to_dict(spec: SubshiftSpec) -> dict:
 
 
 def substitution_iterate(rules: Mapping[str, str], word: str, k: int) -> str:
-    """psi^k(word) for the substitution psi given by `rules`: the one place
-    that joins substitution images.  Each iterate's length is read off the
-    letter counts first, and one past `MAX_TEXT` letters is refused with
-    ResourceLimit before any is built."""
+    """psi^k(word) for the substitution psi given by `rules`.  Each
+    iterate's length is read off the letter counts first, and one past
+    `MAX_TEXT` letters is refused with ResourceLimit before any is built."""
     if k < 0:
         raise ValueError("iteration count must be nonnegative")
     counts = {c: word.count(c) for c in rules}

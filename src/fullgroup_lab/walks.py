@@ -402,8 +402,8 @@ def sample_orbit_walks(measure: StepMeasure, point: Point, n: int, trials: int,
     them step by step.
 
     The offset after each step is the cocycle of the running product at the
-    start point; increments are read from a precomputed per-atom table, so
-    the point's windows are only evaluated once per reachable offset.  The
+    start point; increments are read from a precomputed per-atom table, and
+    building it reads the point once per generator depth.  The
     table is checked first: no entry may exceed the measure's max_shift, so
     no step can.  Then every draw is made and packed (`_atom_draws`), and
     one pass over the steps moves all trials at once.  Each step's

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import time
@@ -464,22 +465,17 @@ def test_entropy_depth_past_the_text_budget_writes_partial_results(workdir, caps
     assert json.loads((out / "entropy_fit.json").read_text())["partial"] is True
 
 
-@pytest.mark.parametrize("case", ["dump-factors", "element-depth", "fixed-point-power"])
+@pytest.mark.parametrize("case", ["dump-factors", "element-depth"])
 def test_huge_lengths_exit_3_before_any_output(workdir, capsys, fib_gens, case):
     out = workdir / "huge"
     if case == "dump-factors":
         args = ["complexity", "--spec", workdir / "fib.json", "--n", 4,
                 "--dump-factors", 10**12]
-    elif case == "element-depth":
+    else:
         doc = fib_gens["gamma"].to_dict()
         doc["depth"] = 10**9
         write_json(workdir / "deep.json", {"spec": "fib.json", "generators": {"gamma": doc}})
         args = ["walk", "--spec", workdir / "fib.json", "--gens", workdir / "deep.json",
-                "--n", 4, "--trials", 4]
-    else:
-        write_json(workdir / "fib.json", FIB | {"point": {
-            "kind": "substitution_fixed_point", "left": "a", "right": "a", "power": 60}})
-        args = ["walk", "--spec", workdir / "fib.json", "--gens", workdir / "gens.json",
                 "--n", 4, "--trials", 4]
     assert run(args + ["--out", out]) == 3
     err = capsys.readouterr().err
@@ -539,10 +535,6 @@ _BLOW_UP_INPUTS = {
     # the ball's byte budget refuses layer 22 before it joins the ball
     "entropy-huge-cap": (
         FIB, ["entropy", "--gens", "gens.json", "--n", "30", "--cap", str(10**12)]),
-    "fixed-point-power": (
-        FIB | {"point": {"kind": "substitution_fixed_point", "left": "a", "right": "a",
-                         "power": 60}},
-        ["walk", "--gens", "gens.json", "--n", "4", "--trials", "4"]),
 }
 # entropy writes its documented partial results when a limit stops the chain
 _PARTIAL_RESULTS = {"entropy-huge-cap", "full-shift-entropy-depth", "golden-mean-entropy-depth"}
@@ -584,6 +576,23 @@ def test_blow_up_inputs_exit_3_under_a_2_gib_address_space(workdir, case):
         assert fit["partial"] is True and fit["resource_limit"] in proc.stderr
     else:
         assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("power", [60, 10**18], ids=["power-60", "power-10**18"])
+def test_high_power_fixed_points_walk_under_a_2_gib_address_space(workdir, power):
+    # psi^60(a) has about 4e12 letters, but the point reads its level words:
+    # the walk answers as the power-2 point does
+    outputs = {}
+    for p in (2, power):
+        write_json(workdir / "fib.json", FIB | {"point": {
+            "kind": "substitution_fixed_point", "left": "a", "right": "a", "power": p}})
+        proc = _run_under_2_gib(workdir, ["walk", "--gens", "gens.json", "--n", "40",
+                                          "--trials", "200"])
+        assert proc.returncode == 0, proc.stderr
+        outputs[p] = [(workdir / "out" / name).read_bytes()
+                      for name in ("point_window.txt", "walk_summary.csv", "tail_fit.json")]
+        shutil.rmtree(workdir / "out")
+    assert outputs[power] == outputs[2]
 
 
 def test_periodic_toeplitz_complexity_to_100000_under_a_2_gib_address_space(workdir):
@@ -816,6 +825,8 @@ def test_malformed_element_documents_are_validation_errors(workdir, capsys, fib_
                       "power": "2"}}, GENS, "'power'"),
     (FIB | {"point": {"kind": "substitution_fixed_point", "left": "a", "right": "a",
                       "power": 0}}, GENS, "power"),
+    (FIB | {"point": {"kind": "substitution_fixed_point", "power": 3, "left": "b"}}, GENS,
+     "also need 'right'"),
     (FIB, {"spec": "fib.json", "generators": []}, "'generators'"),
     (FIB, {"spec": "fib.json", "generators": {}}, "at least one atom"),
     (FIB, {"spec": 5, "builtin": "fibonacci"}, "'spec'"),
@@ -834,7 +845,7 @@ def test_malformed_element_documents_are_validation_errors(workdir, capsys, fib_
         "toeplitz-two-letter-hole", "toeplitz-empty-hole",
         "rules-not-an-object", "periodic-no-word", "phase-not-an-integer", "explicit-no-right-period",
         "periodic-point-outside-the-subshift",
-        "power-a-string", "power-zero", "generators-a-list", "generators-empty",
+        "power-a-string", "power-zero", "seeds-without-right", "generators-a-list", "generators-empty",
         "spec-a-number", "weights-a-string",
         "weight-over-zero", "weight-a-boolean", "full-shift-no-letter", "full-shift-duplicate-letter",
         "full-shift-two-character-letter", "explicit-no-letter", "explicit-duplicate-letter",

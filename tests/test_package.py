@@ -161,6 +161,70 @@ def f(doc: Mapping) -> int:
     assert [h.split(": ", 1)[1] for h in hits] == ["json", "math", "np", "ValidationError"]
 
 
+TEXT_NAMES = {"threading", "MAX_TEXT", "substitution_iterate", "StandardWords"}
+
+
+def _point_state(tree: ast.Module, name: str) -> list[str]:
+    """Where a points module names a lock, the text budget or a text
+    builder, or a method other than `__init__` writes an attribute of
+    `self` or an item of one."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hits += [f"{name}:{node.lineno}: import {a.name}" for a in node.names
+                     if a.name in TEXT_NAMES]
+        elif isinstance(node, ast.ImportFrom):
+            hits += [f"{name}:{node.lineno}: import {a.name}" for a in node.names
+                     if {node.module, a.name} & TEXT_NAMES]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            label = node.id if isinstance(node, ast.Name) else node.attr
+            if label in TEXT_NAMES:
+                hits.append(f"{name}:{node.lineno}: {label}")
+    methods = [f for c in tree.body if isinstance(c, ast.ClassDef) for f in c.body
+               if isinstance(f, ast.FunctionDef) and f.name != "__init__"]
+    for method in methods:
+        for node in ast.walk(method):
+            target = node.value if isinstance(node, ast.Subscript) else node
+            if (isinstance(node, (ast.Attribute, ast.Subscript))
+                    and isinstance(node.ctx, (ast.Store, ast.Del))
+                    and isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name) and target.value.id == "self"):
+                hits.append(f"{name}:{node.lineno}: {method.name} writes self.{target.attr}")
+    return hits
+
+
+def test_a_point_holds_no_text_no_lock_and_no_state_a_read_changes():
+    # a point is a position rule: each read spells its window from tables
+    # built at construction, so it needs no lock, no cached side and no
+    # text budget
+    tree = ast.parse((PACKAGE / "points.py").read_text(encoding="utf-8"))
+    assert _point_state(tree, "points.py") == []
+
+
+def test_the_point_state_guard_sees_each_kind_of_write():
+    source = """
+import threading
+from .subshifts import MAX_TEXT, substitution_iterate as iterate
+
+class P:
+    def __init__(self):
+        self.ok = {}
+
+    def read(self, k):
+        self.cache = subshifts.StandardWords(k)
+        self.ok[k] = k
+        del self.gone
+        local = {}
+        local[k] = self.ok
+        return local
+"""
+    hits = _point_state(ast.parse(source), "m.py")
+    assert [h.split(": ", 1)[1] for h in hits] == [
+        "import threading", "import MAX_TEXT", "import substitution_iterate",
+        "StandardWords", "read writes self.cache", "read writes self.ok",
+        "read writes self.gone"]
+
+
 def test_the_language_table_alone_orders_and_locates_factors():
     # `LanguageTable.words` is the sorted index of the factors: no module
     # bisects a sorted tuple or sorts a factor set again

@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 
@@ -48,18 +49,35 @@ def test_fixed_point_rejects_empty_seeds(fib_spec):
             SubstitutionFixedPoint(fib_spec, left=left, right=right, power=2)
 
 
-def test_fixed_point_power_past_the_text_budget_is_refused(fib_spec):
-    # psi^60(a) has about 4e12 letters: the letter counts refuse it before
-    # any iterate is built, so the allocation peak stays far below the
-    # text budget of 2^24 letters that the iterates on the way would fill
+def test_fixed_point_power_past_the_text_budget_reads_the_canonical_windows(fib_spec, fib_point):
+    # psi^60(a) has about 4e12 letters, past the text budget of 2^24; the
+    # point reads it by its level words, whose construction stays small
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimit, match="text budget"):
-            SubstitutionFixedPoint(fib_spec, left="a", right="a", power=60)
+        point = SubstitutionFixedPoint(fib_spec, left="a", right="a", power=60)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    for center, radius in ((0, 60), (-10**12, 37), (10**15, 200)):
+        assert point.window(center, radius) == fib_point.window(center, radius)
+
+
+@pytest.mark.parametrize("power", [60, 10**18])
+def test_high_powers_give_the_canonical_windows(fib_spec, fib_point, power):
+    # psi^power fixes the point exactly when the seeds' cycles divide power
+    point = SubstitutionFixedPoint(fib_spec, left="a", right="a", power=power)
+    for center, radius in ((0, 0), (0, 5000), (-7, 3), (-10**18, 100), (10**18, 100)):
+        assert point.window(center, radius) == fib_point.window(center, radius)
+    with pytest.raises(SpecMismatch, match=r"does not start with 'b'$"):
+        SubstitutionFixedPoint(fib_spec, left="a", right="b", power=power)
+
+
+def test_partial_seeds_are_refused_by_name(fib_spec):
+    with pytest.raises(ValidationError, match=r"also need 'right'$"):
+        SubstitutionFixedPoint(fib_spec, left="b", power=3)
+    with pytest.raises(ValidationError, match=r"also need 'left' and 'right'$"):
+        SubstitutionFixedPoint(fib_spec, power=2)
 
 
 def test_explicit_power_gives_the_canonical_windows(fib_spec, fib_point):
@@ -117,12 +135,12 @@ def test_window_nesting_and_shift_compatibility(center, radius, extra):
     assert p.window(center + 1, radius) == p.window(center, radius + 1)[2:]
 
 
-def test_mechanical_point_with_a_huge_coefficient_is_refused():
-    # left of 0 the point reads s_2, which has about 10^10 letters
+def test_mechanical_point_with_a_huge_coefficient_reads_left_of_0():
+    # left of 0 the point is the end of s_2 = (a^100000 b)^100000 a, about
+    # 10^10 letters, of which a read spells only the copies it meets
     point = MechanicalPoint(SturmianSpec((100000,)))
-    for _ in range(2):  # the refusal holds for every later read too
-        with pytest.raises(ResourceLimit, match="s_2 has 10000100001 letters, past the text"):
-            point.window(0, 3)
+    assert point.window(0, 3) == "abaaaaa"
+    assert point.letters(-200006, -200001) == "aabaa"
 
 
 def test_mechanical_point_reads_right_of_0_from_any_standard_word():
@@ -151,6 +169,80 @@ def test_mechanical_point_of_a_long_period_reads_only_the_standard_words():
     spec = SturmianSpec((3, 1, 4, 1, 5, 9, 2, 6))
     window = MechanicalPoint(spec).window(0, 3000)
     assert window in spec.language.factors(6001)
+
+
+def _substitution_letter(rules: dict[str, str], c: str, q: int, i: int) -> str:
+    """Memo-free descent: letter i of the side spanned by c, whose cycle of
+    first letters (i >= 0) or last letters (i < 0) has length q; each level
+    keeps the one letter whose image holds i."""
+    sizes = [dict.fromkeys(rules, 1)]
+    while sizes[-1][c] <= max(i, -i - 1) or (len(sizes) - 1) % q:
+        sizes.append({a: sum(sizes[-1][d] for d in image) for a, image in rules.items()})
+    i %= sizes[-1][c]
+    for level in reversed(sizes[:-1]):
+        for c in rules[c]:
+            if i < level[c]:
+                break
+            i -= level[c]
+    return c
+
+
+def _standard_letter(cf: tuple[int, ...], swap: bool, i: int) -> str:
+    """Memo-free descent: letter i of the Sturmian point, in s_k from the
+    right of 0 and in an even s_k from the left, s_k = s_{k-1}^{a_k} s_{k-2}."""
+    sizes = [1, 1]  # |s_{-1}|, |s_0|, ...
+    while sizes[-1] <= max(i, -i - 1) or (i < 0 and len(sizes) % 2):
+        sizes.append(cf[(len(sizes) - 2) % len(cf)] * sizes[-1] + sizes[-2])
+    i, k = i % sizes[-1], len(sizes) - 2
+    while k > 0:
+        m = cf[(k - 1) % len(cf)]
+        if i < m * sizes[k]:
+            i, k = i % sizes[k], k - 1
+        else:
+            i, k = i - m * sizes[k], k - 2
+    return "ab"[(k == 0) == swap]
+
+
+# rules, then each side's seed letter and the length of its cycle of last
+# (left) or first (right) letters
+LEVEL_POINTS = {
+    "fibonacci": ({"a": "ab", "b": "a"}, ("a", 2), ("a", 1)),
+    "aba-bb": ({"a": "aba", "b": "bb"}, ("a", 1), ("b", 1)),
+    "three-letter": ({"a": "abc", "b": "bab", "c": "cab"}, ("b", 1), ("a", 1)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(LEVEL_POINTS) + ["mechanical", "mechanical-swapped"]),
+    st.integers(min_value=-(10**18), max_value=10**18),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=1, max_value=10),
+)
+def test_level_point_windows_match_a_memo_free_descent(kind, center, radius, extra):
+    if kind in LEVEL_POINTS:
+        rules, (left, q_left), (right, q_right) = LEVEL_POINTS[kind]
+        point = SubstitutionFixedPoint(SubstitutionSpec.from_rules(rules, "a"), left, right,
+                                       q_left * q_right)
+        expected = "".join(_substitution_letter(rules, right, q_right, j) if j >= 0
+                           else _substitution_letter(rules, left, q_left, j)
+                           for j in range(center - radius, center + radius + 1))
+    else:
+        swap = kind.endswith("swapped")
+        point = MechanicalPoint(SturmianSpec((2, 1, 3), swap), -13)
+        expected = "".join(_standard_letter((2, 1, 3), swap, j - 13)
+                           for j in range(center - radius, center + radius + 1))
+    assert point.window(center, radius) == expected
+    outer = point.window(center, radius + extra)
+    assert outer[extra : extra + len(expected)] == expected
+    # moving the center right by one drops a letter on the left
+    assert point.window(center + 1, radius) == point.window(center, radius + 1)[2:]
+
+
+def test_a_read_past_the_level_words_is_refused():
+    point = MechanicalPoint(SturmianSpec((1,)), 2**70)
+    with pytest.raises(ResourceLimit, match="level words reach$"):
+        point.window(0, 1)
 
 
 def test_sturmian_random_slope_windows_admissible():
@@ -292,34 +384,30 @@ POINTS = {
 }
 
 
-@pytest.mark.parametrize("kind", list(POINTS))
-def test_a_read_grows_only_the_side_it_passes(kind):
-    for side, reads in (("right", ((0, 500), (3, 2000))), ("left", ((-500, 0), (-2000, -3)))):
-        point = POINTS[kind]()
-        grow, asked = point._grow, []
+def test_window_cache_thread_safety():
+    # a point holds no state that a read changes, so concurrent reads of
+    # every kind, near 0 and far from it, return what one thread alone would
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for kind, make in POINTS.items():
+            point, results = make(), []
+            alone = [point.window(-100, 150), point.letters(-5000, 5000),
+                     point.window(-10**12, 30)]
 
-        def spy(side, length):
-            asked.append(side)
-            return grow(side, length)
+            def worker():
+                results.append([point.window(-100, 150), point.letters(-5000, 5000),
+                                point.window(-10**12, 30)])
 
-        point._grow = spy
-        for lo, hi in reads:
-            assert len(point.letters(lo, hi)) == hi - lo
-        assert set(asked) == {side}
-
-
-def test_window_cache_thread_safety(fib_point):
-    results = []
-
-    def worker():
-        results.append(fib_point.window(-100, 150))
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(set(results)) == 1
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [alone] * 8, kind
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_window_negative_radius_rejected(fib_point):

@@ -1077,21 +1077,18 @@ def test_lengths_within_the_text_budget_are_unchanged(monkeypatch):
         table.complexity(234)
 
 
-def test_points_and_languages_share_one_text_budget(monkeypatch):
-    # under a budget of 1,000 letters: psi^14(a) has F_16 = 987 letters and
-    # psi^16(a) passes it at psi^15 (1,597); s_14 of the golden slope has 987
-    # letters and s_15 1,597; and the Fibonacci blocks under psi^10 serve
-    # lengths to F_11 = 89 in 644 letters, while those under psi^11 hold 1,042
+def test_the_text_budget_bounds_languages_not_points(monkeypatch):
+    # under a budget of 1,000 letters: psi^16(a) passes it at psi^15 (1,597
+    # letters) and s_15 of the golden slope has 1,597 letters, but a point
+    # reads its level words and spells only what it returns; the Fibonacci
+    # blocks under psi^10 serve lengths to F_11 = 89 in 644 letters, while
+    # those under psi^11 hold 1,042
     monkeypatch.setattr(subshifts, "MAX_TEXT", 1000)
     refused = "text budget of 1000 letters"
-    point = SubstitutionFixedPoint(fibonacci_spec(), "a", "a", 14)
-    assert len(point.letters(0, 987)) == 987
-    with pytest.raises(ResourceLimit, match=refused):
-        SubstitutionFixedPoint(fibonacci_spec(), "a", "a", 16)
+    point = SubstitutionFixedPoint(fibonacci_spec(), "a", "a", 16)
     mechanical = MechanicalPoint(SturmianSpec((1,)))
-    assert len(mechanical.letters(0, 987)) == 987
-    with pytest.raises(ResourceLimit, match="s_15 has 1597 letters, past the " + refused):
-        mechanical.letters(0, 988)
+    assert point.letters(-5000, 5000) == mechanical.letters(-5000, 5000)
+    assert len(mechanical.letters(10**6, 10**6 + 2000)) == 2000
     language = fibonacci_spec().language
     assert language.complexity(89) == 90
     with pytest.raises(ResourceLimit, match="psi\\^11 have 1042 letters, past the " + refused):

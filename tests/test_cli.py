@@ -484,6 +484,22 @@ def test_huge_lengths_exit_3_before_any_output(workdir, capsys, fib_gens, case):
     assert not out.exists()
 
 
+def test_a_power_60_fixed_point_walks_as_the_power_2_point(workdir, capsys):
+    # psi^60(a) is past the text budget, but a point reads its level words,
+    # so the walk writes the power-2 point's outputs and no resource limit
+    outputs = {}
+    for power in (2, 60):
+        write_json(workdir / "fib.json", FIB | {"point": {
+            "kind": "substitution_fixed_point", "left": "a", "right": "a", "power": power}})
+        out = workdir / f"power{power}"
+        assert run(["walk", "--spec", workdir / "fib.json", "--gens", workdir / "gens.json",
+                    "--n", 4, "--trials", 4, "--out", out]) == 0
+        assert "resource limit" not in capsys.readouterr().err
+        outputs[power] = [(out / name).read_bytes()
+                          for name in ("point_window.txt", "walk_summary.csv", "tail_fit.json")]
+    assert outputs[60] == outputs[2]
+
+
 _BLOW_UP_INPUTS = {
     # counts need no text, but the factors of length 2 need s_2, 10^10 letters
     "sturmian-huge-coefficient": (

@@ -4,12 +4,12 @@ A `Point` is a position rule: `letters(lo, hi)` spells exactly the window
 asked for, and a read changes nothing, so a point is shared across threads
 with no lock.  Toeplitz points fill their holes from the anchor
 (`toeplitz_word`); periodic and explicit points repeat their words.
-Substitution fixed points and Sturmian points read level words (Dumont &
-Thomas, TCS 65, 1989; Ostrowski numeration for standard words): a read
-keeps, level by level, only the copies that meet it, so it spells about as
-many letters as it returns.  A point is not checked against a subshift: a
-window outside the language is refused where it meets a table over the
-admissible words.
+Substitution fixed points and Sturmian points read the level words that
+`subshifts.level_words` builds at construction (Dumont & Thomas, TCS 65,
+1989; Ostrowski numeration for standard words): a read keeps, level by
+level, only the copies that meet it, so it spells about as many letters as
+it returns.  A point is not checked against a subshift: a window outside
+the language is refused where it meets a table over the admissible words.
 """
 
 from __future__ import annotations
@@ -18,18 +18,19 @@ import itertools
 
 from .errors import ResourceLimit, SpecMismatch, ValidationError
 from .subshifts import (
+    REACH,
     ExplicitSpec,
     FullShiftSpec,
+    LevelWords,
     SturmianSpec,
     SubshiftSpec,
     SubstitutionSpec,
     ToeplitzSpec,
+    level_words,
     toeplitz_word,
 )
 
 MAX_CYLINDER_RADIUS = 1 << 16  # widest window `find_cylinder_position` scans
-SPELLED = 1 << 12  # letters of the longest level word a point keeps spelled
-REACH = 1 << 64  # letters that the level words of a point reach on each side
 
 
 class Point:
@@ -50,24 +51,17 @@ class Point:
 
 
 class _LevelPoint(Point):
-    """A point whose sides are limits of level words, moved by `shift`:
-    W_0(c) is `base[c]`, and W_j(c) the runs W_{j-1}(d)^m, (d, m) in
-    rule(j)[c].  For an end (c, t), the right side is the limit of W_0(c),
-    W_t(c), W_2t(c), ..., each a prefix of the next, and the left side the
-    limit of such words that are each a suffix of the next.  The lengths,
-    and the words of at most `SPELLED` letters, are built here, up to the
-    levels whose words pass `REACH` letters."""
+    """A point whose sides are limits of the level words of one
+    `LevelWords` table, moved by `shift`.  For an end (c, t), the right
+    side is the limit of W_0(c), W_t(c), W_2t(c), ..., each a prefix of the
+    next, and the left side the limit of such words that are each a suffix
+    of the next; `near` holds, for each end, the longest of them that the
+    table keeps spelled."""
 
-    def __init__(self, base: dict[str, str], rule, left: tuple[str, int],
-                 right: tuple[str, int], shift: int = 0):
-        self.ends, self.shift = (left, right), shift
-        lengths, self.runs, words = [dict.fromkeys(base, 1)], [{}], [dict(base)]
-        while any(lengths[(len(lengths) - 1) // t * t][c] < REACH for c, t in self.ends):
-            self.runs.append(runs := rule(len(lengths)))
-            lengths.append({c: sum(lengths[-1][d] * m for d, m in r) for c, r in runs.items()})
-            words.append({c: "".join(words[-1][d] * m for d, m in r)
-                          for c, r in runs.items() if lengths[-1][c] <= SPELLED})
-        self.lengths, self.words = lengths, words
+    def __init__(self, levels: LevelWords, left: tuple[str, int], right: tuple[str, int],
+                 shift: int = 0):
+        self.levels, self.ends, self.shift = levels, (left, right), shift
+        words = levels.words
         self.near = tuple(next(words[j][c] for j in reversed(range(0, len(words), t))
                                if c in words[j]) for c, t in self.ends)
 
@@ -85,26 +79,12 @@ class _LevelPoint(Point):
     def _side(self, c: str, t: int, s: int, e: int) -> str:
         """Letters s .. e-1, none if e <= s, of the side that the end (c, t)
         spans (0 <= s or e <= 0), from the first of W_0(c), W_t(c), ... long enough."""
-        j = next((j for j in range(0, len(self.lengths), t)
-                  if self.lengths[j][c] >= max(e, -s)), None)
+        lengths = self.levels.lengths
+        j = next((j for j in range(0, len(lengths), t) if lengths[j][c] >= max(e, -s)), None)
         if j is None:
             raise ResourceLimit(f"a read at {s} passes the {REACH} letters the level words reach")
-        n = self.lengths[j][c] if s < 0 else 0
-        runs, s, e = ((c, 1),), s + n, e + n
-        while True:  # letters s .. e-1 of the level-j words of `runs`, in order
-            width, kept, start = e - s, [], 0
-            for d, m in runs:  # keep the copies that meet [s, e), m of them by one division
-                n = self.lengths[j][d]
-                first, stop = max(s, 0) // n, min(-(-e // n), m)
-                if first < stop:
-                    start = start if kept else s - first * n
-                    kept.append((d, stop - first))
-                s, e = s - n * m, e - n * m
-            words = self.words[j]
-            if all(d in words for d, _ in kept):
-                return "".join(words[d] * m for d, m in kept)[start : start + width]
-            runs = [r for d, m in kept for r in self.runs[j][d] * m]
-            j, s, e = j - 1, start, start + width
+        n = lengths[j][c] if s < 0 else 0
+        return self.levels.spell(j, c, s + n, e + n)
 
 
 def _cycles(step: dict[str, str]) -> dict[str, int]:
@@ -144,9 +124,7 @@ class SubstitutionFixedPoint(_LevelPoint):
         elif not left or not right:  # an empty seed stays empty, and its side never grows
             raise ValidationError("fixed-point seeds must be nonempty")
         q, r = last.get(left[-1], 0), first.get(right[0], 0)
-        runs = {c: [(d, 1) for d in image] for c, image in rules.items()}
-        super().__init__({c: c for c in rules}, lambda j: runs,
-                         (left[-1], q or 1), (right[0], r or 1))
+        super().__init__(level_words(spec), (left[-1], q or 1), (right[0], r or 1))
         if not q or power % q or self.letters(-len(left), 0) != left:
             raise SpecMismatch(f"psi^{power}({left!r}) does not end with {left!r}")
         if not r or power % r or self.letters(0, len(right)) != right:
@@ -159,15 +137,11 @@ class MechanicalPoint(_LevelPoint):
     """Two-sided Sturmian point read off the standard words s_k and shifted
     by an intercept index: right of 0 the limit of s_0, s_1, ..., each a
     prefix of the next, and left of 0 the limit of s_0, s_2, s_4, ..., each
-    a suffix of the next.  Level k holds a = s_k and b = s_{k-1}, from
-    s_0 = a and s_{-1} = b, swapped when the spec says so: s_k is the run
-    s_{k-1}^{a_k} then s_{k-2}, the coefficients cycled."""
+    a suffix of the next.  Level k of the spec's `level_words` holds
+    a = s_k."""
 
     def __init__(self, spec: SturmianSpec, intercept: int = 0):
-        super().__init__(dict(zip("ab", "ba" if spec.swap_letters else "ab")),
-                         lambda k: {"a": (("a", spec.cf[(k - 1) % len(spec.cf)]), ("b", 1)),
-                                    "b": (("a", 1),)},
-                         ("a", 2), ("a", 1), intercept)
+        super().__init__(level_words(spec), ("a", 2), ("a", 1), intercept)
 
 
 class ToeplitzPoint(Point):

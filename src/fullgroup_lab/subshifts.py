@@ -49,9 +49,10 @@ LNM 1294), and two facts make them finite work:
 With b the least |psi^k(c)| over the letters of R, the blocks psi^k(c)
 followed by the first b - 1 letters of psi^k(d) hold those windows for
 every length up to b, and k is taken least with b >= n, so one index serves
-a table until a longer length is asked for (`_recurrent_blocks`).  Their
-letters, like those of a standard word or an iterate, are read off the letter
-counts and refused past the text budget, `MAX_TEXT`, before any is built.
+a table until a longer length is asked for (`_recurrent_blocks`).  The
+blocks, like a standard word, are spelled from level words (`level_words`,
+which points read too), their lengths refused past the text budget,
+`MAX_TEXT`, before any letter is spelled.
 The blocks are indexed together, by a prefix-doubling suffix array and
 Kasai's LCP scan, which count the distinct windows of every length at once
 and spell those of one length when asked (`_FactorIndex`).
@@ -88,9 +89,11 @@ from .errors import (
     ValidationError,
 )
 
-# Letters one piece of generated text may take: a substitution iterate, a
-# standard word or the recurrent pairs' blocks.
+# Letters one piece of generated text may take: a standard word or the
+# recurrent pairs' blocks.
 MAX_TEXT = 1 << 24
+SPELLED = 1 << 12  # letters of the longest level word a table keeps spelled
+REACH = 1 << 64  # letters that the level words of a table reach
 # Element budget for explicit factor-set enumeration.
 DEFAULT_MAX_FACTORS = 2_000_000
 # Letters one factor set may spell (256 MiB).
@@ -309,47 +312,62 @@ def spec_to_dict(spec: SubshiftSpec) -> dict:
 # Substitution machinery
 
 
-def substitution_iterate(rules: Mapping[str, str], word: str, k: int) -> str:
-    """psi^k(word) for the substitution psi given by `rules`.  Each
-    iterate's length is read off the letter counts first, and one past
-    `MAX_TEXT` letters is refused with ResourceLimit before any is built."""
-    if k < 0:
-        raise ValueError("iteration count must be nonnegative")
-    counts = {c: word.count(c) for c in rules}
-    for i in range(1, k + 1):
-        counts = {d: sum(m * rules[c].count(d) for c, m in counts.items()) for d in rules}
-        if sum(counts.values()) > MAX_TEXT:
-            raise ResourceLimit(f"psi^{i} of a {len(word)}-letter word has "
-                                f"{sum(counts.values())} letters, past the text budget "
-                                f"of {MAX_TEXT} letters")
-    for _ in range(k):
-        word = "".join(rules[c] for c in word)
-    return word
+class LevelWords(NamedTuple):
+    """Level words W_j(c), built by `level_words`: W_0(c) = `words[0][c]`, one
+    letter, and W_j(c) the runs W_{j-1}(d)^m, (d, m) in `runs[j][c]`, of
+    `lengths[j][c]` letters; `words[j]` holds those of at most `SPELLED`.
+    No length falls, and the levels run until each of the last len(words[0])
+    passes `REACH` letters in every word, so every period up to that many
+    levels has a multiple there."""
+
+    runs: tuple[Mapping[str, tuple[tuple[str, int], ...]], ...]
+    lengths: tuple[dict[str, int], ...]
+    words: tuple[dict[str, str], ...]
+
+    def spell(self, j: int, c: str, s: int, e: int) -> str:
+        """Letters s .. e-1 of W_j(c), none if e <= s, for 0 <= s and
+        e <= |W_j(c)|, by a descent (Dumont & Thomas, TCS 65, 1989) that keeps,
+        level by level, only the copies that meet them, m of them by one
+        division, so it spells about as many letters as it returns."""
+        runs = ((c, 1),)
+        while True:  # letters s .. e-1 of the level-j words of `runs`, in order
+            width, kept, start = e - s, [], 0
+            for d, m in runs:
+                n = self.lengths[j][d]
+                first, stop = max(s, 0) // n, min(-(-e // n), m)
+                if first < stop:
+                    start = start if kept else s - first * n
+                    kept.append((d, stop - first))
+                s, e = s - n * m, e - n * m
+            words = self.words[j]
+            if all(d in words for d, _ in kept):
+                return "".join(words[d] * m for d, m in kept)[start : start + width]
+            runs = [r for d, m in kept for r in self.runs[j][d] * m]
+            j, s, e = j - 1, start, start + width
 
 
-class StandardWords:
-    """The standard words of a Sturmian spec, grown on demand and kept:
-    s_{-1} = b, s_0 = a and s_k = s_{k-1}^{a_k} s_{k-2}, the coefficients
-    cycled, with a and b swapped when the spec says so.  For k >= 0 each
-    s_k is a prefix of s_{k+1} and a suffix of s_{k+2} (Lothaire, Algebraic
-    Combinatorics on Words, ch. 2).  A word past `MAX_TEXT` letters is
-    refused with ResourceLimit before it is built, each time it is asked for."""
-
-    def __init__(self, spec: SturmianSpec):
-        self.cf = spec.cf
-        self._words = list("ab" if spec.swap_letters else "ba")  # s_{-1}, s_0, ...
-
-    def __getitem__(self, k: int) -> str:
-        """s_k, for k >= -1."""
-        words = self._words
-        while len(words) < k + 2:
-            m = self.cf[(len(words) - 2) % len(self.cf)]
-            size = m * len(words[-1]) + len(words[-2])
-            if size > MAX_TEXT:
-                raise ResourceLimit(f"standard word s_{len(words) - 1} has {size} letters, "
-                                    f"past the text budget of {MAX_TEXT} letters")
-            words.append(words[-1] * m + words[-2])
-        return words[k + 1]
+def level_words(spec: SturmianSpec | SubstitutionSpec) -> LevelWords:
+    """The level words of `spec`, the one place that holds each level rule.
+    A substitution's are its iterates, psi^j(c) the runs of psi(c) letter by
+    letter.  A Sturmian spec's are W_k(a) = s_k and W_k(b) = s_{k-1}, from
+    s_0 = a and s_{-1} = b, swapped when the spec says so: s_k is the run
+    s_{k-1}^{a_k} then s_{k-2}, the coefficients cycled, and for k >= 0 a
+    prefix of s_{k+1} and a suffix of s_{k+2} (Lothaire, Algebraic
+    Combinatorics on Words, ch. 2).  No length falls: s_k is no shorter than
+    s_{k-1}, and as every letter of a substitution grows, no image is empty."""
+    if isinstance(spec, SturmianSpec):
+        base = dict(zip("ab", "ba" if spec.swap_letters else "ab"))
+        rules = ({"a": (("a", m), ("b", 1)), "b": (("a", 1),)} for m in itertools.cycle(spec.cf))
+    else:
+        base = {c: c for c, _ in spec.rules}
+        rules = itertools.repeat({c: tuple((d, 1) for d in image) for c, image in spec.rules})
+    lengths, runs, words = [dict.fromkeys(base, 1)], [{}], [base]
+    while len(lengths) < len(base) or min(lengths[-len(base)].values()) < REACH:
+        runs.append(level := next(rules))
+        lengths.append({c: sum(lengths[-1][d] * m for d, m in r) for c, r in level.items()})
+        words.append({c: "".join(words[-1][d] * m for d, m in r)
+                      for c, r in level.items() if lengths[-1][c] <= SPELLED})
+    return LevelWords(tuple(runs), tuple(lengths), tuple(words))
 
 
 def _reach(graph: Mapping[str, Iterable[str]], sources: Iterable[str]) -> set[str]:
@@ -819,27 +837,25 @@ class _FactorIndex:
         return frozenset([self.text[i : i + n] for i in starts.tolist()])
 
 
-def _recurrent_blocks(spec: SubstitutionSpec, n: int) -> tuple[int, _FactorIndex]:
+def _recurrent_blocks(spec: SubstitutionSpec, levels: LevelWords,
+                      n: int) -> tuple[int, _FactorIndex]:
     """(b, index): the index of the blocks psi^k(c) + psi^k(d)[:b - 1], cd
     in `_recurrent_pairs`, whose length-m windows are the language's for
-    every m <= b (module docstring), k least with b >= n.  Blocks past
-    `MAX_TEXT` letters in all are refused with ResourceLimit before any is
-    built."""
-    rules = spec.rules_dict
-    pairs = _recurrent_pairs(rules, spec.seed)
+    every m <= b (module docstring), k least with b >= n, read off the
+    level words of `spec`.  Blocks past `MAX_TEXT` letters in all are
+    refused with ResourceLimit before any is spelled."""
+    pairs = _recurrent_pairs(spec.rules_dict, spec.seed)
     letters = set("".join(pairs))
-    lengths = dict.fromkeys(rules, 1)  # |psi^k(c)|
-    for k in itertools.count():
+    for k, lengths in enumerate(levels.lengths):  # lengths[c] = |psi^k(c)|
         bound = min(lengths[c] for c in letters)
         size = sum(lengths[c] + bound for c, _ in pairs)
-        if size > MAX_TEXT:
-            raise ResourceLimit(f"the recurrent pairs' blocks under psi^{k} have {size} "
-                                f"letters, past the text budget of {MAX_TEXT} letters")
-        if bound >= n:
+        if size > MAX_TEXT or bound >= n:  # the last levels pass REACH > MAX_TEXT
             break
-        lengths = {c: sum(lengths[x] for x in image) for c, image in rules.items()}
-    images = {c: substitution_iterate(rules, c, k) for c in letters}
-    return bound, _FactorIndex([images[c] + images[d][: bound - 1] for c, d in pairs])
+    if size > MAX_TEXT:
+        raise ResourceLimit(f"the recurrent pairs' blocks under psi^{k} have {size} "
+                            f"letters, past the text budget of {MAX_TEXT} letters")
+    return bound, _FactorIndex([levels.spell(k, c, 0, lengths[c])
+                                + levels.spell(k, d, 0, bound - 1) for c, d in pairs])
 
 
 class _SubstitutionLanguage:
@@ -857,8 +873,12 @@ class _SubstitutionLanguage:
 
     def _index(self, n: int) -> _FactorIndex:
         if self._last_index[0] < n:
-            self._last_index = _recurrent_blocks(self.spec, n)
+            self._last_index = _recurrent_blocks(self.spec, self._levels, n)
         return self._last_index[1]
+
+    @cached_property
+    def _levels(self) -> LevelWords:
+        return level_words(self.spec)
 
 
 class _SturmianLanguage(_SubstitutionLanguage):
@@ -872,13 +892,13 @@ class _SturmianLanguage(_SubstitutionLanguage):
         k, index = self._last_index  # the word's k
         while index is None or index.count(n) <= n:
             k += 1
-            index = _FactorIndex([self._standard_words[k]])
+            size = self._levels.lengths[k]["a"]  # |s_k|
+            if size > MAX_TEXT:
+                raise ResourceLimit(f"standard word s_{k} has {size} letters, "
+                                    f"past the text budget of {MAX_TEXT} letters")
+            index = _FactorIndex([self._levels.spell(k, "a", 0, size)])
             self._last_index = k, index
         return index
-
-    @cached_property
-    def _standard_words(self) -> StandardWords:
-        return StandardWords(self.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -913,15 +933,18 @@ def _overlap_graph(spec: ExplicitSpec) -> dict[str, tuple[str, ...]]:
     """The allowed words of length k = max(1, longest forbidden word) that lie
     on a bi-infinite path, each mapped to its successors w[1:] + c.  The
     shift is the set of bi-infinite paths of this graph (Lind & Marcus,
-    An Introduction to Symbolic Dynamics and Coding, ch. 2)."""
+    An Introduction to Symbolic Dynamics and Coding, ch. 2).  Each length's
+    words are counted before any is built: w + c ends with a forbidden f
+    exactly when w ends with f[:-1] and c is f's last letter."""
     k = max((len(f) for f in spec.forbidden), default=1)
     words = [""]
     for _ in range(k):
-        words = list(itertools.islice((w + c for w in words for c in spec.letters  # cap + 1
-                                       if not any((w + c).endswith(f) for f in spec.forbidden)),
-                                      DEFAULT_MAX_FACTORS + 1))
-        if len(words) > DEFAULT_MAX_FACTORS:
+        size = sum(len(spec.letters) - len({f[-1] for f in spec.forbidden if w.endswith(f[:-1])})
+                   for w in words)
+        if size > DEFAULT_MAX_FACTORS:
             raise ResourceLimit(f"SFT enumeration exceeded {DEFAULT_MAX_FACTORS} words")
+        words = [w + c for w in words for c in spec.letters
+                 if not any((w + c).endswith(f) for f in spec.forbidden)]
     live = set(words)
     while True:
         succ = {w: tuple(v for v in (w[1:] + c for c in spec.letters) if v in live)

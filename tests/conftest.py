@@ -10,7 +10,6 @@ from fullgroup_lab import (
     ball,
     fibonacci_generators,
     fibonacci_spec,
-    substitution_iterate,
     uniform_measure,
 )
 from fullgroup_lab.cocycles import increment_table
@@ -46,6 +45,13 @@ def fib_point(fib_spec):
     return SubstitutionFixedPoint(fib_spec)
 
 
+def naive_iterate(rules, word, k):
+    """Reference: psi^k(word), one whole image of every letter at a time."""
+    for _ in range(k):
+        word = "".join(rules[c] for c in word)
+    return word
+
+
 def _sturmian_rules(cf):
     """theta_{a_1} o ... o theta_{a_m} over one period of the continued
     fraction, theta_c being a -> a^c b, b -> a: its k-th iterate of a is the
@@ -53,7 +59,7 @@ def _sturmian_rules(cf):
     ch. 2), and the fixed point of its square is the Sturmian point."""
     rules = {"a": "a", "b": "b"}
     for m in cf:
-        rules = {"a": substitution_iterate(rules, "a" * m + "b", 1), "b": rules["a"]}
+        rules = {"a": naive_iterate(rules, "a" * m + "b", 1), "b": rules["a"]}
     return rules
 
 

@@ -514,8 +514,8 @@ _BLOW_UP_INPUTS = {
     "one-path-sft-dump": (
         {"variant": "explicit", "alphabet": ["a", "b"], "forbidden": ["b"]},
         ["complexity", "--n", "3", "--dump-factors", str(10**12)]),
-    # the overlap graph's words of length 2 stop at the word cap + 1, not at
-    # all 36 million
+    # the overlap graph's 36 million words of length 2 are counted from the
+    # 6,000 of length 1 and refused before any is built
     "wide-sft-graph": (
         {"variant": "explicit", "alphabet": [chr(ord("a") + i) for i in range(6000)],
          "forbidden": ["aaa"]},

@@ -225,6 +225,36 @@ class P:
         "read writes self.gone"]
 
 
+STANDARD_WORD_FIELDS = {"cf", "swap_letters"}
+
+
+def _standard_word_reads(tree: ast.Module, name: str) -> list[str]:
+    """Where a module reads a Sturmian spec's continued fraction or letter
+    swap, in source order."""
+    nodes = sorted((node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and node.attr in STANDARD_WORD_FIELDS),
+                   key=lambda node: (node.lineno, node.col_offset))
+    return [f"{name}:{node.lineno}: {node.attr}" for node in nodes]
+
+
+def test_points_read_no_standard_word_rule():
+    # the standard-word rule and its letter swap are written once, in
+    # `subshifts.level_words`; a point reads the level words it builds
+    tree = ast.parse((PACKAGE / "points.py").read_text(encoding="utf-8"))
+    assert _standard_word_reads(tree, "points.py") == []
+
+
+def test_the_standard_word_guard_sees_each_read():
+    source = """
+class P:
+    def __init__(self, spec, cf=(1,)):
+        self.base = "ba" if spec.swap_letters else "ab"
+        self.rule = lambda k: (("a", spec.cf[(k - 1) % len(cf)]), ("b", 1))
+"""
+    hits = _standard_word_reads(ast.parse(source), "m.py")
+    assert hits == ["m.py:4: swap_letters", "m.py:5: cf"]
+
+
 def test_the_language_table_alone_orders_and_locates_factors():
     # `LanguageTable.words` is the sorted index of the factors: no module
     # bisects a sorted tuple or sorts a factor set again

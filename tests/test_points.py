@@ -23,14 +23,15 @@ from fullgroup_lab import (
     canonical_point,
     find_cylinder_position,
     is_periodic_window,
-    substitution_iterate,
     toeplitz_word,
 )
+
+from conftest import naive_iterate
 
 
 def test_fibonacci_fixed_point_center_window(fib_spec, fib_point):
     # oracle: iterate psi^2 on both seeds and read off the junction
-    word = substitution_iterate(fib_spec.rules_dict, "a", 4)
+    word = naive_iterate(fib_spec.rules_dict, "a", 4)
     expected = word[-2:] + word[:3]
     got = fib_point.window(0, 2)
     assert got == expected == "baaba"

@@ -27,18 +27,22 @@ from fullgroup_lab import (
     build_spec,
     fibonacci_spec,
     spec_to_dict,
-    substitution_iterate,
     toeplitz_word,
 )
 from fullgroup_lab import subshifts
 from fullgroup_lab.subshifts import (
-    StandardWords,
     _FactorIndex,
+    _overlap_graph,
+    _recurrent_blocks,
+    _recurrent_pairs,
     _spell_paths,
     _step_paths,
     _suffix_array,
     growing_letters,
+    level_words,
 )
+
+from conftest import naive_iterate
 
 FIB = {"a": "ab", "b": "a"}
 NONPRIM = {"a": "aba", "b": "bb"}
@@ -289,7 +293,7 @@ def _lcp_texts():
         yield f"repeat-{k}", half + half[:-7] + rng.choice(letters) * 7
     yield "ab*b*", toeplitz_word("ab*b*", 5000)
     yield "a*ab*a", toeplitz_word("a*ab*a", 5000)
-    yield "fibonacci", substitution_iterate(FIB, "a", 21)[:5000]
+    yield "fibonacci", naive_iterate(FIB, "a", 21)[:5000]
     for cf in ((2,), (1, 3), (3, 1, 4)):
         word = next(w for w in _standard_words(cf) if len(w) >= 5000)
         yield f"sturmian-{cf}", word[:5000]
@@ -313,38 +317,44 @@ def test_tail_filtered_factors_are_windows_of_a_late_tail():
     # the sets stabilize on iterates of 6,144 and 13,312 letters; a much
     # later iterate's tail half must hold exactly the same windows
     spec = SubstitutionSpec.from_rules(NONPRIM, "a")
-    word = substitution_iterate(NONPRIM, "a", 16)
+    word = naive_iterate(NONPRIM, "a", 16)
     tail = word[len(word) // 2 :]
     for n in (50, 100):
         assert spec.language.factors(n) == {tail[i : i + n] for i in range(len(tail) - n + 1)}
 
 
-# --- substitution iteration and primitivity ----------------------------------
+# --- the naive iterate, the tests' reference for level words ------------------
 
 
-def test_substitution_iterate_three_steps():
-    assert substitution_iterate(FIB, "a", 3) == "abaab"
+def test_naive_iterate_three_steps():
+    assert naive_iterate(FIB, "a", 3) == "abaab"
 
 
-def test_substitution_iterate_produces_known_prefix():
-    word = substitution_iterate(FIB, "a", 10)
+def test_naive_iterate_produces_known_prefix():
+    word = naive_iterate(FIB, "a", 10)
     assert word.startswith("abaababaabaababaababa")
 
 
-def test_substitution_iterate_zero_is_seed():
-    assert substitution_iterate(NONPRIM, "b", 0) == "b"
+def test_naive_iterate_zero_is_seed():
+    assert naive_iterate(NONPRIM, "b", 0) == "b"
 
 
-def test_substitution_iterate_refuses_past_its_limit(monkeypatch):
-    # psi^10(a) has F_12 = 144 letters
+def test_standard_word_spell_refuses_past_the_text_budget(monkeypatch):
+    # the golden slope's length-36 factors are the windows of s_10, which
+    # is psi^10(a) of Fibonacci, F_12 = 144 letters
+    word = naive_iterate(FIB, "a", 10)
+    assert len(word) == 144
     monkeypatch.setattr(subshifts, "MAX_TEXT", 144)
-    assert len(substitution_iterate(FIB, "a", 10)) == 144
+    table = LanguageTable(SturmianSpec((1,)))
+    assert table.factors(36) == {word[i : i + 36] for i in range(len(word) - 35)}
+    assert table._engine._last_index[0] == 10
     monkeypatch.setattr(subshifts, "MAX_TEXT", 143)
-    with pytest.raises(ResourceLimit, match="text budget of 143 letters"):
-        substitution_iterate(FIB, "a", 10)
+    with pytest.raises(ResourceLimit, match="s_10 has 144 letters, past the text budget "
+                                            "of 143 letters"):
+        LanguageTable(SturmianSpec((1,))).factors(36)
 
 
-# --- Sturmian text: the one-period substitution against the standard words ----
+# --- level words: the one engine against the naive references -------------------
 
 STURMIAN_CFS = [(1,), (2, 1), (3,), (1, 2, 3), (5, 1, 1), (50,)]
 
@@ -358,18 +368,89 @@ def _standard_words(cf: tuple[int, ...]):
         yield cur
 
 
+LEVEL_RULES = {"fibonacci": FIB, "aba-bb": NONPRIM, "aaaab-a": {"a": "aaaab", "b": "a"},
+               "three-letter": {"a": "abc", "b": "bab", "c": "cab"}}
+LEVEL_SPECS = {**{name: SubstitutionSpec.from_rules(rules, "a")
+                  for name, rules in LEVEL_RULES.items()},
+               **{f"sturmian-{cf}-{swap}": SturmianSpec(cf, swap)
+                  for cf in STURMIAN_CFS for swap in (False, True)}}
+
+
+def _naive_level_words(name: str, top: int = 10**5) -> dict[tuple[int, str], str]:
+    """Reference: W_j(c) for every level j and letter c whose word has at
+    most `top` letters, by the naive iterate or the standard words, the
+    letters swapped as the spec says."""
+    spec = LEVEL_SPECS[name]
+    if isinstance(spec, SubstitutionSpec):
+        rules = spec.rules_dict
+        levels = itertools.takewhile(
+            lambda level: any(len(w) <= top for w in level.values()),
+            ({c: naive_iterate(rules, c, j) for c in rules} for j in itertools.count()))
+        return {(j, c): w for j, level in enumerate(levels) for c, w in level.items()
+                if len(w) <= top}
+    flip = str.maketrans("ab", "ba") if spec.swap_letters else {}
+    standard = ["b", "a"] + list(itertools.takewhile(lambda w: len(w) <= top,
+                                                     _standard_words(spec.cf)))
+    return {(k, c): w.translate(flip) for k in range(len(standard) - 1)
+            for c, w in (("a", standard[k + 1]), ("b", standard[k]))}
+
+
+NAIVE_LEVEL_WORDS = {name: _naive_level_words(name) for name in LEVEL_SPECS}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_SPECS))
+def test_level_words_spell_the_naive_words(name):
+    # every whole word of at most 10^5 letters, and its integer length
+    levels = level_words(LEVEL_SPECS[name])
+    naive = NAIVE_LEVEL_WORDS[name]
+    assert max(map(len, naive.values())) > 2000
+    for (j, c), word in naive.items():
+        assert levels.lengths[j][c] == len(word), (j, c)
+        assert levels.spell(j, c, 0, len(word)) == word, (j, c)
+        assert levels.words[j].get(c, word) == word
+        assert (c in levels.words[j]) == (len(word) <= subshifts.SPELLED)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(LEVEL_SPECS)), st.data())
+def test_level_word_slices_match_the_naive_words(name, data):
+    (j, c), word = data.draw(st.sampled_from(sorted(NAIVE_LEVEL_WORDS[name].items())))
+    s = data.draw(st.integers(min_value=0, max_value=len(word)))
+    e = data.draw(st.integers(min_value=s, max_value=len(word)))
+    assert level_words(LEVEL_SPECS[name]).spell(j, c, s, e) == word[s:e]
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_RULES))
+def test_recurrent_blocks_are_the_naive_blocks(name):
+    # the index text is psi^k(c) + psi^k(d)[:b - 1] for each recurrent pair,
+    # each closed by a separator, k least with b >= n
+    spec = LEVEL_SPECS[name]
+    rules, levels = spec.rules_dict, level_words(spec)
+    pairs = _recurrent_pairs(rules, "a")
+    images = [{c: c for c in rules}]
+    for n in range(1, 201):
+        while min(len(images[-1][c]) for c in "".join(pairs)) < n:
+            images.append({c: naive_iterate(rules, w, 1) for c, w in images[-1].items()})
+        image = images[-1]
+        bound = min(len(image[c]) for c in "".join(pairs))
+        got, index = _recurrent_blocks(spec, levels, n)
+        assert got == bound
+        assert index.text == "".join(image[c] + image[d][: bound - 1] + "\0" for c, d in pairs)
+
+
 @pytest.mark.parametrize("cf", STURMIAN_CFS)
 def test_sturmian_rules_iterate_the_standard_words(cf, sturmian_rules):
     # the k-th iterate of a under the one-period composition, the points'
-    # reference, is the (k m)-th standard word, as `StandardWords` spells it
+    # reference, is the (k m)-th standard word, as the level words spell it
     rules = sturmian_rules(cf)
     words = list(itertools.islice(_standard_words(cf), 3 * len(cf)))
-    standard, swapped = StandardWords(SturmianSpec(cf)), StandardWords(SturmianSpec(cf, True))
-    assert (standard[-1], standard[0], swapped[-1], swapped[0]) == ("b", "a", "a", "b")
+    standard, swapped = level_words(SturmianSpec(cf)), level_words(SturmianSpec(cf, True))
+    assert (standard.words[0], swapped.words[0]) == ({"a": "a", "b": "b"}, {"a": "b", "b": "a"})
     for k in (1, 2, 3):
-        word = substitution_iterate(rules, "a", k)
-        assert word == words[k * len(cf) - 1] == standard[k * len(cf)]
-        assert swapped[k * len(cf)] == word.translate(str.maketrans("ab", "ba"))
+        word = naive_iterate(rules, "a", k)
+        j = k * len(cf)
+        assert word == words[j - 1] == standard.spell(j, "a", 0, standard.lengths[j]["a"])
+        assert swapped.spell(j, "a", 0, len(word)) == word.translate(str.maketrans("ab", "ba"))
 
 
 @pytest.mark.parametrize("swap", [False, True])
@@ -402,8 +483,8 @@ def test_sturmian_counts_read_no_text(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a Sturmian count read generated text")
 
-    for name in ("_FactorIndex", "StandardWords"):
-        monkeypatch.setattr(subshifts, name, refuse)
+    monkeypatch.setattr(subshifts, "_FactorIndex", refuse)
+    monkeypatch.setattr(subshifts.LevelWords, "spell", refuse)
     for cf in STURMIAN_CFS + [(3, 1, 4, 1, 5, 9, 2, 6)]:
         table = LanguageTable(SturmianSpec(cf))
         assert [table.complexity(n) for n in range(2001)] == list(range(1, 2002))
@@ -580,8 +661,9 @@ def test_toeplitz_queries_generate_and_index_no_text(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a Toeplitz query read generated text")
 
-    for name in ("_FactorIndex", "StandardWords", "substitution_iterate", "toeplitz_word"):
+    for name in ("_FactorIndex", "toeplitz_word"):
         monkeypatch.setattr(subshifts, name, refuse)
+    monkeypatch.setattr(subshifts.LevelWords, "spell", refuse)
     for pattern in TOEPLITZ_PATTERNS:
         table = LanguageTable(ToeplitzSpec(pattern))
         assert [table.complexity(n) for n in range(1, 69)]
@@ -806,6 +888,44 @@ def test_sft_complexity_table_steps_one_count_vector(monkeypatch):
         assert count == _sft_count(spec, n)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["ab", "abc"]).flatmap(lambda letters: st.tuples(
+    st.just(tuple(letters)),
+    st.sets(st.text(alphabet=letters, min_size=1, max_size=4), max_size=5),
+)))
+@example((("a", "b"), {"bb"}))
+@example((("a", "b", "c"), {"ac", "cb", "bab", "ccc"}))
+def test_sft_graph_levels_are_counted_exactly(case):
+    # the words of each length up to the longest forbidden one that avoid
+    # every forbidden word, spelled by the reference: a word cap at the
+    # largest of those levels passes, and one word less refuses
+    letters, forbidden = case
+    spec = ExplicitSpec(letters, tuple(forbidden))
+    k = max(map(len, forbidden), default=1)
+    largest = max(sum(not any(f in "".join(w) for f in forbidden)
+                      for w in itertools.product(letters, repeat=m)) for m in range(1, k + 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(subshifts, "DEFAULT_MAX_FACTORS", largest)
+        _overlap_graph(spec)
+        patch.setattr(subshifts, "DEFAULT_MAX_FACTORS", largest - 1)
+        with pytest.raises(ResourceLimit, match=f"exceeded {largest - 1} words"):
+            _overlap_graph(spec)
+
+
+def test_sft_graph_level_past_the_word_cap_is_refused_before_it_is_built():
+    # 3,000 letters with aaa forbidden: the 9,000,000 words of length 2 are
+    # counted from the 3,000 of length 1, and none is built
+    spec = ExplicitSpec(tuple(chr(ord("a") + i) for i in range(3000)), ("aaa",))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match="SFT enumeration exceeded 2000000 words"):
+            spec.language.complexity(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_sft_factors_are_refused_by_their_letters_before_any_is_spelled(monkeypatch):
     start = time.perf_counter()
     with pytest.raises(ResourceLimit, match="exceeds the letter cap"):
@@ -860,7 +980,7 @@ def test_sturmian_complexity_random_slopes(cf):
 def test_tail_filter_agrees_for_primitive(fib_spec):
     # every factor of the Fibonacci word recurs, so the language is all the
     # windows of an iterate
-    word = substitution_iterate(FIB, "a", 20)
+    word = naive_iterate(FIB, "a", 20)
     for n in range(1, 9):
         assert fib_spec.language.factors(n) == {word[i : i + n] for i in range(len(word) - n + 1)}
 
@@ -869,7 +989,7 @@ def test_tail_filter_flags_prefix_only_factors():
     # a -> ab, b -> bb collapses to the all-b sequence; the letter 'a'
     # occurs once in the generated word and must not enter the language
     spec = SubstitutionSpec.from_rules({"a": "ab", "b": "bb"}, "a")
-    assert "ab" in substitution_iterate(spec.rules_dict, "a", 3)
+    assert "ab" in naive_iterate(spec.rules_dict, "a", 3)
     assert spec.language.factors(2) == frozenset({"bb"})
     assert spec.language.factors(3) == frozenset({"bbb"})
 
@@ -888,7 +1008,7 @@ def test_nonprimitive_language_facts():
     for k in range(1, 9):
         assert "b" * k in spec.language.factors(k)
     # here every factor of the generated word recurs (prefixes reoccur)
-    word = substitution_iterate(NONPRIM, "a", 12)
+    word = naive_iterate(NONPRIM, "a", 12)
     assert spec.language.factors(4) == {word[i : i + 4] for i in range(len(word) - 3)}
 
 
@@ -905,7 +1025,7 @@ def _late_windows(rules, top, size=200_000):
     least sqrt(L) in the iterate of a of L >= `size` letters."""
     word = "a"
     while len(word) < size:
-        word = substitution_iterate(rules, word, 1)
+        word = naive_iterate(rules, word, 1)
     tail = word[math.isqrt(len(word)) :]
     longest, end = {tail[i : i + top] for i in range(len(tail) - top + 1)}, tail[-top:]
     return [{w[:n] for w in longest} | {end[i : i + n] for i in range(top - n + 1)}

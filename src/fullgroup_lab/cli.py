@@ -113,6 +113,15 @@ def _check_rows(n: int) -> None:
         raise ResourceLimit(f"--n {n} asks for more than {DEFAULT_MAX_FACTORS} table rows")
 
 
+def _make_out(out: Path) -> None:
+    """Make the output directory; refuse a path that is a file or lies
+    under one."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ValidationError(f"--out {out} cannot be a directory: {exc.strerror}") from None
+
+
 def cmd_complexity(args, argv) -> int:
     spec = fileio.load_spec(args.spec)
     if args.n < 1:
@@ -125,7 +134,7 @@ def cmd_complexity(args, argv) -> int:
     # directory is made, so a refusal leaves none
     rows = list(fileio.check_cells((n, oracle.complexity(n)) for n in range(1, args.n + 1)))
     dump = None if args.dump_factors is None else oracle.words(args.dump_factors)
-    args.out.mkdir(parents=True, exist_ok=True)
+    _make_out(args.out)
     outputs = []
     table = fileio.write_table(args.out / "complexity", ("n", "rho"), rows, args.format)
     outputs.append(table.name)
@@ -176,7 +185,7 @@ def cmd_walk(args, argv) -> int:
         raise ValidationError("--n and --trials must be >= 1")
     sample = sample_orbit_walks(measure, point, args.n, args.trials, args.seed)
 
-    args.out.mkdir(parents=True, exist_ok=True)
+    _make_out(args.out)
     outputs = []
     # debugging aid: the window of the walked point around the start offset
     (args.out / "point_window.txt").write_text(point.window(0, 60) + "\n", encoding="utf-8")
@@ -258,7 +267,7 @@ def cmd_entropy(args, argv) -> int:
     except ResourceLimit as exc:
         limit_hit = str(exc)
 
-    args.out.mkdir(parents=True, exist_ok=True)
+    _make_out(args.out)
     outputs = []
     table = fileio.write_table(
         args.out / "entropy",

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +48,7 @@ from .errors import (
 )
 from .points import Point
 from .subshifts import SubshiftSpec, SubstitutionSpec
+from .values import Frozen
 
 DEFAULT_BALL_CAP = 2_000_000  # elements of a word-metric ball, and so of the exact chain
 MAX_BALL_BYTES = 1 << 29  # cap on the bytes a ball holds and makes while it grows a layer
@@ -330,14 +330,15 @@ def is_constant_on_cylinder(g: CocycleElement, word: str) -> bool:
     return len({k for c, k in zip(centres, g.shifts) if c == target}) <= 1
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(Frozen):
     """Named full-group elements used as random-walk generators."""
 
+    __slots__ = _fields = ("spec", "elements")
     spec: SubshiftSpec
     elements: tuple[tuple[str, CocycleElement], ...]
 
-    def __post_init__(self):
+    def __init__(self, spec: SubshiftSpec, elements: tuple[tuple[str, CocycleElement], ...]):
+        self._set(spec=spec, elements=elements)
         for name, g in self.elements:
             if g.spec != self.spec:
                 raise SpecMismatch(f"generator {name!r} lives on a different subshift")

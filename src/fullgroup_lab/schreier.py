@@ -9,15 +9,14 @@ the ball can reach, the same table the orbit-walk sampler steps through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cocycles import GeneratorSet, increment_table
 from .errors import PeriodicCollision
 from .points import Point, is_periodic_window
 
 
-@dataclass(frozen=True)
-class SchreierBall:
+class SchreierBall(NamedTuple):
     """Ball of the orbit graph around offset 0, in the graph metric.
 
     Offset j stands for the center point shifted j places.

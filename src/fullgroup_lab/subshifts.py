@@ -75,7 +75,6 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Iterable, Iterator, KeysView, Mapping, NamedTuple
 
@@ -88,6 +87,7 @@ from .errors import (
     UnresolvableHole,
     ValidationError,
 )
+from .values import Frozen
 
 # Letters one piece of generated text may take: a standard word or the
 # recurrent pairs' blocks.
@@ -119,8 +119,7 @@ def _check_letters(letters: tuple[str, ...]) -> None:
 # Spec variants
 
 
-@dataclass(frozen=True)
-class SturmianSpec:
+class SturmianSpec(Frozen):
     """Sturmian subshift with slope given by a continued fraction.
 
     `cf` holds one period of the (eventually periodic) continued fraction
@@ -130,21 +129,22 @@ class SturmianSpec:
     roles, covering both coding conventions.
     """
 
+    __slots__ = ("cf", "swap_letters", "language")
+    _fields = ("cf", "swap_letters")
     cf: tuple[int, ...]
-    swap_letters: bool = False
-    language: LanguageTable = field(init=False, repr=False, compare=False)
+    swap_letters: bool
+    language: LanguageTable
 
-    def __post_init__(self):
-        object.__setattr__(self, "cf", tuple(int(a) for a in self.cf))
+    def __init__(self, cf: Iterable[int], swap_letters: bool = False):
+        self._set(cf=tuple(int(a) for a in cf), swap_letters=swap_letters)
         if not self.cf:
             raise ConditionViolated("Sturmian", 1, "continued fraction list is empty")
         if any(a < 1 for a in self.cf):
             raise ConditionViolated("Sturmian", 1, "continued fraction coefficients must be >= 1")
-        object.__setattr__(self, "language", LanguageTable(self))
+        self._set(language=LanguageTable(self))
 
 
-@dataclass(frozen=True)
-class SubstitutionSpec:
+class SubstitutionSpec(Frozen):
     """Subshift of a substitution satisfying the two growth conditions.
 
     Condition 1: the image of `seed` starts with `seed`, so iterates
@@ -153,13 +153,14 @@ class SubstitutionSpec:
     the incidence digraph (see `growing_letters`).
     """
 
+    __slots__ = ("rules", "seed", "language")
+    _fields = ("rules", "seed")
     rules: tuple[tuple[str, str], ...]
     seed: str
-    language: LanguageTable = field(init=False, repr=False, compare=False)
+    language: LanguageTable
 
-    def __post_init__(self):
-        rules = tuple(sorted((str(k), str(v)) for k, v in self.rules))
-        object.__setattr__(self, "rules", rules)
+    def __init__(self, rules: Iterable[tuple[str, str]], seed: str):
+        self._set(rules=tuple(sorted((str(k), str(v)) for k, v in rules)), seed=seed)
         d = self.rules_dict
         if not d:
             raise EmptyAlphabet("substitution has no rules")
@@ -178,7 +179,7 @@ class SubstitutionSpec:
         for a in sorted(d):
             if a not in growing:
                 raise ConditionViolated("substitution", 2, "iterated image length stays bounded", a)
-        object.__setattr__(self, "language", LanguageTable(self))
+        self._set(language=LanguageTable(self))
 
     @classmethod
     def from_rules(cls, rules: Mapping[str, str], seed: str) -> "SubstitutionSpec":
@@ -189,15 +190,17 @@ class SubstitutionSpec:
         return dict(self.rules)
 
 
-@dataclass(frozen=True)
-class ToeplitzSpec:
+class ToeplitzSpec(Frozen):
     """Toeplitz subshift of the word obtained by filling pattern holes."""
 
+    __slots__ = ("pattern", "hole", "language")
+    _fields = ("pattern", "hole")
     pattern: str
-    hole: str = "*"
-    language: LanguageTable = field(init=False, repr=False, compare=False)
+    hole: str
+    language: LanguageTable
 
-    def __post_init__(self):
+    def __init__(self, pattern: str, hole: str = "*"):
+        self._set(pattern=pattern, hole=hole)
         if len(self.hole) != 1:
             raise ValidationError(
                 f"Toeplitz field 'hole' must be one character, got {self.hole!r}")
@@ -207,39 +210,43 @@ class ToeplitzSpec:
             raise ConditionViolated("Toeplitz", 1, "pattern must start with a letter, not a hole")
         if self.hole not in self.pattern:
             raise ConditionViolated("Toeplitz", 2, "pattern contains no hole to fill")
-        object.__setattr__(self, "language", LanguageTable(self))
+        self._set(language=LanguageTable(self))
 
 
-@dataclass(frozen=True)
-class FullShiftSpec:
+class FullShiftSpec(Frozen):
     """The full shift over a finite alphabet; every word is admissible."""
 
+    __slots__ = ("letters", "language")
+    _fields = ("letters",)
     letters: tuple[str, ...]
-    language: LanguageTable = field(init=False, repr=False, compare=False)
+    language: LanguageTable
 
-    def __post_init__(self):
+    def __init__(self, letters: tuple[str, ...]):
+        self._set(letters=letters)
         _check_letters(tuple(self.letters))
-        object.__setattr__(self, "language", LanguageTable(self))
+        self._set(language=LanguageTable(self))
 
 
-@dataclass(frozen=True)
-class ExplicitSpec:
+class ExplicitSpec(Frozen):
     """Shift of finite type given by a finite set of forbidden words."""
 
+    __slots__ = ("letters", "forbidden", "language")
+    _fields = ("letters", "forbidden")
     letters: tuple[str, ...]
     forbidden: tuple[str, ...]
-    language: LanguageTable = field(init=False, repr=False, compare=False)
+    language: LanguageTable
 
-    def __post_init__(self):
+    def __init__(self, letters: tuple[str, ...], forbidden: Iterable[str]):
+        self._set(letters=letters)
         _check_letters(tuple(self.letters))
-        object.__setattr__(self, "forbidden", tuple(sorted(set(self.forbidden))))
+        self._set(forbidden=tuple(sorted(set(forbidden))))
         for w in self.forbidden:
             if not w:
                 raise EmptyAlphabet("the empty word cannot be forbidden")
             for c in w:
                 if c not in self.letters:
                     raise EmptyAlphabet(f"forbidden word {w!r} uses unknown letter {c!r}")
-        object.__setattr__(self, "language", LanguageTable(self))
+        self._set(language=LanguageTable(self))
 
 
 SubshiftSpec = SturmianSpec | SubstitutionSpec | ToeplitzSpec | FullShiftSpec | ExplicitSpec

@@ -42,10 +42,9 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,6 +65,7 @@ from .errors import (
 )
 from .points import Point
 from .subshifts import SubshiftSpec
+from .values import Frozen
 
 BASE_TAIL_GRID = tuple(round(0.25 * i, 2) for i in range(1, 17))  # 0.25 .. 4.0
 MIN_TAIL_EXCEEDANCES = 10
@@ -82,14 +82,16 @@ SUMMARY_ROW_BYTES = 256  # one walk_summary row, a 5-tuple of Python numbers (ab
 # Step measures and exact convolution
 
 
-@dataclass(frozen=True)
-class StepMeasure:
+class StepMeasure(Frozen):
     """Finitely supported symmetric probability measure on named elements."""
 
+    __slots__ = _fields = ("spec", "atoms")
     spec: SubshiftSpec
     atoms: tuple[tuple[str, CocycleElement, Fraction], ...]
 
-    def __post_init__(self):
+    def __init__(self, spec: SubshiftSpec,
+                 atoms: tuple[tuple[str, CocycleElement, Fraction], ...]):
+        self._set(spec=spec, atoms=atoms)
         if not self.atoms:
             raise ValidationError("a step measure needs at least one atom")
         total = sum((p for _, _, p in self.atoms), Fraction(0))
@@ -242,8 +244,7 @@ def entropy(dist: GroupDistribution | Mapping) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class MixtureEntropyCheck:
+class MixtureEntropyCheck(NamedTuple):
     holds: bool
     mixture_entropy: float
     bound: float
@@ -278,19 +279,21 @@ def mixture_entropy_check(components: Sequence[Mapping], weights: Sequence) -> M
 # Monte-Carlo orbit walks
 
 
-@dataclass
 class WalkSample:
     """Orbit walks as `sample_orbit_walks` summarized them, step by step;
     the trajectories m_j themselves are not kept."""
 
-    n: int
-    trials: int
-    seed: int
-    max_shift: int
-    # one row per step j = 0..n: (j, mean, std, mean_abs, max_abs) of m_j over the trials
-    summary: list[tuple[int, float, float, float, int]]
-    max_abs: np.ndarray  # max_j |m_j| of each trial
-    final: np.ndarray  # m_n of each trial
+    def __init__(self, n: int, trials: int, seed: int, max_shift: int,
+                 summary: list[tuple[int, float, float, float, int]],
+                 max_abs: np.ndarray, final: np.ndarray):
+        self.n = n
+        self.trials = trials
+        self.seed = seed
+        self.max_shift = max_shift
+        # one row per step j = 0..n: (j, mean, std, mean_abs, max_abs) of m_j over the trials
+        self.summary = summary
+        self.max_abs = max_abs  # max_j |m_j| of each trial
+        self.final = final  # m_n of each trial
 
 
 def _atom_index(cum: np.ndarray, x: np.ndarray, out: np.ndarray, mask: np.ndarray) -> None:
@@ -480,8 +483,7 @@ def total_variation(p: Mapping, q: Mapping) -> float:
 # Displacement tails
 
 
-@dataclass(frozen=True)
-class TailFit:
+class TailFit(NamedTuple):
     """Gaussian-shaped envelope for the scaled maximal displacement.
 
     The shape (d, a0) comes from a weighted least-squares fit of the
@@ -500,8 +502,7 @@ class TailFit:
         return self.c * np.exp(-((a - self.a0) ** 2) / self.d)
 
 
-@dataclass(frozen=True)
-class TailCurve:
+class TailCurve(NamedTuple):
     n: int
     trials: int
     a_grid: tuple[float, ...]
@@ -566,8 +567,7 @@ def max_displacement_tail(sample: WalkSample,
     return TailCurve(sample.n, sample.trials, a_grid, tuple(probs), tuple(counts), fit)
 
 
-@dataclass(frozen=True)
-class ReflectionCheck:
+class ReflectionCheck(NamedTuple):
     holds: bool
     rows: tuple[tuple[float, float, float], ...]  # (a, lhs, rhs)
 
@@ -609,8 +609,7 @@ def default_depth_scale(fit: TailFit) -> float:
     return 9.0 * fit.d
 
 
-@dataclass(frozen=True)
-class StableSetReport:
+class StableSetReport(NamedTuple):
     """Exact accounting of the walk mass carried by elements whose cocycle
     is constant on every cylinder of the report depth."""
 
@@ -681,8 +680,7 @@ def _least_constant(grid: Iterable[float], ns: Sequence[int],
     return next((c for c in grid if all(holds(c, n) for n in ns)), None)
 
 
-@dataclass(frozen=True)
-class ReturnProbabilityRow:
+class ReturnProbabilityRow(NamedTuple):
     n: int
     even_step: int
     return_prob: Fraction
@@ -693,8 +691,7 @@ class ReturnProbabilityRow:
         return self.return_prob == self.max_prob
 
 
-@dataclass(frozen=True)
-class ReturnProbabilitySuite:
+class ReturnProbabilitySuite(NamedTuple):
     rows: tuple[ReturnProbabilityRow, ...]
     monotone: bool
     fitted_constant: float
@@ -725,8 +722,7 @@ def return_probability_suite(chain: ConvolutionCache, n_max: int) -> ReturnProba
     return ReturnProbabilitySuite(tuple(rows), monotone, math.inf if fitted is None else fitted)
 
 
-@dataclass(frozen=True)
-class EntropyEnvelope:
+class EntropyEnvelope(NamedTuple):
     """Smallest grid constant C with H(mu^{*n}) <= C rho(ceil(C sqrt(n ln n))) ln n
     for all computed n >= 2."""
 

@@ -359,6 +359,18 @@ def test_manifest_replay_reproduces_outputs(workdir, command):
             assert (out1 / name).read_bytes() == (workdir / "r2" / name).read_bytes()
 
 
+@pytest.mark.parametrize("under", ["", "sub"], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", list(REPLAY_ARGS))
+def test_an_output_path_that_cannot_be_a_directory_exits_2(workdir, capsys, command, under):
+    (workdir / "afile").write_text("kept\n")
+    out = workdir / "afile" / under
+    args = [workdir / a if str(a).endswith(".json") else a for a in REPLAY_ARGS[command]]
+    assert run([command, "--spec", workdir / "fib.json", *args, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out} ") and err.count("\n") == 1
+    assert (workdir / "afile").read_text() == "kept\n"
+
+
 def test_entropy_takes_no_seed(workdir, capsys):
     out = workdir / "x"
     with pytest.raises(SystemExit) as exc:
@@ -666,6 +678,46 @@ def test_cli_runs_never_import_numpy_ma(workdir):
     proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS], cwd=workdir,
                           env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# the child counts the collections that run while it imports the package,
+# numpy's import among the package's, after putting the collector in the
+# state the case names; then it imports the command module
+_IMPORT_PROBE = """
+import gc, json, sys
+if sys.argv[1] == "disabled":
+    gc.disable()
+elif sys.argv[1] == "frozen":
+    gc.freeze()
+before = {"enabled": gc.isenabled(), "frozen": gc.get_freeze_count()}
+starts = []
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info))
+import fullgroup_lab
+collections = len(starts)
+import fullgroup_lab.cli
+print(json.dumps({"before": before, "collections": collections,
+                  "after": {"enabled": gc.isenabled(), "frozen": gc.get_freeze_count()},
+                  "dataclasses": "dataclasses" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("state", ["enabled", "disabled", "frozen"])
+def test_the_import_runs_no_collection_and_keeps_the_collector_state(state):
+    # the package's imports, numpy's among them, run with the collector off
+    # and leave their objects in the oldest generation, so they set off no
+    # collection; the caller's setting and frozen objects stand.  What
+    # `cli` imports beyond the package (argparse) may set off one young
+    # collection over the few hundred objects made since
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, state], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["after"] == report["before"]
+    assert report["before"]["enabled"] == (state != "disabled")
+    assert (report["before"]["frozen"] > 0) == (state == "frozen")
+    if state != "frozen":  # with frozen objects the package leaves the generations alone
+        assert report["collections"] == 0
+    assert report["dataclasses"] is False
 
 
 # the child runs the package as `python -m fullgroup_lab.cli` does, after

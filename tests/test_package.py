@@ -1,9 +1,23 @@
 import ast
+import copy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fullgroup_lab
+from fullgroup_lab import (
+    ExplicitSpec,
+    FullShiftSpec,
+    SturmianSpec,
+    SubstitutionFixedPoint,
+    SubstitutionSpec,
+    ToeplitzSpec,
+    fibonacci_generators,
+    fibonacci_spec,
+    sample_orbit_walks,
+    uniform_measure,
+)
 
 PACKAGE = Path(fullgroup_lab.__file__).parent
 
@@ -125,6 +139,43 @@ def test_every_import_is_read():
         if path.name != "__init__.py":
             hits += _unused_imports(ast.parse(path.read_text(encoding="utf-8")), path.name)
     assert hits == []
+
+
+def _dataclass_imports(tree: ast.Module, name: str) -> list[str]:
+    """Where a module imports `dataclasses`, at any depth."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hits += [f"{name}:{node.lineno}: import {a.name}" for a in node.names
+                     if a.name.split(".")[0] == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
+            hits.append(f"{name}:{node.lineno}: from {node.module} import")
+    return hits
+
+
+def test_no_module_imports_dataclasses():
+    # a dataclass execs its generated methods when its class is made, about
+    # 0.6 ms each at import; the package's value classes are plain classes
+    # and NamedTuples
+    hits = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        hits += _dataclass_imports(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    assert hits == []
+
+
+def test_the_dataclass_guard_sees_each_form_of_import():
+    source = """
+import json
+import dataclasses
+import dataclasses as dc, math
+
+def make():
+    from dataclasses import dataclass, field
+    return dataclass
+"""
+    hits = _dataclass_imports(ast.parse(source), "m.py")
+    assert hits == ["m.py:3: import dataclasses", "m.py:4: import dataclasses",
+                    "m.py:7: from dataclasses import"]
 
 
 def test_no_text_or_factor_budget_is_a_parameter():
@@ -291,7 +342,8 @@ def test_the_language_table_picks_its_engine_without_type_tests():
 def test_the_installed_command_is_the_entry_that_freezes_the_heap():
     # the installed command skips the interpreter's final collection only
     # through `cli.run`; `gc.freeze` anywhere else would put the cyclic
-    # garbage of in-process `main` calls out of the collector's reach
+    # garbage of in-process `main` calls out of the collector's reach.  The
+    # one other site is the package's import, which unfreezes at once
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as f:
@@ -303,4 +355,111 @@ def test_the_installed_command_is_the_entry_that_freezes_the_heap():
             callers += [f"{path.name}: {getattr(top, 'name', '<module>')}"
                         for n in ast.walk(top) if isinstance(n, ast.Attribute)
                         and n.attr == "freeze"]
-    assert callers == ["cli.py: run"]
+    assert callers == ["__init__.py: <module>", "cli.py: run"]
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert _freezes_left_frozen(init) == []
+
+
+def _method_call(stmt: ast.stmt, name: str) -> bool:
+    """Whether `stmt` is a bare call of a method `name`, like `gc.freeze()`."""
+    return (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+            and isinstance(stmt.value.func, ast.Attribute) and stmt.value.func.attr == name)
+
+
+def _freezes_left_frozen(tree: ast.Module) -> list[int]:
+    """Lines of the `freeze` reads that are not a `freeze()` statement with
+    `unfreeze()` as the next statement."""
+    paired = set()
+    for node in ast.walk(tree):
+        for block in (getattr(node, f, None) for f in ("body", "orelse", "finalbody")):
+            if isinstance(block, list):
+                paired |= {id(a.value.func) for a, b in zip(block, block[1:])
+                           if _method_call(a, "freeze") and _method_call(b, "unfreeze")}
+    return sorted(n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                  and n.attr == "freeze" and id(n) not in paired)
+
+
+def test_the_freeze_pair_guard_sees_a_freeze_left_standing():
+    source = """
+import gc
+try:
+    pass
+finally:
+    if on:
+        gc.freeze()
+        gc.unfreeze()
+        gc.freeze()
+        x = 1
+    else:
+        gc.freeze()
+keep = gc.freeze
+done = [gc.freeze(), gc.unfreeze()]
+"""
+    assert _freezes_left_frozen(ast.parse(source)) == [9, 12, 13, 14]
+
+
+def _value_cases():
+    """(make, repr, field tuple) of each immutable value class: two calls of
+    `make` build equal objects independently."""
+    fib = "SubstitutionSpec(rules=(('a', 'ab'), ('b', 'a')), seed='a')"
+    elements = ("(('alpha', <CocycleElement depth=2 max_shift=1>), "
+                "('beta', <CocycleElement depth=2 max_shift=1>), "
+                "('gamma', <CocycleElement depth=1 max_shift=1>))")
+    atoms = ("(('alpha', <CocycleElement depth=2 max_shift=1>, Fraction(1, 3)), "
+             "('beta', <CocycleElement depth=2 max_shift=1>, Fraction(1, 3)), "
+             "('gamma', <CocycleElement depth=1 max_shift=1>, Fraction(1, 3)))")
+
+    def gens():
+        return fibonacci_generators(fibonacci_spec())
+
+    def fields(obj, names):
+        return tuple(getattr(obj, name) for name in names)
+
+    return {
+        "sturmian": (lambda: SturmianSpec((1, 2), swap_letters=True),
+                     "SturmianSpec(cf=(1, 2), swap_letters=True)", ((1, 2), True)),
+        "substitution": (lambda: SubstitutionSpec.from_rules({"b": "a", "a": "ab"}, "a"), fib,
+                         ((("a", "ab"), ("b", "a")), "a")),
+        "toeplitz": (lambda: ToeplitzSpec("a?b", "?"), "ToeplitzSpec(pattern='a?b', hole='?')",
+                     ("a?b", "?")),
+        "full-shift": (lambda: FullShiftSpec(("a", "b")), "FullShiftSpec(letters=('a', 'b'))",
+                       (("a", "b"),)),
+        "explicit": (lambda: ExplicitSpec(("a", "b"), ("bb", "bb")),
+                     "ExplicitSpec(letters=('a', 'b'), forbidden=('bb',))",
+                     (("a", "b"), ("bb",))),
+        "generator-set": (gens, f"GeneratorSet(spec={fib}, elements={elements})",
+                          lambda g: fields(g, ("spec", "elements"))),
+        "step-measure": (lambda: uniform_measure(gens()),
+                         f"StepMeasure(spec={fib}, atoms={atoms})",
+                         lambda m: fields(m, ("spec", "atoms"))),
+    }
+
+
+@pytest.mark.parametrize("case", list(_value_cases()))
+def test_value_classes_compare_hash_and_print_by_their_fields_and_are_immutable(case):
+    # specs, generator sets and step measures are dictionary keys and error
+    # message text: equal by their fields within their own class only, never
+    # equal to a bare tuple, hashed as the tuple of those fields, printed as
+    # Class(field=value, ...), and never changed after construction
+    make, text, values = _value_cases()[case]
+    a, b = make(), make()
+    values = values(a) if callable(values) else values
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert hash(a) == hash(values)
+    assert a != values and values != a
+    assert repr(a) == text and copy.copy(a) == a
+    for name in ("spec", "cf", "pattern", "letters", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert a == b and repr(a) == text
+
+
+def test_a_walk_sample_lists_its_arrays_in_its_attribute_dict():
+    # traced runs sum the bytes of every ndarray in vars(sample)
+    spec = fibonacci_spec()
+    sample = sample_orbit_walks(uniform_measure(fibonacci_generators(spec)),
+                                SubstitutionFixedPoint(spec), 5, 7, 1)
+    fields = vars(sample)
+    assert {"n", "trials", "seed", "max_shift", "summary"} <= set(fields)
+    assert {k: v.shape for k, v in fields.items() if isinstance(v, np.ndarray)} == {
+        "max_abs": (7,), "final": (7,)}

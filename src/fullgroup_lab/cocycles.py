@@ -6,14 +6,15 @@ We store g as l and one vector of shifts over the sorted admissible
 (2l+1)-words, always reduced to the unique minimal depth, so (depth,
 shifts) identity is element identity and elements can key dictionaries
 directly.  Operations read a vector on longer words through the index maps
-of `LanguageTable.subwords`, never by slicing words.
+of `LanguageTable.subwords` and `LanguageTable.windows`, never by slicing
+words.
 
 One kernel composes and reduces elements and rows alike.  Composition
 follows the cocycle rule k_{gh}(x) = k_g(hx) + k_h(x): `compose_plan`
 gives g's shift on every word's window moved by each shift k that h may
 take, memoized on g (for a constant g, that constant at h's own depth),
-and `compose_rows` applies the plan to a batch of h's shift rows as array
-gathers.
+in one gather through a window matrix, and `compose_rows` applies the
+plan to a batch of h's shift rows as array gathers.
 `fold_rows` is one step of canonical reduction on a batch.  `compose` and
 `CocycleElement` call them on one row, `CayleyBall` on a whole layer.
 Inversion reads g's compose plan for the offsets -j, j among g's shifts:
@@ -26,7 +27,8 @@ Word-metric balls are CayleyBall graphs: the elements in breadth-first
 order with their word lengths and depths, plus the index of every left
 product by a generator, which is all the exact chain in `walks` needs.
 A ball keeps each element as a row of shifts and builds a
-`CocycleElement` only when `element(i)` asks for one.
+`CocycleElement` only when `element(i)` asks for one; it finds equal rows
+by sorting one uint64 hash per row, checked row by row.
 `increment_table` holds every generator's shift along a point's orbit,
 the one orbit move that the walk sampler and the Schreier ball read.
 """
@@ -159,7 +161,9 @@ def compose_plan(s: CocycleElement, depth: int, offsets: tuple[int, ...]) -> _Co
     """The plan of s on rows of table depth `depth` whose shifts lie in
     `offsets` (sorted, distinct), memoized on s.  Its table holds s's
     shifts at their narrowest integer type, word-major, one window read per
-    offset; for a constant s, that constant once per offset, at h's depth."""
+    offset, gathered at once through the product words' window matrix at
+    exactly those starts; for a constant s, that constant once per offset,
+    at h's depth."""
     plan = s._plans.get((depth, offsets))
     if plan is None:
         oracle = s.spec.language
@@ -171,13 +175,11 @@ def compose_plan(s: CocycleElement, depth: int, offsets: tuple[int, ...]) -> _Co
             base = np.zeros(len(read), dtype=np.intp)
         else:
             d = max(depth, s.depth + max(-offsets[0], offsets[-1]))
-            n = 2 * d + 1
-            read = np.array(oracle.subwords(n, d - depth, 2 * depth + 1), dtype=np.intp)
+            n, width = 2 * d + 1, 2 * s.depth + 1
+            read = oracle.subwords(n, d - depth, 2 * depth + 1)
             # after h moves x by k, s reads the window that starts k places further right
-            table = np.stack([
-                shifts[np.array(oracle.subwords(n, d - s.depth + k, 2 * s.depth + 1))]
-                for k in offsets
-            ], axis=1).ravel()
+            starts = tuple(d - s.depth + k for k in offsets)
+            table = shifts.take(oracle.windows(n, starts, width)).ravel()
             base = np.arange(len(read), dtype=np.intp) * len(offsets)
         lo, column = offsets[0], None
         if offsets[-1] - lo >= len(offsets):
@@ -313,7 +315,7 @@ def _refined(g: CocycleElement, depth: int) -> dict[str, int]:
     oracle = g.spec.language
     n = 2 * depth + 1
     reads = oracle.subwords(n, depth - g.depth, 2 * g.depth + 1)
-    return dict(zip(oracle.words(n), map(g.shifts.__getitem__, reads)))
+    return dict(zip(oracle.words(n), map(g.shifts.__getitem__, reads.tolist())))
 
 
 def is_constant_on_cylinder(g: CocycleElement, word: str) -> bool:
@@ -327,7 +329,7 @@ def is_constant_on_cylinder(g: CocycleElement, word: str) -> bool:
     oracle = g.spec.language
     target = oracle.words(len(word)).get(word)
     centres = oracle.subwords(2 * g.depth + 1, g.depth - l, len(word))
-    return len({k for c, k in zip(centres, g.shifts) if c == target}) <= 1
+    return len({k for c, k in zip(centres.tolist(), g.shifts) if c == target}) <= 1
 
 
 class GeneratorSet(Frozen):
@@ -408,6 +410,49 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
 
+def _row_hashes(rows: np.ndarray) -> np.ndarray:
+    """One uint64 key per row of a contiguous 2-D array, equal for equal
+    rows: the row's bytes as 64-bit words, the last one zero-padded, each
+    xored into the key and stirred by splitmix64's xor-multiply-shift."""
+    size = rows.shape[1] * rows.itemsize
+    words = np.zeros((len(rows), -(-size // 8) * 8), dtype=np.uint8)
+    words[:, :size] = rows.view(np.uint8).reshape(len(rows), size)
+    words = words.view(np.uint64)
+    key = np.zeros(len(rows), dtype=np.uint64)
+    for j in range(words.shape[1]):
+        key ^= words[:, j]
+        key += 0x9E3779B97F4A7C15
+        key ^= key >> 30
+        key *= 0xBF58476D1CE4E5B9
+        key ^= key >> 27
+        key *= 0x94D049BB133111EB
+        key ^= key >> 31
+    return key
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the first of each distinct row of a contiguous 2-D
+    array, and for every row the place of its first in that list.  Rows
+    are sorted by their uint64 hash, and each row of a run of equal hashes
+    is checked against the run's first row; only when some run holds two
+    different rows do the bytes keys of `_row_keys` decide, so no run ever
+    merges two different rows."""
+    keys = _row_hashes(rows)
+    order = keys.argsort()
+    keys = keys[order]
+    run = np.empty(len(keys), dtype=bool)
+    run[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=run[1:])
+    firsts = np.minimum.reduceat(order, np.flatnonzero(run))
+    which = np.empty_like(order)
+    which[order] = np.cumsum(run) - 1
+    lead = firsts[which]
+    later = np.flatnonzero(lead != np.arange(len(rows)))
+    if (rows[later] != rows[lead[later]]).any():
+        _, firsts, which = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
+    return firsts, which.ravel()
+
+
 class CayleyBall:
     """The word-metric ball of a generator set, in breadth-first order.
 
@@ -428,7 +473,9 @@ class CayleyBall:
     when the set holds one, so only the other edges are composed; `composed_cells` counts the (element, generator)
     cells composed so far.  Products are deduplicated depth by depth, deepest
     first, against the last two layers when the set is inverse-closed, and
-    against the whole ball when it is not.
+    against the whole ball when it is not: `_distinct_rows` sorts one uint64
+    hash per row and checks each row against the first of its run of equal
+    hashes, and sorts the rows' bytes only when a hash collides.
     """
 
     def __init__(self, gens: GeneratorSet, cap: int):
@@ -555,16 +602,19 @@ class CayleyBall:
             by_cell = np.argsort(cells)
             shifts, cells = shifts[by_cell], cells[by_cell]
             known = floor + np.flatnonzero(self.depths[floor:] == d)
+            # old, its join with these rows, and then the hash's padded words
+            # or the check's two gathers and its mask: five times the rows'
+            # bytes; and 96 bytes a row of keys and indices, _distinct_rows'
+            # and np.unique's when a hash collides
+            count = len(known) + len(shifts)
+            afford(5 * count * shifts.itemsize * shifts.shape[1] + 96 * count)
             old = self.shift_rows(d, known) if d in self._rows else shifts[:0]
-            # these rows, old, their joined keys, np.unique's two copies and indices
-            afford(4 * (old.nbytes + shifts.nbytes) + 24 * (len(old) + len(shifts)))
-            _, firsts, which = np.unique(_row_keys(np.concatenate([old, shifts])),
-                                         return_index=True, return_inverse=True)
+            firsts, which = _distinct_rows(np.concatenate([old, shifts]))
             is_old = firsts < len(old)
             label = np.empty(len(firsts), dtype=np.int64)
             label[is_old] = known[firsts[is_old]]
             label[~is_old] = -1 - cells[firsts[~is_old] - len(old)]
-            targets[cells] = label[which.ravel()[len(old):]]
+            targets[cells] = label[which[len(old):]]
             fresh = np.sort(firsts[~is_old]) - len(old)
             found += len(fresh)
             if found and size + found > self.cap:

@@ -221,9 +221,9 @@ class FullShiftSpec(Frozen):
     letters: tuple[str, ...]
     language: LanguageTable
 
-    def __init__(self, letters: tuple[str, ...]):
-        self._set(letters=letters)
-        _check_letters(tuple(self.letters))
+    def __init__(self, letters: Iterable[str]):
+        self._set(letters=tuple(letters))
+        _check_letters(self.letters)
         self._set(language=LanguageTable(self))
 
 
@@ -236,9 +236,9 @@ class ExplicitSpec(Frozen):
     forbidden: tuple[str, ...]
     language: LanguageTable
 
-    def __init__(self, letters: tuple[str, ...], forbidden: Iterable[str]):
-        self._set(letters=letters)
-        _check_letters(tuple(self.letters))
+    def __init__(self, letters: Iterable[str], forbidden: Iterable[str]):
+        self._set(letters=tuple(letters))
+        _check_letters(self.letters)
         self._set(forbidden=tuple(sorted(set(forbidden))))
         for w in self.forbidden:
             if not w:
@@ -1073,17 +1073,20 @@ class LanguageTable:
     without the set where it can and builds nothing until asked.  The caps
     are module constants, each read where its check is made.
 
-    The word geometry of cocycle tables lives here too.  `subwords(n, lo,
-    width)` gives, for each of those words, the position in `words(width)`
-    of its subword starting at `lo`.  `siblings(n)` is the plan that
+    The word geometry of cocycle tables lives here too.  `windows(n,
+    starts, width)` is a read-only int32 matrix (a factor set holds far
+    fewer than 2^31 words): row i, column j holds the position in
+    `words(width)` of the i-th n-word's subword at `starts[j]`, made by one
+    `fromiter` over exactly those starts; `subwords(n, lo, width)` is its
+    one-column case.  `siblings(n)` is the plan that
     canonical reduction reads, as three index arrays: for each (n-2)-word,
     the position of the first n-word around it as centre, and the pairs of
     positions that must carry equal shifts for a table to factor through
-    the centre; None when some (n-2)-word is no centre.  All three are
-    memoized like `words`, one entry per key.  Inserts, and every call into
-    the engine, which holds no lock, hold the table's one lock, while a hit
-    reads without it: entries are only ever added, and whole.  All queries
-    are pure functions of the spec.
+    the centre; None when some (n-2)-word is no centre.  Both are memoized
+    like `words`, one entry per key.  Inserts, and every call into the
+    engine, which holds no lock, hold the table's one lock, while a hit
+    reads without it: entries are only ever added, and whole.
+    All queries are pure functions of the spec.
     """
 
     def __init__(self, spec: SubshiftSpec):
@@ -1092,7 +1095,7 @@ class LanguageTable:
         self._lock = threading.RLock()
         self._counts: dict[int, int] = {}
         self._words: dict[int, dict[str, int]] = {}
-        self._subwords: dict[tuple[int, int, int], tuple[int, ...]] = {}
+        self._subwords: dict[tuple[int, tuple[int, ...], int], np.ndarray] = {}
         self._siblings: dict[int, _SiblingPlan | None] = {}
 
     def factors(self, n: int) -> KeysView[str]:
@@ -1113,21 +1116,29 @@ class LanguageTable:
                     self._counts[n] = len(got)
         return got
 
-    def subwords(self, n: int, lo: int, width: int) -> tuple[int, ...]:
-        key = (n, lo, width)
+    def subwords(self, n: int, lo: int, width: int) -> np.ndarray:
+        return self.windows(n, (lo,), width)[:, 0]
+
+    def windows(self, n: int, starts: tuple[int, ...], width: int) -> np.ndarray:
+        key = (n, starts, width)
         got = self._subwords.get(key)
         if got is None:
             with self._lock:
-                position = self.words(width)
-                got = tuple(position[w[lo:lo + width]] for w in self.words(n))
-                self._subwords[key] = got
+                got = self._subwords.get(key)
+                if got is None:
+                    position, words = self.words(width), self.words(n)
+                    got = np.fromiter((position[w[lo:lo + width]] for w in words for lo in starts),
+                                      dtype=np.int32, count=len(words) * len(starts))
+                    got = got.reshape(len(words), len(starts))
+                    got.flags.writeable = False
+                    self._subwords[key] = got
         return got
 
     def siblings(self, n: int) -> _SiblingPlan | None:
         if n in self._siblings:  # None is a plan too
             return self._siblings[n]
         with self._lock:
-            centre = self.subwords(n, 1, n - 2)
+            centre = self.subwords(n, 1, n - 2).tolist()
             first: dict[int, int] = {}
             for i, c in enumerate(centre):
                 first.setdefault(c, i)

@@ -791,7 +791,7 @@ def cylinder_nonconstancy_rate(chain: ConvolutionCache, word: str, n: int) -> Fr
     target = language.words(len(word)).get(word, -1)  # -1: inadmissible, no word around it
     bad = 0
     for d, at, rows in dist.ball.rows_by_depth(dist.index, above=half):
-        centres = np.array(language.subwords(2 * d + 1, d - half, len(word)))
+        centres = language.subwords(2 * d + 1, d - half, len(word))
         around = rows[:, centres == target]
         bad += int(dist.counts[at[(around != around[:, :1]).any(axis=1)]].sum())
     return Fraction(bad, dist.denominator)

@@ -32,7 +32,7 @@ from fullgroup_lab import (
     is_constant_on_cylinder,
 )
 from fullgroup_lab import cocycles
-from fullgroup_lab.cocycles import CocycleElement, _reduce_depth, _refined
+from fullgroup_lab.cocycles import CocycleElement, _reduce_depth, _refined, compose_plan
 
 
 @pytest.fixture(scope="module")
@@ -462,6 +462,51 @@ def test_ball_order_is_pinned(fib_gens):
     )
 
 
+def _one_hash(monkeypatch):
+    """Give every row the same uint64 hash, and count the bytes-key
+    fallbacks that this forces."""
+    fallbacks, bytes_keys = [], cocycles._row_keys
+
+    def row_keys(rows):
+        fallbacks.append(len(rows))
+        return bytes_keys(rows)
+
+    monkeypatch.setattr(cocycles, "_row_hashes", lambda rows: np.zeros(len(rows), np.uint64))
+    monkeypatch.setattr(cocycles, "_row_keys", row_keys)
+    return fallbacks
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_generator_sets()))
+def test_ball_with_every_row_hash_colliding_equals_the_reference(name, monkeypatch):
+    # one run of equal hashes per depth: whenever it holds two different
+    # rows, the bytes keys decide, and no different rows are merged
+    gens, radius = _oracle_generator_sets()[name]
+    fallbacks = _one_hash(monkeypatch)
+    b = ball(gens, radius)
+    elements, lengths, depths, rows = _reference_ball(gens, radius)
+    assert fallbacks
+    assert _elements(b) == elements
+    assert b.lengths.tolist() == lengths and b.depths.tolist() == depths
+    assert b.neighbors.tolist() == rows
+
+
+def test_ball_order_is_pinned_when_every_row_hash_collides(fib_gens, monkeypatch):
+    fallbacks = _one_hash(monkeypatch)
+    assert _ball_digest(ball(fib_gens, 12)) == (
+        "30d62d7560b10272c5ec16de0b47c96f15d9e2fc598c68e8a1b898a4783e377f"
+    )
+    assert fallbacks
+
+
+def test_no_row_hash_collides_on_the_radius_12_ball(fib_gens, monkeypatch):
+    # the bytes keys are the fallback only: the hash mixes every row word
+    def refuse(rows):
+        raise AssertionError("two different rows share a hash")
+
+    monkeypatch.setattr(cocycles, "_row_keys", refuse)
+    assert len(ball(fib_gens, 12)) == 10_608
+
+
 def test_sibling_plans_are_one_per_word_length():
     spec = fibonacci_spec()  # a fresh spec's table sees only this ball
     ball(fibonacci_generators(spec), 12)
@@ -644,6 +689,40 @@ def test_from_table_loads_a_shift_of_1000_in_bounded_time(fib_spec, abg):
     start = time.perf_counter()
     assert from_table(fib_spec, g.depth, g.table) == g
     assert time.perf_counter() - start < 10
+
+
+def _sliced_plan(s, depth, d, offsets):
+    """What compose_plan(s, depth, offsets) reads, by slicing words: for
+    each (2d+1)-word, the position of its centre (2*depth+1)-word and s's
+    shift on its window moved by each offset."""
+    oracle, width = s.spec.language, 2 * s.depth + 1
+    position, centre = oracle.words(width), oracle.words(2 * depth + 1)
+    return ([centre[w[d - depth:d + depth + 1]] for w in oracle.words(2 * d + 1)],
+            [[s.shifts[position[w[d - s.depth + k:d - s.depth + k + width]]] for k in offsets]
+             for w in oracle.words(2 * d + 1)])
+
+
+@pytest.mark.parametrize("offsets", [
+    tuple(range(-3, 4)),        # a whole range: every window column
+    (-3, -2, -1, 0, 1, 3),      # dense with a gap: a subset of the columns
+    (-1, 0, 1),                 # at a depth past the shift, a few columns of many
+    (-4, 5),                    # gapped
+    (7,),
+])
+@pytest.mark.parametrize("depth", [0, 2, 6])
+def test_compose_plan_tables_match_sliced_windows(offsets, depth):
+    spec = fibonacci_spec()  # a fresh table, so its memo shows each plan's reads
+    alpha, beta, gamma = (g for _, g in fibonacci_generators(spec))
+    elements = [alpha, gamma, compose(alpha, beta), compose(gamma, compose(beta, alpha))]
+    for s in elements:
+        plan = compose_plan(s, depth, offsets)
+        read, table = _sliced_plan(s, depth, plan.depth, offsets)
+        assert plan.read.tolist() == read
+        assert plan.table.reshape(-1, len(offsets)).tolist() == table
+        # the table's window matrix spells exactly the starts the offsets read
+        lo = plan.depth - s.depth
+        starts = tuple(lo + k for k in offsets)
+        assert (2 * plan.depth + 1, starts, 2 * s.depth + 1) in spec.language._subwords
 
 
 def test_toeplitz_swaps_match_the_dict_oracle():

@@ -325,6 +325,55 @@ def test_the_language_table_alone_orders_and_locates_factors():
     assert hits == []
 
 
+def _bytes_key_reads(tree: ast.Module, name: str) -> list[str]:
+    """Where a module reads `_row_keys` anywhere but in the body of an `if`
+    inside `_distinct_rows`: the fallback that runs only when a row hash
+    collides."""
+    hits = []
+
+    def visit(node, func: str, fallback: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            func, fallback = getattr(node, "name", "<lambda>"), False
+        label = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if (label == "_row_keys" and isinstance(node.ctx, ast.Load)
+                and not (func == "_distinct_rows" and fallback)):
+            hits.append(f"{name}:{node.lineno}: {func}")
+        body = node.body if isinstance(node, ast.If) else ()
+        for child in ast.iter_child_nodes(node):
+            visit(child, func, fallback or any(child is b for b in body))
+
+    visit(tree, "<module>", False)
+    return hits
+
+
+def test_the_ball_sorts_bytes_keys_only_when_a_row_hash_collides():
+    # deduplication sorts one uint64 hash per row; the void keys of whole
+    # rows sort with a generic byte compare, so they decide only a collision
+    tree = ast.parse((PACKAGE / "cocycles.py").read_text(encoding="utf-8"))
+    assert _bytes_key_reads(tree, "cocycles.py") == []
+
+
+def test_the_bytes_key_guard_sees_each_read_outside_the_fallback():
+    source = """
+def _distinct_rows(rows, collides):
+    keys = _row_keys(rows)
+    if collides:
+        keys = _row_keys(rows)
+    else:
+        keys = cocycles._row_keys(rows)
+    if _row_keys(rows) is None:
+        return lambda r: _row_keys(r)
+    return keys
+
+def dedup(rows):
+    if rows:
+        return _row_keys(rows)
+"""
+    hits = _bytes_key_reads(ast.parse(source), "m.py")
+    assert hits == ["m.py:3: _distinct_rows", "m.py:7: _distinct_rows",
+                    "m.py:8: _distinct_rows", "m.py:9: <lambda>", "m.py:14: dedup"]
+
+
 def test_the_language_table_picks_its_engine_without_type_tests():
     # each family's language is one engine, picked once from one mapping;
     # a method of `LanguageTable` that tests a type is a family ladder

@@ -130,6 +130,15 @@ def test_each_spec_owns_its_table_outside_equality_hash_and_repr():
     assert spec_to_dict(a) == {"variant": "substitution", "rules": FIB, "seed": "a"}
 
 
+@pytest.mark.parametrize("make", [FullShiftSpec, lambda letters: ExplicitSpec(letters, ["bb"])])
+def test_spec_letters_from_a_list_are_a_tuple(make):
+    # letters given as a list hash, and equal the same letters given as a tuple
+    from_list, from_tuple = make(["a", "b"]), make(("a", "b"))
+    assert from_list.letters == ("a", "b")
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert {from_list: 1}[from_tuple] == 1
+
+
 # --- factor sets -------------------------------------------------------------
 
 
@@ -1227,9 +1236,11 @@ def test_language_table_concurrent_queries():
              SturmianSpec((2, 1)), ToeplitzSpec("ab*b*"))
 
     def queries(table):
+        # the index maps are arrays, compared as lists
         return ([table.complexity(n) for n in range(1, 30)],
-                [(list(table.words(n).items()), table.subwords(n + 2, 1, n),
-                  _plan_reads(table, n + 2)) for n in range(1, 12)])
+                [(list(table.words(n).items()), table.subwords(n + 2, 1, n).tolist(),
+                  table.windows(n + 4, (0, 2, 3, 4), n).tolist(), _plan_reads(table, n + 2))
+                 for n in range(1, 12)])
 
     expected = [queries(LanguageTable(spec)) for spec in specs]
     assert expected[0][0] == [n + 1 for n in range(1, 30)]
@@ -1253,6 +1264,8 @@ def test_language_table_concurrent_queries():
         assert len(results) == len(threads)
         table = spec.language
         assert all(t is table and v == serial for t, v in results.values())
-        for n, (words, *_) in enumerate(serial[1], start=1):
+        for n, (words, _, windows, _) in enumerate(serial[1], start=1):
             assert [w for w, _ in words] == sorted(table.factors(n))
             assert [i for _, i in words] == list(range(len(words)))
+            assert windows == [[table.words(n)[w[lo:lo + n]] for lo in (0, 2, 3, 4)]
+                               for w in table.words(n + 4)]

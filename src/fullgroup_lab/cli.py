@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .points import canonical_point
-from .subshifts import DEFAULT_MAX_FACTORS, ToeplitzSpec
+from .subshifts import ToeplitzSpec
 from .walks import (
     ConvolutionCache,
     cylinder_depth,
@@ -52,6 +52,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+# Rows of one complexity or entropy table, one a length.  It bounds time: each
+# row is at least one count, and an entropy row one convolution step.
+MAX_ROWS = 2_000_000
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -107,10 +110,10 @@ def _resolve_point(args, spec):
 
 
 def _check_rows(n: int) -> None:
-    """Refuse a table of `n` rows, one per length, past the element budget,
-    before any row is computed."""
-    if n > DEFAULT_MAX_FACTORS:
-        raise ResourceLimit(f"--n {n} asks for more than {DEFAULT_MAX_FACTORS} table rows")
+    """Refuse a table of `n` rows, one per length, past `MAX_ROWS`, before
+    any row is computed."""
+    if n > MAX_ROWS:
+        raise ResourceLimit(f"--n {n} asks for more than {MAX_ROWS} table rows")
 
 
 def _make_out(out: Path) -> None:

@@ -46,6 +46,7 @@ from .errors import (
     NotInvertible,
     ResourceLimit,
     SpecMismatch,
+    afford,
     unique_dict,
 )
 from .points import Point
@@ -53,7 +54,6 @@ from .subshifts import SubshiftSpec, SubstitutionSpec
 from .values import Frozen
 
 DEFAULT_BALL_CAP = 2_000_000  # elements of a word-metric ball, and so of the exact chain
-MAX_BALL_BYTES = 1 << 29  # cap on the bytes a ball holds and makes while it grows a layer
 
 
 class CocycleElement:
@@ -475,7 +475,11 @@ class CayleyBall:
     first, against the last two layers when the set is inverse-closed, and
     against the whole ball when it is not: `_distinct_rows` sorts one uint64
     hash per row and checks each row against the first of its run of equal
-    hashes, and sorts the rows' bytes only when a hash collides.
+    hashes, and sorts the rows' bytes only when a hash collides.  A layer
+    affords every array it makes against the byte budget (`errors.afford`)
+    before it makes them, on top of the ball's arrays and those it keeps:
+    at its start, before each compose, before each depth is settled and
+    before the append.
     """
 
     def __init__(self, gens: GeneratorSet, cap: int):
@@ -515,15 +519,20 @@ class CayleyBall:
 
     def grow(self, radius: int) -> None:
         """Continue the breadth-first search out to `radius`.  A layer that
-        would take the ball past `cap` elements, or hold MAX_BALL_BYTES of
-        arrays at once, raises ResourceLimit and leaves the ball as it was.
-        Back edges are read, not composed; they never reach a new element,
-        so elements are found in the same order as by composing every edge,
-        one element and one generator at a time."""
+        would take the ball past `cap` elements, or whose arrays, with the
+        ball's, would pass the byte budget at any step, raises ResourceLimit
+        and leaves the ball's elements as they were.  Back edges are read,
+        not composed; they never reach a new element, so elements are found
+        in the same order as by composing every edge, one element and one
+        generator at a time."""
         if radius <= self.radius:
             return
         dtype = _row_dtype(radius * self.gens.max_shift)
         if dtype.itemsize > self._rows[0].dtype.itemsize:
+            # the wider rows, made while the narrower ones are live
+            afford(sum(a.nbytes for a in self._arrays())
+                   + sum(r.size for r in self._rows.values()) * dtype.itemsize,
+                   f"ball layer {self.radius + 1}")
             self._rows = {d: r.astype(dtype) for d, r in self._rows.items()}
         position = {s: a for a, s in enumerate(self._atoms)}
         # back[a]: a generator that undoes atom a, or -1
@@ -531,53 +540,42 @@ class CayleyBall:
         while self.radius < radius:
             self._grow_layer(back, closed=bool((back >= 0).all()))
 
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        """Every array the ball holds."""
+        return (self.lengths, self.depths, self.neighbors, self._slots, *self._rows.values())
+
     def _grow_layer(self, back: np.ndarray, closed: bool) -> None:
-        spec = self.gens.spec
         first, size, width = len(self.neighbors), len(self.lengths), len(self._atoms)
-        rows = np.full((size - first, width), -1, dtype=np.int32)
-        # kept: bytes of the ball's arrays and of what this layer keeps.  A step
-        # that makes large arrays first affords them, with kept, against MAX_BALL_BYTES
-        ball_bytes = sum(a.nbytes for a in (self.lengths, self.depths, self.neighbors,
-                                            self._slots, *self._rows.values()))
-        kept = ball_bytes + rows.nbytes
-
-        def afford(nbytes: int) -> None:
-            if kept + nbytes > MAX_BALL_BYTES:
-                raise ResourceLimit(f"ball layer {self.radius + 1} needs more than "
-                                    f"{MAX_BALL_BYTES} bytes")
-
-        # an edge p -> s.p from the layer before, with s.p in this layer,
-        # gives the edge s.p -> p by the inverse of s: read, not composed
+        what = f"ball layer {self.radius + 1}"
+        # kept: the bytes live from one step to the next, the ball's arrays
+        # first.  Each step affords the arrays it makes on top of kept before
+        # it makes them, and kept then counts those it keeps
+        ball_bytes = kept = sum(a.nbytes for a in self._arrays())
+        # the layer's int64 targets, one a cell (element, generator), and the
+        # larger of the back edges' read (the edge mask and at most five 8-byte
+        # words an edge) and the compose's gathers: rows_by_depth holds the
+        # frontier's ids and depths and gathers one depth's rows at a time,
+        # while the rows of the depth before, a group's copy and its todo rows
+        # may still be live, so three times the frontier's rows at most, and
+        # 80 bytes an element of masks and indices
         start = int(np.searchsorted(self.lengths, self.radius - 1))
         last = self.neighbors[start:]
-        p, a = np.nonzero((last >= first) & (back >= 0))
-        rows[last[p, a] - first, back[a]] = start + p
+        per_depth = np.bincount(self.depths[first:]).tolist()
+        gathered = (3 * self._rows[0].itemsize
+                    * sum(c * self._rows[d].shape[1] for d, c in enumerate(per_depth) if c)
+                    + 80 * (size - first))
+        afford(kept + 8 * (size - first) * width + max(40 * last.size, gathered), what)
 
-        # compose every open cell, a group of equal depth and largest shift
-        # at a time; a cell is member * width + atom, its rank in the
-        # one-at-a-time order.  built: products at the depth they are built at
-        built = defaultdict(list)
-        composed = 0
-        for depth, at, layer_rows in self.rows_by_depth(np.arange(first, size)):
-            reach = np.abs(layer_rows).max(axis=1)
-            for m in np.flatnonzero(np.bincount(reach)).tolist():
-                group = reach == m
-                members, shifts = at[group], layer_rows[group]
-                offsets = tuple(range(-m, m + 1))
-                for a, s in enumerate(self._atoms):
-                    todo = rows[members, a] < 0
-                    h = shifts[todo]
-                    cells = members[todo] * width + a
-                    composed += len(cells)
-                    if not len(cells):
-                        continue
-                    plan = compose_plan(s, depth, offsets)
-                    # the gather, its two intp indices and its product, all of
-                    # the product's shape
-                    afford(len(h) * len(plan.read) * (2 * h.itemsize + 16))
-                    product = compose_rows(plan, h)
-                    built[plan.depth].append((product, cells))
-                    kept += product.nbytes + cells.nbytes
+        # an edge p -> s.p from the layer before, with s.p in this layer,
+        # gives the edge s.p -> p by the inverse of s: read, not composed.
+        # Every other cell is composed; it holds -1 until its target is known
+        targets = np.full((size - first, width), -1, dtype=np.int64)
+        p, a = np.nonzero((last >= first) & (back >= 0))
+        targets[last[p, a] - first, back[a]] = start + p
+        del p, a
+        kept += targets.nbytes
+        built, composed, kept = self._compose_open_cells(first, targets, kept + gathered, what)
+        kept -= gathered
 
         # one pass from the top depth down: reduce the products built at d,
         # then deduplicate what stays there, against layers r-1 and r when
@@ -586,49 +584,33 @@ class CayleyBall:
         # element is first found at its smallest cell, and new elements are
         # numbered in that order; until then a cell holds -1 - (that first cell)
         floor = start if closed else 0
-        targets = rows.astype(np.int64).ravel()
-        kept += targets.nbytes
+        peers = np.bincount(self.depths[floor:]).tolist()  # elements of each depth from floor
         added, found = [], 0
         for d in range(max(built, default=-1), -1, -1):
-            parts = built.pop(d, None)
-            if not parts:
-                continue
-            afford(sum(x.nbytes for part in parts for x in part))
-            shifts, cells = (np.concatenate(x) for x in zip(*parts))
-            fold, on_centres = fold_rows(spec, d, shifts)
-            if fold.any():
-                built[d - 1].append((on_centres, cells[fold]))
-                shifts, cells = shifts[~fold], cells[~fold]
-            by_cell = np.argsort(cells)
-            shifts, cells = shifts[by_cell], cells[by_cell]
-            known = floor + np.flatnonzero(self.depths[floor:] == d)
-            # old, its join with these rows, and then the hash's padded words
-            # or the check's two gathers and its mask: five times the rows'
-            # bytes; and 96 bytes a row of keys and indices, _distinct_rows'
-            # and np.unique's when a hash collides
-            count = len(known) + len(shifts)
-            afford(5 * count * shifts.itemsize * shifts.shape[1] + 96 * count)
-            old = self.shift_rows(d, known) if d in self._rows else shifts[:0]
-            firsts, which = _distinct_rows(np.concatenate([old, shifts]))
-            is_old = firsts < len(old)
-            label = np.empty(len(firsts), dtype=np.int64)
-            label[is_old] = known[firsts[is_old]]
-            label[~is_old] = -1 - cells[firsts[~is_old] - len(old)]
-            targets[cells] = label[which[len(old):]]
-            fresh = np.sort(firsts[~is_old]) - len(old)
-            found += len(fresh)
-            if found and size + found > self.cap:
-                raise ResourceLimit(f"ball enumeration exceeded {self.cap} elements")
-            added.append((d, shifts[fresh], cells[fresh]))
-            kept += added[-1][1].nbytes + added[-1][2].nbytes
+            if built.get(d):
+                new, cells, kept = self._settle(d, built, targets.ravel(), floor,
+                                                peers[d] if d < len(peers) else 0, kept, what)
+                found += len(new)
+                if found and size + found > self.cap:
+                    raise ResourceLimit(f"ball enumeration exceeded {self.cap} elements")
+                added.append((d, new, cells))
+
+        # the new elements' sorted cells and, for the pending cells, a mask
+        # and at most two int64 words each; then the int32 rows.  Appending
+        # copies the ball's arrays one at a time, each with its new part, so
+        # the appended ball and at most its largest old array are live, with
+        # the new depths and slots and 16 bytes an element of indices; the
+        # appended ball replaces the old one in kept
+        largest = max(a.nbytes for a in self._arrays())
+        grown = (ball_bytes + 4 * targets.size
+                 + sum(new.nbytes + 24 * len(new) for _, new, _ in added))
+        afford(kept + 17 * targets.size + grown - ball_bytes + largest + 48 * found, what)
         fresh_cells = np.sort(np.concatenate([np.empty(0, dtype=np.int64),
                                               *(c for _, _, c in added)]))
         pending = targets < 0
         targets[pending] = size + np.searchsorted(fresh_cells, -1 - targets[pending])
-        rows = targets.reshape(rows.shape).astype(np.int32)
-
-        # appending copies the ball's arrays, with the new rows and three int64 words each
-        afford(ball_bytes + rows.nbytes + sum(new.nbytes + 24 * len(new) for _, new, _ in added))
+        rows = targets.astype(np.int32)
+        del targets, pending
         new_depths = np.empty(len(fresh_cells), dtype=np.int64)
         new_slots = np.empty_like(new_depths)
         for d, new, cells in added:
@@ -643,6 +625,83 @@ class CayleyBall:
         self.depths = np.concatenate([self.depths, new_depths])
         self._slots = np.concatenate([self._slots, new_slots])
         self.neighbors = np.concatenate([self.neighbors, rows])
+
+    def _compose_open_cells(self, first: int, targets: np.ndarray, kept: int, what: str):
+        """Compose every open cell of the layer (-1 in `targets`), a group
+        of equal depth and largest shift at a time; a cell is member * width
+        + atom, its rank in the one-at-a-time order.  Return the products by
+        the depth they are built at, with their cells; the cells composed;
+        and kept, with the products' bytes."""
+        width = len(self._atoms)
+        built = defaultdict(list)
+        composed = 0
+        for depth, at, layer_rows in self.rows_by_depth(np.arange(first, len(self.lengths))):
+            reach = np.abs(layer_rows).max(axis=1)
+            for m in np.flatnonzero(np.bincount(reach)).tolist():
+                group = reach == m
+                members, shifts = at[group], layer_rows[group]
+                offsets = tuple(range(-m, m + 1))
+                for a, s in enumerate(self._atoms):
+                    todo = targets[members, a] < 0
+                    h = shifts[todo]
+                    cells = members[todo] * width + a
+                    composed += len(cells)
+                    if not len(cells):
+                        continue
+                    plan = compose_plan(s, depth, offsets)
+                    # the product, and the gather, its two intp indices and
+                    # the sum, all of the product's shape
+                    afford(kept + len(h) * len(plan.read) * (2 * h.itemsize + 16), what)
+                    product = compose_rows(plan, h)
+                    built[plan.depth].append((product, cells))
+                    kept += product.nbytes + cells.nbytes
+        return built, composed, kept
+
+    def _settle(self, d: int, built: dict, targets: np.ndarray, floor: int, peers: int,
+                kept: int, what: str):
+        """Reduce the products built at depth d, pass those that fold on to
+        built[d - 1] and deduplicate the rest against the ball's `peers`
+        elements of depth d from `floor` on, writing each product's target: a known
+        element, or -1 - the first cell of a new one.  Return the new
+        elements' rows and first cells, in cell order, and kept, in which
+        these and the rows passed on replace the products."""
+        parts = built.pop(d)
+        count = sum(len(cells) for _, cells in parts)
+        row = parts[0][0].shape[1] * parts[0][0].itemsize  # bytes a row
+        # on top of the products, the most of these, each counting the rows
+        # passed on (fold_rows' rows on the centres and their cells) among the
+        # rows it handles:
+        # - the join, or fold_rows' two gathers and their compare, or the
+        #   folded rows' copy and their rows on the centres: four times the rows;
+        # - copies of the rows and cells that stay, the fold mask and the argsort;
+        # - a mask over the ball from floor, and each known element's row and
+        #   two int64 words; and for each row of their join with these, the
+        #   join and then the check's two gathers and its mask, or np.unique's
+        #   two copies when a hash collides, and 96 bytes of keys and indices
+        afford(kept + max(4 * row * count, (row + 17) * count,
+                          len(self.depths) - floor + (row + 16) * peers
+                          + (peers + count) * (4 * row + 96)), what)
+        joined = sum(x.nbytes for part in parts for x in part)
+        shifts, cells = (np.concatenate(x) for x in zip(*parts))
+        del parts  # the join replaces them
+        fold, on_centres = fold_rows(self.gens.spec, d, shifts)
+        if fold.any():
+            built[d - 1].append((on_centres, cells[fold]))
+            kept += on_centres.nbytes + 8 * len(on_centres)
+            shifts, cells = shifts[~fold], cells[~fold]
+        by_cell = np.argsort(cells)
+        shifts, cells = shifts[by_cell], cells[by_cell]
+        known = floor + np.flatnonzero(self.depths[floor:] == d)
+        old = self.shift_rows(d, known) if d in self._rows else shifts[:0]
+        firsts, which = _distinct_rows(np.concatenate([old, shifts]))
+        is_old = firsts < len(old)
+        label = np.empty(len(firsts), dtype=np.int64)
+        label[is_old] = known[firsts[is_old]]
+        label[~is_old] = -1 - cells[firsts[~is_old] - len(old)]
+        targets[cells] = label[which[len(old):]]
+        fresh = np.sort(firsts[~is_old]) - len(old)
+        new, new_cells = shifts[fresh], cells[fresh]
+        return new, new_cells, kept - joined + new.nbytes + new_cells.nbytes
 
 
 def ball(gens: GeneratorSet, radius: int, cap: int = DEFAULT_BALL_CAP) -> CayleyBall:

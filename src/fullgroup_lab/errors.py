@@ -62,6 +62,19 @@ class ResourceLimit(FullgroupLabError):
     """An enumeration exceeded its configured cap."""
 
 
+# The one byte budget: every allocation that grows with user input is
+# afforded against it, in traced bytes, before it is made (512 MiB)
+MAX_BYTES = 1 << 29
+
+
+def afford(nbytes: int, what: str) -> None:
+    """Refuse with ResourceLimit, before they are allocated, the `nbytes`
+    bytes that `what` needs when they pass MAX_BYTES."""
+    if nbytes > MAX_BYTES:
+        raise ResourceLimit(f"{what} needs {nbytes} bytes, past the byte budget of "
+                            f"{MAX_BYTES} bytes")
+
+
 class InternalInvariantError(FullgroupLabError):
     """A should-never-happen consistency check failed (bug guard)."""
 

@@ -51,8 +51,8 @@ followed by the first b - 1 letters of psi^k(d) hold those windows for
 every length up to b, and k is taken least with b >= n, so one index serves
 a table until a longer length is asked for (`_recurrent_blocks`).  The
 blocks, like a standard word, are spelled from level words (`level_words`,
-which points read too), their lengths refused past the text budget,
-`MAX_TEXT`, before any letter is spelled.
+which points read too), and their index is afforded against the byte
+budget (`errors.afford`) before any letter is spelled.
 The blocks are indexed together, by a prefix-doubling suffix array and
 Kasai's LCP scan, which count the distinct windows of every length at once
 and spell those of one length when asked (`_FactorIndex`).
@@ -63,7 +63,9 @@ by the pattern itself on, its counts add up over the templates, and a
 periodic word's counts stay at the first one the next length repeats
 (`_ToeplitzLanguage`).  Full shifts use the closed form, and a shift of
 finite type spells or counts the paths of one graph on its allowed
-k-words; a count that would pass `MAX_COUNT_BITS` is refused first.  Each
+k-words; a count that would pass `MAX_COUNT_BITS` is refused first.  A
+factor set is afforded at `WORD_BYTES` a word beyond its letters before it
+is spelled.  Each
 family is one engine with `count(n)` and `factors(n)`, picked once by the
 spec's own `LanguageTable`, `spec.language`: the one place that memoizes,
 orders and locates factors, safe to share across threads, whose one lock
@@ -80,27 +82,66 @@ from typing import Iterable, Iterator, KeysView, Mapping, NamedTuple
 
 import numpy as np
 
+from . import errors
 from .errors import (
     ConditionViolated,
     EmptyAlphabet,
     ResourceLimit,
     UnresolvableHole,
     ValidationError,
+    afford,
 )
 from .values import Frozen
 
-# Letters one piece of generated text may take: a standard word or the
-# recurrent pairs' blocks.
-MAX_TEXT = 1 << 24
 SPELLED = 1 << 12  # letters of the longest level word a table keeps spelled
 REACH = 1 << 64  # letters that the level words of a table reach
-# Element budget for explicit factor-set enumeration.
-DEFAULT_MAX_FACTORS = 2_000_000
-# Letters one factor set may spell (256 MiB).
-MAX_FACTOR_LETTERS = 1 << 28
 # Bits one count may take, or one table's memo of path counts with a 64-bit
-# word an entry at least (32 MiB).
-MAX_COUNT_BITS = MAX_FACTOR_LETTERS
+# word an entry at least.  It bounds time, not memory (32 MiB): 3**n took
+# 0.22 s at 2.5 million bits, growing as about the 1.6th power of the bits,
+# so a three-letter count at the cap would take minutes.
+MAX_COUNT_BITS = 1 << 28
+# Letters the path spelling of a shift of finite type may make.  It bounds
+# time: about 2.9 us a letter (a one-path word of 4e6 letters took 9.7 s),
+# so about 2 minutes at the cap.
+MAX_PATH_LETTERS = 42_000_000
+# Traced bytes a unit, measured with tracemalloc, that turn a need into
+# bytes for `errors.afford`:
+# - a letter of the text a suffix index is built on (the blocks, their dense
+#   copy, the prefix-doubling rounds), and a letter of its longest block (the
+#   int64 histograms of window lengths): 26.2 and 15.8, fitted to the peaks
+#   of `_recurrent_blocks` on Fibonacci, 31.9 a letter with the longest
+#   block 0.36 of them, and of the index of one standard word, 42.0
+#   (Thue-Morse's four equal blocks: 30.0, fitted 30.2);
+TEXT_BYTES, BLOCK_BYTES = 27, 16
+# - a word of a factor set beyond its letters: its str, its set slot and its
+#   place in the sorted list and dict of `LanguageTable.words` (peaks of
+#   107-141 bytes over 10^3-10^6 words of four families, and 224 for a
+#   Toeplitz set, whose spelled set stays beside it);
+WORD_BYTES = 256
+# - a letter of the one word that `itertools.product` spells at a time: its
+#   pools, its index and result tuples and the join (33.0 for one word of
+#   10^6 letters; the path spelling takes 9.0);
+SPELL_BYTES = 33
+# - a letter of one `_fill_holes` pass: the tiled templates, the fills'
+#   letters and the decoded text (8.9-9.0 for passes of 2^22 letters).
+FILL_BYTES = 9
+
+
+def _word_bytes(count: int, n: int) -> int:
+    """The traced bytes of `count` words of n letters in a factor set."""
+    return count * (n + WORD_BYTES)
+
+
+def _afford_text(size: int, longest: int, what: str) -> None:
+    """Afford the index of `size` letters of text, in blocks of at most
+    `longest` letters, before any block is spelled."""
+    afford(size * TEXT_BYTES + longest * BLOCK_BYTES, f"the index of {what}, {size} letters,")
+
+
+def _afford_words(count: int, n: int, what: str = "the factor set", beside: int = 0) -> None:
+    """Afford `count` words of n letters, and the one word in flight of a
+    spelling, with `beside` bytes live, before any of them is made."""
+    afford(beside + _word_bytes(count, n) + n * SPELL_BYTES, f"{what} of length {n}")
 
 
 def _check_letters(letters: tuple[str, ...]) -> None:
@@ -553,11 +594,11 @@ class _ToeplitzLanguage:
     of u's word at that position.  So the two words agree letter by letter,
     and `ab*ab*` is counted as `ab*`, whose m0 is 3, not by spelled sets.
 
-    A length is spelled only when the letters of all its fills, at most
-    `MAX_FACTOR_LETTERS`, are known to fit; for lengths from m0 on they are
-    the factor set's own letters.  The sizes of every spelled length are
-    kept, and the spelled sets within a quarter of that cap, the oldest
-    dropped first, so a long table holds no more words than that.
+    A length is spelled only when the words of all its fills are afforded
+    against the byte budget; for lengths from m0 on they are the factor
+    set's own words.  The sizes of every spelled length are kept, and the
+    spelled sets within a quarter of the budget, the oldest dropped first,
+    so a long table holds no more words than that.
     """
 
     def __init__(self, pattern: str, hole: str):
@@ -593,10 +634,9 @@ class _ToeplitzLanguage:
         return self._size(n if self.flat is None else min(n, self.flat))[0]
 
     def factors(self, n: int) -> frozenset[str]:
-        """The length-n factors, refused past `MAX_FACTOR_LETTERS` letters
-        before they are spelled."""
-        if self.count(n) * n > MAX_FACTOR_LETTERS:
-            raise ResourceLimit(f"factor set of length {n} exceeds the letter cap")
+        """The length-n factors, afforded with the spelled sets kept before
+        they are spelled."""
+        _afford_words(self.count(n), n, beside=self._held)
         return frozenset().union(*self._spell(n))
 
     def class_count(self, m: int, c: int) -> int:
@@ -623,9 +663,9 @@ class _ToeplitzLanguage:
         """m0 if it is at most n, else None.  As disjointness carries to
         longer lengths, lengths are tried past the last one known to
         overlap at doubling steps, capped at n, and m0 is then bisected.
-        A step whose sets would pass the letter cap starts over at one
+        A step whose sets would pass the byte budget starts over at one
         length past that one: a steep language, such as a*****b's, can
-        pass the cap at twice its m0 and not at m0.  A step whose count
+        pass the budget at twice its m0 and not at m0.  A step whose count
         equals that of the last length known to overlap finds that length
         flat (fact 4), and the search ends there."""
         if self.m0 is not None or self.flat is not None or self._overlapping >= n:
@@ -680,8 +720,12 @@ class _ToeplitzLanguage:
             return got
         branches = list(self.branches(m))
         fills = {k: self._spell(k) for k in sorted({k for _, k, _ in branches if k < m})}
-        if sum(len(fills[k][j]) for _, k, j in branches if k < m) * m > MAX_FACTOR_LETTERS:
-            raise ResourceLimit(f"factor set of length {m} exceeds the letter cap")
+        # beside the words: the sets kept, the fills not among them, and one
+        # numpy pass of `_fill_holes`
+        words = sum(len(fills[k][j]) for _, k, j in branches if k < m)
+        loose = sum(_word_bytes(sum(map(len, fills[k])), k) for k in fills if k not in self._sets)
+        _afford_words(words, m, beside=self._held + loose
+                      + FILL_BYTES * min(words * m, _FILL_LETTERS))
         found = [set() for _ in range(self.classes)]
         links = [set() for _ in range(self.classes)]  # all-hole branches
         text = self.pattern * (m // self.period + 2)
@@ -706,16 +750,17 @@ class _ToeplitzLanguage:
 
     def _keep(self, m: int, sets: tuple[set[str], ...]) -> None:
         """Memoize G(m, .) while the spelled sets kept hold at most a quarter
-        of `MAX_FACTOR_LETTERS` letters, dropping the oldest lengths first.
-        Sets past that bound alone are not kept."""
-        letters, budget = m * sum(map(len, sets)), MAX_FACTOR_LETTERS // 4
-        if letters > budget:
+        of the byte budget, at `WORD_BYTES` a word beyond its letters,
+        dropping the oldest lengths first.  Sets past that bound alone are
+        not kept."""
+        nbytes, budget = _word_bytes(sum(map(len, sets)), m), errors.MAX_BYTES // 4
+        if nbytes > budget:
             return
-        while self._held + letters > budget:
+        while self._held + nbytes > budget:
             k = next(iter(self._sets))
-            self._held -= k * sum(map(len, self._sets.pop(k)))
+            self._held -= _word_bytes(sum(map(len, self._sets.pop(k))), k)
         self._sets[m] = sets
-        self._held += letters
+        self._held += nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -812,8 +857,8 @@ class _FactorIndex:
     So suffix i adds one factor to every n with lcp[i] < n <= room[i], and
     a difference-array histogram of those ranges gives `counts[n]` for
     every n up to the longest block; past it there is no window.  The index
-    keeps the text and three int32 arrays.  A factor set of more than
-    `MAX_FACTOR_LETTERS` letters is refused before it is spelled.
+    keeps the text and three int32 arrays.  A factor set is afforded before
+    it is spelled.
     """
 
     __slots__ = ("text", "room", "lcp", "counts")
@@ -838,8 +883,7 @@ class _FactorIndex:
         return int(self.counts[n]) if n < len(self.counts) else 0
 
     def factors(self, n: int) -> frozenset[str]:
-        if self.count(n) * n > MAX_FACTOR_LETTERS:
-            raise ResourceLimit(f"factor set of length {n} exceeds the letter cap")
+        _afford_words(self.count(n), n)
         starts = np.flatnonzero((self.lcp < n) & (self.room >= n))
         return frozenset([self.text[i : i + n] for i in starts.tolist()])
 
@@ -849,18 +893,17 @@ def _recurrent_blocks(spec: SubstitutionSpec, levels: LevelWords,
     """(b, index): the index of the blocks psi^k(c) + psi^k(d)[:b - 1], cd
     in `_recurrent_pairs`, whose length-m windows are the language's for
     every m <= b (module docstring), k least with b >= n, read off the
-    level words of `spec`.  Blocks past `MAX_TEXT` letters in all are
-    refused with ResourceLimit before any is spelled."""
+    level words of `spec`.  Their index is afforded before any block is
+    spelled."""
     pairs = _recurrent_pairs(spec.rules_dict, spec.seed)
     letters = set("".join(pairs))
     for k, lengths in enumerate(levels.lengths):  # lengths[c] = |psi^k(c)|
         bound = min(lengths[c] for c in letters)
         size = sum(lengths[c] + bound for c, _ in pairs)
-        if size > MAX_TEXT or bound >= n:  # the last levels pass REACH > MAX_TEXT
+        if bound >= n:  # or the last level, whose blocks pass REACH letters
             break
-    if size > MAX_TEXT:
-        raise ResourceLimit(f"the recurrent pairs' blocks under psi^{k} have {size} "
-                            f"letters, past the text budget of {MAX_TEXT} letters")
+    _afford_text(size, max(lengths[c] for c, _ in pairs) + bound,
+                 f"the recurrent pairs' blocks under psi^{k}")
     return bound, _FactorIndex([levels.spell(k, c, 0, lengths[c])
                                 + levels.spell(k, d, 0, bound - 1) for c, d in pairs])
 
@@ -880,6 +923,7 @@ class _SubstitutionLanguage:
 
     def _index(self, n: int) -> _FactorIndex:
         if self._last_index[0] < n:
+            self._last_index = (-1, None)  # dropped before the next is built
             self._last_index = _recurrent_blocks(self.spec, self._levels, n)
         return self._last_index[1]
 
@@ -900,9 +944,8 @@ class _SturmianLanguage(_SubstitutionLanguage):
         while index is None or index.count(n) <= n:
             k += 1
             size = self._levels.lengths[k]["a"]  # |s_k|
-            if size > MAX_TEXT:
-                raise ResourceLimit(f"standard word s_{k} has {size} letters, "
-                                    f"past the text budget of {MAX_TEXT} letters")
+            _afford_text(size, size, f"standard word s_{k}")
+            self._last_index, index = (k - 1, None), None  # dropped before the next is built
             index = _FactorIndex([self._levels.spell(k, "a", 0, size)])
             self._last_index = k, index
         return index
@@ -926,13 +969,8 @@ class _FullShiftLanguage:
         return len(self.letters) ** n
 
     def factors(self, n: int) -> frozenset[str]:
-        cap = DEFAULT_MAX_FACTORS  # a power past the cap's bit length passes it
-        count = len(self.letters) ** min(n, cap.bit_length())
-        # its words hold count * n letters; on two or more letters the word
-        # cap lets through at most cap * bit_length(cap), and one letter
-        # gets the same
-        if count > cap or count * n > cap * cap.bit_length():
-            raise ResourceLimit(f"full-shift factor set of length {n} exceeds cap")
+        # a power past 64 bits passes any budget
+        _afford_words(len(self.letters) ** min(n, 64), n, "the full-shift factor set")
         return frozenset("".join(t) for t in itertools.product(self.letters, repeat=n))
 
 
@@ -941,17 +979,18 @@ def _overlap_graph(spec: ExplicitSpec) -> dict[str, tuple[str, ...]]:
     on a bi-infinite path, each mapped to its successors w[1:] + c.  The
     shift is the set of bi-infinite paths of this graph (Lind & Marcus,
     An Introduction to Symbolic Dynamics and Coding, ch. 2).  Each length's
-    words are counted before any is built: w + c ends with a forbidden f
-    exactly when w ends with f[:-1] and c is f's last letter."""
+    words are counted, and afforded, before any is built: w + c ends with a
+    forbidden f exactly when w ends with f[:-1] and c is f's last letter.
+    So are the successors, one word a letter after each vertex at most."""
     k = max((len(f) for f in spec.forbidden), default=1)
     words = [""]
-    for _ in range(k):
+    for j in range(1, k + 1):
         size = sum(len(spec.letters) - len({f[-1] for f in spec.forbidden if w.endswith(f[:-1])})
                    for w in words)
-        if size > DEFAULT_MAX_FACTORS:
-            raise ResourceLimit(f"SFT enumeration exceeded {DEFAULT_MAX_FACTORS} words")
+        _afford_words(size, j, "the SFT graph's level")
         words = [w + c for w in words for c in spec.letters
                  if not any((w + c).endswith(f) for f in spec.forbidden)]
+    _afford_words(len(words) * len(spec.letters), k, "the SFT graph's successor list")
     live = set(words)
     while True:
         succ = {w: tuple(v for v in (w[1:] + c for c in spec.letters) if v in live)
@@ -975,21 +1014,22 @@ def _step_paths(graph: dict[str, tuple[str, ...]], paths: dict[str, int]) -> dic
 def _spell_paths(graph: dict[str, tuple[str, ...]], n: int) -> frozenset[str]:
     """The length-n words of the shift: prefixes of the vertices up to their
     length k, and beyond it the words spelled by paths, depth first into one
-    letter list, so each word costs its own letters.  Refused first past
-    cap = `DEFAULT_MAX_FACTORS` words, or past a full shift's
-    cap * bit_length(cap) letters: every vertex starts a path, so the words
-    hold at least len(graph) * n."""
+    letter list, so each word costs its own letters.  Every vertex has a
+    successor, so the paths never fall in number from one length to the
+    next: before each step their number, as words of n letters, is refused
+    past `MAX_PATH_LETTERS` letters and afforded."""
     k = len(next(iter(graph), ""))
     if n <= k or not graph:
         return frozenset(w[:n] for w in graph)
-    cap = DEFAULT_MAX_FACTORS
-    if len(graph) * n > cap * cap.bit_length():
-        raise ResourceLimit(f"SFT factor set of length {n} exceeds the letter cap")
     paths = dict.fromkeys(graph, 1)
-    for _ in range(n - k):
-        paths = _step_paths(graph, paths)
-        if sum(paths.values()) > cap:
-            raise ResourceLimit(f"SFT enumeration exceeded {cap} words")
+    for step in range(n - k + 1):
+        if step:
+            paths = _step_paths(graph, paths)
+        count = sum(paths.values())
+        if count * n > MAX_PATH_LETTERS:
+            raise ResourceLimit(f"SFT factor set of length {n} spells more than "
+                                f"{MAX_PATH_LETTERS} letters")
+        _afford_words(count, n, "the SFT factor set")
     words, letters, stack = [], [], [(w, 0) for w in graph]  # letters: a vertex, then one a step
     while stack:
         w, step = stack.pop()
@@ -1070,8 +1110,11 @@ class LanguageTable:
     dict, so a table over them is a vector of shifts.  `factors(n)` is its
     key view, the set itself, and `complexity(n)` its cardinality.  Both come
     from the family's engine, picked once from `_ENGINES`, which counts
-    without the set where it can and builds nothing until asked.  The caps
-    are module constants, each read where its check is made.
+    without the set where it can and builds nothing until asked.  Each
+    engine affords what it builds against the one byte budget,
+    `errors.afford`, at the measured rates `TEXT_BYTES`, `BLOCK_BYTES`,
+    `WORD_BYTES` and `SPELL_BYTES`; the caps `MAX_COUNT_BITS` and
+    `MAX_PATH_LETTERS` bound time, not memory.
 
     The word geometry of cocycle tables lives here too.  `windows(n,
     starts, width)` is a read-only int32 matrix (a factor set holds far

@@ -28,9 +28,9 @@ draws with one shift and one mask, and reads the position-major
 Its contiguous row of narrow integer offsets is summarized directly and
 folded into each trial's running max|m| before the next step overwrites
 it, so no trials x (n+1) matrix is ever held.  The increment table is
-checked against the Lipschitz bound before any draw.  A sample whose
-arrays, all counted, would pass MAX_SAMPLE_BYTES is refused with
-ResourceLimit before anything is allocated.
+checked against the Lipschitz bound before any draw.  A sample's arrays,
+all counted, are afforded against the byte budget (`errors.afford`)
+before any is allocated.
 
 A distribution sums its entropy once for every report, and one
 least-constant search fits the entropy envelope and the return bound.  Tail
@@ -60,8 +60,8 @@ from .errors import (
     DomainError,
     InsufficientData,
     InternalInvariantError,
-    ResourceLimit,
     ValidationError,
+    afford,
 )
 from .points import Point
 from .subshifts import SubshiftSpec
@@ -75,7 +75,6 @@ DRAW_BLOCK = 256  # trials whose float draws are held at once (0.8 MB at n=400)
 # beat one binary search (33 ms against 57 ms for a 2,048 x 400 block, 2-vCPU
 # Xeon VM, numpy 2.4)
 ATOM_COUNT_MAX = 64
-MAX_SAMPLE_BYTES = 1 << 30  # cap on the arrays of one orbit-walk sample
 SUMMARY_ROW_BYTES = 256  # one walk_summary row, a 5-tuple of Python numbers (about 210)
 
 # ---------------------------------------------------------------------------
@@ -369,9 +368,8 @@ def _atom_draws(measure: StepMeasure, n: int, trials: int, seed: int) -> np.ndar
 
 
 def _check_sample_size(n: int, trials: int, atoms: int, span: int, dtype: np.dtype) -> int:
-    """Return the bytes a sample holds at most, and refuse it with
-    ResourceLimit when they pass MAX_SAMPLE_BYTES, before any of them is
-    allocated.  Counted: the packed draws of all trials; one block of draws
+    """Return the bytes a sample holds at most, afforded against the byte
+    budget before any of them is allocated.  Counted: the packed draws of all trials; one block of draws
     (the floats and the compare mask, plus the int64 search result past
     ATOM_COUNT_MAX atoms, and three buffers of whole stored words: the atom
     indices, zero-padded to them, the packed words and one shifted copy);
@@ -391,11 +389,7 @@ def _check_sample_size(n: int, trials: int, atoms: int, span: int, dtype: np.dty
             + atoms * (2 * span + 1) * itemsize
             + trials * per_trial
             + (n + 1) * SUMMARY_ROW_BYTES)
-    if need > MAX_SAMPLE_BYTES:
-        raise ResourceLimit(
-            f"{trials} walks of {n} steps need {need} bytes, over the cap of "
-            f"{MAX_SAMPLE_BYTES} bytes"
-        )
+    afford(need, f"a sample of {trials} walks of {n} steps")
     return need
 
 
@@ -618,7 +612,6 @@ class StableSetReport(NamedTuple):
     depth: int
     stable_mass: Fraction          # walk mass on depth-stable elements
     stable_count: int              # depth-stable elements in the radius-n ball
-    stable_support_count: int      # depth-stable elements in the walk support
     ball_size: int
     walk_entropy: float
     cylinder_count: int            # admissible words of length 2*depth+1
@@ -664,7 +657,6 @@ def stable_set_report(chain: ConvolutionCache, n: int, depth_scale: float) -> St
         depth=d,
         stable_mass=mass,
         stable_count=stable_count,
-        stable_support_count=int(np.count_nonzero(stable_support)),
         ball_size=ball_size,
         walk_entropy=dist.entropy,
         cylinder_count=cylinder_count,

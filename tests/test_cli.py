@@ -19,6 +19,7 @@ import fullgroup_lab
 from fullgroup_lab import (
     ResourceLimit,
     canonical_point,
+    errors,
     fibonacci_generators,
     fibonacci_spec,
     uniform_measure,
@@ -226,12 +227,13 @@ def test_toeplitz_counts_below_the_first_disjoint_length_are_spelled_sets(tmp_pa
     assert rows[-1] == 38_432
 
 
-@pytest.mark.parametrize("pattern, length", [("ab*b*", 1079), ("ab*b*", 10**12),
+@pytest.mark.parametrize("pattern, length", [("ab*b*", 1320), ("ab*b*", 10**12),
                                              ("a**", 2**28 + 1), ("a**", 10**12)])
 def test_toeplitz_factor_dump_past_the_letter_cap_exits_3_before_spelling(tmp_path, capsys,
                                                                           pattern, length):
-    # rho(1078) * 1078 is just under 2^28 letters and rho(1079) * 1079 over;
-    # a** has one factor of each length, and no m0
+    # the rho(1303) words of 1303 letters fit the byte budget, and the
+    # rho(1320) of 1320 do not; a** has one factor of each length, and no
+    # m0, and one word fits up to 15,790,305 letters
     write_json(tmp_path / "toep.json", {"variant": "toeplitz", "pattern": pattern})
     out = tmp_path / "out"
     start = time.perf_counter()
@@ -245,7 +247,8 @@ def test_toeplitz_factor_dump_past_the_letter_cap_exits_3_before_spelling(tmp_pa
     assert time.perf_counter() - start < 1.0
     assert peak < 2**22
     err = capsys.readouterr().err
-    assert err == f"resource limit: factor set of length {length} exceeds the letter cap\n"
+    assert err.startswith(f"resource limit: the factor set of length {length} needs ")
+    assert err.endswith(f"past the byte budget of {errors.MAX_BYTES} bytes\n")
     assert not out.exists()
 
 
@@ -472,7 +475,7 @@ def test_entropy_depth_past_the_text_budget_writes_partial_results(workdir, caps
                 "--n", 4, "--L", 1e300, "--out", out]) == 3
     err = capsys.readouterr().err
     assert err.startswith("resource limit: ") and err.count("\n") == 1
-    assert "text budget" in err and "Traceback" not in err
+    assert "the index of the recurrent pairs' blocks" in err and "Traceback" not in err
     assert read_rows(out / "entropy.csv") == []
     assert json.loads((out / "entropy_fit.json").read_text())["partial"] is True
 
@@ -492,12 +495,12 @@ def test_huge_lengths_exit_3_before_any_output(workdir, capsys, fib_gens, case):
     assert run(args + ["--out", out]) == 3
     err = capsys.readouterr().err
     assert err.startswith("resource limit: ") and err.count("\n") == 1
-    assert "text budget" in err
+    assert "the index of the recurrent pairs' blocks" in err
     assert not out.exists()
 
 
 def test_a_power_60_fixed_point_walks_as_the_power_2_point(workdir, capsys):
-    # psi^60(a) is past the text budget, but a point reads its level words,
+    # psi^60(a) is past any text the byte budget holds, but a point reads its level words,
     # so the walk writes the power-2 point's outputs and no resource limit
     outputs = {}
     for power in (2, 60):
@@ -560,7 +563,7 @@ _BLOW_UP_INPUTS = {
     "golden-mean-entropy-depth": (
         {"variant": "explicit", "alphabet": ["a", "b"], "forbidden": ["bb"]},
         ["entropy", "--gens", "shift.json", "--n", "4", "--L", "1e12"]),
-    # the ball's byte budget refuses layer 22 before it joins the ball
+    # the byte budget refuses layer 22 before it joins the ball
     "entropy-huge-cap": (
         FIB, ["entropy", "--gens", "gens.json", "--n", "30", "--cap", str(10**12)]),
 }
@@ -579,12 +582,35 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-def _run_under_2_gib(workdir, args):
+# the CLI's `main` in a child, with tracemalloc started before the import of
+# `fullgroup_lab.cli` and its peak reset after it; the peak is written to the
+# file traced_peak
+_TRACED_CLI = """
+import sys, tracemalloc
+tracemalloc.start()
+from fullgroup_lab import cli
+tracemalloc.reset_peak()
+try:
+    code = cli.main(sys.argv[1:])
+finally:
+    with open("traced_peak", "w") as peak:
+        peak.write(str(tracemalloc.get_traced_memory()[1]))
+raise SystemExit(code)
+"""
+# traced bytes a CLI run holds beside what it affords: the imports' 8.2 MiB,
+# and the ball's compose plans and the language's maps, 2.4 MiB at radius 20.
+# No case's peak passes the budget itself: the largest, entropy-huge-cap's,
+# is 308.7 MiB
+CLI_ALLOWANCE = 16 << 20
+
+
+def _run_under_2_gib(workdir, args, traced=False):
     """The CLI run `args` in a child process with 2 GiB of address space:
-    a raw MemoryError there exits 1 with a traceback."""
+    a raw MemoryError there exits 1 with a traceback.  A traced run writes
+    its traced peak to workdir / "traced_peak"."""
+    entry = ["-c", _TRACED_CLI] if traced else ["-m", "fullgroup_lab.cli"]
     return subprocess.run(
-        [sys.executable, "-m", "fullgroup_lab.cli", args[0], "--spec", "fib.json", *args[1:],
-         "--out", "out"],
+        [sys.executable, *entry, args[0], "--spec", "fib.json", *args[1:], "--out", "out"],
         cwd=workdir, env=_child_env() | {"OPENBLAS_NUM_THREADS": "1"}, capture_output=True,
         text=True, timeout=120, preexec_fn=_limit_address_space)
 
@@ -592,13 +618,15 @@ def _run_under_2_gib(workdir, args):
 @pytest.mark.parametrize("case", list(_BLOW_UP_INPUTS))
 def test_blow_up_inputs_exit_3_under_a_2_gib_address_space(workdir, case):
     # a blow-up input exits 3 with a resource-limit line, not with a
-    # MemoryError traceback
+    # MemoryError traceback, and its traced peak after the imports stays
+    # within the byte budget and the allowance
     spec, args = _BLOW_UP_INPUTS[case]
     write_json(workdir / "fib.json", spec)
-    proc = _run_under_2_gib(workdir, args)
+    proc = _run_under_2_gib(workdir, args, traced=True)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("resource limit: ")
     assert "Traceback" not in proc.stderr
+    assert int((workdir / "traced_peak").read_text()) <= errors.MAX_BYTES + CLI_ALLOWANCE
     if case in _PARTIAL_RESULTS:
         fit = json.loads((workdir / "out" / "entropy_fit.json").read_text())
         assert fit["partial"] is True and fit["resource_limit"] in proc.stderr
@@ -650,7 +678,7 @@ def test_constant_shifts_of_2000_walk_under_a_2_gib_address_space(workdir):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     # the 40,002 factors of 40,001 letters that a shift of 20,000 asks for
-    # pass the letter cap, and are refused before they are spelled
+    # pass the byte budget, and are refused before they are spelled
     proc = _constant_shifts_walk(workdir, 20000)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("resource limit: ")

@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import random
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from fullgroup_lab import (
     inverse,
     is_constant_on_cylinder,
 )
-from fullgroup_lab import cocycles
+from fullgroup_lab import cocycles, errors
 from fullgroup_lab.cocycles import CocycleElement, _reduce_depth, _refined, compose_plan
 
 
@@ -82,14 +84,26 @@ def test_from_table_collision_not_invertible():
 
 
 def test_preimage_tries_only_the_shifts_the_table_takes():
-    # sigma^k takes the one shift k, so inverting it reads one subword map
-    # per shift instead of 2k + 1; a fresh spec's table counts only these maps
+    # sigma^k . gamma takes the three shifts k - 1, k and k + 1, so its
+    # preimage table reads one window column per shift instead of one per
+    # offset in [-K, K], K = k + 1.  For k = 1..40 the inversions add 198
+    # columns to a fresh spec's memo: 120 windows, and one column for each
+    # index or sibling map of a level.  Reading every offset would add
+    # sum(2k + 3) = 1,760 windows instead of 120
     spec = fibonacci_spec()
     table = spec.language
-    for k in range(1, 41):
-        sigma_k = from_table(spec, 0, {"a": k, "b": k})
-        assert inverse(sigma_k).table == {"a": -k, "b": -k}
-    assert len(table._subwords) <= 4 * 40  # 1,719 when every shift in [-k, k] is tried
+    gamma = fibonacci_generators(spec)["gamma"]
+    elements = [compose(from_table(spec, 0, {"a": k, "b": k}), gamma) for k in range(1, 41)]
+
+    def columns():
+        return sum(len(starts) for _, starts, _ in table._subwords)
+
+    before = columns()
+    inverses = [inverse(g) for g in elements]
+    assert columns() - before <= 5 * 40
+    for k, (g, g_inv) in enumerate(zip(elements, inverses), 1):
+        assert sorted(set(g.shifts)) == [k - 1, k, k + 1]
+        assert compose(g_inv, g) == identity(spec)
 
 
 def test_from_table_refuses_an_inverse_that_is_not_two_sided(fib_spec, abg, monkeypatch):
@@ -330,14 +344,62 @@ def test_ball_cap_leaves_the_ball_as_it_was(fib_gens):
 def test_ball_byte_budget_refuses_a_layer_before_it_is_built(fib_gens, monkeypatch):
     b = ball(fib_gens, 5)
     rows = b.neighbors.copy()
-    monkeypatch.setattr(cocycles, "MAX_BALL_BYTES", 0)
+    monkeypatch.setattr(errors, "MAX_BYTES", 0)
     for _ in range(2):
-        with pytest.raises(ResourceLimit, match="ball layer 6 needs more than 0 bytes"):
+        with pytest.raises(ResourceLimit, match=r"ball layer 6 needs \d+ bytes, past the byte "
+                                                r"budget of 0 bytes"):
             b.grow(6)
         assert b.radius == 5 and len(b) == 94 and np.array_equal(b.neighbors, rows)
     monkeypatch.undo()
     b.grow(6)
     assert b.lengths.tolist() == ball(fib_gens, 6).lengths.tolist()
+
+
+MiB = 1 << 20
+# traced bytes a ball holds outside its arrays: the generators' compose plans
+# and the language's index and window maps, 2.4 MiB at most when
+# ball(fib_gens, 20) is grown
+BALL_ALLOWANCE = 4 * MiB
+
+
+def test_each_afford_of_a_ball_layer_refuses_within_its_traced_peak(monkeypatch):
+    # a ball's afford calls, in order, make the same counts under any budget
+    # up to the one that refuses, so a budget at least every count before a
+    # count c and below c refuses at c.  Read off one recording run, each
+    # afford site's first such c from 4 MiB on, and the last such c below
+    # 128 MiB, are refused in turn, and the traced peak stays within the
+    # budget and the allowance
+    calls, afford = [], cocycles.afford
+
+    def record(nbytes, what):
+        frame = sys._getframe(1)
+        calls.append((frame.f_code.co_name, frame.f_lineno, nbytes))
+        afford(nbytes, what)
+
+    gens = fibonacci_generators(fibonacci_spec())
+    monkeypatch.setattr(cocycles, "afford", record)
+    ball(gens, 19, cap=10**12)
+    monkeypatch.setattr(cocycles, "afford", afford)
+    refusals, most = {}, 0
+    for site, line, nbytes in calls:
+        if 4 * MiB <= most < nbytes <= 128 * MiB:
+            refusals.setdefault((site, line), (most, nbytes))
+            last = most, nbytes
+        most = max(most, nbytes)
+    # the layer's start and end, a compose and a depth settled
+    assert sorted(site for site, _ in refusals) == [
+        "_compose_open_cells", "_grow_layer", "_grow_layer", "_settle"]
+    assert last[0] > 64 * MiB
+    for budget, nbytes in [*refusals.values(), last]:
+        monkeypatch.setattr(errors, "MAX_BYTES", budget)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit, match=f"needs {nbytes} bytes"):
+                ball(gens, 40, cap=10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget + BALL_ALLOWANCE
 
 
 def test_ball_word_lengths_are_geodesic(fib_gens, abg):

@@ -179,9 +179,9 @@ def make():
 
 
 def test_no_text_or_factor_budget_is_a_parameter():
-    # the text and factor budgets are module constants of `subshifts`, read
-    # where each check is made, so no caller can pass a budget of its own
-    banned = {"limit", "cap", "max_text", "max_factors"}
+    # the byte budget is one constant of `errors`, read by `afford` where
+    # each check is made, so no caller can pass a budget of its own
+    banned = {"limit", "cap", "budget", "max_bytes", "max_text", "max_factors"}
     hits = []
     for name in ("subshifts.py", "points.py"):
         for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))):
@@ -191,6 +191,78 @@ def test_no_text_or_factor_budget_is_a_parameter():
                          for a in args.posonlyargs + args.args + args.kwonlyargs
                          if a.arg in banned]
     assert hits == []
+
+
+# The raises of ResourceLimit that are not the byte budget's, each a cap that
+# bounds time or a limit that is not about memory
+RESOURCE_LIMIT_RAISES = [
+    "errors.py:afford",  # the byte budget
+    "cli.py:_check_rows",  # table rows: time
+    "subshifts.py:_spell_paths",  # letters of a shift of finite type's paths: time
+    "subshifts.py:_FullShiftLanguage.count",  # count bits: time
+    "subshifts.py:_PathLanguage.count",  # count bits: time
+    "cocycles.py:CayleyBall._grow_layer",  # the ball's element cap, --cap
+    "fileio.py:check_cells",  # the decimal digits Python converts
+    "points.py:_LevelPoint._side",  # REACH, the letters level words reach
+]
+
+
+def _resource_limit_raises(tree: ast.Module, name: str) -> list[str]:
+    """The scope, as module:Class.function, of each raise of ResourceLimit
+    in a module, called or not, by name or as an attribute, in source order."""
+    hits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "ResourceLimit":
+                    hits.append(f"{name}:{'.'.join(scope) or '<module>'}")
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + [child.name] if named else scope)
+
+    visit(tree, [])
+    return hits
+
+
+def test_every_memory_refusal_goes_through_afford():
+    # a site that allocates in proportion to user input turns its need into
+    # bytes and calls `errors.afford`; only the caps named above raise
+    # ResourceLimit themselves
+    hits = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        hits += _resource_limit_raises(ast.parse(path.read_text(encoding="utf-8")), path.name)
+    assert sorted(hits) == sorted(RESOURCE_LIMIT_RAISES)
+
+
+def test_the_resource_limit_guard_sees_each_form_of_raise():
+    source = """
+from . import errors
+from .errors import ResourceLimit
+
+def afford(nbytes, what):
+    raise ResourceLimit(what)
+
+def _check_rows(n):
+    if n:
+        raise errors.ResourceLimit(f"{n} rows")
+    raise ValueError(n)
+
+class Table:
+    def words(self, n):
+        raise ResourceLimit
+
+    def count(self, n):
+        def inner():
+            raise ResourceLimit("inner") from None
+        return inner
+
+raise ResourceLimit("at import")
+"""
+    hits = _resource_limit_raises(ast.parse(source), "cli.py")
+    assert hits == ["cli.py:afford", "cli.py:_check_rows", "cli.py:Table.words",
+                    "cli.py:Table.count.inner", "cli.py:<module>"]
+    assert [h for h in hits if h in RESOURCE_LIMIT_RAISES] == ["cli.py:_check_rows"]
 
 
 def test_the_unused_import_guard_reads_names_not_text():

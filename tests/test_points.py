@@ -51,7 +51,7 @@ def test_fixed_point_rejects_empty_seeds(fib_spec):
 
 
 def test_fixed_point_power_past_the_text_budget_reads_the_canonical_windows(fib_spec, fib_point):
-    # psi^60(a) has about 4e12 letters, past the text budget of 2^24; the
+    # psi^60(a) has about 4e12 letters, past any text the byte budget holds; the
     # point reads it by its level words, whose construction stays small
     tracemalloc.start()
     try:

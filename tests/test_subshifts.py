@@ -29,7 +29,7 @@ from fullgroup_lab import (
     spec_to_dict,
     toeplitz_word,
 )
-from fullgroup_lab import subshifts
+from fullgroup_lab import errors, subshifts
 from fullgroup_lab.subshifts import (
     _FactorIndex,
     _overlap_graph,
@@ -351,15 +351,16 @@ def test_naive_iterate_zero_is_seed():
 def test_standard_word_spell_refuses_past_the_text_budget(monkeypatch):
     # the golden slope's length-36 factors are the windows of s_10, which
     # is psi^10(a) of Fibonacci, F_12 = 144 letters
+    # and its index, one block, is afforded at 43 bytes a letter
     word = naive_iterate(FIB, "a", 10)
     assert len(word) == 144
-    monkeypatch.setattr(subshifts, "MAX_TEXT", 144)
     table = LanguageTable(SturmianSpec((1,)))
     assert table.factors(36) == {word[i : i + 36] for i in range(len(word) - 35)}
     assert table._engine._last_index[0] == 10
-    monkeypatch.setattr(subshifts, "MAX_TEXT", 143)
-    with pytest.raises(ResourceLimit, match="s_10 has 144 letters, past the text budget "
-                                            "of 143 letters"):
+    need = 144 * (subshifts.TEXT_BYTES + subshifts.BLOCK_BYTES)
+    monkeypatch.setattr(errors, "MAX_BYTES", need - 1)
+    with pytest.raises(ResourceLimit, match=f"s_10, 144 letters, needs {need} bytes, past the "
+                                            f"byte budget of {need - 1} bytes"):
         LanguageTable(SturmianSpec((1,))).factors(36)
 
 
@@ -484,7 +485,7 @@ def test_sturmian_huge_coefficient_is_refused_before_its_text():
     assert [table.complexity(n) for n in (1, 5, 10**12)] == [2, 6, 10**12 + 1]
     assert table.factors(1) == {"a", "b"}
     for _ in range(2):  # the refusal holds for every later query too
-        with pytest.raises(ResourceLimit, match="s_2 has 10000100001 letters, past the text"):
+        with pytest.raises(ResourceLimit, match="s_2, 10000100001 letters, needs"):
             table.factors(2)
 
 
@@ -501,12 +502,12 @@ def test_sturmian_counts_read_no_text(monkeypatch):
 
 def test_sturmian_factors_are_the_windows_of_a_standard_word(monkeypatch):
     # s_8 of this period has 21,164 letters, too few for 11,001 windows of
-    # length 11,000; s_9 (66,761 letters) holds them, within a text budget of
-    # 100,000 letters, while the next iterate of the one-period substitution
-    # would pass 2.4e8
+    # length 11,000; s_9 (66,761 letters) holds them, within a budget of
+    # 130,000,000 bytes, most of it for the words themselves, while the next
+    # iterate of the one-period substitution would pass 2.4e8 letters
     cf = (3, 1, 4, 1, 5, 9, 2, 6)
     word = next(w for w in _standard_words(cf) if len(w) > 50_000)
-    monkeypatch.setattr(subshifts, "MAX_TEXT", 100_000)
+    monkeypatch.setattr(errors, "MAX_BYTES", 130_000_000)
     table = LanguageTable(SturmianSpec(cf))
     assert table.complexity(11_000) == 11_001
     assert table.factors(11_000) == {word[i : i + 11_000] for i in range(len(word) - 10_999)}
@@ -654,15 +655,15 @@ def test_a_toeplitz_pattern_power_is_counted_as_its_root():
 
 def test_toeplitz_first_disjoint_length_is_found_when_twice_it_passes_the_cap(monkeypatch):
     # a****b first comes apart at 16.  The doubling steps try lengths 1, 3,
-    # 7, 15 and 31, and under a cap of 100,000 letters the sets of length 31
-    # are refused while those to length 21 are not
+    # 7, 15 and 31, and under a budget of 4,000,000 bytes the sets of length
+    # 31 are refused while those to length 21 are not
     exact = LanguageTable(ToeplitzSpec("a****b"))
     expected = [exact.complexity(n) for n in (16, 32, 100)]
-    monkeypatch.setattr(subshifts, "MAX_FACTOR_LETTERS", 100_000)
+    monkeypatch.setattr(errors, "MAX_BYTES", 4_000_000)
     table = LanguageTable(ToeplitzSpec("a****b"))
     assert [table.complexity(n) for n in (100, 32, 16)] == expected[::-1]
     assert table._engine.m0 == 16
-    with pytest.raises(ResourceLimit, match="length 32 exceeds the letter cap"):
+    with pytest.raises(ResourceLimit, match="length 32 needs"):
         table.factors(32)
 
 
@@ -682,18 +683,18 @@ def test_toeplitz_queries_generate_and_index_no_text(monkeypatch):
 
 
 @pytest.mark.parametrize("pattern, lengths", [("ab*b*", (2000, 10**12)),
-                                             ("a**", (2**28 + 1, 10**12)),
-                                             ("ab**", (2**27 + 1, 10**9))])
+                                             ("a**", (2**29, 10**12)),
+                                             ("ab**", (2**28, 10**9))])
 def test_toeplitz_factor_sets_are_refused_by_their_count_before_any_is_spelled(pattern,
                                                                                 lengths):
     # a** and ab** have no m0: their counts are flat from length 0 and 1 on,
-    # so a fresh table refuses them with no doubling search up to the cap
+    # so a fresh table refuses them with no doubling search up to the budget
     table = LanguageTable(ToeplitzSpec(pattern))
     tracemalloc.start()
     try:
         for n in lengths:
-            assert table.complexity(n) * n > subshifts.MAX_FACTOR_LETTERS
-            with pytest.raises(ResourceLimit, match=f"length {n} exceeds the letter cap"):
+            assert subshifts._word_bytes(table.complexity(n), n) > errors.MAX_BYTES
+            with pytest.raises(ResourceLimit, match=f"length {n} needs"):
                 table.factors(n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -722,13 +723,14 @@ def test_toeplitz_counts_of_a_periodic_word_are_flat_from_a_repeated_count(patte
 
 
 def test_toeplitz_spelled_sets_kept_stay_within_a_quarter_of_the_cap(monkeypatch):
-    # a****b spells every length to its m0 = 16 and more to list factors;
-    # under a cap of 4,000,000 letters the sets kept hold at most 1,000,000,
-    # the oldest dropped first, and counts and factor sets do not change
+    # a****b spells every length to its m0 = 16 and more to list factors,
+    # 41.9 million bytes of sets kept under the whole budget; under a budget
+    # of 32,000,000 bytes the sets kept hold at most 8,000,000, the oldest
+    # dropped first, and counts and factor sets do not change
     exact = LanguageTable(ToeplitzSpec("a****b"))
     counts = [exact.complexity(n) for n in range(1, 61)]
     words = [exact.words(n) for n in range(41)]
-    monkeypatch.setattr(subshifts, "MAX_FACTOR_LETTERS", 4_000_000)
+    monkeypatch.setattr(errors, "MAX_BYTES", 32_000_000)
     table = LanguageTable(ToeplitzSpec("a****b"))
     language, spelled = table._engine, set()
     for n in range(1, 61):
@@ -736,9 +738,9 @@ def test_toeplitz_spelled_sets_kept_stay_within_a_quarter_of_the_cap(monkeypatch
         if n <= 40:
             assert table.words(n) == words[n], n
         spelled |= language._sets.keys()
-        assert language._held == sum(k * sum(map(len, sets))
+        assert language._held == sum(subshifts._word_bytes(sum(map(len, sets)), k)
                                      for k, sets in language._sets.items())
-        assert language._held <= 1_000_000
+        assert language._held <= 8_000_000
     assert spelled - language._sets.keys()  # some were dropped
 
 
@@ -883,7 +885,6 @@ def test_sft_complexity_table_steps_one_count_vector(monkeypatch):
     # are small and the per-n recount everywhere
     spec = ExplicitSpec(("a", "b", "c"), ("ac", "cb", "bab", "ccc"))
     table = LanguageTable(spec)
-    monkeypatch.setattr(subshifts, "DEFAULT_MAX_FACTORS", 10_000)
     steps = []
     step = _step_paths
     monkeypatch.setattr("fullgroup_lab.subshifts._step_paths",
@@ -906,28 +907,31 @@ def test_sft_complexity_table_steps_one_count_vector(monkeypatch):
 @example((("a", "b", "c"), {"ac", "cb", "bab", "ccc"}))
 def test_sft_graph_levels_are_counted_exactly(case):
     # the words of each length up to the longest forbidden one that avoid
-    # every forbidden word, spelled by the reference: a word cap at the
-    # largest of those levels passes, and one word less refuses
+    # every forbidden word, spelled by the reference, and then a successor
+    # list of one word a letter after each of the longest: each is afforded,
+    # in that order, before it is built
     letters, forbidden = case
     spec = ExplicitSpec(letters, tuple(forbidden))
     k = max(map(len, forbidden), default=1)
-    largest = max(sum(not any(f in "".join(w) for f in forbidden)
-                      for w in itertools.product(letters, repeat=m)) for m in range(1, k + 1))
+    sizes = [sum(not any(f in "".join(w) for f in forbidden)
+                 for w in itertools.product(letters, repeat=m)) for m in range(1, k + 1)]
+    counts = [*enumerate(sizes, 1), (k, sizes[-1] * len(letters))]
+    needs, calls = [subshifts._word_bytes(c, m) + m * subshifts.SPELL_BYTES
+                    for m, c in counts], []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(subshifts, "DEFAULT_MAX_FACTORS", largest)
+        patch.setattr(subshifts, "afford", lambda nbytes, what: calls.append(nbytes))
         _overlap_graph(spec)
-        patch.setattr(subshifts, "DEFAULT_MAX_FACTORS", largest - 1)
-        with pytest.raises(ResourceLimit, match=f"exceeded {largest - 1} words"):
-            _overlap_graph(spec)
+    assert calls == needs
 
 
 def test_sft_graph_level_past_the_word_cap_is_refused_before_it_is_built():
     # 3,000 letters with aaa forbidden: the 9,000,000 words of length 2 are
-    # counted from the 3,000 of length 1, and none is built
+    # counted from the 3,000 of length 1, and refused by the byte budget
+    # before any is built
     spec = ExplicitSpec(tuple(chr(ord("a") + i) for i in range(3000)), ("aaa",))
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimit, match="SFT enumeration exceeded 2000000 words"):
+        with pytest.raises(ResourceLimit, match="the SFT graph's level of length 2 needs"):
             spec.language.complexity(2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -937,20 +941,24 @@ def test_sft_graph_level_past_the_word_cap_is_refused_before_it_is_built():
 
 def test_sft_factors_are_refused_by_their_letters_before_any_is_spelled(monkeypatch):
     start = time.perf_counter()
-    with pytest.raises(ResourceLimit, match="exceeds the letter cap"):
+    with pytest.raises(ResourceLimit, match=f"spells more than {subshifts.MAX_PATH_LETTERS} "
+                                            "letters"):
         ExplicitSpec(("a", "b"), ("b",)).language.factors(10**12)
     assert time.perf_counter() - start < 1.0
-    # one path: a single word, whose letters still pass cap * bit_length(cap)
-    monkeypatch.setattr(subshifts, "DEFAULT_MAX_FACTORS", 8)
+    # one path: a single word, whose letters still pass the path-letter cap
+    monkeypatch.setattr(subshifts, "MAX_PATH_LETTERS", 32)
     table = LanguageTable(ExplicitSpec(("a", "b"), ("b",)))
     assert table.factors(32) == {"a" * 32}
-    with pytest.raises(ResourceLimit, match="length 33 exceeds the letter cap"):
+    with pytest.raises(ResourceLimit, match="length 33 spells more than 32 letters"):
         table.factors(33)
-    # the word cap still holds: on the golden mean shift 8 words of length 4
-    # pass it, and 13 of length 5 do not
+    monkeypatch.undo()
+    # the words are afforded too: on the golden mean shift a budget that
+    # holds the 8 words of length 4 refuses the 13 of length 5
+    monkeypatch.setattr(errors, "MAX_BYTES",
+                        subshifts._word_bytes(8, 4) + 4 * subshifts.SPELL_BYTES)
     table = LanguageTable(ExplicitSpec(("a", "b"), ("bb",)))
     assert len(table.factors(4)) == 8
-    with pytest.raises(ResourceLimit, match="exceeded 8 words"):
+    with pytest.raises(ResourceLimit, match="the SFT factor set of length 5 needs"):
         table.factors(5)
 
 
@@ -1121,23 +1129,25 @@ def test_substitution_language_equals_the_windows_of_a_late_tail(rules):
 
 
 def test_recurrent_blocks_past_the_text_budget_are_refused(monkeypatch):
-    # with their separators, the blocks for lengths 17 to 32 (under psi^5)
-    # hold 272 letters, past 200
-    monkeypatch.setattr(subshifts, "MAX_TEXT", 200)
+    # with their separators, the blocks for lengths 33 to 64 (under psi^6)
+    # hold 576 letters, whose index needs 20,672 bytes, past 8,600
+    monkeypatch.setattr(errors, "MAX_BYTES", 8600)
     table = LanguageTable(SubstitutionSpec.from_rules(NONPRIM, "a"))
-    with pytest.raises(ResourceLimit, match="text budget of 200 letters"):
+    with pytest.raises(ResourceLimit, match="psi\\^6, 576 letters, needs 20672 bytes, past the "
+                                            "byte budget of 8600 bytes"):
         table.factors(40)
 
 
 def test_length_past_the_text_budget_is_refused_before_any_text():
-    # blocks within the 2^24-letter text budget would fill megabytes
+    # blocks within the byte budget would fill megabytes; those of a length
+    # past 2^24 letters hold more, at 27 bytes a letter of their index
     table = LanguageTable(fibonacci_spec())
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimit, match="past the text budget"):
+        with pytest.raises(ResourceLimit, match="past the byte budget"):
             table.complexity(10**12)
-        with pytest.raises(ResourceLimit, match="past the text budget"):
-            table.factors(subshifts.MAX_TEXT + 1)
+        with pytest.raises(ResourceLimit, match="past the byte budget"):
+            table.factors(2**24 + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1146,32 +1156,37 @@ def test_length_past_the_text_budget_is_refused_before_any_text():
 
 def test_steep_substitution_blocks_past_the_text_budget_are_refused(monkeypatch):
     # with their separators, the blocks for lengths 6 to 21 hold 262
-    # letters, past 200
-    monkeypatch.setattr(subshifts, "MAX_TEXT", 200)
+    # letters, whose index needs 8,834 bytes, past 8,600
+    monkeypatch.setattr(errors, "MAX_BYTES", 8600)
     table = LanguageTable(SubstitutionSpec.from_rules({"a": "aaaab", "b": "a"}, "a"))
     for n in (20, 21):
-        with pytest.raises(ResourceLimit, match="text budget of 200 letters"):
+        with pytest.raises(ResourceLimit, match="262 letters, needs 8834 bytes"):
             table.factors(n)
 
 
 def test_full_shift_cap_is_decided_without_the_power(monkeypatch):
-    # 2^(10^12) would need about 125 GB; the cap compares 2^21 instead
+    # 2^(10^12) would need about 125 GB; the budget is compared with 2^64
+    # words instead
     table = LanguageTable(FullShiftSpec(("a", "b")))
     start = time.perf_counter()
-    with pytest.raises(ResourceLimit, match=f"length {10**12} exceeds cap"):
+    with pytest.raises(ResourceLimit, match=f"full-shift factor set of length {10**12} needs"):
         table.factors(10**12)
     assert time.perf_counter() - start < 1.0
     assert LanguageTable(FullShiftSpec(("a", "b", "c"))).complexity(1024) == 3**1024
-    monkeypatch.setattr(subshifts, "DEFAULT_MAX_FACTORS", 8)
+    # under a budget that just holds the 8 words of length 3, the 16 of
+    # length 4 are refused
+    need = subshifts._word_bytes(8, 3) + 3 * subshifts.SPELL_BYTES
+    monkeypatch.setattr(errors, "MAX_BYTES", need)
     table = LanguageTable(FullShiftSpec(("a", "b")))
     assert len(table.factors(3)) == 8
-    with pytest.raises(ResourceLimit, match="length 4 exceeds cap"):
+    with pytest.raises(ResourceLimit, match="length 4 needs"):
         table.factors(4)
-    # the letters are capped too, at 8 words of bit_length(8) = 4 letters each
+    # one letter's one word is afforded with its letters in flight
+    longest = (need - subshifts.WORD_BYTES) // (1 + subshifts.SPELL_BYTES)
     table = LanguageTable(FullShiftSpec(("a",)))
-    assert table.factors(32) == {"a" * 32}
-    with pytest.raises(ResourceLimit, match="length 33 exceeds cap"):
-        table.factors(33)
+    assert table.factors(longest) == {"a" * longest}
+    with pytest.raises(ResourceLimit, match=f"length {longest + 1} needs"):
+        table.factors(longest + 1)
 
 
 def test_full_shift_and_sft_counts_are_refused_past_the_count_bits():
@@ -1198,29 +1213,32 @@ def test_full_shift_and_sft_counts_are_refused_past_the_count_bits():
 
 def test_lengths_within_the_text_budget_are_unchanged(monkeypatch):
     # with their separators, the blocks for lengths 145 to 233 hold 1,686
-    # letters, and those for 234 to 377 hold 2,728, past 2,000
-    monkeypatch.setattr(subshifts, "MAX_TEXT", 2000)
+    # letters, whose index needs 55,282 bytes, and those for 234 to 377 hold
+    # 2,728, whose index needs 89,448, past 86,000
+    monkeypatch.setattr(errors, "MAX_BYTES", 86_000)
     table = LanguageTable(fibonacci_spec())
     assert [table.complexity(n) for n in range(1, 234)] == list(range(2, 235))
-    with pytest.raises(ResourceLimit, match="psi\\^13 have 2728 letters"):
+    with pytest.raises(ResourceLimit, match="psi\\^13, 2728 letters, needs 89448 bytes"):
         table.complexity(234)
 
 
 def test_the_text_budget_bounds_languages_not_points(monkeypatch):
-    # under a budget of 1,000 letters: psi^16(a) passes it at psi^15 (1,597
-    # letters) and s_15 of the golden slope has 1,597 letters, but a point
-    # reads its level words and spells only what it returns; the Fibonacci
-    # blocks under psi^10 serve lengths to F_11 = 89 in 644 letters, while
-    # those under psi^11 hold 1,042
-    monkeypatch.setattr(subshifts, "MAX_TEXT", 1000)
-    refused = "text budget of 1000 letters"
+    # under a budget of 30,100 bytes, 700 letters of one block: psi^16(a)
+    # passes it at psi^14 (987 letters) and s_15 of the golden slope has
+    # 1,597 letters, but a point reads its level words and spells only what
+    # it returns; the Fibonacci blocks under psi^10 serve lengths to F_11 =
+    # 89 in 644 letters, an index of 21,116 bytes, while those under psi^11
+    # hold 1,042, an index of 34,166
+    monkeypatch.setattr(errors, "MAX_BYTES", 30_100)
+    refused = "byte budget of 30100 bytes"
     point = SubstitutionFixedPoint(fibonacci_spec(), "a", "a", 16)
     mechanical = MechanicalPoint(SturmianSpec((1,)))
     assert point.letters(-5000, 5000) == mechanical.letters(-5000, 5000)
     assert len(mechanical.letters(10**6, 10**6 + 2000)) == 2000
     language = fibonacci_spec().language
     assert language.complexity(89) == 90
-    with pytest.raises(ResourceLimit, match="psi\\^11 have 1042 letters, past the " + refused):
+    with pytest.raises(ResourceLimit, match="psi\\^11, 1042 letters, needs 34166 bytes, past "
+                                            "the " + refused):
         language.complexity(90)
 
 

@@ -22,15 +22,18 @@ size, b bits with b the smallest power of two that holds the largest atom
 index: 8/b draws share one byte up to 256 atoms, and past that each draw
 has a word of its own, uint16 up to 65,536 atoms.  The packed draws of all
 trials go into one step-major array, trials wide.  The walk then makes one
-pass over the steps, moving every trial at once: each step unpacks its
-draws with one shift and one mask, and reads the position-major
-`cocycles.increment_table` once, flat at (offset + span) * atoms + atom.
-Its contiguous row of narrow integer offsets is summarized directly and
-folded into each trial's running max|m| before the next step overwrites
-it, so no trials x (n+1) matrix is ever held.  The increment table is
-checked against the Lipschitz bound before any draw.  A sample's arrays,
-all counted, are afforded against the byte budget (`errors.afford`)
-before any is allocated.
+pass over the steps, moving every trial at once.  A trial's state is its
+place, (offset + span) * stride with stride the smallest power of two that
+holds the atoms, so place | atom names one cell of two tables built once
+from `cocycles.increment_table`: the place after that move and the offset
+after it.  A step unpacks its draws with one shift and one mask, ORs them
+into the places and gathers both tables there.  Its contiguous row of
+narrow integer offsets is summarized in reused buffers, with the bits of
+numpy's mean and std, and folded into each trial's running max|m| before
+the next step overwrites it, so no trials x (n+1) matrix is ever held.
+The increment table is checked against the Lipschitz bound before any
+draw.  A sample's arrays, all counted, are afforded against the byte
+budget (`errors.afford`) before any is allocated.
 
 A distribution sums its entropy once for every report, and one
 least-constant search fits the entropy envelope and the return bound.  Tail
@@ -71,10 +74,11 @@ BASE_TAIL_GRID = tuple(round(0.25 * i, 2) for i in range(1, 17))  # 0.25 .. 4.0
 MIN_TAIL_EXCEEDANCES = 10
 ENVELOPE_GRID = tuple(i / 20.0 for i in range(1, 401))  # 0.05 .. 20.0
 DRAW_BLOCK = 256  # trials whose float draws are held at once (0.8 MB at n=400)
-# counting bounds costs one pass over a block per atom; at 64 atoms it still
-# beat one binary search (33 ms against 57 ms for a 2,048 x 400 block, 2-vCPU
-# Xeon VM, numpy 2.4)
-ATOM_COUNT_MAX = 64
+# counting bounds costs one pass over a block per atom; on a 256 x 400 block
+# it takes 1.2 ms at 64 atoms against 4.5 ms for one binary search, 5.2
+# against 6.3 ms at 256 atoms, and 7.4 against 6.3 ms at 300 atoms (2-vCPU
+# Xeon VM, numpy 2.4), so it runs up to 256 atoms, where a draw fits a byte
+ATOM_COUNT_MAX = 256
 SUMMARY_ROW_BYTES = 256  # one walk_summary row, a 5-tuple of Python numbers (about 210)
 
 # ---------------------------------------------------------------------------
@@ -333,11 +337,13 @@ def _atom_draws(measure: StepMeasure, n: int, trials: int, seed: int) -> np.ndar
     Philox(key=[seed mod 2^64, t]) starts in.  The state is a dict of plain
     ints, which the setter reads faster than arrays.  The floats, their atom
     indices and the compare mask are DRAW_BLOCK-trial buffers that every
-    block reuses.  The indices are zero-padded to whole stored words, and a
-    block is packed through their little-endian view of `per`-byte words,
-    in which draw k of a word sits at bit 8k: OR-ing in the word shifted
-    right by k * (8 - b) brings it to bit k * b, and the transpose keeps the
-    low byte, which then holds the word's `per` draws."""
+    block reuses; the float rows' views and the bound `random` are made
+    once, so a trial costs one rekey and one fill.  The indices are
+    zero-padded to whole stored words, and a block is packed through their
+    little-endian view of `per`-byte words, in which draw k of a word sits
+    at bit 8k: OR-ing in the word shifted right by k * (8 - b) brings it to
+    bit k * b, and the transpose keeps the low byte, which then holds the
+    word's `per` draws."""
     bits, per, dtype = _draw_layout(len(measure.atoms))
     cum = np.cumsum([float(p) for _, _, p in measure.atoms])
     cum[-1] = 1.0
@@ -346,18 +352,19 @@ def _atom_draws(measure: StepMeasure, n: int, trials: int, seed: int) -> np.ndar
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     key = state["state"]["key"]
     bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
+    random = np.random.Generator(bitgen).random
     moves = np.empty((-(-n // per), trials), dtype=dtype)
     width = min(trials, DRAW_BLOCK)
     floats = np.empty((width, n))
+    views = list(floats)  # the row views, made once
     index = np.zeros((width, len(moves) * per), dtype=dtype)
     mask = np.empty((width, n), dtype=bool)
     for start in range(0, trials, DRAW_BLOCK):
         rows = min(DRAW_BLOCK, trials - start)
-        for row in range(rows):
-            key[1] = start + row
+        for trial, view in zip(range(start, start + rows), views):
+            key[1] = trial
             bitgen.state = state
-            gen.random(out=floats[row])
+            random(out=view)
         _atom_index(cum, floats[:rows], index[:rows, :n], mask[:rows])
         words = index[:rows].view(f"<u{per}") if per > 1 else index[:rows]
         packed = words.copy()
@@ -367,30 +374,87 @@ def _atom_draws(measure: StepMeasure, n: int, trials: int, seed: int) -> np.ndar
     return moves
 
 
+def _stride(atoms: int) -> int:
+    """The smallest power of two >= atoms: one place's cells in the step tables."""
+    return 1 << (atoms - 1).bit_length()
+
+
 def _check_sample_size(n: int, trials: int, atoms: int, span: int, dtype: np.dtype) -> int:
     """Return the bytes a sample holds at most, afforded against the byte
-    budget before any of them is allocated.  Counted: the packed draws of all trials; one block of draws
-    (the floats and the compare mask, plus the int64 search result past
-    ATOM_COUNT_MAX atoms, and three buffers of whole stored words: the atom
-    indices, zero-padded to them, the packed words and one shifted copy);
-    the increment table; the step loop's per-trial buffers and temporaries;
-    and the summary rows."""
+    budget before any of them is allocated.  Counted: the packed draws of
+    all trials; one block of draws (the floats and the compare mask, plus
+    the int64 search result past ATOM_COUNT_MAX atoms, and three buffers of
+    whole stored words: the atom indices, zero-padded to them, the packed
+    words and one shifted copy); the increment table and the abs that checks
+    it; the two step tables and the position column that builds them; the
+    step loop's per-trial buffers; and the summary rows."""
     itemsize = np.dtype(dtype).itemsize
     _, per, draw_dtype = _draw_layout(atoms)
     draw_itemsize = draw_dtype.itemsize
     packed_rows = -(-n // per)
     width = min(trials, DRAW_BLOCK)
     per_draw = 8 + 1 + (8 if atoms > ATOM_COUNT_MAX else 0)
-    # cell, where and std's float64 deviations; one step's unpacked draws;
-    # the gathered increments, the offsets, their abs and the running max
-    per_trial = 3 * 8 + draw_itemsize + 4 * itemsize
+    # the increment table and its abs; the position column; next_place and after
+    per_position = 2 * atoms * itemsize + 4 + _stride(atoms) * (4 + itemsize)
+    # the int32 place, the cell and the float64 deviations; one step's
+    # unpacked draws; the offsets, their abs and the running max
+    per_trial = 4 + 2 * 8 + draw_itemsize + 3 * itemsize
     need = ((trials + 3 * per * width) * packed_rows * draw_itemsize
             + width * n * per_draw
-            + atoms * (2 * span + 1) * itemsize
+            + (2 * span + 1) * per_position
             + trials * per_trial
             + (n + 1) * SUMMARY_ROW_BYTES)
     afford(need, f"a sample of {trials} walks of {n} steps")
     return need
+
+
+def _step_tables(measure: StepMeasure, point: Point, span: int,
+                 dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Return the flat tables `next_place` and `after` of the walk on
+    offsets m in [-span, span], built from the increment table once it is
+    checked against the measure's max_shift.
+
+    Offset m sits at place (m + span) * stride, and place | a is the cell of
+    atom a there: `next_place` holds the place of m + increment, `after`
+    that offset in `dtype`.  A walk of n steps moves only from |m| <= k(n - 1)
+    and so lands within the span; the moves out of the outer offsets, never
+    made, are clipped to it, so every place stays inside the tables.  The
+    cells of the padding atoms past the measure's are zero and never read.
+    Places are int32: the byte budget, which counts at least 6 bytes a
+    cell, keeps the cells below 2^27."""
+    table = increment_table(measure.generator_set(), point, span, dtype)
+    if np.abs(table).max() > measure.max_shift:
+        raise InternalInvariantError("an increment exceeds the generator shift bound")
+    atoms, positions = table.shape
+    stride = _stride(atoms)
+    next_place = np.zeros((positions, stride), dtype=np.int32)
+    moved = next_place[:, :atoms]
+    np.add(table.T, np.arange(positions, dtype=np.int32)[:, None], out=moved)  # m + span + inc
+    np.clip(moved, 0, positions - 1, out=moved)
+    after = np.zeros((positions, stride), dtype=dtype)
+    np.subtract(moved, span, out=after[:, :atoms], casting="same_kind")
+    next_place *= stride
+    return next_place.ravel(), after.ravel()
+
+
+def _summary_row(row: np.ndarray, row_abs: np.ndarray,
+                 dev: np.ndarray) -> tuple[float, float, float, int]:
+    """float(row.mean()), float(row.std()), float(row_abs.mean()) and
+    int(row_abs.max()) of an integer row, row_abs its abs, bit for bit.
+
+    The means divide exact int64 sums.  While len(row) * max|row| < 2^53,
+    every partial sum of numpy's float64 pairwise mean is an integer that
+    float64 holds exactly, so that mean too is the correctly rounded
+    quotient; a sample stays far below, as the byte budget keeps its trials
+    and its span below 2^25 each.  The std replays numpy's `_var` in the
+    float64 buffer `dev`: deviations from that mean, squared, reduced,
+    divided by the count, then the square root."""
+    trials = len(row)
+    mean = int(row.sum()) / trials
+    np.subtract(row, mean, out=dev)
+    np.square(dev, out=dev)
+    std = math.sqrt(np.add.reduce(dev) / trials)
+    return mean, std, int(row_abs.sum()) / trials, int(row_abs.max())
 
 
 def sample_orbit_walks(measure: StepMeasure, point: Point, n: int, trials: int,
@@ -399,13 +463,14 @@ def sample_orbit_walks(measure: StepMeasure, point: Point, n: int, trials: int,
     them step by step.
 
     The offset after each step is the cocycle of the running product at the
-    start point; increments are read from a precomputed per-atom table, and
-    building it reads the point once per generator depth.  The
-    table is checked first: no entry may exceed the measure's max_shift, so
-    no step can.  Then every draw is made and packed (`_atom_draws`), and
-    one pass over the steps moves all trials at once.  Each step's
-    contiguous row of narrow integer offsets gets its summary row, read from
-    the row itself and equal to what a float64 copy of it gives, and raises
+    start point.  The step tables (`_step_tables`) are built first, from an
+    increment table that reads the point once per generator depth and is
+    checked against the measure's max_shift, so no step can exceed it.  Then
+    every draw is made and packed (`_atom_draws`), and one pass over the
+    steps moves all trials at once: a step ORs its unpacked draws into the
+    trials' places and gathers the next places and the offsets there.  Each
+    step's contiguous row of narrow integer offsets gets its summary row
+    (`_summary_row`, equal to numpy's mean and std of the row) and raises
     each trial's running max|m|; the last row is `final`.
     """
     if trials < 1:
@@ -418,37 +483,30 @@ def sample_orbit_walks(measure: StepMeasure, point: Point, n: int, trials: int,
     dtype = np.int16 if span < 30000 else np.int32
     atoms = len(measure.atoms)
     _check_sample_size(n, trials, atoms, span, dtype)
-    table = increment_table(measure.generator_set(), point, span, dtype)
-    if np.abs(table).max() > k:
-        raise InternalInvariantError("an increment exceeds the generator shift bound")
-    # atom a moves offset m by flat[(m + span) * atoms + a]
-    flat = table.T.ravel()
+    next_place, after = _step_tables(measure, point, span, dtype)
     moves = _atom_draws(measure, n, trials, seed)
     bits, per, _ = _draw_layout(atoms)
     low = (1 << bits) - 1
     drawn = np.empty(trials, dtype=moves.dtype)
-    cell = np.full(trials, span, dtype=np.intp)  # offset + span
+    place = np.full(trials, span * _stride(atoms), dtype=np.int32)  # offset 0
     where = np.empty(trials, dtype=np.intp)
     row = np.zeros(trials, dtype=dtype)
     row_abs = np.zeros(trials, dtype=dtype)
     max_abs = np.zeros(trials, dtype=dtype)
+    dev = np.empty(trials)
     summary = []
     for j in range(n + 1):
         if j:
             np.right_shift(moves[(j - 1) // per], (j - 1) % per * bits, out=drawn)
             drawn &= low
-            np.multiply(cell, atoms, out=where)
-            where += drawn
-            # a bounds-checked gather; np.take(out=) was slower, as it buffers
-            cell += flat[where]
-            np.subtract(cell, span, out=row)
+            np.bitwise_or(place, drawn, out=where)
+            # every cell is inside the tables, so "wrap" never wraps; unlike
+            # "raise", it gathers straight into the buffer
+            np.take(next_place, where, out=place, mode="wrap")
+            np.take(after, where, out=row, mode="wrap")
             np.abs(row, out=row_abs)
             np.maximum(max_abs, row_abs, out=max_abs)
-        # integer means reduce in float64: every partial sum is an integer
-        # below 2^53, so exact in any order, and std forms its deviations in
-        # float64, so each value is the one a float64 copy of the row gives
-        summary.append((j, float(row.mean()), float(row.std()), float(row_abs.mean()),
-                        int(row_abs.max())))
+        summary.append((j, *_summary_row(row, row_abs, dev)))
     return WalkSample(n, trials, seed, k, summary, max_abs, row)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fullgroup_lab import (
     CocycleElement,
@@ -57,6 +58,7 @@ from fullgroup_lab.walks import (
     _atom_draws,
     _atom_index,
     _check_sample_size,
+    _summary_row,
     cylinder_nonconstancy_rate,
     empirical_offset_distribution,
     shannon_path_diagnostic,
@@ -464,7 +466,8 @@ def test_atom_draws_equal_a_new_philox_per_trial(fib_spec, oracle_draws, seed, w
         assert np.array_equal(sample.max_abs, np.abs(offsets).max(axis=1))
 
 
-@pytest.mark.parametrize("atoms", [3, ATOM_COUNT_MAX, ATOM_COUNT_MAX + 1, 300])
+# counted from 3 to ATOM_COUNT_MAX atoms, searched past it
+@pytest.mark.parametrize("atoms", [3, 64, 65, ATOM_COUNT_MAX, ATOM_COUNT_MAX + 1, 300])
 def test_atom_index_equals_searchsorted_at_every_bound(atoms):
     # weights 1/2, 1/4, 1/4 put the bounds on exact binary fractions
     weights = ([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)] if atoms == 3
@@ -515,16 +518,34 @@ def test_negative_and_large_seeds_give_distinct_samples(fib_measure, fib_point):
             assert samples[i] != samples[j], (seeds[i], seeds[j])
 
 
-@pytest.mark.parametrize("seed", [0, 5, 2**62 + 5])
-@pytest.mark.parametrize("trials", [1, DRAW_BLOCK - 1, DRAW_BLOCK + 1, 2100])
-@pytest.mark.parametrize("n", [1, 30])
+# (measure, n, trials, seed) of each oracle walk: the Fibonacci ones under
+# their n-trials-seed ids; one of span >= 30,000, on int32 offsets; and one
+# of 300 atoms, whose place has 512 cells, so 212 padding cells are never read
+_ORACLE_WALKS = [pytest.param("fibonacci", n, trials, seed, id=f"{n}-{trials}-{seed}")
+                 for n in (1, 30) for trials in (1, DRAW_BLOCK - 1, DRAW_BLOCK + 1, 2100)
+                 for seed in (0, 5, 2**62 + 5)]
+_ORACLE_WALKS += [pytest.param("fibonacci", 30_000, 3, 5, id="int32"),
+                  pytest.param("many_atoms", 4, DRAW_BLOCK + 1, 5, id="many_atoms")]
+
+
+@pytest.mark.parametrize("which, n, trials, seed", _ORACLE_WALKS)
 def test_streamed_summary_equals_the_matrix_oracle(fib_measure, fib_point, walk_matrix,
-                                                   seed, trials, n):
-    sample = sample_orbit_walks(fib_measure, fib_point, n, trials, seed)
-    oracle = walk_matrix(fib_measure, fib_point, n, trials, seed)
+                                                   which, n, trials, seed):
+    measure = fib_measure if which == "fibonacci" else _shift_measure(150)[0]
+    point = fib_point if which == "fibonacci" else canonical_point(measure.spec)
+    sample = sample_orbit_walks(measure, point, n, trials, seed)
+    oracle = walk_matrix(measure, point, n, trials, seed)
     assert sample.summary == oracle.summary
     assert np.array_equal(sample.max_abs, oracle.max_abs)
     assert np.array_equal(sample.final, oracle.final)
+
+
+@given(st.sampled_from([np.int16, np.int32]).flatmap(lambda dtype: hnp.arrays(
+    dtype, st.integers(min_value=1, max_value=3000),
+    elements=st.integers(np.iinfo(dtype).min, np.iinfo(dtype).max))))
+def test_summary_row_equals_numpy_on_every_integer_row(row):
+    expected = (float(row.mean()), float(row.std()), float(abs(row).mean()), int(abs(row).max()))
+    assert _summary_row(row, abs(row), np.empty(len(row))) == expected
 
 
 def test_sample_keeps_per_trial_vectors_and_no_matrix(fib_measure, fib_point):
@@ -534,15 +555,19 @@ def test_sample_keeps_per_trial_vectors_and_no_matrix(fib_measure, fib_point):
     assert [row[0] for row in sample.summary] == list(range(31))
 
 
-def test_walk_peak_memory_is_counted_by_the_cap(fib_measure, fib_point):
-    n, trials = 400, 5000
-    sample_orbit_walks(fib_measure, fib_point, n, 1, seed=0)  # language tables built
+def _traced_sample_peak(measure, point, n, trials):
+    sample_orbit_walks(measure, point, n, 1, seed=0)  # language tables built
     tracemalloc.start()
     try:
-        sample_orbit_walks(fib_measure, fib_point, n, trials, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
+        sample_orbit_walks(measure, point, n, trials, seed=0)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_walk_peak_memory_is_counted_by_the_cap(fib_measure, fib_point):
+    n, trials = 400, 5000
+    peak = _traced_sample_peak(fib_measure, fib_point, n, trials)
     # the atoms of every draw, four 2-bit draws to a byte; one byte per draw
     # would add 1.5 MB here and fail the bound below
     moves = math.ceil(n / 4) * trials
@@ -553,6 +578,13 @@ def test_walk_peak_memory_is_counted_by_the_cap(fib_measure, fib_point):
     assert peak <= _check_sample_size(n, trials, len(fib_measure.atoms), n + 1, np.int16)
     # below the int16 offset matrix that the sampler no longer holds
     assert peak < trials * (n + 1) * 2
+
+
+@pytest.mark.parametrize("n, trials", [(40_000, 2), (200_000, 1)])
+def test_long_walk_peak_memory_is_counted_by_the_cap(fib_measure, fib_point, n, trials):
+    # mostly the step tables and the summary rows, on int32 offsets
+    peak = _traced_sample_peak(fib_measure, fib_point, n, trials)
+    assert peak <= _check_sample_size(n, trials, len(fib_measure.atoms), n + 1, np.int32)
 
 
 # --- displacement tails -----------------------------------------------------------------

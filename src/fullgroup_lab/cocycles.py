@@ -24,8 +24,9 @@ to -c with no search.  `from_table` accepts a table only if both
 products with its inverse are all-zero rows, reduced or not.
 
 Word-metric balls are CayleyBall graphs: the elements in breadth-first
-order with their word lengths and depths, plus the index of every left
-product by a generator, which is all the exact chain in `walks` needs.
+order with the start of each layer and each element's depth, plus the
+index of every left product by a generator, which is all the exact chain
+in `walks` needs.
 A ball keeps each element as a row of shifts and builds a
 `CocycleElement` only when `element(i)` asks for one; it finds equal rows
 by sorting one uint64 hash per row, checked row by row.
@@ -456,11 +457,13 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class CayleyBall:
     """The word-metric ball of a generator set, in breadth-first order.
 
-    Element i (the identity is 0) has word length `lengths[i]` and table
-    depth `depths[i]`; `len(ball)` counts the elements.  For every element
-    shorter than `radius`, row i of the int32 array `neighbors` holds the
-    index of compose(s, element(i)) for each generator s in order: the
-    edges of the left walk.  Those elements are a prefix of the ball.
+    Element i (the identity is 0) has table depth `depths[i]`, of the
+    narrowest type that holds the deepest table, and the elements of word
+    length r are `starts[r]` .. `starts[r + 1] - 1`, so `len(ball)` is
+    `starts[-1]`.  For every element shorter than `radius`, row i of the
+    int32 array `neighbors` holds the index of compose(s, element(i)) for
+    each generator s in order: the edges of the left walk.  Those elements
+    are a prefix of the ball.
 
     The shift rows are the ball's only element store: one 2-D array per
     table depth, of the narrowest integer type that holds radius times the
@@ -487,15 +490,15 @@ class CayleyBall:
         self.cap = cap
         self.radius = 0
         self.composed_cells = 0
-        self.lengths = np.zeros(1, dtype=np.int64)
-        self.depths = np.zeros(1, dtype=np.int64)
+        self.starts = [0, 1]
+        self.depths = np.zeros(1, dtype=np.int8)
         self.neighbors = np.empty((0, len(gens)), dtype=np.int32)
         self._atoms = [s for _, s in gens.elements]
         self._rows = {0: np.zeros((1, len(gens.spec.language.words(1))), dtype=np.int8)}
-        self._slots = np.zeros(1, dtype=np.int64)  # element i is _rows[depths[i]][_slots[i]]
+        self._slots = np.zeros(1, dtype=np.int32)  # element i is _rows[depths[i]][_slots[i]]
 
     def __len__(self) -> int:
-        return len(self.lengths)
+        return self.starts[-1]
 
     def shift_rows(self, depth: int, ids: np.ndarray) -> np.ndarray:
         """The shift rows of elements `ids`, all of table depth `depth`: row
@@ -542,10 +545,10 @@ class CayleyBall:
 
     def _arrays(self) -> tuple[np.ndarray, ...]:
         """Every array the ball holds."""
-        return (self.lengths, self.depths, self.neighbors, self._slots, *self._rows.values())
+        return (self.depths, self.neighbors, self._slots, *self._rows.values())
 
     def _grow_layer(self, back: np.ndarray, closed: bool) -> None:
-        first, size, width = len(self.neighbors), len(self.lengths), len(self._atoms)
+        first, size, width = len(self.neighbors), len(self), len(self._atoms)
         what = f"ball layer {self.radius + 1}"
         # kept: the bytes live from one step to the next, the ball's arrays
         # first.  Each step affords the arrays it makes on top of kept before
@@ -558,7 +561,7 @@ class CayleyBall:
         # while the rows of the depth before, a group's copy and its todo rows
         # may still be live, so three times the frontier's rows at most, and
         # 80 bytes an element of masks and indices
-        start = int(np.searchsorted(self.lengths, self.radius - 1))
+        start = self.starts[max(self.radius - 1, 0)]
         last = self.neighbors[start:]
         per_depth = np.bincount(self.depths[first:]).tolist()
         gathered = (3 * self._rows[0].itemsize
@@ -600,10 +603,14 @@ class CayleyBall:
         # copies the ball's arrays one at a time, each with its new part, so
         # the appended ball and at most its largest old array are live, with
         # the new depths and slots and 16 bytes an element of indices; the
-        # appended ball replaces the old one in kept
+        # appended ball replaces the old one in kept.  A new depth and slot
+        # (12 bytes at most) count as int64 words, in the ball and beside it:
+        # the append is a layer's largest traced peak, and only so does its
+        # count stay above the settles', which overcount deduplication
+        depth_type = _row_dtype(max(self._rows.keys() | {d for d, _, _ in added}))
         largest = max(a.nbytes for a in self._arrays())
-        grown = (ball_bytes + 4 * targets.size
-                 + sum(new.nbytes + 24 * len(new) for _, new, _ in added))
+        grown = (ball_bytes + (depth_type.itemsize - self.depths.itemsize) * size
+                 + 4 * targets.size + sum(new.nbytes + 24 * len(new) for _, new, _ in added))
         afford(kept + 17 * targets.size + grown - ball_bytes + largest + 48 * found, what)
         fresh_cells = np.sort(np.concatenate([np.empty(0, dtype=np.int64),
                                               *(c for _, _, c in added)]))
@@ -611,17 +618,17 @@ class CayleyBall:
         targets[pending] = size + np.searchsorted(fresh_cells, -1 - targets[pending])
         rows = targets.astype(np.int32)
         del targets, pending
-        new_depths = np.empty(len(fresh_cells), dtype=np.int64)
-        new_slots = np.empty_like(new_depths)
+        new_depths = np.empty(len(fresh_cells), dtype=depth_type)
+        new_slots = np.empty(len(fresh_cells), dtype=np.int32)
         for d, new, cells in added:
             ids = np.searchsorted(fresh_cells, cells)
             held = len(self._rows.get(d, ()))
             new_depths[ids] = d
-            new_slots[ids] = held + np.arange(len(new))
+            new_slots[ids] = np.arange(held, held + len(new))
             self._rows[d] = np.concatenate([self._rows[d], new]) if held else new
         self.radius += 1
         self.composed_cells += composed
-        self.lengths = np.concatenate([self.lengths, np.full(len(new_depths), self.radius)])
+        self.starts.append(size + found)
         self.depths = np.concatenate([self.depths, new_depths])
         self._slots = np.concatenate([self._slots, new_slots])
         self.neighbors = np.concatenate([self.neighbors, rows])
@@ -635,7 +642,7 @@ class CayleyBall:
         width = len(self._atoms)
         built = defaultdict(list)
         composed = 0
-        for depth, at, layer_rows in self.rows_by_depth(np.arange(first, len(self.lengths))):
+        for depth, at, layer_rows in self.rows_by_depth(np.arange(first, len(self))):
             reach = np.abs(layer_rows).max(axis=1)
             for m in np.flatnonzero(np.bincount(reach)).tolist():
                 group = reach == m

@@ -23,14 +23,14 @@ index: 8/b draws share one byte up to 256 atoms, and past that each draw
 has a word of its own, uint16 up to 65,536 atoms.  The packed draws of all
 trials go into one step-major array, trials wide.  The walk then makes one
 pass over the steps, moving every trial at once.  A trial's state is its
-place, (offset + span) * stride with stride the smallest power of two that
-holds the atoms, so place | atom names one cell of two tables built once
-from `cocycles.increment_table`: the place after that move and the offset
-after it.  A step unpacks its draws with one shift and one mask, ORs them
-into the places and gathers both tables there.  Its contiguous row of
-narrow integer offsets is summarized in reused buffers, with the bits of
-numpy's mean and std, and folded into each trial's running max|m| before
-the next step overwrites it, so no trials x (n+1) matrix is ever held.
+place, (offset + span) * atoms, so place + atom names one cell of two
+tables built once from `cocycles.increment_table`: the place after that
+move and the offset after it.  A step unpacks its draws with one shift and
+one mask, adds them to the places and gathers both tables there.  Its
+contiguous row of narrow integer offsets is summarized in reused buffers,
+with the bits of numpy's mean and std, and folded into each trial's
+running max|m| before the next step overwrites it, so no trials x (n+1)
+matrix is ever held.
 The increment table is checked against the Lipschitz bound before any
 draw.  A sample's arrays, all counted, are afforded against the byte
 budget (`errors.afford`) before any is allocated.
@@ -374,11 +374,6 @@ def _atom_draws(measure: StepMeasure, n: int, trials: int, seed: int) -> np.ndar
     return moves
 
 
-def _stride(atoms: int) -> int:
-    """The smallest power of two >= atoms: one place's cells in the step tables."""
-    return 1 << (atoms - 1).bit_length()
-
-
 def _check_sample_size(n: int, trials: int, atoms: int, span: int, dtype: np.dtype) -> int:
     """Return the bytes a sample holds at most, afforded against the byte
     budget before any of them is allocated.  Counted: the packed draws of
@@ -395,7 +390,7 @@ def _check_sample_size(n: int, trials: int, atoms: int, span: int, dtype: np.dty
     width = min(trials, DRAW_BLOCK)
     per_draw = 8 + 1 + (8 if atoms > ATOM_COUNT_MAX else 0)
     # the increment table and its abs; the position column; next_place and after
-    per_position = 2 * atoms * itemsize + 4 + _stride(atoms) * (4 + itemsize)
+    per_position = 2 * atoms * itemsize + 4 + atoms * (4 + itemsize)
     # the int32 place, the cell and the float64 deviations; one step's
     # unpacked draws; the offsets, their abs and the running max
     per_trial = 4 + 2 * 8 + draw_itemsize + 3 * itemsize
@@ -414,26 +409,23 @@ def _step_tables(measure: StepMeasure, point: Point, span: int,
     offsets m in [-span, span], built from the increment table once it is
     checked against the measure's max_shift.
 
-    Offset m sits at place (m + span) * stride, and place | a is the cell of
+    Offset m sits at place (m + span) * atoms, and place + a is the cell of
     atom a there: `next_place` holds the place of m + increment, `after`
     that offset in `dtype`.  A walk of n steps moves only from |m| <= k(n - 1)
     and so lands within the span; the moves out of the outer offsets, never
-    made, are clipped to it, so every place stays inside the tables.  The
-    cells of the padding atoms past the measure's are zero and never read.
+    made, are clipped to it, so every place stays inside the tables.
     Places are int32: the byte budget, which counts at least 6 bytes a
     cell, keeps the cells below 2^27."""
     table = increment_table(measure.generator_set(), point, span, dtype)
     if np.abs(table).max() > measure.max_shift:
         raise InternalInvariantError("an increment exceeds the generator shift bound")
     atoms, positions = table.shape
-    stride = _stride(atoms)
-    next_place = np.zeros((positions, stride), dtype=np.int32)
-    moved = next_place[:, :atoms]
-    np.add(table.T, np.arange(positions, dtype=np.int32)[:, None], out=moved)  # m + span + inc
-    np.clip(moved, 0, positions - 1, out=moved)
-    after = np.zeros((positions, stride), dtype=dtype)
-    np.subtract(moved, span, out=after[:, :atoms], casting="same_kind")
-    next_place *= stride
+    next_place = np.empty((positions, atoms), dtype=np.int32)
+    np.add(table.T, np.arange(positions, dtype=np.int32)[:, None], out=next_place)  # m + span + inc
+    np.clip(next_place, 0, positions - 1, out=next_place)
+    after = np.empty((positions, atoms), dtype=dtype)
+    np.subtract(next_place, span, out=after, casting="same_kind")
+    next_place *= atoms
     return next_place.ravel(), after.ravel()
 
 
@@ -467,7 +459,7 @@ def sample_orbit_walks(measure: StepMeasure, point: Point, n: int, trials: int,
     increment table that reads the point once per generator depth and is
     checked against the measure's max_shift, so no step can exceed it.  Then
     every draw is made and packed (`_atom_draws`), and one pass over the
-    steps moves all trials at once: a step ORs its unpacked draws into the
+    steps moves all trials at once: a step adds its unpacked draws to the
     trials' places and gathers the next places and the offsets there.  Each
     step's contiguous row of narrow integer offsets gets its summary row
     (`_summary_row`, equal to numpy's mean and std of the row) and raises
@@ -488,7 +480,7 @@ def sample_orbit_walks(measure: StepMeasure, point: Point, n: int, trials: int,
     bits, per, _ = _draw_layout(atoms)
     low = (1 << bits) - 1
     drawn = np.empty(trials, dtype=moves.dtype)
-    place = np.full(trials, span * _stride(atoms), dtype=np.int32)  # offset 0
+    place = np.full(trials, span * atoms, dtype=np.int32)  # offset 0
     where = np.empty(trials, dtype=np.intp)
     row = np.zeros(trials, dtype=dtype)
     row_abs = np.zeros(trials, dtype=dtype)
@@ -499,7 +491,7 @@ def sample_orbit_walks(measure: StepMeasure, point: Point, n: int, trials: int,
         if j:
             np.right_shift(moves[(j - 1) // per], (j - 1) % per * bits, out=drawn)
             drawn &= low
-            np.bitwise_or(place, drawn, out=where)
+            np.add(place, drawn, out=where)
             # every cell is inside the tables, so "wrap" never wraps; unlike
             # "raise", it gathers straight into the buffer
             np.take(next_place, where, out=place, mode="wrap")
@@ -687,14 +679,14 @@ def stable_set_report(chain: ConvolutionCache, n: int, depth_scale: float) -> St
 
     The stable mass sums the path counts of the support elements whose
     table depth is at most d(n); the stable count reads the same depths on
-    the radius-n ball, a prefix of the chain's ball (it is in BFS order).
+    the radius-n ball, the chain's ball up to the start of layer n + 1.
     """
     d = cylinder_depth(n, depth_scale)
     dist = chain.power(n)
     ball = chain.ball
     stable_support = ball.depths[dist.index] <= d
     mass = Fraction(int(dist.counts[stable_support].sum()), dist.denominator)
-    ball_size = int(np.searchsorted(ball.lengths, n, side="right"))
+    ball_size = ball.starts[n + 1]
     stable_count = int(np.count_nonzero(ball.depths[:ball_size] <= d))
     measure = chain.measure
     k = measure.max_shift

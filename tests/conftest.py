@@ -52,6 +52,12 @@ def naive_iterate(rules, word, k):
     return word
 
 
+def word_lengths(b):
+    """Each element's word length in a ball, in index order: layer r's
+    elements are b.starts[r] .. b.starts[r + 1] - 1."""
+    return np.repeat(np.arange(len(b.starts) - 1), np.diff(b.starts))
+
+
 def _sturmian_rules(cf):
     """theta_{a_1} o ... o theta_{a_m} over one period of the continued
     fraction, theta_c being a -> a^c b, b -> a: its k-th iterate of a is the

@@ -43,6 +43,8 @@ from fullgroup_lab import (
 from fullgroup_lab.cocycles import ball
 from fullgroup_lab.walks import ConvolutionCache
 
+from conftest import word_lengths
+
 
 @contextmanager
 def criterion(num, description, budget=None):
@@ -241,7 +243,7 @@ def test_criterion_13_property_suites(fib_spec, fib_gens, fib_point, fib_cache):
         full_ball = ball(fib_gens, 6)
         k_bound = fib_gens.max_shift
         assert len(full_ball) == 188
-        for i, length in enumerate(full_ball.lengths.tolist()):
+        for i, length in enumerate(word_lengths(full_ball).tolist()):
             g = full_ball.element(i)
             assert g.max_shift <= k_bound * length or length == 0
 

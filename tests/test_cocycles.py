@@ -36,6 +36,8 @@ from fullgroup_lab import (
 from fullgroup_lab import cocycles, errors
 from fullgroup_lab.cocycles import CocycleElement, _reduce_depth, _refined, compose_plan
 
+from conftest import word_lengths
+
 
 @pytest.fixture(scope="module")
 def abg(fib_gens):
@@ -273,7 +275,7 @@ def _elements(b):
 
 def _lengths(b):
     """Each element of the ball mapped to its word length, in index order."""
-    return dict(zip(_elements(b), b.lengths.tolist()))
+    return dict(zip(_elements(b), word_lengths(b).tolist()))
 
 
 def test_ball_radius_zero(fib_spec, fib_gens):
@@ -301,7 +303,7 @@ def _assert_rows_are_left_products(b, gens):
     """One row per element shorter than the radius: its left products."""
     atoms = [s for _, s in gens.elements]
     elements = _elements(b)
-    assert b.neighbors.shape == (np.count_nonzero(b.lengths < b.radius), len(atoms))
+    assert b.neighbors.shape == (np.count_nonzero(word_lengths(b) < b.radius), len(atoms))
     for i, row in enumerate(b.neighbors.tolist()):
         assert [elements[j] for j in row] == [compose(s, elements[i]) for s in atoms]
 
@@ -311,7 +313,8 @@ def test_ball_neighbors_lengths_and_depths(fib_spec, fib_gens):
     elements, lengths = _elements(b), _lengths(b)
     assert elements[0] == identity(fib_spec)
     assert len(lengths) == len(b) == 22
-    assert b.lengths.tolist() == [lengths[g] for g in elements] == sorted(b.lengths.tolist())
+    ordered = word_lengths(b).tolist()
+    assert ordered == [lengths[g] for g in elements] == sorted(ordered)
     assert b.depths.tolist() == [g.depth for g in elements]
     assert b.neighbors.dtype == np.int32
     _assert_rows_are_left_products(b, fib_gens)
@@ -335,7 +338,8 @@ def test_ball_cap_leaves_the_ball_as_it_was(fib_gens):
         with pytest.raises(ResourceLimit, match="ball enumeration exceeded 21 elements"):
             b.grow(3)
         assert b.radius == 2 and list(_lengths(b).items()) == items
-        assert np.array_equal(b.neighbors, rows) and len(b.lengths) == len(b.depths) == 10
+        assert np.array_equal(b.neighbors, rows) and b.starts == [0, 1, 4, 10]
+        assert len(b) == len(b.depths) == len(b._slots) == 10
     b.cap = 22
     b.grow(3)
     assert list(_lengths(b).items()) == list(_lengths(ball(fib_gens, 3)).items())
@@ -352,7 +356,7 @@ def test_ball_byte_budget_refuses_a_layer_before_it_is_built(fib_gens, monkeypat
         assert b.radius == 5 and len(b) == 94 and np.array_equal(b.neighbors, rows)
     monkeypatch.undo()
     b.grow(6)
-    assert b.lengths.tolist() == ball(fib_gens, 6).lengths.tolist()
+    assert b.starts == ball(fib_gens, 6).starts
 
 
 MiB = 1 << 20
@@ -445,6 +449,18 @@ def _reference_ball(gens, radius):
     return elements, lengths, [g.depth for g in elements], rows
 
 
+def test_ball_keeps_layer_starts_and_narrow_bookkeeping(fib_gens):
+    # the layers are the starts' gaps, and each array is as narrow as its
+    # values: int8 depths (no table is deeper than 127) and int32 slots
+    b = ball(fib_gens, 16)
+    assert not hasattr(b, "lengths") and len(b) == b.starts[-1] == 145_278
+    _, lengths, _, _ = _reference_ball(fib_gens, 16)
+    assert np.diff(b.starts).tolist() == np.bincount(lengths).tolist()
+    assert b.depths.itemsize == 1 and b._slots.dtype == np.int32
+    rows = sum(r.nbytes for r in b._rows.values())
+    assert sum(a.nbytes for a in b._arrays()) == rows + 4 * (b.neighbors.size + len(b)) + len(b)
+
+
 def _swap(spec, two):
     """The involution exchanging the two letters of each occurrence of `two`."""
     return from_table(spec, 1, {
@@ -489,7 +505,7 @@ def test_ball_equals_the_compose_per_edge_reference(name):
     if name.startswith("tau"):
         assert len(b) == 2 * radius + 1
     assert _elements(b) == elements
-    assert b.lengths.tolist() == lengths and b.depths.tolist() == depths
+    assert word_lengths(b).tolist() == lengths and b.depths.tolist() == depths
     assert b.neighbors.tolist() == rows
 
 
@@ -503,7 +519,7 @@ def test_ball_grown_past_the_int8_bound_equals_the_reference():
     assert b._rows[0].dtype == np.int16
     elements, lengths, depths, rows = _reference_ball(gens, radius)
     assert _elements(b) == elements
-    assert b.lengths.tolist() == lengths and b.depths.tolist() == depths
+    assert word_lengths(b).tolist() == lengths and b.depths.tolist() == depths
     assert b.neighbors.tolist() == rows
 
 
@@ -511,7 +527,7 @@ def _ball_digest(b):
     digest = hashlib.sha256()
     for g in _elements(b):
         digest.update(repr((g.depth, g.shifts)).encode())
-    for array, dtype in ((b.lengths, "<i8"), (b.depths, "<i8"), (b.neighbors, "<i4")):
+    for array, dtype in ((word_lengths(b), "<i8"), (b.depths, "<i8"), (b.neighbors, "<i4")):
         digest.update(array.astype(dtype).tobytes())
     return digest.hexdigest()
 
@@ -548,7 +564,7 @@ def test_ball_with_every_row_hash_colliding_equals_the_reference(name, monkeypat
     elements, lengths, depths, rows = _reference_ball(gens, radius)
     assert fallbacks
     assert _elements(b) == elements
-    assert b.lengths.tolist() == lengths and b.depths.tolist() == depths
+    assert word_lengths(b).tolist() == lengths and b.depths.tolist() == depths
     assert b.neighbors.tolist() == rows
 
 

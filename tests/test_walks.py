@@ -64,6 +64,8 @@ from fullgroup_lab.walks import (
     shannon_path_diagnostic,
 )
 
+from conftest import word_lengths
+
 
 def chain_of(measure, cap=DEFAULT_BALL_CAP):
     """The exact chain of `measure` over a ball that it grows on demand."""
@@ -196,7 +198,7 @@ def test_integer_chain_equals_fraction_chain(fib_measure, which):
     chain = chain_of(measure)
     reference = ball(gens, 8)
     lengths = {reference.element(i): length
-               for i, length in enumerate(reference.lengths.tolist())}
+               for i, length in enumerate(word_lengths(reference).tolist())}
     first = {}
     for n, law in enumerate(laws):
         dist = chain.power(n)
@@ -690,13 +692,22 @@ def test_stable_mass_monotone_in_depth_scale(fib_cache):
 @pytest.mark.parametrize("depth_scale", [9.0, 0.05])
 def test_stable_report_on_a_ball_grown_past_n(fib_measure, depth_scale):
     chain = ConvolutionCache(fib_measure, ball(fib_measure.generator_set(), 8))
-    lengths, depths = chain.ball.lengths, chain.ball.depths
+    lengths, depths = word_lengths(chain.ball), chain.ball.depths
     assert lengths.max() == 8
     for n in range(1, 9):
         rep = stable_set_report(chain, n, depth_scale)
         in_ball = lengths <= n
         assert rep.ball_size == int(np.count_nonzero(in_ball))
         assert rep.stable_count == int(np.count_nonzero(in_ball & (depths <= rep.depth)))
+
+
+def test_stable_report_depth_past_the_narrow_depth_type(fib_cache):
+    # the ball's depths are int8 here, and the report depth 408 is past
+    # their range: every element is at most that deep
+    rep = stable_set_report(fib_cache, 8, 1e4)
+    assert fib_cache.ball.depths.dtype == np.int8 and rep.depth == 408
+    assert rep.stable_count == rep.ball_size
+    assert rep.stable_mass == 1
 
 
 def test_entropy_run_sums_each_power_once(tmp_path, monkeypatch):

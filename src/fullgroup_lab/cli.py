@@ -7,10 +7,14 @@ Three subcommands cover the reproducible reports:
 * ``entropy`` runs the exact convolution chain with the depth-stability
   and entropy-bound accounting.
 
-Every run writes a ``manifest.json`` with the exact argument vector;
-replaying those arguments (into any output directory) reproduces the
-other output files byte for byte.  Exit codes: 0 success, 2 invalid
-input, 3 resource limit, 4 internal invariant failure.
+Each command computes every output before it writes any; then one step,
+:func:`_publish`, makes the output directory, writes the outputs and
+writes ``manifest.json`` last, with the exact argument vector.  A refusal
+therefore leaves no directory, except for ``entropy``'s partial results,
+which are published with exit 3.  Replaying the manifest's arguments (into
+any output directory) reproduces the other output files byte for byte.
+Exit codes: 0 success, 2 invalid input, 3 resource limit, 4 internal
+invariant failure.
 """
 
 from __future__ import annotations
@@ -116,13 +120,27 @@ def _check_rows(n: int) -> None:
         raise ResourceLimit(f"--n {n} asks for more than {MAX_ROWS} table rows")
 
 
-def _make_out(out: Path) -> None:
-    """Make the output directory; refuse a path that is a file or lies
-    under one."""
+def _publish(args, argv, command: str, parameters: dict, tables: dict, files: dict) -> None:
+    """Write one run's outputs into ``--out``, the manifest last.
+
+    `tables` maps a base name to its (headers, rows), written in
+    ``--format``; `files` maps a file name to its text (a str) or to a JSON
+    document.  This is the only function that makes the directory or writes
+    a file; it refuses a path that is a file or lies under one.
+    """
+    out = args.out
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise ValidationError(f"--out {out} cannot be a directory: {exc.strerror}") from None
+    outputs = [fileio.write_table(out / name, headers, rows, args.format).name
+               for name, (headers, rows) in tables.items()]
+    for name, doc in files.items():
+        if isinstance(doc, str):
+            (out / name).write_text(doc, encoding="utf-8")
+        else:
+            fileio.write_json(out / name, doc)
+    fileio.write_manifest(out, command, argv, parameters, outputs + list(files))
 
 
 def cmd_complexity(args, argv) -> int:
@@ -133,14 +151,11 @@ def cmd_complexity(args, argv) -> int:
     if args.dump_factors is not None and args.dump_factors < 0:
         raise ValidationError("--dump-factors must be >= 0")
     oracle = spec.language
-    # each row is checked as it is computed, and all before the output
-    # directory is made, so a refusal leaves none
     rows = list(fileio.check_cells((n, oracle.complexity(n)) for n in range(1, args.n + 1)))
-    dump = None if args.dump_factors is None else oracle.words(args.dump_factors)
-    _make_out(args.out)
-    outputs = []
-    table = fileio.write_table(args.out / "complexity", ("n", "rho"), rows, args.format)
-    outputs.append(table.name)
+    files = {}
+    if args.dump_factors is not None:
+        dump = oracle.words(args.dump_factors)
+        files[f"factors_{args.dump_factors}.txt"] = "\n".join(dump) + "\n"
 
     fit = {"n_range": [2, args.n]}
     fit_rows = rows[1:]  # the log-log fit skips n = 1
@@ -163,20 +178,12 @@ def cmd_complexity(args, argv) -> int:
         p, q = len(spec.pattern), spec.pattern.count(spec.hole)
         if math.gcd(p, q) == 1 and p > q:
             fit["coprime_exponent"] = math.log(p) / math.log(p / q)
-    fileio.write_json(args.out / "complexity_fit.json", fit)
-    outputs.append("complexity_fit.json")
+    files["complexity_fit.json"] = fit
 
-    if dump is not None:
-        name = f"factors_{args.dump_factors}.txt"
-        (args.out / name).write_text("\n".join(dump) + "\n", encoding="utf-8")
-        outputs.append(name)
-
-    fileio.write_manifest(
-        args.out, "complexity", argv,
-        {"spec": str(args.spec), "n": args.n, "format": args.format,
-         "dump_factors": args.dump_factors},
-        outputs,
-    )
+    _publish(args, argv, "complexity",
+             {"spec": str(args.spec), "n": args.n, "format": args.format,
+              "dump_factors": args.dump_factors},
+             {"complexity": (("n", "rho"), rows)}, files)
     return EXIT_OK
 
 
@@ -187,18 +194,10 @@ def cmd_walk(args, argv) -> int:
     if args.trials < 1 or args.n < 1:
         raise ValidationError("--n and --trials must be >= 1")
     sample = sample_orbit_walks(measure, point, args.n, args.trials, args.seed)
-
-    _make_out(args.out)
-    outputs = []
     # debugging aid: the window of the walked point around the start offset
-    (args.out / "point_window.txt").write_text(point.window(0, 60) + "\n", encoding="utf-8")
-    outputs.append("point_window.txt")
+    files = {"point_window.txt": point.window(0, 60) + "\n"}
     # the sampler summarized each step's row of offsets as it made it
-    table = fileio.write_table(
-        args.out / "walk_summary", ("j", "mean", "std", "mean_abs", "max_abs"),
-        sample.summary, args.format,
-    )
-    outputs.append(table.name)
+    tables = {"walk_summary": (("j", "mean", "std", "mean_abs", "max_abs"), sample.summary)}
 
     grid = supported_a_grid(sample)
     fit_doc = {
@@ -213,14 +212,10 @@ def cmd_walk(args, argv) -> int:
         # e.g. a single trajectory: report the run, skip the fit
         fit_doc["insufficient_data"] = str(exc)
     else:
-        tail_rows = [
+        tables["tail"] = (("a", "tail", "bound"), [
             (a, p, float(curve.fit.envelope(a)))
             for a, p in zip(curve.a_grid, curve.empirical)
-        ]
-        table = fileio.write_table(
-            args.out / "tail", ("a", "tail", "bound"), tail_rows, args.format
-        )
-        outputs.append(table.name)
+        ])
         refl = reflection_check(sample, grid, curve.fit.b0)
         fit_doc.update(
             fit={"C": curve.fit.c, "D": curve.fit.d, "a0": curve.fit.a0, "b0": curve.fit.b0},
@@ -228,15 +223,12 @@ def cmd_walk(args, argv) -> int:
             reflection_holds=refl.holds,
             reflection_rows=[list(r) for r in refl.rows],
         )
-    fileio.write_json(args.out / "tail_fit.json", fit_doc)
-    outputs.append("tail_fit.json")
+    files["tail_fit.json"] = fit_doc
 
-    fileio.write_manifest(
-        args.out, "walk", argv,
-        {"spec": str(args.spec), "gens": str(args.gens), "measure": measure_desc,
-         "n": args.n, "trials": args.trials, "seed": args.seed, "format": args.format},
-        outputs,
-    )
+    _publish(args, argv, "walk",
+             {"spec": str(args.spec), "gens": str(args.gens), "measure": measure_desc,
+              "n": args.n, "trials": args.trials, "seed": args.seed, "format": args.format},
+             tables, files)
     return EXIT_OK
 
 
@@ -270,15 +262,6 @@ def cmd_entropy(args, argv) -> int:
     except ResourceLimit as exc:
         limit_hit = str(exc)
 
-    _make_out(args.out)
-    outputs = []
-    table = fileio.write_table(
-        args.out / "entropy",
-        ("n", "H", "H_over_n", "mu_n_An", "An_size", "bound", "slack"),
-        rows, args.format,
-    )
-    outputs.append(table.name)
-
     fit_doc = {
         "partial": limit_hit is not None,
         "depth_scale": args.depth_scale,
@@ -299,15 +282,12 @@ def cmd_entropy(args, argv) -> int:
         )
     else:
         fit_doc["resource_limit"] = limit_hit
-    fileio.write_json(args.out / "entropy_fit.json", fit_doc)
-    outputs.append("entropy_fit.json")
 
-    fileio.write_manifest(
-        args.out, "entropy", argv,
-        {"spec": str(args.spec), "gens": str(args.gens), "measure": measure_desc,
-         "n": args.n, "L": args.depth_scale, "cap": args.cap, "format": args.format},
-        outputs,
-    )
+    _publish(args, argv, "entropy",
+             {"spec": str(args.spec), "gens": str(args.gens), "measure": measure_desc,
+              "n": args.n, "L": args.depth_scale, "cap": args.cap, "format": args.format},
+             {"entropy": (("n", "H", "H_over_n", "mu_n_An", "An_size", "bound", "slack"), rows)},
+             {"entropy_fit.json": fit_doc})
     if limit_hit is not None:
         print(f"resource limit: {limit_hit} (partial results written)", file=sys.stderr)
         return EXIT_RESOURCE

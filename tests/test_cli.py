@@ -19,6 +19,7 @@ import fullgroup_lab
 from fullgroup_lab import (
     ResourceLimit,
     canonical_point,
+    cli,
     errors,
     fibonacci_generators,
     fibonacci_spec,
@@ -372,6 +373,20 @@ def test_an_output_path_that_cannot_be_a_directory_exits_2(workdir, capsys, comm
     err = capsys.readouterr().err
     assert err.startswith(f"error: --out {out} ") and err.count("\n") == 1
     assert (workdir / "afile").read_text() == "kept\n"
+
+
+def test_a_refusal_after_sampling_leaves_no_directory(workdir, capsys, monkeypatch):
+    # every output is computed before the directory is made, so a refusal
+    # late in a command, here in the tail's reflection check, writes nothing
+    def refuse(*args):
+        raise ResourceLimit("refused after sampling")
+
+    monkeypatch.setattr(cli, "reflection_check", refuse)
+    out = workdir / "late"
+    assert run(["walk", "--spec", workdir / "fib.json", "--gens", workdir / "gens.json",
+                "--n", 40, "--trials", 1000, "--out", out]) == 3
+    assert capsys.readouterr().err == "resource limit: refused after sampling\n"
+    assert not out.exists()
 
 
 def test_entropy_takes_no_seed(workdir, capsys):

@@ -265,6 +265,63 @@ raise ResourceLimit("at import")
     assert [h for h in hits if h in RESOURCE_LIMIT_RAISES] == ["cli.py:_check_rows"]
 
 
+# calls that make a directory or write a file, by attribute or by bare name
+WRITE_CALLS = {"mkdir", "makedirs", "write_text", "write_bytes",
+               "write_table", "write_json", "write_manifest"}
+
+
+def _file_writes(tree: ast.Module, name: str) -> list[str]:
+    """Each call of a name in WRITE_CALLS, as module:function: name, where
+    function is the top-level definition that holds it, in source order."""
+    hits = []
+    for top in tree.body:
+        named = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        calls = [n for n in ast.walk(top) if isinstance(n, ast.Call)]
+        for call in sorted(calls, key=lambda n: (n.lineno, n.col_offset)):
+            callee = getattr(call.func, "attr", getattr(call.func, "id", None))
+            if callee in WRITE_CALLS:
+                hits.append(f"{name}:{top.name if named else '<module>'}: {callee}")
+    return hits
+
+
+def test_only_publish_makes_the_output_directory_or_writes_a_file():
+    # each command computes all its outputs first and hands them to one
+    # publish step, so a refusal leaves no output directory
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    hits = _file_writes(tree, "cli.py")
+    assert hits and all(h.startswith("cli.py:_publish: ") for h in hits), hits
+
+
+def test_the_publish_guard_sees_each_form_of_write():
+    source = """
+from pathlib import Path
+from . import fileio
+from .fileio import write_table
+
+def _publish(args, files):
+    args.out.mkdir(parents=True)
+    fileio.write_manifest(args.out, files)
+
+def cmd_walk(args):
+    (args.out / "point_window.txt").write_text("ab\\n")
+    fileio.write_json(args.out / "tail_fit.json", {})
+    write_table(args.out / "tail", (), [], "csv")
+
+class Report:
+    def save(self, path):
+        def inner():
+            Path(path).write_bytes(b"")
+        return inner
+
+fileio.write_table(Path("t"), (), [], "csv")
+"""
+    hits = _file_writes(ast.parse(source), "cli.py")
+    assert hits == ["cli.py:_publish: mkdir", "cli.py:_publish: write_manifest",
+                    "cli.py:cmd_walk: write_text", "cli.py:cmd_walk: write_json",
+                    "cli.py:cmd_walk: write_table", "cli.py:Report: write_bytes",
+                    "cli.py:<module>: write_table"]
+
+
 def test_the_unused_import_guard_reads_names_not_text():
     source = """
 '''Uses json and math only in this docstring.'''

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -49,3 +51,16 @@ def test_complexity_survey_runs(tmp_path):
     rows = (out / "sturmian_golden.csv").read_text().splitlines()
     assert rows[0] == "n,rho"
     assert all(int(r) == int(n) + 1 for n, r in (row.split(",") for row in rows[1:]))
+
+
+@pytest.mark.parametrize("flag, value", [("--points", 1), ("--points", 0), ("--n-max", 0),
+                                         ("--n-max", -5), ("--n-max", 8)])
+def test_complexity_survey_refuses_a_grid_with_nothing_to_fit(tmp_path, flag, value):
+    # one distinct length (--points 1, --n-max 8), none (--points 0) or a
+    # length below 1 (--n-max 0 or -5) leave no log-log slope to fit
+    out = tmp_path / "survey"
+    proc = run_script("run_complexity_survey.py", "--out", out, flag, value, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert not out.exists()
